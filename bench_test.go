@@ -1,8 +1,14 @@
 // Package mira_test holds the benchmark harness: one testing.B benchmark
-// per table and figure of the MIRA paper's evaluation section. Each
-// benchmark regenerates its artifact via internal/exp (with shortened
-// simulation windows so `go test -bench=.` stays tractable) and reports
-// the headline quantity of that artifact as a custom benchmark metric.
+// per simulated sweep of the MIRA paper's evaluation section, plus the
+// engine micro-benchmarks. Each figure benchmark regenerates its
+// artifact via internal/exp (with shortened simulation windows so
+// `go test -bench=.` stays tractable) and reports the headline quantity
+// of that artifact as a custom benchmark metric. Figures 12a-d and 11d
+// read the sweeps Fig11a/b/c time and have no benchmark of their own;
+// nor do the analytic tables, which cost nanoseconds.
+//
+// The options carry no exp.Scope, so every iteration simulates: these
+// benchmarks time simulation, never a result lookup.
 //
 // Full-length regeneration (the numbers recorded in EXPERIMENTS.md) is
 // done with `go run ./cmd/mirabench all`.
@@ -15,14 +21,11 @@ import (
 	"strconv"
 	"testing"
 
-	"mira/internal/area"
 	"mira/internal/cmp"
 	"mira/internal/core"
 	"mira/internal/exp"
 	"mira/internal/noc"
-	"mira/internal/power"
 	"mira/internal/routing"
-	"mira/internal/timing"
 	"mira/internal/topology"
 	"mira/internal/traffic"
 )
@@ -45,47 +48,6 @@ func parseCell(b *testing.B, s string) float64 {
 		b.Fatalf("bad cell %q: %v", s, err)
 	}
 	return v
-}
-
-// BenchmarkTable1Area regenerates the router component area table.
-func BenchmarkTable1Area(b *testing.B) {
-	var total float64
-	for i := 0; i < b.N; i++ {
-		t := exp.Table1()
-		total = parseCell(b, t.Rows[7][3]) // 3DM total
-	}
-	b.ReportMetric(total, "um2_3DM_total")
-}
-
-// BenchmarkTable3Delay regenerates the ST+LT combination check.
-func BenchmarkTable3Delay(b *testing.B) {
-	var combined float64
-	for i := 0; i < b.N; i++ {
-		d := timing.Evaluate(120, core.Pitch3DMMM)
-		combined = d.CombinedPS
-	}
-	b.ReportMetric(combined, "ps_3DM_STLT")
-}
-
-// BenchmarkFig3Footprint regenerates the footprint comparison.
-func BenchmarkFig3Footprint(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		t := exp.Fig3()
-		ratio = parseCell(b, t.Rows[2][4])
-	}
-	b.ReportMetric(ratio, "footprint_3DM_vs_2DB")
-}
-
-// BenchmarkFig9Energy regenerates the per-flit energy breakdown.
-func BenchmarkFig9Energy(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		p2 := power.FlitHopEnergy(area.Params{Ports: 5, VCs: 2, FlitWidth: 128, BufDepth: 8, Layers: 1}, core.Pitch2DMM)
-		p3 := power.FlitHopEnergy(area.Params{Ports: 5, VCs: 2, FlitWidth: 128, BufDepth: 8, Layers: 4}, core.Pitch3DMMM)
-		ratio = p3.Total() / p2.Total()
-	}
-	b.ReportMetric(ratio, "flitE_3DM_vs_2DB")
 }
 
 // BenchmarkFig1DataPatterns regenerates the data-pattern breakdown.
@@ -114,15 +76,6 @@ func BenchmarkFig2PacketTypes(b *testing.B) {
 		ctrl = parseCell(b, t.Rows[0][len(t.Rows[0])-1])
 	}
 	b.ReportMetric(ctrl, "ctrl_pkt_frac_tpcw")
-}
-
-// BenchmarkFig10Layouts regenerates the node layouts.
-func BenchmarkFig10Layouts(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rows = len(exp.Fig10().Rows)
-	}
-	b.ReportMetric(float64(rows), "rows")
 }
 
 // BenchmarkFig11aLatencyUR regenerates the uniform-random latency curve
@@ -171,85 +124,6 @@ func BenchmarkFig11cLatencyTraces(b *testing.B) {
 		ratio = re.AvgLatency / r2.AvgLatency
 	}
 	b.ReportMetric(ratio, "lat_3DME_vs_2DB")
-}
-
-// BenchmarkFig11dHops regenerates the hop-count comparison.
-func BenchmarkFig11dHops(b *testing.B) {
-	var hops float64
-	for i := 0; i < b.N; i++ {
-		de := core.MustDesign(core.Arch3DME)
-		h, err := routing.AverageHops(de.Topo, de.Alg, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hops = h
-	}
-	b.ReportMetric(hops, "hops_3DME_UR")
-}
-
-// BenchmarkFig12aPowerUR regenerates the uniform-random power curve.
-func BenchmarkFig12aPowerUR(b *testing.B) {
-	o := benchOpts()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		d2 := core.MustDesign(core.Arch2DB)
-		de := core.MustDesign(core.Arch3DME)
-		p2 := exp.NetworkPowerW(d2, exp.RunUR(bg(), core.Arch2DB, 0.15, 0, o), false)
-		pe := exp.NetworkPowerW(de, exp.RunUR(bg(), core.Arch3DME, 0.15, 0, o), false)
-		saving = 1 - pe/p2
-	}
-	b.ReportMetric(saving, "power_saving_3DME")
-}
-
-// BenchmarkFig12bPowerNUCA regenerates the NUCA-UR power comparison.
-func BenchmarkFig12bPowerNUCA(b *testing.B) {
-	o := benchOpts()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		d2 := core.MustDesign(core.Arch2DB)
-		dm := core.MustDesign(core.Arch3DM)
-		p2 := exp.NetworkPowerW(d2, exp.RunNUCAUR(bg(), core.Arch2DB, 0.10, 0, o), false)
-		pm := exp.NetworkPowerW(dm, exp.RunNUCAUR(bg(), core.Arch3DM, 0.10, 0, o), false)
-		saving = 1 - pm/p2
-	}
-	b.ReportMetric(saving, "power_saving_3DM")
-}
-
-// BenchmarkFig12cPowerTraces regenerates the trace power ratio with
-// layer shutdown.
-func BenchmarkFig12cPowerTraces(b *testing.B) {
-	o := benchOpts()
-	w, _ := cmp.ByName("tpcw")
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		d2 := core.MustDesign(core.Arch2DB)
-		de := core.MustDesign(core.Arch3DME)
-		r2, _, err := exp.RunTrace(bg(), core.Arch2DB, w, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		re, _, err := exp.RunTrace(bg(), core.Arch3DME, w, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = exp.NetworkPowerW(de, re, true) / exp.NetworkPowerW(d2, r2, false)
-	}
-	b.ReportMetric(ratio, "power_3DME_vs_2DB")
-}
-
-// BenchmarkFig12dPDP regenerates the normalized power-delay product.
-func BenchmarkFig12dPDP(b *testing.B) {
-	o := benchOpts()
-	var pdp float64
-	for i := 0; i < b.N; i++ {
-		d2 := core.MustDesign(core.Arch2DB)
-		de := core.MustDesign(core.Arch3DME)
-		r2 := exp.RunUR(bg(), core.Arch2DB, 0.15, 0, o)
-		re := exp.RunUR(bg(), core.Arch3DME, 0.15, 0, o)
-		base := exp.NetworkPowerW(d2, r2, false) * r2.AvgLatency
-		pdp = exp.NetworkPowerW(de, re, false) * re.AvgLatency / base
-	}
-	b.ReportMetric(pdp, "pdp_3DME_vs_2DB")
 }
 
 // BenchmarkFig13aShortFlits regenerates the per-workload short-flit

@@ -18,6 +18,16 @@
 // per-point timing line to stderr; -timing records per-experiment
 // wall-clock times as JSON.
 //
+// One invocation simulates each distinct sweep point once: Figures 11
+// and 12 are latency and power readings of the same simulations, so
+// "mirabench fig11a fig12a fig12d" runs the uniform-random grid for
+// fig11a and renders the other two from its stored results, byte for
+// byte what separate invocations print. -progress marks such points
+// "reused" and -timing counts them per experiment (points_run /
+// points_reused), so a 0.00 s fig12a is explained, not skipped.
+// -obswindow and -enginestats runs are never reused: their side
+// outputs are the point.
+//
 // -stepmode selects the simulator's cycle-loop strategy (activity,
 // fullscan or checked); all modes produce identical tables, so a stdout
 // diff between modes is a determinism regression check. -cpuprofile and
@@ -123,8 +133,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "sweep-point worker goroutines (0 = all CPUs); results are identical for any value")
 	shards := flag.Int("shards", 0, "concurrent router shards inside each simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
-	progress := flag.Bool("progress", false, "log a per-point progress/timing line to stderr")
-	timingFile := flag.String("timing", "", "write per-experiment wall-clock times to this JSON file")
+	progress := flag.Bool("progress", false, "log a per-point progress/timing line to stderr (reused=true: served from an earlier experiment's results)")
+	timingFile := flag.String("timing", "", "write per-experiment wall-clock times and points run/reused to this JSON file")
 	stepMode := flag.String("stepmode", "activity", "cycle-loop strategy: activity, fullscan or checked; tables are identical for every mode")
 	obsReport := flag.Bool("obs", false, "measure and report observability probe overhead (runs standalone or before the selected experiments)")
 	obsWindow := flag.Int64("obswindow", 0, "attach a collector with this sample window (cycles) to every sweep point; 0 = unobserved")
@@ -161,6 +171,7 @@ func main() {
 	opts.Shards = *shards
 	opts.ObserveWindow = *obsWindow
 	opts.Engine = *engineStats
+	opts.Reuse = exp.NewScope() // this invocation simulates each distinct point once
 	if *engineStats {
 		// Sweep points run concurrently; labeled slog lines interleave
 		// cleanly where a single rewritten line could not.
@@ -212,10 +223,15 @@ func main() {
 			}
 		}()
 	}
-	if *progress {
-		opts.Progress = func(p exp.Progress) {
+	// Always tally what the sweep points did (RunAll serializes the
+	// callback); -progress additionally logs each point.
+	var cur expTiming // the running experiment's entry
+	opts.Progress = func(p exp.Progress) {
+		cur.PointsRun += p.Ran
+		cur.PointsReused += p.Reused
+		if *progress {
 			slog.Info("point", "done", p.Done, "total", p.Total, "label", p.Label,
-				"elapsed", p.Elapsed.Round(time.Millisecond))
+				"elapsed", p.Elapsed.Round(time.Millisecond), "reused", p.Ran == 0 && p.Reused > 0)
 		}
 	}
 
@@ -249,6 +265,7 @@ func main() {
 		if *progress {
 			slog.Info("experiment start", "id", e.id)
 		}
+		cur = expTiming{ID: e.id}
 		start := time.Now()
 		tb, err := e.run(ctx, opts)
 		elapsed := time.Since(start)
@@ -259,14 +276,16 @@ func main() {
 		if err != nil {
 			cli.Fatal("mirabench", fmt.Errorf("%s: %w", e.id, err))
 		}
-		timings = append(timings, expTiming{ID: e.id, Seconds: elapsed.Seconds()})
+		cur.Seconds = elapsed.Seconds()
+		timings = append(timings, cur)
 		if *csv {
 			fmt.Printf("# %s\n%s\n", tb.ID, tb.CSV())
 		} else {
 			fmt.Println(tb.String())
 			// Timing goes to stderr so stdout stays byte-identical
 			// across worker counts and machines.
-			slog.Info("experiment done", "id", e.id, "elapsed", elapsed.Round(time.Millisecond))
+			slog.Info("experiment done", "id", e.id, "elapsed", elapsed.Round(time.Millisecond),
+				"points_run", cur.PointsRun, "points_reused", cur.PointsReused)
 		}
 		if *svgDir != "" {
 			if err := writeSVG(*svgDir, tb); err != nil {
@@ -281,10 +300,14 @@ func main() {
 	}
 }
 
-// expTiming is one experiment's wall-clock entry in the -timing file.
+// expTiming is one experiment's entry in the -timing file: wall clock,
+// and how many of its sweep-point simulations actually ran versus were
+// served from results an earlier experiment of this invocation stored.
 type expTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
+	ID           string  `json:"id"`
+	Seconds      float64 `json:"seconds"`
+	PointsRun    int     `json:"points_run"`
+	PointsReused int     `json:"points_reused"`
 }
 
 // timingReport is the -timing JSON document; it captures enough context
@@ -338,6 +361,9 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `mirabench regenerates the MIRA paper's tables and figures.
 
 usage: mirabench [-quick] [-seed N] [-workers N] [-shards N] [-stepmode MODE] [-progress] [-timing FILE] [-cpuprofile FILE] [-memprofile FILE] [-obs] [-obswindow N] [-enginestats] <experiment>... | all | list
+
+Experiments named together share simulations: "mirabench fig11a fig12a fig12d"
+simulates the uniform-random grid once and prints what three runs would.
 `)
 	flag.PrintDefaults()
 }

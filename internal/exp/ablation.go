@@ -6,7 +6,6 @@ import (
 
 	"mira/internal/area"
 	"mira/internal/core"
-	"mira/internal/noc"
 	"mira/internal/routing"
 	"mira/internal/scenario"
 	"mira/internal/topology"
@@ -18,16 +17,6 @@ import (
 // traffic; [23] argues half-size shared buffers suffice) and to the
 // express-channel interval (Dally's express cubes leave it a free
 // parameter; the paper uses the doubled wire budget for one extra hop).
-
-// runCustomUR runs uniform-random traffic on the 3DM design with
-// overridden buffer geometry.
-func runCustomUR(ctx context.Context, vcs, depth int, rate float64, o Options) noc.Result {
-	sc := o.Scenario(core.Arch3DM)
-	sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
-	sc.VCs = vcs
-	sc.BufDepth = depth
-	return mustElaborate(sc).Sim.Run(ctx)
-}
 
 // AblationBufferDepth sweeps the per-VC buffer depth of the 3DM router
 // at a moderate and a high load.
@@ -43,7 +32,7 @@ func AblationBufferDepth(ctx context.Context, o Options) Table {
 		ap := corePowerOf(core.Arch3DM).AreaParams
 		ap.BufDepth = depth
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", depth), latCell(res[2*i]), latCell(res[2*i+1]),
+			fmt.Sprintf("%d", depth), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
 			fmt.Sprintf("%.0f", areaBufPerLayer(ap)),
 		})
 	}
@@ -67,7 +56,7 @@ func AblationVCs(ctx context.Context, o Options) Table {
 	res := RunAll(ctx, o, bufGridPoints(idx, func(i int) (vcs, depth int) { return cfgs[i].vcs, cfgs[i].depth }))
 	for i, c := range cfgs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%dx%d", c.vcs, c.depth), latCell(res[2*i]), latCell(res[2*i+1]),
+			fmt.Sprintf("%dx%d", c.vcs, c.depth), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
 		})
 	}
 	return t
@@ -78,20 +67,20 @@ func AblationVCs(ctx context.Context, o Options) Table {
 var ablationRates = []float64{0.15, 0.30}
 
 // bufGridPoints expands a buffer-geometry sweep into (config × rate)
-// points for the parallel runner; geom maps a config key to its
+// points for the parallel runner: uniform-random traffic on the 3DM
+// design with overridden buffer geometry. geom maps a config key to its
 // (VCs, depth) pair.
-func bufGridPoints[K any](keys []K, geom func(K) (vcs, depth int)) []Point[noc.Result] {
-	points := make([]Point[noc.Result], 0, len(keys)*len(ablationRates))
+func bufGridPoints[K any](keys []K, geom func(K) (vcs, depth int)) []Point[Outcome] {
+	points := make([]Point[Outcome], 0, len(keys)*len(ablationRates))
 	for _, k := range keys {
 		vcs, depth := geom(k)
 		for _, rate := range ablationRates {
-			vcs, depth, rate := vcs, depth, rate
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("vcs=%d depth=%d rate=%.2f", vcs, depth, rate),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					return runCustomUR(ctx, vcs, depth, rate, o)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("vcs=%d depth=%d rate=%.2f", vcs, depth, rate), func(o Options) scenario.Scenario {
+				sc := o.synthetic(core.Arch3DM, "ur", rate)
+				sc.VCs = vcs
+				sc.BufDepth = depth
+				return sc
+			}))
 		}
 	}
 	return points
@@ -107,24 +96,19 @@ func AblationExpressInterval(ctx context.Context, o Options) (Table, error) {
 		Header: []string{"interval", "max ports", "avg hops (UR)", "lat @0.15", "lat @0.30"},
 	}
 	intervals := []int{2, 3}
-	points := make([]Point[noc.Result], 0, len(intervals)*len(ablationRates))
+	points := make([]Point[Outcome], 0, len(intervals)*len(ablationRates))
 	for _, interval := range intervals {
 		for _, rate := range ablationRates {
-			interval, rate := interval, rate
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("interval=%d rate=%.2f", interval, rate),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					sc := o.Scenario(core.Arch3DME)
-					sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
-					sc.ExpressInterval = interval
-					// The delay model would charge interval 3's longer
-					// express wires a second ST+LT cycle; hold the
-					// pipeline constant so the comparison isolates the
-					// topology.
-					sc.STLTCycles = 1
-					return mustElaborate(sc).Sim.Run(ctx)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("interval=%d rate=%.2f", interval, rate), func(o Options) scenario.Scenario {
+				sc := o.synthetic(core.Arch3DME, "ur", rate)
+				sc.ExpressInterval = interval
+				// The delay model would charge interval 3's longer
+				// express wires a second ST+LT cycle; hold the
+				// pipeline constant so the comparison isolates the
+				// topology.
+				sc.STLTCycles = 1
+				return sc
+			}))
 		}
 	}
 	res := RunAll(ctx, o, points)
@@ -139,7 +123,7 @@ func AblationExpressInterval(ctx context.Context, o Options) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", interval), fmt.Sprintf("%d", topo.MaxPorts()),
-			f2(hops), latCell(res[2*i]), latCell(res[2*i+1]),
+			f2(hops), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
 		})
 	}
 	return t, nil

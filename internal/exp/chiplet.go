@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mira/internal/core"
-	"mira/internal/noc"
 	"mira/internal/scenario"
 )
 
@@ -27,23 +26,18 @@ func ChipletSweep(ctx context.Context, o Options) Table {
 	const rate = 0.10
 	lats := []int{1, 4, 8, 16}
 	sers := []int{1, 4}
-	points := make([]Point[noc.Result], 0, len(lats)*len(sers))
+	points := make([]Point[Outcome], 0, len(lats)*len(sers))
 	for _, lat := range lats {
 		for _, ser := range sers {
-			lat, ser := lat, ser
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("chiplet d2d=%d ser=%d", lat, ser),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					return RunChiplet(ctx, lat, ser, rate, o)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("chiplet d2d=%d ser=%d", lat, ser),
+				func(o Options) scenario.Scenario { return ChipletScenario(lat, ser, rate, o) }))
 		}
 	}
 	res := RunAll(ctx, o, points)
 	k := 0
 	for _, lat := range lats {
 		for _, ser := range sers {
-			r := res[k]
+			r := res[k].Result
 			k++
 			d2dPct := 0.0
 			if r.Counters.LinkFlits > 0 {
@@ -66,19 +60,11 @@ func ChipletSweep(ctx context.Context, o Options) Table {
 	return t
 }
 
-// RunChiplet simulates a 2x2 grid of 4x4-node chips (2DB router
-// pipeline and pitch) under uniform-random traffic with the given
-// die-to-die latency and serialization factor.
-func RunChiplet(ctx context.Context, d2dLat, d2dSer int, rate float64, o Options) noc.Result {
-	sc := ChipletScenario(d2dLat, d2dSer, rate, o)
-	return mustElaborate(sc).Sim.Run(ctx)
-}
-
-// ChipletScenario is the run description behind RunChiplet, exposed so
-// the CI smoke and the benchmarks sweep the same scenario JSON.
+// ChipletScenario is the run description of one sweep point: a 2x2 grid
+// of 4x4-node chips (2DB router pipeline and pitch) under uniform-random
+// traffic with the given die-to-die latency and serialization factor.
 func ChipletScenario(d2dLat, d2dSer int, rate float64, o Options) scenario.Scenario {
-	sc := o.Scenario(core.Arch2DB)
-	sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
+	sc := o.synthetic(core.Arch2DB, "ur", rate)
 	sc.Chips = &scenario.Chips{
 		ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4,
 		D2DLatency: d2dLat, D2DSerCycles: d2dSer,

@@ -6,16 +6,8 @@ import (
 
 	"mira/internal/collective"
 	"mira/internal/core"
-	"mira/internal/noc"
 	"mira/internal/scenario"
 )
-
-// CollectiveResult pairs the network-level result of a collective run
-// with the engine's completion report.
-type CollectiveResult struct {
-	Res noc.Result
-	Rep collective.Report
-}
 
 // CollectiveFabric is one floorplan point of the sweep: a chip grid
 // whose 1x1 corner is the monolithic 8x8 mesh.
@@ -54,34 +46,29 @@ func CollectiveSweep(ctx context.Context, o Options) Table {
 	}
 	algs := collective.Algorithms()
 	fabrics := CollectiveFabrics()
-	points := make([]Point[CollectiveResult], 0, len(algs)*len(fabrics))
+	points := make([]Point[Outcome], 0, len(algs)*len(fabrics))
 	for _, alg := range algs {
 		for _, fab := range fabrics {
-			alg, fab := alg, fab
-			points = append(points, Point[CollectiveResult]{
-				Label: fmt.Sprintf("collective %s %s", alg, fab.name),
-				Run: func(ctx context.Context, o Options) CollectiveResult {
-					return RunCollective(ctx, alg, fab, o)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("collective %s %s", alg, fab.name),
+				func(o Options) scenario.Scenario { return CollectiveScenario(alg, fab, o) }))
 		}
 	}
 	res := RunAll(ctx, o, points)
 	k := 0
 	for _, alg := range algs {
 		for _, fab := range fabrics {
-			r := res[k]
+			rep := res[k].Collective
 			k++
 			t.Rows = append(t.Rows, []string{
 				string(alg),
 				fab.name,
-				fmt.Sprintf("%d", r.Rep.Steps),
-				f1(r.Rep.Messages.Mean()),
-				fmt.Sprintf("%d", r.Rep.Participant.Min),
-				f1(r.Rep.Participant.Mean()),
-				fmt.Sprintf("%d", r.Rep.Participant.Max),
-				f1(r.Rep.Iteration.Mean()),
-				fmt.Sprintf("%d/%d", r.Rep.Completed, r.Rep.Iterations),
+				fmt.Sprintf("%d", rep.Steps),
+				f1(rep.Messages.Mean()),
+				fmt.Sprintf("%d", rep.Participant.Min),
+				f1(rep.Participant.Mean()),
+				fmt.Sprintf("%d", rep.Participant.Max),
+				f1(rep.Iteration.Mean()),
+				fmt.Sprintf("%d/%d", rep.Completed, rep.Iterations),
 			})
 		}
 	}
@@ -91,14 +78,6 @@ func CollectiveSweep(ctx context.Context, o Options) Table {
 		"ring allreduce takes 2(N-1) steps, reduce-scatter N-1, tree broadcast ceil(log2 N); the broadcast root receives nothing and is excluded from part",
 	)
 	return t
-}
-
-// RunCollective simulates one collective algorithm on one fabric point.
-func RunCollective(ctx context.Context, alg collective.Algorithm, fab CollectiveFabric, o Options) CollectiveResult {
-	sc := CollectiveScenario(alg, fab, o)
-	e := mustElaborate(sc)
-	res := e.Sim.Run(ctx)
-	return CollectiveResult{Res: res, Rep: e.Collective.Report()}
 }
 
 // CollectiveScenario is the run description behind one sweep point. The

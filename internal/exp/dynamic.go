@@ -56,20 +56,18 @@ type statOut struct {
 	err error
 }
 
-// traceStatPoints builds one trace-generation point per workload; the
-// trace itself is discarded, only the statistics are kept. The trace is
+// traceStatPoints builds one trace-generation point per workload. Only
+// the statistics are wanted, so the scenario is elaborated and never
+// simulated: no result, nothing for run to reuse. The trace is
 // generated on the 2DB floorplan (the 6x6 NUCA mesh); the statistics
 // depend only on the workload model and seed.
 func traceStatPoints(ws []cmp.Workload) []Point[statOut] {
 	points := make([]Point[statOut], 0, len(ws))
 	for _, w := range ws {
-		w := w
 		points = append(points, Point[statOut]{
 			Label: "trace-stats " + w.Name,
 			Run: func(ctx context.Context, o Options) statOut {
-				sc := o.Scenario(core.Arch2DB)
-				sc.Traffic = scenario.Traffic{Kind: "trace", Workload: w.Name, TraceCycles: o.TraceCycles}
-				e, err := sc.Elaborate()
+				e, err := o.trace(core.Arch2DB, w.Name, "").Elaborate()
 				if err != nil {
 					return statOut{err: err}
 				}
@@ -124,21 +122,16 @@ type SweepResult struct {
 	Results map[core.Arch]noc.Result
 }
 
-// runSweep executes one generator family over all architectures and
-// rates as a (rate × arch) grid of independent points on the parallel
-// runner. Each point elaborates its own Design so no topology state is
-// shared between workers.
-func runSweep(ctx context.Context, o Options, rates []float64, run func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result) []SweepResult {
-	points := make([]Point[noc.Result], 0, len(rates)*len(core.Archs))
+// runSweep executes one synthetic traffic kind over all architectures
+// and rates as a (rate × arch) grid of independent points on the
+// parallel runner. Each point elaborates its own Design so no topology
+// state is shared between workers.
+func runSweep(ctx context.Context, o Options, kind string, rates []float64) []SweepResult {
+	points := make([]Point[Outcome], 0, len(rates)*len(core.Archs))
 	for _, rate := range rates {
 		for _, a := range core.Archs {
-			rate, a := rate, a
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("rate=%.2f arch=%s", rate, a),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					return run(ctx, a, rate, o)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("rate=%.2f arch=%s", rate, a),
+				func(o Options) scenario.Scenario { return o.synthetic(a, kind, rate) }))
 		}
 	}
 	res := RunAll(ctx, o, points)
@@ -147,7 +140,7 @@ func runSweep(ctx context.Context, o Options, rates []float64, run func(ctx cont
 	for _, rate := range rates {
 		sr := SweepResult{Rate: rate, Results: make(map[core.Arch]noc.Result, len(core.Archs))}
 		for _, a := range core.Archs {
-			sr.Results[a] = res[k]
+			sr.Results[a] = res[k].Result
 			k++
 		}
 		out = append(out, sr)
@@ -173,23 +166,22 @@ func sweepTable(id, title, metric string, sweep []SweepResult, cell func(*core.D
 	return t
 }
 
+// Figures 11 and 12 are two readings — latency and power — of the same
+// simulations: 11a/12a/12d share the UR grid, 11b/12b the NUCA-UR grid
+// and 11c/11d/12c the trace grid, point for point (same index, hence
+// same SeedFor seed). Under a Scope each grid is simulated once.
+
 // Fig11a: average latency vs injection rate, uniform random traffic.
 func Fig11a(ctx context.Context, o Options) Table {
-	sweep := runSweep(ctx, o, URRates, func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result {
-		return RunUR(ctx, a, rate, 0, o)
-	})
 	return sweepTable("fig11a", "Average latency, uniform random (cycles)", "avg packet latency",
-		sweep, func(d *core.Design, r noc.Result) string { return latCell(r) })
+		runSweep(ctx, o, "ur", URRates), func(d *core.Design, r noc.Result) string { return latCell(r) })
 }
 
 // Fig11b: average latency vs injection rate, NUCA-constrained bimodal
 // traffic.
 func Fig11b(ctx context.Context, o Options) Table {
-	sweep := runSweep(ctx, o, URRates, func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result {
-		return RunNUCAUR(ctx, a, rate, 0, o)
-	})
 	return sweepTable("fig11b", "Average latency, NUCA-UR (cycles)", "avg packet latency",
-		sweep, func(d *core.Design, r noc.Result) string { return latCell(r) })
+		runSweep(ctx, o, "nuca", URRates), func(d *core.Design, r noc.Result) string { return latCell(r) })
 }
 
 // TraceRun bundles the per-workload, per-architecture results of the
@@ -203,23 +195,11 @@ type TraceRun struct {
 // RunTraces executes all presented workloads over all architectures as
 // a (workload × arch) grid on the parallel runner.
 func RunTraces(ctx context.Context, o Options) ([]TraceRun, error) {
-	type traceOut struct {
-		res noc.Result
-		st  cmp.Stats
-		err error
-	}
-	points := make([]Point[traceOut], 0, len(cmp.Presented)*len(core.Archs))
+	points := make([]Point[tried], 0, len(cmp.Presented)*len(core.Archs))
 	for _, name := range cmp.Presented {
-		w, _ := cmp.ByName(name)
 		for _, a := range core.Archs {
-			w, a := w, a
-			points = append(points, Point[traceOut]{
-				Label: fmt.Sprintf("trace=%s arch=%s", w.Name, a),
-				Run: func(ctx context.Context, o Options) traceOut {
-					res, st, err := RunTrace(ctx, a, w, o)
-					return traceOut{res: res, st: st, err: err}
-				},
-			})
+			points = append(points, tryPoint(fmt.Sprintf("trace=%s arch=%s", name, a),
+				func(o Options) scenario.Scenario { return o.trace(a, name, "") }))
 		}
 	}
 	res := RunAll(ctx, o, points)
@@ -237,8 +217,8 @@ func RunTraces(ctx context.Context, o Options) ([]TraceRun, error) {
 			if r.err != nil {
 				return nil, r.err
 			}
-			tr.Results[a] = r.res
-			tr.Stats[a] = r.st
+			tr.Results[a] = r.Result
+			tr.Stats[a] = r.Stats
 		}
 		out = append(out, tr)
 	}
@@ -316,20 +296,14 @@ func Fig11d(ctx context.Context, o Options) (Table, error) {
 // Fig12a: average network power vs injection rate, uniform random, 0 %
 // short flits (pure structural comparison, no shutdown).
 func Fig12a(ctx context.Context, o Options) Table {
-	sweep := runSweep(ctx, o, URRates, func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result {
-		return RunUR(ctx, a, rate, 0, o)
-	})
 	return sweepTable("fig12a", "Average power, uniform random, 0% short flits (W)", "avg network power",
-		sweep, func(d *core.Design, r noc.Result) string { return f3(NetworkPowerW(d, r, false)) })
+		runSweep(ctx, o, "ur", URRates), func(d *core.Design, r noc.Result) string { return f3(NetworkPowerW(d, r, false)) })
 }
 
 // Fig12b: average power under NUCA-UR traffic.
 func Fig12b(ctx context.Context, o Options) Table {
-	sweep := runSweep(ctx, o, URRates, func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result {
-		return RunNUCAUR(ctx, a, rate, 0, o)
-	})
 	return sweepTable("fig12b", "Average power, NUCA-UR (W)", "avg network power",
-		sweep, func(d *core.Design, r noc.Result) string { return f3(NetworkPowerW(d, r, false)) })
+		runSweep(ctx, o, "nuca", URRates), func(d *core.Design, r noc.Result) string { return f3(NetworkPowerW(d, r, false)) })
 }
 
 // Fig12c: MP-trace power normalized to a 2DB baseline *without* layer
@@ -371,9 +345,7 @@ func corePowerOf(a core.Arch) *core.Design {
 
 // Fig12d: power-delay product normalized to 2DB, uniform random.
 func Fig12d(ctx context.Context, o Options) Table {
-	sweep := runSweep(ctx, o, URRates, func(ctx context.Context, a core.Arch, rate float64, o Options) noc.Result {
-		return RunUR(ctx, a, rate, 0, o)
-	})
+	sweep := runSweep(ctx, o, "ur", URRates)
 	t := Table{ID: "fig12d", Title: "Normalized power-delay product, uniform random", Header: []string{"inj rate"}}
 	designs := Designs()
 	for _, d := range designs {
@@ -429,7 +401,6 @@ func Fig13b(ctx context.Context, o Options) Table {
 	points := make([]Point[float64], 0, len(archs)*len(fracs))
 	for _, a := range archs {
 		for _, frac := range fracs {
-			a, frac := a, frac
 			points = append(points, Point[float64]{
 				Label: fmt.Sprintf("arch=%s short=%.0f%%", a, 100*frac),
 				Run: func(ctx context.Context, o Options) float64 {

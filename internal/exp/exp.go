@@ -45,6 +45,14 @@ type Options struct {
 	// value. Composes with Workers: Workers parallelizes across sweep
 	// points, Shards parallelizes inside each simulation.
 	Shards int
+	// Reuse, when non-nil, is the run-scoped result table the drivers
+	// consult before simulating a sweep point (see Scope): figures that
+	// read the same sweep simulate it once. The zero Options has none
+	// and always simulates.
+	Reuse *Scope
+	// tally, set per point by RunAll, counts the point's simulations
+	// for Progress.
+	tally *tally
 	// ObserveWindow, when positive, adds an Observe block with this
 	// sample window (cycles) to every scenario the options produce, so
 	// each sweep point runs with an observability collector attached
@@ -71,9 +79,9 @@ func Quick() Options {
 // Scenario converts the options into a base run description for one
 // architecture: windows, seed and step mode carried over, traffic and
 // overrides left for the caller to fill in. Every simulation a driver
-// runs goes Options -> Scenario -> scenario.Elaborate, so mirabench
-// -stepmode/-seed reach every simulation and any driver's point can be
-// reproduced standalone from its serialized scenario.
+// runs goes Options -> Scenario -> run, so mirabench -stepmode/-seed
+// reach every simulation and any driver's point can be reproduced
+// standalone from its serialized scenario.
 func (o Options) Scenario(a core.Arch) scenario.Scenario {
 	sc := scenario.Scenario{
 		Arch:     a.String(),
@@ -96,15 +104,53 @@ func (o Options) Scenario(a core.Arch) scenario.Scenario {
 	return sc
 }
 
-// mustElaborate builds a driver-authored scenario. The drivers'
-// scenarios are statically valid, so failure here is a programming
-// error, not an input error.
-func mustElaborate(sc scenario.Scenario) *scenario.Elaboration {
-	e, err := sc.Elaborate()
+// synthetic is Scenario with a rate-driven synthetic traffic kind.
+func (o Options) synthetic(a core.Arch, kind string, rate float64) scenario.Scenario {
+	sc := o.Scenario(a)
+	sc.Traffic = scenario.Traffic{Kind: kind, Rate: rate}
+	return sc
+}
+
+// trace is Scenario replaying the workload's CMP coherence trace,
+// generated on the architecture's own topology under the given protocol
+// ("" for the default MESI).
+func (o Options) trace(a core.Arch, workload, protocol string) scenario.Scenario {
+	sc := o.Scenario(a)
+	sc.Traffic = scenario.Traffic{Kind: "trace", Workload: workload, TraceCycles: o.TraceCycles, Protocol: protocol}
+	return sc
+}
+
+// mustRun is run for driver-authored scenarios. Those are statically
+// valid, so failure here is a programming error, not an input error.
+func mustRun(ctx context.Context, o Options, sc scenario.Scenario) Outcome {
+	out, err := run(ctx, o, sc)
 	if err != nil {
 		panic(err)
 	}
-	return e
+	return out
+}
+
+// simPoint is the common sweep point: build a scenario from the
+// point's options (seed already split by RunAll) and run it.
+func simPoint(label string, mk func(Options) scenario.Scenario) Point[Outcome] {
+	return Point[Outcome]{Label: label, Run: func(ctx context.Context, o Options) Outcome {
+		return mustRun(ctx, o, mk(o))
+	}}
+}
+
+// tried carries a point's outcome and elaboration error through
+// RunAll, for the drivers that report bad scenarios as errors.
+type tried struct {
+	Outcome
+	err error
+}
+
+// tryPoint is simPoint returning the error instead of panicking.
+func tryPoint(label string, mk func(Options) scenario.Scenario) Point[tried] {
+	return Point[tried]{Label: label, Run: func(ctx context.Context, o Options) tried {
+		out, err := run(ctx, o, mk(o))
+		return tried{out, err}
+	}}
 }
 
 // Table is a printable experiment result.
@@ -181,29 +227,24 @@ func Designs() []*core.Design {
 // given injection rate (flits/node/cycle) with the given short-flit
 // fraction.
 func RunUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Options) noc.Result {
-	sc := o.Scenario(a)
-	sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate, ShortFrac: shortFrac}
-	return mustElaborate(sc).Sim.Run(ctx)
+	sc := o.synthetic(a, "ur", rate)
+	sc.Traffic.ShortFrac = shortFrac
+	return mustRun(ctx, o, sc).Result
 }
 
 // RunNUCAUR simulates the layout-constrained bimodal request/response
 // workload (§4.2.1's "NUCA-UR").
 func RunNUCAUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Options) noc.Result {
-	sc := o.Scenario(a)
-	sc.Traffic = scenario.Traffic{Kind: "nuca", Rate: rate, ShortFrac: shortFrac}
-	return mustElaborate(sc).Sim.Run(ctx)
+	sc := o.synthetic(a, "nuca", rate)
+	sc.Traffic.ShortFrac = shortFrac
+	return mustRun(ctx, o, sc).Result
 }
 
 // RunTrace generates the workload's CMP coherence trace on the
 // architecture's own topology and replays it through the NoC.
 func RunTrace(ctx context.Context, a core.Arch, w cmp.Workload, o Options) (noc.Result, cmp.Stats, error) {
-	sc := o.Scenario(a)
-	sc.Traffic = scenario.Traffic{Kind: "trace", Workload: w.Name, TraceCycles: o.TraceCycles}
-	e, err := sc.Elaborate()
-	if err != nil {
-		return noc.Result{}, cmp.Stats{}, err
-	}
-	return e.Sim.Run(ctx), e.Stats, nil
+	out, err := run(ctx, o, o.trace(a, w.Name, ""))
+	return out.Result, out.Stats, err
 }
 
 // NetworkPowerW converts a simulation result into average network power
@@ -212,17 +253,6 @@ func RunTrace(ctx context.Context, a core.Arch, w cmp.Workload, o Options) (noc.
 func NetworkPowerW(d *core.Design, res noc.Result, shutdown bool) float64 {
 	b := power.NetworkEnergy(d.Energy, res.Counters, shutdown)
 	return power.AvgPowerW(b, res.Cycles)
-}
-
-// PerRouterPowerW returns each router's average power for the thermal
-// model.
-func PerRouterPowerW(d *core.Design, res noc.Result, shutdown bool) []float64 {
-	out := make([]float64, len(res.PerRouter))
-	for i, c := range res.PerRouter {
-		b := power.NetworkEnergy(d.Energy, c, shutdown)
-		out[i] = power.AvgPowerW(b, res.Cycles)
-	}
-	return out
 }
 
 // Replicate evaluates a metric across n seeds (base, base+1, ...) and

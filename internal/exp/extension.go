@@ -41,20 +41,15 @@ func ExtLeakage(ctx context.Context, o Options) Table {
 		}
 		archs = append(archs, a)
 	}
-	points := make([]Point[noc.Result], 0, len(archs))
+	points := make([]Point[Outcome], 0, len(archs))
 	for _, a := range archs {
-		a := a
-		points = append(points, Point[noc.Result]{
-			Label: fmt.Sprintf("leakage arch=%s", a),
-			Run: func(ctx context.Context, o Options) noc.Result {
-				return RunUR(ctx, a, rate, 0, o)
-			},
-		})
+		points = append(points, simPoint(fmt.Sprintf("leakage arch=%s", a),
+			func(o Options) scenario.Scenario { return o.synthetic(a, "ur", rate) }))
 	}
 	results := RunAll(ctx, o, points)
 	for i, a := range archs {
 		d := corePowerOf(a)
-		res := results[i]
+		res := results[i].Result
 		dynTotal := NetworkPowerW(d, res, false)
 		routers := float64(d.Topo.NumNodes())
 		dynPerRouter := dynTotal / routers
@@ -161,26 +156,21 @@ func ExtQoS(ctx context.Context, o Options) Table {
 	}
 	rates := []float64{0.15, 0.20}
 	qosModes := []bool{false, true}
-	points := make([]Point[noc.Result], 0, len(rates)*len(qosModes))
+	points := make([]Point[Outcome], 0, len(rates)*len(qosModes))
 	for _, rate := range rates {
 		for _, qos := range qosModes {
-			rate, qos := rate, qos
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("qos rate=%.2f on=%v", rate, qos),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					sc := o.Scenario(core.Arch3DM)
-					sc.Traffic = scenario.Traffic{Kind: "nuca", Rate: rate}
-					sc.QoSPriority = qos
-					return mustElaborate(sc).Sim.Run(ctx)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("qos rate=%.2f on=%v", rate, qos), func(o Options) scenario.Scenario {
+				sc := o.synthetic(core.Arch3DM, "nuca", rate)
+				sc.QoSPriority = qos
+				return sc
+			}))
 		}
 	}
 	res := RunAll(ctx, o, points)
 	k := 0
 	for _, rate := range rates {
 		for _, qos := range qosModes {
-			r := res[k]
+			r := res[k].Result
 			k++
 			label := fmt.Sprintf("%.2f / off", rate)
 			if qos {
@@ -210,10 +200,6 @@ func ExtFault(ctx context.Context, o Options) (Table, error) {
 		Title:  "Link-fault tolerance via west-first routing (3DM, uniform random @ 0.15)",
 		Header: []string{"configuration", "avg lat", "avg hops", "delivered"},
 	}
-	type faultOut struct {
-		res noc.Result
-		err error
-	}
 	// The faulted configuration fails the east link out of the centre
 	// node (2,2), the highest-traffic region of the mesh.
 	mid := int(core.MustDesign(core.Arch3DM).Topo.MustNodeAt(topology.Coord{X: 2, Y: 2}).ID)
@@ -226,31 +212,22 @@ func ExtFault(ctx context.Context, o Options) (Table, error) {
 		{"healthy, west-first", "westfirst", nil},
 		{"east link (2,2) failed, west-first", "westfirst", []scenario.Fault{{Src: mid, Dir: "east"}}},
 	}
-	points := make([]Point[faultOut], 0, len(cases))
+	points := make([]Point[tried], 0, len(cases))
 	for _, c := range cases {
-		c := c
-		points = append(points, Point[faultOut]{
-			Label: "fault " + c.name,
-			Run: func(ctx context.Context, o Options) faultOut {
-				sc := o.Scenario(core.Arch3DM)
-				sc.Traffic = scenario.Traffic{Kind: "ur", Rate: 0.15}
-				sc.Routing = c.routing
-				sc.Faults = c.faults
-				e, err := sc.Elaborate()
-				if err != nil {
-					return faultOut{err: err}
-				}
-				return faultOut{res: e.Sim.Run(ctx)}
-			},
-		})
+		points = append(points, tryPoint("fault "+c.name, func(o Options) scenario.Scenario {
+			sc := o.synthetic(core.Arch3DM, "ur", 0.15)
+			sc.Routing = c.routing
+			sc.Faults = c.faults
+			return sc
+		}))
 	}
 	for i, r := range RunAll(ctx, o, points) {
 		if r.err != nil {
 			return t, r.err
 		}
 		t.Rows = append(t.Rows, []string{
-			cases[i].name, latCell(r.res), f2(r.res.AvgHops),
-			fmt.Sprintf("%d/%d", r.res.Ejected, r.res.Generated),
+			cases[i].name, latCell(r.Result), f2(r.Result.AvgHops),
+			fmt.Sprintf("%d/%d", r.Result.Ejected, r.Result.Generated),
 		})
 	}
 
@@ -272,42 +249,19 @@ func ExtProtocol(ctx context.Context, o Options) (Table, error) {
 	}
 	names := []string{"barnes", "tpcw"}
 	protos := []cmp.Protocol{cmp.MESI, cmp.MOESI}
-	type protoOut struct {
-		wb    int64
-		flits int64
-		res   noc.Result
-		err   error
-	}
-	points := make([]Point[protoOut], 0, len(names)*len(protos))
+	points := make([]Point[tried], 0, len(names)*len(protos))
 	for _, name := range names {
 		w, ok := cmp.ByName(name)
 		if !ok {
 			return t, fmt.Errorf("exp: workload %s missing", name)
 		}
 		for _, proto := range protos {
-			w, proto := w, proto
 			protoName := "mesi"
 			if proto == cmp.MOESI {
 				protoName = "moesi"
 			}
-			points = append(points, Point[protoOut]{
-				Label: fmt.Sprintf("protocol %s/%s", w.Name, proto),
-				Run: func(ctx context.Context, o Options) protoOut {
-					sc := o.Scenario(core.Arch3DM)
-					sc.Traffic = scenario.Traffic{
-						Kind: "trace", Workload: w.Name, TraceCycles: o.TraceCycles, Protocol: protoName,
-					}
-					e, err := sc.Elaborate()
-					if err != nil {
-						return protoOut{err: err}
-					}
-					return protoOut{
-						wb:    e.Stats.KindCounts[cmp.KindWriteBack],
-						flits: e.Trace.Flits(),
-						res:   e.Sim.Run(ctx),
-					}
-				},
-			})
+			points = append(points, tryPoint(fmt.Sprintf("protocol %s/%s", w.Name, proto),
+				func(o Options) scenario.Scenario { return o.trace(core.Arch3DM, w.Name, protoName) }))
 		}
 	}
 	res := RunAll(ctx, o, points)
@@ -322,10 +276,10 @@ func ExtProtocol(ctx context.Context, o Options) (Table, error) {
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%s/%s", name, proto),
-				fmt.Sprintf("%d", r.wb),
-				fmt.Sprintf("%d", r.flits),
-				f3(NetworkPowerW(d, r.res, true)),
-				latCell(r.res),
+				fmt.Sprintf("%d", r.Stats.KindCounts[cmp.KindWriteBack]),
+				fmt.Sprintf("%d", r.Stats.TotalFlits),
+				f3(NetworkPowerW(d, r.Result, true)),
+				latCell(r.Result),
 			})
 		}
 	}
@@ -345,19 +299,17 @@ func ExtHerding(ctx context.Context, o Options) Table {
 		Header: []string{"configuration", "avg T rise (K)", "max T rise (K)"},
 	}
 	fracs := []float64{0, 0.5}
-	points := make([]Point[noc.Result], 0, len(fracs))
+	points := make([]Point[Outcome], 0, len(fracs))
 	for _, frac := range fracs {
-		frac := frac
-		points = append(points, Point[noc.Result]{
-			Label: fmt.Sprintf("herding short=%.0f%%", 100*frac),
-			Run: func(ctx context.Context, o Options) noc.Result {
-				return RunUR(ctx, core.Arch3DM, 0.20, frac, o)
-			},
-		})
+		points = append(points, simPoint(fmt.Sprintf("herding short=%.0f%%", 100*frac), func(o Options) scenario.Scenario {
+			sc := o.synthetic(core.Arch3DM, "ur", 0.20)
+			sc.Traffic.ShortFrac = frac
+			return sc
+		}))
 	}
 	res := RunAll(ctx, o, points)
 	d := corePowerOf(core.Arch3DM)
-	r0, r50 := res[0], res[1]
+	r0, r50 := res[0].Result, res[1].Result
 	cases := []struct {
 		name string
 		res  noc.Result
@@ -390,10 +342,6 @@ func ExtPatterns(ctx context.Context, o Options) (Table, error) {
 	}
 	archs := []core.Arch{core.Arch2DB, core.Arch3DB, core.Arch3DM, core.Arch3DME}
 	const rate = 0.15
-	type patternOut struct {
-		res noc.Result
-		err error
-	}
 	// The hotspot row uses the scenario layer's default hot set: the
 	// chip-centre nodes of each floorplan, 30 % of the traffic.
 	rows := []struct {
@@ -405,25 +353,16 @@ func ExtPatterns(ctx context.Context, o Options) (Table, error) {
 		{"tornado", "tornado"},
 		{"hotspot(4c,30%)", "hotspot"},
 	}
-	points := make([]Point[patternOut], 0, len(rows)*len(archs))
+	points := make([]Point[tried], 0, len(rows)*len(archs))
 	for _, r := range rows {
 		for _, a := range archs {
-			r, a := r, a
-			points = append(points, Point[patternOut]{
-				Label: fmt.Sprintf("pattern=%s arch=%s", r.name, a),
-				Run: func(ctx context.Context, o Options) patternOut {
-					sc := o.Scenario(a)
-					sc.Traffic = scenario.Traffic{Kind: r.kind, Rate: rate}
-					if r.kind == "hotspot" {
-						sc.Traffic.HotFrac = 0.3
-					}
-					e, err := sc.Elaborate()
-					if err != nil {
-						return patternOut{err: err}
-					}
-					return patternOut{res: e.Sim.Run(ctx)}
-				},
-			})
+			points = append(points, tryPoint(fmt.Sprintf("pattern=%s arch=%s", r.name, a), func(o Options) scenario.Scenario {
+				sc := o.synthetic(a, r.kind, rate)
+				if r.kind == "hotspot" {
+					sc.Traffic.HotFrac = 0.3
+				}
+				return sc
+			}))
 		}
 	}
 	res := RunAll(ctx, o, points)
@@ -434,7 +373,7 @@ func ExtPatterns(ctx context.Context, o Options) (Table, error) {
 			if p.err != nil {
 				return t, p.err
 			}
-			row = append(row, latCell(p.res))
+			row = append(row, latCell(p.Result))
 		}
 		t.Rows = append(t.Rows, row)
 	}

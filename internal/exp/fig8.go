@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mira/internal/core"
-	"mira/internal/noc"
 	"mira/internal/scenario"
 )
 
@@ -33,28 +32,23 @@ func Fig8(ctx context.Context, o Options) Table {
 		{"(c)+(d) VA+SA|ST+LT", true, true, 1},
 	}
 	rates := []float64{0.05, 0.15, 0.30}
-	points := make([]Point[noc.Result], 0, len(variants)*len(rates))
+	points := make([]Point[Outcome], 0, len(variants)*len(rates))
 	for _, v := range variants {
 		for _, rate := range rates {
-			v, rate := v, rate
-			points = append(points, Point[noc.Result]{
-				Label: fmt.Sprintf("pipe=%s rate=%.2f", v.name, rate),
-				Run: func(ctx context.Context, o Options) noc.Result {
-					sc := o.Scenario(core.Arch2DB)
-					sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
-					sc.LookaheadRC = v.look
-					sc.SpecSA = v.spec
-					sc.STLTCycles = v.stlt
-					return mustElaborate(sc).Sim.Run(ctx)
-				},
-			})
+			points = append(points, simPoint(fmt.Sprintf("pipe=%s rate=%.2f", v.name, rate), func(o Options) scenario.Scenario {
+				sc := o.synthetic(core.Arch2DB, "ur", rate)
+				sc.LookaheadRC = v.look
+				sc.SpecSA = v.spec
+				sc.STLTCycles = v.stlt
+				return sc
+			}))
 		}
 	}
 	res := RunAll(ctx, o, points)
 	for i, v := range variants {
 		row := []string{v.name, f2(float64(v.stlt))}
 		for j := range rates {
-			row = append(row, latCell(res[i*len(rates)+j]))
+			row = append(row, latCell(res[i*len(rates)+j].Result))
 		}
 		t.Rows = append(t.Rows, row)
 	}

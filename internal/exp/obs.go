@@ -16,33 +16,6 @@ import (
 // collector to every point and aggregate the per-point summaries, plus
 // the probe-overhead measurement behind mirabench -obs.
 
-// Observed pairs one sweep point's simulation result with the
-// observability summary its collector accumulated.
-type Observed struct {
-	Result  noc.Result
-	Summary obs.Summary
-}
-
-// ObservedPoint wraps a scenario builder into a sweep point that runs
-// with a collector attached and returns the result plus its summary.
-// The builder receives the point's Options (seed already split by
-// RunAll) and must return a scenario carrying an Observe block;
-// Options.Scenario adds one automatically when ObserveWindow is set.
-func ObservedPoint(label string, mk func(o Options) scenario.Scenario) Point[Observed] {
-	return Point[Observed]{Label: label, Run: func(ctx context.Context, o Options) Observed {
-		e := mustElaborate(mk(o))
-		res := e.Sim.Run(ctx)
-		ob := Observed{Result: res}
-		if e.Obs != nil {
-			if err := e.Obs.Close(); err != nil {
-				panic(err)
-			}
-			ob.Summary = e.Obs.Summary()
-		}
-		return ob
-	}}
-}
-
 // ObsURSweep sweeps uniform-random injection rates on one architecture
 // with a collector attached to every point, fanning the points through
 // RunAll and aggregating the per-point summaries: probe-derived flit and
@@ -54,31 +27,32 @@ func ObsURSweep(ctx context.Context, a core.Arch, rates []float64, o Options) Ta
 	if o.ObserveWindow == 0 {
 		o.ObserveWindow = obs.DefaultWindow
 	}
-	points := make([]Point[Observed], len(rates))
+	points := make([]Point[Outcome], len(rates))
 	for i, rate := range rates {
-		rate := rate
-		points[i] = ObservedPoint(fmt.Sprintf("%s ur %.2f", a, rate), func(o Options) scenario.Scenario {
-			sc := o.Scenario(a)
-			sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
-			return sc
-		})
+		points[i] = simPoint(fmt.Sprintf("%s ur %.2f", a, rate),
+			func(o Options) scenario.Scenario { return o.synthetic(a, "ur", rate) })
 	}
-	observed := RunAll(ctx, o, points)
-
 	t := Table{
 		ID:    "obs-ur",
 		Title: fmt.Sprintf("%s uniform random: observability summaries per injection rate", a),
 		Header: []string{"rate", "avg lat", "flit p50", "flit p95", "flit p99",
 			"pkt p99", "credit stalls", "windows"},
 	}
-	for i, ob := range observed {
-		l := ob.Summary.Latency
+	for i, out := range RunAll(ctx, o, points) {
+		var sum obs.Summary
+		if out.Obs != nil { // nil: a canceled sweep never ran this point
+			if err := out.Obs.Close(); err != nil {
+				panic(err)
+			}
+			sum = out.Obs.Summary()
+		}
+		l := sum.Latency
 		t.Rows = append(t.Rows, []string{
-			f2(rates[i]), latCell(ob.Result),
+			f2(rates[i]), latCell(out.Result),
 			fmt.Sprint(l.FlitP50), fmt.Sprint(l.FlitP95), fmt.Sprint(l.FlitP99),
 			fmt.Sprint(l.PacketP99),
-			fmt.Sprint(ob.Result.Counters.CreditStalls),
-			fmt.Sprint(ob.Summary.Windows),
+			fmt.Sprint(out.Result.Counters.CreditStalls),
+			fmt.Sprint(sum.Windows),
 		})
 	}
 	t.Notes = append(t.Notes,
@@ -101,26 +75,23 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 	}
 	points := make([]Point[staged], len(archs))
 	for i, a := range archs {
-		a := a
 		points[i] = Point[staged]{
 			Label: fmt.Sprintf("%s ur %.2f spans", a, rate),
 			Run: func(ctx context.Context, o Options) staged {
-				sc := o.Scenario(a)
-				sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate}
+				sc := o.synthetic(a, "ur", rate)
 				if sc.Observe == nil {
 					sc.Observe = &scenario.Observe{}
 				}
 				sc.Observe.Spans = true
-				e := mustElaborate(sc)
-				res := e.Sim.Run(ctx)
-				if err := e.Obs.Close(); err != nil {
+				out := mustRun(ctx, o, sc)
+				if err := out.Obs.Close(); err != nil {
 					panic(err)
 				}
-				sb := e.Obs.Spans()
+				sb := out.Obs.Spans()
 				if err := sb.Err(); err != nil {
 					panic(err)
 				}
-				return staged{res: res, sums: sb.Attribution().Total()}
+				return staged{res: out.Result, sums: sb.Attribution().Total()}
 			},
 		}
 	}
@@ -160,8 +131,7 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 // measurement. Simulated results are bit-identical across variants (the
 // probe observes, never steers), which the table asserts in its note.
 func ObsOverhead(ctx context.Context, o Options) Table {
-	sc := o.Scenario(core.Arch3DM)
-	sc.Traffic = scenario.Traffic{Kind: "ur", Rate: 0.15}
+	sc := o.synthetic(core.Arch3DM, "ur", 0.15)
 
 	const reps = 3
 	run := func(observe bool, trace bool) (noc.Result, time.Duration) {
@@ -172,7 +142,10 @@ func ObsOverhead(ctx context.Context, o Options) Table {
 			if observe {
 				s.Observe = &scenario.Observe{}
 			}
-			e := mustElaborate(s)
+			e, err := s.Elaborate()
+			if err != nil {
+				panic(err) // driver-authored scenario
+			}
 			if trace {
 				e.Obs.SetTraceWriter(io.Discard)
 			}

@@ -1,0 +1,312 @@
+package exp
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+
+	"mira/internal/cmp"
+	"mira/internal/core"
+	"mira/internal/noc"
+	"mira/internal/scenario"
+)
+
+// simCount sums the per-point tallies RunAll reports, so a test can say
+// how many simulations a driver really executed. Parallel subtests
+// share one, hence the atomics.
+type simCount struct{ ran, reused atomic.Int64 }
+
+func (c *simCount) add(p Progress) {
+	c.ran.Add(int64(p.Ran))
+	c.reused.Add(int64(p.Reused))
+}
+
+// stored is the number of outcomes the scope holds.
+func (s *Scope) stored() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
+// sharingFigures are the eight drivers that read three shared grids:
+// 11a/12a/12d the UR grid, 11b/12b the NUCA-UR grid, 11c/11d/12c the
+// trace grid.
+func sharingFigures() []struct {
+	id  string
+	run func(Options) (Table, error)
+} {
+	share := map[string]bool{
+		"fig11a": true, "fig11b": true, "fig11c": true, "fig11d": true,
+		"fig12a": true, "fig12b": true, "fig12c": true, "fig12d": true,
+	}
+	all := portGoldenDrivers()
+	out := all[:0:0]
+	for _, d := range all {
+		if share[d.id] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// The three grids' sizes: 11a/12a/12d and 11b/12b each read a
+// (rate × arch) grid, 11c/11d/12c the (workload × arch) grid.
+var (
+	ratePoints  = int64(len(URRates) * len(core.Archs))
+	tracePoints = int64(len(cmp.Presented) * len(core.Archs))
+)
+
+func readGolden(t *testing.T, id string) string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "port", id+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(want)
+}
+
+// TestReuseTablesIdentical renders the eight sharing figures three ways
+// — racing each other on one scope, again from that scope once it is
+// warm, and each alone on a cold scope — and holds every rendering to
+// the figure's golden bytes. The shared scope must have simulated each
+// distinct point exactly once however the subtests interleave, and the
+// warm pass must simulate nothing.
+func TestReuseTablesIdentical(t *testing.T) {
+	shared := portGoldenOpts()
+	shared.Reuse = NewScope()
+	var racing simCount
+	shared.Progress = racing.add
+	render := func(t *testing.T, pass, id string, run func(Options) (Table, error), o Options) {
+		t.Helper()
+		tb, err := run(o)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", id, pass, err)
+		}
+		if got, want := tb.String(), readGolden(t, id); got != want {
+			t.Errorf("%s rendered from a %s scope diverges from its golden:\n--- want ---\n%s\n--- got ---\n%s",
+				id, pass, want, got)
+		}
+	}
+	t.Run("racing", func(t *testing.T) {
+		for _, d := range sharingFigures() {
+			t.Run(d.id, func(t *testing.T) {
+				t.Parallel()
+				render(t, "racing", d.id, d.run, shared)
+			})
+		}
+	})
+	distinct := 2*ratePoints + tracePoints
+	if got := racing.ran.Load(); got != distinct {
+		t.Errorf("shared scope ran %d simulations for %d distinct points", got, distinct)
+	}
+	if got := int64(shared.Reuse.stored()); got != distinct {
+		t.Errorf("shared scope stores %d outcomes, want %d", got, distinct)
+	}
+
+	var warm simCount
+	shared.Progress = warm.add
+	for _, d := range sharingFigures() {
+		render(t, "warm", d.id, d.run, shared)
+		cold := portGoldenOpts()
+		cold.Reuse = NewScope()
+		render(t, "cold", d.id, d.run, cold)
+	}
+	if ran := warm.ran.Load(); ran != 0 {
+		t.Errorf("warm pass ran %d simulations, want 0", ran)
+	}
+	if got, want := warm.reused.Load(), 5*ratePoints+3*tracePoints; got != want {
+		t.Errorf("warm pass reused %d outcomes, want %d", got, want)
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err poll on: a
+// cancellation that lands mid-simulation at the same cycle on every
+// host, where a timer would not. RunAll polls Err once per point and
+// Sim.Run once per noc.CancelCheckStride cycles.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReuseCanceledSweepStoresNothing cancels a sweep inside its second
+// point. The finished first point stays stored, the canceled one must
+// not be, and the rerun simulates everything that was cut short.
+func TestReuseCanceledSweepStoresNothing(t *testing.T) {
+	o := tiny()
+	o.Workers = 1
+	o.Reuse = NewScope()
+	rates := []float64{0.10}
+	perPoint := (o.Warmup+o.Measure)/noc.CancelCheckStride + 2 // RunAll's poll + Sim.Run's, at least
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(perPoint + 2) // runs out inside point 1
+	cut := runSweep(ctx, o, "ur", rates)
+	if r := cut[0].Results[core.Archs[0]]; r.Canceled || r.Ejected == 0 {
+		t.Fatalf("point 0 should have completed before the cancellation: %v", r.String())
+	}
+	if r := cut[0].Results[core.Archs[1]]; !r.Canceled {
+		t.Fatalf("point 1 should have been canceled mid-flight: %v", r.String())
+	}
+	if n := o.Reuse.stored(); n != 1 {
+		t.Fatalf("scope stores %d outcomes after the canceled sweep, want only point 0", n)
+	}
+
+	var rerun simCount
+	o.Progress = rerun.add
+	full := runSweep(bg(), o, "ur", rates)
+	if ran, reused := rerun.ran.Load(), rerun.reused.Load(); ran != int64(len(core.Archs)-1) || reused != 1 {
+		t.Errorf("rerun ran %d and reused %d, want %d and 1", ran, reused, len(core.Archs)-1)
+	}
+	for _, a := range core.Archs {
+		if r := full[0].Results[a]; r.Canceled || r.Ejected == 0 {
+			t.Errorf("%s: rerun result is not a complete simulation: %v", a, r.String())
+		}
+	}
+}
+
+// TestReuseFailedRunStoresNothing: an elaboration error is returned to
+// every caller that asks, never remembered.
+func TestReuseFailedRunStoresNothing(t *testing.T) {
+	o := tiny()
+	o.Reuse = NewScope()
+	o.tally = new(tally)
+	for i := 0; i < 2; i++ {
+		if _, _, err := RunTrace(bg(), core.Arch2DB, cmp.Workload{Name: "no-such-workload"}, o); err == nil {
+			t.Fatal("RunTrace accepted an unknown workload")
+		}
+	}
+	if o.tally.ran != 2 || o.tally.reused != 0 {
+		t.Errorf("failing run: ran %d reused %d, want 2 and 0", o.tally.ran, o.tally.reused)
+	}
+	if n := o.Reuse.stored(); n != 0 {
+		t.Errorf("scope stores %d outcomes after failed runs, want 0", n)
+	}
+}
+
+// TestReuseKey pins what identifies a point: everything that reaches
+// the simulation (seed, windows, step mode, shards, traffic, overrides)
+// and nothing that only steers the harness (Workers, Progress). An
+// observed scenario is never served from the table.
+func TestReuseKey(t *testing.T) {
+	base := Options{Warmup: 50, Measure: 200, Drain: 2000, TraceCycles: 500, Seed: 42, Reuse: NewScope()}
+	base.tally = new(tally)
+	ur := func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "ur", 0.10) }
+	mustRun(bg(), base, ur(base))
+	if base.tally.ran != 1 {
+		t.Fatalf("first request ran %d simulations", base.tally.ran)
+	}
+
+	same := []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"Workers", func(o *Options) { o.Workers = 7 }},
+		{"Progress", func(o *Options) { o.Progress = func(Progress) {} }},
+	}
+	for _, c := range same {
+		o := base
+		c.mut(&o)
+		mustRun(bg(), o, ur(o))
+		if base.tally.ran != 1 {
+			t.Errorf("%s entered the key: the same point simulated again", c.name)
+		}
+	}
+
+	differ := []struct {
+		name string
+		mk   func(o Options) scenario.Scenario
+		mut  func(*Options)
+	}{
+		{"Seed", ur, func(o *Options) { o.Seed++ }},
+		{"Warmup", ur, func(o *Options) { o.Warmup++ }},
+		{"Measure", ur, func(o *Options) { o.Measure++ }},
+		{"Drain", ur, func(o *Options) { o.Drain++ }},
+		{"StepMode", ur, func(o *Options) { o.StepMode = noc.StepFullScan }},
+		{"Shards", ur, func(o *Options) { o.Shards = 2 }},
+		{"arch", func(o Options) scenario.Scenario { return o.synthetic(core.Arch3DM, "ur", 0.10) }, nil},
+		{"traffic kind", func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "nuca", 0.10) }, nil},
+		{"traffic rate", func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "ur", 0.11) }, nil},
+		{"short fraction", func(o Options) scenario.Scenario {
+			sc := ur(o)
+			sc.Traffic.ShortFrac = 0.5
+			return sc
+		}, nil},
+		{"VCs override", func(o Options) scenario.Scenario {
+			sc := ur(o)
+			sc.VCs = 4
+			return sc
+		}, nil},
+		{"pipeline override", func(o Options) scenario.Scenario {
+			sc := ur(o)
+			sc.SpecSA = true
+			return sc
+		}, nil},
+	}
+	for i, c := range differ {
+		o := base
+		if c.mut != nil {
+			c.mut(&o)
+		}
+		mustRun(bg(), o, c.mk(o))
+		if want := 2 + i; base.tally.ran != want {
+			t.Fatalf("%s did not enter the key: ran %d simulations, want %d", c.name, base.tally.ran, want)
+		}
+	}
+	if base.tally.reused != len(same) {
+		t.Errorf("reused %d outcomes, want %d", base.tally.reused, len(same))
+	}
+
+	ran, stored := base.tally.ran, base.Reuse.stored()
+	o := base
+	o.ObserveWindow = 100
+	for i := 0; i < 2; i++ {
+		if out := mustRun(bg(), o, ur(o)); out.Obs == nil {
+			t.Fatal("observed scenario ran without its collector")
+		}
+	}
+	if base.tally.ran != ran+2 || base.Reuse.stored() != stored {
+		t.Errorf("observed scenario went through the table: ran %d (want %d), stored %d (want %d)",
+			base.tally.ran, ran+2, base.Reuse.stored(), stored)
+	}
+}
+
+// TestScopeWaiters covers the two ways a request that found its key
+// claimed does not get the owner's outcome: the owner withdraws (it
+// failed or was canceled), and the waiter takes the key over; or the
+// waiter's own context ends first, and it reports a canceled run.
+func TestScopeWaiters(t *testing.T) {
+	s := NewScope()
+	hit, slot := s.claim(bg(), "k")
+	if hit != nil || slot == nil {
+		t.Fatal("first claim of a key must own it")
+	}
+
+	gone, cancel := context.WithCancel(bg())
+	cancel()
+	if hit, again := s.claim(gone, "k"); again != nil || hit == nil || !hit.Result.Canceled {
+		t.Fatalf("canceled waiter got outcome %v, slot %v; want a canceled result", hit, again)
+	}
+
+	took := make(chan *entry)
+	go func() {
+		_, again := s.claim(bg(), "k")
+		took <- again
+	}()
+	s.settle("k", slot, Outcome{}, false)
+	again := <-took
+	if again == nil {
+		t.Fatal("waiter was served an outcome the owner withdrew")
+	}
+	s.settle("k", again, Outcome{Result: noc.Result{Ejected: 7}}, true)
+	if hit, _ := s.claim(bg(), "k"); hit == nil || hit.Result.Ejected != 7 {
+		t.Fatalf("settled outcome not served: %v", hit)
+	}
+}

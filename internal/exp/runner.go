@@ -44,6 +44,10 @@ type Progress struct {
 	Index   int // the point's position in the input slice
 	Label   string
 	Elapsed time.Duration
+	// Ran and Reused count the point's simulations: executed, and
+	// served from Options.Reuse instead. A point with Ran == 0 cost
+	// nothing because an earlier sweep already simulated it.
+	Ran, Reused int
 }
 
 // SeedFor derives the RNG seed for one sweep point from the experiment
@@ -94,42 +98,43 @@ func RunAll[T any](ctx context.Context, o Options, points []Point[T]) []T {
 	po.Workers = 1
 	po.Progress = nil
 
+	var mu sync.Mutex // serializes progress callbacks
+	done := 0
+	runPoint := func(i int) {
+		opts := po
+		opts.Seed = SeedFor(o.Seed, i)
+		opts.tally = new(tally)
+		start := time.Now()
+		out[i] = points[i].Run(ctx, opts)
+		if progress == nil {
+			return
+		}
+		elapsed := time.Since(start)
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		progress(Progress{Done: done, Total: total, Index: i, Label: points[i].Label, Elapsed: elapsed,
+			Ran: opts.tally.ran, Reused: opts.tally.reused})
+	}
+
 	if workers <= 1 {
-		for i, p := range points {
+		for i := range points {
 			if ctx.Err() != nil {
 				break
 			}
-			start := time.Now()
-			opts := po
-			opts.Seed = SeedFor(o.Seed, i)
-			out[i] = p.Run(ctx, opts)
-			if progress != nil {
-				progress(Progress{Done: i + 1, Total: total, Index: i, Label: p.Label, Elapsed: time.Since(start)})
-			}
+			runPoint(i)
 		}
 		return out
 	}
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes progress callbacks
-	done := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				start := time.Now()
-				opts := po
-				opts.Seed = SeedFor(o.Seed, i)
-				out[i] = points[i].Run(ctx, opts)
-				if progress != nil {
-					elapsed := time.Since(start)
-					mu.Lock()
-					done++
-					progress(Progress{Done: done, Total: total, Index: i, Label: points[i].Label, Elapsed: elapsed})
-					mu.Unlock()
-				}
+				runPoint(i)
 			}
 		}()
 	}

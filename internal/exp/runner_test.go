@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mira/internal/core"
-	"mira/internal/noc"
 )
 
 // TestSeedForDistinct checks that neighbouring point indices get
@@ -139,13 +138,17 @@ func TestRunAllDeterminism(t *testing.T) {
 	sweep := func(workers int) []SweepResult {
 		so := o
 		so.Workers = workers
-		var launched int32
-		so.Progress = func(Progress) { atomic.AddInt32(&launched, 1) }
-		res := runSweep(context.Background(), so, []float64{0.05, 0.30}, func(ctx context.Context, a core.Arch, rate float64, po Options) noc.Result {
-			return RunUR(ctx, a, rate, 0, po)
-		})
+		var launched, ran int32
+		so.Progress = func(p Progress) {
+			atomic.AddInt32(&launched, 1)
+			atomic.AddInt32(&ran, int32(p.Ran))
+		}
+		res := runSweep(context.Background(), so, "ur", []float64{0.05, 0.30})
 		if int(launched) != 2*len(core.Archs) {
 			t.Fatalf("workers=%d: %d progress callbacks, want %d", workers, launched, 2*len(core.Archs))
+		}
+		if int(ran) != 2*len(core.Archs) {
+			t.Fatalf("workers=%d: %d simulations ran, want %d: the arm compares nothing", workers, ran, 2*len(core.Archs))
 		}
 		return res
 	}

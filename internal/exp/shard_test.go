@@ -19,7 +19,14 @@ func TestShardTablesIdentical(t *testing.T) {
 			Warmup: 200, Measure: 800, Drain: 3000, TraceCycles: 2000,
 			Seed: 42, Workers: workers, Shards: shards,
 		}
-		return Fig11a(context.Background(), o)
+		var sims simCount
+		o.Progress = sims.add
+		tb := Fig11a(context.Background(), o)
+		if ran := sims.ran.Load(); ran != ratePoints {
+			t.Fatalf("workers=%d shards=%d: %d simulations ran, want %d: the arm compares nothing",
+				workers, shards, ran, ratePoints)
+		}
+		return tb
 	}
 	ref := run(1, 1)
 	if len(ref.Rows) == 0 {

@@ -25,16 +25,28 @@ func stepModeOpts(mode noc.StepMode) Options {
 // runner; Fig11a covers all six architectures including the 3D fabrics.
 func TestStepModeTablesIdentical(t *testing.T) {
 	drivers := []struct {
-		name string
-		run  func(context.Context, Options) Table
+		name   string
+		run    func(context.Context, Options) Table
+		points int64
 	}{
-		{"fig8", Fig8},
-		{"fig11a", Fig11a},
+		{"fig8", Fig8, 15},
+		{"fig11a", Fig11a, ratePoints},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			full := d.run(context.Background(), stepModeOpts(noc.StepFullScan))
-			act := d.run(context.Background(), stepModeOpts(noc.StepActivity))
+			// Each arm must really simulate its every point, or the
+			// comparison proves nothing.
+			run := func(mode noc.StepMode) Table {
+				o := stepModeOpts(mode)
+				var sims simCount
+				o.Progress = sims.add
+				tb := d.run(context.Background(), o)
+				if ran := sims.ran.Load(); ran != d.points || sims.reused.Load() != 0 {
+					t.Fatalf("%v: %d simulations ran (%d reused), want %d", mode, ran, sims.reused.Load(), d.points)
+				}
+				return tb
+			}
+			full, act := run(noc.StepFullScan), run(noc.StepActivity)
 			if !reflect.DeepEqual(full, act) {
 				t.Fatalf("tables diverge between step modes:\nfullscan:\n%s\nactivity:\n%s",
 					full.String(), act.String())

@@ -352,13 +352,19 @@ func (n *Network) BacklogFlits() int64 {
 }
 
 // Idle reports whether no traffic remains anywhere in the network.
+// inFlightFlits is summed before the test: a flit that crosses a shard
+// boundary is counted up in its source shard and down in its
+// destination, so only the total is meaningful. queuedPackets never
+// leaves the shard that enqueued it and is tested per shard.
 func (n *Network) Idle() bool {
+	var inFlight int64
 	for i := range n.hot {
-		if n.hot[i].queuedPackets != 0 || n.hot[i].inFlightFlits != 0 {
+		if n.hot[i].queuedPackets != 0 {
 			return false
 		}
+		inFlight += n.hot[i].inFlightFlits
 	}
-	return true
+	return inFlight == 0
 }
 
 // Step advances the simulation by one cycle: sequentially with a single

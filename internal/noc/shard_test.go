@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -274,5 +275,38 @@ func TestShardConfig(t *testing.T) {
 	}
 	if next != int32(len(n.routers)) {
 		t.Fatalf("shards cover [0,%d), want [0,%d)", next, len(n.routers))
+	}
+}
+
+// TestShardedDrainReachesIdle pins the drain exit of Sim.Run under
+// sharding: a flit that crosses a shard boundary is counted up in its
+// source shard and down in its destination, so Idle must judge the
+// summed in-flight count. Testing each shard for zero (the old code)
+// never saw an idle network and stepped into the stall watchdog with
+// every packet delivered.
+func TestShardedDrainReachesIdle(t *testing.T) {
+	run := func(shards int) (Result, int64) {
+		cfg := cfg2D(2)
+		cfg.Shards = shards
+		net := NewNetwork(cfg)
+		s := NewSim(net, bernoulli(cfg.Topo, 0.15, 4, Data))
+		s.Params = SimParams{Warmup: 100, Measure: 600, DrainMax: 8000}
+		return s.Run(context.Background()), net.Cycle()
+	}
+	ref, refCycles := run(1)
+	if ref.Ejected == 0 || ref.Ejected != ref.Generated || ref.Stalled {
+		t.Fatalf("sequential reference did not drain cleanly: %v", ref.String())
+	}
+	for _, shards := range []int{2, 4} {
+		res, cycles := run(shards)
+		if res.Stalled {
+			t.Errorf("shards=%d: Stalled with %d/%d packets delivered", shards, res.Ejected, res.Generated)
+		}
+		if res.Ejected != ref.Ejected {
+			t.Errorf("shards=%d: ejected %d, sequential %d", shards, res.Ejected, ref.Ejected)
+		}
+		if cycles != refCycles {
+			t.Errorf("shards=%d: stepped %d cycles, sequential stepped %d", shards, cycles, refCycles)
+		}
 	}
 }

@@ -94,6 +94,14 @@ type Result struct {
 // bins in cycles), or nil for a zero Result.
 func (r *Result) LatencyHistogram() *stats.Histogram { return r.latHist }
 
+// WithoutHistogram returns the result minus its latency histogram —
+// 32 KB of bins whose one consumer, P99Latency, is already extracted —
+// for callers that retain many results.
+func (r Result) WithoutHistogram() Result {
+	r.latHist = nil
+	return r
+}
+
 func (r *Result) String() string {
 	s := fmt.Sprintf("lat=%.2f p99=%d hops=%.2f thr=%.4f sat=%v (%d/%d pkts)",
 		r.AvgLatency, r.P99Latency, r.AvgHops, r.ThroughputFPC, r.Saturated, r.Ejected, r.Generated)
