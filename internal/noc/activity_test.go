@@ -54,6 +54,7 @@ func runModal(t *testing.T, cfg Config, mode StepMode, rate float64, size int, c
 	t.Helper()
 	cfg.Mode = mode
 	net := NewNetwork(cfg)
+	t.Cleanup(net.ReleaseWorkers)
 	var stream []ejection
 	net.SetEjectHandler(func(p *Packet) {
 		stream = append(stream, ejection{id: p.ID, ejected: p.EjectedAt, injected: p.InjectedAt, hops: p.Hops})

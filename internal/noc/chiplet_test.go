@@ -168,27 +168,27 @@ func TestChipletDeterminismSuite(t *testing.T) {
 }
 
 // TestAutoShardsHeuristic pins the -shards=-1 resolution rule: one
-// shard per autoShardRouters routers, capped by GOMAXPROCS, tiny meshes
-// sequential.
+// shard per autoShardRouters routers, capped by the cores a shard can
+// hold (shardCores), meshes under two budgets sequential — 12x12 is the
+// smallest mesh that shards.
 func TestAutoShardsHeuristic(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
+	p := shardCores()
+	if p > runtime.GOMAXPROCS(0) {
+		t.Fatalf("shardCores() = %d exceeds GOMAXPROCS %d", p, runtime.GOMAXPROCS(0))
 	}
 	cases := []struct{ routers, want int }{
 		{1, 1},
-		{63, 1},
-		{64, 1},
-		{128, min(2, p)},
-		{1024, min(16, p)},
+		{8 * 8, 1},
+		{10 * 10, 1},
+		{12*12 - 1, 1},
+		{12 * 12, min(2, p)},
+		{16 * 16, min(3, p)},
+		{1024, min(14, p)},
 		{1 << 20, p},
 	}
 	for _, c := range cases {
 		if got := autoShards(c.routers); got != c.want {
-			t.Errorf("autoShards(%d) = %d, want %d (GOMAXPROCS %d)", c.routers, got, c.want, p)
+			t.Errorf("autoShards(%d) = %d, want %d (%d cores)", c.routers, got, c.want, p)
 		}
 	}
 }

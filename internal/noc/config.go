@@ -143,28 +143,20 @@ type Config struct {
 // shard count from the mesh size and GOMAXPROCS at construction time.
 const AutoShards = -1
 
-// autoShardRouters is the per-shard router budget of the auto heuristic:
-// one shard per this many routers. Below it the per-cycle barrier and
-// mailbox overhead outweighs the parallelism (the 16x16 sharded-step
-// benchmark puts the knee near 64-128 routers/shard), so meshes of at
-// most autoShardRouters routers step sequentially.
-const autoShardRouters = 64
+// autoShardRouters is the per-shard router budget of the auto heuristic.
+// Measured is only what it implies for two shards: 144 routers is the
+// smallest mesh where they beat one on the 2-thread ledger host (mirasim
+// -chips 1x1/NxN, ur 0.10, median of 5: 8x8 and 10x10 tie for twice the
+// CPU, 12x12 wins 1.57 s -> 1.11 s, 16x16 3.64 s -> 2.32 s). As a budget
+// for three shards and up it is unmeasured (needs >= 4 threads).
+const autoShardRouters = 72
 
-// autoShards picks the shard count for num routers: enough shards to
-// give each ~autoShardRouters routers, but never more than GOMAXPROCS
-// (extra shards beyond the runnable cores only add barrier cost) and
-// never more than one per router. Tiny meshes — at most one budget's
-// worth of routers — stay sequential.
-func autoShards(num int) int {
-	s := num / autoShardRouters
-	if p := runtime.GOMAXPROCS(0); s > p {
-		s = p
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
+// shardCores is how many shards can hold a core each.
+func shardCores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+
+// autoShards picks the shard count for num routers: one per
+// autoShardRouters, at most shardCores (more only park, pool.go), at least one.
+func autoShards(num int) int { return max(1, min(num/autoShardRouters, shardCores())) }
 
 // ArbPolicy selects the arbiter used in the VA and SA allocators.
 type ArbPolicy uint8

@@ -18,8 +18,8 @@ import (
 // All totals are atomics because external goroutines (the obs engine
 // ticker, HTTP handlers) read them while the step loop writes. The
 // per-cycle scratch timestamps live in shardState instead: they are
-// written by a shard's worker and read by the serial epilogue after the
-// WaitGroup barrier, so they need no synchronization of their own.
+// written by the goroutine running a shard and read by the serial
+// epilogue after the pool barrier, so they need no other synchronization.
 type EngineMeter struct {
 	shards  []meterShard
 	routers []int32 // routers per shard, fixed at attach
@@ -31,6 +31,7 @@ type EngineMeter struct {
 	cross  []crossCell
 	cycles atomic.Int64
 	stepNs atomic.Int64 // wall time inside Network.Step, all cycles
+	parks  atomic.Int64 // barrier waits that outlasted the spin budget (pool.go)
 }
 
 // meterShard is one shard's wall-time totals, padded so concurrently
@@ -99,6 +100,7 @@ type EngineMailboxStat struct {
 type EngineSnapshot struct {
 	Cycles int64             `json:"cycles"`
 	StepNs int64             `json:"step_ns"`
+	Parks  int64             `json:"parks"` // barrier waits that outlasted the spin budget and blocked
 	Shards []EngineShardStat `json:"shards"`
 	// Mailbox lists the non-zero (src,dst) crossing counters in
 	// ascending (src,dst) order.
@@ -110,6 +112,7 @@ func (m *EngineMeter) Snapshot() EngineSnapshot {
 	s := EngineSnapshot{
 		Cycles: m.cycles.Load(),
 		StepNs: m.stepNs.Load(),
+		Parks:  m.parks.Load(),
 		Shards: make([]EngineShardStat, len(m.shards)),
 	}
 	for i := range m.shards {

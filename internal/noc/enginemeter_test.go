@@ -12,6 +12,7 @@ func runMetered(t *testing.T, cfg Config, mode StepMode, rate float64, cycles in
 	t.Helper()
 	cfg.Mode = mode
 	net := NewNetwork(cfg)
+	t.Cleanup(net.ReleaseWorkers)
 	m := net.EnableEngineMeter()
 	var stream []ejection
 	net.SetEjectHandler(func(p *Packet) {
@@ -113,6 +114,10 @@ func TestEngineMeterSharded(t *testing.T) {
 	if u := snap.Utilization(); u <= 0 || u > 1.5 {
 		t.Fatalf("utilization %v out of range", u)
 	}
+	// With more shards than cores every barrier wait parks (pool.go).
+	if cfg.Shards > shardCores() && snap.Parks < snap.Cycles {
+		t.Fatalf("%d parks over %d park-only cycles, want at least one per cycle", snap.Parks, snap.Cycles)
+	}
 }
 
 // TestEngineMeterSequential checks the single-shard path: whole-cycle
@@ -132,5 +137,8 @@ func TestEngineMeterSequential(t *testing.T) {
 	}
 	if r := snap.ImbalanceRatio(); r != 1 {
 		t.Fatalf("single-shard imbalance ratio %v != 1", r)
+	}
+	if snap.Parks != 0 {
+		t.Fatalf("sequential run recorded %d barrier parks", snap.Parks)
 	}
 }

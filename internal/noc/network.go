@@ -88,8 +88,7 @@ type Network struct {
 	shards []shardState
 	hot    []shardHot
 	mail   [][]shardMail
-	// pool is the persistent shard worker pool (nil until the first
-	// sharded step starts it lazily; see pool.go).
+	// pool holds the shard workers; nil until a sharded step starts it (pool.go).
 	pool *shardPool
 	// probeScratch is the reusable epilogue buffer the sharded step
 	// merges per-shard probe events into (drainShardOutputs).

@@ -1,58 +1,126 @@
 package noc
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// shardPool is the persistent worker pool behind sharded stepping. The
-// original sharded step (PR 7) spawned one goroutine per shard per
-// cycle; at millions of cycles the spawn/exit cost dominates the
-// per-cycle barrier. The pool keeps one long-lived worker parked on an
-// unbuffered channel per shard: each Step sends one token per worker,
-// the worker runs its shard's cycle and signals the shared WaitGroup,
-// and the Step's Wait is the same single barrier as before. Behaviour
-// is pinned unchanged by the shard determinism suites — the workers
-// execute exactly the shardCycle the spawned goroutines did, and the
-// channel send/Wait pair gives the same happens-before edges the old
-// WaitGroup fan-out gave (every append of cycle C ordered before every
-// drain of cycle C+1).
-//
-// Lifecycle: the pool starts lazily on the first sharded step and stops
-// when ReleaseWorkers closes the work channels (Sim.Run releases on
-// exit; a stopped pool restarts lazily if the network steps again).
-// Code that steps a sharded network directly and then abandons it
-// leaves the workers parked on an empty channel until process exit —
-// idle and invisible, but counted by goroutine-leak checkers, which is
-// why Sim.Run owns the release in the normal path.
+// shardPool is the persistent worker set behind sharded stepping: one
+// goroutine per shard 1..n-1; shard 0 runs on the goroutine that calls
+// Step. One generation barrier joins them each cycle: Step arms pending
+// with the worker count, increments gen, runs shard 0 and waits for
+// pending to reach zero; a worker waits for the next gen, runs its shard
+// and decrements pending, and the last to do so releases the caller.
+// These sequentially consistent atomics order every append of cycle C
+// before every drain of cycle C+1 (DESIGN.md §7). The pool starts lazily.
 type shardPool struct {
-	work []chan struct{}
-	wg   sync.WaitGroup
+	gen     atomic.Int64 // cycle generation, incremented by the caller
+	_       [56]byte
+	pending atomic.Int64 // workers still inside the published generation
+	_       [56]byte
+	stop    bool  // the next generation is the last; set by ReleaseWorkers
+	cores   int64 // shardCores when the pool started
+	caller  waiter
+	workers []waiter // workers[i] serves shard i+1
 }
 
-// newShardPool starts one parked worker per shard of n.
+// A wait spins poolSpinBudget loads (~0.5 ns each) before it parks, so a
+// caller that keeps stepping pays no OS-thread wake-up and an abandoned
+// network's workers end up parked. The budget has to outlast the gap
+// between two steps (~3 us on the 16x16 benchmark mesh) and one thread
+// wake-up (50-100 us on the ledger host), or the side waiting for a
+// freshly woken peer parks too (58 000 parks in 32 000 cycles at 1<<16,
+// 600 at 1<<18). On a core a runnable shard needs, a spinner costs that
+// shard the whole budget: a wait parks at once while the process runs
+// more shards than cores (liveShards), and — for load that count cannot
+// see — for poolSpinRetry waits once poolParkStreak in a row have parked.
+const poolSpinBudget, poolParkStreak, poolSpinRetry = 1 << 18, 8, 1 << 10
+
+// liveShards counts the shards of every running pool in the process.
+var liveShards atomic.Int64
+
+// waiter is one goroutine's parking spot, padded to a cache line. parked
+// announces the intent to block; whoever swaps it back — the releaser, or
+// the waiter on finding its word set — decides whether a token is sent.
+type waiter struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: at most one token is ever owed
+	streak int           // waits in a row that parked; < 0: waits left without a budget
+	_      [40]byte
+}
+
+// release wakes w if it is parked or committed to parking.
+func (w *waiter) release() {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// await returns once word holds want, which its writer must follow with
+// w.release(), and reports whether it parked. A woken waiter re-checks
+// its word: a worker descheduled between its last decrement and its
+// release of the caller delivers that token into the caller's next wait.
+func (p *shardPool) await(w *waiter, word *atomic.Int64, want int64) (parked bool) {
+	noSpin := w.streak < 0 || liveShards.Load() > p.cores
+	for i := 0; word.Load() != want; i++ {
+		if noSpin || i >= poolSpinBudget {
+			parked = true
+			w.parked.Store(true)
+			if word.Load() != want || !w.parked.CompareAndSwap(true, false) {
+				<-w.wake
+			}
+		}
+	}
+	if w.streak >= 0 && !parked {
+		w.streak = 0
+	} else if w.streak++; w.streak == 0 {
+		w.streak = poolParkStreak - 1 // spinning again: the next wait to park ends it
+	} else if w.streak == poolParkStreak {
+		w.streak = -poolSpinRetry
+	}
+	return parked
+}
+
+// publish starts the next generation on every worker.
+func (p *shardPool) publish() {
+	p.pending.Store(int64(len(p.workers)))
+	p.gen.Add(1)
+	for i := range p.workers {
+		p.workers[i].release()
+	}
+}
+
+// newShardPool starts one worker per shard 1..n-1 of n.
 func newShardPool(n *Network) *shardPool {
-	p := &shardPool{work: make([]chan struct{}, len(n.shards))}
-	for i := range n.shards {
-		p.work[i] = make(chan struct{})
-		sh := &n.shards[i]
-		ch := p.work[i]
+	p := &shardPool{workers: make([]waiter, len(n.shards)-1), cores: int64(shardCores())}
+	p.caller.wake = make(chan struct{}, 1)
+	liveShards.Add(int64(len(n.shards)))
+	for i := range p.workers {
+		w, sh := &p.workers[i], &n.shards[i+1]
+		w.wake = make(chan struct{}, 1)
 		go func() {
-			for range ch {
+			for gen := int64(1); ; gen++ {
+				parked := p.await(w, &p.gen, gen)
+				if p.stop { // written before the gen it is read after
+					return
+				}
+				if parked && n.meter != nil {
+					n.meter.parks.Add(1)
+				}
 				n.runShardCycle(sh)
-				p.wg.Done()
+				if p.pending.Add(-1) == 0 {
+					p.caller.release()
+				}
 			}
 		}()
 	}
 	return p
 }
 
-// runShardCycle runs one shard's cycle, capturing a panic for the
-// serial epilogue to re-raise (a worker must never die: the pool would
-// deadlock on the next cycle's barrier). With an engine meter attached
-// it brackets the cycle with wall-clock reads; the scratch results are
-// folded into the meter's atomics by the post-barrier epilogue
-// (stepSharded), which the WaitGroup join orders after these writes.
+// runShardCycle runs one shard's cycle, capturing a panic for the serial
+// epilogue to re-raise once every shard has finished (a worker must
+// never die: the next barrier would wait for it forever). With an engine
+// meter attached it times the cycle for that epilogue (stepSharded).
 func (n *Network) runShardCycle(sh *shardState) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -63,25 +131,24 @@ func (n *Network) runShardCycle(sh *shardState) {
 		sh.meterT0 = time.Now()
 		sh.meterDrainNs = 0
 		n.shardCycle(sh)
-		end := time.Now()
-		sh.meterEnd = end
-		sh.meterBusyNs = end.Sub(sh.meterT0).Nanoseconds()
+		sh.meterEnd = time.Now()
+		sh.meterBusyNs = sh.meterEnd.Sub(sh.meterT0).Nanoseconds()
 		return
 	}
 	n.shardCycle(sh)
 }
 
-// ReleaseWorkers stops the persistent shard worker pool, if one is
-// running. It is idempotent, must not be called concurrently with
-// Step, and a released network remains fully usable — the next sharded
-// step simply starts a fresh pool. Sim.Run releases on exit so batch
-// runs do not accumulate parked goroutines per simulated network.
+// ReleaseWorkers tells the shard workers, if any are running, to exit.
+// It is idempotent and must not run concurrently with Step; the next
+// sharded step starts a fresh pool. Sim.Run releases on exit; an
+// abandoned network keeps its parked workers and its share of liveShards.
 func (n *Network) ReleaseWorkers() {
-	if n.pool == nil {
+	p := n.pool
+	if p == nil {
 		return
 	}
-	for _, ch := range n.pool.work {
-		close(ch)
-	}
 	n.pool = nil
+	p.stop = true
+	p.publish()
+	liveShards.Add(-int64(len(p.workers) + 1))
 }

@@ -225,8 +225,8 @@ type shardState struct {
 
 	// Engine-meter scratch (enginemeter.go): the shard's worker writes
 	// these during its cycle, the serial epilogue reads them after the
-	// barrier — the WaitGroup join provides the happens-before edge, so
-	// no atomics are needed. Unused (stale) when no meter is attached.
+	// barrier — the pool's pending count provides the happens-before edge,
+	// so no atomics are needed. Unused (stale) when no meter is attached.
 	meterT0      time.Time
 	meterEnd     time.Time
 	meterBusyNs  int64
@@ -276,12 +276,11 @@ func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
 	return &n.mail[src.idx][dst].cred[at&n.ringMask]
 }
 
-// stepSharded advances one cycle with len(shards) > 1: every shard runs
-// its delivery, injection and pipeline stages on its own persistent
-// worker (pool.go), and the serial epilogue replays the buffered probe
-// events and eject callbacks in canonical order. One WaitGroup join per
-// cycle is the only barrier; see the package comment above for why that
-// suffices.
+// stepSharded advances one cycle with len(shards) > 1: shard 0 runs its
+// delivery, injection and pipeline stages on the calling goroutine, the
+// others on their persistent workers (pool.go), and the serial epilogue
+// replays the buffered probe events and eject callbacks in canonical
+// order. The pool's barrier is the only synchronization (package comment).
 func (n *Network) stepSharded() {
 	p := n.pool
 	if p == nil {
@@ -293,11 +292,11 @@ func (n *Network) stepSharded() {
 	if meter != nil {
 		t0 = time.Now()
 	}
-	p.wg.Add(len(p.work))
-	for _, ch := range p.work {
-		ch <- struct{}{}
+	p.publish()
+	n.runShardCycle(&n.shards[0])
+	if p.await(&p.caller, &p.pending, 0) && meter != nil {
+		meter.parks.Add(1)
 	}
-	p.wg.Wait()
 	var barrierEnd time.Time
 	if meter != nil {
 		barrierEnd = time.Now()
@@ -313,7 +312,7 @@ func (n *Network) stepSharded() {
 		// per-shard barrier wait is the gap between that shard finishing
 		// its cycle and the last shard finishing (= the join returning):
 		// the signature of imbalance, since every early finisher burns it
-		// parked.
+		// waiting.
 		for i := range n.shards {
 			sh := &n.shards[i]
 			ms := &meter.shards[i]

@@ -449,6 +449,7 @@ func (ec *EngineCollector) PromSamples(extra [][2]string) []PromSample {
 	}
 	out = add(out, "mira_engine_pool_workers", float64(len(snap.Shards)))
 	out = add(out, "mira_engine_pool_utilization", snap.Utilization())
+	out = add(out, "mira_engine_pool_parks_total", float64(snap.Parks))
 	out = add(out, "mira_engine_heap_bytes", float64(rt.HeapBytes))
 	out = add(out, "mira_engine_goroutines", float64(rt.Goroutines))
 	out = add(out, "mira_engine_gc_total", float64(rt.NumGC))
@@ -490,8 +491,8 @@ func (ec *EngineCollector) Table() stats.Table {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s (EMA)",
 			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(ema)),
-		fmt.Sprintf("pool: %d workers, utilization %.0f%%, imbalance %.2fx (max/mean shard busy)",
-			len(snap.Shards), 100*snap.Utilization(), snap.ImbalanceRatio()))
+		fmt.Sprintf("pool: %d workers, utilization %.0f%%, imbalance %.2fx (max/mean shard busy), %d parks",
+			len(snap.Shards), 100*snap.Utilization(), snap.ImbalanceRatio(), snap.Parks))
 	if len(snap.Mailbox) > 0 {
 		var flits, creds int64
 		hot := snap.Mailbox[0]

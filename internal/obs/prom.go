@@ -140,6 +140,7 @@ var promHelp = map[string]string{
 	"mira_engine_mailbox_credits_total": "Credits drained from the (src,dst) boundary mailbox.",
 	"mira_engine_pool_workers":          "Shard worker pool size (1 = sequential stepping).",
 	"mira_engine_pool_utilization":      "Fraction of pool capacity spent doing shard work (busy / (workers x step wall time)).",
+	"mira_engine_pool_parks_total":      "Barrier waits that exhausted the spin budget and blocked (each costs a scheduler wake-up).",
 	"mira_engine_heap_bytes":            "Go heap in use (runtime.MemStats.HeapAlloc).",
 	"mira_engine_goroutines":            "Live goroutines in the simulator process.",
 	"mira_engine_gc_total":              "Completed garbage-collection cycles.",

@@ -200,7 +200,7 @@ func TestPromEngineExpositionLint(t *testing.T) {
 		"mira_engine_cycles_total", "mira_engine_shard_busy_seconds",
 		"mira_engine_shard_drain_seconds", "mira_engine_shard_barrier_seconds",
 		"mira_engine_mailbox_flits_total", "mira_engine_mailbox_credits_total",
-		"mira_engine_gc_total", "mira_engine_gc_pause_seconds_total",
+		"mira_engine_pool_parks_total", "mira_engine_gc_total", "mira_engine_gc_pause_seconds_total",
 	}
 	for _, f := range wantCounter {
 		if types[f] != "counter" {
