@@ -48,6 +48,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -219,16 +220,6 @@ func cmdReplay(ctx context.Context, args []string) error {
 	return nil
 }
 
-// readFlitTrace loads a JSONL flit-event trace from path.
-func readFlitTrace(path string) ([]obs.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return obs.ReadTrace(f)
-}
-
 // cmdFlits verifies and summarizes a JSONL flit-event trace recorded by
 // the observability layer (mirasim -trace).
 func cmdFlits(args []string) error {
@@ -240,30 +231,29 @@ func cmdFlits(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("flits needs exactly one trace file")
 	}
-	events, err := readFlitTrace(fs.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	var counts [noc.NumProbeKinds]int64
-	for _, e := range events {
-		if k, ok := noc.ParseProbeKind(e.Kind); ok {
-			counts[k]++
-		}
+	defer f.Close()
+	// One streaming pass. A filtered trace is partial per flit: Replay
+	// then reports the violation next to the stats of the matched
+	// inject/eject pairs.
+	sum, verifyErr := obs.Replay(f)
+	if verifyErr != nil && !errors.Is(verifyErr, obs.ErrFlitProtocol) {
+		return verifyErr
 	}
-	stats, verifyErr := obs.Replay(events)
-	if verifyErr != nil {
-		// A filtered trace is partial per flit; fall back to summarizing
-		// the matched inject/eject pairs.
-		stats = obs.Summarize(events)
-	}
+	stats := sum.Latency
 	if *asJSON {
 		fmt.Printf("%s\n", stats.JSON())
 	} else {
-		fmt.Printf("events   : %d", len(events))
+		var total int64
+		var kinds string
 		for k := noc.ProbeKind(0); k < noc.NumProbeKinds; k++ {
-			fmt.Printf("  %s=%d", k, counts[k])
+			total += sum.Events[k.String()]
+			kinds += fmt.Sprintf("  %s=%d", k, sum.Events[k.String()])
 		}
-		fmt.Println()
+		fmt.Printf("events   : %d%s\n", total, kinds)
 		fmt.Printf("flits    : %d (lat mean %.2f, p50/p95/p99 = %d/%d/%d, max %d)\n",
 			stats.Flits, stats.FlitMean, stats.FlitP50, stats.FlitP95, stats.FlitP99, stats.FlitMax)
 		fmt.Printf("packets  : %d (lat mean %.2f, p99 = %d, max %d)\n",
@@ -298,15 +288,20 @@ func cmdSpans(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("spans needs exactly one trace file")
 	}
-	events, err := readFlitTrace(fs.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	spans, attr, err := obs.BuildSpans(events)
+	defer f.Close()
+	// Spans are kept only for the exports that draw them; the
+	// attribution table alone needs the flits in flight and no more.
+	export := *perfetto != "" || *heatmap != "" || *svgOut != ""
+	sb, err := obs.BuildSpans(f, export)
 	if err != nil {
 		return fmt.Errorf("spans: %w (span folding needs an unfiltered trace)", err)
 	}
-	slog.Info("spans built", "events", len(events), "flits", attr.Flits())
+	attr, spans := sb.Attribution(), sb.Spans()
+	slog.Info("spans built", "flits", attr.Flits())
 
 	var tbl = attr.CombinedTable()
 	if *group != "" {

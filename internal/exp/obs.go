@@ -125,23 +125,23 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 
 // ObsOverhead measures the live cost of the observability layer on one
 // mid-load uniform-random run: the same scenario is executed bare, with
-// the full collector attached, and with the collector streaming a JSONL
-// trace to a discarded writer. Each variant runs reps times and keeps
-// its fastest wall-clock, the standard noise reduction for this kind of
-// measurement. Simulated results are bit-identical across variants (the
-// probe observes, never steers), which the table asserts in its note.
+// the full collector attached, with the collector streaming a JSONL
+// trace to a discarded writer, and with span folding on top of that
+// (what the ur6x6_observed benchmark workload attaches). Each variant
+// runs reps times and keeps its fastest wall-clock, the standard noise
+// reduction for this kind of measurement. Simulated results are
+// bit-identical across variants (the probe observes, never steers),
+// which the table asserts in its note.
 func ObsOverhead(ctx context.Context, o Options) Table {
 	sc := o.synthetic(core.Arch3DM, "ur", 0.15)
 
 	const reps = 3
-	run := func(observe bool, trace bool) (noc.Result, time.Duration) {
+	run := func(observe *scenario.Observe, trace bool) (noc.Result, time.Duration) {
 		var best time.Duration
 		var res noc.Result
 		for r := 0; r < reps; r++ {
 			s := sc
-			if observe {
-				s.Observe = &scenario.Observe{}
-			}
+			s.Observe = observe
 			e, err := s.Elaborate()
 			if err != nil {
 				panic(err) // driver-authored scenario
@@ -164,9 +164,10 @@ func ObsOverhead(ctx context.Context, o Options) Table {
 		return res, best
 	}
 
-	bareRes, bare := run(false, false)
-	probedRes, probed := run(true, false)
-	tracedRes, traced := run(true, true)
+	bareRes, bare := run(nil, false)
+	probedRes, probed := run(&scenario.Observe{}, false)
+	tracedRes, traced := run(&scenario.Observe{}, true)
+	spannedRes, spanned := run(&scenario.Observe{Spans: true}, true)
 
 	cycles := sc.Warmup + sc.Measure // lower bound; drain adds more
 	row := func(name string, d time.Duration) []string {
@@ -183,9 +184,11 @@ func ObsOverhead(ctx context.Context, o Options) Table {
 			row("no probe", bare),
 			row("collector", probed),
 			row("collector + trace", traced),
+			row("collector + spans + trace", spanned),
 		},
 	}
-	if bareRes.AvgLatency != probedRes.AvgLatency || bareRes.AvgLatency != tracedRes.AvgLatency {
+	if bareRes.AvgLatency != probedRes.AvgLatency || bareRes.AvgLatency != tracedRes.AvgLatency ||
+		bareRes.AvgLatency != spannedRes.AvgLatency {
 		t.Notes = append(t.Notes, "WARNING: observing changed simulation results — probe purity violated")
 	} else {
 		t.Notes = append(t.Notes, fmt.Sprintf(

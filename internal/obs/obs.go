@@ -13,9 +13,10 @@
 //     per-router/per-VC gauges (buffer occupancy, credit stalls, active
 //     layers, express usage) into time series exportable as text, CSV
 //     or JSON through stats.Table;
-//   - a JSONL flit-event TraceWriter with a bounded ring buffer, and a
-//     deterministic Replay reader that reproduces the live collector's
-//     per-flit latency statistics byte for byte from the recorded file.
+//   - a JSONL flit-event TraceWriter that encodes into one reused byte
+//     buffer, and a streaming Replay reader that reproduces the live
+//     collector's per-flit latency statistics byte for byte from the
+//     recorded file.
 //
 // Scenarios opt in through their Observe block (internal/scenario);
 // mirasim -trace writes traces, miratrace flits replays them, and
@@ -45,13 +46,10 @@ type Config struct {
 	// file only — summaries and time series always cover everything.
 	TraceNodes []int
 	TraceClass string
-	// RingSize bounds the trace writer's in-memory event batch
-	// (0 = DefaultRingSize).
-	RingSize int
 	// Spans enables live per-flit span building: every probe event is
 	// folded into per-hop stage spans and the latency attribution
 	// aggregate (see SpanBuilder). Costs memory proportional to the
-	// completed flit count.
+	// completed hop count (about 45 bytes a hop).
 	Spans bool
 	// Engine enables engine self-telemetry (engine.go): a wall-clock
 	// ticker sampling per-shard step timings, throughput and Go runtime
@@ -95,89 +93,43 @@ func (l LatencyStats) JSON() []byte {
 	return data
 }
 
-// latencyAcc accumulates LatencyStats from an event stream. It is fed
-// either live probe events (Collector) or serialized ones (Replay);
-// both paths reduce to feed(), so the two produce identical stats for
+// latencyAcc accumulates LatencyStats from matched inject/eject pairs.
+// The in-flight table (SpanBuilder.Feed) does the matching, for live
+// and replayed streams alike, so the two produce identical stats for
 // identical streams.
 type latencyAcc struct {
 	flitHist *stats.Histogram
 	pktHist  *stats.Histogram
-	inject   map[flitKey]int64 // flit -> inject cycle
 	flitMax  int64
 	pktMax   int64
 	flitSum  float64
 	pktSum   float64
 	flits    int64
 	packets  int64
-	perClass map[string]int64
-}
-
-type flitKey struct {
-	pkt int64
-	seq int
+	perClass [noc.NumClasses]int64
 }
 
 // histBins sizes the latency histograms; latencies beyond it land in
 // the overflow bin (matching noc.Result's 4096-bin packet histogram).
 const histBins = 4096
 
-func (a *latencyAcc) init() {
-	if a.flitHist == nil {
-		a.flitHist = stats.NewHistogram(histBins)
-		a.pktHist = stats.NewHistogram(histBins)
-		a.inject = make(map[flitKey]int64)
-		a.perClass = make(map[string]int64)
+// add accounts one flit ejected by e, lat cycles after its inject.
+func (a *latencyAcc) add(lat int64, e *Event) {
+	a.flitHist.Add(int(lat))
+	a.flitSum += float64(lat)
+	a.flits++
+	a.flitMax = max(a.flitMax, lat)
+	if e.Type.IsTail() {
+		plat := e.Cycle - e.Created
+		a.pktHist.Add(int(plat))
+		a.pktSum += float64(plat)
+		a.packets++
+		a.pktMax = max(a.pktMax, plat)
+		a.perClass[e.Class]++
 	}
-}
-
-// feed consumes one event; only inject and eject contribute to latency.
-func (a *latencyAcc) feed(kind string, cycle int64, pkt int64, seq int, tail bool, class string, created int64) {
-	a.init()
-	k := flitKey{pkt, seq}
-	switch kind {
-	case "inject":
-		a.inject[k] = cycle
-	case "eject":
-		inj, ok := a.inject[k]
-		if !ok {
-			return // filtered or truncated trace: unmatched eject
-		}
-		delete(a.inject, k)
-		lat := cycle - inj
-		a.flitHist.Add(int(lat))
-		a.flitSum += float64(lat)
-		a.flits++
-		if lat > a.flitMax {
-			a.flitMax = lat
-		}
-		if tail {
-			plat := cycle - created
-			a.pktHist.Add(int(plat))
-			a.pktSum += float64(plat)
-			a.packets++
-			if plat > a.pktMax {
-				a.pktMax = plat
-			}
-			a.perClass[class]++
-		}
-	}
-}
-
-func (a *latencyAcc) feedLive(ev noc.ProbeEvent) {
-	if ev.Kind != noc.ProbeInject && ev.Kind != noc.ProbeEject {
-		return
-	}
-	a.feed(ev.Kind.String(), ev.Cycle, ev.Flit.Pkt.ID, int(ev.Flit.Seq),
-		ev.Flit.Type.IsTail(), ev.Flit.Pkt.Class.String(), ev.Flit.Pkt.CreatedAt)
-}
-
-func (a *latencyAcc) feedSerialized(e Event) {
-	a.feed(e.Kind, e.Cycle, e.Pkt, e.Seq,
-		e.Type == "tail" || e.Type == "headtail", e.Class, e.Created)
 }
 
 func (a *latencyAcc) stats() LatencyStats {
-	a.init()
 	l := LatencyStats{
 		Flits:   a.flits,
 		Packets: a.packets,
@@ -195,22 +147,14 @@ func (a *latencyAcc) stats() LatencyStats {
 		l.PacketP95 = a.pktHist.Percentile(0.95)
 		l.PacketP99 = a.pktHist.Percentile(0.99)
 		l.PacketMax = a.pktMax
-	}
-	if len(a.perClass) > 0 {
-		l.PerClass = a.perClass
+		l.PerClass = make(map[string]int64, len(a.perClass))
+		for c, n := range a.perClass {
+			if n > 0 {
+				l.PerClass[noc.Class(c).String()] = n
+			}
+		}
 	}
 	return l
-}
-
-// Summarize computes latency statistics from a recorded trace without
-// the per-flit protocol verification Replay performs — the right tool
-// for filtered traces, where unmatched events are expected.
-func Summarize(events []Event) LatencyStats {
-	var acc latencyAcc
-	for _, e := range events {
-		acc.feedSerialized(e)
-	}
-	return acc.stats()
 }
 
 // Collector is the live observability pipeline of one simulation run:
@@ -222,12 +166,11 @@ type Collector struct {
 	reg     *Registry
 	sampler *Sampler
 	tw      *TraceWriter
-	spans   *SpanBuilder
+	flits   *SpanBuilder // in-flight table and latency always; span folding with Config.Spans
 	engine  *EngineCollector
 	cfg     Config
 
 	counts    [noc.NumProbeKinds]int64
-	lat       latencyAcc
 	lastCycle int64
 	finished  bool
 }
@@ -236,11 +179,8 @@ type Collector struct {
 func New(net *noc.Network, cfg Config) *Collector {
 	reg := NewRegistry()
 	RegisterNetwork(reg, net, cfg.PerVCNodes)
-	c := &Collector{net: net, reg: reg, sampler: NewSampler(reg, cfg.Window), cfg: cfg}
-	if cfg.Spans {
-		c.spans = NewSpanBuilder(true)
-	}
-	return c
+	return &Collector{net: net, reg: reg, sampler: NewSampler(reg, cfg.Window), cfg: cfg,
+		flits: newSpanBuilder(cfg.Spans, cfg.Spans)}
 }
 
 // Registry returns the collector's metric registry, for registering
@@ -249,9 +189,9 @@ func (c *Collector) Registry() *Registry { return c.reg }
 
 // SetTraceWriter attaches a JSONL event sink (applying the collector's
 // node/class filter). Call before the run; the caller must Close the
-// collector (or the writer) afterwards to flush the ring.
+// collector (or the writer) afterwards to flush the buffer.
 func (c *Collector) SetTraceWriter(w io.Writer) *TraceWriter {
-	c.tw = NewTraceWriter(w, c.cfg.RingSize, NodeClassFilter(c.cfg.TraceNodes, c.cfg.TraceClass))
+	c.tw = NewTraceWriter(w, NodeClassFilter(c.cfg.TraceNodes, c.cfg.TraceClass))
 	return c.tw
 }
 
@@ -271,15 +211,22 @@ func (c *Collector) Attach(sim *noc.Sim) {
 // Config.Engine is off (or Attach has not run).
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
-// ProbeEvent implements noc.Probe.
+// ProbeEvent implements noc.Probe: the event is copied into one Event
+// record, which the in-flight table and the trace writer then share.
+// The latency statistics need only the two ends of a flit's life, so
+// the stage events in between reach the table only when it folds spans.
 func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
 	c.counts[ev.Kind]++
-	c.lat.feedLive(ev)
-	if c.spans != nil {
-		c.spans.FeedProbe(ev)
+	ends := ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject
+	if !ends && !c.cfg.Spans && c.tw == nil {
+		return
+	}
+	e := eventOf(&ev)
+	if ends || c.cfg.Spans {
+		c.flits.Feed(&e) //nolint:errcheck // sticky: Spans().Err() reports it
 	}
 	if c.tw != nil {
-		c.tw.ProbeEvent(ev)
+		c.tw.Record(&e)
 	}
 }
 
@@ -319,13 +266,18 @@ func (c *Collector) EventCount(k noc.ProbeKind) int64 { return c.counts[k] }
 
 // Latency returns the per-flit/per-packet latency statistics observed
 // so far.
-func (c *Collector) Latency() LatencyStats { return c.lat.stats() }
+func (c *Collector) Latency() LatencyStats { return c.flits.lat.stats() }
 
 // Sampler returns the gauge sampler (time series access).
 func (c *Collector) Sampler() *Sampler { return c.sampler }
 
 // Spans returns the live span builder, or nil when Config.Spans is off.
-func (c *Collector) Spans() *SpanBuilder { return c.spans }
+func (c *Collector) Spans() *SpanBuilder {
+	if !c.cfg.Spans {
+		return nil
+	}
+	return c.flits
+}
 
 // SeriesTable exports the sampled time series.
 func (c *Collector) SeriesTable() stats.Table { return c.sampler.Table() }
@@ -344,16 +296,21 @@ type Summary struct {
 // Summary digests the collector's current state.
 func (c *Collector) Summary() Summary {
 	s := Summary{
-		Events:  make(map[string]int64, int(noc.NumProbeKinds)),
+		Events:  eventCounts(&c.counts),
 		Latency: c.Latency(),
 		Windows: c.sampler.Samples(),
 		Window:  c.sampler.Window(),
-	}
-	for k := noc.ProbeKind(0); k < noc.NumProbeKinds; k++ {
-		s.Events[k.String()] = c.counts[k]
 	}
 	if c.tw != nil {
 		s.Traced = c.tw.Written()
 	}
 	return s
+}
+
+func eventCounts(counts *[noc.NumProbeKinds]int64) map[string]int64 {
+	m := make(map[string]int64, len(counts))
+	for k, n := range counts {
+		m[noc.ProbeKind(k).String()] = n
+	}
+	return m
 }

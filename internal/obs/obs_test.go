@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,22 +52,25 @@ func runObserved(t *testing.T, cfg Config, buf *bytes.Buffer) (*Collector, noc.R
 // byte for byte.
 func TestReplayByteIdentical(t *testing.T) {
 	var buf bytes.Buffer
-	c, _ := runObserved(t, Config{RingSize: 64}, &buf)
+	c, _ := runObserved(t, Config{}, &buf)
 
-	events, err := ReadTrace(&buf)
+	events, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
 	if int64(len(events)) != c.tw.Written() {
 		t.Fatalf("read %d events, writer reports %d", len(events), c.tw.Written())
 	}
-	replayed, err := Replay(events)
+	replayed, err := Replay(&buf)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	live := c.Latency()
-	if lb, rb := live.JSON(), replayed.JSON(); !bytes.Equal(lb, rb) {
+	if lb, rb := live.JSON(), replayed.Latency.JSON(); !bytes.Equal(lb, rb) {
 		t.Errorf("replayed stats differ from live:\nlive   %s\nreplay %s", lb, rb)
+	}
+	if got, want := fmt.Sprint(replayed.Events), fmt.Sprint(c.Summary().Events); got != want {
+		t.Errorf("replayed event counts %s, live %s", got, want)
 	}
 	if live.Flits == 0 || live.Packets == 0 {
 		t.Errorf("no latency samples collected: %s", live.JSON())
@@ -169,7 +174,7 @@ func TestTraceFilters(t *testing.T) {
 	if !bytes.Equal(cFull.Latency().JSON(), cFilt.Latency().JSON()) {
 		t.Error("trace filter changed collector statistics")
 	}
-	events, err := ReadTrace(&filtered)
+	events, err := ReadTrace(bytes.NewReader(filtered.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
@@ -184,18 +189,18 @@ func TestTraceFilters(t *testing.T) {
 		if e.Router != 0 && e.Router != 1 {
 			t.Fatalf("event at router %d escaped node filter", e.Router)
 		}
-		if e.Class != "data" {
-			t.Fatalf("class %q escaped class filter", e.Class)
+		if e.Class != noc.Data {
+			t.Fatalf("class %v escaped class filter", e.Class)
 		}
 	}
-	// A node-filtered trace is partial per flit; Summarize handles it,
-	// strict Replay is expected to reject it.
-	if _, err := Replay(events); err == nil {
-		t.Error("Replay accepted a node-filtered (partial) trace")
+	// A node-filtered trace is partial per flit: Replay reports the
+	// protocol violation next to the stats of the matched pairs.
+	sum, err := Replay(&filtered)
+	if !errors.Is(err, ErrFlitProtocol) {
+		t.Errorf("Replay of a node-filtered (partial) trace: err = %v, want ErrFlitProtocol", err)
 	}
-	sum := Summarize(events)
-	if sum.Flits < 0 {
-		t.Errorf("Summarize produced negative counts: %s", sum.JSON())
+	if got, all := sum.Latency.Flits, cFull.Latency().Flits; got >= all || sum.Events["eject"] == 0 {
+		t.Errorf("Replay matched %d flits of %d, counted %v", got, all, sum.Events)
 	}
 }
 

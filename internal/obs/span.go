@@ -2,11 +2,14 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strconv"
 
 	"mira/internal/noc"
 	"mira/internal/stats"
+	"mira/internal/topology"
 )
 
 // Span-level tracing: the six probe event kinds of one flit's life fold
@@ -128,53 +131,130 @@ func (s FlitSpan) StageTotal(st Stage) int64 {
 	return sum
 }
 
-// openFlit is the under-construction span of a flit still in the
-// network. Route/Alloc/Grant are -1 until their events arrive; Arrive
-// and Depart are resolved at eject, when the ST+LT depth becomes known.
-type openFlit struct {
-	span FlitSpan
+// hop is one router visit as stored: the probed stage boundaries, -1
+// until their events arrive. Arrive and Depart are derived — a hop
+// departs ST+LT after its grant and arrives as the previous one departs.
+type hop struct {
+	route, alloc, grant int64
+	router              int32
+	dir                 int8 // topology.Dir of the granted output
+	vc                  int8
 }
 
-// SpanBuilder folds a stream of probe events into FlitSpans and an
-// Attribution aggregate. It accepts either live noc.ProbeEvents
-// (FeedProbe, used by the Collector when Config.Spans is set) or
-// serialized trace Events (Feed, used by "miratrace spans"); both paths
-// reduce to the same state machine, so a span built from an unfiltered
-// recorded trace is byte-identical to the live one.
+// span resolves a completed hop given its arrival and the flit's ST+LT.
+func (h *hop) span(arrive, stlt int64) HopSpan {
+	return HopSpan{Router: int(h.router), Arrive: arrive, Route: h.route, Alloc: h.alloc, Grant: h.grant,
+		Depart: h.grant + stlt, Dir: topology.Dir(h.dir).String(), VC: int(h.vc)}
+}
+
+// spanHdr is the fixed-width part of a span; its nhops hops follow one
+// another in the hop arena.
+type spanHdr struct {
+	pkt, created, inject, eject int64
+	seq, src, dst, nhops        int32
+	typ                         noc.FlitType
+	class                       noc.Class
+	layers                      uint8
+}
+
+// openFlit is the slab slot of a flit in flight. The hop slice's
+// storage stays with the slot when the flit leaves.
+type openFlit struct {
+	spanHdr
+	injected bool // an inject event has been seen (cycle 0 is a valid inject)
+	hops     []hop
+}
+
+type flitKey struct {
+	pkt int64
+	seq int32
+}
+
+// arena is an append-only store in chunks of arenaChunk elements:
+// growing it never copies, so it holds its contents plus at most a chunk.
+type arena[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const arenaChunk = 4096
+
+func (a *arena[T]) push(v T) {
+	if a.n == len(a.chunks)*arenaChunk {
+		a.chunks = append(a.chunks, make([]T, arenaChunk))
+	}
+	*a.at(a.n) = v
+	a.n++
+}
+
+func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
+
+// SpanBuilder is the layer's per-flit state machine: one slab slot per
+// flit in flight, ejects matched to injects for the latency statistics,
+// and — what it is named for — the stage events in between folded into
+// spans and an Attribution aggregate. Live events (the Collector) and
+// events read back from a trace (Replay, BuildSpans) go through the
+// same Feed, so a span built from an unfiltered recorded trace is
+// byte-identical to the live one.
 //
-// The builder requires a complete, unfiltered event stream: a
+// Folding requires a complete, unfiltered event stream: a
 // node/class-filtered trace truncates flit histories and Feed reports
 // the first inconsistency it proves (an event for a flit never
-// injected, an eject with no SA grant).
+// injected, an eject with no SA grant). Completed spans are kept as a
+// fixed-width header each plus one arena of hops, and become
+// []FlitSpan only when Spans is called.
 type SpanBuilder struct {
-	retain bool
-	open   map[flitKey]*openFlit
-	spans  []FlitSpan
+	fold   bool // fold stage events into hops and the attribution
+	retain bool // keep completed spans
+	open   map[flitKey]int32
+	slab   []openFlit
+	free   []int32 // vacant slab slots
+	lat    latencyAcc
+	hdrs   arena[spanHdr]
+	hops   arena[hop]
 	agg    *Attribution
 	err    error
 }
 
 // NewSpanBuilder returns a builder that aggregates attribution totals.
-// When retain is true, completed FlitSpans are also kept (required for
-// the Perfetto and heatmap exports; costs memory proportional to the
-// flit count rather than the in-flight window).
-func NewSpanBuilder(retain bool) *SpanBuilder {
-	return &SpanBuilder{
-		retain: retain,
-		open:   make(map[flitKey]*openFlit),
-		agg:    newAttribution(),
-	}
+// When retain is true, completed spans are also kept (required for the
+// Perfetto and heatmap exports; costs memory proportional to the
+// completed hop count rather than the in-flight window).
+func NewSpanBuilder(retain bool) *SpanBuilder { return newSpanBuilder(true, retain) }
+
+func newSpanBuilder(fold, retain bool) *SpanBuilder {
+	return &SpanBuilder{fold: fold, retain: retain, open: make(map[flitKey]int32), agg: newAttribution(),
+		lat: latencyAcc{flitHist: stats.NewHistogram(histBins), pktHist: stats.NewHistogram(histBins)}}
 }
 
 // Err returns the first protocol inconsistency encountered, or nil.
-// Events after the first error are ignored, so a partial trace fails
+// Events after the first error are not folded, so a partial trace fails
 // loudly instead of producing a silently wrong decomposition.
 func (b *SpanBuilder) Err() error { return b.err }
 
-// Spans returns the completed spans in flit-completion (eject) order,
-// which is deterministic for a fixed scenario across step modes. Only
-// populated when the builder retains spans.
-func (b *SpanBuilder) Spans() []FlitSpan { return b.spans }
+// Spans materializes the completed spans in flit-completion (eject)
+// order, which is deterministic for a fixed scenario across step modes.
+// Only populated when the builder retains spans; built anew per call.
+func (b *SpanBuilder) Spans() []FlitSpan {
+	spans := make([]FlitSpan, b.hdrs.n)
+	hops := make([]HopSpan, b.hops.n)
+	first := 0 // arena index of the span's first hop
+	for i := range spans {
+		s := b.hdrs.at(i)
+		end := first + int(s.nhops)
+		stlt := s.eject - b.hops.at(end-1).grant
+		arrive := s.inject
+		for j := first; j < end; j++ {
+			hops[j] = b.hops.at(j).span(arrive, stlt)
+			arrive = hops[j].Depart
+		}
+		spans[i] = FlitSpan{Pkt: s.pkt, Seq: int(s.seq), Type: flitTypeName(s.typ), Class: s.class.String(),
+			Src: int(s.src), Dst: int(s.dst), Layers: int(s.layers),
+			Created: s.created, Inject: s.inject, Eject: s.eject, Hops: hops[first:end:end]}
+		first = end
+	}
+	return spans
+}
 
 // Attribution returns the running latency decomposition aggregate.
 func (b *SpanBuilder) Attribution() *Attribution { return b.agg }
@@ -182,111 +262,101 @@ func (b *SpanBuilder) Attribution() *Attribution { return b.agg }
 // InFlight returns the number of flits with an open, unejected span.
 func (b *SpanBuilder) InFlight() int { return len(b.open) }
 
-// FeedProbe consumes one live probe event.
-func (b *SpanBuilder) FeedProbe(ev noc.ProbeEvent) { b.feed(eventOf(ev)) }
+func (b *SpanBuilder) fail(e *Event, format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("obs: span flit %d.%d "+format, append([]any{e.Pkt, e.Seq}, args...)...)
+	}
+}
 
-// Feed consumes one serialized trace event, returning the builder's
-// sticky error state (nil while the stream stays consistent).
-func (b *SpanBuilder) Feed(e Event) error {
-	b.feed(e)
+// Feed advances e's flit and returns the builder's sticky error state
+// (nil while the stream stays consistent). An inject opens a slot and
+// an eject vacates it; when folding, so does a route event, which
+// look-ahead routing may emit one site before the same cycle's inject.
+func (b *SpanBuilder) Feed(e *Event) error {
+	k := flitKey{e.Pkt, e.Seq}
+	i, known := b.open[k]
+	if !known {
+		if e.Kind != noc.ProbeInject && !(b.fold && e.Kind == noc.ProbeRoute) {
+			if b.fold {
+				b.fail(e, "%s before inject (trace filtered or truncated?)", e.Kind)
+			}
+			return b.err
+		}
+		if n := len(b.free); n > 0 {
+			i, b.free = b.free[n-1], b.free[:n-1]
+		} else {
+			i = int32(len(b.slab))
+			b.slab = append(b.slab, openFlit{})
+		}
+		b.open[k] = i
+	}
+	o := &b.slab[i]
+	if b.fold && b.err == nil {
+		b.foldEvent(e, o)
+	}
+	switch e.Kind {
+	case noc.ProbeInject:
+		o.injected = true
+		o.spanHdr = spanHdr{pkt: e.Pkt, seq: e.Seq, typ: e.Type, class: e.Class, src: e.Src, dst: e.Dst,
+			layers: e.Layers, created: e.Created, inject: e.Cycle}
+	case noc.ProbeEject:
+		if o.injected {
+			b.lat.add(e.Cycle-o.inject, e)
+		}
+		o.injected, o.hops = false, o.hops[:0]
+		delete(b.open, k)
+		b.free = append(b.free, i)
+	}
 	return b.err
 }
 
-func (b *SpanBuilder) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf("obs: span "+format, args...)
+// foldEvent applies one stage event to the flit's open hop.
+func (b *SpanBuilder) foldEvent(e *Event, o *openFlit) {
+	var h *hop
+	if n := len(o.hops); n > 0 {
+		h = &o.hops[n-1]
 	}
-}
-
-// lastHop returns the flit's current (open) hop, or nil.
-func lastHop(o *openFlit) *HopSpan {
-	if len(o.span.Hops) == 0 {
-		return nil
-	}
-	return &o.span.Hops[len(o.span.Hops)-1]
-}
-
-func (b *SpanBuilder) feed(e Event) {
-	if b.err != nil {
-		return
-	}
-	k := flitKey{e.Pkt, e.Seq}
-	o := b.open[k]
+	// here: h is this router's visit and has not won the switch yet.
+	here := h != nil && h.grant < 0 && h.router == e.Router
 	switch e.Kind {
-	case "inject":
-		if o == nil {
-			o = &openFlit{}
-			b.open[k] = o
-		} else if o.span.Inject != 0 || len(o.span.Hops) > 1 {
+	case noc.ProbeInject:
+		if o.injected || len(o.hops) > 1 {
 			// A same-cycle look-ahead route may legitimately precede the
 			// inject event; anything more means a duplicated inject.
-			b.fail("flit %d.%d injected twice", e.Pkt, e.Seq)
+			b.fail(e, "injected twice")
+		} else if h == nil {
+			o.hops = append(o.hops, hop{router: e.Router, route: -1, alloc: -1, grant: -1})
+		}
+	case noc.ProbeRoute:
+		switch {
+		case !here:
+			o.hops = append(o.hops, hop{router: e.Router, route: e.Cycle, alloc: -1, grant: -1})
+		case h.route >= 0:
+			b.fail(e, "routed twice at router %d", e.Router)
+		default:
+			h.route = e.Cycle
+		}
+	case noc.ProbeVCAlloc:
+		if !here {
+			b.fail(e, "VC grant at router %d without a routed hop", e.Router)
 			return
 		}
-		o.span.Pkt, o.span.Seq = e.Pkt, e.Seq
-		o.span.Type, o.span.Class = e.Type, e.Class
-		o.span.Src, o.span.Dst = e.Src, e.Dst
-		o.span.Layers = e.Layers
-		o.span.Created, o.span.Inject = e.Created, e.Cycle
-		if len(o.span.Hops) == 0 {
-			o.span.Hops = append(o.span.Hops, HopSpan{Router: e.Router, Route: -1, Alloc: -1, Grant: -1})
-		}
-	case "route":
-		if o == nil {
-			// Look-ahead routing computes the output port as the flit is
-			// written into the source buffer, one emission site before
-			// the inject event of the same cycle.
-			o = &openFlit{}
-			b.open[k] = o
-		}
-		h := lastHop(o)
-		if h == nil || h.Grant >= 0 || h.Router != e.Router {
-			o.span.Hops = append(o.span.Hops, HopSpan{Router: e.Router, Route: e.Cycle, Alloc: -1, Grant: -1})
-		} else if h.Route >= 0 {
-			b.fail("flit %d.%d routed twice at router %d", e.Pkt, e.Seq, e.Router)
-		} else {
-			h.Route = e.Cycle
-		}
-	case "vcalloc":
-		if o == nil {
-			b.fail("flit %d.%d VC-allocated before inject (trace filtered or truncated?)", e.Pkt, e.Seq)
-			return
-		}
-		h := lastHop(o)
-		if h == nil || h.Grant >= 0 || h.Router != e.Router {
-			b.fail("flit %d.%d VC grant at router %d without a routed hop", e.Pkt, e.Seq, e.Router)
-			return
-		}
-		h.Alloc = e.Cycle
-	case "sagrant":
-		if o == nil {
-			b.fail("flit %d.%d switch grant before inject (trace filtered or truncated?)", e.Pkt, e.Seq)
-			return
-		}
-		h := lastHop(o)
-		if h == nil || h.Grant >= 0 || h.Router != e.Router {
+		h.alloc = e.Cycle
+	case noc.ProbeSAGrant:
+		if !here {
 			// Body/tail flit: no RC/VA events at this hop.
-			o.span.Hops = append(o.span.Hops, HopSpan{Router: e.Router, Route: -1, Alloc: -1})
-			h = lastHop(o)
+			o.hops = append(o.hops, hop{router: e.Router, route: -1, alloc: -1})
+			h = &o.hops[len(o.hops)-1]
 		}
-		h.Grant = e.Cycle
-		h.Dir, h.VC = e.Dir, e.VC
-	case "link":
+		h.grant, h.dir, h.vc = e.Cycle, int8(e.Dir), e.VC
+	case noc.ProbeLink:
 		// The link event fires in the same emission (and cycle) as the SA
 		// grant; it adds no stage boundary, only a cross-check.
-		if o == nil {
-			b.fail("flit %d.%d on a link before inject (trace filtered or truncated?)", e.Pkt, e.Seq)
-			return
+		if h == nil || h.grant != e.Cycle {
+			b.fail(e, "link traversal at cycle %d without a matching switch grant", e.Cycle)
 		}
-		if h := lastHop(o); h == nil || h.Grant != e.Cycle {
-			b.fail("flit %d.%d link traversal at cycle %d without a matching switch grant", e.Pkt, e.Seq, e.Cycle)
-		}
-	case "eject":
-		if o == nil {
-			b.fail("flit %d.%d ejected before inject (trace filtered or truncated?)", e.Pkt, e.Seq)
-			return
-		}
-		b.finish(k, o, e.Cycle)
+	case noc.ProbeEject:
+		b.finish(e, o)
 	}
 }
 
@@ -294,66 +364,56 @@ func (b *SpanBuilder) feed(e Event) {
 // is the eject delay after the final grant (the NI ejection takes
 // exactly the configured traversal cycles), which fixes every hop's
 // departure and therefore every arrival.
-func (b *SpanBuilder) finish(k flitKey, o *openFlit, eject int64) {
-	s := &o.span
-	h := lastHop(o)
-	if h == nil || h.Grant < 0 {
-		b.fail("flit %d.%d ejected without a switch grant (trace filtered or truncated?)", s.Pkt, s.Seq)
+func (b *SpanBuilder) finish(e *Event, o *openFlit) {
+	n := len(o.hops)
+	if n == 0 || o.hops[n-1].grant < 0 {
+		b.fail(e, "ejected without a switch grant (trace filtered or truncated?)")
 		return
 	}
-	if s.Inject == 0 && len(s.Hops) > 0 && s.Hops[0].Route >= 0 && s.Created == 0 {
-		b.fail("flit %d.%d ejected without an inject event", s.Pkt, s.Seq)
+	if !o.injected {
+		b.fail(e, "ejected without an inject event")
 		return
 	}
-	stlt := eject - h.Grant
+	stlt := e.Cycle - o.hops[n-1].grant
 	if stlt < 1 {
-		b.fail("flit %d.%d ejected %d cycles after its final grant (want >= 1)", s.Pkt, s.Seq, stlt)
+		b.fail(e, "ejected %d cycles after its final grant (want >= 1)", stlt)
 		return
 	}
-	s.Eject = eject
-	arrive := s.Inject
-	for i := range s.Hops {
-		hp := &s.Hops[i]
-		if hp.Grant < 0 {
-			b.fail("flit %d.%d hop %d at router %d never won the switch", s.Pkt, s.Seq, i, hp.Router)
+	arrive := o.inject
+	for i := range o.hops {
+		h := &o.hops[i]
+		if h.grant < 0 {
+			b.fail(e, "hop %d at router %d never won the switch", i, h.router)
 			return
 		}
-		hp.Arrive = arrive
-		if hp.Route < 0 {
-			hp.Route = arrive // body/tail flit, or look-ahead at arrival
+		if h.route < 0 {
+			h.route = arrive // body/tail flit, or look-ahead at arrival
 		}
-		if hp.Alloc < 0 {
-			hp.Alloc = hp.Route
+		if h.alloc < 0 {
+			h.alloc = h.route
 		}
-		if hp.Route < hp.Arrive || hp.Alloc < hp.Route || hp.Grant < hp.Alloc {
-			b.fail("flit %d.%d hop %d stage cycles not monotonic (%d/%d/%d/%d)",
-				s.Pkt, s.Seq, i, hp.Arrive, hp.Route, hp.Alloc, hp.Grant)
+		if h.route < arrive || h.alloc < h.route || h.grant < h.alloc {
+			b.fail(e, "hop %d stage cycles not monotonic (%d/%d/%d/%d)", i, arrive, h.route, h.alloc, h.grant)
 			return
 		}
-		hp.Depart = hp.Grant + stlt
-		arrive = hp.Depart
+		arrive = h.grant + stlt
 	}
-	if got := s.Hops[len(s.Hops)-1].Depart; got != eject {
-		b.fail("flit %d.%d hops end at %d, ejected at %d", s.Pkt, s.Seq, got, eject)
-		return
-	}
-	delete(b.open, k)
-	b.agg.add(*s)
+	o.eject, o.nhops = e.Cycle, int32(n)
+	b.agg.add(&o.spanHdr, o.hops)
 	if b.retain {
-		b.spans = append(b.spans, *s)
+		b.hdrs.push(o.spanHdr)
+		for _, h := range o.hops {
+			b.hops.push(h)
+		}
 	}
 }
 
-// BuildSpans folds a complete recorded trace into spans plus the
-// attribution aggregate — the entry point behind "miratrace spans".
-func BuildSpans(events []Event) ([]FlitSpan, *Attribution, error) {
-	b := NewSpanBuilder(true)
-	for _, e := range events {
-		if err := b.Feed(e); err != nil {
-			return nil, nil, err
-		}
-	}
-	return b.Spans(), b.Attribution(), nil
+// BuildSpans folds a complete recorded trace, streamed from r, into
+// the attribution aggregate and — with retain — the spans behind the
+// Perfetto and heatmap exports: the entry point of "miratrace spans".
+func BuildSpans(r io.Reader, retain bool) (*SpanBuilder, error) {
+	b := NewSpanBuilder(retain)
+	return b, ScanTrace(r, b.Feed)
 }
 
 // StageSums accumulates stage cycle totals over a set of flits (or, for
@@ -378,58 +438,52 @@ func (s StageSums) NetworkCycles() int64 {
 // cycles, so equal event streams produce byte-identical tables
 // regardless of step mode or accumulation order.
 type Attribution struct {
-	total    StageSums
-	byRouter map[int]*StageSums
-	byClass  map[string]*StageSums
-	byHops   map[int]*StageSums
-	byLayers map[int]*StageSums
+	total StageSums
+	by    [len(groupNames)]map[int]*StageSums // per grouping; every key is an integer
 }
 
 func newAttribution() *Attribution {
-	return &Attribution{
-		byRouter: make(map[int]*StageSums),
-		byClass:  make(map[string]*StageSums),
-		byHops:   make(map[int]*StageSums),
-		byLayers: make(map[int]*StageSums),
+	a := &Attribution{}
+	for g := range a.by {
+		a.by[g] = make(map[int]*StageSums)
 	}
+	return a
 }
 
-func sumsAt[K comparable](m map[K]*StageSums, k K) *StageSums {
-	s := m[k]
+func (a *Attribution) sums(group, key int) *StageSums {
+	s := a.by[group][key]
 	if s == nil {
 		s = &StageSums{}
-		m[k] = s
+		a.by[group][key] = s
 	}
 	return s
 }
 
-func (a *Attribution) add(s FlitSpan) {
-	var flit StageSums
-	flit.N = 1
-	flit.Cycles[StageQueue] = s.QueueWait()
-	for _, h := range s.Hops {
-		for st := StageRoute; st < NumStages; st++ {
-			flit.Cycles[st] += h.Wait(st)
-		}
-		r := sumsAt(a.byRouter, h.Router)
+func (a *Attribution) add(s *spanHdr, hops []hop) {
+	stlt := s.eject - hops[len(hops)-1].grant
+	flit := StageSums{N: 1}
+	flit.Cycles[StageQueue] = s.inject - s.created
+	arrive := s.inject
+	for i := range hops {
+		h := hops[i].span(arrive, stlt)
+		r := a.sums(byRouter, h.Router)
 		r.N++
 		for st := StageRoute; st < NumStages; st++ {
+			flit.Cycles[st] += h.Wait(st)
 			r.Cycles[st] += h.Wait(st)
 		}
+		arrive = h.Depart
 	}
 	// Source queueing happens at the injecting router's NI.
-	sumsAt(a.byRouter, s.Hops[0].Router).Cycles[StageQueue] += flit.Cycles[StageQueue]
+	a.sums(byRouter, int(hops[0].router)).Cycles[StageQueue] += flit.Cycles[StageQueue]
 
-	merge := func(dst *StageSums) {
+	for _, dst := range [...]*StageSums{&a.total, a.sums(byClass, int(s.class)),
+		a.sums(byHops, len(hops)), a.sums(byLayers, int(s.layers))} {
 		dst.N++
-		for st := Stage(0); st < NumStages; st++ {
+		for st := range flit.Cycles {
 			dst.Cycles[st] += flit.Cycles[st]
 		}
 	}
-	merge(&a.total)
-	merge(sumsAt(a.byClass, s.Class))
-	merge(sumsAt(a.byHops, len(s.Hops)))
-	merge(sumsAt(a.byLayers, s.Layers))
 }
 
 // Total returns the stage sums over every completed flit.
@@ -446,8 +500,18 @@ const (
 	GroupLayers = "layers"
 )
 
+// Grouping indexes, in table order.
+const (
+	byRouter = iota
+	byClass
+	byHops
+	byLayers
+)
+
+var groupNames = [...]string{byRouter: GroupRouter, byClass: GroupClass, byHops: GroupHops, byLayers: GroupLayers}
+
 // Groupings lists the supported attribution groupings.
-func Groupings() []string { return []string{GroupRouter, GroupClass, GroupHops, GroupLayers} }
+func Groupings() []string { return slices.Clone(groupNames[:]) }
 
 // attribution table header; "n" counts flits, except for the router
 // grouping where it counts router visits (hops).
@@ -466,46 +530,31 @@ func attribRow(key string, s *StageSums) []string {
 	return append(row, strconv.FormatInt(net, 10), strconv.FormatFloat(perN, 'f', 2, 64))
 }
 
-// rowsFor renders one grouping's rows in deterministic key order.
+// rowsFor renders one grouping's rows in deterministic key order (for
+// classes the enum order, which is also the order of their names).
 func (a *Attribution) rowsFor(group string) ([][]string, error) {
-	intRows := func(m map[int]*StageSums, label func(int) string) [][]string {
-		keys := make([]int, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		rows := make([][]string, 0, len(keys))
-		for _, k := range keys {
-			rows = append(rows, attribRow(label(k), m[k]))
-		}
-		return rows
+	g := slices.Index(groupNames[:], group)
+	if g < 0 {
+		return nil, fmt.Errorf("obs: unknown attribution grouping %q (want %s, %s, %s or %s)",
+			group, GroupRouter, GroupClass, GroupHops, GroupLayers)
 	}
-	switch group {
-	case GroupRouter:
-		return intRows(a.byRouter, strconv.Itoa), nil
-	case GroupClass:
-		keys := make([]string, 0, len(a.byClass))
-		for k := range a.byClass {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		rows := make([][]string, 0, len(keys))
-		for _, k := range keys {
-			rows = append(rows, attribRow(k, a.byClass[k]))
-		}
-		return rows, nil
-	case GroupHops:
-		return intRows(a.byHops, strconv.Itoa), nil
-	case GroupLayers:
-		return intRows(a.byLayers, func(k int) string {
-			if k == 0 {
-				return "all"
-			}
-			return strconv.Itoa(k)
-		}), nil
+	keys := make([]int, 0, len(a.by[g]))
+	for k := range a.by[g] {
+		keys = append(keys, k)
 	}
-	return nil, fmt.Errorf("obs: unknown attribution grouping %q (want %s, %s, %s or %s)",
-		group, GroupRouter, GroupClass, GroupHops, GroupLayers)
+	sort.Ints(keys)
+	rows := make([][]string, 0, len(keys))
+	for _, k := range keys {
+		label := strconv.Itoa(k)
+		switch {
+		case g == byClass:
+			label = noc.Class(k).String()
+		case g == byLayers && k == 0:
+			label = "all"
+		}
+		rows = append(rows, attribRow(label, a.by[g][k]))
+	}
+	return rows, nil
 }
 
 // Table renders one grouping's latency decomposition: integer cycle

@@ -113,20 +113,17 @@ func TestSpansFromTraceMatchLive(t *testing.T) {
 		t.Run(variant.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			c := runSpans(t, variant.mutate, &buf)
-			events, err := ReadTrace(&buf)
-			if err != nil {
-				t.Fatalf("ReadTrace: %v", err)
-			}
 			// The recorded trace must also satisfy the strict replay
 			// protocol (inject before any other event, even with
 			// look-ahead routing computing routes at inject time).
-			if _, err := Replay(events); err != nil {
+			if _, err := Replay(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
-			spans, agg, err := BuildSpans(events)
+			sb, err := BuildSpans(&buf, true)
 			if err != nil {
 				t.Fatalf("BuildSpans: %v", err)
 			}
+			spans, agg := sb.Spans(), sb.Attribution()
 			liveSpans := c.Spans().Spans()
 			lj, _ := json.Marshal(liveSpans)
 			tj, _ := json.Marshal(spans)
@@ -207,12 +204,53 @@ func TestSpanBuilderRejectsFilteredTrace(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if _, _, err := BuildSpans(events); err == nil {
+	if _, err := BuildSpans(&buf, false); err == nil {
 		t.Error("BuildSpans accepted a filtered trace")
+	}
+}
+
+// TestSpanBuilderCycleZero pins the explicit injected state: cycle 0 is
+// an inject cycle like any other, so a second inject of a flit injected
+// at 0 is a duplicate, and a look-ahead flit whose route precedes its
+// cycle-0 inject (created at 0) is a valid span, not an uninjected one.
+func TestSpanBuilderCycleZero(t *testing.T) {
+	ev := func(kind noc.ProbeKind, cycle int64, router int32) Event {
+		e := mkEvent(kind, cycle, 7, 0)
+		e.Router = router
+		return e
+	}
+	feedAll := func(events ...Event) *SpanBuilder {
+		b := NewSpanBuilder(true)
+		for i := range events {
+			b.Feed(&events[i])
+		}
+		return b
+	}
+
+	b := feedAll(ev(noc.ProbeInject, 0, 3), ev(noc.ProbeInject, 0, 3))
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "injected twice") {
+		t.Errorf("duplicated cycle-0 inject: err = %v, want injected twice", err)
+	}
+
+	b = feedAll(ev(noc.ProbeRoute, 0, 3), ev(noc.ProbeInject, 0, 3), ev(noc.ProbeVCAlloc, 1, 3),
+		ev(noc.ProbeSAGrant, 2, 3), ev(noc.ProbeEject, 4, 3))
+	if err := b.Err(); err != nil {
+		t.Fatalf("cycle-0 look-ahead flit rejected: %v", err)
+	}
+	spans := b.Spans()
+	if len(spans) != 1 || b.InFlight() != 0 {
+		t.Fatalf("%d spans, %d in flight, want 1 and 0", len(spans), b.InFlight())
+	}
+	want := HopSpan{Router: 3, Arrive: 0, Route: 0, Alloc: 1, Grant: 2, Depart: 4, Dir: "local"}
+	if s := spans[0]; s.Inject != 0 || s.Eject != 4 || len(s.Hops) != 1 || s.Hops[0] != want {
+		t.Errorf("span = %+v, want inject 0, eject 4 and the hop %+v", s, want)
+	}
+
+	// A routed flit that is never injected still fails at its eject.
+	b = feedAll(ev(noc.ProbeRoute, 0, 3), ev(noc.ProbeVCAlloc, 1, 3),
+		ev(noc.ProbeSAGrant, 2, 3), ev(noc.ProbeEject, 4, 3))
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "without an inject") {
+		t.Errorf("uninjected flit: err = %v, want ejected without an inject event", err)
 	}
 }
 

@@ -3,35 +3,43 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"mira/internal/noc"
+	"mira/internal/topology"
 )
 
-// Event is the JSONL-serialized form of one probe event: one object per
-// line, in emission order. Field names are kept short because traces
-// run to millions of lines.
+// Event is the one record the layer works on: a fixed-width,
+// string-free copy of a probe event, built once per noc.ProbeEvent by
+// the collector or per line by ScanTrace, so live and replayed streams
+// drive one state machine. Kind, Type, Class and Dir have names only in
+// the JSONL encoding and the FlitSpan/Perfetto exports. A *Event is
+// valid for the call it is passed to; keep a copy, not the pointer. The
+// json tags are the reader's (wireEvent); appendEvent is the writer.
 type Event struct {
-	Cycle  int64  `json:"c"`
-	Kind   string `json:"k"`
-	Router int    `json:"r"`
-	Dir    string `json:"d,omitempty"`
-	VC     int    `json:"vc,omitempty"`
-	Pkt    int64  `json:"p"`
-	Seq    int    `json:"s"`
-	Type   string `json:"t"`
-	Class  string `json:"cl"`
-	Src    int    `json:"src"`
-	Dst    int    `json:"dst"`
+	Cycle int64 `json:"c"`
+	Pkt   int64 `json:"p"`
 	// Created is the packet's creation cycle (source queueing included),
 	// carried on inject and eject events so packet latency is computable
 	// from the trace alone.
-	Created int64 `json:"created,omitempty"`
+	Created int64 `json:"created"`
+	Router  int32 `json:"r"`
+	Src     int32 `json:"src"`
+	Dst     int32 `json:"dst"`
+	Seq     int32 `json:"s"`
+	// Dir is the output port; eject events have none and serialize none.
+	Dir   topology.Dir  `json:"-"`
+	Kind  noc.ProbeKind `json:"-"`
+	Type  noc.FlitType  `json:"-"`
+	Class noc.Class     `json:"-"`
+	VC    int8          `json:"vc"`
 	// Layers is the flit's active datapath layer count (0 = all layers),
 	// carried on inject events so span attribution can group by the
 	// §3.2.1 layer-shutdown state.
-	Layers int `json:"al,omitempty"`
+	Layers uint8 `json:"al"`
 }
 
 // flitTypeNames maps noc.FlitType to its serialized name.
@@ -39,210 +47,265 @@ var flitTypeNames = [...]string{"head", "body", "tail", "headtail"}
 
 func flitTypeName(t noc.FlitType) string { return flitTypeNames[t] }
 
-// eventOf converts a live probe event to its serialized form.
-func eventOf(ev noc.ProbeEvent) Event {
-	e := Event{
-		Cycle:  ev.Cycle,
-		Kind:   ev.Kind.String(),
-		Router: int(ev.Router),
-		VC:     int(ev.VC),
-		Pkt:    ev.Flit.Pkt.ID,
-		Seq:    int(ev.Flit.Seq),
-		Type:   flitTypeName(ev.Flit.Type),
-		Class:  ev.Flit.Pkt.Class.String(),
-		Src:    int(ev.Flit.Pkt.Src),
-		Dst:    int(ev.Flit.Pkt.Dst),
-	}
-	if ev.Kind != noc.ProbeEject {
-		e.Dir = ev.Dir.String()
-	}
+// eventOf copies what the layer keeps of a live probe event. ev.Flit
+// shares the simulator's live *Packet, so everything is read out here,
+// before ProbeEvent returns; nothing downstream holds the packet.
+func eventOf(ev *noc.ProbeEvent) Event {
+	p := ev.Flit.Pkt
+	e := Event{Cycle: ev.Cycle, Pkt: p.ID, Router: int32(ev.Router), Src: int32(p.Src), Dst: int32(p.Dst),
+		Seq: ev.Flit.Seq, Dir: ev.Dir, Kind: ev.Kind, Type: ev.Flit.Type, Class: p.Class, VC: ev.VC}
 	if ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject {
-		e.Created = ev.Flit.Pkt.CreatedAt
+		e.Created = p.CreatedAt
 	}
 	if ev.Kind == noc.ProbeInject {
-		e.Layers = int(ev.Flit.ActiveLayers)
+		e.Layers = ev.Flit.ActiveLayers
 	}
 	return e
 }
 
-// TraceWriter streams probe events as JSONL through a bounded ring
-// buffer: events accumulate in a fixed-size in-memory batch and are
-// encoded and flushed together when the batch fills (and on Close), so
-// tracing never holds more than RingSize events in memory no matter how
-// long the run is. Nothing is ever dropped — the ring bounds memory,
-// not the trace.
+// appendEvent appends e's JSONL line to buf. The bytes are what
+// encoding/json wrote for the string-typed record this format began as
+// (FuzzEventJSON holds the two equal): keys in the order below, "d"
+// absent on eject events, "vc", "created" and "al" absent when zero.
+func appendEvent(buf []byte, e *Event) []byte {
+	buf = appendNum(buf, `{"c":`, e.Cycle)
+	buf = appendStr(buf, `,"k":"`, e.Kind.String())
+	buf = appendNum(buf, `,"r":`, int64(e.Router))
+	if e.Kind != noc.ProbeEject {
+		buf = appendStr(buf, `,"d":"`, e.Dir.String())
+	}
+	if e.VC != 0 {
+		buf = appendNum(buf, `,"vc":`, int64(e.VC))
+	}
+	buf = appendNum(buf, `,"p":`, e.Pkt)
+	buf = appendNum(buf, `,"s":`, int64(e.Seq))
+	buf = appendStr(buf, `,"t":"`, flitTypeName(e.Type))
+	buf = appendStr(buf, `,"cl":"`, e.Class.String())
+	buf = appendNum(buf, `,"src":`, int64(e.Src))
+	buf = appendNum(buf, `,"dst":`, int64(e.Dst))
+	if e.Created != 0 {
+		buf = appendNum(buf, `,"created":`, e.Created)
+	}
+	if e.Layers != 0 {
+		buf = appendNum(buf, `,"al":`, int64(e.Layers))
+	}
+	return append(buf, "}\n"...)
+}
+
+func appendNum(buf []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(buf, key...), v, 10)
+}
+
+func appendStr(buf []byte, key, v string) []byte {
+	return append(append(append(buf, key...), v...), '"')
+}
+
+// traceBufSize is how many encoded bytes the writer gathers before it
+// hands them to the sink; the buffer has room for the line that crosses
+// the mark (no line reaches 256 bytes).
+const traceBufSize = 64 << 10
+
+// TraceWriter streams events as JSONL, encoding each straight into one
+// reused byte buffer that goes to the sink when it fills (and on Close):
+// memory is the buffer whatever the run length, and nothing is dropped.
 type TraceWriter struct {
-	w    *bufio.Writer
-	ring []Event
-	n    int
-	enc  *json.Encoder
-	err  error
+	w      io.Writer
+	buf    []byte
+	filter func(Event) bool
+	err    error
 
-	// Filter, when non-nil, decides which events are written.
-	filter func(noc.ProbeEvent) bool
-
-	written int64
+	pending int   // events in buf
+	written int64 // events the sink accepted
 }
 
-// DefaultRingSize is the event batch capacity used when NewTraceWriter
-// is given a non-positive size.
-const DefaultRingSize = 4096
-
-// NewTraceWriter builds a JSONL trace writer over w. ringSize bounds
-// the in-memory event batch (0 means DefaultRingSize). filter, when
+// NewTraceWriter builds a JSONL trace writer over w. filter, when
 // non-nil, selects the events to record; everything else is discarded.
-func NewTraceWriter(w io.Writer, ringSize int, filter func(noc.ProbeEvent) bool) *TraceWriter {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	bw := bufio.NewWriter(w)
-	return &TraceWriter{
-		w:      bw,
-		ring:   make([]Event, ringSize),
-		enc:    json.NewEncoder(bw),
-		filter: filter,
-	}
+func NewTraceWriter(w io.Writer, filter func(Event) bool) *TraceWriter {
+	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+256), filter: filter}
 }
 
-// ProbeEvent implements noc.Probe: filter, stage into the ring, flush
-// when full.
-func (t *TraceWriter) ProbeEvent(ev noc.ProbeEvent) {
-	if t.err != nil {
+// Record filters and encodes one event.
+func (t *TraceWriter) Record(e *Event) {
+	if t.err != nil || t.filter != nil && !t.filter(*e) {
 		return
 	}
-	if t.filter != nil && !t.filter(ev) {
+	t.buf = appendEvent(t.buf, e)
+	t.pending++
+	if len(t.buf) >= traceBufSize {
+		t.flush()
+	}
+}
+
+func (t *TraceWriter) flush() {
+	if t.err != nil || t.pending == 0 {
 		return
 	}
-	t.ring[t.n] = eventOf(ev)
-	t.n++
-	if t.n == len(t.ring) {
-		t.flushRing()
+	if _, t.err = t.w.Write(t.buf); t.err == nil {
+		t.written += int64(t.pending)
 	}
+	t.buf, t.pending = t.buf[:0], 0
 }
 
-func (t *TraceWriter) flushRing() {
-	for i := 0; i < t.n; i++ {
-		if err := t.enc.Encode(t.ring[i]); err != nil {
-			t.err = err
-			break
-		}
-		t.written++
-	}
-	t.n = 0
-}
-
-// Written returns the number of events encoded so far (staged ring
-// events are not yet counted).
+// Written returns the number of events handed to the sink so far
+// (events still in the buffer are not yet counted).
 func (t *TraceWriter) Written() int64 { return t.written }
 
-// Close flushes the staged events and the underlying buffer. It does
-// not close the wrapped writer. A flush failure — including one that
-// happened mid-run and silently stopped recording — is reported here,
-// annotated with how many events made it out, so callers can exit
-// nonzero instead of shipping a truncated trace.
+// Close flushes the buffer. It does not close the wrapped writer. A
+// write failure — including one that happened mid-run and silently
+// stopped recording — is reported here, annotated with how many events
+// made it out, so callers can exit nonzero instead of shipping a
+// truncated trace.
 func (t *TraceWriter) Close() error {
-	t.flushRing()
-	err := t.err
-	if err == nil {
-		err = t.w.Flush()
-	}
-	if err != nil {
-		return fmt.Errorf("obs: trace writer failed after %d events written: %w", t.written, err)
+	t.flush()
+	if t.err != nil {
+		return fmt.Errorf("obs: trace writer failed after %d events written: %w", t.written, t.err)
 	}
 	return nil
 }
 
 // NodeClassFilter builds a trace filter from a router allow-list and a
 // message-class name. An empty node list admits every router; an empty
-// class admits both classes. Inject events are matched against the
-// source router and eject events against the destination, so a node
-// filter follows a flit only through the listed routers.
-func NodeClassFilter(nodes []int, class string) func(noc.ProbeEvent) bool {
+// class admits both classes, and a name that is no class admits none.
+// Inject events are matched against the source router and eject events
+// against the destination, so a node filter follows a flit only through
+// the listed routers. The filter takes the event by value: a pointer
+// handed to a func value would move every event to the heap.
+func NodeClassFilter(nodes []int, class string) func(Event) bool {
 	if len(nodes) == 0 && class == "" {
 		return nil
 	}
-	var allow map[int]bool
+	want, _ := parseName(class, noc.NumClasses, noc.Class.String, "") // NumClasses, which no event has, when unknown
+	var allow map[int32]bool
 	if len(nodes) > 0 {
-		allow = make(map[int]bool, len(nodes))
+		allow = make(map[int32]bool, len(nodes))
 		for _, n := range nodes {
-			allow[n] = true
+			allow[int32(n)] = true
 		}
 	}
-	return func(ev noc.ProbeEvent) bool {
-		if allow != nil && !allow[int(ev.Router)] {
-			return false
-		}
-		return class == "" || ev.Flit.Pkt.Class.String() == class
+	return func(e Event) bool {
+		return (allow == nil || allow[e.Router]) && (class == "" || e.Class == want)
 	}
 }
 
-// ReadTrace decodes a JSONL trace, verifying structure as it goes:
-// every line must parse, carry a known kind, and cycles must be
-// non-decreasing (emission order is simulation order). It returns the
-// events in file order.
-func ReadTrace(r io.Reader) ([]Event, error) {
+// parseName inverts name over the n values of a small enum. "" reads as
+// the zero value, like an absent number; any other non-name is an error.
+func parseName[T ~uint8 | ~int](s string, n T, name func(T) string, what string) (T, error) {
+	for v := T(0); v < n && s != ""; v++ {
+		if name(v) == s {
+			return v, nil
+		}
+	}
+	if s == "" {
+		return 0, nil
+	}
+	return n, fmt.Errorf("unknown %s %q", what, s)
+}
+
+// wireEvent is one JSONL line: numbers decode straight into the record
+// (whose widths make an out-of-range one an error), names are parsed.
+type wireEvent struct {
+	*Event
+	Kind  string `json:"k"`
+	Dir   string `json:"d"`
+	Type  string `json:"t"`
+	Class string `json:"cl"`
+}
+
+// decodeEvent parses one line into e. The kind must be present.
+func decodeEvent(line []byte, e *Event) (err error) {
+	*e = Event{}
+	w := wireEvent{Event: e}
+	if err = json.Unmarshal(line, &w); err != nil {
+		return err
+	}
+	var ok bool
+	if e.Kind, ok = noc.ParseProbeKind(w.Kind); !ok {
+		return fmt.Errorf("unknown event kind %q", w.Kind)
+	}
+	if e.Dir, err = parseName(w.Dir, topology.NumDirs, topology.Dir.String, "direction"); err != nil {
+		return err
+	}
+	if e.Class, err = parseName(w.Class, noc.NumClasses, noc.Class.String, "message class"); err != nil {
+		return err
+	}
+	e.Type, err = parseName(w.Type, noc.FlitType(len(flitTypeNames)), flitTypeName, "flit type")
+	return err
+}
+
+// ScanTrace decodes a JSONL trace one event at a time, verifying
+// structure as it goes: every line must parse, carry a known kind, and
+// cycles must be non-decreasing (emission order is simulation order).
+// fn sees the events in file order; its error stops the scan.
+func ScanTrace(r io.Reader, fn func(*Event) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var out []Event
-	line := 0
+	var e Event
 	lastCycle := int64(-1)
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if _, ok := noc.ParseProbeKind(e.Kind); !ok {
-			return nil, fmt.Errorf("obs: trace line %d: unknown event kind %q", line, e.Kind)
+		if err := decodeEvent(sc.Bytes(), &e); err != nil {
+			return fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
 		if e.Cycle < lastCycle {
-			return nil, fmt.Errorf("obs: trace line %d: cycle %d after cycle %d (trace out of order)",
+			return fmt.Errorf("obs: trace line %d: cycle %d after cycle %d (trace out of order)",
 				line, e.Cycle, lastCycle)
 		}
 		lastCycle = e.Cycle
-		out = append(out, e)
+		if err := fn(&e); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading trace: %w", err)
+		return fmt.Errorf("obs: reading trace: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
-// Replay folds a recorded trace back through the same latency
-// accumulator the live Collector uses, so an unfiltered trace
-// reproduces the collector's per-flit latency statistics byte for byte
-// (see LatencyStats.JSON). It also verifies the per-flit protocol: a
-// flit must be injected before any later event and must not reappear
-// after ejection.
-func Replay(events []Event) (LatencyStats, error) {
-	var acc latencyAcc
-	type key struct {
-		pkt int64
-		seq int
-	}
-	state := map[key]string{}
-	for i, e := range events {
-		k := key{e.Pkt, e.Seq}
-		prev, seen := state[k]
-		switch e.Kind {
-		case noc.ProbeInject.String():
-			if seen {
-				return LatencyStats{}, fmt.Errorf("obs: event %d: flit %d.%d injected twice", i, e.Pkt, e.Seq)
+// ReadTrace is ScanTrace into a slice, for traces small enough to hold.
+func ReadTrace(r io.Reader) (out []Event, err error) {
+	err = ScanTrace(r, func(e *Event) error {
+		out = append(out, *e)
+		return nil
+	})
+	return out, err
+}
+
+// ErrFlitProtocol is wrapped by the error Replay returns for a trace
+// that parses but breaks the per-flit protocol, as a node- or
+// class-filtered recording does by design.
+var ErrFlitProtocol = errors.New("per-flit protocol violated")
+
+// Replay folds a recorded trace, in one pass, through the in-flight
+// table and latency accumulator the live Collector uses, so an
+// unfiltered trace reproduces the collector's event counts and per-flit
+// latency statistics byte for byte (see LatencyStats.JSON). It also
+// verifies the per-flit protocol — inject first, eject last — in memory
+// proportional to the flits in flight, which is why a flit seen after
+// its eject reads like one never injected. A violation does not stop
+// it: the Summary then covers the matched inject/eject pairs, all a
+// filtered trace can give, and the error wraps ErrFlitProtocol.
+func Replay(r io.Reader) (Summary, error) {
+	var counts [noc.NumProbeKinds]int64
+	var violation error
+	flits := newSpanBuilder(false, false)
+	n := 0
+	err := ScanTrace(r, func(e *Event) error {
+		_, inFlight := flits.open[flitKey{e.Pkt, e.Seq}]
+		if violation == nil && inFlight == (e.Kind == noc.ProbeInject) {
+			what := "injected twice"
+			if !inFlight {
+				what = e.Kind.String() + " before inject or after eject (trace filtered or truncated?)"
 			}
-		default:
-			if !seen {
-				return LatencyStats{}, fmt.Errorf("obs: event %d: flit %d.%d %s before inject (trace filtered or truncated?)",
-					i, e.Pkt, e.Seq, e.Kind)
-			}
-			if prev == noc.ProbeEject.String() {
-				return LatencyStats{}, fmt.Errorf("obs: event %d: flit %d.%d active after eject", i, e.Pkt, e.Seq)
-			}
+			violation = fmt.Errorf("obs: event %d: flit %d.%d %s: %w", n, e.Pkt, e.Seq, what, ErrFlitProtocol)
 		}
-		state[k] = e.Kind
-		acc.feedSerialized(e)
+		counts[e.Kind]++
+		n++
+		return flits.Feed(e)
+	})
+	if err != nil {
+		return Summary{}, err
 	}
-	return acc.stats(), nil
+	return Summary{Events: eventCounts(&counts), Latency: flits.lat.stats()}, violation
 }

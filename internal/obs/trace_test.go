@@ -2,15 +2,27 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"mira/internal/noc"
+	"mira/internal/topology"
 )
 
-func mkEvent(kind string, cycle, pkt int64, seq int) Event {
-	return Event{Cycle: cycle, Kind: kind, Pkt: pkt, Seq: seq, Type: "headtail", Class: "data"}
+func mkEvent(kind noc.ProbeKind, cycle, pkt int64, seq int32) Event {
+	return Event{Cycle: cycle, Kind: kind, Pkt: pkt, Seq: seq, Type: noc.HeadTailFlit, Class: noc.Data}
+}
+
+// jsonl encodes events the way the trace writer does.
+func jsonl(events ...Event) *bytes.Buffer {
+	var buf []byte
+	for i := range events {
+		buf = appendEvent(buf, &events[i])
+	}
+	return bytes.NewBuffer(buf)
 }
 
 func TestReadTraceErrors(t *testing.T) {
@@ -20,6 +32,10 @@ func TestReadTraceErrors(t *testing.T) {
 		{"garbage", "not json\n", "line 1"},
 		{"unknown kind", `{"c":1,"k":"teleport","p":0,"s":0}` + "\n", "unknown event kind"},
 		{"out of order", `{"c":5,"k":"inject","p":0,"s":0}` + "\n" + `{"c":3,"k":"eject","p":0,"s":0}` + "\n", "out of order"},
+		{"unknown type", `{"c":1,"k":"inject","p":0,"s":0,"t":"middle"}` + "\n", "unknown flit type"},
+		{"unknown class", `{"c":1,"k":"inject","p":0,"s":0,"cl":"bulk"}` + "\n", "unknown message class"},
+		{"unknown dir", `{"c":1,"k":"inject","p":0,"s":0,"d":"sideways"}` + "\n", "unknown direction"},
+		{"vc out of range", `{"c":1,"k":"inject","p":0,"s":0,"vc":300}` + "\n", "line 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,34 +66,39 @@ func TestReplayProtocolViolations(t *testing.T) {
 		wantErr string
 	}{
 		{"double inject",
-			[]Event{mkEvent("inject", 1, 7, 0), mkEvent("inject", 2, 7, 0)},
+			[]Event{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeInject, 2, 7, 0)},
 			"injected twice"},
 		{"eject before inject",
-			[]Event{mkEvent("eject", 1, 7, 0)},
+			[]Event{mkEvent(noc.ProbeEject, 1, 7, 0)},
 			"before inject"},
 		{"event after eject",
-			[]Event{mkEvent("inject", 1, 7, 0), mkEvent("eject", 2, 7, 0), mkEvent("link", 3, 7, 0)},
+			[]Event{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeEject, 2, 7, 0), mkEvent(noc.ProbeLink, 3, 7, 0)},
 			"after eject"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Replay(tc.events)
+			_, err := Replay(jsonl(tc.events...))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("err = %v, want substring %q", err, tc.wantErr)
+			}
+			if !errors.Is(err, ErrFlitProtocol) {
+				t.Errorf("err = %v does not wrap ErrFlitProtocol", err)
 			}
 		})
 	}
 }
 
 func TestReplayComputesLatency(t *testing.T) {
-	events := []Event{
-		{Cycle: 10, Kind: "inject", Pkt: 1, Seq: 0, Type: "headtail", Class: "data", Created: 8},
-		{Cycle: 25, Kind: "eject", Pkt: 1, Seq: 0, Type: "headtail", Class: "data", Created: 8},
-	}
-	stats, err := Replay(events)
+	inject, eject := mkEvent(noc.ProbeInject, 10, 1, 0), mkEvent(noc.ProbeEject, 25, 1, 0)
+	inject.Created, eject.Created = 8, 8
+	sum, err := Replay(jsonl(inject, eject))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
+	if sum.Events["inject"] != 1 || sum.Events["eject"] != 1 || sum.Events["link"] != 0 {
+		t.Errorf("event counts wrong: %v", sum.Events)
+	}
+	stats := sum.Latency
 	if stats.Flits != 1 || stats.Packets != 1 {
 		t.Fatalf("counts wrong: %s", stats.JSON())
 	}
@@ -92,27 +113,38 @@ func TestReplayComputesLatency(t *testing.T) {
 	}
 }
 
-// TestTraceWriterRingFlush checks the bounded ring batches without
-// dropping: write more events than the ring holds, everything survives.
-func TestTraceWriterRingFlush(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf, 4, nil)
-	pkt := &noc.Packet{ID: 1, Size: 1, Class: noc.Data}
-	const n = 11
-	for i := 0; i < n; i++ {
-		tw.ProbeEvent(noc.ProbeEvent{
-			Kind: noc.ProbeInject, Cycle: int64(i),
-			Flit: noc.Flit{Pkt: pkt, Type: noc.HeadTailFlit},
-		})
+// injectEvent is the record of a single-flit data packet entering at
+// router 0 in the given cycle.
+func injectEvent(cycle int64) Event {
+	pe := noc.ProbeEvent{
+		Kind: noc.ProbeInject, Cycle: cycle,
+		Flit: noc.Flit{Pkt: &noc.Packet{ID: 1, Size: 1, Class: noc.Data}, Type: noc.HeadTailFlit},
 	}
-	// Only full batches are flushed so far.
-	if tw.Written() != 8 {
-		t.Errorf("written before close = %d, want 8 (two full rings)", tw.Written())
+	return eventOf(&pe)
+}
+
+// TestTraceWriterBufferFlush checks the byte buffer bounds memory
+// without dropping: write several buffers' worth of events, the sink
+// gets full buffers mid-run and the rest on Close, in order.
+func TestTraceWriterBufferFlush(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf, nil)
+	e := injectEvent(0)
+	n := 3 * traceBufSize / len(appendEvent(nil, &e))
+	for i := 0; i < n; i++ {
+		e := injectEvent(int64(i))
+		tw.Record(&e)
+	}
+	if w := tw.Written(); w == 0 || w >= int64(n) {
+		t.Errorf("written before close = %d, want some but not all of %d", w, n)
+	}
+	if buf.Len() < 2*traceBufSize || cap(tw.buf) > traceBufSize+256 {
+		t.Errorf("sink holds %d bytes, writer buffer grew to %d", buf.Len(), cap(tw.buf))
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if tw.Written() != n {
+	if tw.Written() != int64(n) {
 		t.Errorf("written after close = %d, want %d", tw.Written(), n)
 	}
 	events, err := ReadTrace(&buf)
@@ -134,13 +166,35 @@ func TestNodeClassFilterNil(t *testing.T) {
 		t.Error("empty filter spec should compile to no filter at all")
 	}
 	f := NodeClassFilter([]int{3}, "")
-	ev := noc.ProbeEvent{Router: 3}
+	ev := Event{Router: 3}
 	if !f(ev) {
 		t.Error("allow-listed router rejected")
 	}
 	ev.Router = 4
 	if f(ev) {
 		t.Error("other router admitted")
+	}
+}
+
+// TestNodeClassFilterClass: the class name is parsed once, to the enum
+// the events carry; a name that is no class admits nothing.
+func TestNodeClassFilterClass(t *testing.T) {
+	ctl, data := Event{Class: noc.Control}, Event{Class: noc.Data}
+	for _, tc := range []struct {
+		class         string
+		wantCtl, want bool
+	}{
+		{"control", true, false},
+		{"data", false, true},
+		{"bulk", false, false},
+	} {
+		f := NodeClassFilter(nil, tc.class)
+		if got := f(ctl); got != tc.wantCtl {
+			t.Errorf("class %q admits control = %v, want %v", tc.class, got, tc.wantCtl)
+		}
+		if got := f(data); got != tc.want {
+			t.Errorf("class %q admits data = %v, want %v", tc.class, got, tc.want)
+		}
 	}
 }
 
@@ -163,15 +217,14 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // mid-run surfaces the error (with the count of events that made it
 // out) from Close instead of silently truncating the trace.
 func TestTraceWriterCloseReportsFailure(t *testing.T) {
-	// Budget of ~2 events: ring flushes go through bufio, so the
-	// failure surfaces at Close's Flush at the latest.
-	tw := NewTraceWriter(&failAfterWriter{budget: 150}, 2, nil)
-	pkt := &noc.Packet{ID: 1, Size: 1, Class: noc.Data}
-	for i := 0; i < 40; i++ {
-		tw.ProbeEvent(noc.ProbeEvent{
-			Kind: noc.ProbeInject, Cycle: int64(i),
-			Flit: noc.Flit{Pkt: pkt, Type: noc.HeadTailFlit},
-		})
+	// The sink takes the first full buffer and fails from then on; the
+	// failure surfaces at Close at the latest.
+	tw := NewTraceWriter(&failAfterWriter{budget: traceBufSize + 256}, nil)
+	e := injectEvent(0)
+	n := 3 * traceBufSize / len(appendEvent(nil, &e))
+	for i := 0; i < n; i++ {
+		e := injectEvent(int64(i))
+		tw.Record(&e)
 	}
 	err := tw.Close()
 	if err == nil {
@@ -183,20 +236,90 @@ func TestTraceWriterCloseReportsFailure(t *testing.T) {
 	if !strings.Contains(err.Error(), "events written") {
 		t.Errorf("error does not report the written count: %v", err)
 	}
+	if w := tw.Written(); w == 0 || w >= int64(n)/2 {
+		t.Errorf("written = %d of %d, want the one buffer the sink accepted", w, n)
+	}
 }
 
 // TestTraceWriterCloseCleanOK: Close on a healthy writer returns nil.
 func TestTraceWriterCloseCleanOK(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf, 4, nil)
-	tw.ProbeEvent(noc.ProbeEvent{
-		Kind: noc.ProbeInject, Cycle: 1,
-		Flit: noc.Flit{Pkt: &noc.Packet{ID: 1, Size: 1, Class: noc.Data}, Type: noc.HeadTailFlit},
-	})
+	tw := NewTraceWriter(&buf, nil)
+	e := injectEvent(1)
+	tw.Record(&e)
 	if err := tw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if tw.Written() != 1 {
 		t.Errorf("written = %d, want 1", tw.Written())
 	}
+}
+
+// legacyEvent is the string-typed record the JSONL format began as,
+// kept as the oracle: what encoding/json writes for it is the format.
+type legacyEvent struct {
+	Cycle   int64  `json:"c"`
+	Kind    string `json:"k"`
+	Router  int    `json:"r"`
+	Dir     string `json:"d,omitempty"`
+	VC      int    `json:"vc,omitempty"`
+	Pkt     int64  `json:"p"`
+	Seq     int    `json:"s"`
+	Type    string `json:"t"`
+	Class   string `json:"cl"`
+	Src     int    `json:"src"`
+	Dst     int    `json:"dst"`
+	Created int64  `json:"created,omitempty"`
+	Layers  int    `json:"al,omitempty"`
+}
+
+func legacyOf(e *Event) legacyEvent {
+	l := legacyEvent{Cycle: e.Cycle, Kind: e.Kind.String(), Router: int(e.Router), VC: int(e.VC),
+		Pkt: e.Pkt, Seq: int(e.Seq), Type: flitTypeNames[e.Type], Class: e.Class.String(),
+		Src: int(e.Src), Dst: int(e.Dst), Created: e.Created, Layers: int(e.Layers)}
+	if e.Kind != noc.ProbeEject {
+		l.Dir = e.Dir.String()
+	}
+	return l
+}
+
+// FuzzEventJSON: for any field values the append encoder writes the
+// bytes encoding/json writes for the legacy record, and the reader
+// turns those bytes back into the same Event.
+func FuzzEventJSON(f *testing.F) {
+	f.Add(int64(0), int64(0), int64(0), int32(0), int32(0), int32(0), int32(0), uint8(0), uint8(0), uint8(0), uint8(0), int8(0), uint8(0))
+	f.Add(int64(31999), int64(43193), int64(31950), int32(35), int32(0), int32(35), int32(3), uint8(5), uint8(2), uint8(1), uint8(0), int8(0), uint8(0))
+	f.Add(int64(17), int64(9), int64(12), int32(4), int32(4), int32(20), int32(0), uint8(0), uint8(3), uint8(0), uint8(0), int8(1), uint8(1))
+	f.Add(int64(18), int64(9), int64(0), int32(4), int32(4), int32(20), int32(1), uint8(3), uint8(1), uint8(1), uint8(9), int8(-1), uint8(0))
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), int32(math.MinInt32), int32(math.MaxInt32),
+		int32(-1), int32(math.MaxInt32), uint8(255), uint8(255), uint8(255), uint8(255), int8(math.MinInt8), uint8(255))
+	f.Fuzz(func(t *testing.T, cycle, pkt, created int64, router, src, dst, seq int32, kind, typ, class, dir uint8, vc int8, layers uint8) {
+		e := Event{Cycle: cycle, Pkt: pkt, Created: created, Router: router, Src: src, Dst: dst, Seq: seq,
+			Kind:  noc.ProbeKind(kind) % noc.NumProbeKinds,
+			Type:  noc.FlitType(int(typ) % len(flitTypeNames)),
+			Class: noc.Class(class) % noc.NumClasses,
+			Dir:   topology.Dir(dir) % topology.NumDirs,
+			VC:    vc, Layers: layers}
+		got := appendEvent(nil, &e)
+		want, err := json.Marshal(legacyOf(&e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("append encoder wrote\n%sencoding/json writes\n%s", got, want)
+		}
+		if len(got) >= 256 {
+			t.Errorf("line of %d bytes outgrows the trace buffer's headroom", len(got))
+		}
+		if cycle < 0 {
+			return // ScanTrace takes cycles from 0 up
+		}
+		if e.Kind == noc.ProbeEject {
+			e.Dir = 0 // an eject's direction is not serialized
+		}
+		back, err := ReadTrace(bytes.NewReader(got))
+		if err != nil || len(back) != 1 || back[0] != e {
+			t.Fatalf("ScanTrace(%s) = %+v, %v; want %+v", got, back, err, e)
+		}
+	})
 }
