@@ -1,244 +1,24 @@
-// Package mira_test holds the benchmark harness: one testing.B benchmark
-// per simulated sweep of the MIRA paper's evaluation section, plus the
-// engine micro-benchmarks. Each figure benchmark regenerates its
-// artifact via internal/exp (with shortened simulation windows so
-// `go test -bench=.` stays tractable) and reports the headline quantity
-// of that artifact as a custom benchmark metric. Figures 12a-d and 11d
-// read the sweeps Fig11a/b/c time and have no benchmark of their own;
-// nor do the analytic tables, which cost nanoseconds.
-//
-// The options carry no exp.Scope, so every iteration simulates: these
-// benchmarks time simulation, never a result lookup.
-//
-// Full-length regeneration (the numbers recorded in EXPERIMENTS.md) is
-// done with `go run ./cmd/mirabench all`.
+// Package mira_test holds the engine micro-benchmarks: the per-cycle
+// hot path of noc.Network.Step on fixed fabrics and loads, for profile
+// sessions (`go test -run '^$' -bench BenchmarkStepHighRate -cpuprofile
+// ...`). They are a working handle, not a ledger: end-to-end and
+// per-layer numbers, and every before/after pair a change quotes, come
+// from `go run ./bench` (bench/README.md), whose paper_suite workload
+// also times each figure, ablation and extension through `mirabench
+// -timing`.
 package mira_test
 
 import (
-	"context"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"testing"
 
-	"mira/internal/cmp"
 	"mira/internal/core"
-	"mira/internal/exp"
 	"mira/internal/noc"
 	"mira/internal/routing"
 	"mira/internal/topology"
 	"mira/internal/traffic"
 )
-
-// bg is the context all benchmarks run under (never canceled).
-func bg() context.Context { return context.Background() }
-
-// benchOpts trims the windows so each iteration is sub-second.
-func benchOpts() exp.Options {
-	return exp.Options{Warmup: 500, Measure: 2000, Drain: 6000, TraceCycles: 5000, Seed: 42}
-}
-
-func parseCell(b *testing.B, s string) float64 {
-	b.Helper()
-	if len(s) > 0 && s[len(s)-1] == '*' {
-		s = s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		b.Fatalf("bad cell %q: %v", s, err)
-	}
-	return v
-}
-
-// BenchmarkFig1DataPatterns regenerates the data-pattern breakdown.
-func BenchmarkFig1DataPatterns(b *testing.B) {
-	o := benchOpts()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t, err := exp.Fig1(bg(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(t.Rows)
-	}
-	b.ReportMetric(float64(rows), "workloads")
-}
-
-// BenchmarkFig2PacketTypes regenerates the packet-type distribution.
-func BenchmarkFig2PacketTypes(b *testing.B) {
-	o := benchOpts()
-	var ctrl float64
-	for i := 0; i < b.N; i++ {
-		t, err := exp.Fig2(bg(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl = parseCell(b, t.Rows[0][len(t.Rows[0])-1])
-	}
-	b.ReportMetric(ctrl, "ctrl_pkt_frac_tpcw")
-}
-
-// BenchmarkFig11aLatencyUR regenerates the uniform-random latency curve
-// at three representative injection rates.
-func BenchmarkFig11aLatencyUR(b *testing.B) {
-	o := benchOpts()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		var r2, re float64
-		for _, rate := range []float64{0.05, 0.15, 0.30} {
-			r2 = exp.RunUR(bg(), core.Arch2DB, rate, 0, o).AvgLatency
-			re = exp.RunUR(bg(), core.Arch3DME, rate, 0, o).AvgLatency
-		}
-		ratio = re / r2 // at the highest rate
-	}
-	b.ReportMetric(ratio, "lat_3DME_vs_2DB@0.30")
-}
-
-// BenchmarkFig11bLatencyNUCA regenerates the NUCA-UR latency comparison.
-func BenchmarkFig11bLatencyNUCA(b *testing.B) {
-	o := benchOpts()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r2 := exp.RunNUCAUR(bg(), core.Arch2DB, 0.10, 0, o).AvgLatency
-		re := exp.RunNUCAUR(bg(), core.Arch3DME, 0.10, 0, o).AvgLatency
-		ratio = re / r2
-	}
-	b.ReportMetric(ratio, "lat_3DME_vs_2DB")
-}
-
-// BenchmarkFig11cLatencyTraces regenerates the MP-trace latency ratio
-// for one representative workload.
-func BenchmarkFig11cLatencyTraces(b *testing.B) {
-	o := benchOpts()
-	w, _ := cmp.ByName("tpcw")
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r2, _, err := exp.RunTrace(bg(), core.Arch2DB, w, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		re, _, err := exp.RunTrace(bg(), core.Arch3DME, w, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = re.AvgLatency / r2.AvgLatency
-	}
-	b.ReportMetric(ratio, "lat_3DME_vs_2DB")
-}
-
-// BenchmarkFig13aShortFlits regenerates the per-workload short-flit
-// percentages.
-func BenchmarkFig13aShortFlits(b *testing.B) {
-	o := benchOpts()
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		t, err := exp.Fig13a(bg(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = parseCell(b, t.Rows[len(t.Rows)-1][1])
-	}
-	b.ReportMetric(avg, "avg_short_flit_pct")
-}
-
-// BenchmarkFig13bShutdown regenerates the layer-shutdown power savings.
-func BenchmarkFig13bShutdown(b *testing.B) {
-	o := benchOpts()
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		d := core.MustDesign(core.Arch3DM)
-		base := exp.NetworkPowerW(d, exp.RunUR(bg(), core.Arch3DM, 0.15, 0, o), true)
-		s50 := exp.NetworkPowerW(d, exp.RunUR(bg(), core.Arch3DM, 0.15, 0.5, o), true)
-		saving = 100 * (1 - s50/base)
-	}
-	b.ReportMetric(saving, "pct_saving_50short")
-}
-
-// BenchmarkFig13cThermal regenerates the temperature-reduction analysis
-// at one injection rate.
-func BenchmarkFig13cThermal(b *testing.B) {
-	o := benchOpts()
-	var dT float64
-	for i := 0; i < b.N; i++ {
-		t := exp.Fig13cAt(bg(), o, 0.2)
-		dT = t
-	}
-	b.ReportMetric(dT, "avg_dT_K")
-}
-
-// BenchmarkFig8Pipelines regenerates the router pipeline family
-// comparison.
-func BenchmarkFig8Pipelines(b *testing.B) {
-	o := benchOpts()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rows = len(exp.Fig8(bg(), o).Rows)
-	}
-	b.ReportMetric(float64(rows), "variants")
-}
-
-// BenchmarkAblationBufferDepth regenerates the buffer-depth ablation.
-func BenchmarkAblationBufferDepth(b *testing.B) {
-	o := benchOpts()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rows = len(exp.AblationBufferDepth(bg(), o).Rows)
-	}
-	b.ReportMetric(float64(rows), "depths")
-}
-
-// BenchmarkAblationExpress regenerates the express-interval ablation.
-func BenchmarkAblationExpress(b *testing.B) {
-	o := benchOpts()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t, err := exp.AblationExpressInterval(bg(), o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(t.Rows)
-	}
-	b.ReportMetric(float64(rows), "intervals")
-}
-
-// BenchmarkExtLeakage regenerates the leakage-thermal feedback table.
-func BenchmarkExtLeakage(b *testing.B) {
-	o := benchOpts()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rows = len(exp.ExtLeakage(bg(), o).Rows)
-	}
-	b.ReportMetric(float64(rows), "designs")
-}
-
-// BenchmarkExtCosim runs the closed-loop CMP/NoC co-simulation for one
-// workload on 2DB vs 3DM-E and reports the miss-latency ratio.
-func BenchmarkExtCosim(b *testing.B) {
-	w, _ := cmp.ByName("tpcw")
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		run := func(a core.Arch) float64 {
-			d := core.MustDesign(a)
-			s, err := cmp.NewClosedSystem(cmp.DefaultParams(w, d.Topo, 42), d.NoCConfig(noc.ByClass, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := s.Run(6000)
-			return st.MissLatency.Mean()
-		}
-		ratio = run(core.Arch3DME) / run(core.Arch2DB)
-	}
-	b.ReportMetric(ratio, "missLat_3DME_vs_2DB")
-}
-
-// BenchmarkRouterCycle measures the simulator's raw per-cycle cost on
-// a loaded 6x6 mesh (engine micro-benchmark, not a paper artifact).
-func BenchmarkRouterCycle(b *testing.B) {
-	o := exp.Options{Warmup: 0, Measure: int64(b.N), Drain: 0, Seed: 1}
-	b.ResetTimer()
-	exp.RunUR(bg(), core.Arch2DB, 0.2, 0, o)
-	b.ReportMetric(float64(36), "routers")
-}
 
 // benchStep measures the steady-state cost of the generate/enqueue/step
 // hot path on a 6x6 mesh at the given injection rate and step mode. The
@@ -373,8 +153,8 @@ func benchStepMeter(b *testing.B, rate float64, metered bool) {
 func BenchmarkStepTelemetryOff(b *testing.B) { benchStepMeter(b, 0.3, false) }
 
 // BenchmarkStepTelemetryOn is the attached reference: the step loop
-// with the engine meter collecting per-cycle wall time (two
-// time.Now() calls per sequential cycle).
+// with the engine meter collecting per-cycle wall time and the
+// drain/busy split (five clock reads per single-shard cycle).
 func BenchmarkStepTelemetryOn(b *testing.B) { benchStepMeter(b, 0.3, true) }
 
 // benchStepLarge is benchStep on a 16x16 mesh (256 routers, ~7x the
@@ -486,42 +266,3 @@ func BenchmarkStepIdleFullScan(b *testing.B) {
 		net.Step()
 	}
 }
-
-// sweepPoints is the parallel-engine workload: a quick fig11a-style
-// (rate × arch) grid of independent uniform-random simulations.
-func sweepPoints() []exp.Point[float64] {
-	rates := []float64{0.05, 0.15, 0.30}
-	points := make([]exp.Point[float64], 0, len(rates)*len(core.Archs))
-	for _, rate := range rates {
-		for _, a := range core.Archs {
-			rate, a := rate, a
-			points = append(points, exp.Point[float64]{
-				Label: "bench sweep",
-				Run: func(ctx context.Context, o exp.Options) float64 {
-					return exp.RunUR(ctx, a, rate, 0, o).AvgLatency
-				},
-			})
-		}
-	}
-	return points
-}
-
-func benchSweep(b *testing.B, workers int) {
-	o := benchOpts()
-	o.Workers = workers
-	points := sweepPoints()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exp.RunAll(bg(), o, points)
-	}
-}
-
-// BenchmarkSweepSequential runs the quick sweep grid on one worker —
-// the baseline for BenchmarkSweepParallel.
-func BenchmarkSweepSequential(b *testing.B) { benchSweep(b, 1) }
-
-// BenchmarkSweepParallel runs the same grid across all CPUs; on an
-// N-core machine the speedup over BenchmarkSweepSequential approaches
-// min(N, points) since sweep points are fully independent.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, runtime.NumCPU()) }

@@ -18,19 +18,18 @@ import "math/bits"
 //     stage (actRC/actVA/actSA) plus the NIs with queued or in-flight
 //     packets (actNI), so the cycle loop visits only routers and NIs
 //     with pending work. The sets live on the shard stepping the router
-//     (shard.go; one shard owns everything under sequential stepping),
-//     so concurrent shards never touch a shared bitset word.
+//     (shard.go), so concurrent shards never touch a shared bitset word.
 //
 // Determinism is part of the contract: the activity-driven path must be
 // bit-identical to the full scan (Config.Mode = StepFullScan) for any
 // seed and worker count. Two properties make that hold:
 //
-//  1. Arbiter state only advances on Grant, and the full scan never
-//     calls Grant for an output (port, VC) without at least one
+//  1. Arbiter state only advances on a grant, and the full scan never
+//     asks for one for an output (port, VC) without at least one
 //     requester — a router with no VC in a stage therefore leaves every
 //     arbiter untouched, so skipping it entirely cannot change any
-//     later arbitration. Within a visited router the request vectors
-//     handed to Grant are rebuilt over the same flat indices, so the
+//     later arbitration. Within a visited router the requests handed to
+//     the arbiter are rebuilt over the same flat indices, so the
 //     arbiters see identical bit patterns.
 //  2. Cross-router state only interacts through the event ring, and the
 //     only order-sensitive consumer is the ejection callback (float
@@ -78,9 +77,9 @@ func (s *routerSet) has(i int) bool {
 }
 
 // appendMembers appends the members in ascending order to dst and
-// returns it. Network.Step snapshots each stage's set into a reusable
-// scratch slice before stepping it, so routers may enter or leave the
-// set mid-stage without perturbing the iteration.
+// returns it. The cycle snapshots each stage's set into a reusable
+// scratch slice before stepping it (shardState.members), so routers may
+// enter or leave the set mid-stage without perturbing the iteration.
 func (s *routerSet) appendMembers(dst []int32) []int32 {
 	for wi, w := range s.words {
 		base := int32(wi << 6)
@@ -110,9 +109,9 @@ func (r *Router) listRemove(list []int32, f int32) []int32 {
 }
 
 // setVCState moves the VC at flat index f to state s, keeping the
-// per-stage pending lists, the per-output waiter counts and the
-// network-level active-router sets in sync. Every state assignment in
-// the router goes through here; vcState[f] is never written directly.
+// per-stage pending lists and the shard-level active-router sets in
+// sync. Every state assignment in the router goes through here;
+// vcState[f] is never written directly.
 func (r *Router) setVCState(f int32, s vcState) {
 	id := int(r.id)
 	sh := r.sh
@@ -124,7 +123,6 @@ func (r *Router) setVCState(f int32, s vcState) {
 		}
 	case vcWaitVC:
 		r.listVA = r.listRemove(r.listVA, f)
-		r.waitersByOut[r.outIndex[r.vcOutDir[f]]]--
 		if len(r.listVA) == 0 {
 			sh.actVA.remove(id)
 		}
@@ -141,7 +139,6 @@ func (r *Router) setVCState(f int32, s vcState) {
 		sh.actRC.add(id)
 	case vcWaitVC:
 		r.listVA = r.listAdd(r.listVA, f)
-		r.waitersByOut[r.outIndex[r.vcOutDir[f]]]++
 		sh.actVA.add(id)
 	case vcActive:
 		r.listSA = r.listAdd(r.listSA, f)

@@ -169,37 +169,90 @@ func TestSpecLookaheadSingleFlitChainReentry(t *testing.T) {
 // measurement, drain) on a real sweep point: every derived metric of
 // the Result — float means included — must be bit-identical, as must
 // the per-router counter tables.
+//
+// The wide cases are the only coverage of routers with more than 64
+// flat VCs: at 14 VCs per port the 16 interior routers of the 6x6 mesh
+// hold 70 and step through the reference stage bodies in every mode
+// (Router.refStages), while the edge and corner routers (56 and 42)
+// keep the request-mask stages, so one fabric mixes both. BufDepth 2
+// and 0.3 flits/node/cycle keep the allocators contended.
 func TestActivityMatchesFullScanSim(t *testing.T) {
-	run := func(mode StepMode) Result {
-		cfg := cfg2D(2)
-		cfg.Seed = 42
-		cfg.Mode = mode
-		net := NewNetwork(cfg)
-		s := NewSim(net, bernoulli(cfg.Topo, 0.15, 4, Data))
-		s.Params = SimParams{Warmup: 300, Measure: 2000, DrainMax: 8000}
-		return s.Run(context.Background())
+	type simCase struct {
+		name   string
+		cfg    Config
+		rate   float64
+		params SimParams
+		wide   bool // also run StepChecked
+		shards int  // also run this shard count, if > 1
 	}
-	full := run(StepFullScan)
-	act := run(StepActivity)
-	if full.Generated == 0 || full.Ejected != act.Ejected || full.Generated != act.Generated {
-		t.Fatalf("packet counts diverge: fullscan %d/%d, activity %d/%d",
-			full.Ejected, full.Generated, act.Ejected, act.Generated)
-	}
-	if full.AvgLatency != act.AvgLatency || full.P99Latency != act.P99Latency ||
-		full.AvgHops != act.AvgHops || full.AvgQueueDelay != act.AvgQueueDelay ||
-		full.ThroughputFPC != act.ThroughputFPC || full.Saturated != act.Saturated {
-		t.Fatalf("metrics diverge:\nfullscan %v\nactivity %v", full.String(), act.String())
-	}
-	if full.Counters != act.Counters {
-		t.Fatalf("window counters diverge:\nfullscan %+v\nactivity %+v", full.Counters, act.Counters)
-	}
-	for i := range full.PerRouter {
-		if full.PerRouter[i] != act.PerRouter[i] {
-			t.Fatalf("router %d counters diverge", i)
+	cases := []simCase{{name: "mesh-stlt2", cfg: cfg2D(2), rate: 0.15, params: SimParams{Warmup: 300, Measure: 2000, DrainMax: 8000}}}
+	for _, arb := range []ArbPolicy{ArbRoundRobin, ArbMatrix} {
+		for _, qos := range []bool{false, true} {
+			for _, spec := range []bool{false, true} {
+				c := cfg2D(2)
+				c.VCs, c.BufDepth = 14, 2
+				c.Arb, c.QoSPriority = arb, qos
+				c.SpecSA, c.LookaheadRC = spec, spec
+				name := "wide-" + arb.String()
+				if qos {
+					name += "-qos"
+				}
+				if spec {
+					name += "-spec"
+				}
+				cases = append(cases, simCase{name: name, cfg: c, rate: 0.3, wide: true,
+					params: SimParams{Warmup: 100, Measure: 600, DrainMax: 8000}})
+			}
 		}
 	}
-	if full.PerClass != act.PerClass {
-		t.Fatalf("per-class results diverge: %+v vs %+v", full.PerClass, act.PerClass)
+	cases[len(cases)-1].shards = 3 // once is enough: the shard axis has its own suites
+	run := func(c simCase, mode StepMode, shards int) Result {
+		cfg := c.cfg
+		cfg.Seed = 42
+		cfg.Mode = mode
+		cfg.Shards = shards
+		net := NewNetwork(cfg)
+		s := NewSim(net, bernoulli(cfg.Topo, c.rate, 4, Data))
+		s.Params = c.params
+		return s.Run(context.Background())
+	}
+	same := func(t *testing.T, what string, ref, got Result) {
+		t.Helper()
+		if ref.Ejected != got.Ejected || ref.Generated != got.Generated {
+			t.Fatalf("%s: packet counts diverge: %d/%d vs %d/%d",
+				what, ref.Ejected, ref.Generated, got.Ejected, got.Generated)
+		}
+		if ref.AvgLatency != got.AvgLatency || ref.P99Latency != got.P99Latency ||
+			ref.AvgHops != got.AvgHops || ref.AvgQueueDelay != got.AvgQueueDelay ||
+			ref.ThroughputFPC != got.ThroughputFPC || ref.Saturated != got.Saturated {
+			t.Fatalf("%s: metrics diverge:\n%v\n%v", what, ref.String(), got.String())
+		}
+		if ref.Counters != got.Counters {
+			t.Fatalf("%s: window counters diverge:\n%+v\n%+v", what, ref.Counters, got.Counters)
+		}
+		for i := range ref.PerRouter {
+			if ref.PerRouter[i] != got.PerRouter[i] {
+				t.Fatalf("%s: router %d counters diverge", what, i)
+			}
+		}
+		if ref.PerClass != got.PerClass {
+			t.Fatalf("%s: per-class results diverge: %+v vs %+v", what, ref.PerClass, got.PerClass)
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			act := run(c, StepActivity, 1)
+			if act.Generated == 0 || act.Ejected != act.Generated {
+				t.Fatalf("activity run did not deliver all traffic: %v", act.String())
+			}
+			same(t, "fullscan vs activity", run(c, StepFullScan, 1), act)
+			if c.wide {
+				same(t, "checked vs activity", run(c, StepChecked, 1), act)
+			}
+			if c.shards > 1 {
+				same(t, "sharded vs 1 shard", run(c, StepActivity, c.shards), act)
+			}
+		})
 	}
 }
 

@@ -5,12 +5,22 @@ import (
 	"testing/quick"
 )
 
+// newArb returns the allocators' arbiter (arbState) for n requesters
+// under policy p — the code the VA and SA stages run.
+func newArb(p ArbPolicy, n int) *arbState {
+	a := new(arbState)
+	a.init(p, n)
+	return a
+}
+
+var arbPolicies = []ArbPolicy{ArbRoundRobin, ArbMatrix}
+
 func TestRoundRobinRotates(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := newArb(ArbRoundRobin, 4)
 	all := []bool{true, true, true, true}
 	var got []int
 	for i := 0; i < 8; i++ {
-		got = append(got, a.Grant(all))
+		got = append(got, a.grant(all))
 	}
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for i := range want {
@@ -21,25 +31,25 @@ func TestRoundRobinRotates(t *testing.T) {
 }
 
 func TestRoundRobinSkipsIdle(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := newArb(ArbRoundRobin, 4)
 	reqs := []bool{false, true, false, true}
-	if g := a.Grant(reqs); g != 1 {
+	if g := a.grant(reqs); g != 1 {
 		t.Errorf("grant = %d, want 1", g)
 	}
-	if g := a.Grant(reqs); g != 3 {
+	if g := a.grant(reqs); g != 3 {
 		t.Errorf("grant = %d, want 3", g)
 	}
-	if g := a.Grant(reqs); g != 1 {
+	if g := a.grant(reqs); g != 1 {
 		t.Errorf("grant = %d, want 1 (wrap)", g)
 	}
 }
 
 func TestRoundRobinEmpty(t *testing.T) {
-	a := NewRoundRobin(3)
-	if g := a.Grant([]bool{false, false, false}); g != -1 {
+	a := newArb(ArbRoundRobin, 3)
+	if g := a.grant([]bool{false, false, false}); g != -1 {
 		t.Errorf("grant with no requests = %d", g)
 	}
-	if g := a.Grant(nil); g != -1 {
+	if g := a.grant(nil); g != -1 {
 		t.Errorf("grant with nil requests = %d", g)
 	}
 }
@@ -97,8 +107,8 @@ func TestMatrixWidthMismatchPanics(t *testing.T) {
 // Property: both arbiters always grant a requesting slot, exactly when
 // one exists, and never a non-requesting one.
 func TestArbiterSoundness(t *testing.T) {
-	rr := NewRoundRobin(8)
-	mx := NewMatrix(8)
+	rr := newArb(ArbRoundRobin, 8)
+	mx := newArb(ArbMatrix, 8)
 	f := func(mask uint8) bool {
 		reqs := make([]bool, 8)
 		any := false
@@ -106,8 +116,8 @@ func TestArbiterSoundness(t *testing.T) {
 			reqs[i] = mask&(1<<i) != 0
 			any = any || reqs[i]
 		}
-		for _, a := range []Arbiter{rr, mx} {
-			g := a.Grant(reqs)
+		for _, a := range []*arbState{rr, mx} {
+			g := a.grant(reqs)
 			if any && (g < 0 || !reqs[g]) {
 				return false
 			}
@@ -125,35 +135,29 @@ func TestArbiterSoundness(t *testing.T) {
 // Property: under persistent full load both arbiters are fair within a
 // factor of ~1 over long windows.
 func TestArbiterLongRunFairness(t *testing.T) {
-	for _, mk := range []func() Arbiter{
-		func() Arbiter { return NewRoundRobin(5) },
-		func() Arbiter { return NewMatrix(5) },
-	} {
-		a := mk()
+	for _, policy := range arbPolicies {
+		a := newArb(policy, 5)
 		counts := make([]int, 5)
 		all := []bool{true, true, true, true, true}
 		for i := 0; i < 1000; i++ {
-			counts[a.Grant(all)]++
+			counts[a.grant(all)]++
 		}
 		for i, c := range counts {
 			if c != 200 {
-				t.Errorf("%T slot %d served %d/1000, want 200", a, i, c)
+				t.Errorf("%v slot %d served %d/1000, want 200", policy, i, c)
 			}
 		}
 	}
 }
 
-// Property: GrantSingle(i) leaves an arbiter in a state
-// indistinguishable from Grant with only bit i set — the contract the
+// Property: grantSingle(i) leaves an arbiter in a state
+// indistinguishable from grant with only bit i set — the contract the
 // switch/VC allocators' sole-candidate fast path relies on for
 // bit-identical results across step modes.
 func TestGrantSingleEquivalence(t *testing.T) {
 	const n = 6
-	for _, mk := range []func() Arbiter{
-		func() Arbiter { return NewRoundRobin(n) },
-		func() Arbiter { return NewMatrix(n) },
-	} {
-		ref, fast := mk(), mk()
+	for _, policy := range arbPolicies {
+		ref, fast := newArb(policy, n), newArb(policy, n)
 		rng := uint64(12345)
 		next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
 		reqs := make([]bool, n)
@@ -167,16 +171,16 @@ func TestGrantSingleEquivalence(t *testing.T) {
 					single = i
 				}
 			}
-			want := ref.Grant(reqs)
+			want := ref.grant(reqs)
 			var got int
 			if count == 1 {
-				fast.GrantSingle(single)
+				fast.grantSingle(single)
 				got = single
 			} else {
-				got = fast.Grant(reqs)
+				got = fast.grant(reqs)
 			}
 			if got != want {
-				t.Fatalf("%T step %d (mask %06b): fast path grants %d, reference %d", ref, step, mask, got, want)
+				t.Fatalf("%v step %d (mask %06b): fast path grants %d, reference %d", policy, step, mask, got, want)
 			}
 		}
 	}

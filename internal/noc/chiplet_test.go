@@ -139,31 +139,47 @@ func TestChipletSerialization(t *testing.T) {
 // and a sweep of shard counts — including counts that misalign with the
 // chip boundaries — and requires bit-identical results everywhere, full
 // delivery (reachability/no-deadlock), and survival of checked mode's
-// per-cycle invariants. Run under -race in CI, this is also the
-// concurrency-safety proof for latency-stamped cross-shard events.
+// per-cycle invariants. The SpecSA case puts speculative forwards — the
+// second send-phase segment of the rings and mailboxes — on the same
+// latency-stamped cross-shard path. Run under -race in CI, this is also
+// the concurrency-safety proof for latency-stamped cross-shard events.
 func TestChipletDeterminismSuite(t *testing.T) {
-	run := func(mode StepMode, shards int) Result {
-		cfg := cfgChiplet(4, 2, true)
-		cfg.Seed = 7
-		cfg.Mode = mode
-		cfg.Shards = shards
-		return shortSim(cfg, bernoulli(cfg.Topo, 0.1, 4, Data))
-	}
-	ref := run(StepActivity, 1)
-	if ref.Generated == 0 || ref.Ejected != ref.Generated {
-		t.Fatalf("reference run did not deliver all traffic: %v", ref.String())
-	}
-	for _, mode := range []StepMode{StepActivity, StepFullScan, StepChecked} {
+	allModes := []StepMode{StepActivity, StepFullScan, StepChecked}
+	for _, c := range []struct {
+		name   string
+		specSA bool
+		modes  []StepMode
 		// 3, 5 and 7 shards split mid-chip; correctness must not depend
 		// on shard boundaries aligning with chip boundaries.
-		for _, shards := range []int{1, 2, 3, 4, 5, 7, AutoShards} {
-			got := run(mode, shards)
-			if got.AvgLatency != ref.AvgLatency || got.AvgHops != ref.AvgHops ||
-				got.Generated != ref.Generated || got.Ejected != ref.Ejected ||
-				got.Counters != ref.Counters {
-				t.Fatalf("mode=%v shards=%d diverges:\n  got %v\n  ref %v", mode, shards, got.String(), ref.String())
+		shards []int
+	}{
+		{"baseline", false, allModes, []int{1, 2, 3, 4, 5, 7, AutoShards}},
+		{"specsa", true, allModes[:1], []int{2, 3, 4, 5, 7}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(mode StepMode, shards int) Result {
+				cfg := cfgChiplet(4, 2, true)
+				cfg.Seed = 7
+				cfg.SpecSA = c.specSA
+				cfg.Mode = mode
+				cfg.Shards = shards
+				return shortSim(cfg, bernoulli(cfg.Topo, 0.1, 4, Data))
 			}
-		}
+			ref := run(StepActivity, 1)
+			if ref.Generated == 0 || ref.Ejected != ref.Generated {
+				t.Fatalf("reference run did not deliver all traffic: %v", ref.String())
+			}
+			for _, mode := range c.modes {
+				for _, shards := range c.shards {
+					got := run(mode, shards)
+					if got.AvgLatency != ref.AvgLatency || got.AvgHops != ref.AvgHops ||
+						got.Generated != ref.Generated || got.Ejected != ref.Ejected ||
+						got.Counters != ref.Counters {
+						t.Fatalf("mode=%v shards=%d diverges:\n  got %v\n  ref %v", mode, shards, got.String(), ref.String())
+					}
+				}
+			}
+		})
 	}
 }
 

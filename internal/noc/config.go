@@ -177,14 +177,6 @@ func (a ArbPolicy) String() string {
 	return "round-robin"
 }
 
-// newArbiter builds an arbiter for n requesters under the policy.
-func (a ArbPolicy) newArbiter(n int) Arbiter {
-	if a == ArbMatrix {
-		return NewMatrix(n)
-	}
-	return NewRoundRobin(n)
-}
-
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.Topo == nil {

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // EngineMeter instruments the simulator engine itself — where host
 // wall-clock time goes inside a cycle, how evenly the shards are
@@ -18,8 +15,10 @@ import (
 // All totals are atomics because external goroutines (the obs engine
 // ticker, HTTP handlers) read them while the step loop writes. The
 // per-cycle scratch timestamps live in shardState instead: they are
-// written by the goroutine running a shard and read by the serial
-// epilogue after the pool barrier, so they need no other synchronization.
+// written by the goroutine running a shard and read by Step's epilogue
+// after the pool barrier, so they need no other synchronization. The
+// same fold serves every shard count: a single shard reports the
+// drain/busy split too, with no barrier time, parks or mailbox rows.
 type EngineMeter struct {
 	shards  []meterShard
 	routers []int32 // routers per shard, fixed at attach
@@ -167,8 +166,8 @@ func (s *EngineSnapshot) ImbalanceRatio() float64 {
 
 // Utilization is the fraction of the worker pool's capacity spent doing
 // shard work: sum of per-shard busy time over shards x wall time inside
-// Step. Sequential stepping reports ~1 by construction; a sharded run
-// below 1 is losing time to barrier skew or the serial epilogue.
+// Step. A single shard reports ~1 by construction; a sharded run below 1
+// is losing time to barrier skew or the serial epilogue.
 func (s *EngineSnapshot) Utilization() float64 {
 	if s.StepNs == 0 {
 		return 0
@@ -178,18 +177,4 @@ func (s *EngineSnapshot) Utilization() float64 {
 		sum += s.Shards[i].BusyNs
 	}
 	return float64(sum) / (float64(len(s.Shards)) * float64(s.StepNs))
-}
-
-// stepSeqMetered wraps the sequential step with whole-cycle timing,
-// attributed to shard 0 (the only shard). Drain and barrier phases are
-// not separately timed on this path — keeping stepSeq itself untouched
-// is what keeps the detached hot path at zero cost.
-func (n *Network) stepSeqMetered(m *EngineMeter) {
-	t0 := time.Now()
-	n.stepSeq()
-	d := time.Since(t0).Nanoseconds()
-	m.shards[0].busyNs.Add(d)
-	m.shards[0].cycles.Add(1)
-	m.stepNs.Add(d)
-	m.cycles.Add(1)
 }

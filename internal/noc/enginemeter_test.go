@@ -120,8 +120,10 @@ func TestEngineMeterSharded(t *testing.T) {
 	}
 }
 
-// TestEngineMeterSequential checks the single-shard path: whole-cycle
-// time lands on shard 0 and nothing ever crosses a boundary.
+// TestEngineMeterSequential checks the single-shard path: it runs the
+// same cycle function as a sharded run, so shard 0 reports the same
+// drain/busy split, but there is no barrier to wait at and nothing ever
+// crosses a boundary.
 func TestEngineMeterSequential(t *testing.T) {
 	cfg := cfg2D(2)
 	cfg.Seed = 7
@@ -129,8 +131,18 @@ func TestEngineMeterSequential(t *testing.T) {
 	if len(snap.Shards) != 1 {
 		t.Fatalf("want 1 shard stat, got %d", len(snap.Shards))
 	}
-	if snap.Shards[0].BusyNs <= 0 || snap.Shards[0].Cycles != snap.Cycles {
+	s0 := snap.Shards[0]
+	if s0.BusyNs <= 0 || s0.Cycles != snap.Cycles {
 		t.Fatalf("sequential accounting off: %+v", snap)
+	}
+	if s0.DrainNs <= 0 || s0.DrainNs > s0.BusyNs {
+		t.Fatalf("drain %dns not in (0, busy %dns]", s0.DrainNs, s0.BusyNs)
+	}
+	if s0.BusyNs > snap.StepNs {
+		t.Fatalf("busy %dns exceeds the %dns spent in Step", s0.BusyNs, snap.StepNs)
+	}
+	if s0.BarrierNs != 0 {
+		t.Fatalf("single shard waited %dns at a barrier it does not have", s0.BarrierNs)
 	}
 	if len(snap.Mailbox) != 0 {
 		t.Fatalf("sequential run recorded crossings: %+v", snap.Mailbox)

@@ -26,9 +26,9 @@ import (
 //     NI queues, router buffers and event rings — the debug cross-check
 //     for the O(1) backlog the simulator's drain loop relies on.
 //  6. The activity-tracking state the cycle loop skips idle work by
-//     (per-router pending lists, list position index, per-output waiter
-//     counts, and the per-shard active-router and active-NI sets)
-//     agrees with a fresh full scan of the VC states and NI queues.
+//     (per-router pending lists, list position index, and the
+//     per-shard active-router and active-NI sets) agrees with a fresh
+//     full scan of the VC states and NI queues.
 //
 // In-flight traffic is scanned across every shard's own rings (both
 // send-phase segments) and every boundary mailbox. Ring arrivals were
@@ -133,10 +133,10 @@ func (n *Network) CheckInvariants() error {
 						r.id, dir, vi, r.vcFrontAt[f], want)
 				}
 			}
-			// Each ring-borne in-flight flit occupies a pre-written ring
-			// slot (vcReserveGlobal) and has exactly one pending arrival
-			// event; mailbox-borne flits carry their body and leave
-			// vcInFly untouched.
+			// Each ring-borne in-flight flit occupies a ring slot forward
+			// pre-wrote and has exactly one pending arrival event;
+			// mailbox-borne flits carry their body and leave vcInFly
+			// untouched.
 			if got := inFlight[chanKey{r.id, dir, vi}]; int(r.vcInFly[f]) != got {
 				return fmt.Errorf("noc: router %d %v vc %d records %d in-flight flits, rings hold %d arrival events",
 					r.id, dir, vi, r.vcInFly[f], got)
@@ -246,17 +246,13 @@ func (n *Network) checkActivity() error {
 	}
 	for ri := range n.routers {
 		r := &n.routers[ri]
-		// Recount VCs per state and waiters per output port.
+		// Recount VCs per state.
 		var want [4]int
-		waiters := make([]int32, len(r.outPorts))
 		for fi := range r.vcState {
 			f := int32(fi)
 			pi, vi := int(r.portOf[fi]), int(r.vcOf[fi])
 			s := r.vcState[fi]
 			want[s]++
-			if s == vcWaitVC {
-				waiters[r.outIndex[r.vcOutDir[fi]]]++
-			}
 			if s == vcIdle {
 				if r.listPos[f] != -1 {
 					return fmt.Errorf("noc: router %d %v vc %d idle but listPos %d",
@@ -275,12 +271,6 @@ func (n *Network) checkActivity() error {
 			if list := listFor(r, s); len(list) != want[s] {
 				return fmt.Errorf("noc: router %d %v list holds %d VCs, scan finds %d",
 					r.id, s, len(list), want[s])
-			}
-		}
-		for oi, w := range waiters {
-			if r.waitersByOut[oi] != w {
-				return fmt.Errorf("noc: router %d output %v waiter count %d, scan finds %d",
-					r.id, r.outPorts[oi].dir, r.waitersByOut[oi], w)
 			}
 		}
 		// Shard-level stage sets must mirror list emptiness, and a

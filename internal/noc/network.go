@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"time"
 
 	"mira/internal/topology"
 )
@@ -227,6 +228,9 @@ func NewNetwork(cfg Config) *Network {
 		for ri := sh.lo; ri < sh.hi; ri++ {
 			n.routers[ri].sh = sh
 			n.routers[ri].shard = int32(i)
+			if cfg.Mode == StepFullScan {
+				sh.all = append(sh.all, ri)
+			}
 		}
 	}
 	// Third pass: precompute each input port's upstream credit slot and
@@ -366,128 +370,42 @@ func (n *Network) Idle() bool {
 	return inFlight == 0
 }
 
-// Step advances the simulation by one cycle: sequentially with a single
-// shard, concurrently across shards otherwise (shard.go). The two paths
-// are bit-identical for any shard count.
+// Step advances the simulation by one cycle. There is one cycle function
+// (shardCycle, shard.go) and this is its only driver: a single shard runs
+// it inline on the caller, with no pool, no recover, no mailbox to walk
+// and the probe and eject handler called directly from the emission
+// sites; two or more shards run it concurrently behind the pool barrier
+// with those outputs buffered for the serial epilogue (stepSharded).
+// Results are bit-identical for any shard count.
 func (n *Network) Step() {
 	n.cycle++
-	if len(n.shards) > 1 {
+	meter := n.meter
+	var t0 time.Time
+	if meter != nil {
+		t0 = time.Now()
+	}
+	if len(n.shards) == 1 {
+		n.shardCycle(&n.shards[0])
+	} else {
 		n.stepSharded()
-		return
-	}
-	if m := n.meter; m != nil {
-		n.stepSeqMetered(m)
-		return
-	}
-	n.stepSeq()
-}
-
-// stepSeq is the single-shard cycle — the sequential reference path the
-// sharded step is checked against. It runs on shard 0's rings and
-// activity sets (with Shards <= 1 they are the network's only ones);
-// the shard's send phase stays pinned to 0, so every append shares one
-// ring segment and the delivery loop sees the historical single-ring
-// order at the historical cost.
-func (n *Network) stepSeq() {
-	sh := &n.shards[0]
-	slot := n.cycle & n.ringMask
-
-	// 1. Deliver events scheduled for this cycle. Credits first: they
-	// only increment flat counters and interact with nothing below, so
-	// their ordering against flit deliveries is unobservable.
-	creds := sh.cred[slot]
-	sh.cred[slot] = creds[:0]
-	depth := int32(n.cfg.BufDepth)
-	for _, ci := range creds {
-		n.soa.credits[ci]++
-		if n.soa.credits[ci] > depth {
-			panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
-		}
-	}
-	events := sh.ev[0][slot]
-	sh.ev[0][slot] = events[:0]
-	ownerOf := n.soa.ownerOf
-	for _, ev := range events {
-		if ev >= 0 {
-			// Link arrival: ev is the destination's global flat VC
-			// index. Expose the flit pre-written by the upstream
-			// forward (vcArrive), with exactly the bookkeeping
-			// acceptFlit does for an injected flit.
-			r := &n.routers[ownerOf[ev]]
-			fi := int(ev - r.vcBase)
-			f := r.vcArrive(fi)
-			r.Counters.BufWrites++
-			r.Counters.WBufWrites += r.layerFracN(f.ActiveLayers)
-			if f.Type.IsHead() && r.vcOcc(fi) == 1 {
-				if r.vcState[fi] != vcIdle {
-					r.badArrivalState(fi)
-				}
-				r.startHead(int32(fi), n.cycle)
-			}
-			continue
-		}
-		sh.hot.inFlightFlits--
-		e := &sh.ejRing[slot][^ev]
-		if n.probe != nil {
-			n.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: n.cycle, Router: topology.NodeID(e.router), Flit: e.flit})
-		}
-		if e.flit.Type.IsTail() {
-			pkt := e.flit.Pkt
-			pkt.EjectedAt = n.cycle
-			if n.onEject != nil {
-				n.onEject(pkt)
-			}
-		}
-	}
-	// New events only ever target future slots (evSlot rejects d <= 0),
-	// so the payload slice is safe to recycle once the loop is done.
-	sh.ejRing[slot] = sh.ejRing[slot][:0]
-
-	// 2. Inject from NIs (one flit per node per cycle), then the router
-	// pipelines in reverse stage order so a flit advances at most one
-	// stage per cycle.
-	//
-	// The activity path snapshots each stage's active set immediately
-	// before stepping it (members in ascending ID order, matching the
-	// full scan's iteration order), so routers activated by an earlier
-	// stage of the same cycle are visited exactly as the full scan
-	// would visit them — where they find only non-ready VCs and do
-	// nothing.
-	if n.cfg.Mode == StepFullScan {
-		for i := range n.nis {
-			n.inject(topology.NodeID(i))
-		}
-		for i := range n.routers {
-			n.routers[i].stepSAFull(n.cycle)
-		}
-		for i := range n.routers {
-			n.routers[i].stepVAFull(n.cycle)
-		}
-		for i := range n.routers {
-			n.routers[i].stepRCFull(n.cycle)
-		}
-		return
-	}
-	sh.actScratch = sh.actNI.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.inject(topology.NodeID(id))
-	}
-	sh.actScratch = sh.actSA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepSA(n.cycle)
-	}
-	sh.actScratch = sh.actVA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepVA(n.cycle)
-	}
-	sh.actScratch = sh.actRC.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepRC(n.cycle)
 	}
 	if n.cfg.Mode == StepChecked {
 		if err := n.CheckInvariants(); err != nil {
 			panic(fmt.Sprintf("noc: checked step failed at cycle %d: %v", n.cycle, err))
 		}
+	}
+	if meter != nil {
+		// Fold the per-shard scratch timings shardCycle left behind into
+		// the meter totals (the barrier, where there is one, ordered
+		// those writes before this read).
+		for i := range n.shards {
+			sh, ms := &n.shards[i], &meter.shards[i]
+			ms.busyNs.Add(sh.meterEnd.Sub(sh.meterT0).Nanoseconds())
+			ms.drainNs.Add(sh.meterDrainNs)
+			ms.cycles.Add(1)
+		}
+		meter.stepNs.Add(time.Since(t0).Nanoseconds())
+		meter.cycles.Add(1)
 	}
 }
 
@@ -534,7 +452,8 @@ func (n *Network) inject(id topology.NodeID) {
 		s.curSeq = 0
 	}
 
-	if r.vcOcc(r.flatVC(lpi, s.curVC)) >= n.cfg.BufDepth {
+	fi := r.flatVC(lpi, s.curVC)
+	if r.vcOcc(fi) >= n.cfg.BufDepth {
 		return // wait for space
 	}
 	job := s.cur
@@ -555,17 +474,18 @@ func (n *Network) inject(id topology.NodeID) {
 	if f.Type.IsHead() {
 		job.pkt.InjectedAt = n.cycle
 	}
-	// Emit the inject event before acceptFlit: with look-ahead routing,
-	// acceptFlit computes the route and emits the flit's first route
-	// event, and the trace contract promises inject precedes every later
-	// event of the same flit (obs.Replay enforces it).
+	// Emit the inject event before arrive: with look-ahead routing,
+	// arrive computes the route and emits the flit's first route event,
+	// and the trace contract promises inject precedes every later event
+	// of the same flit (obs.Replay enforces it).
 	if sh.probe != nil {
 		sh.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeInject, Cycle: n.cycle, Router: id,
 			Dir: topology.Local, VC: int8(s.curVC), Flit: f,
 		})
 	}
-	r.acceptFlit(n.cycle, lpi, s.curVC, f)
+	r.vcPush(fi, f, n.cycle)
+	r.arrive(fi, &f, n.cycle)
 	sh.hot.inFlightFlits++
 	sh.hot.queuedFlits--
 	s.curSeq++

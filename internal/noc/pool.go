@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // shardPool is the persistent worker set behind sharded stepping: one
 // goroutine per shard 1..n-1; shard 0 runs on the goroutine that calls
@@ -117,24 +114,15 @@ func newShardPool(n *Network) *shardPool {
 	return p
 }
 
-// runShardCycle runs one shard's cycle, capturing a panic for the serial
-// epilogue to re-raise once every shard has finished (a worker must
-// never die: the next barrier would wait for it forever). With an engine
-// meter attached it times the cycle for that epilogue (stepSharded).
+// runShardCycle runs one shard's cycle under the barrier, capturing a
+// panic for the serial epilogue to re-raise once every shard has finished
+// (a worker must never die: the next barrier would wait for it forever).
 func (n *Network) runShardCycle(sh *shardState) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.panicked = r
 		}
 	}()
-	if n.meter != nil {
-		sh.meterT0 = time.Now()
-		sh.meterDrainNs = 0
-		n.shardCycle(sh)
-		sh.meterEnd = time.Now()
-		sh.meterBusyNs = sh.meterEnd.Sub(sh.meterT0).Nanoseconds()
-		return
-	}
 	n.shardCycle(sh)
 }
 

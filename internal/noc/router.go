@@ -109,16 +109,23 @@ type outputPort struct {
 type Router struct {
 	id  topology.NodeID
 	net *Network
-	// sh is the shard stepping this router (shard 0 under sequential
-	// stepping); the forward path schedules into its rings and the
-	// probe emission sites go through its sink. shard caches sh.idx
-	// for the same-shard test per forwarded flit.
-	sh       *shardState
-	shard    int32
-	inPorts  []inputPort
-	outPorts []outputPort
-	inIndex  [topology.NumDirs]int8 // dir -> port index, -1 if absent
-	outIndex [topology.NumDirs]int8
+	// sh is the shard stepping this router; the forward path schedules
+	// into its rings and the probe emission sites go through its sink.
+	// shard caches sh.idx for the same-shard test per forwarded flit.
+	sh    *shardState
+	shard int32
+	// refStages routes this router through the reference full-scan stage
+	// bodies (step{RC,VA,SA}Full): under StepFullScan, and whenever its
+	// flat VC count exceeds the 64 bits of the request mask the activity
+	// stages hand the arbiters. Every shipped config fits the mask; the
+	// widest Config.Validate accepts (127 flat VCs) does not. It sits in
+	// the header's first cache line because the cycle reads it on every
+	// visit.
+	refStages bool
+	inPorts   []inputPort
+	outPorts  []outputPort
+	inIndex   [topology.NumDirs]int8 // dir -> port index, -1 if absent
+	outIndex  [topology.NumDirs]int8
 	// linkMask has bit oi set when output port oi drives a link (every
 	// port except Local); the SA credit check tests the bit instead of
 	// loading outputPort.hasLink.
@@ -177,17 +184,12 @@ type Router struct {
 	serFree []int64
 	// reqScratch, eligibleOut and saRank are reusable per-cycle scratch
 	// vectors (windows) over flat input-VC indices, avoiding allocation
-	// in the hot switch-allocation loop. The activity-driven stage
-	// functions keep reqScratch all-false between uses and only touch
-	// the indices on their pending lists.
+	// in the hot switch-allocation loop. reqScratch is the []bool request
+	// vector of the reference stages and of grantMask's matrix
+	// delegation, which leaves it all-false.
 	reqScratch  []bool
 	eligibleOut []int8
 	saRank      []int8
-	// arbMask is set when the router's flat VC count fits a uint64, so
-	// the allocation stages hand the arbiters request bitmasks instead
-	// of filling (and re-clearing) reqScratch. Every shipped config
-	// qualifies; the []bool path remains for wider ones.
-	arbMask bool
 	// The eligibility pass threads each cycle's switch-eligible VCs into
 	// per-output-port chains: saHead[oi]/saLast[oi] bound the chain and
 	// eligNext[f] links it (windows, reset lazily per cycle via
@@ -210,9 +212,6 @@ type Router struct {
 	// setVCState; see activity.go for the determinism argument.
 	listRC, listVA, listSA []int32
 	listPos                []int32
-	// waitersByOut[oi] counts VCs in vcWaitVC routed to output port oi,
-	// letting stepVA skip output ports nobody bids for (window).
-	waitersByOut []int32
 }
 
 // initRouter builds the port metadata view for node id in place (the
@@ -299,7 +298,7 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.serFree = st.serFree[portBase : portBase+nP]
 
 	r.reqScratch = st.reqScratch[vcBase : vcBase+nVC]
-	r.arbMask = nVC <= 64
+	r.refStages = cfg.Mode == StepFullScan || nVC > 64
 	_, r.algXY = cfg.Alg.(routing.XY)
 	r.eligibleOut = st.eligibleOut[vcBase : vcBase+nVC]
 	r.saRank = st.saRank[vcBase : vcBase+nVC]
@@ -313,7 +312,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.listVA = st.listVA[vcBase : vcBase : vcBase+nVC]
 	r.listSA = st.listSA[vcBase : vcBase : vcBase+nVC]
 	r.listPos = st.listPos[vcBase : vcBase+nVC]
-	r.waitersByOut = st.waitersByOut[portBase : portBase+nP]
 
 	for f := 0; f < nVC; f++ {
 		r.listPos[f] = -1
@@ -344,14 +342,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 
 // flatVC maps (input port, vc) to the flattened request index.
 func (r *Router) flatVC(pi, vi int) int { return pi*r.vcsPerPort + vi }
-
-// switchMasks returns the per-port claim stamps; a port is occupied
-// this cycle iff its entry equals cycle (claim a port by storing the
-// cycle). Stale stamps from earlier cycles never compare equal, so no
-// clearing pass is needed.
-func (r *Router) switchMasks(cycle int64) (in, out []int64) {
-	return r.inBusy, r.outBusy
-}
 
 // startHead prepares the VC at flat index f whose front just became a
 // head flit: with look-ahead routing the output port is already known
@@ -395,10 +385,9 @@ func (r *Router) routeHead(f int) {
 	}
 }
 
-// layerFrac returns the fraction of datapath layers a flit keeps active
-// (a table lookup; the ratios are precomputed in NewNetwork).
-func (r *Router) layerFrac(f Flit) float64 { return r.layerFracN(f.ActiveLayers) }
-
+// layerFracN returns the fraction of datapath layers a flit with the
+// given active-layer count keeps switching (a table lookup; the ratios
+// are precomputed in NewNetwork).
 func (r *Router) layerFracN(active uint8) float64 {
 	lut := r.net.layerFrac
 	if int(active) >= len(lut) {
@@ -407,29 +396,21 @@ func (r *Router) layerFracN(active uint8) float64 {
 	return lut[active]
 }
 
-// acceptFlit writes an arriving flit into an input VC buffer (the NI
-// injection path; link arrivals come through acceptArrival). The ring
-// push panics on buffer overflow, which would indicate a credit
-// accounting bug.
-func (r *Router) acceptFlit(cycle int64, portIdx, vc int, f Flit) {
-	fi := r.flatVC(portIdx, vc)
-	r.vcPush(fi, f, cycle)
+// arrive is the bookkeeping tail of every buffer write, run once flit f
+// is visible at the back of input VC fi: a ring arrival exposed by
+// vcArrive, a mailbox arrival or an NI injection pushed by vcPush. It
+// counts the write and, when f is a head landing in an empty VC, starts
+// its pipeline.
+func (r *Router) arrive(fi int, f *Flit, cycle int64) {
 	r.Counters.BufWrites++
-	r.Counters.WBufWrites += r.layerFrac(f)
-	if f.Type.IsHead() && r.vcOcc(fi) == 1 {
+	r.Counters.WBufWrites += r.layerFracN(f.ActiveLayers)
+	if f.Type.IsHead() && r.vcLen[fi] == 1 {
 		if r.vcState[fi] != vcIdle {
 			panic(fmt.Sprintf("noc: router %d port %v vc %d head arrives in state %v",
-				r.id, r.inPorts[portIdx].dir, vc, r.vcState[fi]))
+				r.id, r.inPorts[r.portOf[fi]].dir, r.vcOf[fi], r.vcState[fi]))
 		}
 		r.startHead(int32(fi), cycle)
 	}
-}
-
-// badArrivalState reports a head flit landing on a VC that is not
-// idle; the happy path of arrival delivery is inlined in Step.
-func (r *Router) badArrivalState(fi int) {
-	panic(fmt.Sprintf("noc: router %d port %v vc %d head arrives in state %v",
-		r.id, r.inPorts[r.portOf[fi]].dir, r.vcOf[fi], r.vcState[fi]))
 }
 
 // stepRC performs route computation for head flits that reached the
@@ -453,8 +434,10 @@ func (r *Router) stepRC(cycle int64) {
 	}
 }
 
-// stepRCFull is the reference full scan over every port and VC
-// (StepFullScan mode); it must stay behaviourally identical to stepRC.
+// stepRCFull is the reference full scan over every port and VC: the
+// body StepFullScan and over-wide routers run (Router.refStages), and
+// the one the step-mode suites diff stepRC against, so it must stay
+// behaviourally identical to it.
 func (r *Router) stepRCFull(cycle int64) {
 	for f := range r.vcState {
 		if r.vcState[f] != vcRouting || cycle < r.vcReadyAt[f] {
@@ -484,10 +467,10 @@ func (r *Router) vaCandidate(ov int, c Class) bool {
 // output-VC selection collapses into the candidate filter because a
 // requester bids for every class-compatible free VC of its output port.
 //
-// Only VCs on the wait pending list build request vectors, and output
-// ports with no waiters (waitersByOut) are skipped outright; both prune
+// Only VCs on the wait pending list build request masks, and output
+// ports no ready waiter is routed to are skipped outright; both prune
 // exactly the (oi, ov) pairs the full scan would have found requester-
-// less, so the arbiters receive the identical Grant sequence.
+// less, so the arbiters receive the identical grant sequence.
 func (r *Router) stepVA(cycle int64) {
 	readyAt := r.vcReadyAt
 	outPort := r.vcOutPort
@@ -495,10 +478,9 @@ func (r *Router) stepVA(cycle int64) {
 	// SA chain scratch (stepSA ran earlier this cycle and has consumed
 	// its chains). One pass replaces the per-(oi, ov) rescans of the
 	// wait list; chain order is list order, but nothing below depends on
-	// it (request vectors are order-independent and the single-candidate
-	// fast path has exactly one match), so the arbiters receive the
-	// identical Grant sequence.
-	saCount, saLast, saHead, next := r.saCount, r.saLast, r.saHead, r.eligNext
+	// it (request masks are order-independent), so the arbiters receive
+	// the identical grant sequence.
+	saLast, saHead, next := r.saLast, r.saHead, r.eligNext
 	var outMask uint32
 	nReady := 0
 	for _, f := range r.listVA {
@@ -509,13 +491,11 @@ func (r *Router) stepVA(cycle int64) {
 		oi := int(outPort[f])
 		bit := uint32(1) << uint(oi)
 		if outMask&bit == 0 {
-			saCount[oi] = 0
 			saHead[oi] = f
 			outMask |= bit
 		} else {
 			next[saLast[oi]] = f
 		}
-		saCount[oi]++
 		saLast[oi] = f
 	}
 	r.Counters.VAReqs += int64(nReady)
@@ -542,69 +522,26 @@ func (r *Router) stepVA(cycle int64) {
 			if r.reserved[oi*vcs+ov] {
 				continue
 			}
-			// First pass counts (and, on the mask path, collects the
-			// request bits); the arbiter's full grant is paid only
-			// under contention.
-			count, last := 0, int32(-1)
+			// Collect the request bits; the arbiter's full grant is paid
+			// only under contention.
 			var mask uint64
-			if r.arbMask {
-				for f := head; ; f = next[f] {
-					if state[f] == vcWaitVC && cycle >= readyAt[f] &&
-						int(outPort[f]) == oi && (!byClass || ov == int(class[f])) {
-						count++
-						last = f
-						mask |= 1 << uint(f)
-					}
-					if f == tail {
-						break
-					}
+			for f := head; ; f = next[f] {
+				if state[f] == vcWaitVC && cycle >= readyAt[f] &&
+					int(outPort[f]) == oi && (!byClass || ov == int(class[f])) {
+					mask |= 1 << uint(f)
 				}
-			} else {
-				for f := head; ; f = next[f] {
-					if state[f] == vcWaitVC && cycle >= readyAt[f] &&
-						int(outPort[f]) == oi && (!byClass || ov == int(class[f])) {
-						count++
-						last = f
-					}
-					if f == tail {
-						break
-					}
+				if f == tail {
+					break
 				}
 			}
-			if count == 0 {
+			if mask == 0 {
 				continue
 			}
-			var g int
-			if count == 1 {
-				r.vaArb(oi, ov).grantSingle(int(last))
-				g = int(last)
-			} else if r.arbMask {
-				if g = r.vaArb(oi, ov).grantMask(mask, r.reqScratch); g < 0 {
-					continue
-				}
-			} else {
-				reqs := r.reqScratch // all-false between uses
-				for f := head; ; f = next[f] {
-					if state[f] == vcWaitVC && cycle >= readyAt[f] &&
-						int(outPort[f]) == oi && (!byClass || ov == int(class[f])) {
-						reqs[f] = true
-					}
-					if f == tail {
-						break
-					}
-				}
-				g = r.vaArb(oi, ov).grant(reqs)
-				// Restore the all-false invariant before any transition
-				// can remove a set index from the list.
-				for f := head; ; f = next[f] {
-					reqs[f] = false
-					if f == tail {
-						break
-					}
-				}
-				if g < 0 {
-					continue
-				}
+			g := bits.TrailingZeros64(mask)
+			if mask&(mask-1) == 0 {
+				r.vaArb(oi, ov).grantSingle(g)
+			} else if g = r.vaArb(oi, ov).grantMask(mask, r.reqScratch); g < 0 {
+				continue
 			}
 			r.grantVC(cycle, g, oi, ov)
 		}
@@ -632,7 +569,7 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	}
 }
 
-// stepVAFull is the reference full scan (StepFullScan mode); it must
+// stepVAFull is the reference full scan (Router.refStages); it must
 // stay behaviourally identical to stepVA.
 func (r *Router) stepVAFull(cycle int64) {
 	any := false
@@ -759,7 +696,7 @@ func (r *Router) stepSA(cycle int64) {
 	if outMask == 0 {
 		return
 	}
-	inBusy, outBusy := r.switchMasks(cycle)
+	inBusy, outBusy := r.inBusy, r.outBusy
 	if outMask&(outMask-1) == 0 {
 		// One eligible output port: the rotation cannot matter, so skip
 		// the modulo entirely.
@@ -790,15 +727,15 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 	}
 	var g int
 	if r.saCount[oi] == 1 {
-		// Sole candidate: skip the request-vector build. grantSingle
-		// advances the arbiter exactly like grant with one bit set.
+		// Sole candidate: skip the request-mask build. grantSingle
+		// advances the arbiter exactly like grantMask with one bit set.
 		f := r.saLast[oi]
 		if inBusy[r.portOf[f]] == cycle {
 			return
 		}
 		r.saArb(oi).grantSingle(int(f))
 		g = int(f)
-	} else if r.arbMask {
+	} else {
 		portOf, next := r.portOf, r.eligNext
 		head, tail := r.saHead[oi], r.saLast[oi]
 		var mask uint64
@@ -826,6 +763,8 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 				}
 			}
 		} else {
+			// Without QoS every rank is 0 (stepSA wrote them), so the
+			// best-tier prescan collapses into the request build.
 			for f := head; ; f = next[f] {
 				if inBusy[portOf[f]] != cycle {
 					mask |= 1 << uint(f)
@@ -841,62 +780,6 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 		if g = r.saArb(oi).grantMask(mask, r.reqScratch); g < 0 {
 			return
 		}
-	} else {
-		portOf, next := r.portOf, r.eligNext
-		head, tail := r.saHead[oi], r.saLast[oi]
-		reqs := r.reqScratch // all-false between uses
-		found := false
-		if r.net.cfg.QoSPriority {
-			// Restrict candidates to the best QoS tier present.
-			saRank := r.saRank
-			best := int8(127)
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle && saRank[f] < best {
-					best = saRank[f]
-				}
-				if f == tail {
-					break
-				}
-			}
-			if best == 127 {
-				return
-			}
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle && saRank[f] == best {
-					reqs[f] = true
-					found = true
-				}
-				if f == tail {
-					break
-				}
-			}
-		} else {
-			// Without QoS every rank is 0 (stepSA wrote them), so the
-			// best-tier prescan collapses into the request build.
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle {
-					reqs[f] = true
-					found = true
-				}
-				if f == tail {
-					break
-				}
-			}
-		}
-		if !found {
-			return // nothing was set; reqs still all-false
-		}
-		g = r.saArb(oi).grant(reqs)
-		// Restore the all-false invariant before the next stage runs.
-		for f := head; ; f = next[f] {
-			reqs[f] = false
-			if f == tail {
-				break
-			}
-		}
-		if g < 0 {
-			return
-		}
 	}
 	pi := int(r.portOf[g])
 	r.forward(cycle, g, oi)
@@ -905,7 +788,7 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 	r.Counters.SAGrants++
 }
 
-// stepSAFull is the reference full scan (StepFullScan mode); it must
+// stepSAFull is the reference full scan (Router.refStages); it must
 // stay behaviourally identical to stepSA.
 func (r *Router) stepSAFull(cycle int64) {
 	nOut := len(r.outPorts)
@@ -937,7 +820,7 @@ func (r *Router) stepSAFull(cycle int64) {
 	if !any {
 		return
 	}
-	inBusy, outBusy := r.switchMasks(cycle)
+	inBusy, outBusy := r.inBusy, r.outBusy
 	start := int(uint64(cycle) % uint64(nOut)) // rotate output priority
 	for k := 0; k < nOut; k++ {
 		oi := start + k
@@ -979,7 +862,7 @@ func (r *Router) stepSAFull(cycle int64) {
 // made earlier this cycle keep their ports; speculation only uses
 // leftover switch slots.
 func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
-	inBusy, outBusy := r.switchMasks(cycle)
+	inBusy, outBusy := r.inBusy, r.outBusy
 	pi := int(r.portOf[f])
 	if inBusy[pi] == cycle || outBusy[oi] == cycle {
 		return
@@ -1002,8 +885,9 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 
 // forward sends the front flit of input VC fi through output port oi.
 // The flit is read and mutated (hop count) in its ring slot and copied
-// out exactly once — into the downstream ring (vcReserveSlot) or the
-// ejection event — then dropped without a pop copy.
+// out exactly once — into the downstream ring, a boundary mailbox or the
+// ejection event — then dropped without a pop copy. It is the only code
+// that reserves a downstream ring slot.
 func (r *Router) forward(cycle int64, fi, oi int) {
 	cfg := &r.net.cfg
 	pi := int(r.portOf[fi])
@@ -1099,10 +983,13 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			// The flit body goes straight into its future slot of the
 			// downstream VC ring (single copy); the event word is the
 			// destination's global flat VC index — the arrival notice
-			// that exposes the flit at the delivery cycle. This is
-			// vcReserveGlobal (soa.go) spelled out: the compiler won't
-			// inline it and the call sits on the busiest line of the
-			// simulator.
+			// that exposes the flit at the delivery cycle. Deliveries are
+			// FIFO per VC (one flit per link per cycle) and pops leave
+			// head+len invariant, so the slot computed here — after the
+			// buffered flits and the earlier in-flight ones — is exactly
+			// where vcArrive will expose it. The flat arrays are
+			// addressed by the global index precomputed in downVCBase,
+			// so the downstream router header is never touched.
 			st := &r.net.soa
 			depth := r.bufDepth
 			occ := int(st.vcLen[gi]) + int(st.vcInFly[gi])
@@ -1127,8 +1014,8 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			// Cross-shard forward: the downstream arrays belong to a
 			// shard that may be mid-cycle, so the flit body rides the
 			// boundary mailbox and is pushed into the destination ring
-			// at delivery time (deliverMailArrival). The credit check
-			// above already guaranteed the space.
+			// at delivery time (shardCycle). The credit check above
+			// already guaranteed the space.
 			var seq int32
 			if sh.stamp {
 				seq = sh.hot.seq

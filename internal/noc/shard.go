@@ -14,9 +14,10 @@ import (
 // steps every shard concurrently inside one cycle: each shard delivers
 // its own scheduled events, injects its own NIs and runs the SA/VA/RC
 // stages over its own routers on a private goroutine, joined by one
-// barrier per cycle. Results are bit-identical to sequential stepping
-// (Shards <= 1) for any shard count — the same contract the activity
-// path keeps against the full scan (activity.go).
+// barrier per cycle. Sequential stepping (Shards <= 1) is the same
+// cycle function, shardCycle, run over the one shard inline on the
+// caller, and results are bit-identical for any shard count — the same
+// contract the activity path keeps against the full scan (activity.go).
 //
 // # Why link latency makes concurrent shards safe
 //
@@ -116,9 +117,8 @@ type shardMail struct {
 }
 
 // shardHot holds one shard's incrementally maintained backlog counters
-// (the per-network inFlightFlits/queuedFlits/queuedPackets of the
-// sequential core, split per shard) plus the per-cycle probe append
-// sequence.
+// (the network's inFlightFlits/queuedFlits/queuedPackets, split per
+// shard) plus the per-cycle probe append sequence.
 //
 // Layout invariant: the struct is padded to exactly one 64-byte cache
 // line, and Network.hot is a contiguous []shardHot, so two shards'
@@ -177,8 +177,7 @@ func probeKey(phase int, srcShard, seq int32) uint64 {
 // shard, the per-stage activity sets restricted to the shard's routers
 // and NIs, and the buffered outputs (ejections, probe events) the
 // serial epilogue replays in canonical order. With Shards <= 1 the
-// single shard's rings and sets are the network's rings and sets, and
-// the sequential step path uses them directly.
+// single shard's rings and sets are the network's rings and sets.
 type shardState struct {
 	idx    int32
 	lo, hi int32 // router/NI ID range [lo, hi)
@@ -186,14 +185,13 @@ type shardState struct {
 	hot    *shardHot
 
 	// phase selects the send-phase segment (0 = SA, 1 = speculative VA)
-	// new arrivals and ejections are appended under; the sharded cycle
-	// sets it before each stage loop. Sequential stepping leaves it 0,
-	// collapsing ev to the single ring of the unsharded core.
+	// new arrivals and ejections are appended under; shardCycle sets it
+	// before each stage loop.
 	phase int32
 
-	// ev/ejRing/cred are the shard's own scheduling rings, exactly the
-	// network rings of the sequential core restricted to traffic whose
-	// destination router stays in this shard. evIdx carries the
+	// ev/ejRing/cred are the shard's own scheduling rings, carrying the
+	// traffic whose destination router stays in this shard (network.go
+	// describes the event words). evIdx carries the
 	// per-cycle append sequence of each ev entry, maintained only when a
 	// probe is attached to a sharded network (stamp). ringLen/ringMask
 	// copy the network's dynamic ring geometry for the hot slot math.
@@ -205,31 +203,35 @@ type shardState struct {
 	ringMask int64
 
 	// Per-stage activity sets over this shard's routers and NIs (see
-	// activity.go; bits outside [lo, hi) are never set).
+	// activity.go; bits outside [lo, hi) are never set). all is the
+	// full-scan member list — every router in [lo, hi) — and nil in the
+	// activity modes (members).
 	actRC, actVA, actSA, actNI routerSet
 	actScratch                 []int32
+	all                        []int32
 
 	// probe is where this shard's emission sites send events: the
-	// network probe itself when stepping sequentially, the shard's own
-	// buffering sink (ProbeEvent below) when sharded, nil when
-	// unobserved. stamp mirrors "sharded and observed" for the append
-	// paths; probeKey is the merge key of the action currently running.
+	// network probe itself on a single shard, the shard's own buffering
+	// sink (ProbeEvent below) when sharded, nil when unobserved. stamp
+	// mirrors "sharded and observed": only then are merge keys and append
+	// sequence numbers maintained; probeKey is the merge key of the
+	// action currently running.
 	probe    Probe
 	stamp    bool
 	probeKey uint64
 	probeBuf []keyedProbeEvent
 
 	// ejOut buffers the packets whose tail flit ejected this cycle, per
-	// send phase, for the serial epilogue's eject callbacks.
+	// send phase, for the serial epilogue's eject callbacks (sharded
+	// only; a single shard calls the handler directly).
 	ejOut [2][]*Packet
 
-	// Engine-meter scratch (enginemeter.go): the shard's worker writes
-	// these during its cycle, the serial epilogue reads them after the
+	// Engine-meter scratch (enginemeter.go): the goroutine running
+	// shardCycle writes these, Step's epilogue reads them after the
 	// barrier — the pool's pending count provides the happens-before edge,
 	// so no atomics are needed. Unused (stale) when no meter is attached.
 	meterT0      time.Time
 	meterEnd     time.Time
-	meterBusyNs  int64
 	meterDrainNs int64
 
 	panicked any
@@ -242,8 +244,7 @@ func (sh *shardState) ProbeEvent(ev ProbeEvent) {
 }
 
 // evSlot returns the shard's arrival-event lane for delivery cycle at
-// under the current send phase, validating the horizon like the
-// sequential slotFor did.
+// under the current send phase, validating the ring horizon.
 func (sh *shardState) evSlot(now, at int64) *[]event {
 	if d := at - now; d <= 0 || d >= sh.ringLen {
 		panic("noc: schedule delta out of range")
@@ -276,30 +277,57 @@ func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
 	return &n.mail[src.idx][dst].cred[at&n.ringMask]
 }
 
-// stepSharded advances one cycle with len(shards) > 1: shard 0 runs its
-// delivery, injection and pipeline stages on the calling goroutine, the
-// others on their persistent workers (pool.go), and the serial epilogue
-// replays the buffered probe events and eject callbacks in canonical
-// order. The pool's barrier is the only synchronization (package comment).
+// members returns the routers (or NIs) one stage of the cycle visits, in
+// ascending ID order: a snapshot of the stage's activity set, or under
+// full scan every router of the shard. The snapshot is taken immediately
+// before the stage runs, so routers activated by an earlier stage of the
+// same cycle are visited exactly as the full scan visits them — where
+// they find only non-ready VCs and do nothing.
+func (sh *shardState) members(set *routerSet) []int32 {
+	if sh.all != nil {
+		return sh.all
+	}
+	if set.n == 0 {
+		return nil
+	}
+	sh.actScratch = set.appendMembers(sh.actScratch[:0])
+	return sh.actScratch
+}
+
+// setKey stamps the merge key of the stage the shard is about to run.
+func (sh *shardState) setKey(phase int) {
+	if sh.stamp {
+		sh.probeKey = probeKey(phase, sh.idx, 0)
+	}
+}
+
+// stepSharded runs one cycle over len(shards) > 1: shard 0 on the calling
+// goroutine, the others on their persistent workers (pool.go), then the
+// serial epilogue replays the buffered probe events and eject callbacks
+// in canonical order. The pool's barrier is the only synchronization
+// (package comment).
 func (n *Network) stepSharded() {
 	p := n.pool
 	if p == nil {
 		p = newShardPool(n)
 		n.pool = p
 	}
-	meter := n.meter
-	var t0 time.Time
-	if meter != nil {
-		t0 = time.Now()
-	}
 	p.publish()
 	n.runShardCycle(&n.shards[0])
-	if p.await(&p.caller, &p.pending, 0) && meter != nil {
-		meter.parks.Add(1)
-	}
-	var barrierEnd time.Time
-	if meter != nil {
-		barrierEnd = time.Now()
+	parked := p.await(&p.caller, &p.pending, 0)
+	if meter := n.meter; meter != nil {
+		if parked {
+			meter.parks.Add(1)
+		}
+		// A shard's barrier wait is the gap between finishing its cycle
+		// and the last shard finishing (= the join returning): the
+		// signature of imbalance, since every early finisher burns it.
+		joined := time.Now()
+		for i := range n.shards {
+			if w := joined.Sub(n.shards[i].meterEnd).Nanoseconds(); w > 0 {
+				meter.shards[i].barrierNs.Add(w)
+			}
+		}
 	}
 	for i := range n.shards {
 		if p := n.shards[i].panicked; p != nil {
@@ -307,226 +335,188 @@ func (n *Network) stepSharded() {
 			panic(p)
 		}
 	}
-	if meter != nil {
-		// Fold the workers' scratch timings into the meter totals. The
-		// per-shard barrier wait is the gap between that shard finishing
-		// its cycle and the last shard finishing (= the join returning):
-		// the signature of imbalance, since every early finisher burns it
-		// waiting.
-		for i := range n.shards {
-			sh := &n.shards[i]
-			ms := &meter.shards[i]
-			ms.busyNs.Add(sh.meterBusyNs)
-			ms.drainNs.Add(sh.meterDrainNs)
-			if w := barrierEnd.Sub(sh.meterEnd).Nanoseconds(); w > 0 {
-				ms.barrierNs.Add(w)
-			}
-			ms.cycles.Add(1)
-		}
-	}
 	n.drainShardOutputs()
-	if n.cfg.Mode == StepChecked {
-		if err := n.CheckInvariants(); err != nil {
-			panic(fmt.Sprintf("noc: checked step failed at cycle %d: %v", n.cycle, err))
-		}
-	}
-	if meter != nil {
-		meter.stepNs.Add(time.Since(t0).Nanoseconds())
-		meter.cycles.Add(1)
-	}
 }
 
-// shardCycle runs one shard's share of the cycle: deliver credits and
-// events addressed to this shard (own rings plus every inbound
-// mailbox, in canonical phase-then-source order), then inject and step
-// the pipeline stages over the shard's routers.
+// shardCycle is the cycle: one shard's share of it, which on a single
+// shard is all of it. Deliver what was scheduled for this cycle, inject
+// from the NIs (one flit per node per cycle), then run the router
+// pipelines in reverse stage order — SA, VA, RC — so a flit advances at
+// most one stage per cycle.
 func (n *Network) shardCycle(sh *shardState) {
-	slot := n.cycle & sh.ringMask
-	sh.hot.seq = 0
+	cycle := n.cycle
+	meter := n.meter
+	if meter != nil {
+		sh.meterT0 = time.Now()
+	}
 	sh.phase = 0
-
-	// Credits: own ring first, then inbound mailbox lanes. Credit
-	// delivery is a bare increment, so the order is unobservable; it is
-	// fixed anyway (ascending source shard) to keep the walk cheap and
-	// the overflow panic deterministic.
-	depth := int32(n.cfg.BufDepth)
-	creds := sh.cred[slot]
-	sh.cred[slot] = creds[:0]
-	for _, ci := range creds {
-		n.soa.credits[ci]++
-		if n.soa.credits[ci] > depth {
-			panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
-		}
-	}
-	for s := range n.shards {
-		if int32(s) == sh.idx {
-			continue
-		}
-		mcreds := n.mail[s][sh.idx].cred[slot]
-		n.mail[s][sh.idx].cred[slot] = mcreds[:0]
-		if n.meter != nil && len(mcreds) > 0 {
-			n.meter.cross[s*len(n.shards)+int(sh.idx)].credits.Add(int64(len(mcreds)))
-		}
-		for _, ci := range mcreds {
-			n.soa.credits[ci]++
-			if n.soa.credits[ci] > depth {
-				panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
-			}
-		}
-	}
-
-	// Events, in the canonical sequential order: for each send phase,
-	// sources in ascending shard order (the shard's own ring takes its
-	// place among them), entries in append order.
-	observed := sh.probe != nil
-	for p := 0; p < 2; p++ {
-		for s := range n.shards {
-			if int32(s) == sh.idx {
-				events := sh.ev[p][slot]
-				sh.ev[p][slot] = events[:0]
-				idxs := sh.evIdx[p][slot]
-				sh.evIdx[p][slot] = idxs[:0]
-				for k, ev := range events {
-					if observed {
-						var seq int32
-						if k < len(idxs) {
-							seq = idxs[k]
-						}
-						sh.probeKey = probeKey(p, sh.idx, seq)
-					}
-					if ev >= 0 {
-						n.deliverArrival(ev)
-						continue
-					}
-					sh.hot.inFlightFlits--
-					e := &sh.ejRing[slot][^ev]
-					if observed {
-						sh.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: n.cycle, Router: topology.NodeID(e.router), Flit: e.flit})
-					}
-					if e.flit.Type.IsTail() {
-						pkt := e.flit.Pkt
-						pkt.EjectedAt = n.cycle
-						if n.onEject != nil {
-							sh.ejOut[p] = append(sh.ejOut[p], pkt)
-						}
-					}
-				}
-				continue
-			}
-			m := &n.mail[s][sh.idx]
-			xs := m.ev[p][slot]
-			m.ev[p][slot] = xs[:0]
-			if n.meter != nil && len(xs) > 0 {
-				n.meter.cross[s*len(n.shards)+int(sh.idx)].flits.Add(int64(len(xs)))
-			}
-			for k := range xs {
-				x := &xs[k]
-				if observed {
-					sh.probeKey = probeKey(p, int32(s), x.idx)
-				}
-				n.deliverMailArrival(x)
-			}
-		}
-	}
-	sh.ejRing[slot] = sh.ejRing[slot][:0]
-	if n.meter != nil {
+	n.deliver(sh)
+	if meter != nil {
 		sh.meterDrainNs = time.Since(sh.meterT0).Nanoseconds()
 	}
 
-	// Injection and the pipeline stages over this shard's routers, in
-	// the same reverse-stage order as sequential stepping. The send
-	// phase tracks the stage so appended events land in the segment the
-	// delivery order above expects.
-	if observed {
-		sh.probeKey = probeKey(pkInject, sh.idx, 0)
-	}
-	if n.cfg.Mode == StepFullScan {
-		for i := sh.lo; i < sh.hi; i++ {
-			n.inject(topology.NodeID(i))
-		}
-		if observed {
-			sh.probeKey = probeKey(pkSA, sh.idx, 0)
-		}
-		for i := sh.lo; i < sh.hi; i++ {
-			n.routers[i].stepSAFull(n.cycle)
-		}
-		sh.phase = 1
-		if observed {
-			sh.probeKey = probeKey(pkVA, sh.idx, 0)
-		}
-		for i := sh.lo; i < sh.hi; i++ {
-			n.routers[i].stepVAFull(n.cycle)
-		}
-		if observed {
-			sh.probeKey = probeKey(pkRC, sh.idx, 0)
-		}
-		for i := sh.lo; i < sh.hi; i++ {
-			n.routers[i].stepRCFull(n.cycle)
-		}
-		return
-	}
-	sh.actScratch = sh.actNI.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
+	// Injection and the pipeline stages over this shard's members. The
+	// send phase tracks the stage so appended events land in the segment
+	// deliver's order expects. A router runs the reference
+	// full-scan stage bodies under StepFullScan or when it is too wide
+	// for the activity stages' request mask (Router.refStages).
+	sh.setKey(pkInject)
+	for _, id := range sh.members(&sh.actNI) {
 		n.inject(topology.NodeID(id))
 	}
-	if observed {
-		sh.probeKey = probeKey(pkSA, sh.idx, 0)
-	}
-	sh.actScratch = sh.actSA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepSA(n.cycle)
+	sh.setKey(pkSA)
+	for _, id := range sh.members(&sh.actSA) {
+		if r := &n.routers[id]; r.refStages {
+			r.stepSAFull(cycle)
+		} else {
+			r.stepSA(cycle)
+		}
 	}
 	sh.phase = 1
-	if observed {
-		sh.probeKey = probeKey(pkVA, sh.idx, 0)
+	sh.setKey(pkVA)
+	for _, id := range sh.members(&sh.actVA) {
+		if r := &n.routers[id]; r.refStages {
+			r.stepVAFull(cycle)
+		} else {
+			r.stepVA(cycle)
+		}
 	}
-	sh.actScratch = sh.actVA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepVA(n.cycle)
+	sh.setKey(pkRC)
+	for _, id := range sh.members(&sh.actRC) {
+		if r := &n.routers[id]; r.refStages {
+			r.stepRCFull(cycle)
+		} else {
+			r.stepRC(cycle)
+		}
 	}
-	if observed {
-		sh.probeKey = probeKey(pkRC, sh.idx, 0)
-	}
-	sh.actScratch = sh.actRC.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
-		n.routers[id].stepRC(n.cycle)
+	if meter != nil {
+		sh.meterEnd = time.Now()
 	}
 }
 
-// deliverArrival exposes a same-shard link arrival: the flit was
-// direct-written into its ring slot by the upstream forward, and ev is
-// the destination's global flat VC index. Must stay behaviourally
-// identical to the inlined arrival branch of the sequential step.
-func (n *Network) deliverArrival(ev event) {
-	r := &n.routers[n.soa.ownerOf[ev]]
-	fi := int(ev - r.vcBase)
-	f := r.vcArrive(fi)
-	r.Counters.BufWrites++
-	r.Counters.WBufWrites += r.layerFracN(f.ActiveLayers)
-	if f.Type.IsHead() && r.vcOcc(fi) == 1 {
-		if r.vcState[fi] != vcIdle {
-			r.badArrivalState(fi)
-		}
-		r.startHead(int32(fi), n.cycle)
-	}
-}
+// deliver is the first step of shardCycle: it hands shard sh the credits
+// and events scheduled for this cycle, from its own rings and from every
+// inbound mailbox, in the canonical phase-then-source order. It is a
+// function of its own only to keep its loops' registers apart from the
+// stage loops' (ur6x6_sparse runs ~2 % slower with the body inline).
+func (n *Network) deliver(sh *shardState) {
+	cycle := n.cycle
+	slot := cycle & sh.ringMask
+	meter := n.meter
 
-// deliverMailArrival lands a cross-shard flit carried by a boundary
-// mailbox: push the body into the destination ring (the slot equals the
-// one a send-time direct write would have reserved, because deliveries
-// are FIFO per VC and cross-shard channels never hold in-fly
-// reservations) and run the same arrival bookkeeping as deliverArrival.
-func (n *Network) deliverMailArrival(x *xEvent) {
-	r := &n.routers[n.soa.ownerOf[x.gi]]
-	fi := int(x.gi - r.vcBase)
-	r.vcPush(fi, x.flit, n.cycle)
-	r.Counters.BufWrites++
-	r.Counters.WBufWrites += r.layerFracN(x.flit.ActiveLayers)
-	if x.flit.Type.IsHead() && r.vcOcc(fi) == 1 {
-		if r.vcState[fi] != vcIdle {
-			r.badArrivalState(fi)
+	// Credits: the shard's own lane, then the inbound mailbox lanes in
+	// ascending source order (n.mail is nil on a single shard, and
+	// mail[i][i] stays empty). A credit return is a bare increment of the
+	// flat credit array, so its order against anything else in the cycle
+	// is unobservable; the fixed lane order keeps the overflow panic
+	// deterministic.
+	credits, depth := n.soa.credits, int32(n.cfg.BufDepth)
+	for s, lane := -1, &sh.cred[slot]; ; lane = &n.mail[s][sh.idx].cred[slot] {
+		if len(*lane) > 0 {
+			if s >= 0 && meter != nil {
+				meter.cross[s*len(n.shards)+int(sh.idx)].credits.Add(int64(len(*lane)))
+			}
+			for _, ci := range *lane {
+				credits[ci]++
+				if credits[ci] > depth {
+					panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
+				}
+			}
+			*lane = (*lane)[:0]
 		}
-		r.startHead(int32(fi), n.cycle)
+		if s++; s == len(n.mail) {
+			break
+		}
+	}
+
+	// Events, in the canonical order: for each send phase, sources in
+	// ascending shard order (the shard's own ring takes its place among
+	// them), entries in append order. Every arrival ends in the one
+	// arrive tail NI injection also uses.
+	stamp := sh.stamp
+	if stamp {
+		sh.hot.seq = 0
+	}
+	ownerOf := n.soa.ownerOf
+	for p := 0; p < 2; p++ {
+		for s := range n.shards {
+			if int32(s) != sh.idx {
+				m := &n.mail[s][sh.idx]
+				xs := m.ev[p][slot]
+				if len(xs) == 0 {
+					continue
+				}
+				m.ev[p][slot] = xs[:0]
+				if meter != nil {
+					meter.cross[s*len(n.shards)+int(sh.idx)].flits.Add(int64(len(xs)))
+				}
+				for k := range xs {
+					// A cross-shard flit carries its body: push it into the
+					// ring now (the slot equals the one a send-time direct
+					// write would have reserved, because deliveries are FIFO
+					// per VC and cross-shard channels never hold in-fly
+					// reservations).
+					x := &xs[k]
+					if stamp {
+						sh.probeKey = probeKey(p, int32(s), x.idx)
+					}
+					r := &n.routers[ownerOf[x.gi]]
+					fi := int(x.gi - r.vcBase)
+					r.vcPush(fi, x.flit, cycle)
+					r.arrive(fi, &x.flit, cycle)
+				}
+				continue
+			}
+			events := sh.ev[p][slot]
+			if len(events) == 0 {
+				continue
+			}
+			sh.ev[p][slot] = events[:0]
+			idxs := sh.evIdx[p][slot]
+			sh.evIdx[p][slot] = idxs[:0]
+			for k, ev := range events {
+				if stamp {
+					// Entries appended before the probe was attached
+					// carry no sequence number.
+					var seq int32
+					if k < len(idxs) {
+						seq = idxs[k]
+					}
+					sh.probeKey = probeKey(p, sh.idx, seq)
+				}
+				if ev >= 0 {
+					// Same-shard link arrival: ev is the destination's
+					// global flat VC index, and the upstream forward already
+					// wrote the flit into its ring slot; expose it.
+					r := &n.routers[ownerOf[ev]]
+					fi := int(ev - r.vcBase)
+					r.arrive(fi, r.vcArrive(fi), cycle)
+					continue
+				}
+				sh.hot.inFlightFlits--
+				e := &sh.ejRing[slot][^ev]
+				if sh.probe != nil {
+					sh.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
+				}
+				if e.flit.Type.IsTail() {
+					pkt := e.flit.Pkt
+					pkt.EjectedAt = cycle
+					if n.onEject == nil {
+						continue
+					}
+					if n.mail == nil { // single shard: no epilogue to defer to
+						n.onEject(pkt)
+					} else {
+						sh.ejOut[p] = append(sh.ejOut[p], pkt)
+					}
+				}
+			}
+		}
+	}
+	// New events only ever target future slots (evSlot rejects d <= 0),
+	// so the payload slice is safe to recycle once the loops are done.
+	if ej := sh.ejRing[slot]; len(ej) > 0 {
+		sh.ejRing[slot] = ej[:0]
 	}
 }
 

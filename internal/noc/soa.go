@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mira/internal/topology"
 )
@@ -52,8 +51,7 @@ import (
 // The flattening moves bytes, not decisions: every stage loop visits
 // the same (router, port, vc) tuples in the same order as before, the
 // arbiters receive identical request vectors over identical flat
-// indices (arbState reimplements the round-robin rotor verbatim and
-// delegates to the same Matrix state otherwise), and cross-router
+// indices (arbState, arbiter.go), and cross-router
 // interaction still flows exclusively through the event ring. The VC
 // ring buffer replaces the old append/compact slice but preserves
 // FIFO order and the arrived-cycle tags, so eligibility tests see the
@@ -67,7 +65,7 @@ type soaState struct {
 	vcLen     []int32 // ring occupancy, in [0, BufDepth]
 	vcReadyAt []int64 // earliest cycle for the pending stage
 	// vcFrontAt caches the arrival cycle of each VC's front flit (valid
-	// while occupancy > 0, maintained by vcPush/vcPop), so the SA
+	// while occupancy > 0, maintained by vcPush/vcArrive/vcDrop), so the SA
 	// eligibility scan reads one dense lane instead of chasing into the
 	// ring storage; CheckInvariants cross-checks it against the ring.
 	vcFrontAt []int64
@@ -115,7 +113,7 @@ type soaState struct {
 	// count, the upper bound since a VC is in at most one list), so
 	// appends stay in place and never allocate. listPos, the per-cycle
 	// scratch (reqScratch/eligibleOut/saRank/eligStore) and the
-	// per-output aggregates (waiters/saCount/saLast) follow the same
+	// per-output aggregates (saHead/saCount/saLast) follow the same
 	// windowing.
 	listRC, listVA, listSA []int32
 	listPos                []int32
@@ -123,15 +121,14 @@ type soaState struct {
 	// ownerOf maps a global flat VC index back to its router's index,
 	// so event delivery decodes an int32 arrival word without any
 	// per-event metadata.
-	ownerOf      []int32
-	reqScratch   []bool
-	eligibleOut  []int8
-	saRank       []int8
-	eligStore    []int32
-	waitersByOut []int32
-	saHead       []int32
-	saCount      []int8
-	saLast       []int32
+	ownerOf     []int32
+	reqScratch  []bool
+	eligibleOut []int8
+	saRank      []int8
+	eligStore   []int32
+	saHead      []int32
+	saCount     []int8
+	saLast      []int32
 }
 
 // newSoAState allocates the flat arrays for totalVCs flat VC slots and
@@ -139,130 +136,40 @@ type soaState struct {
 func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 	pv := totalPorts * cfg.VCs
 	st := soaState{
-		vcState:      make([]vcState, totalVCs),
-		vcHead:       make([]int32, totalVCs),
-		vcLen:        make([]int32, totalVCs),
-		vcReadyAt:    make([]int64, totalVCs),
-		vcFrontAt:    make([]int64, totalVCs),
-		vcOutDir:     make([]topology.Dir, totalVCs),
-		vcOutPort:    make([]int8, totalVCs),
-		vcOutVC:      make([]int8, totalVCs),
-		vcClass:      make([]Class, totalVCs),
-		vcInFly:      make([]int8, totalVCs),
-		bufFlit:      make([]Flit, totalVCs*cfg.BufDepth),
-		bufArrived:   make([]int64, totalVCs*cfg.BufDepth),
-		reserved:     make([]bool, pv),
-		credits:      make([]int32, pv),
-		arbs:         make([]arbState, totalPorts*(1+cfg.VCs)),
-		inBusy:       make([]int64, totalPorts),
-		outBusy:      make([]int64, totalPorts),
-		serFree:      make([]int64, totalPorts),
-		listRC:       make([]int32, totalVCs),
-		listVA:       make([]int32, totalVCs),
-		listSA:       make([]int32, totalVCs),
-		listPos:      make([]int32, totalVCs),
-		portOf:       make([]int8, totalVCs),
-		vcOf:         make([]int8, totalVCs),
-		ownerOf:      make([]int32, totalVCs),
-		reqScratch:   make([]bool, totalVCs),
-		eligibleOut:  make([]int8, totalVCs),
-		saRank:       make([]int8, totalVCs),
-		eligStore:    make([]int32, totalVCs),
-		waitersByOut: make([]int32, totalPorts),
-		saHead:       make([]int32, totalPorts),
-		saCount:      make([]int8, totalPorts),
-		saLast:       make([]int32, totalPorts),
+		vcState:     make([]vcState, totalVCs),
+		vcHead:      make([]int32, totalVCs),
+		vcLen:       make([]int32, totalVCs),
+		vcReadyAt:   make([]int64, totalVCs),
+		vcFrontAt:   make([]int64, totalVCs),
+		vcOutDir:    make([]topology.Dir, totalVCs),
+		vcOutPort:   make([]int8, totalVCs),
+		vcOutVC:     make([]int8, totalVCs),
+		vcClass:     make([]Class, totalVCs),
+		vcInFly:     make([]int8, totalVCs),
+		bufFlit:     make([]Flit, totalVCs*cfg.BufDepth),
+		bufArrived:  make([]int64, totalVCs*cfg.BufDepth),
+		reserved:    make([]bool, pv),
+		credits:     make([]int32, pv),
+		arbs:        make([]arbState, totalPorts*(1+cfg.VCs)),
+		inBusy:      make([]int64, totalPorts),
+		outBusy:     make([]int64, totalPorts),
+		serFree:     make([]int64, totalPorts),
+		listRC:      make([]int32, totalVCs),
+		listVA:      make([]int32, totalVCs),
+		listSA:      make([]int32, totalVCs),
+		listPos:     make([]int32, totalVCs),
+		portOf:      make([]int8, totalVCs),
+		vcOf:        make([]int8, totalVCs),
+		ownerOf:     make([]int32, totalVCs),
+		reqScratch:  make([]bool, totalVCs),
+		eligibleOut: make([]int8, totalVCs),
+		saRank:      make([]int8, totalVCs),
+		eligStore:   make([]int32, totalVCs),
+		saHead:      make([]int32, totalPorts),
+		saCount:     make([]int8, totalPorts),
+		saLast:      make([]int32, totalPorts),
 	}
 	return st
-}
-
-// arbState is one allocator arbiter flattened into the per-network
-// array. Under ArbRoundRobin the whole state is the rotor; under
-// ArbMatrix it delegates to the shared Matrix implementation. Both
-// reproduce the exported Arbiter implementations decision for
-// decision, which the cross-policy equivalence test pins.
-type arbState struct {
-	next int32
-	n    int32 // request-vector length (wrap point of the rotor)
-	m    *Matrix
-}
-
-func (a *arbState) init(p ArbPolicy, n int) {
-	a.n = int32(n)
-	if p == ArbMatrix {
-		a.m = NewMatrix(n)
-	}
-}
-
-// grant returns the winning index among the set bits of reqs, or -1.
-// The round-robin path is RoundRobin.Grant with the rotor inline: two
-// linear passes, no modulo.
-func (a *arbState) grant(reqs []bool) int {
-	if a.m != nil {
-		return a.m.Grant(reqs)
-	}
-	for i := int(a.next); i < len(reqs); i++ {
-		if reqs[i] {
-			a.next = int32(i + 1)
-			if int(a.next) == len(reqs) {
-				a.next = 0
-			}
-			return i
-		}
-	}
-	for i := 0; i < int(a.next) && i < len(reqs); i++ {
-		if reqs[i] {
-			a.next = int32(i + 1)
-			return i
-		}
-	}
-	return -1
-}
-
-// grantMask is grant with the request vector as a bitmask over flat VC
-// indices; callers use it only when the router has at most 64 flat VCs
-// (Router.arbMask). Bit-for-bit it makes the same decision as grant on
-// the equivalent []bool: the rotor scan becomes a shift plus a
-// trailing-zeros count. The matrix policy has no mask form, so reqs (the
-// all-false scratch) is materialized around the delegated call.
-func (a *arbState) grantMask(mask uint64, reqs []bool) int {
-	if a.m != nil {
-		for m := mask; m != 0; m &= m - 1 {
-			reqs[bits.TrailingZeros64(m)] = true
-		}
-		g := a.m.Grant(reqs)
-		for m := mask; m != 0; m &= m - 1 {
-			reqs[bits.TrailingZeros64(m)] = false
-		}
-		return g
-	}
-	if m := mask >> uint(a.next); m != 0 {
-		// First pass of grant: lowest set bit at index >= next.
-		i := int(a.next) + bits.TrailingZeros64(m)
-		a.next = int32(i + 1)
-		if a.next == a.n {
-			a.next = 0
-		}
-		return i
-	}
-	if mask == 0 {
-		return -1
-	}
-	// Wrap-around pass: every remaining set bit is below next. As in
-	// grant's second loop, the rotor is not wrapped here.
-	i := bits.TrailingZeros64(mask)
-	a.next = int32(i + 1)
-	return i
-}
-
-// grantSingle records a grant to the sole requester i, advancing the
-// state exactly like grant with only bit i set.
-func (a *arbState) grantSingle(i int) {
-	if a.m != nil {
-		a.m.GrantSingle(i)
-		return
-	}
-	a.next = int32(i + 1)
 }
 
 // saArb returns the switch arbiter of output port oi.
@@ -302,10 +209,10 @@ func (r *Router) vcFrontArrived(f int) int64 {
 // vcPush appends a flit to VC f's ring. Overflow means a credit
 // accounting bug upstream; the panic names the exact buffer. Two paths
 // push: the NI injection path (local-port VCs, which never carry link
-// traffic) and cross-shard mailbox delivery (deliverMailArrival; a
-// channel fed from another shard never holds send-time reservations,
-// so vcInFly stays 0 on it) — in both cases vcLen alone positions the
-// slot and can never collide with a vcReserveGlobal reservation.
+// traffic) and cross-shard mailbox delivery (a channel fed from another
+// shard never holds send-time reservations, so vcInFly stays 0 on it) —
+// in both cases vcLen alone positions the slot and can never collide
+// with a slot forward reserved.
 func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {
 	if int(r.vcLen[f]) >= r.bufDepth {
 		pi, vi := f/r.vcsPerPort, f%r.vcsPerPort
@@ -324,40 +231,10 @@ func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {
 	r.vcLen[f]++
 }
 
-// vcReserveGlobal writes a flit in flight over a link directly into its
-// future ring slot of the VC with global flat index gi, arriving at
-// cycle arriveAt. Deliveries are FIFO per VC (one flit per link per
-// cycle) and pops leave head+len invariant, so the slot computed here —
-// after the buffered flits and the earlier in-flight ones — is exactly
-// where the matching arrival event (vcArrive) will expose it. The flit
-// therefore crosses the network with a single copy instead of bouncing
-// through the event ring. It addresses the flat arrays by the global
-// index the sender precomputed (outputPort.downVCBase), so the forward
-// path never touches the downstream router header at all. Overflow
-// means a credit accounting bug upstream, as in vcPush.
-//
-// forward (router.go) repeats this body inline — the compiler's budget
-// won't inline it and the call sits on the simulator's busiest line —
-// so changes here must be mirrored there. Tests exercise this copy.
-func (n *Network) vcReserveGlobal(gi int32, flit *Flit, arriveAt int64) {
-	st := &n.soa
-	depth := n.cfg.BufDepth
-	occ := int(st.vcLen[gi]) + int(st.vcInFly[gi])
-	if occ >= depth {
-		n.reserveOverflow(gi)
-	}
-	slot := int(st.vcHead[gi]) + occ
-	if slot >= depth {
-		slot -= depth
-	}
-	st.bufFlit[int(gi)*depth+slot] = *flit
-	st.bufArrived[int(gi)*depth+slot] = arriveAt
-	st.vcInFly[gi]++
-}
-
 // reserveOverflow reconstructs the (router, port, vc) coordinates of
-// the overflowing global VC slot and panics, matching vcPush's message.
-// It lives outside vcReserveGlobal to keep the hot path inlinable.
+// the global VC slot forward found full and panics, matching vcPush's
+// message; it is a function of its own to keep the panic's formatting
+// out of forward's hot path.
 func (n *Network) reserveOverflow(gi int32) {
 	r := &n.routers[n.soa.ownerOf[gi]]
 	fi := int(gi - r.vcBase)
@@ -367,9 +244,9 @@ func (n *Network) reserveOverflow(gi int32) {
 }
 
 // vcArrive exposes the oldest in-flight flit of VC f (written earlier
-// by vcReserveSlot) as buffered, returning a pointer to it. The caller
-// is the evFlit delivery in Step, at exactly the cycle vcReserveSlot
-// stamped as its arrival.
+// by the upstream forward) as buffered, returning a pointer to it. The
+// caller is shardCycle's delivery of the arrival word, at exactly the
+// cycle forward stamped as its arrival.
 func (r *Router) vcArrive(f int) *Flit {
 	slot := int(r.vcHead[f]) + int(r.vcLen[f])
 	if slot >= r.bufDepth {
@@ -381,14 +258,6 @@ func (r *Router) vcArrive(f int) *Flit {
 	}
 	r.vcLen[f]++
 	return &r.bufFlit[f*r.bufDepth+slot]
-}
-
-// vcPop removes and returns the oldest buffered flit of VC f; the
-// caller guarantees occupancy.
-func (r *Router) vcPop(f int) Flit {
-	flit := r.bufFlit[f*r.bufDepth+int(r.vcHead[f])]
-	r.vcDrop(f)
-	return flit
 }
 
 // vcDrop removes the front flit of VC f without copying it out; the

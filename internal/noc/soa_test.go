@@ -86,14 +86,71 @@ func TestSoAViewAliasing(t *testing.T) {
 	if err := net.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after aliasing round-trips: %v", err)
 	}
+
+	// The link-side write: forward addresses the downstream ring through
+	// the flat arrays by global index, never through the downstream
+	// router's windows. A packet from router 8 to router 6 crosses router
+	// 7's east input; while its head is in flight on that link, the
+	// reservation forward made must be visible through router 7's views.
+	pkt, err := net.Enqueue(Spec{Src: 8, Dst: 6, Size: 1, Class: Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = -1
+	for i := 0; i < 50 && f < 0; i++ {
+		net.Step()
+		for v := 0; v < r.vcsPerPort; v++ {
+			if r.vcInFly[r.flatVC(pi, v)] > 0 {
+				f = r.flatVC(pi, v)
+			}
+		}
+	}
+	if f < 0 {
+		t.Fatal("no flit seen in flight toward router 7's east input")
+	}
+	gi = int(r.vcBase) + f
+	if got := net.soa.vcInFly[gi]; got != 1 {
+		t.Errorf("flat vcInFly reads %d while the window reads 1", got)
+	}
+	slot := gi*net.cfg.BufDepth + int(r.vcHead[f])
+	if got := net.soa.bufFlit[slot]; got.Pkt != pkt {
+		t.Errorf("flat bufFlit slot holds %+v after forward's reserve, want packet %d", got, pkt.ID)
+	}
+	if got := r.bufArrived[f*r.bufDepth+int(r.vcHead[f])]; got != net.soa.bufArrived[slot] || got <= net.cycle {
+		t.Errorf("reserved slot's arrival stamp: window %d, flat %d, cycle %d", got, net.soa.bufArrived[slot], net.cycle)
+	}
+	for i := 0; i < 50 && !net.Idle(); i++ {
+		net.Step()
+	}
+	if pkt.EjectedAt == 0 {
+		t.Fatal("packet not delivered")
+	}
+	if err := net.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after the forwarded packet drained: %v", err)
+	}
+}
+
+// forwardInto sends flit from the router upstream of r's input port pi
+// into VC vi of that port, the way the SA stage does after a grant: the
+// flit is staged in the upstream router's local input VC 0 and handed to
+// forward. Nothing delivers it, so repeated calls pile reservations onto
+// the downstream ring.
+func forwardInto(net *Network, r *Router, pi, vi int, flit Flit) {
+	ip := &r.inPorts[pi]
+	up := &net.routers[ip.upstream]
+	src := up.flatVC(int(up.inIndex[topology.Local]), 0)
+	up.vcOutVC[src] = int8(vi)
+	up.vcPush(src, flit, net.cycle)
+	up.forward(net.cycle, src, int(up.outIndex[ip.dir.Opposite()]))
 }
 
 // TestVCOverflowPanics pins the fixed-capacity ring contract: occupancy
 // beyond BufDepth is physically unstorable, and both write paths — the
-// NI-side vcPush and the link-side reserve (vcReserveGlobal, whose body
-// forward repeats inline) — panic naming the exact router, port and VC,
-// so a credit bug reports where it happened rather than corrupting
-// state.
+// NI-side vcPush and the link-side reserve in forward — panic naming the
+// exact router, port and VC, so a credit bug reports where it happened
+// rather than corrupting state. The link side is driven through forward
+// itself, with the credit bug played by handing the upstream router a
+// credit it is not owed.
 func TestVCOverflowPanics(t *testing.T) {
 	mustPanic := func(t *testing.T, wantSub []string, fn func()) {
 		t.Helper()
@@ -132,16 +189,25 @@ func TestVCOverflowPanics(t *testing.T) {
 		r := &net.routers[7] // interior: every direction present
 		pi := int(r.inIndex[topology.East])
 		vi := 1
-		gi := r.vcBase + int32(r.flatVC(pi, vi))
 		pkt := &Packet{Src: 0, Dst: 1, Size: 1}
 		flit := Flit{Pkt: pkt, Type: BodyFlit}
 		for i := 0; i < net.cfg.BufDepth; i++ {
-			net.vcReserveGlobal(gi, &flit, int64(i+1))
+			forwardInto(net, r, pi, vi, flit)
 		}
+		if got := int(r.vcInFly[r.flatVC(pi, vi)]); got != net.cfg.BufDepth {
+			t.Fatalf("%d reservations in flight, want %d", got, net.cfg.BufDepth)
+		}
+		// Out of credits, forward refuses before it reaches the ring...
+		mustPanic(t, []string{"router 8", "negative credits", "west", fmt.Sprintf("vc %d", vi)}, func() {
+			forwardInto(net, r, pi, vi, flit)
+		})
+		// ...and with a credit too many, the ring itself refuses.
+		up := &net.routers[8]
+		up.credits[int(up.outIndex[topology.West])*up.vcsPerPort+vi] = 1
 		mustPanic(t, []string{
 			"router 7", fmt.Sprintf("port %d", pi), "(east)", fmt.Sprintf("vc %d", vi), "overflow",
 		}, func() {
-			net.vcReserveGlobal(gi, &flit, 99)
+			forwardInto(net, r, pi, vi, flit)
 		})
 	})
 
@@ -153,17 +219,18 @@ func TestVCOverflowPanics(t *testing.T) {
 		r := &net.routers[7]
 		pi := int(r.inIndex[topology.West])
 		f := r.flatVC(pi, 0)
-		gi := r.vcBase + int32(f)
 		pkt := &Packet{Src: 0, Dst: 1, Size: 1}
 		flit := Flit{Pkt: pkt, Type: BodyFlit}
 		for i := 0; i < net.cfg.BufDepth/2; i++ {
 			r.vcPush(f, flit, int64(i))
 		}
 		for i := net.cfg.BufDepth / 2; i < net.cfg.BufDepth; i++ {
-			net.vcReserveGlobal(gi, &flit, int64(i+1))
+			forwardInto(net, r, pi, 0, flit)
 		}
+		// The pushed flits never cost the upstream router a credit, so it
+		// still holds some: the credit check passes and the ring refuses.
 		mustPanic(t, []string{"router 7", "vc 0", "overflow"}, func() {
-			net.vcReserveGlobal(gi, &flit, 99)
+			forwardInto(net, r, pi, 0, flit)
 		})
 	})
 }
