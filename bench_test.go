@@ -21,22 +21,21 @@ import (
 )
 
 // benchStep measures the steady-state cost of the generate/enqueue/step
-// hot path on a 6x6 mesh at the given injection rate and step mode. The
+// hot path on a 6x6 mesh at the given injection rate. The
 // steady state should be allocation-light: the spec buffer is reused
 // across cycles and the injection queues hold values, so per-cycle
 // garbage comes only from packet births.
-func benchStep(b *testing.B, rate float64, mode noc.StepMode) {
-	benchStepProbe(b, rate, mode, nil)
+func benchStep(b *testing.B, rate float64) {
+	benchStepProbe(b, rate, nil)
 }
 
 // benchStepProbe is benchStep with an explicit probe attachment, for
 // measuring the observability layer's hot-path cost.
-func benchStepProbe(b *testing.B, rate float64, mode noc.StepMode, p noc.Probe) {
+func benchStepProbe(b *testing.B, rate float64, p noc.Probe) {
 	b.Helper()
 	d := core.MustDesign(core.Arch2DB)
 	gen := &traffic.Uniform{Topo: d.Topo, InjectionRate: rate, PacketSize: core.DataPacketFlits}
 	cfg := d.NoCConfig(noc.AnyFree, 1)
-	cfg.Mode = mode
 	net := noc.NewNetwork(cfg)
 	net.SetProbe(p)
 	runStepBench(b, net, gen)
@@ -96,11 +95,7 @@ func runStepBench(b *testing.B, net *noc.Network, gen *traffic.Uniform) {
 
 // BenchmarkStepUR is the loaded-mesh baseline (0.2 flits/node/cycle,
 // default activity-driven stepping).
-func BenchmarkStepUR(b *testing.B) { benchStep(b, 0.2, noc.StepActivity) }
-
-// BenchmarkStepURFullScan is BenchmarkStepUR on the reference full-scan
-// path, for before/after comparison under load.
-func BenchmarkStepURFullScan(b *testing.B) { benchStep(b, 0.2, noc.StepFullScan) }
+func BenchmarkStepUR(b *testing.B) { benchStep(b, 0.2) }
 
 // countingProbe is the cheapest possible live probe: one counter bump
 // per event, no allocation, no indirection beyond the interface call.
@@ -112,23 +107,19 @@ func (p *countingProbe) ProbeEvent(noc.ProbeEvent) { p.n++ }
 // detached: the zero-overhead-when-nil contract of internal/noc's probe
 // layer says this must match BenchmarkStepUR within noise (each emission
 // site pays one nil check either way).
-func BenchmarkStepURNilProbe(b *testing.B) { benchStepProbe(b, 0.2, noc.StepActivity, nil) }
+func BenchmarkStepURNilProbe(b *testing.B) { benchStepProbe(b, 0.2, nil) }
 
 // BenchmarkStepURProbed measures the floor cost of live observation: the
 // loaded-mesh step loop with a minimal counting probe attached, i.e. the
 // per-event dispatch overhead before any collector logic runs.
-func BenchmarkStepURProbed(b *testing.B) { benchStepProbe(b, 0.2, noc.StepActivity, &countingProbe{}) }
+func BenchmarkStepURProbed(b *testing.B) { benchStepProbe(b, 0.2, &countingProbe{}) }
 
 // BenchmarkStepHighRate measures the near-saturation regime the SoA
 // router core targets: at 0.3 flits/node/cycle most VCs hold flits most
 // cycles, so activity tracking prunes little and per-cycle cost is
 // dominated by the stage loops walking live VC state. This is the
 // regime the fig11/fig12 sweeps spend most of their wall-clock in.
-func BenchmarkStepHighRate(b *testing.B) { benchStep(b, 0.3, noc.StepActivity) }
-
-// BenchmarkStepHighRateFullScan is the full-scan reference for
-// BenchmarkStepHighRate.
-func BenchmarkStepHighRateFullScan(b *testing.B) { benchStep(b, 0.3, noc.StepFullScan) }
+func BenchmarkStepHighRate(b *testing.B) { benchStep(b, 0.3) }
 
 // benchStepMeter is benchStep with the engine meter attached or
 // detached, for measuring the engine-telemetry layer's hot-path cost.
@@ -137,7 +128,6 @@ func benchStepMeter(b *testing.B, rate float64, metered bool) {
 	d := core.MustDesign(core.Arch2DB)
 	gen := &traffic.Uniform{Topo: d.Topo, InjectionRate: rate, PacketSize: core.DataPacketFlits}
 	cfg := d.NoCConfig(noc.AnyFree, 1)
-	cfg.Mode = noc.StepActivity
 	net := noc.NewNetwork(cfg)
 	if metered {
 		net.EnableEngineMeter()
@@ -161,7 +151,7 @@ func BenchmarkStepTelemetryOn(b *testing.B) { benchStepMeter(b, 0.3, true) }
 // 6x6 fabric), pinning that per-cycle cost stays proportional to
 // traffic as the flat state arrays grow. shards > 1 partitions the
 // mesh into concurrently stepped router-ID ranges (noc/shard.go).
-func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
+func benchStepLarge(b *testing.B, rate float64, shards int) {
 	b.Helper()
 	topo := topology.NewMesh2D(16, 16, core.Pitch2DMM)
 	cfg := noc.Config{
@@ -173,7 +163,6 @@ func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
 		Layers:     core.Layers,
 		Policy:     noc.AnyFree,
 		Seed:       1,
-		Mode:       mode,
 		Shards:     shards,
 	}
 	gen := &traffic.Uniform{Topo: topo, InjectionRate: rate, PacketSize: core.DataPacketFlits}
@@ -185,7 +174,7 @@ func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
 // BenchmarkStepHighRateLargeMesh is BenchmarkStepHighRate on a 16x16
 // mesh — the giant-fabric regime sharded stepping partitions, so its
 // single-threaded cost is the baseline the shard sweep is read against.
-func BenchmarkStepHighRateLargeMesh(b *testing.B) { benchStepLarge(b, 0.3, noc.StepActivity, 1) }
+func BenchmarkStepHighRateLargeMesh(b *testing.B) { benchStepLarge(b, 0.3, 1) }
 
 // BenchmarkStepSharded sweeps shard counts over the high-load 16x16
 // mesh of BenchmarkStepHighRateLargeMesh. Results are bit-identical at
@@ -196,7 +185,7 @@ func BenchmarkStepHighRateLargeMesh(b *testing.B) { benchStepLarge(b, 0.3, noc.S
 func BenchmarkStepSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			benchStepLarge(b, 0.3, noc.StepActivity, shards)
+			benchStepLarge(b, 0.3, shards)
 		})
 	}
 }
@@ -223,7 +212,6 @@ func BenchmarkStepChiplet(b *testing.B) {
 		Layers:     core.Layers,
 		Policy:     noc.AnyFree,
 		Seed:       1,
-		Mode:       noc.StepActivity,
 		Shards:     1,
 	}
 	gen := &traffic.Uniform{Topo: topo, InjectionRate: 0.1, PacketSize: core.DataPacketFlits}
@@ -231,14 +219,9 @@ func BenchmarkStepChiplet(b *testing.B) {
 }
 
 // BenchmarkStepLowRate measures the regime activity tracking targets:
-// at 0.05 flits/node/cycle most routers are idle most cycles, so the
-// activity path should beat BenchmarkStepLowRateFullScan by >= 3x.
-func BenchmarkStepLowRate(b *testing.B) { benchStep(b, 0.05, noc.StepActivity) }
-
-// BenchmarkStepLowRateFullScan is the full-scan reference for
-// BenchmarkStepLowRate: it pays the whole-fabric rescan every cycle
-// regardless of how little traffic exists.
-func BenchmarkStepLowRateFullScan(b *testing.B) { benchStep(b, 0.05, noc.StepFullScan) }
+// at 0.05 flits/node/cycle most routers are idle most cycles, so a
+// cycle should cost a fraction of BenchmarkStepUR's.
+func BenchmarkStepLowRate(b *testing.B) { benchStep(b, 0.05) }
 
 // BenchmarkStepIdle steps a completely empty network: the activity path
 // reduces to four empty-set scans, so cost is O(1) per cycle and zero
@@ -246,20 +229,6 @@ func BenchmarkStepLowRateFullScan(b *testing.B) { benchStep(b, 0.05, noc.StepFul
 func BenchmarkStepIdle(b *testing.B) {
 	d := core.MustDesign(core.Arch2DB)
 	net := noc.NewNetwork(d.NoCConfig(noc.AnyFree, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
-}
-
-// BenchmarkStepIdleFullScan is the empty-network full scan: the cost
-// floor the activity path removes.
-func BenchmarkStepIdleFullScan(b *testing.B) {
-	d := core.MustDesign(core.Arch2DB)
-	cfg := d.NoCConfig(noc.AnyFree, 1)
-	cfg.Mode = noc.StepFullScan
-	net := noc.NewNetwork(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

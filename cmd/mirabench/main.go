@@ -28,10 +28,10 @@
 // -obswindow and -enginestats runs are never reused: their side
 // outputs are the point.
 //
-// -stepmode selects the simulator's cycle-loop strategy (activity,
-// fullscan or checked); all modes produce identical tables, so a stdout
-// diff between modes is a determinism regression check. -cpuprofile and
-// -memprofile write pprof profiles for performance work.
+// -stepmode=checked revalidates every simulator invariant after every
+// cycle (default: activity); the tables are identical, so a stdout diff
+// between the two is a regression check. -cpuprofile and -memprofile
+// write pprof profiles for performance work.
 //
 // -obs measures the observability layer's probe overhead (bare vs
 // collector vs collector+trace) and prints the comparison; alone it runs
@@ -135,7 +135,7 @@ func main() {
 	shards := flag.Int("shards", 0, "concurrent router shards inside each simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
 	progress := flag.Bool("progress", false, "log a per-point progress/timing line to stderr (reused=true: served from an earlier experiment's results)")
 	timingFile := flag.String("timing", "", "write per-experiment wall-clock times and points run/reused to this JSON file")
-	stepMode := flag.String("stepmode", "activity", "cycle-loop strategy: activity, fullscan or checked; tables are identical for every mode")
+	stepMode := flag.String("stepmode", "activity", "activity, or checked to cross-check every invariant after every cycle; tables are identical")
 	obsReport := flag.Bool("obs", false, "measure and report observability probe overhead (runs standalone or before the selected experiments)")
 	obsWindow := flag.Int64("obswindow", 0, "attach a collector with this sample window (cycles) to every sweep point; 0 = unobserved")
 	engineStats := flag.Bool("enginestats", false, "attach engine telemetry to every sweep point and log per-point engine progress (cycles/sec, shard imbalance) to stderr; tables are identical either way")

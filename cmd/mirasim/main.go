@@ -92,7 +92,7 @@ func main() {
 	warmup := flag.Int64("warmup", 5000, "warm-up cycles")
 	measure := flag.Int64("measure", 20000, "measurement cycles")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	stepMode := flag.String("stepmode", "activity", "cycle-loop strategy: activity, fullscan or checked")
+	stepMode := flag.String("stepmode", "activity", "activity, or checked to cross-check every invariant after every cycle")
 	shards := flag.Int("shards", 0, "concurrent router shards inside the simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
 	chips := flag.String("chips", "", "replace the fabric with a chiplet grid, CXxCY/NXxNY (e.g. 2x2/4x4); append +express for inter-chip express channels")
 	d2d := flag.String("d2d", "", "die-to-die link timing for -chips as lat[:ser] cycles (e.g. 4 or 8:4; default 1:1 = indistinguishable from on-chip wires)")

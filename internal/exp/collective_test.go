@@ -61,7 +61,6 @@ func TestCollectiveTablesIdentical(t *testing.T) {
 		{1, 4, noc.StepActivity},
 		{8, 4, noc.StepActivity},
 		{1, -1, noc.StepActivity},
-		{1, 1, noc.StepFullScan},
 		{1, 4, noc.StepChecked},
 	}
 	for _, c := range cases {

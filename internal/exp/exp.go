@@ -34,10 +34,9 @@ type Options struct {
 	// Progress, when non-nil, is invoked (serialized) after each
 	// completed sweep point, for per-point progress/timing reporting.
 	Progress func(Progress)
-	// StepMode selects the simulator's per-cycle scheduling strategy
-	// (activity-driven by default). Results are bit-identical across
-	// modes; fullscan/checked exist for determinism diffs and
-	// debugging (mirabench -stepmode).
+	// StepMode is noc.StepActivity (the default) or noc.StepChecked,
+	// which cross-checks every invariant after every cycle (mirabench
+	// -stepmode). Results are bit-identical in both.
 	StepMode noc.StepMode
 	// Shards partitions each simulated mesh into contiguous router-ID
 	// ranges stepped concurrently inside every cycle (noc.Config.Shards;

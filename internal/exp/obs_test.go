@@ -12,9 +12,9 @@ import (
 
 // TestSpanStagesDeterministic pins the obs-stages driver's determinism
 // contract: the rendered decomposition table is byte-identical for any
-// worker count and across the activity and fullscan cycle loops. Span
-// folding rides on the probe stream, so this also guards the stream's
-// cross-mode equivalence at the experiment level.
+// worker count and in both step modes. Span folding rides on the probe
+// stream, so this also guards the stream's cross-mode equivalence at
+// the experiment level.
 func TestSpanStagesDeterministic(t *testing.T) {
 	archs := []core.Arch{core.Arch2DB, core.Arch3DM}
 	run := func(mode noc.StepMode, workers int) string {
@@ -23,7 +23,7 @@ func TestSpanStagesDeterministic(t *testing.T) {
 		tb := SpanStages(context.Background(), archs, 0.12, o)
 		return tb.CSV()
 	}
-	ref := run(noc.StepFullScan, 1)
+	ref := run(noc.StepActivity, 1)
 	if !strings.Contains(ref, "2DB") || len(strings.Split(ref, "\n")) < len(archs)+1 {
 		t.Fatalf("reference table is degenerate:\n%s", ref)
 	}
@@ -32,13 +32,12 @@ func TestSpanStagesDeterministic(t *testing.T) {
 		mode    noc.StepMode
 		workers int
 	}{
-		{"fullscan_w3", noc.StepFullScan, 3},
-		{"activity_w1", noc.StepActivity, 1},
 		{"activity_w4", noc.StepActivity, 4},
+		{"checked_w3", noc.StepChecked, 3},
 	}
 	for _, v := range variants {
 		if got := run(v.mode, v.workers); got != ref {
-			t.Errorf("%s table diverges from fullscan_w1:\n%s\nwant:\n%s", v.name, got, ref)
+			t.Errorf("%s table diverges from activity_w1:\n%s\nwant:\n%s", v.name, got, ref)
 		}
 	}
 }

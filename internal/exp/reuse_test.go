@@ -229,7 +229,7 @@ func TestReuseKey(t *testing.T) {
 		{"Warmup", ur, func(o *Options) { o.Warmup++ }},
 		{"Measure", ur, func(o *Options) { o.Measure++ }},
 		{"Drain", ur, func(o *Options) { o.Drain++ }},
-		{"StepMode", ur, func(o *Options) { o.StepMode = noc.StepFullScan }},
+		{"StepMode", ur, func(o *Options) { o.StepMode = noc.StepChecked }},
 		{"Shards", ur, func(o *Options) { o.Shards = 2 }},
 		{"arch", func(o Options) scenario.Scenario { return o.synthetic(core.Arch3DM, "ur", 0.10) }, nil},
 		{"traffic kind", func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "nuca", 0.10) }, nil},

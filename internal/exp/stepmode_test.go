@@ -18,11 +18,13 @@ func stepModeOpts(mode noc.StepMode) Options {
 }
 
 // TestStepModeTablesIdentical is the experiment-level half of the
-// determinism regression: whole rendered tables — every formatted
-// latency, throughput and note — must match between the activity-driven
-// cycle loop and the reference full scan. Fig8 covers the pipeline
-// option matrix (lookahead, speculation, ST+LT) on top of the sweep
-// runner; Fig11a covers all six architectures including the 3D fabrics.
+// step-mode contract: whole rendered tables — every formatted latency,
+// throughput and note — must match between the default mode and checked
+// mode, which also revalidates every invariant after every cycle of
+// every point (whether those cycles are the right ones is the oracle's
+// business: internal/noc FuzzOracle). Fig8 covers the pipeline option
+// matrix (lookahead, speculation, ST+LT) on top of the sweep runner;
+// Fig11a covers all six architectures including the 3D fabrics.
 func TestStepModeTablesIdentical(t *testing.T) {
 	drivers := []struct {
 		name   string
@@ -46,10 +48,10 @@ func TestStepModeTablesIdentical(t *testing.T) {
 				}
 				return tb
 			}
-			full, act := run(noc.StepFullScan), run(noc.StepActivity)
-			if !reflect.DeepEqual(full, act) {
-				t.Fatalf("tables diverge between step modes:\nfullscan:\n%s\nactivity:\n%s",
-					full.String(), act.String())
+			chk, act := run(noc.StepChecked), run(noc.StepActivity)
+			if !reflect.DeepEqual(chk, act) {
+				t.Fatalf("tables diverge between step modes:\nchecked:\n%s\nactivity:\n%s",
+					chk.String(), act.String())
 			}
 			if len(act.Rows) == 0 {
 				t.Fatal("empty table; comparison is vacuous")

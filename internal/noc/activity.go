@@ -20,26 +20,27 @@ import "math/bits"
 //     with pending work. The sets live on the shard stepping the router
 //     (shard.go), so concurrent shards never touch a shared bitset word.
 //
-// Determinism is part of the contract: the activity-driven path must be
-// bit-identical to the full scan (Config.Mode = StepFullScan) for any
-// seed and worker count. Two properties make that hold:
+// Skipping must not change the simulation: the result has to be the one
+// a scan of every router, port and VC each cycle would produce — which
+// is exactly what the test-only oracle (oracle_test.go) does, and
+// FuzzOracle compares the two ejection for ejection. Two properties
+// make that hold:
 //
-//  1. Arbiter state only advances on a grant, and the full scan never
-//     asks for one for an output (port, VC) without at least one
+//  1. Arbiter state only advances on a grant, and a grant needs a
 //     requester — a router with no VC in a stage therefore leaves every
 //     arbiter untouched, so skipping it entirely cannot change any
-//     later arbitration. Within a visited router the requests handed to
-//     the arbiter are rebuilt over the same flat indices, so the
-//     arbiters see identical bit patterns.
+//     later arbitration. Within a visited router the requests are built
+//     over the same flat VC indices a scan would use, and they reach
+//     the arbiters as a set (a bitmask), so the order the pending lists
+//     happen to hold them in is invisible.
 //  2. Cross-router state only interacts through the event ring, and the
 //     only order-sensitive consumer is the ejection callback (float
 //     accumulation in Sim). Bitset iteration yields router IDs in
-//     ascending order — the same relative order as the full scan's
-//     range over n.routers — so events are appended to each ring slot
-//     in an identical sequence.
+//     ascending order — the order a loop over every router visits them
+//     in — so events are appended to each ring slot in that sequence.
 //
 // CheckInvariants cross-checks every list, position index, pending
-// count and bitset against a fresh full scan of the VC states.
+// count and bitset against a fresh scan of the VC states.
 
 // routerSet is a fixed-capacity bitset over router/NI indices with a
 // population count. Iteration (appendMembers) is in ascending index

@@ -75,11 +75,12 @@ func runModal(t *testing.T, cfg Config, mode StepMode, rate float64, size int, c
 	return stream, net.TotalCounters(), net
 }
 
-// TestActivityMatchesFullScan is the determinism regression: the
-// activity-driven stepping path must reproduce the reference full scan
-// exactly — same ejection stream in the same order, same switching
-// counters, same final flow-control state — across fabrics, pipeline
-// options, arbiters and loads (including past saturation).
+// TestActivityMatchesFullScan is the regression for activity tracking:
+// production, which visits only routers and VCs with pending work, must
+// reproduce the oracle, which scans every port and VC of every router
+// every cycle (oracle_test.go) — same ejection stream in the same order,
+// same backlog every cycle, same switching counters — across fabrics,
+// pipeline options, arbiters and loads (including past saturation).
 func TestActivityMatchesFullScan(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,27 +99,8 @@ func TestActivityMatchesFullScan(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Seed = 11
-			full, fullCnt, fullNet := runModal(t, c.cfg, StepFullScan, c.rate, 4, 1200)
-			act, actCnt, actNet := runModal(t, c.cfg, StepActivity, c.rate, 4, 1200)
-			if len(full) == 0 {
+			if got := againstOracle(t, c.cfg, bernoulli(c.cfg.Topo, c.rate, 4, Data), 600, oracleOpts{}); len(got) == 0 {
 				t.Fatal("no traffic delivered; test is vacuous")
-			}
-			if len(full) != len(act) {
-				t.Fatalf("ejection streams diverge: %d vs %d packets", len(full), len(act))
-			}
-			for i := range full {
-				if full[i] != act[i] {
-					t.Fatalf("ejection %d diverges: fullscan %+v, activity %+v", i, full[i], act[i])
-				}
-			}
-			if fullCnt != actCnt {
-				t.Fatalf("counters diverge:\nfullscan %+v\nactivity %+v", fullCnt, actCnt)
-			}
-			if err := actNet.CheckInvariants(); err != nil {
-				t.Fatalf("activity invariants: %v", err)
-			}
-			if err := fullNet.CheckInvariants(); err != nil {
-				t.Fatalf("fullscan invariants: %v", err)
 			}
 		})
 	}
@@ -135,7 +117,10 @@ func TestActivityMatchesFullScan(t *testing.T) {
 // cycle early on its old port, leaking the reservation when the new
 // head routes elsewhere. Saturated single-flit traffic keeps a queued
 // head behind every tail, the shape that triggers the re-entry; several
-// seeds are swept because one arbiter history may not expose it.
+// seeds are swept because one arbiter history may not expose it. The
+// oracle has no chain to go stale — it rebuilds every round's requests
+// from the VC state — so with the guards removed production diverges
+// from it within ten cycles (CHANGES.md, PR 22).
 func TestSpecLookaheadSingleFlitChainReentry(t *testing.T) {
 	for _, seed := range []int64{3, 11, 42, 1234} {
 		cfg := cfg2D(1)
@@ -143,54 +128,84 @@ func TestSpecLookaheadSingleFlitChainReentry(t *testing.T) {
 		cfg.LookaheadRC = true
 		cfg.BufDepth = 4
 		cfg.Seed = seed
-		full, fullCnt, _ := runModal(t, cfg, StepFullScan, 0.8, 1, 1500)
-		act, actCnt, actNet := runModal(t, cfg, StepActivity, 0.8, 1, 1500)
-		if len(full) == 0 {
+		if got := againstOracle(t, cfg, bernoulli(cfg.Topo, 0.8, 1, Data), 500, oracleOpts{}); len(got) == 0 {
 			t.Fatal("no traffic delivered; test is vacuous")
-		}
-		if len(full) != len(act) {
-			t.Fatalf("seed %d: ejection streams diverge: %d vs %d packets", seed, len(full), len(act))
-		}
-		for i := range full {
-			if full[i] != act[i] {
-				t.Fatalf("seed %d: ejection %d diverges: fullscan %+v, activity %+v", seed, i, full[i], act[i])
-			}
-		}
-		if fullCnt != actCnt {
-			t.Fatalf("seed %d: counters diverge:\nfullscan %+v\nactivity %+v", seed, fullCnt, actCnt)
-		}
-		if err := actNet.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: activity invariants: %v", seed, err)
 		}
 	}
 }
 
+// sameResult requires two complete Sim runs to agree in every derived
+// metric — float means included — and in the per-router counter tables.
+func sameResult(t *testing.T, what string, ref, got Result) {
+	t.Helper()
+	if ref.Ejected != got.Ejected || ref.Generated != got.Generated {
+		t.Fatalf("%s: packet counts diverge: %d/%d vs %d/%d",
+			what, ref.Ejected, ref.Generated, got.Ejected, got.Generated)
+	}
+	if ref.AvgLatency != got.AvgLatency || ref.P99Latency != got.P99Latency ||
+		ref.AvgHops != got.AvgHops || ref.AvgQueueDelay != got.AvgQueueDelay ||
+		ref.ThroughputFPC != got.ThroughputFPC || ref.Saturated != got.Saturated {
+		t.Fatalf("%s: metrics diverge:\n%v\n%v", what, ref.String(), got.String())
+	}
+	if ref.Counters != got.Counters {
+		t.Fatalf("%s: window counters diverge:\n%+v\n%+v", what, ref.Counters, got.Counters)
+	}
+	for i := range ref.PerRouter {
+		if ref.PerRouter[i] != got.PerRouter[i] {
+			t.Fatalf("%s: router %d counters diverge", what, i)
+		}
+	}
+	if ref.PerClass != got.PerClass {
+		t.Fatalf("%s: per-class results diverge: %+v vs %+v", what, ref.PerClass, got.PerClass)
+	}
+}
+
+// wideTraffic is 2-flit packets at the given flits/node/cycle on a 4x2
+// mesh: the bottom row (nodes 4-7) sends to node 1, so its packets
+// converge on router 5's north link and from there on the last input
+// port of router 1; the top row sends uniformly.
+func wideTraffic(topo *topology.Topology, rate float64) Generator {
+	base := bernoulli(topo, rate, 2, Data)
+	return GeneratorFunc(func(cycle int64, rng *rand.Rand, specs []Spec) []Spec {
+		specs = base.Generate(cycle, rng, specs)
+		for i := range specs {
+			if specs[i].Src >= 4 {
+				specs[i].Dst = 1
+			}
+		}
+		return specs
+	})
+}
+
 // TestActivityMatchesFullScanSim compares complete Sim runs (warmup,
-// measurement, drain) on a real sweep point: every derived metric of
-// the Result — float means included — must be bit-identical, as must
-// the per-router counter tables.
+// measurement, drain) on a real sweep point: a checked run — and, for
+// the last case, a sharded one — must give the bit-identical Result.
 //
-// The wide cases are the only coverage of routers with more than 64
-// flat VCs: at 14 VCs per port the 16 interior routers of the 6x6 mesh
-// hold 70 and step through the reference stage bodies in every mode
-// (Router.refStages), while the edge and corner routers (56 and 42)
-// keep the request-mask stages, so one fabric mixes both. BufDepth 2
-// and 0.3 flits/node/cycle keep the allocators contended.
+// The wide cases sit on the edge of the request mask: a 4x2 mesh has
+// 4-port routers, so 16 VCs per port is exactly the 64 flat VCs
+// Config.Validate accepts. VCs fill from the bottom, so reaching the top
+// one takes sixteen packets at once on one link: BufDepth 2, 2-flit
+// packets at 0.3 flits/node/cycle, the bottom row all sending to node 1
+// in the top row (wideTraffic). Each case is stepped against the oracle
+// and must get there — flat VC 63 has to bid for an output VC (bit 63 of
+// a request mask) and a round-robin rotor has to be left equal to the
+// width by a lone grant to it — and then run as a complete Sim.
 func TestActivityMatchesFullScanSim(t *testing.T) {
 	type simCase struct {
 		name   string
 		cfg    Config
 		rate   float64
 		params SimParams
-		wide   bool // also run StepChecked
-		shards int  // also run this shard count, if > 1
+		wide   bool
+		shards int // also run this shard count, if > 1
 	}
 	cases := []simCase{{name: "mesh-stlt2", cfg: cfg2D(2), rate: 0.15, params: SimParams{Warmup: 300, Measure: 2000, DrainMax: 8000}}}
 	for _, arb := range []ArbPolicy{ArbRoundRobin, ArbMatrix} {
 		for _, qos := range []bool{false, true} {
 			for _, spec := range []bool{false, true} {
 				c := cfg2D(2)
-				c.VCs, c.BufDepth = 14, 2
+				c.Topo = topology.NewMesh2D(4, 2, 3.1)
+				c.VCs, c.BufDepth = 16, 2
 				c.Arb, c.QoSPriority = arb, qos
 				c.SpecSA, c.LookaheadRC = spec, spec
 				name := "wide-" + arb.String()
@@ -206,51 +221,53 @@ func TestActivityMatchesFullScanSim(t *testing.T) {
 		}
 	}
 	cases[len(cases)-1].shards = 3 // once is enough: the shard axis has its own suites
+	traffic := func(c simCase) Generator {
+		if c.wide {
+			return wideTraffic(c.cfg.Topo, c.rate)
+		}
+		return bernoulli(c.cfg.Topo, c.rate, 4, Data)
+	}
 	run := func(c simCase, mode StepMode, shards int) Result {
 		cfg := c.cfg
 		cfg.Seed = 42
 		cfg.Mode = mode
 		cfg.Shards = shards
 		net := NewNetwork(cfg)
-		s := NewSim(net, bernoulli(cfg.Topo, c.rate, 4, Data))
+		s := NewSim(net, traffic(c))
 		s.Params = c.params
 		return s.Run(context.Background())
 	}
-	same := func(t *testing.T, what string, ref, got Result) {
-		t.Helper()
-		if ref.Ejected != got.Ejected || ref.Generated != got.Generated {
-			t.Fatalf("%s: packet counts diverge: %d/%d vs %d/%d",
-				what, ref.Ejected, ref.Generated, got.Ejected, got.Generated)
-		}
-		if ref.AvgLatency != got.AvgLatency || ref.P99Latency != got.P99Latency ||
-			ref.AvgHops != got.AvgHops || ref.AvgQueueDelay != got.AvgQueueDelay ||
-			ref.ThroughputFPC != got.ThroughputFPC || ref.Saturated != got.Saturated {
-			t.Fatalf("%s: metrics diverge:\n%v\n%v", what, ref.String(), got.String())
-		}
-		if ref.Counters != got.Counters {
-			t.Fatalf("%s: window counters diverge:\n%+v\n%+v", what, ref.Counters, got.Counters)
-		}
-		for i := range ref.PerRouter {
-			if ref.PerRouter[i] != got.PerRouter[i] {
-				t.Fatalf("%s: router %d counters diverge", what, i)
-			}
-		}
-		if ref.PerClass != got.PerClass {
-			t.Fatalf("%s: per-class results diverge: %+v vs %+v", what, ref.PerClass, got.PerClass)
-		}
-	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.wide {
+				cfg := c.cfg
+				cfg.Seed = 42
+				cfg.Shards = c.shards
+				topBids, fullRotor := 0, 0
+				againstOracle(t, cfg, traffic(c), 400, oracleOpts{watch: func(net *Network) {
+					for i := range net.routers {
+						r := &net.routers[i]
+						if len(r.vcState) == 64 && r.vcState[63] == vcWaitVC {
+							topBids++
+						}
+						for k := range r.arbs {
+							if r.arbs[k].next == 64 {
+								fullRotor++
+							}
+						}
+					}
+				}})
+				if topBids == 0 || (c.cfg.Arb == ArbRoundRobin && fullRotor == 0) {
+					t.Fatalf("the mask's edge was not reached: flat VC 63 waited for a VC on %d router-cycles, a rotor stood at 64 on %d", topBids, fullRotor)
+				}
+			}
 			act := run(c, StepActivity, 1)
 			if act.Generated == 0 || act.Ejected != act.Generated {
 				t.Fatalf("activity run did not deliver all traffic: %v", act.String())
 			}
-			same(t, "fullscan vs activity", run(c, StepFullScan, 1), act)
-			if c.wide {
-				same(t, "checked vs activity", run(c, StepChecked, 1), act)
-			}
+			sameResult(t, "checked vs activity", run(c, StepChecked, 1), act)
 			if c.shards > 1 {
-				same(t, "sharded vs 1 shard", run(c, StepActivity, c.shards), act)
+				sameResult(t, "sharded vs 1 shard", run(c, StepActivity, c.shards), act)
 			}
 		})
 	}
@@ -323,38 +340,31 @@ func TestIdleNetworkStaysCheap(t *testing.T) {
 }
 
 // TestStepModeMixedClasses covers ByClass VC allocation plus QoS under
-// bimodal control/data traffic in both modes.
+// bimodal control/data traffic: against the oracle, and as a complete
+// Sim run in both step modes.
 func TestStepModeMixedClasses(t *testing.T) {
-	mk := func(mode StepMode) (Result, Counters) {
-		cfg := cfg2D(2)
-		cfg.Policy = ByClass
-		cfg.QoSPriority = true
-		cfg.Seed = 3
-		cfg.Mode = mode
-		net := NewNetwork(cfg)
-		gen := GeneratorFunc(func(cycle int64, rng *rand.Rand, specs []Spec) []Spec {
-			if rng.Float64() < 0.4 {
-				a := topology.NodeID(rng.Intn(36))
-				b := topology.NodeID(rng.Intn(36))
-				if a != b {
-					specs = append(specs,
-						Spec{Src: a, Dst: b, Size: 1, Class: Control},
-						Spec{Src: b, Dst: a, Size: 4, Class: Data})
-				}
+	cfg := cfg2D(2)
+	cfg.Policy = ByClass
+	cfg.QoSPriority = true
+	cfg.Seed = 3
+	gen := GeneratorFunc(func(cycle int64, rng *rand.Rand, specs []Spec) []Spec {
+		if rng.Float64() < 0.4 {
+			a := topology.NodeID(rng.Intn(36))
+			b := topology.NodeID(rng.Intn(36))
+			if a != b {
+				specs = append(specs,
+					Spec{Src: a, Dst: b, Size: 1, Class: Control},
+					Spec{Src: b, Dst: a, Size: 4, Class: Data})
 			}
-			return specs
-		})
-		s := NewSim(net, gen)
+		}
+		return specs
+	})
+	againstOracle(t, cfg, gen, 600, oracleOpts{})
+	mk := func(mode StepMode) Result {
+		cfg.Mode = mode
+		s := NewSim(NewNetwork(cfg), gen)
 		s.Params = SimParams{Warmup: 200, Measure: 1500, DrainMax: 8000}
-		return s.Run(context.Background()), net.TotalCounters()
+		return s.Run(context.Background())
 	}
-	fullRes, fullCnt := mk(StepFullScan)
-	actRes, actCnt := mk(StepActivity)
-	if fullRes.AvgLatency != actRes.AvgLatency || fullRes.PerClass != actRes.PerClass {
-		t.Fatalf("bimodal results diverge:\nfullscan %v %+v\nactivity %v %+v",
-			fullRes.String(), fullRes.PerClass, actRes.String(), actRes.PerClass)
-	}
-	if fullCnt != actCnt {
-		t.Fatalf("bimodal counters diverge:\nfullscan %+v\nactivity %+v", fullCnt, actCnt)
-	}
+	sameResult(t, "checked vs activity", mk(StepChecked), mk(StepActivity))
 }

@@ -13,12 +13,10 @@ import "math/bits"
 
 // arbState is one allocator arbiter. Under ArbRoundRobin the whole state
 // is the rotor — the slot after the last winner has the highest priority
-// next time; under ArbMatrix it delegates to a Matrix. Three entry
-// points make the same decision on the same requests: grant takes the
-// request vector as []bool (the reference stages), grantMask as a
-// bitmask (the activity stages; TestGrantMaskEquivalence holds it to
-// grant) and grantSingle takes a sole requester
-// (TestGrantSingleEquivalence).
+// next time; under ArbMatrix it delegates to a Matrix. grantMask takes
+// the requests as a bitmask over flat VC indices and grantSingle a sole
+// requester; both are held to the test-only textbook arbiters of the
+// oracle (TestGrantMaskEquivalence, TestGrantSingleEquivalence).
 type arbState struct {
 	next int32
 	n    int32 // request-vector length (wrap point of the rotor)
@@ -32,39 +30,13 @@ func (a *arbState) init(p ArbPolicy, n int) {
 	}
 }
 
-// grant returns the winning index among the set bits of reqs, or -1 when
-// nobody requests. The rotating scan is written as two linear passes
-// (next..n, then 0..next) rather than a modulo walk: same grant order,
-// no division.
-func (a *arbState) grant(reqs []bool) int {
-	if a.m != nil {
-		return a.m.Grant(reqs)
-	}
-	for i := int(a.next); i < len(reqs); i++ {
-		if reqs[i] {
-			a.next = int32(i + 1)
-			if int(a.next) == len(reqs) {
-				a.next = 0
-			}
-			return i
-		}
-	}
-	for i := 0; i < int(a.next) && i < len(reqs); i++ {
-		if reqs[i] {
-			a.next = int32(i + 1)
-			return i
-		}
-	}
-	return -1
-}
-
-// grantMask is grant with the request vector as a bitmask over flat VC
-// indices, for routers of at most 64 flat VCs (wider ones run the
-// reference stages, Router.refStages). Bit for bit it makes the same
-// decision as grant on the equivalent []bool: the rotor scan becomes a
-// shift plus a trailing-zeros count. The matrix policy has no mask form,
-// so reqs (the all-false scratch) is materialized around the delegated
-// call.
+// grantMask returns the winning index among the set bits of mask — the
+// request vector over flat VC indices, at most 64 per router
+// (Config.Validate) — or -1 when nobody requests. The rotor scan is a
+// shift plus a trailing-zeros count: the lowest requester at or above
+// the rotor wins, else the lowest one below it. The matrix policy has
+// no mask form, so reqs (the all-false scratch) is materialized around
+// the delegated call.
 func (a *arbState) grantMask(mask uint64, reqs []bool) int {
 	if a.m != nil {
 		for m := mask; m != 0; m &= m - 1 {
@@ -77,7 +49,7 @@ func (a *arbState) grantMask(mask uint64, reqs []bool) int {
 		return g
 	}
 	if m := mask >> uint(a.next); m != 0 {
-		// First pass of grant: lowest set bit at index >= next.
+		// Lowest set bit at index >= next.
 		i := int(a.next) + bits.TrailingZeros64(m)
 		a.next = int32(i + 1)
 		if a.next == a.n {
@@ -88,17 +60,17 @@ func (a *arbState) grantMask(mask uint64, reqs []bool) int {
 	if mask == 0 {
 		return -1
 	}
-	// Wrap-around pass: every remaining set bit is below next. As in
-	// grant's second loop, the rotor is not wrapped here.
+	// Wrap-around: every set bit is below next, so i+1 <= next <= n; a
+	// rotor left at n reads as 0 (the shift above comes out empty).
 	i := bits.TrailingZeros64(mask)
 	a.next = int32(i + 1)
 	return i
 }
 
 // grantSingle records a grant to the sole requester i, advancing the
-// state exactly like grant with only bit i set. The rotor may
-// momentarily equal the requester width; grant's two-pass scan and
-// grantMask's shift treat that the same as 0.
+// state exactly like grantMask with only bit i set — except that the
+// rotor may be left equal to the requester width instead of wrapped,
+// which grantMask's shift treats the same as 0.
 func (a *arbState) grantSingle(i int) {
 	if a.m != nil {
 		a.m.GrantSingle(i)

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +15,18 @@ func newArb(p ArbPolicy, n int) *arbState {
 	return a
 }
 
+// grantReqs hands a []bool request vector to the arbiter the way the
+// stages do, as a bitmask.
+func grantReqs(a *arbState, reqs []bool) int {
+	var mask uint64
+	for i, r := range reqs {
+		if r {
+			mask |= 1 << uint(i)
+		}
+	}
+	return a.grantMask(mask, make([]bool, a.n))
+}
+
 var arbPolicies = []ArbPolicy{ArbRoundRobin, ArbMatrix}
 
 func TestRoundRobinRotates(t *testing.T) {
@@ -20,7 +34,7 @@ func TestRoundRobinRotates(t *testing.T) {
 	all := []bool{true, true, true, true}
 	var got []int
 	for i := 0; i < 8; i++ {
-		got = append(got, a.grant(all))
+		got = append(got, grantReqs(a, all))
 	}
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	for i := range want {
@@ -33,23 +47,23 @@ func TestRoundRobinRotates(t *testing.T) {
 func TestRoundRobinSkipsIdle(t *testing.T) {
 	a := newArb(ArbRoundRobin, 4)
 	reqs := []bool{false, true, false, true}
-	if g := a.grant(reqs); g != 1 {
+	if g := grantReqs(a, reqs); g != 1 {
 		t.Errorf("grant = %d, want 1", g)
 	}
-	if g := a.grant(reqs); g != 3 {
+	if g := grantReqs(a, reqs); g != 3 {
 		t.Errorf("grant = %d, want 3", g)
 	}
-	if g := a.grant(reqs); g != 1 {
+	if g := grantReqs(a, reqs); g != 1 {
 		t.Errorf("grant = %d, want 1 (wrap)", g)
 	}
 }
 
 func TestRoundRobinEmpty(t *testing.T) {
 	a := newArb(ArbRoundRobin, 3)
-	if g := a.grant([]bool{false, false, false}); g != -1 {
+	if g := grantReqs(a, []bool{false, false, false}); g != -1 {
 		t.Errorf("grant with no requests = %d", g)
 	}
-	if g := a.grant(nil); g != -1 {
+	if g := grantReqs(a, nil); g != -1 {
 		t.Errorf("grant with nil requests = %d", g)
 	}
 }
@@ -117,7 +131,7 @@ func TestArbiterSoundness(t *testing.T) {
 			any = any || reqs[i]
 		}
 		for _, a := range []*arbState{rr, mx} {
-			g := a.grant(reqs)
+			g := grantReqs(a, reqs)
 			if any && (g < 0 || !reqs[g]) {
 				return false
 			}
@@ -140,7 +154,7 @@ func TestArbiterLongRunFairness(t *testing.T) {
 		counts := make([]int, 5)
 		all := []bool{true, true, true, true, true}
 		for i := 0; i < 1000; i++ {
-			counts[a.grant(all)]++
+			counts[grantReqs(a, all)]++
 		}
 		for i, c := range counts {
 			if c != 200 {
@@ -150,38 +164,72 @@ func TestArbiterLongRunFairness(t *testing.T) {
 	}
 }
 
-// Property: grantSingle(i) leaves an arbiter in a state
-// indistinguishable from grant with only bit i set — the contract the
-// switch/VC allocators' sole-candidate fast path relies on for
-// bit-identical results across step modes.
-func TestGrantSingleEquivalence(t *testing.T) {
-	const n = 6
-	for _, policy := range arbPolicies {
-		ref, fast := newArb(policy, n), newArb(policy, n)
-		rng := uint64(12345)
-		next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
-		reqs := make([]bool, n)
-		for step := 0; step < 2000; step++ {
-			mask := next() % (1 << n)
-			count, single := 0, -1
-			for i := 0; i < n; i++ {
-				reqs[i] = mask&(1<<uint(i)) != 0
-				if reqs[i] {
-					count++
-					single = i
-				}
-			}
-			want := ref.grant(reqs)
-			var got int
-			if count == 1 {
-				fast.grantSingle(single)
-				got = single
-			} else {
-				got = fast.grant(reqs)
-			}
-			if got != want {
-				t.Fatalf("%v step %d (mask %06b): fast path grants %d, reference %d", policy, step, mask, got, want)
+// randomRequests drives a production arbiter and the oracle's textbook
+// arbiter of the same policy with one random request stream and
+// requires decision-for-decision agreement. single selects how a lone
+// requester reaches the production arbiter: through grantSingle (the
+// allocators' sole-candidate path) or through grantMask like any other
+// request. Width 64 is the widest router Config.Validate accepts: bit 63
+// requests, and a grantSingle(63) leaves the rotor equal to the width.
+func randomRequests(t *testing.T, policy ArbPolicy, n int, single bool) {
+	t.Helper()
+	prod, ref := newArb(policy, n), newOArbiter(policy, n)
+	reqs, scratch := make([]bool, n), make([]bool, n)
+	rng := rand.New(rand.NewSource(3))
+	sawTop, sawFullRotor := false, false
+	for round := 0; round < 4000; round++ {
+		var mask uint64
+		density := 1 + rng.Intn(n) // from crowded to mostly lone requesters
+		for i := range reqs {
+			if reqs[i] = rng.Intn(density) == 0; reqs[i] {
+				mask |= 1 << uint(i)
 			}
 		}
+		want := ref.pick(reqs)
+		var got int
+		if single && mask != 0 && mask&(mask-1) == 0 {
+			got = bits.TrailingZeros64(mask)
+			prod.grantSingle(got)
+		} else {
+			got = prod.grantMask(mask, scratch)
+		}
+		if got != want {
+			t.Fatalf("%v width %d round %d (mask %#x): production grants %d, the oracle's arbiter %d", policy, n, round, mask, got, want)
+		}
+		for _, v := range scratch {
+			if v {
+				t.Fatalf("round %d: grantMask left scratch dirty", round)
+			}
+		}
+		sawTop = sawTop || got == n-1
+		sawFullRotor = sawFullRotor || prod.next == int32(n)
+	}
+	if !sawTop || (single && policy == ArbRoundRobin && !sawFullRotor) {
+		t.Fatalf("%v width %d: stream never granted bit %d (%v) or never left the rotor at the width (%v)", policy, n, n-1, sawTop, sawFullRotor)
+	}
+}
+
+// TestGrantSingleEquivalence: grantSingle(i) leaves an arbiter in a
+// state indistinguishable from a full arbitration with only bit i set —
+// the contract the switch/VC allocators' sole-candidate fast path
+// relies on.
+func TestGrantSingleEquivalence(t *testing.T) {
+	for _, policy := range arbPolicies {
+		for _, n := range []int{6, 64} {
+			randomRequests(t, policy, n, true)
+		}
+	}
+}
+
+// TestGrantMaskEquivalence holds the bitmask arbitration the allocation
+// stages run to the oracle's []bool arbiters, for both policies, at a
+// typical width and at the 64-bit edge of the mask.
+func TestGrantMaskEquivalence(t *testing.T) {
+	for _, policy := range arbPolicies {
+		t.Run(policy.String(), func(t *testing.T) {
+			for _, n := range []int{20, 64} {
+				randomRequests(t, policy, n, false)
+			}
+		})
 	}
 }

@@ -31,9 +31,9 @@ func (p VCPolicy) String() string {
 	return "any-free"
 }
 
-// StepMode selects the per-cycle scheduling strategy of Network.Step.
-// All modes are bit-identical in simulated behaviour; they differ only
-// in host cost. See activity.go for the determinism argument.
+// StepMode selects how much Network.Step checks of itself. Both modes
+// run the one activity-driven cycle (activity.go) and are bit-identical
+// in simulated behaviour; they differ only in host cost.
 type StepMode uint8
 
 // Step modes.
@@ -43,10 +43,7 @@ const (
 	// transition. Simulation cost scales with traffic, not network
 	// size.
 	StepActivity StepMode = iota
-	// StepFullScan rescans every router, port and VC each cycle — the
-	// reference implementation the activity path is checked against.
-	StepFullScan
-	// StepChecked runs the activity path and cross-checks the full set
+	// StepChecked runs the same path and cross-checks the full set
 	// of flow-control and activity invariants after every cycle,
 	// panicking on the first violation. Orders of magnitude slower;
 	// for tests and CI only.
@@ -54,14 +51,10 @@ const (
 )
 
 func (m StepMode) String() string {
-	switch m {
-	case StepFullScan:
-		return "fullscan"
-	case StepChecked:
+	if m == StepChecked {
 		return "checked"
-	default:
-		return "activity"
 	}
+	return "activity"
 }
 
 // ParseStepMode converts a -stepmode flag value.
@@ -69,12 +62,10 @@ func ParseStepMode(s string) (StepMode, error) {
 	switch s {
 	case "activity", "":
 		return StepActivity, nil
-	case "fullscan":
-		return StepFullScan, nil
 	case "checked":
 		return StepChecked, nil
 	}
-	return StepActivity, fmt.Errorf("noc: unknown step mode %q (want activity, fullscan or checked)", s)
+	return StepActivity, fmt.Errorf("noc: unknown step mode %q (want activity or checked)", s)
 }
 
 // Config fully describes a simulated network.
@@ -192,14 +183,15 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: BufDepth = %d, need >= 1", c.BufDepth)
 	}
 	// The flat router state (soa.go) keeps occupancy counters (vcInFly,
-	// saCount) and flat VC indices (portOf/vcOf/vcOutVC/eligibleOut) in
-	// int8 lanes; bound the config here so an oversized network fails
-	// loudly at validation instead of silently overflowing them.
+	// saCount) in int8 lanes, and the allocation stages hand the arbiters
+	// one uint64 request mask over a router's flat VCs (arbiter.go);
+	// bound the config here so an oversized network fails loudly at
+	// validation instead of silently overflowing either.
 	if c.BufDepth > 127 {
 		return fmt.Errorf("noc: BufDepth = %d, need <= 127 (int8 occupancy counters)", c.BufDepth)
 	}
-	if fv := c.Topo.MaxPorts() * c.VCs; fv > 127 {
-		return fmt.Errorf("noc: %d ports x %d VCs = %d flat VCs per router, need <= 127 (int8 flat indices)",
+	if fv := c.Topo.MaxPorts() * c.VCs; fv > 64 {
+		return fmt.Errorf("noc: %d ports x %d VCs = %d flat VCs per router, need <= 64 (one request-mask word)",
 			c.Topo.MaxPorts(), c.VCs, fv)
 	}
 	if c.STLTCycles < 1 || c.STLTCycles > 2 {

@@ -228,9 +228,6 @@ func NewNetwork(cfg Config) *Network {
 		for ri := sh.lo; ri < sh.hi; ri++ {
 			n.routers[ri].sh = sh
 			n.routers[ri].shard = int32(i)
-			if cfg.Mode == StepFullScan {
-				sh.all = append(sh.all, ri)
-			}
 		}
 	}
 	// Third pass: precompute each input port's upstream credit slot and
@@ -428,14 +425,8 @@ func (n *Network) inject(id topology.NodeID) {
 	lpi := int(r.inIndex[topology.Local])
 
 	if !s.injecting {
-		if len(s.pending()) == 0 {
-			// Drained NI: drop out of the active set until the next
-			// Enqueue (only reached in full-scan mode; the activity
-			// path removes the NI eagerly when its last packet
-			// completes).
-			sh.actNI.remove(int(id))
-			return
-		}
+		// An NI is in the active set only while it has work (it leaves
+		// below with its last flit), so a packet is waiting here.
 		job := s.queue[s.qhead]
 		vc := n.pickInjectionVC(r, lpi, job.pkt.Class)
 		if vc < 0 {

@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mira/internal/routing"
@@ -351,13 +352,36 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Layers = 0 },
 		func(c *Config) { c.VCs = 1; c.Policy = ByClass },
 		func(c *Config) { c.BufDepth = 128 }, // int8 occupancy counters
-		func(c *Config) { c.VCs = 30 },       // 5 ports x 30 VCs > 127 flat indices
+		func(c *Config) { c.VCs = 30 },       // 5 ports x 30 VCs > 64 flat VCs
 	}
 	for i, mutate := range bad {
 		c := cfg2D(2)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// The widest router is one request-mask word: ports x VCs <= 64, and
+	// the rejection names both factors.
+	for _, c := range []struct {
+		topo   *topology.Topology
+		vcs    int
+		reject string // "" = accepted
+	}{
+		{topology.NewMesh2D(4, 2, 3.1), 16, ""}, // 4 ports x 16 = 64
+		{topology.NewMesh2D(4, 2, 3.1), 17, "4 ports x 17 VCs = 68 flat VCs"},
+		{topology.NewExpressMesh2D(5, 4, 1.58, 2), 8, ""}, // 8 ports x 8 = 64
+		{topology.NewMesh2D(6, 6, 3.1), 12, ""},           // 5 ports x 12 = 60
+		{topology.NewMesh2D(6, 6, 3.1), 13, "5 ports x 13 VCs = 65 flat VCs"},
+	} {
+		cfg := cfg2D(2)
+		cfg.Topo, cfg.VCs = c.topo, c.vcs
+		err := cfg.Validate()
+		if c.reject == "" && err != nil {
+			t.Errorf("%s with %d VCs rejected: %v", c.topo.Name, c.vcs, err)
+		}
+		if c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)) {
+			t.Errorf("%s with %d VCs: error %v, want one naming %q", c.topo.Name, c.vcs, err, c.reject)
 		}
 	}
 }

@@ -80,16 +80,9 @@ type ProbeEvent struct {
 // emission site, which keeps the simulator's hot path unaffected when
 // nothing is observing (see BenchmarkStepUR vs BenchmarkStepURNilProbe).
 //
-// Events are emitted in a deterministic order: for a fixed scenario and
-// step mode the stream is bit-reproducible. Across step modes
-// (activity vs fullscan vs checked) the inject, VC-alloc, SA-grant,
-// link and eject sequences are identical event for event, because their
-// emission sites sit in the shared stage helpers (forward, inject,
-// event delivery) or at the matched grant points of the paired stage
-// implementations. Route events match as a per-cycle set but may
-// interleave differently within one cycle — the RC stage carries no
-// arbitration, so the activity path visits its pending list in
-// insertion order while the full scan visits port order.
+// Events are emitted in a deterministic order: for a fixed scenario the
+// stream is bit-reproducible, and identical under StepChecked (the same
+// cycle plus a check) and at any shard count (SetProbe below).
 //
 // Per flit, the stream satisfies a span-folding contract (relied on by
 // internal/obs's Replay and SpanBuilder): inject is the flit's first

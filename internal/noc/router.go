@@ -112,20 +112,12 @@ type Router struct {
 	// sh is the shard stepping this router; the forward path schedules
 	// into its rings and the probe emission sites go through its sink.
 	// shard caches sh.idx for the same-shard test per forwarded flit.
-	sh    *shardState
-	shard int32
-	// refStages routes this router through the reference full-scan stage
-	// bodies (step{RC,VA,SA}Full): under StepFullScan, and whenever its
-	// flat VC count exceeds the 64 bits of the request mask the activity
-	// stages hand the arbiters. Every shipped config fits the mask; the
-	// widest Config.Validate accepts (127 flat VCs) does not. It sits in
-	// the header's first cache line because the cycle reads it on every
-	// visit.
-	refStages bool
-	inPorts   []inputPort
-	outPorts  []outputPort
-	inIndex   [topology.NumDirs]int8 // dir -> port index, -1 if absent
-	outIndex  [topology.NumDirs]int8
+	sh       *shardState
+	shard    int32
+	inPorts  []inputPort
+	outPorts []outputPort
+	inIndex  [topology.NumDirs]int8 // dir -> port index, -1 if absent
+	outIndex [topology.NumDirs]int8
 	// linkMask has bit oi set when output port oi drives a link (every
 	// port except Local); the SA credit check tests the bit instead of
 	// loading outputPort.hasLink.
@@ -182,14 +174,12 @@ type Router struct {
 	// is free again (window; meaningful only for serMask ports, where
 	// forward stamps cycle + serCycles).
 	serFree []int64
-	// reqScratch, eligibleOut and saRank are reusable per-cycle scratch
-	// vectors (windows) over flat input-VC indices, avoiding allocation
-	// in the hot switch-allocation loop. reqScratch is the []bool request
-	// vector of the reference stages and of grantMask's matrix
-	// delegation, which leaves it all-false.
-	reqScratch  []bool
-	eligibleOut []int8
-	saRank      []int8
+	// reqScratch and saRank are reusable per-cycle scratch vectors
+	// (windows) over flat input-VC indices, avoiding allocation in the
+	// hot switch-allocation loop. reqScratch is the []bool request vector
+	// of grantMask's matrix delegation, which leaves it all-false.
+	reqScratch []bool
+	saRank     []int8
 	// The eligibility pass threads each cycle's switch-eligible VCs into
 	// per-output-port chains: saHead[oi]/saLast[oi] bound the chain and
 	// eligNext[f] links it (windows, reset lazily per cycle via
@@ -298,9 +288,7 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.serFree = st.serFree[portBase : portBase+nP]
 
 	r.reqScratch = st.reqScratch[vcBase : vcBase+nVC]
-	r.refStages = cfg.Mode == StepFullScan || nVC > 64
 	_, r.algXY = cfg.Alg.(routing.XY)
-	r.eligibleOut = st.eligibleOut[vcBase : vcBase+nVC]
 	r.saRank = st.saRank[vcBase : vcBase+nVC]
 	r.eligNext = st.eligStore[vcBase : vcBase+nVC]
 	r.saHead = st.saHead[portBase : portBase+nP]
@@ -434,34 +422,6 @@ func (r *Router) stepRC(cycle int64) {
 	}
 }
 
-// stepRCFull is the reference full scan over every port and VC: the
-// body StepFullScan and over-wide routers run (Router.refStages), and
-// the one the step-mode suites diff stepRC against, so it must stay
-// behaviourally identical to it.
-func (r *Router) stepRCFull(cycle int64) {
-	for f := range r.vcState {
-		if r.vcState[f] != vcRouting || cycle < r.vcReadyAt[f] {
-			continue
-		}
-		front := r.vcFrontFlit(f)
-		if front == nil || !front.Type.IsHead() {
-			panic(fmt.Sprintf("noc: router %d RC on non-head", r.id))
-		}
-		r.routeHead(f)
-		r.setVCState(int32(f), vcWaitVC)
-		r.vcReadyAt[f] = cycle + 1
-	}
-}
-
-// vaCandidate reports whether output VC ov may be used by packet class c
-// under the configured policy.
-func (r *Router) vaCandidate(ov int, c Class) bool {
-	if r.net.cfg.Policy == ByClass {
-		return ov == int(c)
-	}
-	return true
-}
-
 // stepVA allocates free output VCs to waiting head flits. Each output
 // VC owns a PV:1 arbiter (the VA2 stage of §3.2.5); the first-stage VA1
 // output-VC selection collapses into the candidate filter because a
@@ -469,8 +429,9 @@ func (r *Router) vaCandidate(ov int, c Class) bool {
 //
 // Only VCs on the wait pending list build request masks, and output
 // ports no ready waiter is routed to are skipped outright; both prune
-// exactly the (oi, ov) pairs the full scan would have found requester-
-// less, so the arbiters receive the identical grant sequence.
+// exactly the (oi, ov) pairs a scan of every port and VC would have
+// found requester-less, and an arbiter only moves on a grant, so the
+// grant sequence is that scan's.
 func (r *Router) stepVA(cycle int64) {
 	readyAt := r.vcReadyAt
 	outPort := r.vcOutPort
@@ -505,7 +466,7 @@ func (r *Router) stepVA(cycle int64) {
 	vcs := r.vcsPerPort
 	state, class := r.vcState, r.vcClass
 	byClass := r.net.cfg.Policy == ByClass
-	// Ascending port order, as the full scan visits them. The walk
+	// Ascending port order, then ascending output VC. The walk
 	// re-checks the full candidate predicate — state, readiness and
 	// output port — not just the state: a chain entry granted for an
 	// earlier (oi, ov) normally leaves the wait state (grantVC), but
@@ -513,8 +474,9 @@ func (r *Router) stepVA(cycle int64) {
 	// channel (single-flit packet) and route the next buffered head
 	// straight back into vcWaitVC, with readyAt = cycle+1 and possibly a
 	// different output port. The stale chain still lists it, so only the
-	// readyAt and outPort guards keep it out of later (oi, ov) rounds,
-	// exactly as stepVAFull's rescan would.
+	// readyAt and outPort guards keep it out of later (oi, ov) rounds
+	// (the oracle, which rebuilds each round's requests from the live VC
+	// state, is what holds this walk to that: oracle_test.go).
 	for m := outMask; m != 0; m &= m - 1 {
 		oi := bits.TrailingZeros32(m)
 		head, tail := saHead[oi], saLast[oi]
@@ -549,9 +511,7 @@ func (r *Router) stepVA(cycle int64) {
 }
 
 // grantVC commits a VA grant: reserve the output VC, activate the input
-// VC and (under SpecSA) attempt the speculative same-cycle forward. It
-// is the shared tail of stepVA and stepVAFull, so the probe event and
-// state transitions are emitted identically by both.
+// VC and (under SpecSA) attempt the speculative same-cycle forward.
 func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.reserved[oi*r.vcsPerPort+ov] = true
 	r.vcOutVC[g] = int8(ov)
@@ -566,46 +526,6 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	}
 	if r.net.cfg.SpecSA {
 		r.trySpeculativeForward(cycle, g, oi)
-	}
-}
-
-// stepVAFull is the reference full scan (Router.refStages); it must
-// stay behaviourally identical to stepVA.
-func (r *Router) stepVAFull(cycle int64) {
-	any := false
-	for f := range r.vcState {
-		if r.vcState[f] == vcWaitVC && cycle >= r.vcReadyAt[f] {
-			any = true
-			r.Counters.VAReqs++
-		}
-	}
-	if !any {
-		return
-	}
-	vcs := r.vcsPerPort
-	for oi := range r.outPorts {
-		for ov := 0; ov < vcs; ov++ {
-			if r.reserved[oi*vcs+ov] {
-				continue
-			}
-			reqs := r.reqScratch
-			found := false
-			for f := range r.vcState {
-				ok := r.vcState[f] == vcWaitVC && cycle >= r.vcReadyAt[f] &&
-					r.vcOutPort[f] == int8(oi) &&
-					r.vaCandidate(ov, r.vcClass[f])
-				reqs[f] = ok
-				found = found || ok
-			}
-			if !found {
-				continue
-			}
-			g := r.vaArb(oi, ov).grant(reqs)
-			if g < 0 {
-				continue
-			}
-			r.grantVC(cycle, g, oi, ov)
-		}
 	}
 }
 
@@ -641,11 +561,9 @@ func (r *Router) saRankOf(cycle int64, f int) int8 {
 // the link, when ST+LT are combined) and are scheduled into the next
 // router.
 //
-// Eligibility (eligibleOut/saRank) is cached only for the VCs on the
-// active pending list; entries not on the list are never read, so their
-// stale values from earlier cycles are harmless. A tail forwarded
-// mid-loop leaves the list, which matches the full scan's exclusion of
-// the same VC through the inBusy mask.
+// Eligibility (the per-port chains and saRank) is cached only for the
+// VCs on the active pending list; entries not on the list are never
+// read, so their stale values from earlier cycles are harmless.
 func (r *Router) stepSA(cycle int64) {
 	nOut := len(r.outPorts)
 	saRank := r.saRank
@@ -720,7 +638,7 @@ func (r *Router) stepSA(cycle int64) {
 // stepSA) is walked rather than the live pending list: a VC forwarded
 // earlier this cycle (tail release drops it from listSA) stays in the
 // chain, but its input port is marked busy, so it can never be granted
-// twice — the same exclusion the full scan gets from its inBusy mask.
+// twice.
 func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 	if outBusy[oi] == cycle {
 		return
@@ -786,74 +704,6 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 	inBusy[pi] = cycle
 	outBusy[oi] = cycle
 	r.Counters.SAGrants++
-}
-
-// stepSAFull is the reference full scan (Router.refStages); it must
-// stay behaviourally identical to stepSA.
-func (r *Router) stepSAFull(cycle int64) {
-	nOut := len(r.outPorts)
-	eligibleOut, saRank := r.eligibleOut, r.saRank
-	vcs := r.vcsPerPort
-	any := false
-	for f := range r.vcState {
-		eligibleOut[f] = -1
-		if r.vcState[f] != vcActive || cycle < r.vcReadyAt[f] {
-			continue
-		}
-		if r.vcLen[f] == 0 || r.vcFrontArrived(f) >= cycle {
-			continue
-		}
-		oi := r.outIndex[r.vcOutDir[f]]
-		if r.serMask>>uint(oi)&1 != 0 && cycle < r.serFree[oi] {
-			r.Counters.SerStalls++
-			continue // the serializing d2d link is still streaming a flit
-		}
-		if r.linkMask>>uint(oi)&1 != 0 && r.credits[int(oi)*vcs+int(r.vcOutVC[f])] <= 0 {
-			r.Counters.CreditStalls++
-			continue // no downstream buffer space
-		}
-		eligibleOut[f] = oi
-		saRank[f] = r.saRankOf(cycle, f)
-		r.Counters.SAReqs++
-		any = true
-	}
-	if !any {
-		return
-	}
-	inBusy, outBusy := r.inBusy, r.outBusy
-	start := int(uint64(cycle) % uint64(nOut)) // rotate output priority
-	for k := 0; k < nOut; k++ {
-		oi := start + k
-		if oi >= nOut {
-			oi -= nOut
-		}
-		if outBusy[oi] == cycle {
-			continue
-		}
-		// Restrict candidates to the best QoS tier present.
-		best := int8(127)
-		for f := range r.reqScratch {
-			if eligibleOut[f] == int8(oi) && inBusy[r.portOf[f]] != cycle && saRank[f] < best {
-				best = saRank[f]
-			}
-		}
-		if best == 127 {
-			continue
-		}
-		reqs := r.reqScratch
-		for f := range reqs {
-			reqs[f] = eligibleOut[f] == int8(oi) && inBusy[r.portOf[f]] != cycle && saRank[f] == best
-		}
-		g := r.saArb(oi).grant(reqs)
-		if g < 0 {
-			continue
-		}
-		pi := int(r.portOf[g])
-		r.forward(cycle, g, oi)
-		inBusy[pi] = cycle
-		outBusy[oi] = cycle
-		r.Counters.SAGrants++
-	}
 }
 
 // trySpeculativeForward attempts to move the freshly VC-allocated head

@@ -16,8 +16,7 @@ import (
 // stages over its own routers on a private goroutine, joined by one
 // barrier per cycle. Sequential stepping (Shards <= 1) is the same
 // cycle function, shardCycle, run over the one shard inline on the
-// caller, and results are bit-identical for any shard count — the same
-// contract the activity path keeps against the full scan (activity.go).
+// caller, and results are bit-identical for any shard count.
 //
 // # Why link latency makes concurrent shards safe
 //
@@ -203,12 +202,9 @@ type shardState struct {
 	ringMask int64
 
 	// Per-stage activity sets over this shard's routers and NIs (see
-	// activity.go; bits outside [lo, hi) are never set). all is the
-	// full-scan member list — every router in [lo, hi) — and nil in the
-	// activity modes (members).
+	// activity.go; bits outside [lo, hi) are never set).
 	actRC, actVA, actSA, actNI routerSet
 	actScratch                 []int32
-	all                        []int32
 
 	// probe is where this shard's emission sites send events: the
 	// network probe itself on a single shard, the shard's own buffering
@@ -278,15 +274,11 @@ func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
 }
 
 // members returns the routers (or NIs) one stage of the cycle visits, in
-// ascending ID order: a snapshot of the stage's activity set, or under
-// full scan every router of the shard. The snapshot is taken immediately
-// before the stage runs, so routers activated by an earlier stage of the
-// same cycle are visited exactly as the full scan visits them — where
-// they find only non-ready VCs and do nothing.
+// ascending ID order: a snapshot of the stage's activity set, taken
+// immediately before the stage runs, so routers activated by an earlier
+// stage of the same cycle are visited too — where they find only
+// non-ready VCs and do nothing.
 func (sh *shardState) members(set *routerSet) []int32 {
-	if sh.all != nil {
-		return sh.all
-	}
 	if set.n == 0 {
 		return nil
 	}
@@ -357,37 +349,23 @@ func (n *Network) shardCycle(sh *shardState) {
 
 	// Injection and the pipeline stages over this shard's members. The
 	// send phase tracks the stage so appended events land in the segment
-	// deliver's order expects. A router runs the reference
-	// full-scan stage bodies under StepFullScan or when it is too wide
-	// for the activity stages' request mask (Router.refStages).
+	// deliver's order expects.
 	sh.setKey(pkInject)
 	for _, id := range sh.members(&sh.actNI) {
 		n.inject(topology.NodeID(id))
 	}
 	sh.setKey(pkSA)
 	for _, id := range sh.members(&sh.actSA) {
-		if r := &n.routers[id]; r.refStages {
-			r.stepSAFull(cycle)
-		} else {
-			r.stepSA(cycle)
-		}
+		n.routers[id].stepSA(cycle)
 	}
 	sh.phase = 1
 	sh.setKey(pkVA)
 	for _, id := range sh.members(&sh.actVA) {
-		if r := &n.routers[id]; r.refStages {
-			r.stepVAFull(cycle)
-		} else {
-			r.stepVA(cycle)
-		}
+		n.routers[id].stepVA(cycle)
 	}
 	sh.setKey(pkRC)
 	for _, id := range sh.members(&sh.actRC) {
-		if r := &n.routers[id]; r.refStages {
-			r.stepRCFull(cycle)
-		} else {
-			r.stepRC(cycle)
-		}
+		n.routers[id].stepRC(cycle)
 	}
 	if meter != nil {
 		sh.meterEnd = time.Now()

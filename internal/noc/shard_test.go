@@ -16,11 +16,15 @@ import (
 // TestShardDeterminism is the tentpole contract of sharded stepping:
 // for every shard count the ejection stream (order included), the final
 // counters and the flow-control state must be bit-identical to the
-// sequential single-shard run, across seeds, step modes and pipeline
-// variants. Checked mode additionally cross-checks the full invariant
-// suite after every sharded cycle. Shard counts on both sides of the
-// host's core count cover the barrier spinning and park-only (pool.go);
-// CI's race job reruns the Shard and Chiplet tests under -cpu 1,2,4.
+// sequential single-shard run, across seeds and pipeline variants. Each
+// case and seed has three arms: "activity" compares sharded production
+// with sequential production; "checked" does so with the full invariant
+// suite cross-checked after every sharded cycle; "fullscan" holds
+// sharded production to the full-scan oracle (oracle_test.go), backlog
+// and every pipeline event included. The shard counts are spread over
+// the arms rather than multiplied with them, on both sides of the host's
+// core count, so the barrier both spins and parks (pool.go); CI's race
+// job reruns the Shard and Chiplet tests under -cpu 1,2,4.
 func TestShardDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,25 +47,38 @@ func TestShardDeterminism(t *testing.T) {
 		{"mesh3d", cfg3D(2), 0.2},
 		{"express-saturated", cfgExpress(1), 0.9},
 	}
-	modes := []StepMode{StepActivity, StepFullScan, StepChecked}
+	arms := []struct {
+		name   string
+		mode   StepMode
+		oracle bool // the reference is the oracle, not sequential production
+		cycles int64
+		shards []int
+	}{
+		{"activity", StepActivity, false, 1200, []int{2, 4, 8}},
+		{"fullscan", StepActivity, true, 400, []int{3}},
+		{"checked", StepChecked, false, 300, []int{5}}, // invariant suite per cycle is expensive
+	}
 	for _, c := range cases {
 		for _, seed := range []int64{42, 7} {
-			for _, mode := range modes {
-				cycles := int64(1200)
-				if mode == StepChecked {
-					cycles = 300 // invariant suite per cycle is expensive
-				}
-				t.Run(fmt.Sprintf("%s/seed%d/%v", c.name, seed, mode), func(t *testing.T) {
+			for _, arm := range arms {
+				t.Run(fmt.Sprintf("%s/seed%d/%s", c.name, seed, arm.name), func(t *testing.T) {
 					cfg := c.cfg
 					cfg.Seed = seed
+					if arm.oracle {
+						cfg.Shards = arm.shards[0]
+						if got := againstOracle(t, cfg, bernoulli(cfg.Topo, c.rate, 4, Data), arm.cycles, oracleOpts{probed: true}); len(got) == 0 {
+							t.Fatal("no traffic delivered; test is vacuous")
+						}
+						return
+					}
 					cfg.Shards = 1
-					ref, refCnt, refNet := runModal(t, cfg, mode, c.rate, 4, cycles)
+					ref, refCnt, _ := runModal(t, cfg, arm.mode, c.rate, 4, arm.cycles)
 					if len(ref) == 0 {
 						t.Fatal("no traffic delivered; test is vacuous")
 					}
-					for _, shards := range []int{2, 4, 8} {
+					for _, shards := range arm.shards {
 						cfg.Shards = shards
-						got, gotCnt, gotNet := runModal(t, cfg, mode, c.rate, 4, cycles)
+						got, gotCnt, gotNet := runModal(t, cfg, arm.mode, c.rate, 4, arm.cycles)
 						if len(got) != len(ref) {
 							t.Fatalf("shards=%d: ejection streams diverge: %d vs %d packets", shards, len(got), len(ref))
 						}
@@ -77,7 +94,6 @@ func TestShardDeterminism(t *testing.T) {
 							t.Fatalf("shards=%d: invariants: %v", shards, err)
 						}
 					}
-					_ = refNet
 				})
 			}
 		}

@@ -112,7 +112,7 @@ type soaState struct {
 	// zero-length, fixed-capacity sub-slice of these (capacity = its VC
 	// count, the upper bound since a VC is in at most one list), so
 	// appends stay in place and never allocate. listPos, the per-cycle
-	// scratch (reqScratch/eligibleOut/saRank/eligStore) and the
+	// scratch (reqScratch/saRank/eligStore) and the
 	// per-output aggregates (saHead/saCount/saLast) follow the same
 	// windowing.
 	listRC, listVA, listSA []int32
@@ -121,14 +121,13 @@ type soaState struct {
 	// ownerOf maps a global flat VC index back to its router's index,
 	// so event delivery decodes an int32 arrival word without any
 	// per-event metadata.
-	ownerOf     []int32
-	reqScratch  []bool
-	eligibleOut []int8
-	saRank      []int8
-	eligStore   []int32
-	saHead      []int32
-	saCount     []int8
-	saLast      []int32
+	ownerOf    []int32
+	reqScratch []bool
+	saRank     []int8
+	eligStore  []int32
+	saHead     []int32
+	saCount    []int8
+	saLast     []int32
 }
 
 // newSoAState allocates the flat arrays for totalVCs flat VC slots and
@@ -136,38 +135,37 @@ type soaState struct {
 func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 	pv := totalPorts * cfg.VCs
 	st := soaState{
-		vcState:     make([]vcState, totalVCs),
-		vcHead:      make([]int32, totalVCs),
-		vcLen:       make([]int32, totalVCs),
-		vcReadyAt:   make([]int64, totalVCs),
-		vcFrontAt:   make([]int64, totalVCs),
-		vcOutDir:    make([]topology.Dir, totalVCs),
-		vcOutPort:   make([]int8, totalVCs),
-		vcOutVC:     make([]int8, totalVCs),
-		vcClass:     make([]Class, totalVCs),
-		vcInFly:     make([]int8, totalVCs),
-		bufFlit:     make([]Flit, totalVCs*cfg.BufDepth),
-		bufArrived:  make([]int64, totalVCs*cfg.BufDepth),
-		reserved:    make([]bool, pv),
-		credits:     make([]int32, pv),
-		arbs:        make([]arbState, totalPorts*(1+cfg.VCs)),
-		inBusy:      make([]int64, totalPorts),
-		outBusy:     make([]int64, totalPorts),
-		serFree:     make([]int64, totalPorts),
-		listRC:      make([]int32, totalVCs),
-		listVA:      make([]int32, totalVCs),
-		listSA:      make([]int32, totalVCs),
-		listPos:     make([]int32, totalVCs),
-		portOf:      make([]int8, totalVCs),
-		vcOf:        make([]int8, totalVCs),
-		ownerOf:     make([]int32, totalVCs),
-		reqScratch:  make([]bool, totalVCs),
-		eligibleOut: make([]int8, totalVCs),
-		saRank:      make([]int8, totalVCs),
-		eligStore:   make([]int32, totalVCs),
-		saHead:      make([]int32, totalPorts),
-		saCount:     make([]int8, totalPorts),
-		saLast:      make([]int32, totalPorts),
+		vcState:    make([]vcState, totalVCs),
+		vcHead:     make([]int32, totalVCs),
+		vcLen:      make([]int32, totalVCs),
+		vcReadyAt:  make([]int64, totalVCs),
+		vcFrontAt:  make([]int64, totalVCs),
+		vcOutDir:   make([]topology.Dir, totalVCs),
+		vcOutPort:  make([]int8, totalVCs),
+		vcOutVC:    make([]int8, totalVCs),
+		vcClass:    make([]Class, totalVCs),
+		vcInFly:    make([]int8, totalVCs),
+		bufFlit:    make([]Flit, totalVCs*cfg.BufDepth),
+		bufArrived: make([]int64, totalVCs*cfg.BufDepth),
+		reserved:   make([]bool, pv),
+		credits:    make([]int32, pv),
+		arbs:       make([]arbState, totalPorts*(1+cfg.VCs)),
+		inBusy:     make([]int64, totalPorts),
+		outBusy:    make([]int64, totalPorts),
+		serFree:    make([]int64, totalPorts),
+		listRC:     make([]int32, totalVCs),
+		listVA:     make([]int32, totalVCs),
+		listSA:     make([]int32, totalVCs),
+		listPos:    make([]int32, totalVCs),
+		portOf:     make([]int8, totalVCs),
+		vcOf:       make([]int8, totalVCs),
+		ownerOf:    make([]int32, totalVCs),
+		reqScratch: make([]bool, totalVCs),
+		saRank:     make([]int8, totalVCs),
+		eligStore:  make([]int32, totalVCs),
+		saHead:     make([]int32, totalPorts),
+		saCount:    make([]int8, totalPorts),
+		saLast:     make([]int32, totalPorts),
 	}
 	return st
 }

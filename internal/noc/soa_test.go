@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -233,48 +232,4 @@ func TestVCOverflowPanics(t *testing.T) {
 			forwardInto(net, r, pi, 0, flit)
 		})
 	})
-}
-
-// TestGrantMaskEquivalence drives two identically seeded arbiters — one
-// through the []bool grant path, one through the bitmask fast path the
-// allocation stages use for routers with at most 64 flat VCs — with the
-// same random request streams and requires decision-for-decision
-// agreement, for both arbiter policies.
-func TestGrantMaskEquivalence(t *testing.T) {
-	for _, policy := range []ArbPolicy{ArbRoundRobin, ArbMatrix} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const n = 20
-			var ab, am arbState
-			ab.init(policy, n)
-			am.init(policy, n)
-			reqs := make([]bool, n)
-			scratch := make([]bool, n)
-			rng := rand.New(rand.NewSource(3))
-			for round := 0; round < 2000; round++ {
-				var mask uint64
-				for i := range reqs {
-					reqs[i] = rng.Intn(3) == 0
-					if reqs[i] {
-						mask |= 1 << uint(i)
-					}
-				}
-				gb := ab.grant(reqs)
-				gm := am.grantMask(mask, scratch)
-				if gb != gm {
-					t.Fatalf("round %d: grant = %d, grantMask = %d (mask %#x)", round, gb, gm, mask)
-				}
-				for _, v := range scratch {
-					if v {
-						t.Fatalf("round %d: grantMask left scratch dirty", round)
-					}
-				}
-				// Interleave single-requester grants so the rotor/matrix
-				// state is exercised from every position.
-				if gb >= 0 && rng.Intn(4) == 0 {
-					ab.grantSingle(gb)
-					am.grantSingle(gb)
-				}
-			}
-		})
-	}
 }

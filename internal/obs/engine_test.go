@@ -82,7 +82,7 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 // races the simulation on purpose (2ms interval); under -race this also
 // proves the sampling path is data-race free.
 func TestEngineTelemetryPurity(t *testing.T) {
-	modes := []noc.StepMode{noc.StepActivity, noc.StepFullScan, noc.StepChecked}
+	modes := []noc.StepMode{noc.StepActivity, noc.StepChecked}
 	for _, mode := range modes {
 		measure := int64(600)
 		if mode == noc.StepChecked {

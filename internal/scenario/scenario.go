@@ -134,9 +134,10 @@ type Scenario struct {
 	// Seed feeds every random stream of the run (injection, trace
 	// generation); equal scenarios are bit-identical.
 	Seed int64 `json:"seed"`
-	// StepMode selects the cycle-loop strategy: "activity" (default,
-	// also ""), "fullscan" or "checked". All modes simulate
-	// identically; they differ only in host cost.
+	// StepMode is "activity" (default, also "") or "checked", which
+	// cross-checks every simulator invariant after every cycle — the
+	// mode to debug a run with. Both simulate identically; they differ
+	// only in host cost.
 	StepMode string `json:"step_mode,omitempty"`
 	// Shards partitions the mesh into contiguous router-ID ranges
 	// stepped concurrently inside each cycle. 0 or 1 steps
@@ -253,6 +254,9 @@ func (s Scenario) validateCore() error {
 	if s.Warmup < 0 || s.Measure <= 0 || s.Drain < 0 {
 		return fmt.Errorf("scenario: windows warmup=%d measure=%d drain=%d (need warmup,drain >= 0 and measure > 0)",
 			s.Warmup, s.Measure, s.Drain)
+	}
+	if s.StepMode == "fullscan" {
+		return fmt.Errorf(`scenario: step mode "fullscan" no longer exists (activity stepping is held to a test-only reference router instead); omit step_mode, or use "checked" to debug a run`)
 	}
 	if _, err := noc.ParseStepMode(s.StepMode); err != nil {
 		return err

@@ -18,7 +18,7 @@ func full() Scenario {
 			Kind: "hotspot", Rate: 0.2, ShortFrac: 0.25, HotFrac: 0.5, Hot: []int{3, 7},
 		},
 		Warmup: 100, Measure: 500, Drain: 1000, Seed: 7,
-		StepMode: "fullscan",
+		StepMode: "checked",
 		VCs:      4, BufDepth: 4, STLTCycles: 2,
 		LookaheadRC: true, SpecSA: true, QoSPriority: true, MatrixArb: true,
 		Routing: "westfirst",
@@ -81,6 +81,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero measure", mod(func(s *Scenario) { s.Measure = 0 }), "measure"},
 		{"negative warmup", mod(func(s *Scenario) { s.Warmup = -1 }), "warmup"},
 		{"bad step mode", mod(func(s *Scenario) { s.StepMode = "warp" }), "step mode"},
+		{"retired step mode", mod(func(s *Scenario) { s.StepMode = "fullscan" }), `use "checked" to debug`},
 		{"negative vcs", mod(func(s *Scenario) { s.VCs = -2 }), "buffer geometry"},
 		{"stlt out of range", mod(func(s *Scenario) { s.STLTCycles = 3 }), "stlt_cycles"},
 		{"express on non-express arch", mod(func(s *Scenario) { s.ExpressInterval = 2 }), "3DM-E"},
@@ -185,8 +186,8 @@ func TestNoCConfigOverrides(t *testing.T) {
 	if cfg.Arb != noc.ArbMatrix {
 		t.Error("matrix arbiter not applied")
 	}
-	if cfg.Mode != noc.StepFullScan {
-		t.Errorf("step mode = %v, want fullscan", cfg.Mode)
+	if cfg.Mode != noc.StepChecked {
+		t.Errorf("step mode = %v, want checked", cfg.Mode)
 	}
 	if cfg.Seed != 7 {
 		t.Errorf("seed = %d, want 7", cfg.Seed)
