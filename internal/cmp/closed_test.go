@@ -77,6 +77,45 @@ func TestClosedSystemDrains(t *testing.T) {
 	}
 }
 
+// TestClosedSystemRecycledPackets: the network reuses a Packet once its
+// eject callback has returned, and the closed loop keys its protocol
+// context by *noc.Packet. Every network packet must still reach
+// onDeliver exactly once with its context present (onDeliver panics
+// otherwise), from far fewer records than packets, on one shard and on
+// three, with the per-cycle invariant check on.
+func TestClosedSystemRecycledPackets(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		topo := nucaTopo(t)
+		w, _ := ByName("barnes")
+		cfg := closedCfg(topo)
+		cfg.Shards, cfg.Mode = shards, noc.StepChecked
+		s, err := NewClosedSystem(DefaultParams(w, topo, 5), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deliveries int64
+		records := map[*noc.Packet]bool{}
+		s.net.SetEjectHandler(func(p *noc.Packet) {
+			deliveries++
+			records[p] = true
+			s.onDeliver(p)
+		})
+		s.Run(4000)
+		s.p.Workload.Intensity = 0 // quiesce
+		s.Run(3000)
+		s.net.ReleaseWorkers()
+		if len(s.inflight) != 0 || !s.net.Idle() {
+			t.Fatalf("shards=%d: %d messages still in flight after quiesce", shards, len(s.inflight))
+		}
+		if deliveries == 0 || deliveries != s.stats.NetworkPackets {
+			t.Errorf("shards=%d: %d deliveries for %d network packets", shards, deliveries, s.stats.NetworkPackets)
+		}
+		if int64(len(records))*2 > deliveries {
+			t.Errorf("shards=%d: %d distinct records for %d packets: nothing was recycled", shards, len(records), deliveries)
+		}
+	}
+}
+
 func TestClosedSystemMessageMixRealistic(t *testing.T) {
 	s := newClosed(t, "ocean", 7)
 	st := s.Run(20000)

@@ -5,20 +5,20 @@ import "math/bits"
 // Activity tracking. The cycle loop's cost must scale with the traffic
 // that exists, not with the network size: at the low-to-mid injection
 // rates that dominate the latency-throughput sweeps most routers hold
-// zero flits on most cycles, and rescanning every port x VC of every
-// router per stage wastes almost all of the work. Instead, every
-// input-VC state transition is funnelled through Router.setVCState,
-// which maintains
+// zero flits on most cycles. Every input-VC state transition is
+// therefore funnelled through Router.setVCState, which maintains
 //
-//   - per-router dense lists of the flat VC indices currently in each
-//     non-idle state (listRC/listVA/listSA, with listPos for O(1)
-//     swap-removal), so the stage functions visit only VCs that can
-//     possibly act, and
-//   - per-shard bitsets of the routers owning a non-empty list per
-//     stage (actRC/actVA/actSA) plus the NIs with queued or in-flight
-//     packets (actNI), so the cycle loop visits only routers and NIs
-//     with pending work. The sets live on the shard stepping the router
-//     (shard.go), so concurrent shards never touch a shared bitset word.
+//   - three words per router, inRC/inVA/inSA, with bit f set while flat
+//     VC f is in the matching non-idle state, so a stage visits exactly
+//     the VCs that can act and builds its arbiter requests by masking;
+//   - rcDue, the RC delay line: RC never stalls, so a head entering
+//     vcRouting in cycle c is filed under parity (c+1)&1 and routed
+//     exactly once, by cycle c+1's stepRC, never polled;
+//   - per-shard bitsets of the routers with a non-empty word per stage
+//     (actVA, actSA, and actRC per parity) plus the NIs with queued or
+//     in-flight packets (actNI), so the cycle loop visits only routers
+//     and NIs with pending work. The sets live on the shard stepping the
+//     router (shard.go), so concurrent shards never share a bitset word.
 //
 // Skipping must not change the simulation: the result has to be the one
 // a scan of every router, port and VC each cycle would produce — which
@@ -29,18 +29,18 @@ import "math/bits"
 //  1. Arbiter state only advances on a grant, and a grant needs a
 //     requester — a router with no VC in a stage therefore leaves every
 //     arbiter untouched, so skipping it entirely cannot change any
-//     later arbitration. Within a visited router the requests are built
-//     over the same flat VC indices a scan would use, and they reach
-//     the arbiters as a set (a bitmask), so the order the pending lists
-//     happen to hold them in is invisible.
+//     later arbitration. Within a visited router the requests are masks
+//     over the same flat VC indices a scan would use; a mask has no
+//     order, and where a stage acts per VC (stepRC, the SA request
+//     build) it walks the set bits in ascending index — scan order.
 //  2. Cross-router state only interacts through the event ring, and the
 //     only order-sensitive consumer is the ejection callback (float
 //     accumulation in Sim). Bitset iteration yields router IDs in
 //     ascending order — the order a loop over every router visits them
 //     in — so events are appended to each ring slot in that sequence.
 //
-// CheckInvariants cross-checks every list, position index, pending
-// count and bitset against a fresh scan of the VC states.
+// CheckInvariants cross-checks every word and bitset against a fresh
+// scan of the VC states.
 
 // routerSet is a fixed-capacity bitset over router/NI indices with a
 // population count. Iteration (appendMembers) is in ascending index
@@ -92,57 +92,48 @@ func (s *routerSet) appendMembers(dst []int32) []int32 {
 	return dst
 }
 
-// listAdd appends flat VC index f to list, recording its position.
-func (r *Router) listAdd(list []int32, f int32) []int32 {
-	r.listPos[f] = int32(len(list))
-	return append(list, f)
-}
-
-// listRemove swap-removes flat VC index f from list.
-func (r *Router) listRemove(list []int32, f int32) []int32 {
-	p := r.listPos[f]
-	last := int32(len(list) - 1)
-	moved := list[last]
-	list[p] = moved
-	r.listPos[moved] = p
-	r.listPos[f] = -1
-	return list[:last]
-}
-
 // setVCState moves the VC at flat index f to state s, keeping the
-// per-stage pending lists and the shard-level active-router sets in
-// sync. Every state assignment in the router goes through here;
-// vcState[f] is never written directly.
+// router's pending words and the shard-level active-router sets in
+// sync (a set is touched only when a word empties or fills). Every state
+// assignment in the router goes through here; vcState[f] is never
+// written directly. A VC leaves vcRouting only in the cycle it is due
+// (stepRC), so the parity of the current cycle names its due word.
 func (r *Router) setVCState(f int32, s vcState) {
-	id := int(r.id)
-	sh := r.sh
+	id, sh, bit := int(r.id), r.sh, uint64(1)<<uint(f)
 	switch r.vcState[f] {
 	case vcRouting:
-		r.listRC = r.listRemove(r.listRC, f)
-		if len(r.listRC) == 0 {
-			sh.actRC.remove(id)
+		p := r.net.cycle & 1
+		r.inRC &^= bit
+		if r.rcDue[p] &^= bit; r.rcDue[p] == 0 {
+			sh.actRC[p].remove(id)
 		}
 	case vcWaitVC:
-		r.listVA = r.listRemove(r.listVA, f)
-		if len(r.listVA) == 0 {
+		if r.inVA &^= bit; r.inVA == 0 {
 			sh.actVA.remove(id)
 		}
 	case vcActive:
-		r.listSA = r.listRemove(r.listSA, f)
-		if len(r.listSA) == 0 {
+		if r.inSA &^= bit; r.inSA == 0 {
 			sh.actSA.remove(id)
 		}
 	}
 	r.vcState[f] = s
 	switch s {
 	case vcRouting:
-		r.listRC = r.listAdd(r.listRC, f)
-		sh.actRC.add(id)
+		p := (r.net.cycle + 1) & 1
+		r.inRC |= bit
+		if r.rcDue[p] == 0 {
+			sh.actRC[p].add(id)
+		}
+		r.rcDue[p] |= bit
 	case vcWaitVC:
-		r.listVA = r.listAdd(r.listVA, f)
-		sh.actVA.add(id)
+		if r.inVA == 0 {
+			sh.actVA.add(id)
+		}
+		r.inVA |= bit
 	case vcActive:
-		r.listSA = r.listAdd(r.listSA, f)
-		sh.actSA.add(id)
+		if r.inSA == 0 {
+			sh.actSA.add(id)
+		}
+		r.inSA |= bit
 	}
 }

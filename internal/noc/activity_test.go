@@ -322,7 +322,7 @@ func TestIdleNetworkStaysCheap(t *testing.T) {
 		t.Fatal("packet did not drain")
 	}
 	sh := &net.shards[0]
-	for _, s := range []*routerSet{&sh.actRC, &sh.actVA, &sh.actSA, &sh.actNI} {
+	for _, s := range []*routerSet{&sh.actRC[0], &sh.actRC[1], &sh.actVA, &sh.actSA, &sh.actNI} {
 		if s.n != 0 {
 			t.Fatalf("idle network has %d active entries", s.n)
 		}

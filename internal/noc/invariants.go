@@ -26,9 +26,12 @@ import (
 //     NI queues, router buffers and event rings — the debug cross-check
 //     for the O(1) backlog the simulator's drain loop relies on.
 //  6. The activity-tracking state the cycle loop skips idle work by
-//     (per-router pending lists, list position index, and the
+//     (per-router pending, RC-due, route and class masks, and the
 //     per-shard active-router and active-NI sets) agrees with a fresh
 //     full scan of the VC states and NI queues.
+//  7. No packet on the free list is still referenced by a flit that is
+//     queued, buffered, on a link or awaiting ejection, and none is on
+//     it twice — the Enqueue lifetime contract.
 //
 // In-flight traffic is scanned across every shard's own rings (both
 // send-phase segments) and every boundary mailbox. Ring arrivals were
@@ -51,6 +54,7 @@ func (n *Network) CheckInvariants() error {
 	mailFlight := make(map[chanKey]int) // mailbox arrivals (flit-carrying)
 	credRet := make(map[int32]int)
 	ejecting := 0
+	live := make(map[*Packet]bool) // packets some flit still references
 	keyOf := func(gi int32) (chanKey, error) {
 		if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
 			return chanKey{}, fmt.Errorf("noc: in-flight arrival word %d out of range", gi)
@@ -62,10 +66,11 @@ func (n *Network) CheckInvariants() error {
 	for si := range n.shards {
 		sh := &n.shards[si]
 		for p := 0; p < 2; p++ {
-			for _, slot := range sh.ev[p] {
+			for si, slot := range sh.ev[p] {
 				for _, ev := range slot {
 					if ev < 0 {
 						ejecting++
+						live[sh.ejRing[si][^ev].flit.Pkt] = true
 						continue
 					}
 					k, err := keyOf(ev)
@@ -96,6 +101,7 @@ func (n *Network) CheckInvariants() error {
 							return err
 						}
 						mailFlight[k]++
+						live[slot[i].flit.Pkt] = true
 					}
 				}
 			}
@@ -144,6 +150,9 @@ func (n *Network) CheckInvariants() error {
 			if r.vcOcc(f)+int(r.vcInFly[f])+mailFlight[chanKey{r.id, dir, vi}] > n.cfg.BufDepth {
 				return fmt.Errorf("noc: router %d %v vc %d occupancy %d + in-flight %d + mailbox %d exceeds depth %d",
 					r.id, dir, vi, r.vcOcc(f), r.vcInFly[f], mailFlight[chanKey{r.id, dir, vi}], n.cfg.BufDepth)
+			}
+			for k := 0; k < r.vcOcc(f)+int(r.vcInFly[f]); k++ {
+				live[r.bufFlit[f*r.bufDepth+(int(r.vcHead[f])+k)%r.bufDepth].Pkt] = true
 			}
 			switch r.vcState[f] {
 			case vcRouting, vcWaitVC:
@@ -200,11 +209,13 @@ func (n *Network) CheckInvariants() error {
 		s := &n.nis[i]
 		for _, j := range s.pending() {
 			scanQueuedFlits += int64(j.pkt.Size)
+			live[j.pkt] = true
 		}
 		scanQueuedPkts += int64(len(s.pending()))
 		if s.injecting {
 			scanQueuedFlits += int64(s.cur.pkt.Size - s.curSeq)
 			scanQueuedPkts++
+			live[s.cur.pkt] = true
 		}
 	}
 	if scanQueuedFlits != n.QueuedFlits() || scanQueuedPkts != n.QueuedPackets() {
@@ -226,6 +237,13 @@ func (n *Network) CheckInvariants() error {
 		return fmt.Errorf("noc: in-flight counter drifted: %d, scan %d", n.InFlightFlits(), scanInFlight)
 	}
 
+	for _, pkt := range n.pktFree {
+		if live[pkt] {
+			return fmt.Errorf("noc: packet %d is on the free list while a live flit references it (or twice)", pkt.ID)
+		}
+		live[pkt] = true
+	}
+
 	return n.checkActivity()
 }
 
@@ -234,46 +252,51 @@ func (n *Network) CheckInvariants() error {
 // on the shard owning each router, so membership is checked against
 // r.sh and populations per shard.
 func (n *Network) checkActivity() error {
-	listFor := func(r *Router, s vcState) []int32 {
-		switch s {
-		case vcRouting:
-			return r.listRC
-		case vcWaitVC:
-			return r.listVA
-		default:
-			return r.listSA
-		}
-	}
 	for ri := range n.routers {
 		r := &n.routers[ri]
-		// Recount VCs per state.
-		var want [4]int
-		for fi := range r.vcState {
-			f := int32(fi)
-			pi, vi := int(r.portOf[fi]), int(r.vcOf[fi])
-			s := r.vcState[fi]
-			want[s]++
-			if s == vcIdle {
-				if r.listPos[f] != -1 {
-					return fmt.Errorf("noc: router %d %v vc %d idle but listPos %d",
-						r.id, r.inPorts[pi].dir, vi, r.listPos[f])
-				}
-				continue
+		// Rebuild every mask from the per-VC scalars it summarizes.
+		var in [4]uint64
+		var dataVCs uint64
+		routeTo := make([]uint64, len(r.outPorts))
+		for f, s := range r.vcState {
+			bit := uint64(1) << uint(f)
+			in[s] |= bit
+			if oi := r.vcOutPort[f]; oi >= 0 {
+				routeTo[oi] |= bit
 			}
-			list := listFor(r, s)
-			p := r.listPos[f]
-			if p < 0 || int(p) >= len(list) || list[p] != f {
-				return fmt.Errorf("noc: router %d %v vc %d in %v but not at list position %d",
-					r.id, r.inPorts[pi].dir, vi, s, p)
+			if r.vcClass[f] == Data {
+				dataVCs |= bit
 			}
 		}
-		for _, s := range []vcState{vcRouting, vcWaitVC, vcActive} {
-			if list := listFor(r, s); len(list) != want[s] {
-				return fmt.Errorf("noc: router %d %v list holds %d VCs, scan finds %d",
-					r.id, s, len(list), want[s])
+		for _, c := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"inRC", r.inRC, in[vcRouting]},
+			{"inVA", r.inVA, in[vcWaitVC]},
+			{"inSA", r.inSA, in[vcActive]},
+			{"dataVCs", r.dataVCs, dataVCs},
+		} {
+			if c.got != c.want {
+				return fmt.Errorf("noc: router %d %s mask %#x, scan finds %#x", r.id, c.name, c.got, c.want)
 			}
 		}
-		// Shard-level stage sets must mirror list emptiness, and a
+		for oi, want := range routeTo {
+			if r.routeTo[oi] != want {
+				return fmt.Errorf("noc: router %d routeTo[%d] mask %#x, scan of vcOutPort finds %#x",
+					r.id, oi, r.routeTo[oi], want)
+			}
+		}
+		// The delay line: every routing VC is due in exactly one parity,
+		// and the cycle just stepped left nothing of its own behind.
+		if r.rcDue[0]&r.rcDue[1] != 0 || r.rcDue[0]|r.rcDue[1] != r.inRC {
+			return fmt.Errorf("noc: router %d RC due masks %#x and %#x do not partition inRC %#x",
+				r.id, r.rcDue[0], r.rcDue[1], r.inRC)
+		}
+		if due := r.rcDue[n.cycle&1]; due != 0 {
+			return fmt.Errorf("noc: router %d RC due mask %#x of cycle %d left unrouted", r.id, due, n.cycle)
+		}
+		// Shard-level stage sets must mirror mask emptiness, and a
 		// router's bits may only live on its own shard's sets.
 		id := int(r.id)
 		for si := range n.shards {
@@ -281,22 +304,23 @@ func (n *Network) checkActivity() error {
 			if osh == r.sh {
 				continue
 			}
-			if osh.actRC.has(id) || osh.actVA.has(id) || osh.actSA.has(id) || osh.actNI.has(id) {
+			if osh.actRC[0].has(id) || osh.actRC[1].has(id) || osh.actVA.has(id) || osh.actSA.has(id) || osh.actNI.has(id) {
 				return fmt.Errorf("noc: router %d has activity bits on foreign shard %d", r.id, si)
 			}
 		}
 		for _, c := range []struct {
 			name string
 			set  *routerSet
-			list []int32
+			mask uint64
 		}{
-			{"RC", &r.sh.actRC, r.listRC},
-			{"VA", &r.sh.actVA, r.listVA},
-			{"SA", &r.sh.actSA, r.listSA},
+			{"RC parity-0", &r.sh.actRC[0], r.rcDue[0]},
+			{"RC parity-1", &r.sh.actRC[1], r.rcDue[1]},
+			{"VA", &r.sh.actVA, r.inVA},
+			{"SA", &r.sh.actSA, r.inSA},
 		} {
-			if c.set.has(id) != (len(c.list) > 0) {
-				return fmt.Errorf("noc: router %d %s activity bit %v but %d pending VCs",
-					r.id, c.name, c.set.has(id), len(c.list))
+			if c.set.has(id) != (c.mask != 0) {
+				return fmt.Errorf("noc: router %d %s activity bit %v but pending mask %#x",
+					r.id, c.name, c.set.has(id), c.mask)
 			}
 		}
 	}
@@ -320,7 +344,7 @@ func (n *Network) checkActivity() error {
 		for _, c := range []struct {
 			name string
 			set  *routerSet
-		}{{"RC", &sh.actRC}, {"VA", &sh.actVA}, {"SA", &sh.actSA}, {"NI", &sh.actNI}} {
+		}{{"RC parity-0", &sh.actRC[0]}, {"RC parity-1", &sh.actRC[1]}, {"VA", &sh.actVA}, {"SA", &sh.actSA}, {"NI", &sh.actNI}} {
 			count := 0
 			for _, w := range c.set.words {
 				count += bits.OnesCount64(w)

@@ -110,6 +110,11 @@ type Network struct {
 	layerFrac []float64
 
 	nextPacketID int64
+	// Packets come from pktSlab, the unused rest of the newest slab, and
+	// return to pktFree once delivered (finishPacket), so a steady-state
+	// run allocates a slab only when its in-flight peak grows.
+	pktSlab []Packet
+	pktFree []*Packet
 
 	// onEject is invoked when a packet's tail flit leaves the network.
 	onEject func(*Packet)
@@ -220,7 +225,7 @@ func NewNetwork(cfg Config) *Network {
 		}
 		sh.ejRing = make([][]ejEntry, n.ringLen)
 		sh.cred = make([][]int32, n.ringLen)
-		sh.actRC = newRouterSet(num)
+		sh.actRC = [2]routerSet{newRouterSet(num), newRouterSet(num)}
 		sh.actVA = newRouterSet(num)
 		sh.actSA = newRouterSet(num)
 		sh.actNI = newRouterSet(num)
@@ -285,15 +290,29 @@ func (n *Network) Shards() int { return len(n.shards) }
 // SetEjectHandler installs the packet-completion callback.
 func (n *Network) SetEjectHandler(fn func(*Packet)) { n.onEject = fn }
 
+// pktSlabLen is the number of packets allocated at a time.
+const pktSlabLen = 256
+
 // Enqueue places a packet described by spec into its source NI queue at
-// the current cycle. The returned packet can be inspected after
-// ejection.
+// the current cycle. The returned *Packet is valid until its tail's
+// eject callback returns: the network then reuses it for a later
+// Enqueue, so a caller that needs the record longer copies it (the rule
+// DESIGN §11 states for events).
 func (n *Network) Enqueue(spec Spec) (*Packet, error) {
 	if err := spec.Validate(n.cfg.Topo.NumNodes()); err != nil {
 		return nil, err
 	}
+	var pkt *Packet
+	if k := len(n.pktFree) - 1; k >= 0 {
+		pkt, n.pktFree = n.pktFree[k], n.pktFree[:k]
+	} else {
+		if len(n.pktSlab) == 0 {
+			n.pktSlab = make([]Packet, pktSlabLen)
+		}
+		pkt, n.pktSlab = &n.pktSlab[0], n.pktSlab[1:]
+	}
 	n.nextPacketID++
-	pkt := &Packet{
+	*pkt = Packet{
 		ID:        n.nextPacketID,
 		Src:       spec.Src,
 		Dst:       spec.Dst,
@@ -307,6 +326,17 @@ func (n *Network) Enqueue(spec Spec) (*Packet, error) {
 	sh.hot.queuedFlits += int64(pkt.Size)
 	sh.actNI.add(int(spec.Src))
 	return pkt, nil
+}
+
+// finishPacket completes a packet whose tail flit has left the network:
+// the eject callback runs, then the record returns to the free list.
+// Serial by construction — deliver on a single shard, the epilogue
+// (drainShardOutputs) otherwise.
+func (n *Network) finishPacket(pkt *Packet) {
+	if n.onEject != nil {
+		n.onEject(pkt)
+	}
+	n.pktFree = append(n.pktFree, pkt)
 }
 
 // QueuedPackets returns packets waiting in, or currently entering

@@ -351,7 +351,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.STLTCycles = 3 },
 		func(c *Config) { c.Layers = 0 },
 		func(c *Config) { c.VCs = 1; c.Policy = ByClass },
-		func(c *Config) { c.BufDepth = 128 }, // int8 occupancy counters
+		func(c *Config) { c.BufDepth = 128 }, // int8 in-flight counter
 		func(c *Config) { c.VCs = 30 },       // 5 ports x 30 VCs > 64 flat VCs
 	}
 	for i, mutate := range bad {

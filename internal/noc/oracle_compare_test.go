@@ -306,6 +306,13 @@ func checkZeroLoad(t testing.TB, cfg Config, rng *rand.Rand, pairs, size int) {
 		if got := oe.cycle - start; got != want || oe.hops != hops {
 			t.Fatalf("%d->%d size %d: oracle latency %d over %d hops, closed form %d over %d", s.Src, s.Dst, s.Size, got, oe.hops, want, hops)
 		}
+		// Idle counts flits, not credits: let the packet's last credits
+		// cross their (possibly slow, serializing) links, or the next
+		// lone packet on a shallow buffer waits for them.
+		for k := int64(0); k < net.ringLen; k++ {
+			net.Step()
+			o.step()
+		}
 	}
 }
 

@@ -82,7 +82,12 @@ type ProbeEvent struct {
 //
 // Events are emitted in a deterministic order: for a fixed scenario the
 // stream is bit-reproducible, and identical under StepChecked (the same
-// cycle plus a check) and at any shard count (SetProbe below).
+// cycle plus a check) and at any shard count (SetProbe below). Within a
+// cycle the phases emit in order — ejections and arrivals, injection,
+// SA, VA, RC — each over routers in ascending ID; the RC stage emits a
+// router's route events in ascending flat input-VC index (port-major).
+// Only the per-flit contract below is part of the model: the order of
+// one cycle's events across flits is the order the engine visits them in.
 //
 // Per flit, the stream satisfies a span-folding contract (relied on by
 // internal/obs's Replay and SpanBuilder): inject is the flit's first
@@ -94,7 +99,8 @@ type ProbeEvent struct {
 // link) events only.
 //
 // Implementations must not mutate the network from inside a callback;
-// the event's Flit shares the live *Packet.
+// the event's Flit shares the live *Packet, which the network reuses
+// after the packet's delivery (Enqueue) — copy what outlives the call.
 type Probe interface {
 	ProbeEvent(ev ProbeEvent)
 }

@@ -7,12 +7,19 @@ import (
 	"mira/internal/topology"
 )
 
-// recordingProbe captures every emitted event in order.
+// recordingProbe captures every emitted event in order. The network
+// reuses a Packet once its tail has ejected (Enqueue), so each event
+// keeps a copy of the packet as it was at event time, not the live
+// pointer.
 type recordingProbe struct {
 	events []ProbeEvent
 }
 
-func (p *recordingProbe) ProbeEvent(ev ProbeEvent) { p.events = append(p.events, ev) }
+func (p *recordingProbe) ProbeEvent(ev ProbeEvent) {
+	pkt := *ev.Flit.Pkt
+	ev.Flit.Pkt = &pkt
+	p.events = append(p.events, ev)
+}
 
 // runProbed runs a short bernoulli simulation with a recording probe
 // attached and returns the event stream plus the final counters.

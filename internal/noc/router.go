@@ -163,45 +163,41 @@ type Router struct {
 	credits  []int32
 	arbs     []arbState
 
-	// Per-cycle switch occupancy (windows), shared between the
-	// non-speculative switch allocator and speculative forwards issued
-	// during VA. Each entry holds the cycle the port was last claimed,
-	// so a port is busy iff its entry equals the current cycle and no
-	// per-cycle clearing pass is needed.
-	inBusy  []int64
-	outBusy []int64
+	// claimCycle/claimIn/claimOut are the router's switch claims: the
+	// input VCs (every VC of a claimed input port) and output ports taken
+	// in cycle claimCycle, shared between the switch allocator and the
+	// speculative forwards issued during VA. A triple stamped with an
+	// earlier cycle is empty, so no per-cycle clearing pass is needed.
+	claimCycle int64
+	claimIn    uint64
+	claimOut   uint32
 	// serFree[oi] is the first cycle output port oi's serializing link
 	// is free again (window; meaningful only for serMask ports, where
 	// forward stamps cycle + serCycles).
 	serFree []int64
-	// reqScratch and saRank are reusable per-cycle scratch vectors
-	// (windows) over flat input-VC indices, avoiding allocation in the
-	// hot switch-allocation loop. reqScratch is the []bool request vector
-	// of grantMask's matrix delegation, which leaves it all-false.
+	// reqScratch is the all-false []bool request vector of grantMask's
+	// matrix delegation (window over flat input-VC indices).
 	reqScratch []bool
-	saRank     []int8
-	// The eligibility pass threads each cycle's switch-eligible VCs into
-	// per-output-port chains: saHead[oi]/saLast[oi] bound the chain and
-	// eligNext[f] links it (windows, reset lazily per cycle via
-	// saCount), so the grant loop walks exactly one port's candidates
-	// instead of filtering a shared list per port. saCount/saLast also
-	// feed the direct grantSingle path when a port has exactly one
-	// candidate — the common case off saturation.
-	eligNext []int32
-	saHead   []int32
-	saCount  []int8
-	saLast   []int32
 
 	// portOf/vcOf invert the flat VC index without divisions (windows).
 	portOf []int8
 	vcOf   []int8
-	// listRC, listVA and listSA hold the flat indices of VCs currently
-	// in vcRouting, vcWaitVC and vcActive; they are zero-length
-	// fixed-capacity windows, so appends write in place. listPos[f] is
-	// f's position in its state's list (-1 when idle). Maintained by
-	// setVCState; see activity.go for the determinism argument.
-	listRC, listVA, listSA []int32
-	listPos                []int32
+	// The pending sets, one machine word each over flat VC indices
+	// (Config.Validate holds a router to 64): inRC, inVA and inSA have bit
+	// f set while VC f is in vcRouting, vcWaitVC and vcActive, and
+	// rcDue[p] is the part of inRC that stepRC routes in the next cycle
+	// of parity p. setVCState is their only writer (activity.go).
+	inRC, inVA, inSA uint64
+	rcDue            [2]uint64
+	// routeTo[oi] (window) has bit f set iff vcOutPort[f] == oi and
+	// dataVCs iff vcClass[f] == Data; routeHead keeps both, so a port's
+	// VA request set is one AND. Bits of VCs outside inVA/inSA are stale
+	// and always masked off.
+	routeTo []uint64
+	dataVCs uint64
+	// portVCs has the low vcsPerPort bits set: shifted to an input port's
+	// first flat VC it is that port's share of claimIn.
+	portVCs uint64
 }
 
 // initRouter builds the port metadata view for node id in place (the
@@ -257,8 +253,8 @@ func initRouter(r *Router, net *Network, id topology.NodeID) {
 
 // bind attaches the router's windows of the network's flat arrays
 // (vcBase/portBase are its first slots in the per-VC and per-port
-// arrays) and initializes its slice of the state: credits, arbiters,
-// list positions and the flat-index inverse maps.
+// arrays) and initializes its slice of the state: credits, arbiters and
+// the flat-index inverse maps.
 func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	cfg := &r.net.cfg
 	nP := len(r.inPorts)
@@ -283,26 +279,16 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.reserved = st.reserved[pv : pv+nVC]
 	r.credits = st.credits[pv : pv+nVC]
 	r.arbs = st.arbs[portBase*(1+cfg.VCs) : (portBase+nP)*(1+cfg.VCs)]
-	r.inBusy = st.inBusy[portBase : portBase+nP]
-	r.outBusy = st.outBusy[portBase : portBase+nP]
 	r.serFree = st.serFree[portBase : portBase+nP]
+	r.routeTo = st.routeTo[portBase : portBase+nP]
+	r.portVCs = 1<<uint(cfg.VCs) - 1
 
 	r.reqScratch = st.reqScratch[vcBase : vcBase+nVC]
 	_, r.algXY = cfg.Alg.(routing.XY)
-	r.saRank = st.saRank[vcBase : vcBase+nVC]
-	r.eligNext = st.eligStore[vcBase : vcBase+nVC]
-	r.saHead = st.saHead[portBase : portBase+nP]
-	r.saCount = st.saCount[portBase : portBase+nP]
-	r.saLast = st.saLast[portBase : portBase+nP]
 	r.portOf = st.portOf[vcBase : vcBase+nVC]
 	r.vcOf = st.vcOf[vcBase : vcBase+nVC]
-	r.listRC = st.listRC[vcBase : vcBase : vcBase+nVC]
-	r.listVA = st.listVA[vcBase : vcBase : vcBase+nVC]
-	r.listSA = st.listSA[vcBase : vcBase : vcBase+nVC]
-	r.listPos = st.listPos[vcBase : vcBase+nVC]
 
 	for f := 0; f < nVC; f++ {
-		r.listPos[f] = -1
 		r.vcOutPort[f] = -1
 		r.portOf[f] = int8(f / cfg.VCs)
 		r.vcOf[f] = int8(f % cfg.VCs)
@@ -334,19 +320,22 @@ func (r *Router) flatVC(pi, vi int) int { return pi*r.vcsPerPort + vi }
 // startHead prepares the VC at flat index f whose front just became a
 // head flit: with look-ahead routing the output port is already known
 // when the flit arrives (it was computed at the upstream router), so
-// the RC stage disappears from the critical path.
+// the RC stage disappears from the critical path and the head bids in
+// VA from the next cycle (vcReadyAt). Otherwise it enters vcRouting,
+// which schedules its one stepRC visit for the next cycle.
 func (r *Router) startHead(f int32, cycle int64) {
 	if r.net.cfg.LookaheadRC {
 		r.routeHead(int(f))
 		r.setVCState(f, vcWaitVC)
+		r.vcReadyAt[f] = cycle + 1
 	} else {
 		r.setVCState(f, vcRouting)
 	}
-	r.vcReadyAt[f] = cycle + 1
 }
 
 // routeHead computes and stores the output direction for the head flit
-// at the front of VC f, caching its message class for the VA scans.
+// at the front of VC f, moving f's bit to its port's routeTo mask and
+// caching its message class in dataVCs for the VA request build.
 func (r *Router) routeHead(f int) {
 	flit := r.vcFrontFlit(f)
 	pkt := flit.Pkt
@@ -362,9 +351,21 @@ func (r *Router) routeHead(f int) {
 	if oi < 0 {
 		panic(fmt.Sprintf("noc: router %d routed to missing port %v", r.id, d))
 	}
+	bit := uint64(1) << uint(f)
+	if old := r.vcOutPort[f]; old != oi {
+		if old >= 0 {
+			r.routeTo[old] &^= bit
+		}
+		r.routeTo[oi] |= bit
+		r.vcOutPort[f] = oi
+	}
 	r.vcOutDir[f] = d
-	r.vcOutPort[f] = oi
 	r.vcClass[f] = pkt.Class
+	if pkt.Class == Data {
+		r.dataVCs |= bit
+	} else {
+		r.dataVCs &^= bit
+	}
 	r.Counters.RCOps++
 	if r.sh.probe != nil {
 		r.sh.probe.ProbeEvent(ProbeEvent{
@@ -401,110 +402,83 @@ func (r *Router) arrive(fi int, f *Flit, cycle int64) {
 	}
 }
 
-// stepRC performs route computation for head flits that reached the
-// front of their VC. Only VCs on the routing pending list are visited;
-// routed VCs swap-remove themselves mid-iteration (the element swapped
-// into the vacated slot is examined next, so no entry is skipped).
+// stepRC routes the heads due this cycle: exactly the VCs that entered
+// vcRouting in the previous one (setVCState filed them under this
+// cycle's parity), in ascending flat-VC order. RC never stalls, so the
+// due mask is consumed whole and each head is visited once.
 func (r *Router) stepRC(cycle int64) {
-	for i := 0; i < len(r.listRC); {
-		f := r.listRC[i]
-		if cycle < r.vcReadyAt[f] {
-			i++
-			continue
-		}
-		front := r.vcFrontFlit(int(f))
-		if front == nil || !front.Type.IsHead() {
+	for m := r.rcDue[cycle&1]; m != 0; m &= m - 1 {
+		f := bits.TrailingZeros64(m)
+		if front := r.vcFrontFlit(f); front == nil || !front.Type.IsHead() {
 			panic(fmt.Sprintf("noc: router %d RC on non-head", r.id))
 		}
-		r.routeHead(int(f))
-		r.setVCState(f, vcWaitVC) // swap-removes listRC[i]
-		r.vcReadyAt[f] = cycle + 1
+		r.routeHead(f)
+		r.setVCState(int32(f), vcWaitVC)
 	}
 }
 
 // stepVA allocates free output VCs to waiting head flits. Each output
 // VC owns a PV:1 arbiter (the VA2 stage of §3.2.5); the first-stage VA1
-// output-VC selection collapses into the candidate filter because a
+// output-VC selection collapses into the request build because a
 // requester bids for every class-compatible free VC of its output port.
 //
-// Only VCs on the wait pending list build request masks, and output
-// ports no ready waiter is routed to are skipped outright; both prune
-// exactly the (oi, ov) pairs a scan of every port and VC would have
-// found requester-less, and an arbiter only moves on a grant, so the
-// grant sequence is that scan's.
+// ready snapshots the waiters that may bid this cycle; output port oi's
+// request set is ready & routeTo[oi], class-filtered under ByClass.
+// Ports without a ready waiter and reserved output VCs are skipped: a
+// scan of every (oi, ov) would have found them requester-less, and an
+// arbiter only moves on a grant, so the grant sequence is that scan's.
 func (r *Router) stepVA(cycle int64) {
-	readyAt := r.vcReadyAt
-	outPort := r.vcOutPort
-	// Thread the ready waiters into per-output-port chains, reusing the
-	// SA chain scratch (stepSA ran earlier this cycle and has consumed
-	// its chains). One pass replaces the per-(oi, ov) rescans of the
-	// wait list; chain order is list order, but nothing below depends on
-	// it (request masks are order-independent), so the arbiters receive
-	// the identical grant sequence.
-	saLast, saHead, next := r.saLast, r.saHead, r.eligNext
+	ready := r.inVA
 	var outMask uint32
-	nReady := 0
-	for _, f := range r.listVA {
-		if cycle < readyAt[f] {
-			continue
-		}
-		nReady++
-		oi := int(outPort[f])
-		bit := uint32(1) << uint(oi)
-		if outMask&bit == 0 {
-			saHead[oi] = f
-			outMask |= bit
+	for m := ready; m != 0; m &= m - 1 {
+		f := bits.TrailingZeros64(m)
+		if cycle < r.vcReadyAt[f] {
+			ready &^= 1 << uint(f)
 		} else {
-			next[saLast[oi]] = f
+			outMask |= 1 << uint(r.vcOutPort[f])
 		}
-		saLast[oi] = f
 	}
-	r.Counters.VAReqs += int64(nReady)
-	if nReady == 0 {
+	if ready == 0 {
 		return
 	}
+	r.Counters.VAReqs += int64(bits.OnesCount64(ready))
 	vcs := r.vcsPerPort
-	state, class := r.vcState, r.vcClass
 	byClass := r.net.cfg.Policy == ByClass
-	// Ascending port order, then ascending output VC. The walk
-	// re-checks the full candidate predicate — state, readiness and
-	// output port — not just the state: a chain entry granted for an
-	// earlier (oi, ov) normally leaves the wait state (grantVC), but
+	// Ascending port order, then ascending output VC. A granted VC is
+	// cleared from the snapshot rather than trusted to have left inVA:
 	// under SpecSA+LookaheadRC its speculative forward can release the
 	// channel (single-flit packet) and route the next buffered head
-	// straight back into vcWaitVC, with readyAt = cycle+1 and possibly a
-	// different output port. The stale chain still lists it, so only the
-	// readyAt and outPort guards keep it out of later (oi, ov) rounds
-	// (the oracle, which rebuilds each round's requests from the live VC
-	// state, is what holds this walk to that: oracle_test.go).
-	for m := outMask; m != 0; m &= m - 1 {
-		oi := bits.TrailingZeros32(m)
-		head, tail := saHead[oi], saLast[oi]
+	// straight back into vcWaitVC — ready only from the next cycle, and
+	// possibly toward a different port (the oracle, which rebuilds each
+	// round's requests from the live VC state, holds the stage to this).
+	for pm := outMask; pm != 0; pm &= pm - 1 {
+		oi := bits.TrailingZeros32(pm)
 		for ov := 0; ov < vcs; ov++ {
 			if r.reserved[oi*vcs+ov] {
 				continue
 			}
-			// Collect the request bits; the arbiter's full grant is paid
-			// only under contention.
-			var mask uint64
-			for f := head; ; f = next[f] {
-				if state[f] == vcWaitVC && cycle >= readyAt[f] &&
-					int(outPort[f]) == oi && (!byClass || ov == int(class[f])) {
-					mask |= 1 << uint(f)
-				}
-				if f == tail {
-					break
+			mask := ready & r.routeTo[oi]
+			if byClass {
+				switch Class(ov) {
+				case Control:
+					mask &^= r.dataVCs
+				case Data:
+					mask &= r.dataVCs
+				default:
+					mask = 0
 				}
 			}
 			if mask == 0 {
 				continue
 			}
+			// The arbiter's full grant is paid only under contention.
 			g := bits.TrailingZeros64(mask)
 			if mask&(mask-1) == 0 {
 				r.vaArb(oi, ov).grantSingle(g)
 			} else if g = r.vaArb(oi, ov).grantMask(mask, r.reqScratch); g < 0 {
 				continue
 			}
+			ready &^= 1 << uint(g)
 			r.grantVC(cycle, g, oi, ov)
 		}
 	}
@@ -516,7 +490,6 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.reserved[oi*r.vcsPerPort+ov] = true
 	r.vcOutVC[g] = int8(ov)
 	r.setVCState(int32(g), vcActive)
-	r.vcReadyAt[g] = cycle + 1
 	r.Counters.VAGrants++
 	if r.sh.probe != nil {
 		r.sh.probe.ProbeEvent(ProbeEvent{
@@ -532,11 +505,8 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 // saRankOf computes the QoS rank of the eligible front flit of VC f:
 // 0 = in-flight body/tail (always highest, so packets cannot be starved
 // mid-stream), 1 = control head, 2 = data head. Without QoSPriority all
-// flits rank 0 (and the buffered flit is never touched).
+// flits rank 0 and this is never called.
 func (r *Router) saRankOf(cycle int64, f int) int8 {
-	if !r.net.cfg.QoSPriority {
-		return 0
-	}
 	front := r.vcFrontFlit(f)
 	if front.Pkt.Class == Control {
 		return 0
@@ -556,30 +526,32 @@ func (r *Router) saRankOf(cycle int64, f int) int8 {
 	return rank
 }
 
+// maxPorts bounds a router's port count for stepSA's on-stack request
+// masks: a power of two (the index is masked, not bounds-checked) no
+// smaller than the number of directions.
+const maxPorts = 16
+
+var _ = [maxPorts - topology.NumDirs]struct{}{}
+
 // stepSA arbitrates the crossbar: at most one flit per output port and
 // one per input port each cycle. Winning flits traverse the switch (and
 // the link, when ST+LT are combined) and are scheduled into the next
 // router.
 //
-// Eligibility (the per-port chains and saRank) is cached only for the
-// VCs on the active pending list; entries not on the list are never
-// read, so their stale values from earlier cycles are harmless.
+// One pass over the set bits of inSA builds each output port's request
+// mask from the VCs that can send this cycle — a flit at the front since
+// an earlier cycle, the serializing link free, a downstream credit in
+// hand. (Only grantVC, which runs after SA, enters vcActive, so every
+// VC in inSA was granted its output VC in an earlier cycle.)
 func (r *Router) stepSA(cycle int64) {
-	nOut := len(r.outPorts)
-	saRank := r.saRank
-	readyAt, vcLen, frontAt := r.vcReadyAt, r.vcLen, r.vcFrontAt
-	saCount, saLast, saHead, eligNext := r.saCount, r.saLast, r.saHead, r.eligNext
-	// Hoisted like the scratch above: the chain stores below keep the
-	// compiler from proving these headers loop-invariant on its own.
+	vcLen, frontAt := r.vcLen, r.vcFrontAt
 	outPort, outVC, credits, linkMask := r.vcOutPort, r.vcOutVC, r.credits, r.linkMask
 	serMask, serFree := r.serMask, r.serFree
-	var outMask uint32 // output ports with at least one eligible VC
 	vcs := r.vcsPerPort
-	qos := r.net.cfg.QoSPriority
-	for _, f := range r.listSA {
-		if cycle < readyAt[f] {
-			continue
-		}
+	var saReq [maxPorts]uint64
+	var outMask uint32 // output ports with at least one request
+	for m := r.inSA; m != 0; m &= m - 1 {
+		f := bits.TrailingZeros64(m)
 		if vcLen[f] == 0 || frontAt[f] >= cycle {
 			continue
 		}
@@ -592,118 +564,75 @@ func (r *Router) stepSA(cycle int64) {
 			r.Counters.CreditStalls++
 			continue // no downstream buffer space
 		}
-		// Thread f onto output port oi's candidate chain (list order,
-		// so the chain is the pending-list scan restricted to oi).
-		bit := uint32(1) << uint(oi)
-		if outMask&bit == 0 {
-			saCount[oi] = 0
-			saHead[oi] = f
-			outMask |= bit
-		} else {
-			eligNext[saLast[oi]] = f
-		}
-		saCount[oi]++
-		saLast[oi] = f
-		if qos {
-			saRank[f] = r.saRankOf(cycle, int(f))
-		} else {
-			saRank[f] = 0
-		}
+		saReq[oi&(maxPorts-1)] |= 1 << uint(f)
+		outMask |= 1 << uint(oi)
 		r.Counters.SAReqs++
 	}
 	if outMask == 0 {
 		return
 	}
-	inBusy, outBusy := r.inBusy, r.outBusy
+	r.claimCycle, r.claimIn, r.claimOut = cycle, 0, 0
 	if outMask&(outMask-1) == 0 {
-		// One eligible output port: the rotation cannot matter, so skip
+		// One requested output port: the rotation cannot matter, so skip
 		// the modulo entirely.
-		r.saGrantPort(cycle, bits.TrailingZeros32(outMask), inBusy, outBusy)
+		oi := bits.TrailingZeros32(outMask)
+		r.saGrantPort(cycle, oi, saReq[oi&(maxPorts-1)])
 		return
 	}
-	// Visit eligible output ports in rotated priority order (start,
+	// Visit requested output ports in rotated priority order (start,
 	// start+1, ..., wrap-around), extracting set mask bits instead of
 	// testing every port.
-	start := int(uint64(cycle) % uint64(nOut))
+	start := int(uint64(cycle) % uint64(len(r.outPorts)))
 	for m := outMask >> uint(start); m != 0; m &= m - 1 {
-		r.saGrantPort(cycle, start+bits.TrailingZeros32(m), inBusy, outBusy)
+		oi := start + bits.TrailingZeros32(m)
+		r.saGrantPort(cycle, oi, saReq[oi&(maxPorts-1)])
 	}
 	for m := outMask & (1<<uint(start) - 1); m != 0; m &= m - 1 {
-		r.saGrantPort(cycle, bits.TrailingZeros32(m), inBusy, outBusy)
+		oi := bits.TrailingZeros32(m)
+		r.saGrantPort(cycle, oi, saReq[oi&(maxPorts-1)])
 	}
 }
 
-// saGrantPort arbitrates one output port among the cycle's eligible VCs
-// and forwards the winner. The port's candidate chain (snapshotted by
-// stepSA) is walked rather than the live pending list: a VC forwarded
-// earlier this cycle (tail release drops it from listSA) stays in the
-// chain, but its input port is marked busy, so it can never be granted
-// twice.
-func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
-	if outBusy[oi] == cycle {
+// saGrantPort arbitrates output port oi among req, the cycle's requests
+// for it, less the VCs of input ports claimed by an earlier grant of
+// this cycle, and forwards the winner. req was built before any grant:
+// a VC forwarded since (a tail release even drops it from inSA) is still
+// in it, but its input port is claimed, so it can never be granted twice.
+func (r *Router) saGrantPort(cycle int64, oi int, req uint64) {
+	mask := req &^ r.claimIn
+	if mask != 0 && r.net.cfg.QoSPriority {
+		// Restrict candidates to the best QoS tier present.
+		best, all := int8(127), mask
+		for mask = 0; all != 0; all &= all - 1 {
+			f := bits.TrailingZeros64(all)
+			if rank := r.saRankOf(cycle, f); rank < best {
+				best, mask = rank, 1<<uint(f)
+			} else if rank == best {
+				mask |= 1 << uint(f)
+			}
+		}
+	}
+	if mask == 0 {
 		return
 	}
-	var g int
-	if r.saCount[oi] == 1 {
-		// Sole candidate: skip the request-mask build. grantSingle
-		// advances the arbiter exactly like grantMask with one bit set.
-		f := r.saLast[oi]
-		if inBusy[r.portOf[f]] == cycle {
-			return
-		}
-		r.saArb(oi).grantSingle(int(f))
-		g = int(f)
-	} else {
-		portOf, next := r.portOf, r.eligNext
-		head, tail := r.saHead[oi], r.saLast[oi]
-		var mask uint64
-		if r.net.cfg.QoSPriority {
-			// Restrict candidates to the best QoS tier present.
-			saRank := r.saRank
-			best := int8(127)
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle && saRank[f] < best {
-					best = saRank[f]
-				}
-				if f == tail {
-					break
-				}
-			}
-			if best == 127 {
-				return
-			}
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle && saRank[f] == best {
-					mask |= 1 << uint(f)
-				}
-				if f == tail {
-					break
-				}
-			}
-		} else {
-			// Without QoS every rank is 0 (stepSA wrote them), so the
-			// best-tier prescan collapses into the request build.
-			for f := head; ; f = next[f] {
-				if inBusy[portOf[f]] != cycle {
-					mask |= 1 << uint(f)
-				}
-				if f == tail {
-					break
-				}
-			}
-		}
-		if mask == 0 {
-			return
-		}
-		if g = r.saArb(oi).grantMask(mask, r.reqScratch); g < 0 {
-			return
-		}
+	// A sole candidate skips the arbiter scan: grantSingle advances the
+	// arbiter exactly like grantMask with one bit set.
+	g := bits.TrailingZeros64(mask)
+	if mask&(mask-1) == 0 {
+		r.saArb(oi).grantSingle(g)
+	} else if g = r.saArb(oi).grantMask(mask, r.reqScratch); g < 0 {
+		return
 	}
-	pi := int(r.portOf[g])
+	r.claim(g, oi)
 	r.forward(cycle, g, oi)
-	inBusy[pi] = cycle
-	outBusy[oi] = cycle
 	r.Counters.SAGrants++
+}
+
+// claim takes input VC f's whole input port and output port oi out of
+// this cycle's switch allocation.
+func (r *Router) claim(f, oi int) {
+	r.claimIn |= r.portVCs << (uint(r.portOf[f]) * uint(r.vcsPerPort))
+	r.claimOut |= 1 << uint(oi)
 }
 
 // trySpeculativeForward attempts to move the freshly VC-allocated head
@@ -712,9 +641,11 @@ func (r *Router) saGrantPort(cycle int64, oi int, inBusy, outBusy []int64) {
 // made earlier this cycle keep their ports; speculation only uses
 // leftover switch slots.
 func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
-	inBusy, outBusy := r.inBusy, r.outBusy
-	pi := int(r.portOf[f])
-	if inBusy[pi] == cycle || outBusy[oi] == cycle {
+	if r.claimCycle != cycle {
+		// The switch allocator granted nothing here this cycle.
+		r.claimCycle, r.claimIn, r.claimOut = cycle, 0, 0
+	}
+	if r.claimIn>>uint(f)&1 != 0 || r.claimOut>>uint(oi)&1 != 0 {
 		return
 	}
 	if r.vcLen[f] == 0 || r.vcFrontArrived(f) >= cycle {
@@ -728,9 +659,8 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 	}
 	r.Counters.SAReqs++
 	r.Counters.SAGrants++
+	r.claim(f, oi)
 	r.forward(cycle, f, oi)
-	inBusy[pi] = cycle
-	outBusy[oi] = cycle
 }
 
 // forward sends the front flit of input VC fi through output port oi.

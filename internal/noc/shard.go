@@ -202,9 +202,11 @@ type shardState struct {
 	ringMask int64
 
 	// Per-stage activity sets over this shard's routers and NIs (see
-	// activity.go; bits outside [lo, hi) are never set).
-	actRC, actVA, actSA, actNI routerSet
-	actScratch                 []int32
+	// activity.go; bits outside [lo, hi) are never set). actRC[p] holds
+	// the routers with heads to route in the next cycle of parity p.
+	actVA, actSA, actNI routerSet
+	actRC               [2]routerSet
+	actScratch          []int32
 
 	// probe is where this shard's emission sites send events: the
 	// network probe itself on a single shard, the shard's own buffering
@@ -218,8 +220,8 @@ type shardState struct {
 	probeBuf []keyedProbeEvent
 
 	// ejOut buffers the packets whose tail flit ejected this cycle, per
-	// send phase, for the serial epilogue's eject callbacks (sharded
-	// only; a single shard calls the handler directly).
+	// send phase, for the serial epilogue to run the eject callback on and
+	// release (sharded only; a single shard does both in deliver).
 	ejOut [2][]*Packet
 
 	// Engine-meter scratch (enginemeter.go): the goroutine running
@@ -276,8 +278,9 @@ func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
 // members returns the routers (or NIs) one stage of the cycle visits, in
 // ascending ID order: a snapshot of the stage's activity set, taken
 // immediately before the stage runs, so routers activated by an earlier
-// stage of the same cycle are visited too — where they find only
-// non-ready VCs and do nothing.
+// stage of the same cycle are visited too (VA finds their look-ahead
+// heads not ready and does nothing; RC's set is this cycle's parity,
+// which nothing joins during the cycle).
 func (sh *shardState) members(set *routerSet) []int32 {
 	if set.n == 0 {
 		return nil
@@ -364,7 +367,7 @@ func (n *Network) shardCycle(sh *shardState) {
 		n.routers[id].stepVA(cycle)
 	}
 	sh.setKey(pkRC)
-	for _, id := range sh.members(&sh.actRC) {
+	for _, id := range sh.members(&sh.actRC[cycle&1]) {
 		n.routers[id].stepRC(cycle)
 	}
 	if meter != nil {
@@ -479,14 +482,11 @@ func (n *Network) deliver(sh *shardState) {
 				if e.flit.Type.IsTail() {
 					pkt := e.flit.Pkt
 					pkt.EjectedAt = cycle
-					if n.onEject == nil {
+					if n.mail != nil { // sharded: the epilogue finishes it
+						sh.ejOut[p] = append(sh.ejOut[p], pkt)
 						continue
 					}
-					if n.mail == nil { // single shard: no epilogue to defer to
-						n.onEject(pkt)
-					} else {
-						sh.ejOut[p] = append(sh.ejOut[p], pkt)
-					}
+					n.finishPacket(pkt)
 				}
 			}
 		}
@@ -499,9 +499,9 @@ func (n *Network) deliver(sh *shardState) {
 }
 
 // drainShardOutputs is the serial epilogue of a sharded step: merge and
-// replay the buffered probe events in canonical key order, then fire
-// the buffered eject callbacks in canonical (send phase, shard) order —
-// the order sequential stepping invokes them in.
+// replay the buffered probe events in canonical key order, then finish
+// the buffered ejected packets (eject callback, release) in canonical
+// (send phase, shard) order — the order sequential stepping does.
 func (n *Network) drainShardOutputs() {
 	if n.probe != nil {
 		buf := n.probeScratch[:0]
@@ -522,7 +522,7 @@ func (n *Network) drainShardOutputs() {
 		for i := range n.shards {
 			sh := &n.shards[i]
 			for _, pkt := range sh.ejOut[p] {
-				n.onEject(pkt)
+				n.finishPacket(pkt)
 			}
 			sh.ejOut[p] = sh.ejOut[p][:0]
 		}

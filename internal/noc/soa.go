@@ -8,9 +8,10 @@ import (
 
 // Struct-of-arrays router state. The router pipeline's hot state — VC
 // ring buffers, VC control scalars (state, head/length, route, ready
-// cycle), output credits and reservations, arbiter rotors, pending-list
-// storage and per-cycle scratch — lives in contiguous per-Network
-// arrays, one allocation per kind, indexed by flat (router, port, vc).
+// cycle), output credits and reservations, arbiter rotors and per-port
+// route masks — lives in contiguous per-Network arrays, one allocation
+// per kind, indexed by flat (router, port, vc). (The pending sets are
+// single words and sit in the Router header itself.)
 // Stage loops therefore walk dense typed slices instead of chasing
 // pointers across per-router/per-port/per-VC heap objects, which is
 // what dominated per-cycle cost at high injection rates once
@@ -60,10 +61,12 @@ import (
 // pipeline variants and worker counts.
 type soaState struct {
 	// Per-VC control scalars, indexed by vcBase(r) + pi*VCs + vi.
-	vcState   []vcState
-	vcHead    []int32 // ring read position, in [0, BufDepth)
-	vcLen     []int32 // ring occupancy, in [0, BufDepth]
-	vcReadyAt []int64 // earliest cycle for the pending stage
+	vcState []vcState
+	vcHead  []int32 // ring read position, in [0, BufDepth)
+	vcLen   []int32 // ring occupancy, in [0, BufDepth]
+	// vcReadyAt is the first cycle a head routed on arrival (look-ahead)
+	// may bid in VA; never written otherwise, so every waiter is ready.
+	vcReadyAt []int64
 	// vcFrontAt caches the arrival cycle of each VC's front flit (valid
 	// while occupancy > 0, maintained by vcPush/vcArrive/vcDrop), so the SA
 	// eligibility scan reads one dense lane instead of chasing into the
@@ -72,9 +75,9 @@ type soaState struct {
 	vcOutDir  []topology.Dir
 	vcOutPort []int8 // routed output port index, -1 until RC
 	vcOutVC   []int8 // allocated output VC, valid while active
-	// vcClass caches the front head flit's message class from RC until
-	// the packet releases the channel, so the VA candidate scans read a
-	// dense array instead of dereferencing the buffered flit.
+	// vcClass records the routed head's message class per VC; the VA
+	// request build reads its one-word summary, Router.dataVCs, which
+	// CheckInvariants rebuilds from this lane.
 	vcClass []Class
 	// vcInFly counts flits already written into the VC's ring slots by
 	// an upstream forward but not yet delivered (the event ring holds
@@ -98,36 +101,20 @@ type soaState struct {
 	// state has no fixed-size slot).
 	arbs []arbState
 
-	// Per-port switch occupancy, indexed by portBase(r) + pi/oi. Each
-	// entry stores the cycle the port was last claimed in, so "busy this
-	// cycle" is a comparison and no per-cycle clearing pass is needed.
-	inBusy  []int64
-	outBusy []int64
 	// serFree is the per-output-port link-class lane: the first cycle
 	// the port's serializing d2d link is free again. Only ports flagged
 	// in Router.serMask ever read or write it.
 	serFree []int64
+	// routeTo is the per-output-port route mask lane, indexed by
+	// portBase(r) + oi (Router.routeTo).
+	routeTo []uint64
 
-	// Pending-list storage: each router's listRC/listVA/listSA is a
-	// zero-length, fixed-capacity sub-slice of these (capacity = its VC
-	// count, the upper bound since a VC is in at most one list), so
-	// appends stay in place and never allocate. listPos, the per-cycle
-	// scratch (reqScratch/saRank/eligStore) and the
-	// per-output aggregates (saHead/saCount/saLast) follow the same
-	// windowing.
-	listRC, listVA, listSA []int32
-	listPos                []int32
-	portOf, vcOf           []int8
+	portOf, vcOf []int8
 	// ownerOf maps a global flat VC index back to its router's index,
 	// so event delivery decodes an int32 arrival word without any
 	// per-event metadata.
 	ownerOf    []int32
 	reqScratch []bool
-	saRank     []int8
-	eligStore  []int32
-	saHead     []int32
-	saCount    []int8
-	saLast     []int32
 }
 
 // newSoAState allocates the flat arrays for totalVCs flat VC slots and
@@ -150,22 +137,12 @@ func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 		reserved:   make([]bool, pv),
 		credits:    make([]int32, pv),
 		arbs:       make([]arbState, totalPorts*(1+cfg.VCs)),
-		inBusy:     make([]int64, totalPorts),
-		outBusy:    make([]int64, totalPorts),
 		serFree:    make([]int64, totalPorts),
-		listRC:     make([]int32, totalVCs),
-		listVA:     make([]int32, totalVCs),
-		listSA:     make([]int32, totalVCs),
-		listPos:    make([]int32, totalVCs),
+		routeTo:    make([]uint64, totalPorts),
 		portOf:     make([]int8, totalVCs),
 		vcOf:       make([]int8, totalVCs),
 		ownerOf:    make([]int32, totalVCs),
 		reqScratch: make([]bool, totalVCs),
-		saRank:     make([]int8, totalVCs),
-		eligStore:  make([]int32, totalVCs),
-		saHead:     make([]int32, totalPorts),
-		saCount:    make([]int8, totalPorts),
-		saLast:     make([]int32, totalPorts),
 	}
 	return st
 }
