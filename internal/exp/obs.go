@@ -41,9 +41,6 @@ func ObsURSweep(ctx context.Context, a core.Arch, rates []float64, o Options) Ta
 	for i, out := range RunAll(ctx, o, points) {
 		var sum obs.Summary
 		if out.Obs != nil { // nil: a canceled sweep never ran this point
-			if err := out.Obs.Close(); err != nil {
-				panic(err)
-			}
 			sum = out.Obs.Summary()
 		}
 		l := sum.Latency
@@ -84,9 +81,6 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 				}
 				sc.Observe.Spans = true
 				out := mustRun(ctx, o, sc)
-				if err := out.Obs.Close(); err != nil {
-					panic(err)
-				}
 				sb := out.Obs.Spans()
 				if err := sb.Err(); err != nil {
 					panic(err)
@@ -151,12 +145,13 @@ func ObsOverhead(ctx context.Context, o Options) Table {
 			}
 			start := time.Now()
 			res = e.Sim.Run(ctx)
-			elapsed := time.Since(start)
 			if e.Obs != nil {
+				// Timed: the sinks fold their last batch and flush here.
 				if err := e.Obs.Close(); err != nil {
 					panic(err)
 				}
 			}
+			elapsed := time.Since(start)
 			if r == 0 || elapsed < best {
 				best = elapsed
 			}

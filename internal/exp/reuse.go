@@ -21,9 +21,9 @@ type Outcome struct {
 	Result     noc.Result
 	Stats      cmp.Stats         // CMP trace generation (trace-backed traffic)
 	Collective collective.Report // completion report ("collective" traffic)
-	// Obs is the collector of an observed scenario. Its side outputs
-	// are the point of such a run, so observed scenarios are never
-	// reused and Obs is never shared.
+	// Obs is the collector of an observed scenario, closed. Its side
+	// outputs are the point of such a run, so observed scenarios are
+	// never reused and Obs is never shared.
 	Obs *obs.Collector
 }
 
@@ -128,6 +128,13 @@ func run(ctx context.Context, o Options, sc scenario.Scenario) (out Outcome, err
 		return Outcome{}, err
 	}
 	out = Outcome{Result: e.Sim.Run(ctx).WithoutHistogram(), Stats: e.Stats, Obs: e.Obs}
+	if e.Obs != nil {
+		// Folds the last events and frees the collector's event batches:
+		// a sweep keeps every point's outcome until its table is drawn.
+		if err := e.Obs.Close(); err != nil {
+			return Outcome{}, err
+		}
+	}
 	if e.Collective != nil {
 		out.Collective = e.Collective.Report()
 	}

@@ -10,10 +10,15 @@ import (
 	"mira/internal/traffic"
 )
 
-// probeRecorder keeps the raw probe stream of a run.
+// probeRecorder keeps the raw probe stream of a run, each event with the
+// packet as it was: the network recycles a packet once it has ejected.
 type probeRecorder struct{ events []noc.ProbeEvent }
 
-func (r *probeRecorder) ProbeEvent(ev noc.ProbeEvent) { r.events = append(r.events, ev) }
+func (r *probeRecorder) ProbeEvent(ev noc.ProbeEvent) {
+	pkt := *ev.Flit.Pkt
+	ev.Flit.Pkt = &pkt
+	r.events = append(r.events, ev)
+}
 
 // recordedStream is the probe stream of a short, fully drained
 // uniform-random run: every flit it injects it also ejects, so the
@@ -41,9 +46,14 @@ func observedCollector(traceNodes ...int) *Collector {
 	return c
 }
 
+// handOffAllocs is what one hand-off allocates: per sink goroutine, the
+// closure the go statement makes of its call.
+const handOffAllocs = 2
+
 // TestCollectorEventAllocs: with spans and a trace attached, a probe
 // event in steady state allocates nothing. What a pass over the stream
-// does allocate is the span store growing by a chunk now and then.
+// does allocate is the span store growing by a chunk now and then and
+// handOffAllocs per batch handed to the sinks.
 func TestCollectorEventAllocs(t *testing.T) {
 	stream := recordedStream(t)
 	for _, c := range []*Collector{observedCollector(), observedCollector(0, 5, 10)} {
@@ -56,8 +66,9 @@ func testCollectorEventAllocs(t *testing.T, c *Collector, stream []noc.ProbeEven
 		for i := range stream {
 			c.ProbeEvent(stream[i])
 		}
+		c.Spans() // fold the pass: its allocations are counted with it
 	}
-	pass() // the slab, the in-flight map and the trace buffer reach their size
+	pass() // the batches, the slab, the in-flight map and the trace buffer reach their size
 	if err := c.Spans().Err(); err != nil || c.Spans().InFlight() != 0 {
 		t.Fatalf("after one pass: err %v, %d flits in flight", err, c.Spans().InFlight())
 	}
@@ -80,34 +91,42 @@ func testCollectorEventAllocs(t *testing.T, c *Collector, stream []noc.ProbeEven
 			flits++
 		}
 	}
-	chunks := float64(hops/arenaChunk + flits/arenaChunk + 2)
-	if perPass := testing.AllocsPerRun(3, pass); perPass > chunks {
-		t.Errorf("%v allocations per pass of %d events, want at most the %v arena chunks it can add",
-			perPass, len(stream), chunks)
+	chunks := hops/arenaChunk + flits/arenaChunk + 2
+	handOffs := len(stream)/batchEvents + 1 // the last one is the fold
+	if perPass, want := testing.AllocsPerRun(3, pass), float64(chunks+handOffAllocs*handOffs); perPass > want {
+		t.Errorf("%v allocations per pass of %d events, want at most %v (%d arena chunks, %d hand-offs of %d)",
+			perPass, len(stream), want, chunks, handOffs, handOffAllocs)
 	}
 }
 
 // TestRetainedSpanBytesPerHop bounds what a completed span costs while
 // it is kept: a 32-byte hop record plus its share of the 56-byte header,
-// not the kilobyte per flit of a FlitSpan with its own hop slice.
+// not the kilobyte per flit of a FlitSpan with its own hop slice. The
+// two event batches are a fixed cost: one pass makes them before the
+// first heap reading.
 func TestRetainedSpanBytesPerHop(t *testing.T) {
 	stream := recordedStream(t)
 	c := observedCollector()
+	pass := func() {
+		for i := range stream {
+			c.ProbeEvent(stream[i])
+		}
+	}
 	heap := func() uint64 {
+		c.Spans() // fold, so no sink goroutine is allocating
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := heap()
+	pass()
+	before, warm := heap(), c.EventCount(noc.ProbeSAGrant)
 	const passes = 20
 	for p := 0; p < passes; p++ {
-		for i := range stream {
-			c.ProbeEvent(stream[i])
-		}
+		pass()
 	}
 	grown := heap() - before
-	hops := c.EventCount(noc.ProbeSAGrant)
+	hops := c.EventCount(noc.ProbeSAGrant) - warm
 	perHop := float64(grown) / float64(hops)
 	t.Logf("%.1f heap bytes per completed hop (%d hops)", perHop, hops)
 	if perHop > 48 {
@@ -120,7 +139,9 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 
 // BenchmarkCollectorEvent is the profiling handle for the observed
 // path: ns and bytes per probe event through Collector.ProbeEvent with
-// spans and the trace writer attached.
+// spans and the trace writer attached. ns/op is the whole pipeline (the
+// last batch folded); caller-ns/event is what the simulation goroutine
+// spent in ProbeEvent when it was not waiting for a free batch.
 func BenchmarkCollectorEvent(b *testing.B) {
 	stream := recordedStream(b)
 	c := observedCollector()
@@ -129,4 +150,9 @@ func BenchmarkCollectorEvent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.ProbeEvent(stream[i%len(stream)])
 	}
+	calling := b.Elapsed()
+	_, waited := c.HandOffs()
+	c.Spans()
+	b.StopTimer()
+	b.ReportMetric(float64(calling-waited)/float64(b.N), "caller-ns/event")
 }

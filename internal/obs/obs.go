@@ -26,6 +26,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"sync"
 	"time"
 
 	"mira/internal/noc"
@@ -157,6 +158,11 @@ func (a *latencyAcc) stats() LatencyStats {
 	return l
 }
 
+// batchEvents is the hand-off unit (0.45 MB). A goroutine wake-up costs
+// 50-100 us on the ledger host and batches under 8 192 events show it;
+// larger ones show in the peak RSS of a sweep of short observed runs.
+const batchEvents = 8192
+
 // Collector is the live observability pipeline of one simulation run:
 // it implements noc.Probe (event counting, latency accumulation, trace
 // writing) and exposes an OnCycle hook for the gauge sampler. Attach
@@ -173,6 +179,14 @@ type Collector struct {
 	counts    [noc.NumProbeKinds]int64
 	lastCycle int64
 	finished  bool
+
+	// The hand-off: the simulation goroutine appends to fill while the sink
+	// goroutines read spare, free again once draining is waited out.
+	fill, spare []Event
+	draining    sync.WaitGroup
+	sinkPanic   [2]any // what each sink goroutine recovered, until await re-raises it
+	handOffs    int64
+	waited      time.Duration
 }
 
 // New builds a collector over net with the standard network gauge set.
@@ -211,24 +225,93 @@ func (c *Collector) Attach(sim *noc.Sim) {
 // Config.Engine is off (or Attach has not run).
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
-// ProbeEvent implements noc.Probe: the event is copied into one Event
-// record, which the in-flight table and the trace writer then share.
-// The latency statistics need only the two ends of a flit's life, so
-// the stage events in between reach the table only when it folds spans.
+// ProbeEvent implements noc.Probe. Only what needs the live packet
+// happens here, on the simulation goroutine: the kind is counted and the
+// event copied into the fill batch, which goes to the sinks when full.
+// The latency statistics need only the two ends of a flit's life, so the
+// stage events in between are kept only for a trace or for spans.
 func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
 	c.counts[ev.Kind]++
 	ends := ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject
 	if !ends && !c.cfg.Spans && c.tw == nil {
 		return
 	}
-	e := eventOf(&ev)
-	if ends || c.cfg.Spans {
-		c.flits.Feed(&e) //nolint:errcheck // sticky: Spans().Err() reports it
+	if c.fill == nil {
+		c.fill, c.spare = make([]Event, 0, batchEvents), make([]Event, 0, batchEvents)
 	}
-	if c.tw != nil {
-		c.tw.Record(&e)
+	c.fill = append(c.fill, eventOf(&ev))
+	if len(c.fill) >= batchEvents {
+		c.handOff()
 	}
 }
+
+// handOff gives the fill batch to the two sinks, each draining it in
+// probe order on a goroutine that ends with the batch. Waiting out the
+// batch before it first keeps every sink's batches in order, and the
+// simulation goroutine blocked only while both batches are full.
+func (c *Collector) handOff() {
+	start := time.Now()
+	c.await()
+	c.waited += time.Since(start)
+	batch := c.fill
+	if len(batch) == 0 {
+		return
+	}
+	c.fill, c.spare = c.spare[:0], batch
+	c.handOffs++
+	c.draining.Add(1)
+	go c.feed(batch)
+	if c.tw != nil {
+		c.draining.Add(1)
+		go c.record(batch)
+	}
+}
+
+// feed is the sink of the in-flight table: latency, spans, attribution.
+func (c *Collector) feed(batch []Event) {
+	defer c.sinkDone(0)
+	for i := range batch {
+		if e := &batch[i]; c.cfg.Spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
+			c.flits.Feed(e) //nolint:errcheck // sticky: Spans().Err() reports it
+		}
+	}
+}
+
+// record is the trace writer's sink goroutine.
+func (c *Collector) record(batch []Event) {
+	defer c.sinkDone(1)
+	for i := range batch {
+		c.tw.Record(&batch[i])
+	}
+}
+
+// sinkDone ends a sink goroutine, which nobody joins: a panic in it (a
+// caller's io.Writer, say) is kept for await instead of ending the process.
+func (c *Collector) sinkDone(sink int) {
+	c.sinkPanic[sink] = recover()
+	c.draining.Done()
+}
+
+// await blocks until no batch is being drained, then re-raises a sink's
+// panic on the calling (simulation) goroutine with its original value.
+func (c *Collector) await() {
+	c.draining.Wait()
+	for i, p := range c.sinkPanic {
+		if p != nil {
+			c.sinkPanic[i] = nil
+			panic(p)
+		}
+	}
+}
+
+// sync folds everything accepted so far, the partial batch included:
+// an accessor then reads what it would had the sinks run inline.
+func (c *Collector) sync() { c.handOff(); c.await() }
+
+// HandOffs returns how many batches went to the sinks and how long the
+// simulation goroutine waited for a free one; near the run's wall time,
+// the sinks are the bottleneck.
+func (c *Collector) HandOffs() (n int64, waited time.Duration) { return c.handOffs, c.waited }
 
 // OnCycle drives the gauge sampler (window boundaries only) and tracks
 // the last simulated cycle for the trailing partial window.
@@ -248,13 +331,15 @@ func (c *Collector) Finish() {
 	c.sampler.Final(c.lastCycle)
 }
 
-// Close finishes sampling, stops the engine telemetry ticker and
-// flushes the trace writer, if any.
+// Close finishes sampling, stops the engine telemetry ticker, folds the
+// last batch, lets go of both and flushes the trace writer, if any.
 func (c *Collector) Close() error {
 	c.Finish()
 	if c.engine != nil {
 		c.engine.Close()
 	}
+	c.sync()
+	c.fill, c.spare = nil, nil
 	if c.tw == nil {
 		return nil
 	}
@@ -266,16 +351,21 @@ func (c *Collector) EventCount(k noc.ProbeKind) int64 { return c.counts[k] }
 
 // Latency returns the per-flit/per-packet latency statistics observed
 // so far.
-func (c *Collector) Latency() LatencyStats { return c.flits.lat.stats() }
+func (c *Collector) Latency() LatencyStats {
+	c.sync()
+	return c.flits.lat.stats()
+}
 
 // Sampler returns the gauge sampler (time series access).
 func (c *Collector) Sampler() *Sampler { return c.sampler }
 
-// Spans returns the live span builder, or nil when Config.Spans is off.
+// Spans returns the live span builder, folded up to the last event, or
+// nil when Config.Spans is off. Read it before the next ProbeEvent.
 func (c *Collector) Spans() *SpanBuilder {
 	if !c.cfg.Spans {
 		return nil
 	}
+	c.sync()
 	return c.flits
 }
 
