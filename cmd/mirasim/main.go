@@ -262,9 +262,9 @@ func main() {
 		if ec := e.Obs.Engine(); ec != nil {
 			if *engineStats {
 				fmt.Fprint(os.Stderr, ec.Table().String())
-				n, waited := e.Obs.HandOffs()
-				fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them\n",
-					n, waited.Seconds())
+				n, waited, fold, encode := e.Obs.HandOffs()
+				fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them; span fold busy %.3fs, encoder busy %.3fs\n",
+					n, waited.Seconds(), fold.Seconds(), encode.Seconds())
 			}
 			if *engineJSON != "" {
 				if err := writeEngineJSON(ec, *engineJSON); err != nil {

@@ -114,6 +114,9 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 	}
 	heap := func() uint64 {
 		c.Spans() // fold, so no sink goroutine is allocating
+		// Twice: the second collection frees what the first left in
+		// sync.Pool victim caches, such as an earlier test's JSON buffers.
+		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -151,7 +154,7 @@ func BenchmarkCollectorEvent(b *testing.B) {
 		c.ProbeEvent(stream[i%len(stream)])
 	}
 	calling := b.Elapsed()
-	_, waited := c.HandOffs()
+	_, waited, _, _ := c.HandOffs()
 	c.Spans()
 	b.StopTimer()
 	b.ReportMetric(float64(calling-waited)/float64(b.N), "caller-ns/event")

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mira/internal/obs"
 	"mira/internal/scenario"
 )
 
@@ -28,6 +29,12 @@ import (
 // not part of the model (probe.go), so a kernel change may re-pin the
 // byte-exact digest — but only as a permutation: the sorted digest must
 // not move with it.
+//
+// The same runs fold spans too (the trace filter does not reach them),
+// and pin the span artifacts: <name>.attrib.sha256 is the digest of the
+// combined attribution CSV "mirasim -attrib" writes, <name>.perfetto.sha256
+// that of the Perfetto JSON "miratrace spans -perfetto" writes for the
+// run's unfiltered trace.
 func TestTraceGolden(t *testing.T) {
 	for _, name := range []string{"trace_3dm", "trace_3dm_filtered"} {
 		t.Run(name, func(t *testing.T) {
@@ -43,6 +50,7 @@ func TestTraceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sc.Observe.Spans = true
 			e, err := sc.Elaborate()
 			if err != nil {
 				t.Fatal(err)
@@ -67,6 +75,25 @@ func TestTraceGolden(t *testing.T) {
 			if got := sortedLinesDigest(trace.Bytes()); got != strings.TrimSpace(string(wantSorted)) {
 				t.Errorf("sorted-lines sha256 %s, committed %s: the trace is no longer a permutation of the pinned one",
 					got, strings.TrimSpace(string(wantSorted)))
+			}
+
+			sb := e.Obs.Spans()
+			if err := sb.Err(); err != nil {
+				t.Fatal(err)
+			}
+			attrib := sha256.Sum256([]byte(sb.Attribution().CombinedTable().CSV()))
+			perfetto := sha256.New()
+			if err := obs.WritePerfetto(perfetto, sb.Spans()); err != nil {
+				t.Fatal(err)
+			}
+			for suffix, sum := range map[string][]byte{".attrib.sha256": attrib[:], ".perfetto.sha256": perfetto.Sum(nil)} {
+				want, err := os.ReadFile(filepath.Join("testdata", name+suffix))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := hex.EncodeToString(sum); got != strings.TrimSpace(string(want)) {
+					t.Errorf("%s%s: sha256 %s, committed %s: the span artifact drifted", name, suffix, got, strings.TrimSpace(string(want)))
+				}
 			}
 		})
 	}

@@ -184,7 +184,8 @@ type Collector struct {
 	// goroutines read spare, free again once draining is waited out.
 	fill, spare []Event
 	draining    sync.WaitGroup
-	sinkPanic   [2]any // what each sink goroutine recovered, until await re-raises it
+	sinkPanic   [2]any           // what each sink goroutine recovered, until await re-raises it
+	busy        [2]time.Duration // each sink's time spent draining batches
 	handOffs    int64
 	waited      time.Duration
 }
@@ -269,7 +270,7 @@ func (c *Collector) handOff() {
 
 // feed is the sink of the in-flight table: latency, spans, attribution.
 func (c *Collector) feed(batch []Event) {
-	defer c.sinkDone(0)
+	defer c.sinkDone(0, time.Now())
 	for i := range batch {
 		if e := &batch[i]; c.cfg.Spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
 			c.flits.Feed(e) //nolint:errcheck // sticky: Spans().Err() reports it
@@ -279,15 +280,16 @@ func (c *Collector) feed(batch []Event) {
 
 // record is the trace writer's sink goroutine.
 func (c *Collector) record(batch []Event) {
-	defer c.sinkDone(1)
+	defer c.sinkDone(1, time.Now())
 	for i := range batch {
 		c.tw.Record(&batch[i])
 	}
 }
 
-// sinkDone ends a sink goroutine, which nobody joins: a panic in it (a
-// caller's io.Writer, say) is kept for await instead of ending the process.
-func (c *Collector) sinkDone(sink int) {
+// sinkDone ends a sink goroutine begun at start, which nobody joins: a panic
+// in it (a caller's io.Writer, say) is kept for await instead of ending the process.
+func (c *Collector) sinkDone(sink int, start time.Time) {
+	c.busy[sink] += time.Since(start)
 	c.sinkPanic[sink] = recover()
 	c.draining.Done()
 }
@@ -308,10 +310,12 @@ func (c *Collector) await() {
 // an accessor then reads what it would had the sinks run inline.
 func (c *Collector) sync() { c.handOff(); c.await() }
 
-// HandOffs returns how many batches went to the sinks and how long the
-// simulation goroutine waited for a free one; near the run's wall time,
-// the sinks are the bottleneck.
-func (c *Collector) HandOffs() (n int64, waited time.Duration) { return c.handOffs, c.waited }
+// HandOffs returns the batches handed to the sinks, the simulation's wait for a free
+// one (near the wall time: the sinks are the bound) and the fold's and encoder's busy time.
+func (c *Collector) HandOffs() (n int64, waited, fold, encode time.Duration) {
+	c.await()
+	return c.handOffs, c.waited, c.busy[0], c.busy[1]
+}
 
 // OnCycle drives the gauge sampler (window boundaries only) and tracks
 // the last simulated cycle for the trailing partial window.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 
 	"mira/internal/noc"
@@ -204,9 +203,10 @@ func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
 // fixed-width header each plus one arena of hops, and become
 // []FlitSpan only when Spans is called.
 type SpanBuilder struct {
-	fold   bool // fold stage events into hops and the attribution
-	retain bool // keep completed spans
-	open   map[flitKey]int32
+	fold   bool    // fold stage events into hops and the attribution
+	retain bool    // keep completed spans
+	slots  []int32 // the in-flight table: slab index + 1 by key position, 0 when empty
+	spill  map[flitKey]int32
 	slab   []openFlit
 	free   []int32 // vacant slab slots
 	lat    latencyAcc
@@ -223,8 +223,8 @@ type SpanBuilder struct {
 func NewSpanBuilder(retain bool) *SpanBuilder { return newSpanBuilder(true, retain) }
 
 func newSpanBuilder(fold, retain bool) *SpanBuilder {
-	return &SpanBuilder{fold: fold, retain: retain, open: make(map[flitKey]int32), agg: newAttribution(),
-		lat: latencyAcc{flitHist: stats.NewHistogram(histBins), pktHist: stats.NewHistogram(histBins)}}
+	return &SpanBuilder{fold: fold, retain: retain, slots: make([]int32, 256), spill: make(map[flitKey]int32),
+		agg: &Attribution{}, lat: latencyAcc{flitHist: stats.NewHistogram(histBins), pktHist: stats.NewHistogram(histBins)}}
 }
 
 // Err returns the first protocol inconsistency encountered, or nil.
@@ -260,7 +260,57 @@ func (b *SpanBuilder) Spans() []FlitSpan {
 func (b *SpanBuilder) Attribution() *Attribution { return b.agg }
 
 // InFlight returns the number of flits with an open, unejected span.
-func (b *SpanBuilder) InFlight() int { return len(b.open) }
+func (b *SpanBuilder) InFlight() int { return len(b.slab) - len(b.free) }
+
+// The in-flight table is direct-mapped on a key's position: the IDs Network.Enqueue
+// issues rise, so flits in flight rarely collide. A collision doubles it, up to
+// maxSlotsPerFlit slots a flit; a key that still collides (a straggler, a packet
+// longer than 1<<seqBits flits, a backlogged fabric) goes to the spill map.
+const seqBits, maxSlotsPerFlit = 2, 16 // a data packet has four flits
+
+func (k flitKey) pos() uint64 { return uint64(k.pkt)<<seqBits + uint64(k.seq) }
+
+func (o *openFlit) key() flitKey { return flitKey{o.pkt, o.seq} }
+
+func (b *SpanBuilder) slot(k flitKey) *int32 { return &b.slots[k.pos()&uint64(len(b.slots)-1)] }
+
+func (b *SpanBuilder) find(k flitKey) (int32, bool) {
+	if i := *b.slot(k) - 1; i >= 0 && b.slab[i].key() == k {
+		return i, true
+	}
+	i, ok := b.spill[k]
+	return i, ok
+}
+
+// open files k, which is not in flight, at slab slot i.
+func (b *SpanBuilder) open(k flitKey, i int32) {
+	b.slab[i].pkt, b.slab[i].seq = k.pkt, k.seq
+	s := b.slot(k)
+	for ; *s != 0 && len(b.slots) < maxSlotsPerFlit*b.InFlight() && b.slab[*s-1].key().pos() != k.pos(); s = b.slot(k) {
+		old := b.slots
+		b.slots = make([]int32, 2*len(old))
+		for _, j := range old {
+			if j != 0 {
+				*b.slot(b.slab[j-1].key()) = j // distinct slots before, distinct after
+			}
+		}
+	}
+	if *s == 0 {
+		*s = i + 1
+	} else {
+		b.spill[k] = i
+	}
+}
+
+// vacate takes k, in flight at slab slot i, out of the table.
+func (b *SpanBuilder) vacate(k flitKey, i int32) {
+	if s := b.slot(k); *s == i+1 {
+		*s = 0
+	} else {
+		delete(b.spill, k)
+	}
+	b.free = append(b.free, i)
+}
 
 func (b *SpanBuilder) fail(e *Event, format string, args ...any) {
 	if b.err == nil {
@@ -274,7 +324,7 @@ func (b *SpanBuilder) fail(e *Event, format string, args ...any) {
 // look-ahead routing may emit one site before the same cycle's inject.
 func (b *SpanBuilder) Feed(e *Event) error {
 	k := flitKey{e.Pkt, e.Seq}
-	i, known := b.open[k]
+	i, known := b.find(k)
 	if !known {
 		if e.Kind != noc.ProbeInject && !(b.fold && e.Kind == noc.ProbeRoute) {
 			if b.fold {
@@ -288,7 +338,7 @@ func (b *SpanBuilder) Feed(e *Event) error {
 			i = int32(len(b.slab))
 			b.slab = append(b.slab, openFlit{})
 		}
-		b.open[k] = i
+		b.open(k, i)
 	}
 	o := &b.slab[i]
 	if b.fold && b.err == nil {
@@ -304,14 +354,17 @@ func (b *SpanBuilder) Feed(e *Event) error {
 			b.lat.add(e.Cycle-o.inject, e)
 		}
 		o.injected, o.hops = false, o.hops[:0]
-		delete(b.open, k)
-		b.free = append(b.free, i)
+		b.vacate(k, i)
 	}
 	return b.err
 }
 
 // foldEvent applies one stage event to the flit's open hop.
 func (b *SpanBuilder) foldEvent(e *Event, o *openFlit) {
+	if e.Router < 0 || e.Router >= 1<<16 { // a router numbers an attribution row
+		b.fail(e, "at router %d (want 0 to 65535)", e.Router)
+		return
+	}
 	var h *hop
 	if n := len(o.hops); n > 0 {
 		h = &o.hops[n-1]
@@ -439,24 +492,15 @@ func (s StageSums) NetworkCycles() int64 {
 // regardless of step mode or accumulation order.
 type Attribution struct {
 	total StageSums
-	by    [len(groupNames)]map[int]*StageSums // per grouping; every key is an integer
+	by    [len(groupNames)][]StageSums // per grouping, by key; a key with N 0 has no row
 }
 
-func newAttribution() *Attribution {
-	a := &Attribution{}
-	for g := range a.by {
-		a.by[g] = make(map[int]*StageSums)
-	}
-	return a
-}
-
+// sums returns the key's sums, valid until the grouping next grows.
 func (a *Attribution) sums(group, key int) *StageSums {
-	s := a.by[group][key]
-	if s == nil {
-		s = &StageSums{}
-		a.by[group][key] = s
+	if n := key + 1 - len(a.by[group]); n > 0 {
+		a.by[group] = append(a.by[group], make([]StageSums, n)...)
 	}
-	return s
+	return &a.by[group][key]
 }
 
 func (a *Attribution) add(s *spanHdr, hops []hop) {
@@ -530,21 +574,14 @@ func attribRow(key string, s *StageSums) []string {
 	return append(row, strconv.FormatInt(net, 10), strconv.FormatFloat(perN, 'f', 2, 64))
 }
 
-// rowsFor renders one grouping's rows in deterministic key order (for
-// classes the enum order, which is also the order of their names).
-func (a *Attribution) rowsFor(group string) ([][]string, error) {
-	g := slices.Index(groupNames[:], group)
-	if g < 0 {
-		return nil, fmt.Errorf("obs: unknown attribution grouping %q (want %s, %s, %s or %s)",
-			group, GroupRouter, GroupClass, GroupHops, GroupLayers)
-	}
-	keys := make([]int, 0, len(a.by[g]))
+// rowsFor renders grouping g's rows in key order (for classes the enum
+// order, which is also the order of their names).
+func (a *Attribution) rowsFor(g int) [][]string {
+	rows := make([][]string, 0, len(a.by[g]))
 	for k := range a.by[g] {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	rows := make([][]string, 0, len(keys))
-	for _, k := range keys {
+		if a.by[g][k].N == 0 {
+			continue
+		}
 		label := strconv.Itoa(k)
 		switch {
 		case g == byClass:
@@ -552,23 +589,24 @@ func (a *Attribution) rowsFor(group string) ([][]string, error) {
 		case g == byLayers && k == 0:
 			label = "all"
 		}
-		rows = append(rows, attribRow(label, a.by[g][k]))
+		rows = append(rows, attribRow(label, &a.by[g][k]))
 	}
-	return rows, nil
+	return rows
 }
 
 // Table renders one grouping's latency decomposition: integer cycle
 // totals per stage plus the mean network latency per flit (per visit
 // for the router grouping).
 func (a *Attribution) Table(group string) (stats.Table, error) {
-	rows, err := a.rowsFor(group)
-	if err != nil {
-		return stats.Table{}, err
+	g := slices.Index(groupNames[:], group)
+	if g < 0 {
+		return stats.Table{}, fmt.Errorf("obs: unknown attribution grouping %q (want %s, %s, %s or %s)",
+			group, GroupRouter, GroupClass, GroupHops, GroupLayers)
 	}
 	t := stats.Table{
 		Title:  fmt.Sprintf("latency attribution by %s (%d flits)", group, a.total.N),
 		Header: append([]string{group}, attribHeader[1:]...),
-		Rows:   rows,
+		Rows:   a.rowsFor(g),
 	}
 	t.Notes = append(t.Notes, "cycle totals per stage; st_lt is switch(+link) traversal, per_n is mean network cycles")
 	return t, nil
@@ -583,13 +621,9 @@ func (a *Attribution) CombinedTable() stats.Table {
 		Header: append([]string{"group"}, attribHeader...),
 	}
 	t.Rows = append(t.Rows, append([]string{"total"}, attribRow("", &a.total)...))
-	for _, g := range Groupings() {
-		rows, err := a.rowsFor(g)
-		if err != nil {
-			panic(err) // Groupings() only yields known groups
-		}
-		for _, r := range rows {
-			t.Rows = append(t.Rows, append([]string{g}, r...))
+	for g, name := range groupNames {
+		for _, r := range a.rowsFor(g) {
+			t.Rows = append(t.Rows, append([]string{name}, r...))
 		}
 	}
 	t.Notes = append(t.Notes,

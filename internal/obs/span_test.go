@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,6 +252,20 @@ func TestSpanBuilderCycleZero(t *testing.T) {
 		ev(noc.ProbeSAGrant, 2, 3), ev(noc.ProbeEject, 4, 3))
 	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "without an inject") {
 		t.Errorf("uninjected flit: err = %v, want ejected without an inject event", err)
+	}
+}
+
+// TestSpanBuilderRejectsRouterOutOfRange: a router number indexes the
+// attribution's router rows, so a trace naming one below 0 or past 65535
+// fails the fold instead of indexing (or allocating) past them.
+func TestSpanBuilderRejectsRouterOutOfRange(t *testing.T) {
+	for _, router := range []int32{-1, 1 << 16} {
+		e := mkEvent(noc.ProbeInject, 0, 7, 0)
+		e.Router = router
+		_, err := BuildSpans(jsonl(e), false)
+		if want := fmt.Sprintf("at router %d", router); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("router %d: err = %v, want %q", router, err, want)
+		}
 	}
 }
 

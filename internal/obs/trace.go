@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
+	"math/bits"
+	"slices"
 
 	"mira/internal/noc"
 	"mira/internal/topology"
@@ -63,47 +64,88 @@ func eventOf(ev *noc.ProbeEvent) Event {
 	return e
 }
 
+// The JSON between a line's numbers: `,"k":"inject","r":`, `,"d":"east"`, `,"t":"head","cl":"data","src":`.
+var (
+	kindKeys      [noc.NumProbeKinds]string
+	dirKeys       [topology.NumDirs]string
+	typeClassKeys [len(flitTypeNames)][noc.NumClasses]string
+)
+
+func init() {
+	for k := range kindKeys {
+		kindKeys[k] = `,"k":"` + noc.ProbeKind(k).String() + `","r":`
+	}
+	for d := range dirKeys {
+		dirKeys[d] = `,"d":"` + topology.Dir(d).String() + `"`
+	}
+	for t, name := range flitTypeNames {
+		for c := range typeClassKeys[t] {
+			typeClassKeys[t][c] = `,"t":"` + name + `","cl":"` + noc.Class(c).String() + `","src":`
+		}
+	}
+}
+
 // appendEvent appends e's JSONL line to buf. The bytes are what
 // encoding/json wrote for the string-typed record this format began as
 // (FuzzEventJSON holds the two equal): keys in the order below, "d"
 // absent on eject events, "vc", "created" and "al" absent when zero.
 func appendEvent(buf []byte, e *Event) []byte {
-	buf = appendNum(buf, `{"c":`, e.Cycle)
-	buf = appendStr(buf, `,"k":"`, e.Kind.String())
-	buf = appendNum(buf, `,"r":`, int64(e.Router))
+	buf = slices.Grow(buf, lineHeadroom)
+	buf = putInt(append(buf, `{"c":`...), e.Cycle)
+	buf = putInt(append(buf, kindKeys[e.Kind]...), int64(e.Router))
 	if e.Kind != noc.ProbeEject {
-		buf = appendStr(buf, `,"d":"`, e.Dir.String())
+		buf = append(buf, dirKeys[e.Dir]...)
 	}
 	if e.VC != 0 {
-		buf = appendNum(buf, `,"vc":`, int64(e.VC))
+		buf = putInt(append(buf, `,"vc":`...), int64(e.VC))
 	}
-	buf = appendNum(buf, `,"p":`, e.Pkt)
-	buf = appendNum(buf, `,"s":`, int64(e.Seq))
-	buf = appendStr(buf, `,"t":"`, flitTypeName(e.Type))
-	buf = appendStr(buf, `,"cl":"`, e.Class.String())
-	buf = appendNum(buf, `,"src":`, int64(e.Src))
-	buf = appendNum(buf, `,"dst":`, int64(e.Dst))
+	buf = putInt(append(buf, `,"p":`...), e.Pkt)
+	buf = putInt(append(buf, `,"s":`...), int64(e.Seq))
+	buf = putInt(append(buf, typeClassKeys[e.Type][e.Class]...), int64(e.Src))
+	buf = putInt(append(buf, `,"dst":`...), int64(e.Dst))
 	if e.Created != 0 {
-		buf = appendNum(buf, `,"created":`, e.Created)
+		buf = putInt(append(buf, `,"created":`...), e.Created)
 	}
 	if e.Layers != 0 {
-		buf = appendNum(buf, `,"al":`, int64(e.Layers))
+		buf = putInt(append(buf, `,"al":`...), int64(e.Layers))
 	}
 	return append(buf, "}\n"...)
 }
 
-func appendNum(buf []byte, key string, v int64) []byte {
-	return strconv.AppendInt(append(buf, key...), v, 10)
+const digitPairs = "0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849" +
+	"5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// putInt writes v in decimal into buf's spare capacity, which must hold
+// it: the digits go straight to their places, two at a time.
+func putInt(buf []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		buf, u = append(buf, '-'), -u
+	}
+	if u < 10 {
+		return append(buf, byte('0'+u))
+	}
+	start := len(buf)
+	n := start + bits.Len64(u)*1233>>12 // the digits of u, or one fewer
+	if u >= pow10[n-start] {
+		n++
+	}
+	for buf = buf[:n]; n-start > 1; u /= 100 {
+		n -= 2
+		buf[n], buf[n+1] = digitPairs[u%100*2], digitPairs[u%100*2+1]
+	}
+	if n > start {
+		buf[n-1] = byte('0' + u)
+	}
+	return buf
 }
 
-func appendStr(buf []byte, key, v string) []byte {
-	return append(append(append(buf, key...), v...), '"')
-}
-
-// traceBufSize is how many encoded bytes the writer gathers before it
-// hands them to the sink; the buffer has room for the line that crosses
-// the mark (no line reaches 256 bytes).
-const traceBufSize = 64 << 10
+// traceBufSize is how many encoded bytes the writer gathers before it hands them
+// to the sink; lineHeadroom bounds a line (FuzzEventJSON holds it), so the buffer
+// has that much more and appendEvent makes that much room before it writes.
+const traceBufSize, lineHeadroom = 64 << 10, 256
 
 // TraceWriter streams events as JSONL, encoding each straight into one
 // reused byte buffer that goes to the sink when it fills (and on Close):
@@ -121,7 +163,7 @@ type TraceWriter struct {
 // NewTraceWriter builds a JSONL trace writer over w. filter, when
 // non-nil, selects the events to record; everything else is discarded.
 func NewTraceWriter(w io.Writer, filter func(Event) bool) *TraceWriter {
-	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+256), filter: filter}
+	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+lineHeadroom), filter: filter}
 }
 
 // Record filters and encodes one event.
@@ -286,14 +328,14 @@ var ErrFlitProtocol = errors.New("per-flit protocol violated")
 // its eject reads like one never injected. A violation does not stop
 // it: the Summary then covers the matched inject/eject pairs, all a
 // filtered trace can give, and the error wraps ErrFlitProtocol.
-func Replay(r io.Reader) (Summary, error) {
+func Replay(r io.Reader) (Summary, error) { return replay(r, newSpanBuilder(false, false)) }
+
+func replay(r io.Reader, flits *SpanBuilder) (Summary, error) {
 	var counts [noc.NumProbeKinds]int64
 	var violation error
-	flits := newSpanBuilder(false, false)
 	n := 0
 	err := ScanTrace(r, func(e *Event) error {
-		_, inFlight := flits.open[flitKey{e.Pkt, e.Seq}]
-		if violation == nil && inFlight == (e.Kind == noc.ProbeInject) {
+		if _, inFlight := flits.find(flitKey{e.Pkt, e.Seq}); violation == nil && inFlight == (e.Kind == noc.ProbeInject) {
 			what := "injected twice"
 			if !inFlight {
 				what = e.Kind.String() + " before inject or after eject (trace filtered or truncated?)"

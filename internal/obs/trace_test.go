@@ -138,7 +138,7 @@ func TestTraceWriterBufferFlush(t *testing.T) {
 	if w := tw.Written(); w == 0 || w >= int64(n) {
 		t.Errorf("written before close = %d, want some but not all of %d", w, n)
 	}
-	if buf.Len() < 2*traceBufSize || cap(tw.buf) > traceBufSize+256 {
+	if buf.Len() < 2*traceBufSize || cap(tw.buf) > traceBufSize+lineHeadroom {
 		t.Errorf("sink holds %d bytes, writer buffer grew to %d", buf.Len(), cap(tw.buf))
 	}
 	if err := tw.Close(); err != nil {
@@ -219,7 +219,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestTraceWriterCloseReportsFailure(t *testing.T) {
 	// The sink takes the first full buffer and fails from then on; the
 	// failure surfaces at Close at the latest.
-	tw := NewTraceWriter(&failAfterWriter{budget: traceBufSize + 256}, nil)
+	tw := NewTraceWriter(&failAfterWriter{budget: traceBufSize + lineHeadroom}, nil)
 	e := injectEvent(0)
 	n := 3 * traceBufSize / len(appendEvent(nil, &e))
 	for i := 0; i < n; i++ {
@@ -308,7 +308,7 @@ func FuzzEventJSON(f *testing.F) {
 		if want = append(want, '\n'); !bytes.Equal(got, want) {
 			t.Fatalf("append encoder wrote\n%sencoding/json writes\n%s", got, want)
 		}
-		if len(got) >= 256 {
+		if len(got) >= lineHeadroom {
 			t.Errorf("line of %d bytes outgrows the trace buffer's headroom", len(got))
 		}
 		if cycle < 0 {

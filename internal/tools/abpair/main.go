@@ -9,7 +9,8 @@
 // the repository's worktree list is not touched), B the working tree.
 // Every run is `bench -workload W -trace 0 -seconds 4`, pinned to CPUs
 // 0,1 with taskset when present (no workload uses more than 2 threads);
-// the number compared is that run's median wall_s.
+// the numbers compared are that run's medians of wall_s, cpu_s and
+// peak_rss_mb, each judged on its own.
 package main
 
 import (
@@ -22,6 +23,9 @@ import (
 	"sort"
 	"strings"
 )
+
+// metrics are the end-to-end numbers compared, all better when lower.
+var metrics = [...]string{"wall_s", "cpu_s", "peak_rss_mb"}
 
 func main() {
 	base := flag.String("base", "", "revision the working tree is compared against (side A)")
@@ -66,11 +70,11 @@ func run(base, workload string, rounds int) error {
 	if path, err := exec.LookPath("taskset"); err == nil {
 		pin = []string{path, "-c", "0,1"}
 	}
-	var wall [2][]float64
-	var wins [2]int
-	fmt.Printf("%s: A = %s, B = working tree, %d rounds, wall_s\n", workload, base, rounds)
+	var vals [len(metrics)][2][]float64
+	var wins [len(metrics)][2]int
+	fmt.Printf("%s: A = %s, B = working tree, %d rounds, %s\n", workload, base, rounds, strings.Join(metrics[:], ", "))
 	for i := 0; i < rounds; i++ {
-		var w [2]float64
+		var v [2][len(metrics)]float64
 		for _, s := range [2]int{i & 1, 1 - i&1} { // alternate which side goes first
 			args := append(append([]string{}, pin...), bins[s], "-workload", workload,
 				"-trace", "0", "-seconds", "4", "-out", filepath.Join(tmp, "result.json"))
@@ -81,47 +85,59 @@ func run(base, workload string, rounds int) error {
 			if err != nil {
 				return fmt.Errorf("round %d side %c: %v", i+1, "AB"[s], err)
 			}
-			if w[s], err = wallSeconds(out); err != nil {
+			if v[s], err = medians(out); err != nil {
 				return fmt.Errorf("round %d side %c: %v", i+1, "AB"[s], err)
 			}
-			wall[s] = append(wall[s], w[s])
 		}
-		switch {
-		case w[1] < w[0]:
-			wins[1]++
-		case w[0] < w[1]:
-			wins[0]++
+		fmt.Printf("  round %2d", i+1)
+		for m, name := range metrics {
+			a, b := v[0][m], v[1][m]
+			vals[m][0], vals[m][1] = append(vals[m][0], a), append(vals[m][1], b)
+			switch {
+			case b < a:
+				wins[m][1]++
+			case a < b:
+				wins[m][0]++
+			}
+			fmt.Printf("  %s A %.3f B %.3f B/A %.3f", name, a, b, b/a)
 		}
-		fmt.Printf("  round %2d  A %.3f  B %.3f  B/A %.3f\n", i+1, w[0], w[1], w[1]/w[0])
+		fmt.Println()
 	}
-
-	var q [2][3]float64
-	for s := range wall {
-		sort.Float64s(wall[s])
-		for k := range q[s] {
-			q[s][k] = quantile(wall[s], float64(k+1)/4)
-		}
-		fmt.Printf("%c: median %.3f  quartiles %.3f .. %.3f\n", "AB"[s], q[s][1], q[s][0], q[s][2])
-	}
-	gap, spread := q[0][1]-q[1][1], q[0][2]-q[0][0]
-	fmt.Printf("median B/A %.3f; B won %d of %d pairs, A %d; median gap %.3f s vs A's quartile distance %.3f s\n",
-		q[1][1]/q[0][1], wins[1], rounds, wins[0], gap, spread)
-	// Section 8: a side must win nine tenths of all pairs run and the
-	// medians must differ by more than the parent's quartile distance.
-	switch {
-	case 10*wins[1] >= 9*rounds && gap > spread:
-		fmt.Printf("verdict: resolved at %d rounds, B is faster\n", rounds)
-	case 10*wins[0] >= 9*rounds && -gap > spread:
-		fmt.Printf("verdict: resolved at %d rounds, B is slower\n", rounds)
-	default:
-		fmt.Printf("verdict: not resolved at %d rounds\n", rounds)
+	for m, name := range metrics {
+		verdict(name, vals[m], wins[m], rounds)
 	}
 	return nil
 }
 
-// wallSeconds reads the median wall_s from a bench run's last output
-// line, the one-line JSON result of -workload.
-func wallSeconds(out []byte) (float64, error) {
+// verdict prints one metric's medians, quartiles and section-8 verdict.
+func verdict(name string, vals [2][]float64, wins [2]int, rounds int) {
+	var q [2][3]float64
+	for s := range vals {
+		sort.Float64s(vals[s])
+		for k := range q[s] {
+			q[s][k] = quantile(vals[s], float64(k+1)/4)
+		}
+	}
+	gap, spread := q[0][1]-q[1][1], q[0][2]-q[0][0]
+	fmt.Printf("%s: A median %.3f (quartiles %.3f .. %.3f), B median %.3f (quartiles %.3f .. %.3f)\n",
+		name, q[0][1], q[0][0], q[0][2], q[1][1], q[1][0], q[1][2])
+	fmt.Printf("%s: median B/A %.3f; B won %d of %d pairs, A %d; median gap %.3f vs A's quartile distance %.3f\n",
+		name, q[1][1]/q[0][1], wins[1], rounds, wins[0], gap, spread)
+	// Section 8: a side must win nine tenths of all pairs run and the
+	// medians must differ by more than the parent's quartile distance.
+	switch {
+	case 10*wins[1] >= 9*rounds && gap > spread:
+		fmt.Printf("%s verdict: resolved at %d rounds, B is lower\n", name, rounds)
+	case 10*wins[0] >= 9*rounds && -gap > spread:
+		fmt.Printf("%s verdict: resolved at %d rounds, B is higher\n", name, rounds)
+	default:
+		fmt.Printf("%s verdict: not resolved at %d rounds\n", name, rounds)
+	}
+}
+
+// medians reads the compared metrics' medians from a bench run's last
+// output line, the one-line JSON result of -workload.
+func medians(out []byte) (v [len(metrics)]float64, err error) {
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	var res struct {
 		Correct bool `json:"correct"`
@@ -130,13 +146,16 @@ func wallSeconds(out []byte) (float64, error) {
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
-		return 0, fmt.Errorf("bench result line: %w", err)
+		return v, fmt.Errorf("bench result line: %w", err)
 	}
-	m, ok := res.Metrics["wall_s"]
-	if !ok || !res.Correct {
-		return 0, fmt.Errorf("bench run failed or reported no wall_s: %s", lines[len(lines)-1])
+	for i, name := range metrics {
+		m, ok := res.Metrics[name]
+		if !ok || !res.Correct {
+			return v, fmt.Errorf("bench run failed or reported no %s: %s", name, lines[len(lines)-1])
+		}
+		v[i] = m.Value
 	}
-	return m.Value, nil
+	return v, nil
 }
 
 // quantile interpolates the p-quantile of sorted.
