@@ -46,14 +46,10 @@ func observedCollector(traceNodes ...int) *Collector {
 	return c
 }
 
-// handOffAllocs is what one hand-off allocates: per sink goroutine, the
-// closure the go statement makes of its call.
-const handOffAllocs = 2
-
 // TestCollectorEventAllocs: with spans and a trace attached, a probe
-// event in steady state allocates nothing. What a pass over the stream
-// does allocate is the span store growing by a chunk now and then and
-// handOffAllocs per batch handed to the sinks.
+// event in steady state allocates nothing, and neither does a hand-off
+// (its sinks are bound once). What a pass over the stream does allocate
+// is the span store growing by a chunk now and then.
 func TestCollectorEventAllocs(t *testing.T) {
 	stream := recordedStream(t)
 	for _, c := range []*Collector{observedCollector(), observedCollector(0, 5, 10)} {
@@ -92,10 +88,9 @@ func testCollectorEventAllocs(t *testing.T, c *Collector, stream []noc.ProbeEven
 		}
 	}
 	chunks := hops/arenaChunk + flits/arenaChunk + 2
-	handOffs := len(stream)/batchEvents + 1 // the last one is the fold
-	if perPass, want := testing.AllocsPerRun(3, pass), float64(chunks+handOffAllocs*handOffs); perPass > want {
-		t.Errorf("%v allocations per pass of %d events, want at most %v (%d arena chunks, %d hand-offs of %d)",
-			perPass, len(stream), want, chunks, handOffs, handOffAllocs)
+	if perPass := testing.AllocsPerRun(3, pass); perPass > float64(chunks) {
+		t.Errorf("%v allocations per pass of %d events, want at most %d arena chunks (%d hand-offs)",
+			perPass, len(stream), chunks, len(stream)/batchEvents+1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,15 +192,8 @@ func newEngineCollector(sim *noc.Sim, cfg Config) *EngineCollector {
 		interval = DefaultEngineInterval
 	}
 	now := time.Now()
-	ec := &EngineCollector{
-		meter:    sim.Net.EnableEngineMeter(),
-		label:    cfg.EngineLabel,
-		target:   sim.Params.Warmup + sim.Params.Measure,
-		interval: interval,
-		start:    now,
-		lastWall: now,
-		done:     make(chan struct{}),
-	}
+	ec := &EngineCollector{meter: sim.Net.EnableEngineMeter(), label: cfg.EngineLabel,
+		target: sim.Params.Warmup + sim.Params.Measure, interval: interval, start: now, lastWall: now, done: make(chan struct{})}
 	ec.lastAdvance.Store(now.UnixNano())
 	ec.wg.Add(1)
 	go ec.loop()
@@ -241,13 +235,8 @@ func (ec *EngineCollector) sample(now time.Time) {
 			ec.ema = emaAlpha*inst + (1-emaAlpha)*ec.ema
 		}
 	}
-	w := EngineWindow{
-		Cycle:       snap.Cycles,
-		WallMs:      now.Sub(ec.start).Seconds() * 1e3,
-		Cycles:      dc,
-		Rate:        ec.ema,
-		ShardBusyNs: make([]int64, len(snap.Shards)),
-	}
+	w := EngineWindow{Cycle: snap.Cycles, WallMs: now.Sub(ec.start).Seconds() * 1e3, Cycles: dc, Rate: ec.ema,
+		ShardBusyNs: make([]int64, len(snap.Shards))}
 	S := len(snap.Shards)
 	if S > 1 {
 		w.ShardDrainNs = make([]int64, S)
@@ -261,10 +250,7 @@ func (ec *EngineCollector) sample(now time.Time) {
 		}
 		b := snap.Shards[i].BusyNs - prev.BusyNs
 		w.ShardBusyNs[i] = b
-		busySum += b
-		if b > busyMax {
-			busyMax = b
-		}
+		busySum, busyMax = busySum+b, max(busyMax, b)
 		if S > 1 {
 			w.ShardDrainNs[i] = snap.Shards[i].DrainNs - prev.DrainNs
 			w.ShardBarrierNs[i] = snap.Shards[i].BarrierNs - prev.BarrierNs
@@ -283,17 +269,9 @@ func (ec *EngineCollector) sample(now time.Time) {
 	}
 	ec.last = snap
 	ec.lastWall = now
-	ec.rt = runtimeSample{
-		HeapBytes:  ms.HeapAlloc,
-		Goroutines: runtime.NumGoroutine(),
-		NumGC:      ms.NumGC,
-		GCPauseNs:  ms.PauseTotalNs,
-	}
-	warnNow := !ec.warned && S > 1 &&
-		ec.obsCycles >= imbalanceWarnMinCycles && ec.imbCycles*4 > ec.obsCycles
-	if warnNow {
-		ec.warned = true
-	}
+	ec.rt = runtimeSample{HeapBytes: ms.HeapAlloc, Goroutines: runtime.NumGoroutine(), NumGC: ms.NumGC, GCPauseNs: ms.PauseTotalNs}
+	warnNow := !ec.warned && S > 1 && ec.obsCycles >= imbalanceWarnMinCycles && ec.imbCycles*4 > ec.obsCycles
+	ec.warned = ec.warned || warnNow
 	progress := ec.progressLocked(snap)
 	imbFrac := 0.0
 	if ec.obsCycles > 0 {
@@ -330,9 +308,7 @@ func compactWindows(in []EngineWindow) []EngineWindow {
 		for s := range m.ShardBarrierNs {
 			m.ShardBarrierNs[s] += a.ShardBarrierNs[s]
 		}
-		if a.Imbalance > m.Imbalance {
-			m.Imbalance = a.Imbalance
-		}
+		m.Imbalance = max(m.Imbalance, a.Imbalance)
 		out = append(out, m)
 	}
 	if len(in)%2 == 1 {
@@ -343,18 +319,16 @@ func compactWindows(in []EngineWindow) []EngineWindow {
 
 // progressLocked builds the hook payload; ec.mu must be held.
 func (ec *EngineCollector) progressLocked(snap noc.EngineSnapshot) EngineProgress {
-	p := EngineProgress{
-		Label:     ec.label,
-		Cycle:     snap.Cycles,
-		Target:    ec.target,
-		Rate:      ec.ema,
-		Imbalance: snap.ImbalanceRatio(),
-		Shards:    len(snap.Shards),
+	return EngineProgress{Label: ec.label, Cycle: snap.Cycles, Target: ec.target, Rate: ec.ema,
+		ETA: time.Duration(ec.eta(snap.Cycles, ec.ema) * float64(time.Second)), Imbalance: snap.ImbalanceRatio(), Shards: len(snap.Shards)}
+}
+
+// eta is the seconds left to the target at rate cycles/s, 0 when unknown or past it.
+func (ec *EngineCollector) eta(cycles int64, rate float64) float64 {
+	if rem := ec.target - cycles; ec.target > 0 && rem > 0 && rate > 0 {
+		return float64(rem) / rate
 	}
-	if rem := ec.target - snap.Cycles; ec.target > 0 && rem > 0 && ec.ema > 0 {
-		p.ETA = time.Duration(float64(rem) / ec.ema * float64(time.Second))
-	}
-	return p
+	return 0
 }
 
 // Close stops the ticker and takes a final sample so short runs (under
@@ -394,16 +368,8 @@ func (ec *EngineCollector) Series() EngineSeries {
 	snap := ec.meter.Snapshot()
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	es := EngineSeries{
-		Label:      ec.label,
-		Shards:     len(snap.Shards),
-		IntervalMs: float64(ec.interval) / float64(time.Millisecond),
-		WallMs:     ec.lastWall.Sub(ec.start).Seconds() * 1e3,
-		Windows:    append([]EngineWindow(nil), ec.windows...),
-		Snapshot:   snap,
-		Runtime:    ec.rt,
-	}
-	return es
+	return EngineSeries{Label: ec.label, Shards: len(snap.Shards), IntervalMs: float64(ec.interval) / float64(time.Millisecond),
+		WallMs: ec.lastWall.Sub(ec.start).Seconds() * 1e3, Windows: slices.Clone(ec.windows), Snapshot: snap, Runtime: ec.rt}
 }
 
 // WriteJSON writes the engine series as indented JSON.
@@ -430,11 +396,7 @@ func (ec *EngineCollector) PromSamples(extra [][2]string) []PromSample {
 	var out []PromSample
 	out = add(out, "mira_engine_cycles_total", float64(snap.Cycles))
 	out = add(out, "mira_engine_cycles_per_second", ema)
-	var eta float64
-	if rem := ec.target - snap.Cycles; ec.target > 0 && rem > 0 && ema > 0 {
-		eta = float64(rem) / ema
-	}
-	out = add(out, "mira_engine_eta_seconds", eta)
+	out = add(out, "mira_engine_eta_seconds", ec.eta(snap.Cycles, ema))
 	for _, s := range snap.Shards {
 		lab := [2]string{"shard", fmt.Sprintf("%d", s.Shard)}
 		out = add(out, "mira_engine_shard_busy_seconds", float64(s.BusyNs)/1e9, lab)

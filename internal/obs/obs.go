@@ -99,15 +99,11 @@ func (l LatencyStats) JSON() []byte {
 // and replayed streams alike, so the two produce identical stats for
 // identical streams.
 type latencyAcc struct {
-	flitHist *stats.Histogram
-	pktHist  *stats.Histogram
-	flitMax  int64
-	pktMax   int64
-	flitSum  float64
-	pktSum   float64
-	flits    int64
-	packets  int64
-	perClass [noc.NumClasses]int64
+	flitHist, pktHist *stats.Histogram
+	flitMax, pktMax   int64
+	flitSum, pktSum   float64
+	flits, packets    int64
+	perClass          [noc.NumClasses]int64
 }
 
 // histBins sizes the latency histograms; latencies beyond it land in
@@ -131,11 +127,7 @@ func (a *latencyAcc) add(lat int64, e *Event) {
 }
 
 func (a *latencyAcc) stats() LatencyStats {
-	l := LatencyStats{
-		Flits:   a.flits,
-		Packets: a.packets,
-		FlitMax: a.flitMax,
-	}
+	l := LatencyStats{Flits: a.flits, Packets: a.packets, FlitMax: a.flitMax}
 	if a.flits > 0 {
 		l.FlitMean = a.flitSum / float64(a.flits)
 		l.FlitP50 = a.flitHist.Percentile(0.50)
@@ -181,21 +173,25 @@ type Collector struct {
 	finished  bool
 
 	// The hand-off: the simulation goroutine appends to fill while the sink
-	// goroutines read spare, free again once draining is waited out.
-	fill, spare []Event
-	draining    sync.WaitGroup
-	sinkPanic   [2]any           // what each sink goroutine recovered, until await re-raises it
-	busy        [2]time.Duration // each sink's time spent draining batches
-	handOffs    int64
-	waited      time.Duration
+	// goroutines read spare, free again once draining is waited out. The
+	// sinks are bound once: a go statement with arguments allocates.
+	fill, spare      []Event
+	feedFn, recordFn func()
+	draining         sync.WaitGroup
+	sinkPanic        [2]any           // what each sink goroutine recovered, until await re-raises it
+	busy             [2]time.Duration // each sink's time spent draining batches
+	handOffs         int64
+	waited           time.Duration
 }
 
 // New builds a collector over net with the standard network gauge set.
 func New(net *noc.Network, cfg Config) *Collector {
 	reg := NewRegistry()
 	RegisterNetwork(reg, net, cfg.PerVCNodes)
-	return &Collector{net: net, reg: reg, sampler: NewSampler(reg, cfg.Window), cfg: cfg,
+	c := &Collector{net: net, reg: reg, sampler: NewSampler(reg, cfg.Window), cfg: cfg,
 		flits: newSpanBuilder(cfg.Spans, cfg.Spans)}
+	c.feedFn, c.recordFn = c.feed, c.record
+	return c
 }
 
 // Registry returns the collector's metric registry, for registering
@@ -254,35 +250,37 @@ func (c *Collector) handOff() {
 	start := time.Now()
 	c.await()
 	c.waited += time.Since(start)
-	batch := c.fill
-	if len(batch) == 0 {
+	if len(c.fill) == 0 {
 		return
 	}
-	c.fill, c.spare = c.spare[:0], batch
+	c.fill, c.spare = c.spare[:0], c.fill
 	c.handOffs++
 	c.draining.Add(1)
-	go c.feed(batch)
+	go c.feedFn()
 	if c.tw != nil {
 		c.draining.Add(1)
-		go c.record(batch)
+		go c.recordFn()
 	}
 }
 
-// feed is the sink of the in-flight table: latency, spans, attribution.
-func (c *Collector) feed(batch []Event) {
+// feed is the sink of the in-flight table: latency, spans, attribution. Both sinks
+// read the collector once: its fields share cache lines the simulation writes.
+func (c *Collector) feed() {
 	defer c.sinkDone(0, time.Now())
+	batch, flits, spans := c.spare, c.flits, c.cfg.Spans
 	for i := range batch {
-		if e := &batch[i]; c.cfg.Spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
-			c.flits.Feed(e) //nolint:errcheck // sticky: Spans().Err() reports it
+		if e := &batch[i]; spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
+			flits.Feed(e) //nolint:errcheck // sticky: Spans().Err() reports it
 		}
 	}
 }
 
 // record is the trace writer's sink goroutine.
-func (c *Collector) record(batch []Event) {
+func (c *Collector) record() {
 	defer c.sinkDone(1, time.Now())
+	batch, tw := c.spare, c.tw
 	for i := range batch {
-		c.tw.Record(&batch[i])
+		tw.Record(&batch[i])
 	}
 }
 
@@ -328,11 +326,10 @@ func (c *Collector) OnCycle(cycle int64) {
 // window (if the run stopped off a window boundary) is emitted, flagged
 // partial in the series. Idempotent; Close calls it.
 func (c *Collector) Finish() {
-	if c.finished {
-		return
+	if !c.finished {
+		c.finished = true
+		c.sampler.Final(c.lastCycle)
 	}
-	c.finished = true
-	c.sampler.Final(c.lastCycle)
 }
 
 // Close finishes sampling, stops the engine telemetry ticker, folds the
@@ -353,8 +350,7 @@ func (c *Collector) Close() error {
 // EventCount returns how many events of kind k were observed.
 func (c *Collector) EventCount(k noc.ProbeKind) int64 { return c.counts[k] }
 
-// Latency returns the per-flit/per-packet latency statistics observed
-// so far.
+// Latency returns the per-flit/per-packet latency statistics observed so far.
 func (c *Collector) Latency() LatencyStats {
 	c.sync()
 	return c.flits.lat.stats()
@@ -389,12 +385,8 @@ type Summary struct {
 
 // Summary digests the collector's current state.
 func (c *Collector) Summary() Summary {
-	s := Summary{
-		Events:  eventCounts(&c.counts),
-		Latency: c.Latency(),
-		Windows: c.sampler.Samples(),
-		Window:  c.sampler.Window(),
-	}
+	s := Summary{Events: eventCounts(&c.counts), Latency: c.Latency(),
+		Windows: c.sampler.Samples(), Window: c.sampler.Window()}
 	if c.tw != nil {
 		s.Traced = c.tw.Written()
 	}

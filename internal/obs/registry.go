@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mira/internal/noc"
@@ -47,9 +48,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]int{}}
-}
+func NewRegistry() *Registry { return &Registry{byName: map[string]int{}} }
 
 func (g *Registry) add(m metric) {
 	if _, dup := g.byName[m.name]; dup {
@@ -62,8 +61,7 @@ func (g *Registry) add(m metric) {
 // Gauge registers a level metric sampled as-is at each window boundary.
 func (g *Registry) Gauge(name string, fn Gauge) { g.add(metric{name: name, kind: kindGauge, num: fn}) }
 
-// Counter registers a monotonic reading recorded as its per-window
-// delta.
+// Counter registers a monotonic reading recorded as its per-window delta.
 func (g *Registry) Counter(name string, fn Gauge) {
 	g.add(metric{name: name, kind: kindCounter, num: fn})
 }
@@ -158,12 +156,7 @@ func NewSampler(reg *Registry, window int64) *Sampler {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Sampler{
-		window:  window,
-		reg:     reg,
-		prevRaw: make([]float64, reg.Len()),
-		prevNum: make([]float64, reg.Len()),
-	}
+	return &Sampler{window: window, reg: reg, prevRaw: make([]float64, reg.Len()), prevNum: make([]float64, reg.Len())}
 }
 
 // Window returns the sample window in cycles.
@@ -171,10 +164,9 @@ func (s *Sampler) Window() int64 { return s.window }
 
 // OnCycle samples the registry when cycle is a window boundary.
 func (s *Sampler) OnCycle(cycle int64) {
-	if cycle%s.window != 0 {
-		return
+	if cycle%s.window == 0 {
+		s.sample(cycle, false)
 	}
-	s.sample(cycle, false)
 }
 
 // Final emits the trailing partial window at simulation end: if the run
@@ -236,10 +228,7 @@ func (s *Sampler) Latest() (cycle int64, row []float64, ok bool) {
 	if len(s.rows) == 0 {
 		return 0, nil, false
 	}
-	last := s.rows[len(s.rows)-1]
-	out := make([]float64, len(last))
-	copy(out, last)
-	return s.cycles[len(s.cycles)-1], out, true
+	return s.cycles[len(s.cycles)-1], slices.Clone(s.rows[len(s.rows)-1]), true
 }
 
 // Series returns the time series of one metric (one value per sampled

@@ -89,9 +89,17 @@ func init() {
 // encoding/json wrote for the string-typed record this format began as
 // (FuzzEventJSON holds the two equal): keys in the order below, "d"
 // absent on eject events, "vc", "created" and "al" absent when zero.
+// A line is four fragments, which TraceWriter.Record caches two of.
 func appendEvent(buf []byte, e *Event) []byte {
-	buf = slices.Grow(buf, lineHeadroom)
-	buf = putInt(append(buf, `{"c":`...), e.Cycle)
+	buf = appendCycle(slices.Grow(buf, lineHeadroom), e.Cycle)
+	return appendTail(appendRun(appendHop(buf, e), e), e)
+}
+
+// appendCycle writes the line's `{"c":N`.
+func appendCycle(buf []byte, cycle int64) []byte { return putInt(append(buf, `{"c":`...), cycle) }
+
+// appendHop writes where the event happened: kind, router, direction and VC.
+func appendHop(buf []byte, e *Event) []byte {
 	buf = putInt(append(buf, kindKeys[e.Kind]...), int64(e.Router))
 	if e.Kind != noc.ProbeEject {
 		buf = append(buf, dirKeys[e.Dir]...)
@@ -99,10 +107,19 @@ func appendEvent(buf []byte, e *Event) []byte {
 	if e.VC != 0 {
 		buf = putInt(append(buf, `,"vc":`...), int64(e.VC))
 	}
+	return buf
+}
+
+// appendRun writes the fields a flit keeps all its life: `,"p":..,"dst":..`.
+func appendRun(buf []byte, e *Event) []byte {
 	buf = putInt(append(buf, `,"p":`...), e.Pkt)
 	buf = putInt(append(buf, `,"s":`...), int64(e.Seq))
 	buf = putInt(append(buf, typeClassKeys[e.Type][e.Class]...), int64(e.Src))
-	buf = putInt(append(buf, `,"dst":`...), int64(e.Dst))
+	return putInt(append(buf, `,"dst":`...), int64(e.Dst))
+}
+
+// appendTail writes the inject and eject fields and ends the line.
+func appendTail(buf []byte, e *Event) []byte {
 	if e.Created != 0 {
 		buf = putInt(append(buf, `,"created":`...), e.Created)
 	}
@@ -150,28 +167,68 @@ const traceBufSize, lineHeadroom = 64 << 10, 256
 // TraceWriter streams events as JSONL, encoding each straight into one
 // reused byte buffer that goes to the sink when it fills (and on Close):
 // memory is the buffer whatever the run length, and nothing is dropped.
+// A line repeats its cycle's prefix and its flit's run, so the writer
+// encodes each once: the prefix when the cycle changes, a run into a
+// direct-mapped table on the flit's key, which a hit matches in full.
 type TraceWriter struct {
 	w      io.Writer
 	buf    []byte
 	filter func(Event) bool
 	err    error
 
+	cycle  int64  // the cycle prefix encodes
+	prefix []byte // `{"c":cycle`
+	runs   *[runSlots]runSlot
+
 	pending int   // events in buf
 	written int64 // events the sink accepted
+}
+
+// runSlots: 32 KB of 128-byte slots, each holding the runs of all but extreme values.
+// On the 6x6 fabric at 0.15 it misses 7.7 % of events; a flit's first event is 7.4 %.
+const runSlots = 256
+
+type runSlot struct {
+	key runKey
+	n   uint8 // run length; 0 when empty
+	run [103]byte
+}
+
+// runKey is every field appendRun encodes.
+type runKey struct {
+	pkt           int64
+	seq, src, dst int32
+	typ           noc.FlitType
+	class         noc.Class
 }
 
 // NewTraceWriter builds a JSONL trace writer over w. filter, when
 // non-nil, selects the events to record; everything else is discarded.
 func NewTraceWriter(w io.Writer, filter func(Event) bool) *TraceWriter {
-	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+lineHeadroom), filter: filter}
+	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+lineHeadroom), filter: filter,
+		prefix: appendCycle(make([]byte, 0, 32), 0), runs: new([runSlots]runSlot)}
 }
 
-// Record filters and encodes one event.
+// Record filters and encodes one event: appendEvent's line, from the
+// caches where they hold it.
 func (t *TraceWriter) Record(e *Event) {
 	if t.err != nil || t.filter != nil && !t.filter(*e) {
 		return
 	}
-	t.buf = appendEvent(t.buf, e)
+	if e.Cycle != t.cycle {
+		t.cycle, t.prefix = e.Cycle, appendCycle(t.prefix[:0], e.Cycle)
+	}
+	buf := appendHop(append(t.buf, t.prefix...), e) // flush leaves lineHeadroom spare
+	k := runKey{e.Pkt, e.Seq, e.Src, e.Dst, e.Type, e.Class}
+	if s := &t.runs[flitKey{e.Pkt, e.Seq}.pos()%runSlots]; s.n != 0 && s.key == k {
+		buf = append(buf, s.run[:s.n]...)
+	} else {
+		n := len(buf)
+		if buf = appendRun(buf, e); len(buf)-n <= len(s.run) {
+			s.key, s.n = k, uint8(copy(s.run[:], buf[n:]))
+		}
+	}
+	t.buf = appendTail(buf, e)
 	t.pending++
 	if len(t.buf) >= traceBufSize {
 		t.flush()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -320,6 +321,112 @@ func FuzzEventJSON(f *testing.F) {
 		back, err := ReadTrace(bytes.NewReader(got))
 		if err != nil || len(back) != 1 || back[0] != e {
 			t.Fatalf("ScanTrace(%s) = %+v, %v; want %+v", got, back, err, e)
+		}
+	})
+}
+
+// trace3dmHead is the first lines of the trace_3dm stream (testdata/trace_3dm.json).
+const trace3dmHead = `{"c":1,"k":"inject","r":31,"d":"local","p":1,"s":0,"t":"head","cl":"data","src":31,"dst":27}
+{"c":2,"k":"inject","r":31,"d":"local","p":1,"s":1,"t":"body","cl":"data","src":31,"dst":27}
+{"c":2,"k":"route","r":31,"d":"east","p":1,"s":0,"t":"head","cl":"data","src":31,"dst":27}
+{"c":3,"k":"inject","r":31,"d":"local","p":1,"s":2,"t":"body","cl":"data","src":31,"dst":27}
+{"c":3,"k":"inject","r":33,"d":"local","p":2,"s":0,"t":"head","cl":"data","src":33,"dst":15,"created":2}
+{"c":3,"k":"vcalloc","r":31,"d":"east","p":1,"s":0,"t":"head","cl":"data","src":31,"dst":27}
+{"c":4,"k":"inject","r":2,"d":"local","p":3,"s":0,"t":"head","cl":"data","src":2,"dst":23,"created":3}
+{"c":4,"k":"inject","r":3,"d":"local","p":4,"s":0,"t":"head","cl":"data","src":3,"dst":13,"created":3}
+{"c":4,"k":"inject","r":10,"d":"local","p":5,"s":0,"t":"head","cl":"data","src":10,"dst":35,"created":3}
+{"c":4,"k":"inject","r":18,"d":"local","p":6,"s":0,"t":"head","cl":"data","src":18,"dst":21,"created":3}
+{"c":4,"k":"inject","r":30,"d":"local","p":7,"s":0,"t":"head","cl":"data","src":30,"dst":4,"created":3}
+{"c":4,"k":"inject","r":31,"d":"local","p":1,"s":3,"t":"tail","cl":"data","src":31,"dst":27}
+{"c":4,"k":"inject","r":33,"d":"local","p":2,"s":1,"t":"body","cl":"data","src":33,"dst":15,"created":2}
+{"c":4,"k":"sagrant","r":31,"d":"east","p":1,"s":0,"t":"head","cl":"data","src":31,"dst":27}
+{"c":4,"k":"link","r":31,"d":"east","p":1,"s":0,"t":"head","cl":"data","src":31,"dst":27}
+{"c":4,"k":"route","r":33,"d":"north","p":2,"s":0,"t":"head","cl":"data","src":33,"dst":15}
+`
+
+// fuzzEvents decodes a fuzz input into an event stream: per event, varints
+// for the cycle step (signed: cycles may go back), pkt, seq, src, dst,
+// router and created, then a byte each for kind, type, class, dir, vc and
+// layers. fuzzInput is its inverse.
+func fuzzEvents(data []byte) (events []Event) {
+	var cycle int64
+	for {
+		var v [7]int64
+		for i := range v {
+			n := 0
+			if v[i], n = binary.Varint(data); n <= 0 {
+				return events
+			}
+			data = data[n:]
+		}
+		if len(data) < 6 {
+			return events
+		}
+		b := data[:6]
+		data = data[6:]
+		cycle += v[0]
+		events = append(events, Event{Cycle: cycle, Pkt: v[1], Seq: int32(v[2]), Src: int32(v[3]), Dst: int32(v[4]),
+			Router: int32(v[5]), Created: v[6], Kind: noc.ProbeKind(b[0]) % noc.NumProbeKinds,
+			Type: noc.FlitType(int(b[1]) % len(flitTypeNames)), Class: noc.Class(b[2]) % noc.NumClasses,
+			Dir: topology.Dir(b[3]) % topology.NumDirs, VC: int8(b[4]), Layers: b[5]})
+	}
+}
+
+func fuzzInput(events ...Event) (data []byte) {
+	var cycle int64
+	for _, e := range events {
+		for _, v := range [...]int64{e.Cycle - cycle, e.Pkt, int64(e.Seq), int64(e.Src), int64(e.Dst), int64(e.Router), e.Created} {
+			data = binary.AppendVarint(data, v)
+		}
+		data = append(data, byte(e.Kind), byte(e.Type), byte(e.Class), byte(e.Dir), byte(e.VC), e.Layers)
+		cycle = e.Cycle
+	}
+	return data
+}
+
+// FuzzTraceWriterStream: whatever the stream — a key back with other
+// src/dst/type/class, keys sharing a run slot, cycles going back, runs too
+// long to cache — TraceWriter writes the appendEvent lines of its events.
+func FuzzTraceWriterStream(f *testing.F) {
+	head, err := ReadTrace(strings.NewReader(trace3dmHead))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fuzzInput(head...))
+	a := head[0]
+	stream := []Event{a}
+	for _, change := range []func(*Event){ // the same key with one other field, then back
+		func(e *Event) { e.Src++ }, func(e *Event) { e.Dst++ },
+		func(e *Event) { e.Type = noc.TailFlit }, func(e *Event) { e.Class = noc.Control },
+		func(e *Event) { e.Pkt += runSlots >> seqBits }, // another key in the same slot
+		func(e *Event) { e.Cycle-- },
+		func(e *Event) { // a run longer than a slot holds
+			e.Pkt, e.Seq, e.Src, e.Dst, e.Type, e.Class = math.MinInt64, math.MinInt32, math.MinInt32, math.MinInt32, noc.HeadTailFlit, noc.Control
+		},
+	} {
+		b := a
+		change(&b)
+		stream = append(stream, b, b, a)
+	}
+	f.Add(fuzzInput(stream...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := fuzzEvents(data)
+		var got bytes.Buffer
+		tw := NewTraceWriter(&got, nil)
+		for i := range events {
+			tw.Record(&events[i])
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := jsonl(events...)
+		for i, line := range strings.SplitAfter(got.String(), "\n") {
+			if wantLine, _ := want.ReadString('\n'); line != wantLine {
+				t.Fatalf("event %d: TraceWriter wrote\n%sappendEvent writes\n%s", i, line, wantLine)
+			}
+		}
+		if want.Len() != 0 {
+			t.Fatalf("TraceWriter left out the lines\n%s", want)
 		}
 	})
 }
