@@ -263,8 +263,12 @@ func main() {
 			if *engineStats {
 				fmt.Fprint(os.Stderr, ec.Table().String())
 				n, waited, fold, encode := e.Obs.HandOffs()
-				fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them; span fold busy %.3fs, encoder busy %.3fs\n",
+				fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them; span fold busy %.3fs, encoder busy %.3fs",
 					n, waited.Seconds(), fold.Seconds(), encode.Seconds())
+				if sb := e.Obs.Spans(); sb != nil {
+					fmt.Fprintf(os.Stderr, "; %d spans kept in %.2f MB", sb.Attribution().Flits(), float64(sb.RetainedBytes())/1e6)
+				}
+				fmt.Fprintln(os.Stderr)
 			}
 			if *engineJSON != "" {
 				if err := writeEngineJSON(ec, *engineJSON); err != nil {

@@ -49,7 +49,7 @@ func observedCollector(traceNodes ...int) *Collector {
 // TestCollectorEventAllocs: with spans and a trace attached, a probe
 // event in steady state allocates nothing, and neither does a hand-off
 // (its sinks are bound once). What a pass over the stream does allocate
-// is the span store growing by a chunk now and then.
+// is the span log growing by a chunk now and then.
 func TestCollectorEventAllocs(t *testing.T) {
 	stream := recordedStream(t)
 	for _, c := range []*Collector{observedCollector(), observedCollector(0, 5, 10)} {
@@ -68,6 +68,7 @@ func testCollectorEventAllocs(t *testing.T, c *Collector, stream []noc.ProbeEven
 	if err := c.Spans().Err(); err != nil || c.Spans().InFlight() != 0 {
 		t.Fatalf("after one pass: err %v, %d flits in flight", err, c.Spans().InFlight())
 	}
+	logged := c.Spans().RetainedBytes() // what one pass appends to the span log
 
 	i := 0
 	perEvent := testing.AllocsPerRun(4*len(stream), func() {
@@ -78,27 +79,18 @@ func testCollectorEventAllocs(t *testing.T, c *Collector, stream []noc.ProbeEven
 		t.Errorf("%v allocations per steady-state probe event, want 0", perEvent)
 	}
 
-	var hops, flits int // what one pass adds to the span store
-	for i := range stream {
-		switch stream[i].Kind {
-		case noc.ProbeSAGrant:
-			hops++
-		case noc.ProbeEject:
-			flits++
-		}
-	}
-	chunks := hops/arenaChunk + flits/arenaChunk + 2
+	chunks := logged/logChunk + 1
 	if perPass := testing.AllocsPerRun(3, pass); perPass > float64(chunks) {
-		t.Errorf("%v allocations per pass of %d events, want at most %d arena chunks (%d hand-offs)",
+		t.Errorf("%v allocations per pass of %d events, want at most %d span log chunks (%d hand-offs)",
 			perPass, len(stream), chunks, len(stream)/batchEvents+1)
 	}
 }
 
 // TestRetainedSpanBytesPerHop bounds what a completed span costs while
-// it is kept: a 32-byte hop record plus its share of the 56-byte header,
-// not the kilobyte per flit of a FlitSpan with its own hop slice. The
-// two event batches are a fixed cost: one pass makes them before the
-// first heap reading.
+// it is kept: exactly, the span log's bytes per completed hop, and as a
+// sanity check the heap's growth, not the kilobyte per flit of a
+// FlitSpan with its own hop slice. The two event batches are a fixed
+// cost: one pass makes them before the first heap reading.
 func TestRetainedSpanBytesPerHop(t *testing.T) {
 	stream := recordedStream(t)
 	c := observedCollector()
@@ -107,7 +99,7 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 			c.ProbeEvent(stream[i])
 		}
 	}
-	heap := func() uint64 {
+	heap := func() int64 {
 		c.Spans() // fold, so no sink goroutine is allocating
 		// Twice: the second collection frees what the first left in
 		// sync.Pool victim caches, such as an earlier test's JSON buffers.
@@ -115,7 +107,7 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+		return int64(m.HeapAlloc)
 	}
 	pass()
 	before, warm := heap(), c.EventCount(noc.ProbeSAGrant)
@@ -124,9 +116,14 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 		pass()
 	}
 	grown := heap() - before
+	runtime.KeepAlive(stream) // or the second reading frees it, and the heap shrinks
 	hops := c.EventCount(noc.ProbeSAGrant) - warm
 	perHop := float64(grown) / float64(hops)
-	t.Logf("%.1f heap bytes per completed hop (%d hops)", perHop, hops)
+	logPerHop := float64(c.Spans().RetainedBytes()) / float64(c.EventCount(noc.ProbeSAGrant))
+	t.Logf("%.2f log bytes, %.1f heap bytes per completed hop (%d hops)", logPerHop, perHop, hops)
+	if logPerHop > 12 {
+		t.Errorf("the span log keeps %.2f bytes per completed hop, want <= 12", logPerHop)
+	}
 	if perHop > 48 {
 		t.Errorf("retained spans cost %.1f heap bytes per completed hop, want <= 48", perHop)
 	}

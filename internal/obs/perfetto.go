@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,16 +63,8 @@ func assignLanes(visits []routerVisit) []int {
 	}
 	sort.Slice(order, func(a, b int) bool {
 		va, vb := visits[order[a]], visits[order[b]]
-		if va.start != vb.start {
-			return va.start < vb.start
-		}
-		if va.end != vb.end {
-			return va.end < vb.end
-		}
-		if va.span.Pkt != vb.span.Pkt {
-			return va.span.Pkt < vb.span.Pkt
-		}
-		return va.span.Seq < vb.span.Seq
+		return cmp.Or(cmp.Compare(va.start, vb.start), cmp.Compare(va.end, vb.end),
+			cmp.Compare(va.span.Pkt, vb.span.Pkt), cmp.Compare(va.span.Seq, vb.span.Seq)) < 0
 	})
 	lanes := make([]int, len(visits))
 	var laneEnd []int64 // per-lane last occupied cycle (exclusive)
@@ -263,12 +256,7 @@ func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
 	maxRouter := -1
 	for i := range spans {
 		for _, h := range spans[i].Hops {
-			if h.Depart > maxCycle {
-				maxCycle = h.Depart
-			}
-			if h.Router > maxRouter {
-				maxRouter = h.Router
-			}
+			maxCycle, maxRouter = max(maxCycle, h.Depart), max(maxRouter, h.Router)
 		}
 	}
 	nWin := int((maxCycle + window - 1) / window)
@@ -285,10 +273,7 @@ func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
 		for _, h := range spans[i].Hops {
 			for c := h.Arrive; c < h.Grant; {
 				win := c / window
-				end := (win + 1) * window
-				if end > h.Grant {
-					end = h.Grant
-				}
+				end := min((win+1)*window, h.Grant)
 				cells[h.Router][win] += end - c
 				c = end
 			}
@@ -296,15 +281,13 @@ func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
 	}
 	t := stats.Table{
 		Title:  "per-router congestion heatmap (stall cycles per window)",
-		Header: make([]string, 0, nWin+1),
+		Header: append(make([]string, 0, nWin+1), "router"),
 	}
-	t.Header = append(t.Header, "router")
 	for w := 0; w < nWin; w++ {
 		t.Header = append(t.Header, fmt.Sprintf("c%d", int64(w+1)*window))
 	}
 	for r := range cells {
-		row := make([]string, 0, nWin+1)
-		row = append(row, fmt.Sprintf("%d", r))
+		row := append(make([]string, 0, nWin+1), fmt.Sprintf("%d", r))
 		for _, v := range cells[r] {
 			row = append(row, fmt.Sprintf("%d", v))
 		}

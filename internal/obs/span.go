@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -130,8 +131,8 @@ func (s FlitSpan) StageTotal(st Stage) int64 {
 	return sum
 }
 
-// hop is one router visit as stored: the probed stage boundaries, -1
-// until their events arrive. Arrive and Depart are derived — a hop
+// hop is one router visit of an open flit: the probed stage boundaries,
+// -1 until their events arrive. Arrive and Depart are derived — a hop
 // departs ST+LT after its grant and arrives as the previous one departs.
 type hop struct {
 	route, alloc, grant int64
@@ -140,17 +141,10 @@ type hop struct {
 	vc                  int8
 }
 
-// span resolves a completed hop given its arrival and the flit's ST+LT.
-func (h *hop) span(arrive, stlt int64) HopSpan {
-	return HopSpan{Router: int(h.router), Arrive: arrive, Route: h.route, Alloc: h.alloc, Grant: h.grant,
-		Depart: h.grant + stlt, Dir: topology.Dir(h.dir).String(), VC: int(h.vc)}
-}
-
-// spanHdr is the fixed-width part of a span; its nhops hops follow one
-// another in the hop arena.
+// spanHdr is the fixed-width part of an open flit's span.
 type spanHdr struct {
 	pkt, created, inject, eject int64
-	seq, src, dst, nhops        int32
+	seq, src, dst               int32
 	typ                         noc.FlitType
 	class                       noc.Class
 	layers                      uint8
@@ -169,24 +163,66 @@ type flitKey struct {
 	seq int32
 }
 
-// arena is an append-only store in chunks of arenaChunk elements:
-// growing it never copies, so it holds its contents plus at most a chunk.
-type arena[T any] struct {
-	chunks [][]T
-	n      int
+// spanLog keeps completed spans in eject order as one append-only byte
+// log of varints, in chunks of logChunk bytes. A span never straddles two
+// chunks — add reserves its worst-case size first — so growing never
+// copies.
+type spanLog struct {
+	chunks            [][]byte
+	spans, hops, size int
+	pkt, inject       int64 // the last span's, which the next one's are deltas against
 }
 
-const arenaChunk = 4096
+// logChunk is a chunk's size; maxSpanBytes and maxHopBytes bound what
+// add writes for a span's fields and for each of its hops.
+const (
+	logChunk     = 64 << 10
+	maxSpanBytes = 9*binary.MaxVarintLen64 + 2
+	maxHopBytes  = 4*binary.MaxVarintLen64 + 2
+)
 
-func (a *arena[T]) push(v T) {
-	if a.n == len(a.chunks)*arenaChunk {
-		a.chunks = append(a.chunks, make([]T, arenaChunk))
+// zigzag is the signed mapping of binary.AppendVarint, so that one
+// uvarint loop writes signed and unsigned fields alike.
+func zigzag(v int64) uint64 { return uint64(v<<1 ^ v>>63) }
+
+// add appends a span as uvarints: zigzag deltas of pkt and inject against
+// the last span's and of created and eject against inject; zigzag seq,
+// src and dst; type<<4|class, one byte; layers, the hop count and the
+// ST+LT depth. Then per hop its router, its dir and vc bytes and the
+// waits route-arrive, alloc-route and grant-alloc, which finish checked
+// are non-negative. Differences wrap, so any int64 round-trips.
+func (l *spanLog) add(s *spanHdr, hops []hop) {
+	need, n := maxSpanBytes+len(hops)*maxHopBytes, len(l.chunks)
+	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
+		l.chunks, n = append(l.chunks, make([]byte, 0, max(logChunk, need))), n+1
 	}
-	*a.at(a.n) = v
-	a.n++
+	c, stlt := l.chunks[n-1], s.eject-hops[len(hops)-1].grant
+	for _, v := range [...]uint64{zigzag(s.pkt - l.pkt), zigzag(s.inject - l.inject), zigzag(s.created - s.inject),
+		zigzag(s.eject - s.inject), zigzag(int64(s.seq)), zigzag(int64(s.src)), zigzag(int64(s.dst)),
+		uint64(s.typ)<<4 | uint64(s.class), uint64(s.layers), uint64(len(hops)), uint64(stlt)} {
+		c = binary.AppendUvarint(c, v)
+	}
+	arrive := s.inject
+	for i := range hops {
+		h := &hops[i]
+		c = append(binary.AppendUvarint(c, uint64(uint32(h.router))), byte(h.dir), byte(h.vc))
+		for _, v := range [...]int64{h.route - arrive, h.alloc - h.route, h.grant - h.alloc} {
+			c = binary.AppendUvarint(c, uint64(v))
+		}
+		arrive = h.grant + stlt
+	}
+	l.size += len(c) - len(l.chunks[n-1])
+	l.chunks[n-1], l.pkt, l.inject, l.spans, l.hops = c, s.pkt, s.inject, l.spans+1, l.hops+len(hops)
 }
 
-func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
+// logReader decodes a chunk of the span log front to back.
+type logReader []byte
+
+func (r *logReader) uvarint() uint64 { v, n := binary.Uvarint(*r); *r = (*r)[n:]; return v }
+
+func (r *logReader) varint() int64 { v, n := binary.Varint(*r); *r = (*r)[n:]; return v }
+
+func (r *logReader) next() (v byte) { v, *r = (*r)[0], (*r)[1:]; return v }
 
 // SpanBuilder is the layer's per-flit state machine: one slab slot per
 // flit in flight, ejects matched to injects for the latency statistics,
@@ -200,8 +236,7 @@ func (a *arena[T]) at(i int) *T { return &a.chunks[i/arenaChunk][i%arenaChunk] }
 // node/class-filtered trace truncates flit histories and Feed reports
 // the first inconsistency it proves (an event for a flit never
 // injected, an eject with no SA grant). Completed spans are kept as a
-// fixed-width header each plus one arena of hops, and become
-// []FlitSpan only when Spans is called.
+// varint log (spanLog) and become []FlitSpan only when Spans is called.
 type SpanBuilder struct {
 	fold   bool    // fold stage events into hops and the attribution
 	retain bool    // keep completed spans
@@ -210,16 +245,15 @@ type SpanBuilder struct {
 	slab   []openFlit
 	free   []int32 // vacant slab slots
 	lat    latencyAcc
-	hdrs   arena[spanHdr]
-	hops   arena[hop]
+	log    spanLog
 	agg    *Attribution
 	err    error
 }
 
 // NewSpanBuilder returns a builder that aggregates attribution totals.
 // When retain is true, completed spans are also kept (required for the
-// Perfetto and heatmap exports; costs memory proportional to the
-// completed hop count rather than the in-flight window).
+// Perfetto and heatmap exports) in a log of about 9 bytes a completed
+// hop: memory grows with the run, not with the in-flight window.
 func NewSpanBuilder(retain bool) *SpanBuilder { return newSpanBuilder(true, retain) }
 
 func newSpanBuilder(fold, retain bool) *SpanBuilder {
@@ -234,27 +268,38 @@ func (b *SpanBuilder) Err() error { return b.err }
 
 // Spans materializes the completed spans in flit-completion (eject)
 // order, which is deterministic for a fixed scenario across step modes.
-// Only populated when the builder retains spans; built anew per call.
+// Only populated when the builder retains spans; decoded anew per call.
 func (b *SpanBuilder) Spans() []FlitSpan {
-	spans := make([]FlitSpan, b.hdrs.n)
-	hops := make([]HopSpan, b.hops.n)
-	first := 0 // arena index of the span's first hop
-	for i := range spans {
-		s := b.hdrs.at(i)
-		end := first + int(s.nhops)
-		stlt := s.eject - b.hops.at(end-1).grant
-		arrive := s.inject
-		for j := first; j < end; j++ {
-			hops[j] = b.hops.at(j).span(arrive, stlt)
-			arrive = hops[j].Depart
+	spans := make([]FlitSpan, 0, b.log.spans)
+	hops := make([]HopSpan, 0, b.log.hops)
+	var pkt, inject int64
+	for _, c := range b.log.chunks {
+		for r := logReader(c); len(r) > 0; {
+			pkt, inject = pkt+r.varint(), inject+r.varint()
+			s := FlitSpan{Pkt: pkt, Inject: inject, Created: inject + r.varint(), Eject: inject + r.varint()}
+			s.Seq, s.Src, s.Dst = int(r.varint()), int(r.varint()), int(r.varint())
+			tc := r.uvarint()
+			s.Type, s.Class, s.Layers = flitTypeName(noc.FlitType(tc>>4)), noc.Class(tc&15).String(), int(r.uvarint())
+			n, stlt, arrive := int(r.uvarint()), int64(r.uvarint()), inject
+			for j := 0; j < n; j++ {
+				h := HopSpan{Router: int(int32(r.uvarint())), Arrive: arrive}
+				h.Dir, h.VC = topology.Dir(int8(r.next())).String(), int(int8(r.next()))
+				h.Route = arrive + int64(r.uvarint())
+				h.Alloc = h.Route + int64(r.uvarint())
+				h.Grant = h.Alloc + int64(r.uvarint())
+				h.Depart, arrive = h.Grant+stlt, h.Grant+stlt
+				hops = append(hops, h)
+			}
+			s.Hops = hops[len(hops)-n : len(hops) : len(hops)]
+			spans = append(spans, s)
 		}
-		spans[i] = FlitSpan{Pkt: s.pkt, Seq: int(s.seq), Type: flitTypeName(s.typ), Class: s.class.String(),
-			Src: int(s.src), Dst: int(s.dst), Layers: int(s.layers),
-			Created: s.created, Inject: s.inject, Eject: s.eject, Hops: hops[first:end:end]}
-		first = end
 	}
 	return spans
 }
+
+// RetainedBytes returns the size of the completed-span log, which is
+// allocated logChunk bytes at a time.
+func (b *SpanBuilder) RetainedBytes() int64 { return int64(b.log.size) }
 
 // Attribution returns the running latency decomposition aggregate.
 func (b *SpanBuilder) Attribution() *Attribution { return b.agg }
@@ -451,13 +496,10 @@ func (b *SpanBuilder) finish(e *Event, o *openFlit) {
 		}
 		arrive = h.grant + stlt
 	}
-	o.eject, o.nhops = e.Cycle, int32(n)
+	o.eject = e.Cycle
 	b.agg.add(&o.spanHdr, o.hops)
 	if b.retain {
-		b.hdrs.push(o.spanHdr)
-		for _, h := range o.hops {
-			b.hops.push(h)
-		}
+		b.log.add(&o.spanHdr, o.hops)
 	}
 }
 
@@ -509,14 +551,16 @@ func (a *Attribution) add(s *spanHdr, hops []hop) {
 	flit.Cycles[StageQueue] = s.inject - s.created
 	arrive := s.inject
 	for i := range hops {
-		h := hops[i].span(arrive, stlt)
-		r := a.sums(byRouter, h.Router)
+		h := &hops[i]
+		wait := [NumStages]int64{StageRoute: h.route - arrive, StageVA: h.alloc - h.route,
+			StageSA: h.grant - h.alloc, StageXfer: stlt}
+		r := a.sums(byRouter, int(h.router))
 		r.N++
 		for st := StageRoute; st < NumStages; st++ {
-			flit.Cycles[st] += h.Wait(st)
-			r.Cycles[st] += h.Wait(st)
+			flit.Cycles[st] += wait[st]
+			r.Cycles[st] += wait[st]
 		}
-		arrive = h.Depart
+		arrive = h.grant + stlt
 	}
 	// Source queueing happens at the injecting router's NI.
 	a.sums(byRouter, int(hops[0].router)).Cycles[StageQueue] += flit.Cycles[StageQueue]

@@ -3,14 +3,18 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mira/internal/noc"
+	"mira/internal/topology"
 	"mira/internal/traffic"
 )
 
@@ -398,4 +402,181 @@ func TestSpanArtifactsIdenticalAcrossStepModes(t *testing.T) {
 	if got.heatmap != ref.heatmap {
 		t.Error("checked heatmap CSV diverges from activity")
 	}
+}
+
+// arenaSpans is the span store the log replaced, kept as the reference:
+// a fixed-width header per span and a hop record per hop, materialized
+// with each hop's arrival and departure derived from the ST+LT depth.
+type arenaSpans struct {
+	hdrs  []spanHdr
+	nhops []int
+	hops  []hop
+}
+
+func (a *arenaSpans) push(s *spanHdr, hops []hop) {
+	a.hdrs, a.nhops, a.hops = append(a.hdrs, *s), append(a.nhops, len(hops)), append(a.hops, hops...)
+}
+
+func (a *arenaSpans) spans() []FlitSpan {
+	spans := make([]FlitSpan, len(a.hdrs))
+	hops := make([]HopSpan, len(a.hops))
+	first := 0
+	for i := range spans {
+		s := &a.hdrs[i]
+		end := first + a.nhops[i]
+		stlt := s.eject - a.hops[end-1].grant
+		arrive := s.inject
+		for j := first; j < end; j++ {
+			h := &a.hops[j]
+			hops[j] = HopSpan{Router: int(h.router), Arrive: arrive, Route: h.route, Alloc: h.alloc, Grant: h.grant,
+				Depart: h.grant + stlt, Dir: topology.Dir(h.dir).String(), VC: int(h.vc)}
+			arrive = hops[j].Depart
+		}
+		spans[i] = FlitSpan{Pkt: s.pkt, Seq: int(s.seq), Type: flitTypeName(s.typ), Class: s.class.String(),
+			Src: int(s.src), Dst: int(s.dst), Layers: int(s.layers),
+			Created: s.created, Inject: s.inject, Eject: s.eject, Hops: hops[first:end:end]}
+		first = end
+	}
+	return spans
+}
+
+// loggedSpan is one completed span as the log is handed it.
+type loggedSpan struct {
+	hdr  spanHdr
+	hops []hop
+}
+
+// maxFuzzHops lets a fuzzed span's worst case outgrow a chunk (past
+// about 1 550 hops), which gets a chunk of its own.
+const maxFuzzHops = 2048
+
+// fuzzSpans decodes a fuzz input into spans: per span, varints for pkt,
+// created, inject, ST+LT, seq, src, dst and the hop count, then a byte
+// each for type, class and layers; per hop, varints for router and the
+// waits route-arrive, alloc-route and grant-alloc, then a byte each for
+// dir and vc. Eject is the last grant plus ST+LT, as in any span. A span
+// the input ends inside is dropped. spanInput is its inverse.
+func fuzzSpans(data []byte) (spans []loggedSpan) {
+	read := func(v []int64, raw []byte) bool {
+		for i := range v {
+			n := 0
+			if v[i], n = binary.Varint(data); n <= 0 {
+				return false
+			}
+			data = data[n:]
+		}
+		if len(data) < len(raw) {
+			return false
+		}
+		data = data[copy(raw, data):]
+		return true
+	}
+	for {
+		var v [8]int64
+		var b [3]byte
+		if !read(v[:], b[:]) {
+			return spans
+		}
+		s := loggedSpan{hdr: spanHdr{pkt: v[0], created: v[1], inject: v[2], seq: int32(v[4]),
+			src: int32(v[5]), dst: int32(v[6]), typ: noc.FlitType(int(b[0]) % len(flitTypeNames)),
+			class: noc.Class(b[1]) % noc.NumClasses, layers: b[2]}}
+		stlt, arrive := v[3], v[2]
+		for n := 1 + uint64(v[7])%maxFuzzHops; n > 0; n-- {
+			if !read(v[:4], b[:2]) {
+				return spans
+			}
+			h := hop{router: int32(uint64(v[0]) % (1 << 16)), route: arrive + v[1], dir: int8(b[0]), vc: int8(b[1])}
+			h.alloc = h.route + v[2]
+			h.grant = h.alloc + v[3]
+			s.hops, arrive = append(s.hops, h), h.grant+stlt
+		}
+		s.hdr.eject = arrive
+		spans = append(spans, s)
+	}
+}
+
+func spanInput(spans ...loggedSpan) (data []byte) {
+	for _, s := range spans {
+		h := &s.hdr
+		for _, v := range [...]int64{h.pkt, h.created, h.inject, h.eject - s.hops[len(s.hops)-1].grant,
+			int64(h.seq), int64(h.src), int64(h.dst), int64(len(s.hops) - 1)} {
+			data = binary.AppendVarint(data, v)
+		}
+		data = append(data, byte(h.typ), byte(h.class), h.layers)
+		arrive, stlt := h.inject, h.eject-s.hops[len(s.hops)-1].grant
+		for _, p := range s.hops {
+			for _, v := range [...]int64{int64(p.router), p.route - arrive, p.alloc - p.route, p.grant - p.alloc} {
+				data = binary.AppendVarint(data, v)
+			}
+			data, arrive = append(data, byte(p.dir), byte(p.vc)), p.grant+stlt
+		}
+	}
+	return data
+}
+
+// FuzzSpanLog: any sequence of completed spans, logged 1+repeat%8 times
+// over, reads back from the log exactly as the arena store materialized
+// it, and no chunk of the log was ever grown by copying.
+func FuzzSpanLog(f *testing.F) {
+	hdr := func(pkt, created, inject, eject int64) spanHdr {
+		return spanHdr{pkt: pkt, created: created, inject: inject, eject: eject, seq: 1, src: 3, dst: 12, typ: noc.BodyFlit}
+	}
+	at := func(router int32, route, alloc, grant int64) hop {
+		return hop{router: router, route: route, alloc: alloc, grant: grant, dir: int8(topology.East)}
+	}
+	// Replayed streams reuse IDs: pkt and inject go backwards.
+	f.Add(spanInput(
+		loggedSpan{hdr(100, 40, 50, 58), []hop{at(3, 51, 52, 54), at(4, 56, 56, 56)}},
+		loggedSpan{hdr(3, 10, 10, 14), []hop{at(0, 10, 11, 12)}},
+		loggedSpan{hdr(3, 9, 9, 20), []hop{at(0, 12, 15, 18)}}), uint8(1))
+	extreme := loggedSpan{spanHdr{pkt: math.MinInt64, created: math.MaxInt64, inject: math.MinInt64, eject: math.MaxInt64,
+		seq: math.MinInt32, src: math.MaxInt32, dst: -1, typ: noc.HeadTailFlit, class: noc.Data, layers: 255},
+		[]hop{{route: math.MinInt64, alloc: math.MaxInt64, grant: math.MinInt64, router: 65535, dir: math.MinInt8, vc: math.MaxInt8}}}
+	f.Add(spanInput(extreme, loggedSpan{hdr(math.MaxInt64, 0, math.MaxInt64, math.MinInt64), []hop{at(1, math.MaxInt64, 0, 1)}}), uint8(0))
+	vcs := loggedSpan{hdr(7, 0, 1, 9), []hop{at(65535, 2, 3, 4), at(65534, 6, 6, 7)}}
+	vcs.hops[0].vc, vcs.hops[1].vc = -1, 127
+	f.Add(spanInput(vcs), uint8(0))
+	// Every stage wait -1, ten bytes in the log: 400 hops five times over
+	// leave the fifth span too little of the first chunk, and 2 000 hops
+	// outgrow a chunk. The span after those starts a chunk again.
+	waits := func(pkt int64, n int) loggedSpan {
+		s := loggedSpan{hdr: hdr(pkt, 0, 0, 0)}
+		for arrive := int64(0); len(s.hops) < n; arrive -= 2 {
+			s.hops = append(s.hops, at(int32(len(s.hops)), arrive-1, arrive-2, arrive-3))
+			s.hdr.eject = arrive - 2 // ST+LT 1
+		}
+		return s
+	}
+	f.Add(spanInput(waits(5, 400)), uint8(4))
+	f.Add(spanInput(waits(9, 2000), loggedSpan{hdr(10, 0, 1, 3), []hop{at(0, 1, 1, 2)}}), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
+		b, ref := newSpanBuilder(true, true), arenaSpans{}
+		spans := fuzzSpans(data)
+		made := map[int]bool{logChunk: true} // the capacities add gives a chunk
+		for r := 0; r <= int(repeat%8); r++ {
+			for i := range spans {
+				b.log.add(&spans[i].hdr, spans[i].hops)
+				ref.push(&spans[i].hdr, spans[i].hops)
+				made[maxSpanBytes+len(spans[i].hops)*maxHopBytes] = true
+			}
+		}
+		got, want := b.Spans(), ref.spans()
+		if len(got) != len(want) {
+			t.Fatalf("the log read back %d spans, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("span %d read back as\n%+v\nwant\n%+v", i, got[i], want[i])
+			}
+		}
+		var size int64
+		for i, c := range b.log.chunks {
+			if size += int64(len(c)); !made[cap(c)] {
+				t.Errorf("chunk %d has capacity %d: a span was appended past its end", i, cap(c))
+			}
+		}
+		if size != b.RetainedBytes() {
+			t.Errorf("RetainedBytes %d, the chunks hold %d", b.RetainedBytes(), size)
+		}
+	})
 }
