@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"mira/internal/noc"
@@ -101,8 +102,12 @@ type Engine struct {
 	// Per-iteration state. active is false between OnDeliver observing
 	// an iteration's last message and Generate starting the next one —
 	// the zero-cost barrier.
-	nextSend  []int
-	recvd     []int
+	nextSend []int
+	recvd    []int
+	// ready has bit r set while rank r's next send is issuable (its
+	// guard holds), so Generate visits only those ranks; it is re-checked
+	// wherever nextSend or recvd moves (check).
+	ready     []uint64
 	delivered int
 	iterStart int64
 	active    bool
@@ -148,6 +153,7 @@ func New(topo *topology.Topology, p Params) (*Engine, error) {
 		recvSteps: make([][]int, n),
 		nextSend:  make([]int, n),
 		recvd:     make([]int, n),
+		ready:     make([]uint64, (n+63)/64),
 	}
 	for i := range e.rankOf {
 		e.rankOf[i] = -1
@@ -231,7 +237,9 @@ func (e *Engine) buildTree() {
 
 // Generate implements noc.Generator: it issues every send whose guard
 // is satisfied, at most one per rank per cycle in program order, and
-// opens the next iteration when the barrier clears.
+// opens the next iteration when the barrier clears. Ranks are visited
+// in ascending order through the ready set — the order, and so the
+// specs, of a scan over every rank.
 func (e *Engine) Generate(cycle int64, _ *rand.Rand, specs []noc.Spec) []noc.Spec {
 	if !e.active {
 		if e.completed >= e.p.Iterations {
@@ -240,14 +248,18 @@ func (e *Engine) Generate(cycle int64, _ *rand.Rand, specs []noc.Spec) []noc.Spe
 		for r := range e.nextSend {
 			e.nextSend[r] = 0
 			e.recvd[r] = 0
+			e.check(r)
 		}
 		e.delivered = 0
 		e.iterStart = cycle
 		e.active = true
 	}
-	for r := range e.ranks {
-		i := e.nextSend[r]
-		if i < len(e.prog[r]) && int32(e.recvd[r]) >= e.prog[r][i].guard {
+	for wi, w := range e.ready {
+		// w is a snapshot: a rank re-readied by its own issue waits for
+		// the next cycle.
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 + bits.TrailingZeros64(w)
+			i := e.nextSend[r]
 			specs = append(specs, noc.Spec{
 				Src:   e.ranks[r],
 				Dst:   e.prog[r][i].dst,
@@ -255,9 +267,20 @@ func (e *Engine) Generate(cycle int64, _ *rand.Rand, specs []noc.Spec) []noc.Spe
 				Class: noc.Data,
 			})
 			e.nextSend[r] = i + 1
+			e.check(r)
 		}
 	}
 	return specs
+}
+
+// check sets rank r's ready bit iff its next send's guard holds.
+func (e *Engine) check(r int) {
+	i, bit := e.nextSend[r], uint64(1)<<(uint(r)&63)
+	if i < len(e.prog[r]) && int32(e.recvd[r]) >= e.prog[r][i].guard {
+		e.ready[r>>6] |= bit
+	} else {
+		e.ready[r>>6] &^= bit
+	}
 }
 
 // OnDeliver observes one packet delivery (wire to noc.Sim.OnEject). The
@@ -274,6 +297,7 @@ func (e *Engine) OnDeliver(pkt *noc.Packet) {
 	}
 	j := e.recvd[r]
 	e.recvd[r]++
+	e.check(r)
 	lat := pkt.EjectedAt - pkt.CreatedAt
 	e.stepLat[e.recvSteps[r][j]].add(lat)
 	e.messages.add(lat)

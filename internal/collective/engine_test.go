@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"reflect"
 	"testing"
 
 	"mira/internal/noc"
@@ -222,5 +223,63 @@ func TestAgg(t *testing.T) {
 	}
 	if a.Mean() != 5 {
 		t.Fatalf("mean = %v, want 5", a.Mean())
+	}
+}
+
+// scanSpecs is the reference rule Generate's ready set replaces: visit
+// every rank in order and issue its next send if the guard holds,
+// reading the state a barrier-clearing call would start from. It does
+// not mutate the engine.
+func scanSpecs(e *Engine) []noc.Spec {
+	if !e.active && e.completed >= e.p.Iterations {
+		return nil
+	}
+	var specs []noc.Spec
+	for r := range e.ranks {
+		i, got := e.nextSend[r], e.recvd[r]
+		if !e.active {
+			i, got = 0, 0
+		}
+		if i < len(e.prog[r]) && int32(got) >= e.prog[r][i].guard {
+			specs = append(specs, noc.Spec{Src: e.ranks[r], Dst: e.prog[r][i].dst, Size: e.p.MessageFlits, Class: noc.Data})
+		}
+	}
+	return specs
+}
+
+// TestEngineReadySetMatchesScan drives each schedule over 100 ranks (two
+// ready-set words) from a delivery stream with uneven flight times, so
+// receives reorder across ranks, and holds every cycle's specs to the
+// scan rule.
+func TestEngineReadySetMatchesScan(t *testing.T) {
+	for _, alg := range Algorithms() {
+		e, err := New(mesh(10, 10), Params{Algorithm: alg, MessageFlits: 4, Iterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending := map[int64][]noc.Spec{} // delivery cycle -> specs
+		issued := 0
+		for cycle := int64(0); !e.Done(); cycle++ {
+			if cycle > 100000 {
+				t.Fatalf("%s: %d iterations done by cycle %d", alg, e.Completed(), cycle)
+			}
+			for _, s := range pending[cycle] {
+				e.OnDeliver(&noc.Packet{Src: s.Src, Dst: s.Dst, CreatedAt: cycle - 1, EjectedAt: cycle})
+			}
+			delete(pending, cycle)
+			want := scanSpecs(e)
+			got := e.Generate(cycle, nil, nil)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cycle %d: specs %+v, scan rule %+v", alg, cycle, got, want)
+			}
+			for k := range got {
+				issued++
+				flight := 1 + int64((issued*7919)%13)
+				pending[cycle+flight] = append(pending[cycle+flight], got[k])
+			}
+		}
+		if want := 2 * e.MessagesPerIteration(); issued != want {
+			t.Fatalf("%s: %d sends issued, want %d", alg, issued, want)
+		}
 	}
 }

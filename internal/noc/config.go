@@ -182,15 +182,10 @@ func (c *Config) Validate() error {
 	if c.BufDepth < 1 {
 		return fmt.Errorf("noc: BufDepth = %d, need >= 1", c.BufDepth)
 	}
-	// The flat router state (soa.go) counts a VC's in-flight flits
-	// (vcInFly, at most BufDepth) in an int8 lane, and a router's pending
-	// sets and arbiter requests are one uint64 over its flat VCs
-	// (activity.go, arbiter.go); bound the config here so an oversized
-	// network fails loudly at validation instead of silently overflowing
-	// either.
-	if c.BufDepth > 127 {
-		return fmt.Errorf("noc: BufDepth = %d, need <= 127 (int8 in-flight counter)", c.BufDepth)
-	}
+	// A router's pending sets and arbiter requests are one uint64 over its
+	// flat VCs (activity.go, arbiter.go); bound the config here so an
+	// oversized router fails loudly at validation instead of silently
+	// overflowing them.
 	if fv := c.Topo.MaxPorts() * c.VCs; fv > 64 {
 		return fmt.Errorf("noc: %d ports x %d VCs = %d flat VCs per router, need <= 64 (one request-mask word)",
 			c.Topo.MaxPorts(), c.VCs, fv)

@@ -40,7 +40,8 @@ type meterShard struct {
 	drainNs   atomic.Int64 // the delivery/drain prefix of busyNs
 	barrierNs atomic.Int64 // from this shard's finish to the cycle barrier
 	cycles    atomic.Int64
-	_         [32]byte
+	ringWords atomic.Int64 // arrival words delivered (EngineSnapshot.RingWords)
+	_         [24]byte
 }
 
 type crossCell struct {
@@ -97,10 +98,14 @@ type EngineMailboxStat struct {
 // not taken under a global lock (the step loop keeps running), which is
 // fine for monitoring — totals are monotone.
 type EngineSnapshot struct {
-	Cycles int64             `json:"cycles"`
-	StepNs int64             `json:"step_ns"`
-	Parks  int64             `json:"parks"` // barrier waits that outlasted the spin budget and blocked
-	Shards []EngineShardStat `json:"shards"`
+	Cycles int64 `json:"cycles"`
+	StepNs int64 `json:"step_ns"`
+	Parks  int64 `json:"parks"` // barrier waits that outlasted the spin budget and blocked
+	// RingWords counts the arrival words delivered: one per ejected flit
+	// and per link-forwarded head (a head crossing shards counts at its
+	// mailbox delivery), so it is exact and the same at any shard count.
+	RingWords int64             `json:"ring_words"`
+	Shards    []EngineShardStat `json:"shards"`
 	// Mailbox lists the non-zero (src,dst) crossing counters in
 	// ascending (src,dst) order.
 	Mailbox []EngineMailboxStat `json:"mailbox,omitempty"`
@@ -116,6 +121,7 @@ func (m *EngineMeter) Snapshot() EngineSnapshot {
 	}
 	for i := range m.shards {
 		ms := &m.shards[i]
+		s.RingWords += ms.ringWords.Load()
 		s.Shards[i] = EngineShardStat{
 			Shard:     i,
 			Routers:   int(m.routers[i]),

@@ -3,8 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-
-	"mira/internal/topology"
 )
 
 // CheckInvariants validates cross-router consistency of the flow-control
@@ -13,12 +11,11 @@ import (
 // credit-based wormhole switching relies on:
 //
 //  1. No input VC buffer exceeds its configured depth.
-//  2. For every link, the upstream credit count plus the downstream
-//     buffer occupancy plus flits in flight on the link never exceeds
-//     the buffer depth (credits can transiently undercount while a
-//     credit is in flight, but can never overcount).
-//  3. A VC in the Routing/WaitVC state has a head flit at its front;
-//     a VC holding buffered flits is never Idle.
+//  2. For every link, the upstream credit count plus the flits written
+//     downstream (landed or on the wire) plus mailbox flits plus credits
+//     on the way back equals the buffer depth.
+//  3. A VC in the Routing/WaitVC state has a landed head at its front;
+//     a VC holding landed flits is never Idle.
 //  4. Output VC reservations are consistent: an Active input VC's
 //     (outDir, outVC) target is actually reserved.
 //  5. The incrementally maintained backlog counters (queued flits,
@@ -34,35 +31,26 @@ import (
 //     it twice — the Enqueue lifetime contract.
 //
 // In-flight traffic is scanned across every shard's own rings (both
-// send-phase segments) and every boundary mailbox. Ring arrivals were
-// direct-written into their destination slots at send time and are
-// counted against vcInFly; mailbox arrivals carry their flit with them
-// and are counted separately (a channel fed from another shard must
-// have vcInFly == 0, which the per-VC check enforces since ring
-// arrivals for it can't exist). Both kinds occupy downstream credit,
-// so the conservation check sums them.
+// send-phase segments) and every boundary mailbox. Same-shard link
+// flits were written into their destination slots at send time and are
+// on the wire while their arrival cycle is ahead: each such head has
+// exactly one ring word, at its arrival cycle, and a body flit none.
+// Mailbox arrivals carry their flit with them and are counted
+// separately; both kinds occupy downstream credit.
 func (n *Network) CheckInvariants() error {
-	type chanKey struct {
-		router topology.NodeID
-		dir    topology.Dir
-		vc     int
+	type wordKey struct {
+		gi int32
+		at int64
 	}
-	// Flits and credits currently in flight. Flits key by downstream
-	// channel; credits travel as flat credit-array indices, so they key
-	// by the global slot the delivery loop will increment.
-	inFlight := make(map[chanKey]int)   // ring arrivals (direct-written)
-	mailFlight := make(map[chanKey]int) // mailbox arrivals (flit-carrying)
+	// Words and credits currently in flight. Link words key by global VC
+	// and arrival cycle, mailbox flits by global VC; credits travel as
+	// flat credit-array indices, so they key by the global slot the
+	// delivery loop will increment.
+	words := make(map[wordKey]int)
+	mailFlight := make(map[int32]int) // mailbox arrivals (flit-carrying)
 	credRet := make(map[int32]int)
 	ejecting := 0
 	live := make(map[*Packet]bool) // packets some flit still references
-	keyOf := func(gi int32) (chanKey, error) {
-		if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
-			return chanKey{}, fmt.Errorf("noc: in-flight arrival word %d out of range", gi)
-		}
-		r := &n.routers[n.soa.ownerOf[gi]]
-		fi := int(gi - r.vcBase)
-		return chanKey{r.id, r.inPorts[r.portOf[fi]].dir, int(r.vcOf[fi])}, nil
-	}
 	for si := range n.shards {
 		sh := &n.shards[si]
 		for p := 0; p < 2; p++ {
@@ -73,11 +61,7 @@ func (n *Network) CheckInvariants() error {
 						live[sh.ejRing[si][^ev].flit.Pkt] = true
 						continue
 					}
-					k, err := keyOf(ev)
-					if err != nil {
-						return err
-					}
-					inFlight[k]++
+					words[wordKey{ev, n.cycle + (int64(si)-n.cycle)&n.ringMask}]++
 				}
 			}
 		}
@@ -96,11 +80,11 @@ func (n *Network) CheckInvariants() error {
 			for p := 0; p < 2; p++ {
 				for _, slot := range m.ev[p] {
 					for i := range slot {
-						k, err := keyOf(slot[i].gi)
-						if err != nil {
-							return err
+						gi := slot[i].gi
+						if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
+							return fmt.Errorf("noc: in-flight mailbox flit for vc %d out of range", gi)
 						}
-						mailFlight[k]++
+						mailFlight[gi]++
 						live[slot[i].flit.Pkt] = true
 					}
 				}
@@ -129,41 +113,44 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("noc: router %d %v vc %d ring head %d out of [0,%d)",
 					r.id, dir, vi, r.vcHead[f], r.bufDepth)
 			}
-			if r.vcOcc(f) < 0 || r.vcOcc(f) > n.cfg.BufDepth {
+			written := int(r.vcLen[f])
+			if written < 0 || written > n.cfg.BufDepth {
 				return fmt.Errorf("noc: router %d %v vc %d holds %d flits (depth %d)",
-					r.id, dir, vi, r.vcOcc(f), n.cfg.BufDepth)
+					r.id, dir, vi, written, n.cfg.BufDepth)
 			}
-			if r.vcOcc(f) > 0 {
+			if written > 0 {
 				if want := r.bufArrived[f*r.bufDepth+int(r.vcHead[f])]; r.vcFrontAt[f] != want {
 					return fmt.Errorf("noc: router %d %v vc %d front-arrival cache %d, ring says %d",
 						r.id, dir, vi, r.vcFrontAt[f], want)
 				}
 			}
-			// Each ring-borne in-flight flit occupies a ring slot forward
-			// pre-wrote and has exactly one pending arrival event;
-			// mailbox-borne flits carry their body and leave vcInFly
-			// untouched.
-			if got := inFlight[chanKey{r.id, dir, vi}]; int(r.vcInFly[f]) != got {
-				return fmt.Errorf("noc: router %d %v vc %d records %d in-flight flits, rings hold %d arrival events",
-					r.id, dir, vi, r.vcInFly[f], got)
-			}
-			if r.vcOcc(f)+int(r.vcInFly[f])+mailFlight[chanKey{r.id, dir, vi}] > n.cfg.BufDepth {
-				return fmt.Errorf("noc: router %d %v vc %d occupancy %d + in-flight %d + mailbox %d exceeds depth %d",
-					r.id, dir, vi, r.vcOcc(f), r.vcInFly[f], mailFlight[chanKey{r.id, dir, vi}], n.cfg.BufDepth)
-			}
-			for k := 0; k < r.vcOcc(f)+int(r.vcInFly[f]); k++ {
-				live[r.bufFlit[f*r.bufDepth+(int(r.vcHead[f])+k)%r.bufDepth].Pkt] = true
+			// Each head on the wire owns exactly one word, at its arrival
+			// cycle; a body flit owns none. Leftover words (a body's, or
+			// one out of range) fail below.
+			landed := r.vcLanded(f, n.cycle)
+			for k := 0; k < written; k++ {
+				slot := f*r.bufDepth + (int(r.vcHead[f])+k)%r.bufDepth
+				live[r.bufFlit[slot].Pkt] = true
+				if k < landed || !r.bufFlit[slot].Type.IsHead() {
+					continue
+				}
+				wk := wordKey{r.vcBase + int32(f), r.bufArrived[slot]}
+				if words[wk] != 1 {
+					return fmt.Errorf("noc: router %d %v vc %d head on the wire until %d has %d arrival words, want 1",
+						r.id, dir, vi, wk.at, words[wk])
+				}
+				delete(words, wk)
 			}
 			switch r.vcState[f] {
 			case vcRouting, vcWaitVC:
-				if front := r.vcFrontFlit(f); front == nil || !front.Type.IsHead() {
+				if front := r.vcFrontFlit(f); landed == 0 || !front.Type.IsHead() {
 					return fmt.Errorf("noc: router %d %v vc %d in %v without head flit",
 						r.id, dir, vi, r.vcState[f])
 				}
 			case vcIdle:
-				if r.vcOcc(f) != 0 {
-					return fmt.Errorf("noc: router %d %v vc %d idle with %d buffered flits",
-						r.id, dir, vi, r.vcOcc(f))
+				if landed != 0 {
+					return fmt.Errorf("noc: router %d %v vc %d idle with %d landed flits",
+						r.id, dir, vi, landed)
 				}
 			case vcActive:
 				oi := r.outIndex[r.vcOutDir[f]]
@@ -183,19 +170,14 @@ func (n *Network) CheckInvariants() error {
 			if !op.hasLink {
 				continue
 			}
-			down := &n.routers[op.link.Dst]
-			dpi := down.inIndex[op.dir.Opposite()]
-			if dpi < 0 {
-				return fmt.Errorf("noc: link from %d via %v lands on missing port", r.id, op.dir)
-			}
 			for vi := 0; vi < n.cfg.VCs; vi++ {
-				key := chanKey{op.link.Dst, op.dir.Opposite(), vi}
+				gi := op.downVCBase + int32(vi)
 				ci := r.credBase + int32(oi*n.cfg.VCs+vi)
-				occupied := down.vcOcc(down.flatVC(int(dpi), vi))
-				total := int(op.credits[vi]) + occupied + inFlight[key] + mailFlight[key] + credRet[ci]
+				written := int(n.soa.vcLen[gi])
+				total := int(op.credits[vi]) + written + mailFlight[gi] + credRet[ci]
 				if total != n.cfg.BufDepth {
-					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + occupied %d + inflight %d + mailbox %d + credret %d != depth %d",
-						r.id, op.dir, op.link.Dst, vi, op.credits[vi], occupied, inFlight[key], mailFlight[key], credRet[ci], n.cfg.BufDepth)
+					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + written %d + mailbox %d + credret %d != depth %d",
+						r.id, op.dir, op.link.Dst, vi, op.credits[vi], written, mailFlight[gi], credRet[ci], n.cfg.BufDepth)
 				}
 			}
 		}
@@ -222,12 +204,12 @@ func (n *Network) CheckInvariants() error {
 		return fmt.Errorf("noc: queued counters drifted: flits %d (scan %d), packets %d (scan %d)",
 			n.QueuedFlits(), scanQueuedFlits, n.QueuedPackets(), scanQueuedPkts)
 	}
-	var scanInFlight int64
-	for ri := range n.routers {
-		scanInFlight += int64(n.routers[ri].occupancy())
+	for wk, c := range words {
+		return fmt.Errorf("noc: %d arrival words at global vc %d cycle %d with no head on the wire", c, wk.gi, wk.at)
 	}
-	for _, c := range inFlight {
-		scanInFlight += int64(c)
+	var scanInFlight int64
+	for _, l := range n.soa.vcLen {
+		scanInFlight += int64(l)
 	}
 	for _, c := range mailFlight {
 		scanInFlight += int64(c)

@@ -140,7 +140,7 @@ func TestCheckInvariantsNamesCorruptWord(t *testing.T) {
 			r.sh.actSA.remove(int(r.id))
 		}, "SA activity bit false"},
 		{"free list", func(t *testing.T, n *Network) {
-			r := pick(t, n, func(r *Router) bool { return r.occupancy() > 0 })
+			r := pick(t, n, func(r *Router) bool { return r.Occupancy() > 0 })
 			for f := range r.vcLen {
 				if front := r.vcFrontFlit(f); front != nil {
 					n.pktFree = append(n.pktFree, front.Pkt)

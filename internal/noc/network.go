@@ -7,17 +7,16 @@ import (
 	"mira/internal/topology"
 )
 
-// Scheduled deliveries — a flit landing in a downstream buffer or a
+// Scheduled deliveries — a head landing in a downstream buffer or a
 // flit leaving the network at the NI — travel the event ring as single
-// int32 words. A non-negative word is a link arrival carrying the
-// destination's global flat VC index (the flit body itself was
-// direct-written into that VC's ring slot at send time, so the event
-// needs no payload); a negative word is an ejection, ^word indexing the
+// int32 words. A non-negative word is a head's arrival carrying the
+// destination's global flat VC index (the flit itself was written into
+// that VC's ring slot at send time, and a body flit needs no word at
+// all: soa.go); a negative word is an ejection, ^word indexing the
 // cycle's ejRing payload slice. Credit returns travel the separate
 // credit ring: they touch only the flat credit array and never emit
 // probe events, so they need neither ordering against deliveries nor a
-// payload. The forward path appends one word per flit per hop, so its
-// size is hot.
+// payload.
 //
 // The rings live per shard (shard.go): each shard schedules and
 // delivers its own traffic, and the per-(source, destination) boundary
@@ -104,9 +103,9 @@ type Network struct {
 	// soa owns the flattened router-pipeline state; every Router holds
 	// windows (sub-slices) of these arrays. See soa.go.
 	soa soaState
-	// layerFrac[k] precomputes k/Layers (index 0 and out-of-range mean
-	// "all layers active", frac 1), so the per-flit weighted counters
-	// cost a table lookup instead of a float divide.
+	// layerFrac[k] precomputes k/Layers for the counts Router.layersN
+	// returns, so the per-flit weighted counters cost a table lookup
+	// instead of a float divide.
 	layerFrac []float64
 
 	nextPacketID int64
@@ -144,7 +143,6 @@ func NewNetwork(cfg Config) *Network {
 	n.routers = make([]Router, num)
 	n.nis = make([]ni, num)
 	n.layerFrac = make([]float64, cfg.Layers+1)
-	n.layerFrac[0] = 1
 	for k := 1; k <= cfg.Layers; k++ {
 		n.layerFrac[k] = float64(k) / float64(cfg.Layers)
 	}
@@ -270,6 +268,7 @@ func NewNetwork(cfg Config) *Network {
 			}
 			op.downVCBase = down.vcBase + int32(int(dpi)*cfg.VCs)
 			op.downShard = down.shard
+			op.down = down
 		}
 	}
 	return n
@@ -474,7 +473,7 @@ func (n *Network) inject(id topology.NodeID) {
 	}
 
 	fi := r.flatVC(lpi, s.curVC)
-	if r.vcOcc(fi) >= n.cfg.BufDepth {
+	if int(r.vcLen[fi]) >= n.cfg.BufDepth {
 		return // wait for space
 	}
 	job := s.cur
@@ -539,11 +538,12 @@ func (n *Network) pickInjectionVC(r *Router, lpi int, c Class) int {
 	return -1
 }
 
-// TotalCounters aggregates all router activity counters.
+// TotalCounters aggregates all router activity counters (Router.Counters).
 func (n *Network) TotalCounters() Counters {
 	var total Counters
 	for i := range n.routers {
-		total.Add(&n.routers[i].Counters)
+		c := n.routers[i].Counters()
+		total.Add(&c)
 	}
 	return total
 }
@@ -552,17 +552,19 @@ func (n *Network) TotalCounters() Counters {
 func (n *Network) RouterCounters() []Counters {
 	out := make([]Counters, len(n.routers))
 	for i := range n.routers {
-		out[i] = n.routers[i].Counters
+		out[i] = n.routers[i].Counters()
 	}
 	return out
 }
 
 // ResetCounters zeroes all router counters (called at the end of warm-up
-// so that power reflects the measurement window only).
+// so that power reflects the measurement window only), keeping the
+// writes of flits still on the wire: they land inside the new window.
 func (n *Network) ResetCounters() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		r.Counters = Counters{}
+		writes, layers := r.onWire()
+		r.cnt, r.bufLayers = Counters{BufWrites: writes}, layers
 		for oi := range r.outPorts {
 			r.outPorts[oi].flitCount = 0
 		}
@@ -599,7 +601,7 @@ func (n *Network) LinkLoads() []LinkLoad {
 func (n *Network) Occupancy() int {
 	total := 0
 	for i := range n.routers {
-		total += n.routers[i].occupancy()
+		total += n.routers[i].Occupancy()
 	}
 	return total
 }

@@ -351,8 +351,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.STLTCycles = 3 },
 		func(c *Config) { c.Layers = 0 },
 		func(c *Config) { c.VCs = 1; c.Policy = ByClass },
-		func(c *Config) { c.BufDepth = 128 }, // int8 in-flight counter
-		func(c *Config) { c.VCs = 30 },       // 5 ports x 30 VCs > 64 flat VCs
+		func(c *Config) { c.VCs = 30 }, // 5 ports x 30 VCs > 64 flat VCs
 	}
 	for i, mutate := range bad {
 		c := cfg2D(2)
@@ -361,6 +360,19 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+	// Buffer depth has no upper bound: a 200-deep VC holds one packet
+	// against the oracle like any other.
+	deep := cfg2D(2)
+	deep.BufDepth = 200
+	if err := deep.Validate(); err != nil {
+		t.Fatalf("BufDepth 200 rejected: %v", err)
+	}
+	againstOracle(t, deep, GeneratorFunc(func(c int64, _ *rand.Rand, specs []Spec) []Spec {
+		if c == 0 {
+			specs = append(specs, Spec{Src: 0, Dst: 35, Size: 150, Class: Data})
+		}
+		return specs
+	}), 1, oracleOpts{})
 	// The widest router is one request-mask word: ports x VCs <= 64, and
 	// the rejection names both factors.
 	for _, c := range []struct {

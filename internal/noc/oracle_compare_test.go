@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -28,14 +30,18 @@ type oracleOpts struct {
 // oracle side by side under gen for the given cycles plus the drain,
 // and fails on the first cycle they differ: in the ejection stream
 // (packet, cycle, router, creation and injection cycle, hops — order
-// included), in the queued or in-network flit counts, and at the end in
-// every counter. On the way it asserts on both models the laws neither
-// CheckInvariants nor stream equality states: flit conservation and
-// per-link credit conservation every cycle (the oracle's by a scan of
-// its own structures, production's by its counters matching that scan
-// and by CheckInvariants), and per-(source, destination, class)
-// delivery order wherever a class is confined to one lane. It returns
-// production's stream.
+// included), in the queued or in-network flit counts, and in every
+// counter every 32 cycles and at the end. Halfway through, at the first
+// cycle with flits on a wire, both models reset their counters once:
+// production counts a buffer write at send time and carries the writes
+// still on the wire over the reset, the oracle counts at landing, and
+// the two must still agree. On the way it asserts on both models the
+// laws neither CheckInvariants nor stream equality states: flit
+// conservation and per-link credit conservation every cycle (the
+// oracle's by a scan of its own structures, production's by its
+// counters matching that scan and by CheckInvariants), and per-(source,
+// destination, class) delivery order wherever a class is confined to
+// one lane. It returns production's stream.
 func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts oracleOpts) []oEjection {
 	t.Helper()
 	net := NewNetwork(cfg)
@@ -57,6 +63,7 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var specs []Spec
 	progress, progressAt := int64(0), int64(0) // flits the oracle has ejected, and when it last ejected one
+	reset := false
 	for c, same := int64(0), 0; ; c++ {
 		if c < cycles {
 			specs = gen.Generate(c, rng, specs[:0])
@@ -93,9 +100,19 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 			t.Fatalf("cycle %d: production holds %d queued + %d in-network flits, the oracle %d + %d",
 				o.cycle, net.QueuedFlits(), net.InFlightFlits(), queued, inNet)
 		}
-		if c%32 == 0 && cfg.Mode != StepChecked {
-			if err := net.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d: production: %v", o.cycle, err)
+		if !reset && c >= cycles/2 && len(o.flits) > 0 {
+			net.ResetCounters()
+			o.resetCounters()
+			reset = true
+		}
+		if c%32 == 0 {
+			if cfg.Mode != StepChecked {
+				if err := net.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d: production: %v", o.cycle, err)
+				}
+			}
+			if err := sameCounters(net.TotalCounters(), o.totalCounters()); err != nil {
+				t.Fatalf("cycle %d: %v", o.cycle, err)
 			}
 		}
 		if opts.probed {
@@ -319,7 +336,9 @@ func checkZeroLoad(t testing.TB, cfg Config, rng *rand.Rand, pairs, size int) {
 // oracleShape is one generated comparison, every field a small index
 // into the axis it names. It packs into the uint64 the fuzzer mutates
 // (mixed radix, in axes order), so any uint64 decodes to a valid
-// shape and the seed corpus can be written as field values.
+// shape and the seed corpus can be written as field values. A new axis
+// goes last, where its zero leaves every older packed input's decoding
+// unchanged (TestOracleTestdataShapes).
 type oracleShape struct {
 	Topo, Lat, Ser, ChipExpress       int // fabric; Lat/Ser/ChipExpress apply to the chip grid
 	Routing, Fault                    int
@@ -327,6 +346,7 @@ type oracleShape struct {
 	VCs, Depth, Arb, QoS, ByClass     int
 	Rate, Pattern, Sizes, ShortLayers int // traffic
 	Shards, Checked, Probed, Cycles   int
+	LongLink                          int // chip grid: latency 16, 4:1 serialization in place of Lat/Ser
 }
 
 var (
@@ -376,6 +396,7 @@ func (s *oracleShape) axes() []shapeAxis {
 		{&s.VCs, len(shapeVCs)}, {&s.Depth, len(shapeDepths)}, {&s.Arb, 2}, {&s.QoS, 2}, {&s.ByClass, 2},
 		{&s.Rate, len(shapeRates)}, {&s.Pattern, 3}, {&s.Sizes, numSizes}, {&s.ShortLayers, 2},
 		{&s.Shards, len(shapeShards)}, {&s.Checked, 2}, {&s.Probed, 2}, {&s.Cycles, 3},
+		{&s.LongLink, 2},
 	}
 }
 
@@ -416,9 +437,13 @@ func (s oracleShape) build(seed int64) (Config, Generator) {
 	case topoExpress:
 		cfg.Topo, cfg.Alg = topology.NewExpressMesh2D(5, 4, 1.58, 2), routing.Express{}
 	case topoChipGrid:
+		lat, ser := shapeLats[s.Lat], 1+s.Ser
+		if s.LongLink == 1 {
+			lat, ser = 16, 4
+		}
 		cfg.Topo = topology.NewChipGrid(topology.ChipGridSpec{
 			ChipsX: 2, ChipsY: 2, NodesX: 2, NodesY: 2, PitchMM: 3.1,
-			D2DLatency: shapeLats[s.Lat], D2DSerCycles: 1 + s.Ser, Express: s.ChipExpress == 1,
+			D2DLatency: lat, D2DSerCycles: ser, Express: s.ChipExpress == 1,
 		})
 		cfg.Alg = routing.ChipDOR{}
 	case topoMeshWide:
@@ -511,6 +536,9 @@ func oracleCorpus() []oracleShape {
 		// A lat:ser chip grid cut by three shards that ignore the chip tiling.
 		{Topo: topoChipGrid, Lat: 3, Ser: 2, VCs: 1, Depth: 2, Rate: 1, Sizes: sizesBimodal, ByClass: 1, Shards: 1, STLT: 1},
 		{Topo: topoChipGrid, Lat: 1, Ser: 1, ChipExpress: 1, VCs: 1, Depth: 1, Rate: 2, Pattern: 1, Sizes: sizesRandom, Spec: 1, Checked: 1},
+		// Latency 16, 4:1 serialization: the counter reset lands with
+		// flits deep on the d2d wires, where the write correction lives.
+		{Topo: topoChipGrid, LongLink: 1, VCs: 1, Depth: 3, Rate: 2, Sizes: sizesFour, ShortLayers: 1, Cycles: 2},
 		// Few VCs, shallow buffers, a hotspot: VA contended every cycle.
 		{Topo: topoMesh, VCs: 0, Depth: 0, Rate: 2, Pattern: 1, Sizes: sizesFour, Arb: 1},
 		{Topo: topoMesh3D, VCs: 1, Depth: 1, Rate: 3, Pattern: 1, Sizes: sizesBimodal, ByClass: 1, QoS: 1, Shards: 1, ShortLayers: 1},
@@ -522,7 +550,9 @@ func oracleCorpus() []oracleShape {
 	for i := 0; i < 24; i++ {
 		var s oracleShape
 		for _, a := range s.axes() {
-			*a.f = rng.Intn(a.n)
+			if a.f != &s.LongLink { // stays 0: the hand-picked lat-16 shape covers it
+				*a.f = rng.Intn(a.n)
+			}
 		}
 		corpus = append(corpus, s)
 	}
@@ -549,7 +579,7 @@ func TestOracleCorpusCoversAxes(t *testing.T) {
 	corpus := oracleCorpus()
 	var probe oracleShape
 	seen := make([]map[int]bool, len(probe.axes()))
-	var wide, serGridSharded bool
+	var wide, serGridSharded, longSerGrid bool
 	for _, s := range corpus {
 		if got := unpackShape(s.pack()); got != s {
 			t.Fatalf("shape does not survive packing: %+v -> %+v", s, got)
@@ -563,13 +593,51 @@ func TestOracleCorpusCoversAxes(t *testing.T) {
 		cfg, _ := s.build(1)
 		wide = wide || cfg.Topo.MaxPorts()*cfg.VCs == 64
 		serGridSharded = serGridSharded || (s.Topo == topoChipGrid && s.Lat > 0 && s.Ser > 0 && cfg.Shards == 3)
+		longSerGrid = longSerGrid || (s.Topo == topoChipGrid && s.LongLink == 1)
 	}
 	for i, a := range probe.axes() {
 		if len(seen[i]) != a.n {
 			t.Errorf("axis %d: corpus covers %d of %d values", i, len(seen[i]), a.n)
 		}
 	}
-	if !wide || !serGridSharded {
-		t.Errorf("corpus lacks a named corner: 64 flat VCs %v, sharded lat:ser chip grid %v", wide, serGridSharded)
+	if !wide || !serGridSharded || !longSerGrid {
+		t.Errorf("corpus lacks a named corner: 64 flat VCs %v, sharded lat:ser chip grid %v, lat-16 ser-4 grid %v",
+			wide, serGridSharded, longSerGrid)
+	}
+}
+
+// TestOracleTestdataShapes pins the shape each saved FuzzOracle input
+// decodes to, so a change to the axes cannot silently turn a kept
+// regression into some other configuration. A new input is added here
+// with the shape it failed on.
+func TestOracleTestdataShapes(t *testing.T) {
+	want := map[string]oracleShape{
+		// checkZeroLoad must let a lone packet's credits cross a slow d2d
+		// link (lat 6, 3:1 serialization) before the next one, at depth 2.
+		"ffddafdb88d332da": {Topo: topoChipGrid, Lat: 3, Ser: 2, Fault: 1, Spec: 1, Depth: 1, Arb: 1, QoS: 1,
+			Rate: 2, Sizes: sizesRandom, Cycles: 1},
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOracle", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no saved inputs (%v)", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v uint64
+		if _, err := fmt.Sscanf(string(data), "go test fuzz v1\nuint64(%d)", &v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		name := filepath.Base(path)
+		if s, ok := want[name]; !ok {
+			t.Errorf("%s: decodes to %+v, which no entry pins", name, unpackShape(v))
+		} else if got := unpackShape(v); got != s {
+			t.Errorf("%s: decodes to %+v, pinned %+v", name, got, s)
+		}
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d saved inputs, %d pinned", len(files), len(want))
 	}
 }

@@ -638,6 +638,14 @@ func (o *oracle) idle() bool {
 	return o.generatedFlits == o.ejectedFlits
 }
 
+// resetCounters starts a new counting window; flits on the wires count
+// their buffer writes when they land, inside it.
+func (o *oracle) resetCounters() {
+	for _, r := range o.routers {
+		r.cnt = Counters{}
+	}
+}
+
 func (o *oracle) totalCounters() Counters {
 	var t Counters
 	for _, r := range o.routers {

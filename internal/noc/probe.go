@@ -131,28 +131,44 @@ func (n *Network) SetProbe(p Probe) {
 }
 
 // Instrumentation accessors: read-only views of live router state for
-// the cycle sampler (internal/obs). All are O(ports·VCs) or cheaper and
-// never mutate the router.
+// the cycle sampler (internal/obs). All are O(buffer slots) or cheaper
+// and never mutate the router.
 
 // ID returns the router's node ID.
 func (r *Router) ID() topology.NodeID { return r.id }
 
-// Occupancy returns the flits currently buffered across all of the
-// router's input VCs.
-func (r *Router) Occupancy() int { return r.occupancy() }
+// Occupancy returns the flits currently buffered (landed) across all
+// of the router's input VCs.
+func (r *Router) Occupancy() int {
+	n := 0
+	for f := range r.vcLen {
+		n += r.vcLanded(f, r.net.cycle)
+	}
+	return n
+}
+
+// Counters returns the router's activity counters, a buffer write
+// counted once its flit lands.
+func (r *Router) Counters() Counters {
+	writes, layers := r.onWire()
+	c := r.cnt
+	c.BufWrites -= writes
+	c.WBufWrites = float64(r.bufLayers-layers) / float64(r.net.cfg.Layers)
+	return c
+}
 
 // NumInVCs returns the number of input VCs (ports × VCs per port).
 func (r *Router) NumInVCs() int { return len(r.inPorts) * r.vcsPerPort }
 
-// VCOccupancy returns the buffered flits in input VC vi of port pi.
-func (r *Router) VCOccupancy(pi, vi int) int { return r.vcOcc(r.flatVC(pi, vi)) }
+// VCOccupancy returns the landed flits in input VC vi of port pi.
+func (r *Router) VCOccupancy(pi, vi int) int { return r.vcLanded(r.flatVC(pi, vi), r.net.cycle) }
 
 // VCOccupancies appends the per-input-VC buffer occupancies (flits) in
 // flat (port, vc) order to dst and returns the extended slice, so a
 // per-window sampler can reuse one backing array.
 func (r *Router) VCOccupancies(dst []int) []int {
-	for _, l := range r.vcLen {
-		dst = append(dst, int(l))
+	for f := range r.vcLen {
+		dst = append(dst, r.vcLanded(f, r.net.cycle))
 	}
 	return dst
 }

@@ -85,6 +85,9 @@ type outputPort struct {
 	// forwards that cross it carry the flit through the boundary
 	// mailbox (shard.go).
 	downShard int32
+	// down is the downstream router, where a direct write counts its
+	// buffer write (nil for the local port).
+	down *Router
 	// arriveDelta is the cycles from a switch-allocation grant until
 	// the flit lands in the downstream buffer: STLTCycles - 1 pipeline
 	// cycles plus the link's latency plus its serialization tail
@@ -130,8 +133,12 @@ type Router struct {
 	// algXY is set when Config.Alg is plain dimension-ordered routing,
 	// letting routeHead call it directly instead of through the
 	// interface (the per-head dispatch is measurable at high load).
-	algXY    bool
-	Counters Counters
+	algXY bool
+	// cnt counts a buffer write at send time, flits still on the wire
+	// included, and its weight as active layers in bufLayers, an exact
+	// integer in any write order; Counters reports both by landing.
+	cnt       Counters
+	bufLayers int64
 
 	// vcsPerPort/bufDepth cache Config.VCs and Config.BufDepth;
 	// vcBase is the router's global base slot in the per-VC arrays and
@@ -151,7 +158,6 @@ type Router struct {
 	vcOutPort []int8
 	vcOutVC   []int8
 	vcClass   []Class
-	vcInFly   []int8
 
 	// VC ring storage (windows, BufDepth slots per VC).
 	bufFlit    []Flit
@@ -270,7 +276,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.vcOutPort = st.vcOutPort[vcBase : vcBase+nVC]
 	r.vcOutVC = st.vcOutVC[vcBase : vcBase+nVC]
 	r.vcClass = st.vcClass[vcBase : vcBase+nVC]
-	r.vcInFly = st.vcInFly[vcBase : vcBase+nVC]
 	r.bufFlit = st.bufFlit[vcBase*cfg.BufDepth : (vcBase+nVC)*cfg.BufDepth]
 	r.bufArrived = st.bufArrived[vcBase*cfg.BufDepth : (vcBase+nVC)*cfg.BufDepth]
 
@@ -366,7 +371,7 @@ func (r *Router) routeHead(f int) {
 	} else {
 		r.dataVCs &^= bit
 	}
-	r.Counters.RCOps++
+	r.cnt.RCOps++
 	if r.sh.probe != nil {
 		r.sh.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeRoute, Cycle: r.net.cycle, Router: r.id, Dir: d, Flit: *flit,
@@ -374,32 +379,36 @@ func (r *Router) routeHead(f int) {
 	}
 }
 
-// layerFracN returns the fraction of datapath layers a flit with the
-// given active-layer count keeps switching (a table lookup; the ratios
-// are precomputed in NewNetwork).
-func (r *Router) layerFracN(active uint8) float64 {
-	lut := r.net.layerFrac
-	if int(active) >= len(lut) {
-		return 1
+// layersN returns how many datapath layers a flit with the given
+// active-layer count keeps switching: all of them for 0 or more than
+// Layers. Network.layerFrac holds each count's fraction of Layers.
+func (r *Router) layersN(active uint8) int64 {
+	if l := r.net.cfg.Layers; active == 0 || int(active) > l {
+		return int64(l)
 	}
-	return lut[active]
+	return int64(active)
 }
 
-// arrive is the bookkeeping tail of every buffer write, run once flit f
-// is visible at the back of input VC fi: a ring arrival exposed by
-// vcArrive, a mailbox arrival or an NI injection pushed by vcPush. It
-// counts the write and, when f is a head landing in an empty VC, starts
-// its pipeline.
+// arrive is the bookkeeping tail of a pushed flit f at the back of input
+// VC fi (an NI injection or a mailbox arrival; a direct write counts in
+// forward and starts in deliver). It counts the write and, when f is a
+// head landing in an empty VC, starts its pipeline.
 func (r *Router) arrive(fi int, f *Flit, cycle int64) {
-	r.Counters.BufWrites++
-	r.Counters.WBufWrites += r.layerFracN(f.ActiveLayers)
+	r.cnt.BufWrites++
+	r.bufLayers += r.layersN(f.ActiveLayers)
 	if f.Type.IsHead() && r.vcLen[fi] == 1 {
-		if r.vcState[fi] != vcIdle {
-			panic(fmt.Sprintf("noc: router %d port %v vc %d head arrives in state %v",
-				r.id, r.inPorts[r.portOf[fi]].dir, r.vcOf[fi], r.vcState[fi]))
-		}
-		r.startHead(int32(fi), cycle)
+		r.landHead(int32(fi), cycle)
 	}
+}
+
+// landHead starts the head that landed at the front of VC fi. The VC
+// must be idle: anything else is a credit or VC-state bug upstream.
+func (r *Router) landHead(fi int32, cycle int64) {
+	if r.vcState[fi] != vcIdle {
+		panic(fmt.Sprintf("noc: router %d port %v vc %d head arrives in state %v",
+			r.id, r.inPorts[r.portOf[fi]].dir, r.vcOf[fi], r.vcState[fi]))
+	}
+	r.startHead(fi, cycle)
 }
 
 // stepRC routes the heads due this cycle: exactly the VCs that entered
@@ -441,7 +450,7 @@ func (r *Router) stepVA(cycle int64) {
 	if ready == 0 {
 		return
 	}
-	r.Counters.VAReqs += int64(bits.OnesCount64(ready))
+	r.cnt.VAReqs += int64(bits.OnesCount64(ready))
 	vcs := r.vcsPerPort
 	byClass := r.net.cfg.Policy == ByClass
 	// Ascending port order, then ascending output VC. A granted VC is
@@ -490,7 +499,7 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.reserved[oi*r.vcsPerPort+ov] = true
 	r.vcOutVC[g] = int8(ov)
 	r.setVCState(int32(g), vcActive)
-	r.Counters.VAGrants++
+	r.cnt.VAGrants++
 	if r.sh.probe != nil {
 		r.sh.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeVCAlloc, Cycle: cycle, Router: r.id,
@@ -519,7 +528,7 @@ func (r *Router) saRankOf(cycle int64, f int) int8 {
 	if front.Type.IsHead() {
 		rank = 2
 	}
-	rank -= int8((cycle - r.vcFrontArrived(f)) / 16)
+	rank -= int8((cycle - r.vcFrontAt[f]) / 16)
 	if rank < 0 {
 		rank = 0
 	}
@@ -557,16 +566,16 @@ func (r *Router) stepSA(cycle int64) {
 		}
 		oi := int(outPort[f])
 		if serMask>>uint(oi)&1 != 0 && cycle < serFree[oi] {
-			r.Counters.SerStalls++
+			r.cnt.SerStalls++
 			continue // the serializing d2d link is still streaming a flit
 		}
 		if linkMask>>uint(oi)&1 != 0 && credits[oi*vcs+int(outVC[f])] <= 0 {
-			r.Counters.CreditStalls++
+			r.cnt.CreditStalls++
 			continue // no downstream buffer space
 		}
 		saReq[oi&(maxPorts-1)] |= 1 << uint(f)
 		outMask |= 1 << uint(oi)
-		r.Counters.SAReqs++
+		r.cnt.SAReqs++
 	}
 	if outMask == 0 {
 		return
@@ -625,7 +634,7 @@ func (r *Router) saGrantPort(cycle int64, oi int, req uint64) {
 	}
 	r.claim(g, oi)
 	r.forward(cycle, g, oi)
-	r.Counters.SAGrants++
+	r.cnt.SAGrants++
 }
 
 // claim takes input VC f's whole input port and output port oi out of
@@ -648,7 +657,7 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 	if r.claimIn>>uint(f)&1 != 0 || r.claimOut>>uint(oi)&1 != 0 {
 		return
 	}
-	if r.vcLen[f] == 0 || r.vcFrontArrived(f) >= cycle {
+	if r.vcLen[f] == 0 || r.vcFrontAt[f] >= cycle {
 		return
 	}
 	if r.serMask>>uint(oi)&1 != 0 && cycle < r.serFree[oi] {
@@ -657,8 +666,8 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 	if r.linkMask>>uint(oi)&1 != 0 && r.credits[oi*r.vcsPerPort+int(r.vcOutVC[f])] <= 0 {
 		return
 	}
-	r.Counters.SAReqs++
-	r.Counters.SAGrants++
+	r.cnt.SAReqs++
+	r.cnt.SAGrants++
 	r.claim(f, oi)
 	r.forward(cycle, f, oi)
 }
@@ -667,20 +676,21 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 // The flit is read and mutated (hop count) in its ring slot and copied
 // out exactly once — into the downstream ring, a boundary mailbox or the
 // ejection event — then dropped without a pop copy. It is the only code
-// that reserves a downstream ring slot.
+// that writes a downstream ring slot at send time.
 func (r *Router) forward(cycle int64, fi, oi int) {
 	cfg := &r.net.cfg
 	pi := int(r.portOf[fi])
 	ip := &r.inPorts[pi]
 	op := &r.outPorts[oi]
 	f := &r.bufFlit[fi*r.bufDepth+int(r.vcHead[fi])]
-	frac := r.layerFracN(f.ActiveLayers)
+	layers := r.layersN(f.ActiveLayers)
+	frac := r.net.layerFrac[layers]
 	outVC := int(r.vcOutVC[fi])
 
-	r.Counters.BufReads++
-	r.Counters.WBufReads += frac
-	r.Counters.XbarFlits++
-	r.Counters.WXbarFlits += frac
+	r.cnt.BufReads++
+	r.cnt.WBufReads += frac
+	r.cnt.XbarFlits++
+	r.cnt.WXbarFlits += frac
 	sh := r.sh
 	if sh.probe != nil {
 		sh.probe.ProbeEvent(ProbeEvent{
@@ -730,24 +740,24 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		if r.credits[ci] < 0 {
 			panic(fmt.Sprintf("noc: router %d negative credits on %v vc %d", r.id, op.dir, outVC))
 		}
-		r.Counters.LinkFlits++
-		r.Counters.WLinkFlits += frac
+		r.cnt.LinkFlits++
+		r.cnt.WLinkFlits += frac
 		op.flitCount++
 		if sh.probe != nil {
 			sh.probe.ProbeEvent(ProbeEvent{
 				Kind: ProbeLink, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
 			})
 		}
-		r.Counters.LinkMMFlits += op.link.LengthMM
-		r.Counters.WLinkMMFlits += op.link.LengthMM * frac
+		r.cnt.LinkMMFlits += op.link.LengthMM
+		r.cnt.WLinkMMFlits += op.link.LengthMM * frac
 		if op.dir.IsExpress() {
-			r.Counters.ExpFlits++
+			r.cnt.ExpFlits++
 		}
 		if op.dir.IsVertical() {
-			r.Counters.VertFlits++
+			r.cnt.VertFlits++
 		}
 		if op.class.IsD2D() {
-			r.Counters.D2DFlits++
+			r.cnt.D2DFlits++
 		}
 		if op.serCycles > 1 {
 			// A narrow d2d link streams this flit for serCycles cycles;
@@ -760,35 +770,36 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		at := cycle + op.arriveDelta
 		gi := op.downVCBase + event(outVC)
 		if op.downShard == r.shard {
-			// The flit body goes straight into its future slot of the
-			// downstream VC ring (single copy); the event word is the
-			// destination's global flat VC index — the arrival notice
-			// that exposes the flit at the delivery cycle. Deliveries are
-			// FIFO per VC (one flit per link per cycle) and pops leave
-			// head+len invariant, so the slot computed here — after the
-			// buffered flits and the earlier in-flight ones — is exactly
-			// where vcArrive will expose it. The flat arrays are
-			// addressed by the global index precomputed in downVCBase,
-			// so the downstream router header is never touched.
+			// The flit goes straight into its downstream ring slot (one
+			// copy, addressed by the global index in downVCBase), lands by
+			// its arrival cycle alone (soa.go) and counts its write now;
+			// only a head schedules a word, for deliver to start it.
 			st := &r.net.soa
 			depth := r.bufDepth
-			occ := int(st.vcLen[gi]) + int(st.vcInFly[gi])
-			if occ >= depth {
-				r.net.reserveOverflow(gi)
+			n := int(st.vcLen[gi])
+			if n >= depth {
+				r.net.vcOverflow(gi)
 			}
-			slot := int(st.vcHead[gi]) + occ
+			slot := int(st.vcHead[gi]) + n
 			if slot >= depth {
 				slot -= depth
 			}
 			st.bufFlit[int(gi)*depth+slot] = *f
 			st.bufArrived[int(gi)*depth+slot] = at
-			st.vcInFly[gi]++
-			s := sh.evSlot(cycle, at)
-			*s = append(*s, gi)
-			if sh.stamp {
-				idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-				*idx = append(*idx, sh.hot.seq)
-				sh.hot.seq++
+			if n == 0 {
+				st.vcFrontAt[gi] = at
+			}
+			st.vcLen[gi]++
+			op.down.cnt.BufWrites++
+			op.down.bufLayers += layers
+			if f.Type.IsHead() {
+				s := sh.evSlot(cycle, at)
+				*s = append(*s, gi)
+				if sh.stamp {
+					idx := &sh.evIdx[sh.phase][at&sh.ringMask]
+					*idx = append(*idx, sh.hot.seq)
+					sh.hot.seq++
+				}
 			}
 		} else {
 			// Cross-shard forward: the downstream arrays belong to a
@@ -808,9 +819,11 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	r.vcDrop(fi)
 
 	if isTail {
+		// The next head starts here if it has landed; one still on the
+		// wire finds the VC idle and starts at its own word (deliver).
 		r.reserved[oi*r.vcsPerPort+outVC] = false
-		if next := r.vcFrontFlit(fi); next != nil {
-			if !next.Type.IsHead() {
+		if r.vcLen[fi] > 0 && r.vcFrontAt[fi] <= cycle {
+			if !r.vcFrontFlit(fi).Type.IsHead() {
 				panic(fmt.Sprintf("noc: router %d flit after tail is not a head", r.id))
 			}
 			r.startHead(int32(fi), cycle)
@@ -820,12 +833,16 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	}
 }
 
-// occupancy returns the total buffered flits (for tests and saturation
-// diagnostics).
-func (r *Router) occupancy() int {
-	n := 0
-	for _, l := range r.vcLen {
-		n += int(l)
+// onWire returns the buffer writes forward already counted for r's
+// flits still on the wire (the ring suffixes past vcLanded) and their
+// active layers.
+func (r *Router) onWire() (writes, layers int64) {
+	for f := range r.vcLen {
+		for k := r.vcLanded(f, r.net.cycle); k < int(r.vcLen[f]); k++ {
+			fl := &r.bufFlit[f*r.bufDepth+(int(r.vcHead[f])+k)%r.bufDepth]
+			writes++
+			layers += r.layersN(fl.ActiveLayers)
+		}
 	}
-	return n
+	return writes, layers
 }

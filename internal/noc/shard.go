@@ -412,13 +412,14 @@ func (n *Network) deliver(sh *shardState) {
 
 	// Events, in the canonical order: for each send phase, sources in
 	// ascending shard order (the shard's own ring takes its place among
-	// them), entries in append order. Every arrival ends in the one
-	// arrive tail NI injection also uses.
+	// them), entries in append order. The meter counts the words a
+	// sequential run would deliver: a mailbox lane's heads, a ring slot's
+	// every word.
 	stamp := sh.stamp
 	if stamp {
 		sh.hot.seq = 0
 	}
-	ownerOf := n.soa.ownerOf
+	ownerOf, vcState, vcFrontAt := n.soa.ownerOf, n.soa.vcState, n.soa.vcFrontAt
 	for p := 0; p < 2; p++ {
 		for s := range n.shards {
 			if int32(s) != sh.idx {
@@ -430,13 +431,19 @@ func (n *Network) deliver(sh *shardState) {
 				m.ev[p][slot] = xs[:0]
 				if meter != nil {
 					meter.cross[s*len(n.shards)+int(sh.idx)].flits.Add(int64(len(xs)))
+					heads := int64(0)
+					for k := range xs {
+						if xs[k].flit.Type.IsHead() {
+							heads++
+						}
+					}
+					meter.shards[sh.idx].ringWords.Add(heads)
 				}
 				for k := range xs {
 					// A cross-shard flit carries its body: push it into the
 					// ring now (the slot equals the one a send-time direct
-					// write would have reserved, because deliveries are FIFO
-					// per VC and cross-shard channels never hold in-fly
-					// reservations).
+					// write would have taken, because deliveries are FIFO per
+					// VC and cross-shard channels never hold direct writes).
 					x := &xs[k]
 					if stamp {
 						sh.probeKey = probeKey(p, int32(s), x.idx)
@@ -453,6 +460,9 @@ func (n *Network) deliver(sh *shardState) {
 				continue
 			}
 			sh.ev[p][slot] = events[:0]
+			if meter != nil {
+				meter.shards[sh.idx].ringWords.Add(int64(len(events)))
+			}
 			idxs := sh.evIdx[p][slot]
 			sh.evIdx[p][slot] = idxs[:0]
 			for k, ev := range events {
@@ -466,12 +476,15 @@ func (n *Network) deliver(sh *shardState) {
 					sh.probeKey = probeKey(p, sh.idx, seq)
 				}
 				if ev >= 0 {
-					// Same-shard link arrival: ev is the destination's
-					// global flat VC index, and the upstream forward already
-					// wrote the flit into its ring slot; expose it.
-					r := &n.routers[ownerOf[ev]]
-					fi := int(ev - r.vcBase)
-					r.arrive(fi, r.vcArrive(fi), cycle)
+					// A head landing at ev, the destination's global flat VC
+					// index (forward wrote and counted it): an idle VC holds
+					// no landed flit, so the head is its front and starts.
+					// Otherwise the tail ahead of it starts it (forward);
+					// a busy VC whose front lands now is a bug (landHead).
+					if vcState[ev] == vcIdle || vcFrontAt[ev] == cycle {
+						r := &n.routers[ownerOf[ev]]
+						r.landHead(ev-r.vcBase, cycle)
+					}
 					continue
 				}
 				sh.hot.inFlightFlits--

@@ -100,6 +100,59 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardCountersThreeLayers holds the per-router counters to
+// bit-identity across shard counts where k/Layers is inexact in float64
+// (Layers = 3, short flits): direct writes count at send time and
+// mailbox writes at landing, so the write order differs with the shard
+// count. Read mid-run with flits on the wire, after a reset taken with
+// flits on the wire, and after the drain.
+func TestShardCountersThreeLayers(t *testing.T) {
+	run := func(shards int) (reads [2][]Counters) {
+		cfg := cfg2D(2)
+		cfg.Layers, cfg.Shards, cfg.Seed = 3, shards, 5
+		net := NewNetwork(cfg)
+		t.Cleanup(net.ReleaseWorkers)
+		rng := rand.New(rand.NewSource(5))
+		n := cfg.Topo.NumNodes()
+		for c := 0; c < 900; c++ {
+			for src := 0; c < 600 && src < n; src++ {
+				if rng.Float64() >= 0.06 {
+					continue
+				}
+				sp := Spec{Src: topology.NodeID(src), Dst: topology.NodeID((src + 1 + rng.Intn(n-1)) % n), Size: 4, Class: Data,
+					LayersPerFlit: []uint8{uint8(1 + rng.Intn(3)), uint8(1 + rng.Intn(3)), 1, 2}}
+				if _, err := net.Enqueue(sp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch c {
+			case 200:
+				net.ResetCounters()
+			case 500:
+				reads[0] = net.RouterCounters()
+			}
+			net.Step()
+		}
+		for i := 0; i < 5000 && !net.Idle(); i++ {
+			net.Step()
+		}
+		reads[1] = net.RouterCounters()
+		return reads
+	}
+	ref := run(1)
+	for _, shards := range []int{2, 3} {
+		got := run(shards)
+		for k := range ref {
+			for i := range ref[k] {
+				if got[k][i] != ref[k][i] {
+					t.Fatalf("shards=%d read %d router %d: counters diverge:\nsharded    %+v\nsequential %+v",
+						shards, k, i, got[k][i], ref[k][i])
+				}
+			}
+		}
+	}
+}
+
 // probeRec is a comparable snapshot of one probe event (the live event
 // carries a *Packet, which differs between runs by identity).
 type probeRec struct {
@@ -188,9 +241,12 @@ func plantMail(n *Network, src, dst int32, p int, gi int32, at int64, pktID int6
 // shard's own ring taking its place among them, each lane in append
 // order. The test plants arrivals for single VCs from several sources
 // in scrambled plant order and then reads the resulting buffer FIFO
-// order, which records exactly the drain sequence — any deviation
-// (descending sources, phase interleaving, own-ring first or last)
-// reorders the buffered flits and fails.
+// order, which records exactly the drain sequence of the mailbox
+// flits — any deviation (descending sources, phase interleaving)
+// reorders the buffered flits and fails. A same-shard link flit is
+// written at send time, so its ring word's place in the drain order
+// moves no flit; where it lands among the mailbox lanes shows only in
+// the probe merge keys.
 func TestShardMailboxDrainOrder(t *testing.T) {
 	cfg := cfg2D(2)
 	cfg.Shards = 4
@@ -225,18 +281,17 @@ func TestShardMailboxDrainOrder(t *testing.T) {
 	plantMail(n, 0, dst, 1, gis[1], at, 110)
 	plantMail(n, 2, dst, 0, gis[1], at, 112)
 
-	// VC C: the shard's own ring (direct-written arrival, source shard
-	// 1) flanked by mailbox arrivals from sources 0 and 3. Canonical
-	// drain slots the own ring at its shard index: 0, own(1), 3. A
-	// real channel never mixes the two mechanisms (one upstream per
-	// channel), so plant the direct-written flit body by hand into the
-	// buffer slot it occupies on arrival — one mailbox flit drains
-	// canonically before it, so slot 1; a deviating drain order
-	// exposes the wrong slot.
+	// VC C: the shard's own ring (a head on the wire, source shard 1)
+	// flanked by mailbox arrivals from sources 0 and 3. A real channel
+	// never mixes the two mechanisms (one upstream per channel), so
+	// plant the direct write by hand: written at send time, so it holds
+	// slot 0 whatever the drain order, while its word only starts it.
+	// The mailbox flits follow in ascending source order.
 	depth := n.cfg.BufDepth
-	n.soa.bufFlit[int(gis[2])*depth+1] = Flit{Pkt: &Packet{ID: 121, Dst: r.id}, Type: HeadTailFlit}
-	n.soa.bufArrived[int(gis[2])*depth+1] = at
-	n.soa.vcInFly[gis[2]]++
+	n.soa.bufFlit[int(gis[2])*depth] = Flit{Pkt: &Packet{ID: 121, Dst: r.id}, Type: HeadTailFlit}
+	n.soa.bufArrived[int(gis[2])*depth] = at
+	n.soa.vcFrontAt[gis[2]] = at
+	n.soa.vcLen[gis[2]]++
 	plantMail(n, 3, dst, 0, gis[2], at, 123)
 	own := &n.shards[dst].ev[0][at&n.ringMask]
 	*own = append(*own, gis[2])
@@ -247,11 +302,11 @@ func TestShardMailboxDrainOrder(t *testing.T) {
 	want := [][]int64{
 		{100, 102, 103},
 		{112, 110},
-		{120, 121, 123},
+		{121, 120, 123},
 	}
 	for k, gi := range gis[:3] {
 		fi := int(gi - r.vcBase)
-		if got := r.vcOcc(fi); got != len(want[k]) {
+		if got := r.vcLanded(fi, n.cycle); got != len(want[k]) {
 			t.Fatalf("vc %d: %d buffered flits, want %d", k, got, len(want[k]))
 		}
 		for j := 0; j < len(want[k]); j++ {

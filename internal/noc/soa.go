@@ -11,11 +11,8 @@ import (
 // cycle), output credits and reservations, arbiter rotors and per-port
 // route masks — lives in contiguous per-Network arrays, one allocation
 // per kind, indexed by flat (router, port, vc). (The pending sets are
-// single words and sit in the Router header itself.)
-// Stage loops therefore walk dense typed slices instead of chasing
-// pointers across per-router/per-port/per-VC heap objects, which is
-// what dominated per-cycle cost at high injection rates once
-// allocations (PR 1) and idle work (PR 2) were gone.
+// single words and sit in the Router header itself.) Stage loops
+// therefore walk dense typed slices, not per-VC heap objects.
 //
 // # Index math
 //
@@ -52,25 +49,32 @@ import (
 // The flattening moves bytes, not decisions: every stage loop visits
 // the same (router, port, vc) tuples in the same order as before, the
 // arbiters receive identical request vectors over identical flat
-// indices (arbState, arbiter.go), and cross-router
-// interaction still flows exclusively through the event ring. The VC
-// ring buffer replaces the old append/compact slice but preserves
-// FIFO order and the arrived-cycle tags, so eligibility tests see the
-// same values. The checked step mode and the golden determinism tests
-// verify the result streams are byte-identical across all step modes,
-// pipeline variants and worker counts.
+// indices (arbState, arbiter.go), and cross-router interaction flows
+// only through the ring slots and the event ring. The ring keeps FIFO
+// order and the arrived-cycle tags, so eligibility tests see the same
+// values.
+//
+// # Landing by cycle
+//
+// A same-shard link flit is written downstream at send time and lands
+// at its bufArrived cycle with no delivery work; until then it is on
+// the wire. Only a head schedules an arrival word (Network.deliver).
 type soaState struct {
 	// Per-VC control scalars, indexed by vcBase(r) + pi*VCs + vi.
 	vcState []vcState
 	vcHead  []int32 // ring read position, in [0, BufDepth)
-	vcLen   []int32 // ring occupancy, in [0, BufDepth]
+	// vcLen counts the flits written into the ring, landed or still on
+	// the wire, in [0, BufDepth]: what credits account against and what
+	// positions the next write.
+	vcLen []int32
 	// vcReadyAt is the first cycle a head routed on arrival (look-ahead)
 	// may bid in VA; never written otherwise, so every waiter is ready.
 	vcReadyAt []int64
 	// vcFrontAt caches the arrival cycle of each VC's front flit (valid
-	// while occupancy > 0, maintained by vcPush/vcArrive/vcDrop), so the SA
-	// eligibility scan reads one dense lane instead of chasing into the
-	// ring storage; CheckInvariants cross-checks it against the ring.
+	// while vcLen > 0, maintained by vcPush/forward/vcDrop), which may
+	// lie in the future while the front is on the wire, so the SA
+	// eligibility test vcFrontAt < cycle reads one dense lane instead of
+	// chasing into the ring storage; CheckInvariants cross-checks it.
 	vcFrontAt []int64
 	vcOutDir  []topology.Dir
 	vcOutPort []int8 // routed output port index, -1 until RC
@@ -79,11 +83,6 @@ type soaState struct {
 	// request build reads its one-word summary, Router.dataVCs, which
 	// CheckInvariants rebuilds from this lane.
 	vcClass []Class
-	// vcInFly counts flits already written into the VC's ring slots by
-	// an upstream forward but not yet delivered (the event ring holds
-	// their arrival notices). Occupancy-wise they are invisible until
-	// delivery; the count positions the next upstream write.
-	vcInFly []int8
 
 	// Ring storage: BufDepth slots per VC, flits and arrival cycles in
 	// parallel arrays so eligibility scans touch only the int64 lane.
@@ -131,7 +130,6 @@ func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 		vcOutPort:  make([]int8, totalVCs),
 		vcOutVC:    make([]int8, totalVCs),
 		vcClass:    make([]Class, totalVCs),
-		vcInFly:    make([]int8, totalVCs),
 		bufFlit:    make([]Flit, totalVCs*cfg.BufDepth),
 		bufArrived: make([]int64, totalVCs*cfg.BufDepth),
 		reserved:   make([]bool, pv),
@@ -155,18 +153,29 @@ func (r *Router) vaArb(oi, ov int) *arbState { return &r.arbs[oi*(1+r.vcsPerPort
 
 // VC ring-buffer operations. Each VC owns a fixed window of BufDepth
 // slots; head/len advance modulo the depth (written as compare-and-
-// subtract — no division). Fixed capacity is itself an invariant: the
-// old slice-backed buffers were allocated at 2x depth and relied on
-// credit accounting alone to stay within depth, whereas the ring makes
-// an overflow physically impossible to store, so vcPush panics with
-// the exact (router, port, vc) coordinates on any credit bug.
+// subtract — no division). Fixed capacity makes an overflow impossible
+// to store, so both write paths panic with the exact (router, port,
+// vc) coordinates on any credit bug.
 
-// vcOcc returns the buffer occupancy in flits of local flat VC f (what
-// credits account against).
-func (r *Router) vcOcc(f int) int { return int(r.vcLen[f]) }
+// vcLanded returns the flits of local flat VC f that have landed by
+// cycle: vcLen less the ring suffix still on the wire (arrival cycles
+// rise along the ring, so the suffix is found from the back).
+func (r *Router) vcLanded(f int, cycle int64) int {
+	n := int(r.vcLen[f])
+	for ; n > 0; n-- {
+		slot := int(r.vcHead[f]) + n - 1
+		if slot >= r.bufDepth {
+			slot -= r.bufDepth
+		}
+		if r.bufArrived[f*r.bufDepth+slot] <= cycle {
+			break
+		}
+	}
+	return n
+}
 
-// vcFrontFlit returns a pointer to the oldest buffered flit of VC f,
-// or nil when empty.
+// vcFrontFlit returns a pointer to the oldest written flit of VC f
+// (landed unless vcFrontAt says otherwise), or nil when empty.
 func (r *Router) vcFrontFlit(f int) *Flit {
 	if r.vcLen[f] == 0 {
 		return nil
@@ -174,25 +183,15 @@ func (r *Router) vcFrontFlit(f int) *Flit {
 	return &r.bufFlit[f*r.bufDepth+int(r.vcHead[f])]
 }
 
-// vcFrontArrived returns the arrival cycle of the oldest buffered flit
-// of VC f; the caller guarantees occupancy. It reads the dense front
-// cache rather than the ring storage.
-func (r *Router) vcFrontArrived(f int) int64 {
-	return r.vcFrontAt[f]
-}
-
-// vcPush appends a flit to VC f's ring. Overflow means a credit
+// vcPush appends a landed flit to VC f's ring. Overflow means a credit
 // accounting bug upstream; the panic names the exact buffer. Two paths
 // push: the NI injection path (local-port VCs, which never carry link
 // traffic) and cross-shard mailbox delivery (a channel fed from another
-// shard never holds send-time reservations, so vcInFly stays 0 on it) —
-// in both cases vcLen alone positions the slot and can never collide
-// with a slot forward reserved.
+// shard never holds send-time writes) — so a pushed VC holds no flit
+// on the wire.
 func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {
 	if int(r.vcLen[f]) >= r.bufDepth {
-		pi, vi := f/r.vcsPerPort, f%r.vcsPerPort
-		panic(fmt.Sprintf("noc: router %d port %d (%v) vc %d buffer overflow (credit bug)",
-			r.id, pi, r.inPorts[pi].dir, vi))
+		r.net.vcOverflow(r.vcBase + int32(f))
 	}
 	slot := int(r.vcHead[f]) + int(r.vcLen[f])
 	if slot >= r.bufDepth {
@@ -206,33 +205,15 @@ func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {
 	r.vcLen[f]++
 }
 
-// reserveOverflow reconstructs the (router, port, vc) coordinates of
-// the global VC slot forward found full and panics, matching vcPush's
-// message; it is a function of its own to keep the panic's formatting
-// out of forward's hot path.
-func (n *Network) reserveOverflow(gi int32) {
+// vcOverflow panics naming the (router, port, vc) of global VC gi, which
+// a write found full; it is a function of its own to keep the panic's
+// formatting out of the write paths.
+func (n *Network) vcOverflow(gi int32) {
 	r := &n.routers[n.soa.ownerOf[gi]]
 	fi := int(gi - r.vcBase)
 	pi, vi := fi/r.vcsPerPort, fi%r.vcsPerPort
 	panic(fmt.Sprintf("noc: router %d port %d (%v) vc %d buffer overflow (credit bug)",
 		r.id, pi, r.inPorts[pi].dir, vi))
-}
-
-// vcArrive exposes the oldest in-flight flit of VC f (written earlier
-// by the upstream forward) as buffered, returning a pointer to it. The
-// caller is shardCycle's delivery of the arrival word, at exactly the
-// cycle forward stamped as its arrival.
-func (r *Router) vcArrive(f int) *Flit {
-	slot := int(r.vcHead[f]) + int(r.vcLen[f])
-	if slot >= r.bufDepth {
-		slot -= r.bufDepth
-	}
-	r.vcInFly[f]--
-	if r.vcLen[f] == 0 {
-		r.vcFrontAt[f] = r.bufArrived[f*r.bufDepth+slot]
-	}
-	r.vcLen[f]++
-	return &r.bufFlit[f*r.bufDepth+slot]
 }
 
 // vcDrop removes the front flit of VC f without copying it out; the

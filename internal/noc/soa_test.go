@@ -89,8 +89,9 @@ func TestSoAViewAliasing(t *testing.T) {
 	// The link-side write: forward addresses the downstream ring through
 	// the flat arrays by global index, never through the downstream
 	// router's windows. A packet from router 8 to router 6 crosses router
-	// 7's east input; while its head is in flight on that link, the
-	// reservation forward made must be visible through router 7's views.
+	// 7's east input; while its head is on that link (written, not yet
+	// landed), the write forward made must be visible through router 7's
+	// views.
 	pkt, err := net.Enqueue(Spec{Src: 8, Dst: 6, Size: 1, Class: Data})
 	if err != nil {
 		t.Fatal(err)
@@ -99,17 +100,20 @@ func TestSoAViewAliasing(t *testing.T) {
 	for i := 0; i < 50 && f < 0; i++ {
 		net.Step()
 		for v := 0; v < r.vcsPerPort; v++ {
-			if r.vcInFly[r.flatVC(pi, v)] > 0 {
-				f = r.flatVC(pi, v)
+			if fv := r.flatVC(pi, v); int(r.vcLen[fv]) > r.vcLanded(fv, net.cycle) {
+				f = fv
 			}
 		}
 	}
 	if f < 0 {
-		t.Fatal("no flit seen in flight toward router 7's east input")
+		t.Fatal("no flit seen on the wire toward router 7's east input")
 	}
 	gi = int(r.vcBase) + f
-	if got := net.soa.vcInFly[gi]; got != 1 {
-		t.Errorf("flat vcInFly reads %d while the window reads 1", got)
+	if got := net.soa.vcLen[gi]; got != 1 || r.vcLanded(f, net.cycle) != 0 {
+		t.Errorf("flat vcLen reads %d, window landed %d; want one flit on the wire", got, r.vcLanded(f, net.cycle))
+	}
+	if got := net.soa.vcFrontAt[gi]; got <= net.cycle {
+		t.Errorf("front-arrival lane %d at cycle %d; the head is still on the wire", got, net.cycle)
 	}
 	slot := gi*net.cfg.BufDepth + int(r.vcHead[f])
 	if got := net.soa.bufFlit[slot]; got.Pkt != pkt {
@@ -132,8 +136,8 @@ func TestSoAViewAliasing(t *testing.T) {
 // forwardInto sends flit from the router upstream of r's input port pi
 // into VC vi of that port, the way the SA stage does after a grant: the
 // flit is staged in the upstream router's local input VC 0 and handed to
-// forward. Nothing delivers it, so repeated calls pile reservations onto
-// the downstream ring.
+// forward. Nothing steps the network, so repeated calls pile flits on
+// the wire into the downstream ring.
 func forwardInto(net *Network, r *Router, pi, vi int, flit Flit) {
 	ip := &r.inPorts[pi]
 	up := &net.routers[ip.upstream]
@@ -145,28 +149,12 @@ func forwardInto(net *Network, r *Router, pi, vi int, flit Flit) {
 
 // TestVCOverflowPanics pins the fixed-capacity ring contract: occupancy
 // beyond BufDepth is physically unstorable, and both write paths — the
-// NI-side vcPush and the link-side reserve in forward — panic naming the
+// NI-side vcPush and the link-side write in forward — panic naming the
 // exact router, port and VC, so a credit bug reports where it happened
 // rather than corrupting state. The link side is driven through forward
 // itself, with the credit bug played by handing the upstream router a
 // credit it is not owed.
 func TestVCOverflowPanics(t *testing.T) {
-	mustPanic := func(t *testing.T, wantSub []string, fn func()) {
-		t.Helper()
-		defer func() {
-			msg, ok := recover().(string)
-			if !ok {
-				t.Fatalf("no panic; want buffer-overflow panic")
-			}
-			for _, sub := range wantSub {
-				if !strings.Contains(msg, sub) {
-					t.Errorf("panic %q does not name %q", msg, sub)
-				}
-			}
-		}()
-		fn()
-	}
-
 	t.Run("push", func(t *testing.T) {
 		net := NewNetwork(cfg2D(1))
 		r := &net.routers[0]
@@ -193,8 +181,9 @@ func TestVCOverflowPanics(t *testing.T) {
 		for i := 0; i < net.cfg.BufDepth; i++ {
 			forwardInto(net, r, pi, vi, flit)
 		}
-		if got := int(r.vcInFly[r.flatVC(pi, vi)]); got != net.cfg.BufDepth {
-			t.Fatalf("%d reservations in flight, want %d", got, net.cfg.BufDepth)
+		fv := r.flatVC(pi, vi)
+		if written, landed := int(r.vcLen[fv]), r.vcLanded(fv, net.cycle); written-landed != net.cfg.BufDepth {
+			t.Fatalf("%d written - %d landed flits on the wire, want %d", written, landed, net.cfg.BufDepth)
 		}
 		// Out of credits, forward refuses before it reaches the ring...
 		mustPanic(t, []string{"router 8", "negative credits", "west", fmt.Sprintf("vc %d", vi)}, func() {
@@ -210,9 +199,9 @@ func TestVCOverflowPanics(t *testing.T) {
 		})
 	})
 
-	// Reserved-but-undelivered flits count against the depth too: a VC
-	// with buffered flits and in-flight reservations summing to the
-	// depth must reject another reservation.
+	// Flits on the wire count against the depth too: a VC with landed
+	// flits and flits on the wire summing to the depth must reject
+	// another write.
 	t.Run("mixed", func(t *testing.T) {
 		net := NewNetwork(cfg2D(1))
 		r := &net.routers[7]
@@ -232,4 +221,97 @@ func TestVCOverflowPanics(t *testing.T) {
 			forwardInto(net, r, pi, 0, flit)
 		})
 	})
+}
+
+// mustPanic runs fn and fails unless it panics with a message naming
+// every string in wantSub.
+func mustPanic(t *testing.T, wantSub []string, fn func()) {
+	t.Helper()
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok {
+			t.Fatalf("no panic; want one naming %q", wantSub)
+		}
+		for _, sub := range wantSub {
+			if !strings.Contains(msg, sub) {
+				t.Errorf("panic %q does not name %q", msg, sub)
+			}
+		}
+	}()
+	fn()
+}
+
+// TestHeadLandsInBusyVCPanics: a head that lands at the front of a VC
+// not idle is a credit or VC-state bug; its arrival word panics naming
+// the VC instead of leaving the packet stalled.
+func TestHeadLandsInBusyVCPanics(t *testing.T) {
+	net := NewNetwork(cfg2D(1))
+	r := &net.routers[7]
+	pi := int(r.inIndex[topology.East])
+	forwardInto(net, r, pi, 1, Flit{Pkt: &Packet{Src: 8, Dst: 6, Size: 1}, Type: HeadTailFlit})
+	r.vcState[r.flatVC(pi, 1)] = vcActive // the bug: a state left over from an earlier packet
+	mustPanic(t, []string{"router 7", "port east", "vc 1", "head arrives in state"}, func() {
+		for i := 0; i < 10; i++ {
+			net.Step()
+		}
+	})
+}
+
+// TestBodyFlitsScheduleNoEvent pins the landing rule's work count: a
+// same-shard link flit lands by its arrival cycle alone, so only a head
+// leaves an arrival word per hop. A lone 4-flit packet across the mesh
+// and a lone 16-flit message over a latency-16 d2d link deliver exactly
+// one word per ejected flit plus one per hop; under load the meter's
+// count is ejected flits plus link-forwarded heads at every shard count.
+func TestBodyFlitsScheduleNoEvent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		spec Spec
+	}{
+		{"mesh", cfg2D(2), Spec{Src: 0, Dst: 35, Size: 4, Class: Data}},
+		{"d2d-lat16", cfgChiplet(16, 1, false), Spec{Src: 0, Dst: 7, Size: 16, Class: Data}},
+	} {
+		net := NewNetwork(c.cfg)
+		m := net.EnableEngineMeter()
+		var done *Packet
+		net.SetEjectHandler(func(p *Packet) { done = p })
+		if _, err := net.Enqueue(c.spec); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000 && !net.Idle(); i++ {
+			net.Step()
+		}
+		if done == nil {
+			t.Fatalf("%s: packet not delivered", c.name)
+		}
+		tc := net.TotalCounters()
+		if want := int64(c.spec.Size * done.Hops); tc.LinkFlits != want {
+			t.Fatalf("%s: %d link flits, want %d over %d hops", c.name, tc.LinkFlits, want, done.Hops)
+		}
+		if c.cfg.Topo.NumChips() > 1 && tc.D2DFlits != int64(c.spec.Size) {
+			t.Fatalf("%s: %d d2d flits, want the whole message once", c.name, tc.D2DFlits)
+		}
+		if got, want := m.Snapshot().RingWords, int64(c.spec.Size+done.Hops); got != want {
+			t.Fatalf("%s: %d ring words, want %d ejected flits + %d heads", c.name, got, c.spec.Size, done.Hops)
+		}
+	}
+
+	var ref int64
+	for _, shards := range []int{1, 2, 3} {
+		cfg := cfg2D(2)
+		cfg.Seed, cfg.Shards = 42, shards
+		stream, _, snap := runMetered(t, cfg, StepActivity, 0.3, 600)
+		want := int64(0)
+		for _, e := range stream {
+			want += 4 + int64(e.hops)
+		}
+		if snap.RingWords != want {
+			t.Fatalf("shards=%d: %d ring words, want %d ejected flits + link-forwarded heads", shards, snap.RingWords, want)
+		}
+		if shards > 1 && snap.RingWords != ref {
+			t.Fatalf("shards=%d: %d ring words, sequential run %d", shards, snap.RingWords, ref)
+		}
+		ref = snap.RingWords
+	}
 }

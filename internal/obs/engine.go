@@ -450,9 +450,10 @@ func (ec *EngineCollector) Table() stats.Table {
 			fmt.Sprintf("%d", s.Cycles),
 		})
 	}
+	kcycles := max(float64(snap.Cycles)/1e3, 1e-3)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s (EMA)",
-			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(ema)),
+		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s (EMA) ring_words=%.1f/kcycle",
+			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(ema), float64(snap.RingWords)/kcycles),
 		fmt.Sprintf("pool: %d workers, utilization %.0f%%, imbalance %.2fx (max/mean shard busy), %d parks",
 			len(snap.Shards), 100*snap.Utilization(), snap.ImbalanceRatio(), snap.Parks))
 	if len(snap.Mailbox) > 0 {

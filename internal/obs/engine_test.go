@@ -180,7 +180,7 @@ func TestEngineTableAndSeries(t *testing.T) {
 		t.Fatalf("table has %d rows, want 4 shards", len(tbl.Rows))
 	}
 	notes := strings.Join(tbl.Notes, "\n")
-	for _, want := range []string{"pool: 4 workers", " parks", "mailbox:", "runtime:", "simulated results are unaffected"} {
+	for _, want := range []string{"ring_words=", "pool: 4 workers", " parks", "mailbox:", "runtime:", "simulated results are unaffected"} {
 		if !strings.Contains(notes, want) {
 			t.Errorf("table notes missing %q:\n%s", want, notes)
 		}

@@ -113,7 +113,7 @@ func RegisterNetwork(g *Registry, net *noc.Network, perVC []int) {
 		r := net.Router(topology.NodeID(i))
 		g.Gauge(fmt.Sprintf("r%d.occ", i), func() float64 { return float64(r.Occupancy()) })
 		g.Counter(fmt.Sprintf("r%d.credit_stalls", i),
-			func() float64 { return float64(r.Counters.CreditStalls) })
+			func() float64 { return float64(r.Counters().CreditStalls) })
 	}
 	vcs := net.Config().VCs
 	for _, id := range perVC {
