@@ -1,54 +1,49 @@
 // Command mirasim runs a single NoC simulation of one MIRA architecture
-// under a chosen workload and reports latency, throughput, power and
-// activity. Every run is described by a declarative scenario
-// (internal/scenario); -dump prints the scenario JSON for the current
-// flags instead of running it, and -scenario executes a JSON file of one
-// or more stored scenarios as a batch.
+// and reports latency, throughput, power and activity. A run is a
+// declarative scenario (internal/scenario): the built-in default (3DM,
+// uniform random at 0.15 flits/node/cycle, windows 5000/20000/40000,
+// seed 1) or each scenario of a -scenario file, run as a batch. Each
+// -set key=value edits one field: the key is a dotted scenario JSON
+// path, the value JSON or a bare string. Keys are independent, so a new
+// traffic kind sets the whole traffic object and -set measure=N leaves
+// drain alone. -dump prints the edited scenarios instead of running them.
 //
 // Usage:
 //
-//	mirasim -arch 3DM-E -traffic ur -rate 0.2
-//	mirasim -arch 2DB -traffic nuca -rate 0.1 -short 0.5
-//	mirasim -arch 3DM -traffic trace -workload tpcw
-//	mirasim -arch 2DB -traffic collective -algorithm ring-allreduce -iters 4 -measure 100000
-//	mirasim -arch 3DM -traffic ur -rate 0.2 -dump > run.json
-//	mirasim -scenario runs.json -workers 4
-//	mirasim -arch 3DM -traffic ur -rate 0.2 -trace run.jsonl -series occ.csv
-//	mirasim -arch 3DM -traffic ur -rate 0.2 -attrib stages.csv
+//	mirasim -set arch=3DM-E -set traffic.rate=0.2
+//	mirasim -set 'traffic={"kind":"trace","workload":"tpcw","trace_cycles":20000}'
+//	mirasim -set arch=2DB -set 'traffic={"kind":"replay","trace_file":"tpcw.trace"}'
+//	mirasim -set traffic.rate=0.2 -dump > run.json
+//	mirasim -scenario runs.json -set shards=2 -workers 4
+//	mirasim -set traffic.rate=0.2 -trace run.jsonl -series occ.csv
 //	mirasim -scenario runs.json -serve 127.0.0.1:8080
 //
 // -trace records every flit pipeline event as JSONL (replayable with
 // "miratrace flits"), -series writes the cycle-sampled gauge time series
-// (buffer occupancy, credit stalls, layer activity) as CSV, -attrib
+// (buffer occupancy, credit stalls, layer activity) as CSV, and -attrib
 // writes the per-flit span latency attribution (stage cycles by router,
-// traffic class, hop count and datapath layer) as CSV, and -obswindow
-// sets the sample window; any of them attaches the observability
-// collector (internal/obs) and prints a latency-percentile digest after
-// the run. A scenario file may request the same via its "observe" block.
+// traffic class, hop count and datapath layer) as CSV; any of them
+// attaches the observability collector (internal/obs), sampled every
+// observe.window cycles, and prints a latency-percentile digest.
 //
 // -progress renders a live engine-telemetry line on stderr (cycles/sec,
 // ETA, shard imbalance), -enginestats prints the end-of-run engine
 // table (per-shard wall time, pool utilization, runtime stats) on
 // stderr, and -enginejson FILE stores the sampled engine series for
-// offline rendering ("miratrace spans -engine"). All three are host
-// wall-clock introspection of the simulator itself and are strictly
+// offline rendering ("miratrace spans -engine"). All three are strictly
 // out-of-band: simulated results are bit-identical with or without
-// them.
+// them. A batch takes -progress; the other output flags are an error.
 //
-// -serve ADDR runs the batch (or the single flag-described scenario)
-// under a net/http server while it executes: hand-rolled Prometheus text
-// exposition of every run's metric registry at /metrics, run progress
-// and results at /runs, a liveness probe at /healthz, and net/http/pprof
-// at /debug/pprof/. Serving is observation-only — the simulated results
-// are bit-identical to an unserved run. The process prints the batch
-// results as JSON when the batch completes, then shuts the server down
-// and exits.
+// -serve ADDR runs the batch (or the edited default) under a net/http
+// server: Prometheus text exposition of every run's metric registry at
+// /metrics, run progress and results at /runs, a liveness probe at
+// /healthz, and net/http/pprof at /debug/pprof/. Serving is
+// observation-only. The batch results print as JSON when it completes.
 //
 // Diagnostics go to stderr as log/slog structured logs (-loglevel,
-// -logjson); result output stays on stdout untouched.
-//
-// Ctrl-C cancels the run; a canceled simulation reports the counters it
-// measured before the interrupt and marks the result canceled.
+// -logjson); result output stays on stdout untouched. Ctrl-C cancels
+// the run; a canceled simulation reports the counters it measured
+// before the interrupt and marks the result canceled.
 package main
 
 import (
@@ -76,40 +71,36 @@ import (
 	"mira/internal/serve"
 )
 
+// defaultScenario is the run -set edits when there is no -scenario.
+var defaultScenario = scenario.Scenario{
+	Arch:     "3DM",
+	Traffic:  scenario.Traffic{Kind: "ur", Rate: 0.15},
+	Warmup:   5000,
+	Measure:  20000,
+	Drain:    40000,
+	Seed:     1,
+	StepMode: "activity",
+}
+
 func main() {
-	archName := flag.String("arch", "3DM", "architecture: 2DB, 3DB, 3DM, 3DM(NC), 3DM-E, 3DM-E(NC)")
-	trafficKind := flag.String("traffic", "ur", "traffic kind: "+strings.Join(scenario.TrafficKinds(), ", "))
-	rate := flag.Float64("rate", 0.15, "injection rate in flits/node/cycle (synthetic)")
-	short := flag.Float64("short", 0, "fraction of short flits (ur, nuca)")
-	workload := flag.String("workload", "tpcw", "workload name (trace)")
-	traceFile := flag.String("tracefile", "", "recorded trace to replay (replay)")
-	hotFrac := flag.Float64("hotfrac", 0.3, "probability a packet targets a hot node (hotspot)")
-	colAlg := flag.String("algorithm", "ring-allreduce", "collective schedule: ring-allreduce, reduce-scatter or tree-broadcast (collective)")
-	colRanks := flag.Int("ranks", 0, "collective participant count, 0 = every node (collective)")
-	colIters := flag.Int("iters", 1, "back-to-back collective iterations (collective)")
-	colFlits := flag.Int("msgflits", 0, "collective message size in flits, 0 = the 4-flit data packet (collective)")
+	var sets [][2]string
+	flag.Func("set", "edit the scenario: key=value, key a dotted scenario JSON path (traffic.rate), value JSON or a bare string; repeatable", func(kv string) error {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return fmt.Errorf("%q is not key=value", kv)
+		}
+		sets = append(sets, [2]string{k, v})
+		return nil
+	})
 	colSteps := flag.Bool("steptable", false, "also print the per-step latency table after a collective run")
-	warmup := flag.Int64("warmup", 5000, "warm-up cycles")
-	measure := flag.Int64("measure", 20000, "measurement cycles")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	stepMode := flag.String("stepmode", "activity", "activity, or checked to cross-check every invariant after every cycle")
-	shards := flag.Int("shards", 0, "concurrent router shards inside the simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
-	chips := flag.String("chips", "", "replace the fabric with a chiplet grid, CXxCY/NXxNY (e.g. 2x2/4x4); append +express for inter-chip express channels")
-	d2d := flag.String("d2d", "", "die-to-die link timing for -chips as lat[:ser] cycles (e.g. 4 or 8:4; default 1:1 = indistinguishable from on-chip wires)")
-	shutdown := flag.Bool("shutdown", true, "apply layer-shutdown power accounting")
-	qos := flag.Bool("qos", false, "control-over-data switch priority")
-	spec := flag.Bool("spec", false, "speculative switch allocation (Figure 8 (b))")
-	lookahead := flag.Bool("lookahead", false, "look-ahead routing (Figure 8 (c))")
-	matrixArb := flag.Bool("matrix-arb", false, "matrix (least-recently-served) allocator arbiters")
 	trace := flag.String("trace", "", "write a JSONL flit-event trace to this file (see miratrace flits)")
 	series := flag.String("series", "", "write the sampled observability time series to this CSV file")
 	attrib := flag.String("attrib", "", "write the span latency-attribution table to this CSV file")
-	obsWindow := flag.Int64("obswindow", 0, "observability sample window in cycles (0 = default 1000; enables observation with -trace/-series/-attrib)")
 	progress := flag.Bool("progress", false, "live engine progress on stderr (cycles/sec, ETA, shard imbalance); enables engine telemetry")
 	engineStats := flag.Bool("enginestats", false, "print the end-of-run engine telemetry table (per-shard wall time, pool utilization) on stderr; enables engine telemetry")
 	engineJSON := flag.String("enginejson", "", "write the engine telemetry series as JSON to this file (see miratrace spans -engine); enables engine telemetry")
-	dump := flag.Bool("dump", false, "print the scenario JSON for these flags and exit without running")
-	scenarioFile := flag.String("scenario", "", "run a JSON scenario (or array of scenarios) from this file ('-' for stdin) and print JSON results")
+	dump := flag.Bool("dump", false, "print the edited scenario JSON and exit without running")
+	scenarioFile := flag.String("scenario", "", "run the JSON scenario (or array of scenarios) in this file ('-' for stdin) instead of the default, and print JSON results")
 	workers := flag.Int("workers", 0, "batch worker goroutines for -scenario (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock limit for -scenario (0 = none)")
 	serveAddr := flag.String("serve", "", "serve /metrics, /runs, /healthz and /debug/pprof on this address while the batch runs")
@@ -117,63 +108,68 @@ func main() {
 	cli.RegisterFlags(flag.CommandLine, &logf)
 	flag.Parse()
 	if err := cli.Setup(logf); err != nil {
-		fmt.Fprintf(os.Stderr, "mirasim: %v\n", err)
-		os.Exit(2)
+		cli.Usage("mirasim", err)
+	}
+	if flag.NArg() > 0 {
+		cli.Usage("mirasim", fmt.Errorf("unexpected argument %q (edit the scenario with -set key=value)", flag.Arg(0)))
+	}
+	batch := *scenarioFile != "" || *serveAddr != ""
+	if batch {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "trace", "series", "attrib", "steptable", "enginestats", "enginejson":
+				cli.Usage("mirasim", fmt.Errorf("-%s applies to a single run, not to a -scenario or -serve batch", f.Name))
+			}
+		})
+	}
+
+	scs := []scenario.Scenario{defaultScenario}
+	if *scenarioFile != "" {
+		var err error
+		if scs, err = loadScenarios(*scenarioFile); err != nil {
+			cli.Fatal("mirasim", err)
+		}
+	}
+	collect := *trace != "" || *series != "" || *attrib != ""
+	engine := *progress || *engineStats || *engineJSON != ""
+	for i := range scs {
+		sc := &scs[i]
+		for _, kv := range sets {
+			var err error
+			if *sc, err = sc.Set(kv[0], kv[1]); err != nil {
+				cli.Usage("mirasim", err)
+			}
+		}
+		if collect || engine {
+			if sc.Observe == nil {
+				sc.Observe = &scenario.Observe{}
+			}
+			sc.Observe.Spans = sc.Observe.Spans || *attrib != ""
+			sc.Observe.Engine = sc.Observe.Engine || engine
+		}
+		if *dump || *scenarioFile == "" {
+			if err := sc.Validate(); err != nil {
+				cli.Usage("mirasim", err)
+			}
+		}
+	}
+
+	if *dump {
+		var v any = scs
+		if len(scs) == 1 {
+			v = scs[0]
+		}
+		if err := printJSON(v); err != nil {
+			cli.Fatal("mirasim", err)
+		}
+		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	batchOpts := scenario.BatchOptions{Workers: *workers, Timeout: *timeout}
-
-	chipsBlock, err := parseChips(*chips, *d2d)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mirasim: %v\n", err)
-		os.Exit(2)
-	}
-
-	collectiveBlock := &scenario.Collective{
-		Algorithm:    *colAlg,
-		Participants: *colRanks,
-		Iterations:   *colIters,
-		MessageFlits: *colFlits,
-	}
-
-	flagScenario := func() scenario.Scenario {
-		if *trafficKind == "collective" {
-			// Collectives are closed-loop and start at cycle 0; the
-			// scenario layer rejects a warm-up window for them.
-			*warmup = 0
-		}
-		sc := scenario.Scenario{
-			Arch:        *archName,
-			Warmup:      *warmup,
-			Measure:     *measure,
-			Drain:       2 * *measure,
-			Seed:        *seed,
-			StepMode:    *stepMode,
-			Shards:      *shards,
-			QoSPriority: *qos,
-			SpecSA:      *spec,
-			LookaheadRC: *lookahead,
-			MatrixArb:   *matrixArb,
-			Traffic:     trafficFromFlags(*trafficKind, *rate, *short, *workload, *traceFile, *hotFrac, *measure, collectiveBlock),
-		}
-		sc.Chips = chipsBlock
-		if *trace != "" || *series != "" || *attrib != "" || *obsWindow > 0 {
-			sc.Observe = &scenario.Observe{Window: *obsWindow, Spans: *attrib != ""}
-		}
-		if *progress || *engineStats || *engineJSON != "" {
-			if sc.Observe == nil {
-				sc.Observe = &scenario.Observe{}
-			}
-			sc.Observe.Engine = true
-		}
-		return sc
-	}
-
 	if *progress {
-		if *scenarioFile != "" || *serveAddr != "" {
+		if batch {
 			// Batch runs execute concurrently; interleave labeled lines
 			// through the structured log instead of rewriting one line.
 			obs.SetEngineProgressHook(func(p obs.EngineProgress) {
@@ -186,39 +182,21 @@ func main() {
 		}
 	}
 
+	batchOpts := scenario.BatchOptions{Workers: *workers, Timeout: *timeout}
 	if *serveAddr != "" {
-		scs, err := loadScenarios(*scenarioFile, flagScenario)
-		if err == nil {
-			err = runServe(ctx, *serveAddr, scs, batchOpts)
-		}
-		if err != nil {
+		if err := runServe(ctx, *serveAddr, scs, batchOpts); err != nil {
 			cli.Fatal("mirasim", err)
 		}
 		return
 	}
-
 	if *scenarioFile != "" {
-		if err := runBatchFile(ctx, *scenarioFile, batchOpts); err != nil {
+		if err := printJSON(scenario.RunBatch(ctx, scs, batchOpts)); err != nil {
 			cli.Fatal("mirasim", err)
 		}
 		return
 	}
 
-	sc := flagScenario()
-	if err := sc.Validate(); err != nil {
-		slog.Error("invalid scenario", "cmd", "mirasim", "err", err)
-		os.Exit(2)
-	}
-
-	if *dump {
-		data, err := sc.MarshalIndent()
-		if err != nil {
-			cli.Fatal("mirasim", err)
-		}
-		fmt.Printf("%s\n", data)
-		return
-	}
-
+	sc := scs[0]
 	e, err := sc.Elaborate()
 	if err != nil {
 		cli.Fatal("mirasim", err)
@@ -244,7 +222,7 @@ func main() {
 	}
 
 	r := e.Sim.Run(ctx)
-	report(d, r, exp.NetworkPowerW(d, r, *shutdown))
+	report(d, r, exp.NetworkPowerW(d, r, true))
 	if e.Collective != nil {
 		fmt.Print(e.Collective.Summary().String())
 		if *colSteps {
@@ -345,77 +323,8 @@ func finishObs(c *obs.Collector, traceOut *os.File, tracePath, seriesPath, attri
 	return nil
 }
 
-// parseChips converts the -chips grid spec ("CXxCY/NXxNY", optionally
-// "+express") and the -d2d timing ("lat" or "lat:ser") into a scenario
-// chips block. An empty -chips returns nil; -d2d without -chips is an
-// error.
-func parseChips(chips, d2d string) (*scenario.Chips, error) {
-	if chips == "" {
-		if d2d != "" {
-			return nil, fmt.Errorf("-d2d needs -chips")
-		}
-		return nil, nil
-	}
-	c := &scenario.Chips{}
-	if rest, ok := strings.CutSuffix(chips, "+express"); ok {
-		chips = rest
-		c.Express = true
-	}
-	if n, err := fmt.Sscanf(chips, "%dx%d/%dx%d", &c.ChipsX, &c.ChipsY, &c.NodesX, &c.NodesY); n != 4 || err != nil {
-		return nil, fmt.Errorf("-chips %q: want CXxCY/NXxNY, e.g. 2x2/4x4", chips)
-	}
-	if d2d != "" {
-		lat, ser := d2d, ""
-		if l, s, ok := strings.Cut(d2d, ":"); ok {
-			lat, ser = l, s
-		}
-		if _, err := fmt.Sscanf(lat, "%d", &c.D2DLatency); err != nil {
-			return nil, fmt.Errorf("-d2d %q: want lat[:ser] cycles, e.g. 4 or 8:4", d2d)
-		}
-		if ser != "" {
-			if _, err := fmt.Sscanf(ser, "%d", &c.D2DSerCycles); err != nil {
-				return nil, fmt.Errorf("-d2d %q: want lat[:ser] cycles, e.g. 4 or 8:4", d2d)
-			}
-		}
-	}
-	return c, nil
-}
-
-// trafficFromFlags assembles the traffic description for one kind,
-// carrying over only the flags that kind consumes so the dumped scenario
-// JSON stays minimal.
-func trafficFromFlags(kind string, rate, short float64, workload, traceFile string, hotFrac float64, measure int64, col *scenario.Collective) scenario.Traffic {
-	t := scenario.Traffic{Kind: kind}
-	switch kind {
-	case "ur", "nuca":
-		t.Rate = rate
-		t.ShortFrac = short
-	case "transpose", "complement", "tornado":
-		t.Rate = rate
-	case "hotspot":
-		t.Rate = rate
-		t.HotFrac = hotFrac
-	case "trace":
-		t.Workload = workload
-		t.TraceCycles = measure
-	case "replay":
-		t.TraceFile = traceFile
-	case "collective":
-		t.Collective = col
-	}
-	return t
-}
-
-// loadScenarios resolves the batch to serve: the scenario file when one
-// was given, otherwise the single scenario described by the flags.
-func loadScenarios(path string, flagScenario func() scenario.Scenario) ([]scenario.Scenario, error) {
-	if path == "" {
-		sc := flagScenario()
-		if err := sc.Validate(); err != nil {
-			return nil, err
-		}
-		return []scenario.Scenario{sc}, nil
-	}
+// loadScenarios reads the -scenario file ('-' for stdin).
+func loadScenarios(path string) ([]scenario.Scenario, error) {
 	var in io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -428,19 +337,11 @@ func loadScenarios(path string, flagScenario func() scenario.Scenario) ([]scenar
 	return scenario.DecodeBatch(in)
 }
 
-// runBatchFile executes a stored scenario file through the batch runner
-// and streams the JSON results to stdout.
-func runBatchFile(ctx context.Context, path string, o scenario.BatchOptions) error {
-	var in io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	return scenario.RunBatchJSON(ctx, in, os.Stdout, o)
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // runServe executes the batch under the observability HTTP server. The
@@ -460,10 +361,7 @@ func runServe(ctx context.Context, addr string, scs []scenario.Scenario, o scena
 	slog.Info("serving", "cmd", "mirasim", "addr", ln.Addr().String(), "runs", len(scs))
 
 	results := srv.Run(ctx, o)
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := printJSON(results); err != nil {
 		return err
 	}
 

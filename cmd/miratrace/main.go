@@ -1,23 +1,21 @@
-// Command miratrace generates, inspects and replays NUCA coherence
-// traces (the reproduction's stand-in for the paper's Simics-generated
-// MP traces), and inspects JSONL flit-event traces recorded by the
-// observability layer (mirasim -trace). Generation and replay both go
-// through the declarative scenario layer, so a gen/replay pair is
-// reproducible from the same serialized description mirasim and
-// mirabench use.
+// Command miratrace generates and inspects NUCA coherence traces (the
+// reproduction's stand-in for the paper's Simics-generated MP traces),
+// and inspects JSONL flit-event traces recorded by the observability
+// layer (mirasim -trace). Generation goes through the declarative
+// scenario layer, and so does replay, which is a mirasim run:
+// mirasim -set arch=2DB -set 'traffic={"kind":"replay","trace_file":"tpcw.trace"}'.
 //
 // Usage:
 //
 //	miratrace gen -workload tpcw -cycles 30000 -arch 2DB -o tpcw.trace
 //	miratrace stat tpcw.trace
-//	miratrace replay -arch 2DB tpcw.trace
 //	miratrace flits run.jsonl
 //	miratrace spans run.jsonl
 //	miratrace spans -perfetto run.perfetto.json run.jsonl
 //	miratrace spans -heatmap congestion.csv -svg congestion.svg run.jsonl
 //
 // Traces are tied to the node numbering of the architecture they were
-// generated for; replay an -arch trace on the same -arch.
+// generated for; replay an -arch trace on the same arch.
 //
 // "flits" verifies a flit-event trace (parse, cycle ordering, per-flit
 // inject-before-eject protocol) and recomputes the recorded run's
@@ -47,17 +45,13 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"mira/internal/cli"
-	"mira/internal/exp"
 	"mira/internal/noc"
 	"mira/internal/obs"
 	"mira/internal/plot"
@@ -74,16 +68,12 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var err error
 	switch os.Args[1] {
 	case "gen":
 		err = cmdGen(os.Args[2:])
 	case "stat":
 		err = cmdStat(os.Args[2:])
-	case "replay":
-		err = cmdReplay(ctx, os.Args[2:])
 	case "flits":
 		err = cmdFlits(os.Args[2:])
 	case "spans":
@@ -101,7 +91,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   miratrace gen -workload NAME -cycles N [-arch 2DB] [-seed N] -o FILE
   miratrace stat FILE
-  miratrace replay [-arch 2DB] [-measure N] FILE
   miratrace flits [-json] FILE.jsonl
   miratrace spans [-group G] [-json] [-perfetto F] [-engine F] [-heatmap F] [-svg F] FILE.jsonl`)
 }
@@ -126,6 +115,9 @@ func cmdGen(args []string) error {
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := parseWithLogging(fs, args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		cli.Usage("miratrace gen", fmt.Errorf("unexpected argument %q (name the workload with -workload, the output with -o)", fs.Arg(0)))
 	}
 	// Elaborating a "trace" scenario generates the trace; the windows are
 	// irrelevant here (the NoC sim is never run) but must be valid.
@@ -187,36 +179,6 @@ func cmdStat(args []string) error {
 	for class, share := range tr.ClassShares() {
 		fmt.Printf("class %-9s : %.1f%%\n", class, 100*share)
 	}
-	return nil
-}
-
-func cmdReplay(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	archName := fs.String("arch", "2DB", "architecture to replay on")
-	measure := fs.Int64("measure", 20000, "measurement cycles")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	shutdown := fs.Bool("shutdown", true, "apply layer-shutdown power accounting")
-	if err := parseWithLogging(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("replay needs exactly one trace file")
-	}
-	sc := scenario.Scenario{
-		Arch:    *archName,
-		Warmup:  *measure / 4,
-		Measure: *measure,
-		Drain:   2 * *measure,
-		Seed:    *seed,
-		Traffic: scenario.Traffic{Kind: "replay", TraceFile: fs.Arg(0)},
-	}
-	e, err := sc.Elaborate()
-	if err != nil {
-		return err
-	}
-	res := e.Sim.Run(ctx)
-	fmt.Printf("%s replay: %s\n", e.Design.Arch, res.String())
-	fmt.Printf("network power: %.3f W\n", exp.NetworkPowerW(e.Design, res, *shutdown))
 	return nil
 }
 

@@ -56,3 +56,10 @@ func Fatal(cmd string, err error) {
 	slog.Error("fatal", "cmd", cmd, "err", err)
 	os.Exit(1)
 }
+
+// Usage reports a mistake on the command line and exits 2, the status
+// the flag package exits with for a bad flag.
+func Usage(cmd string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+	os.Exit(2)
+}

@@ -40,8 +40,8 @@ type Options struct {
 	StepMode noc.StepMode
 	// Shards partitions each simulated mesh into contiguous router-ID
 	// ranges stepped concurrently inside every cycle (noc.Config.Shards;
-	// mirabench/mirasim -shards). Results are bit-identical at any
-	// value. Composes with Workers: Workers parallelizes across sweep
+	// mirabench -shards, mirasim -set shards). Results are bit-identical
+	// at any value. Composes with Workers: Workers parallelizes across sweep
 	// points, Shards parallelizes inside each simulation.
 	Shards int
 	// Reuse, when non-nil, is the run-scoped result table the drivers

@@ -137,7 +137,7 @@ const AutoShards = -1
 // autoShardRouters is the per-shard router budget of the auto heuristic.
 // Measured is only what it implies for two shards: 144 routers is the
 // smallest mesh where they beat one on the 2-thread ledger host (mirasim
-// -chips 1x1/NxN, ur 0.10, median of 5: 8x8 and 10x10 tie for twice the
+// on 1x1/NxN chips, ur 0.10, median of 5: 8x8 and 10x10 tie for twice the
 // CPU, 12x12 wins 1.57 s -> 1.11 s, 16x16 3.64 s -> 2.32 s). As a budget
 // for three shards and up it is unmeasured (needs >= 4 threads).
 const autoShardRouters = 72

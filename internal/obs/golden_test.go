@@ -19,7 +19,7 @@ import (
 // scenario under testdata must write a trace with the committed sha256.
 // The digests were taken from the reflective encoding/json writer this
 // format began with. trace_3dm is what the CI observability smoke
-// records with mirasim flags and checks against the same digest;
+// records with mirasim -set edits and checks against the same digest;
 // trace_3dm_filtered records NUCA traffic (short flits, so "al" keys)
 // through a node and class filter, so filtered files are pinned too.
 //

@@ -1,8 +1,8 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -51,8 +51,8 @@ type BatchResult struct {
 // partial results, all workers exit before RunBatch returns, and
 // never-started entries carry an error saying so.
 //
-// This is the serving-layer entry point: JSON scenarios in,
-// JSON-serializable results out (see RunBatchJSON for the stream form).
+// This is the serving-layer entry point: scenarios in (DecodeBatch
+// reads them from JSON), JSON-serializable results out.
 func RunBatch(ctx context.Context, scs []Scenario, o BatchOptions) []BatchResult {
 	out := make([]BatchResult, len(scs))
 	for i, sc := range scs {
@@ -126,33 +126,22 @@ dispatch:
 }
 
 // DecodeBatch reads a batch description: either a JSON array of
-// scenarios or a single scenario object.
+// scenarios or a single scenario object, decoded as strictly as Decode.
 func DecodeBatch(r io.Reader) ([]Scenario, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: reading batch input: %w", err)
 	}
-	var scs []Scenario
-	if err := json.Unmarshal(data, &scs); err != nil {
-		var one Scenario
-		if err1 := json.Unmarshal(data, &one); err1 != nil {
-			return nil, fmt.Errorf("scenario: batch input is neither a scenario array (%v) nor a scenario object (%v)", err, err1)
+	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) == 0 || t[0] != '[' {
+		sc, err := Decode(data)
+		if err != nil {
+			return nil, err
 		}
-		scs = []Scenario{one}
+		return []Scenario{sc}, nil
+	}
+	var scs []Scenario
+	if err := decodeStrict(data, &scs); err != nil {
+		return nil, fmt.Errorf("scenario: batch array: %w", err)
 	}
 	return scs, nil
-}
-
-// RunBatchJSON is RunBatch over serialized scenarios: r holds either a
-// JSON array of scenarios or a single scenario object, and the results
-// are written to w as an indented JSON array.
-func RunBatchJSON(ctx context.Context, r io.Reader, w io.Writer, o BatchOptions) error {
-	scs, err := DecodeBatch(r)
-	if err != nil {
-		return err
-	}
-	results := RunBatch(ctx, scs, o)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

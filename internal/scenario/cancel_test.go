@@ -196,34 +196,41 @@ func TestRunBatchMixedValidity(t *testing.T) {
 	}
 }
 
-// TestRunBatchJSON: the serialized entry points accept both a single
-// object and an array, and return decodable results in input order.
+// TestRunBatchJSON: the serialized path (DecodeBatch, RunBatch, results
+// marshaled back) accepts both a single object and an array, and
+// returns decodable results in input order.
 func TestRunBatchJSON(t *testing.T) {
+	runJSON := func(in string) (string, error) {
+		scs, err := DecodeBatch(strings.NewReader(in))
+		if err != nil {
+			return "", err
+		}
+		out, err := json.Marshal(RunBatch(context.Background(), scs, BatchOptions{}))
+		return string(out), err
+	}
 	sc := ur()
 	data, err := sc.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := RunBatchJSON(context.Background(), strings.NewReader(string(data)), &buf, BatchOptions{}); err != nil {
+	res, err := runJSON(string(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := decodeBatch(t, buf.String())
+	out := decodeBatch(t, res)
 	if len(out) != 1 || out[0].Err != "" || out[0].Result.Ejected == 0 {
 		t.Errorf("single-object batch = %+v", out)
 	}
 
-	buf.Reset()
-	arr := "[" + string(data) + "," + string(data) + "]"
-	if err := RunBatchJSON(context.Background(), strings.NewReader(arr), &buf, BatchOptions{}); err != nil {
+	if res, err = runJSON("[" + string(data) + "," + string(data) + "]"); err != nil {
 		t.Fatal(err)
 	}
-	out = decodeBatch(t, buf.String())
+	out = decodeBatch(t, res)
 	if len(out) != 2 || out[0].Index != 0 || out[1].Index != 1 {
 		t.Errorf("array batch order wrong: %+v", out)
 	}
 
-	if err := RunBatchJSON(context.Background(), strings.NewReader("not json"), &buf, BatchOptions{}); err == nil {
+	if _, err := runJSON("not json"); err == nil {
 		t.Error("malformed batch input accepted")
 	}
 }

@@ -10,8 +10,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"mira/internal/core"
@@ -354,11 +356,81 @@ func (s Scenario) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Decode parses one JSON scenario.
+// Decode parses one JSON scenario. An unknown key or trailing data is
+// an error, so a misspelled field fails instead of keeping its default.
 func Decode(data []byte) (Scenario, error) {
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Scenario{}, fmt.Errorf("scenario: %w", err)
 	}
 	return s, nil
+}
+
+// decodeStrict unmarshals exactly one JSON value into v, rejecting
+// object keys v has no field for.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// Set returns s with one field replaced. The key is a dotted JSON path
+// ("traffic.rate", "chips.d2d_ser_cycles"); absent objects on the way
+// are created. The value is JSON, or a bare string when it does not
+// parse as JSON ("arch=3DM-E"). The edit goes through the strict
+// decoder, so an unknown key or a value of the wrong type is an error.
+func (s Scenario) Set(key, value string) (Scenario, error) {
+	data, err := json.Marshal(s)
+	if err != nil {
+		return s, err
+	}
+	var root map[string]any
+	if err := decodeNumbers(data, &root); err != nil {
+		return s, err
+	}
+	var v any = value
+	if json.Valid([]byte(value)) {
+		if err := decodeNumbers([]byte(value), &v); err != nil {
+			return s, err
+		}
+	}
+	obj, path := root, strings.Split(key, ".")
+	for i, k := range path {
+		for have := range obj {
+			if strings.EqualFold(have, k) {
+				k = have // encoding/json reads keys case-insensitively
+			}
+		}
+		if i == len(path)-1 {
+			obj[k] = v
+		} else if next, ok := obj[k].(map[string]any); ok {
+			obj = next
+		} else if obj[k] == nil {
+			m := map[string]any{}
+			obj[k], obj = m, m
+		} else {
+			return s, fmt.Errorf("scenario: set %s: %s is not an object", key, strings.Join(path[:i+1], "."))
+		}
+	}
+	if data, err = json.Marshal(root); err != nil {
+		return s, err
+	}
+	var out Scenario
+	if err := decodeStrict(data, &out); err != nil {
+		return s, fmt.Errorf("scenario: set %s=%s: %w", key, value, err)
+	}
+	return out, nil
+}
+
+// decodeNumbers unmarshals data keeping numbers as json.Number literals.
+func decodeNumbers(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	return dec.Decode(v)
 }

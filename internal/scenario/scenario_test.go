@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +64,97 @@ func TestJSONOmitsDefaults(t *testing.T) {
 	for _, field := range []string{"vcs", "stlt_cycles", "express_interval", "routing", "faults", "step_mode"} {
 		if strings.Contains(string(data), `"`+field+`"`) {
 			t.Errorf("minimal scenario JSON should omit default field %q:\n%s", field, data)
+		}
+	}
+}
+
+// TestDecodeStrict: a misspelled key, at the top level or nested, and
+// trailing data fail naming the problem, in Decode and DecodeBatch
+// alike, instead of running with the field at its default.
+func TestDecodeStrict(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{`{"arch": "2DB", "shard": 4}`, `unknown field "shard"`},
+		{`{"arch": "2DB", "traffic": {"kind": "ur", "rat": 0.1}}`, `unknown field "rat"`},
+	} {
+		if _, err := Decode([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Decode(%s) err = %v, want %q", c.in, err, c.want)
+		}
+		for _, in := range []string{c.in, `[{"arch": "3DM"}, ` + c.in + "]"} {
+			if _, err := DecodeBatch(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("DecodeBatch(%s) err = %v, want %q", in, err, c.want)
+			}
+		}
+	}
+	if _, err := Decode([]byte(`{"arch": "2DB"} {"arch": "3DM"}`)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("Decode of two objects err = %v", err)
+	}
+	if _, err := DecodeBatch(strings.NewReader(`[{"arch": "2DB"}] [{"arch": "3DM"}]`)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("DecodeBatch of two arrays err = %v", err)
+	}
+}
+
+// TestCommittedScenariosDecode: every scenario JSON committed in the
+// repository still decodes under the strict decoder.
+func TestCommittedScenariosDecode(t *testing.T) {
+	files, err := filepath.Glob("../../bench/workloads/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, _ := filepath.Glob("../obs/testdata/*.json")
+	files = append(files, golden...)
+	if len(files) < 8 {
+		t.Fatalf("found only %d committed scenarios: %v", len(files), files)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Decode(data)
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+		} else if err := sc.Validate(); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
+func TestSet(t *testing.T) {
+	sc, err := ur().Set("chips.d2d_ser_cycles", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Chips == nil || sc.Chips.D2DSerCycles != 4 {
+		t.Errorf("set under an absent object: chips = %+v", sc.Chips)
+	}
+	if sc, err = sc.Set("arch", "3DM-E"); err != nil || sc.Arch != "3DM-E" {
+		t.Errorf("bare string value: arch %q, err %v", sc.Arch, err)
+	}
+	// encoding/json matches keys case-insensitively, so an edit spelled
+	// "Arch" must replace "arch", not sit beside it and lose.
+	if sc, err = sc.Set("Arch", "2DB"); err != nil || sc.Arch != "2DB" {
+		t.Errorf("Arch: arch %q, err %v", sc.Arch, err)
+	}
+	if sc, err = sc.Set("Traffic.Rate", "0.3"); err != nil || sc.Traffic.Rate != 0.3 {
+		t.Errorf("Traffic.Rate: rate %v, err %v", sc.Traffic.Rate, err)
+	}
+	if sc, err = sc.Set("seed", "9007199254740993"); err != nil || sc.Seed != 9007199254740993 {
+		t.Errorf("a seed above 2^53 changed on its way through: %d, err %v", sc.Seed, err)
+	}
+	if sc, err = sc.Set("traffic", `{"kind":"nuca","rate":0.2}`); err != nil || !reflect.DeepEqual(sc.Traffic, Traffic{Kind: "nuca", Rate: 0.2}) {
+		t.Errorf("object value: traffic %+v, err %v", sc.Traffic, err)
+	}
+	if sc, err = sc.Set("chips", "null"); err != nil || sc.Chips != nil {
+		t.Errorf("null value: chips %+v, err %v", sc.Chips, err)
+	}
+	for _, c := range []struct{ key, value, want string }{
+		{"shard", "4", `unknown field "shard"`},
+		{"traffic.rat", "0.1", `unknown field "rat"`},
+		{"traffic.rate", "fast", "traffic.rate"},
+		{"arch.x", "1", "arch is not an object"},
+	} {
+		if _, err := sc.Set(c.key, c.value); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Set(%s, %s) err = %v, want %q", c.key, c.value, err, c.want)
 		}
 	}
 }
