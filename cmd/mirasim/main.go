@@ -57,7 +57,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -83,15 +82,8 @@ var defaultScenario = scenario.Scenario{
 }
 
 func main() {
-	var sets [][2]string
-	flag.Func("set", "edit the scenario: key=value, key a dotted scenario JSON path (traffic.rate), value JSON or a bare string; repeatable", func(kv string) error {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return fmt.Errorf("%q is not key=value", kv)
-		}
-		sets = append(sets, [2]string{k, v})
-		return nil
-	})
+	var edits scenario.Edits
+	flag.Var(&edits, "set", "edit the scenario: key=value, key a dotted scenario JSON path (traffic.rate), value JSON or a bare string; repeatable")
 	colSteps := flag.Bool("steptable", false, "also print the per-step latency table after a collective run")
 	trace := flag.String("trace", "", "write a JSONL flit-event trace to this file (see miratrace flits)")
 	series := flag.String("series", "", "write the sampled observability time series to this CSV file")
@@ -134,11 +126,9 @@ func main() {
 	engine := *progress || *engineStats || *engineJSON != ""
 	for i := range scs {
 		sc := &scs[i]
-		for _, kv := range sets {
-			var err error
-			if *sc, err = sc.Set(kv[0], kv[1]); err != nil {
-				cli.Usage("mirasim", err)
-			}
+		var err error
+		if *sc, err = edits.Apply(*sc); err != nil {
+			cli.Usage("mirasim", err)
 		}
 		if collect || engine {
 			if sc.Observe == nil {

@@ -20,70 +20,70 @@ import (
 
 // AblationBufferDepth sweeps the per-VC buffer depth of the 3DM router
 // at a moderate and a high load.
-func AblationBufferDepth(ctx context.Context, o Options) Table {
+func AblationBufferDepth(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:     "ablation-buf",
 		Title:  "3DM buffer-depth ablation (uniform random)",
 		Header: []string{"depth (flits)", "lat @0.15", "lat @0.30", "buffer area um^2/layer"},
 	}
 	depths := []int{2, 4, 8, 16}
-	res := RunAll(ctx, o, bufGridPoints(depths, func(depth int) (vcs, d int) { return core.VCsPerPort, depth }))
+	var geoms []bufGeom
+	for _, depth := range depths {
+		geoms = append(geoms, bufGeom{core.VCsPerPort, depth})
+	}
+	res, err := bufSweep(ctx, o, geoms)
+	if err != nil {
+		return t, err
+	}
 	for i, depth := range depths {
 		ap := corePowerOf(core.Arch3DM).AreaParams
 		ap.BufDepth = depth
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", depth), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
-			fmt.Sprintf("%.0f", areaBufPerLayer(ap)),
+			fmt.Sprintf("%d", depth), latCell(res[i][0].Result), latCell(res[i][1].Result),
+			fmt.Sprintf("%.0f", area.Model(ap).Buffer),
 		})
 	}
 	t.Notes = append(t.Notes, "the paper's 8-flit VCs are past the knee at NUCA-typical loads")
-	return t
+	return t, nil
 }
 
 // AblationVCs sweeps the VC count per port at fixed total buffer bits
 // (VCs x depth constant), the tradeoff ViChaR [23] explores.
-func AblationVCs(ctx context.Context, o Options) Table {
+func AblationVCs(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:     "ablation-vc",
 		Title:  "3DM virtual-channel ablation at constant buffer bits (uniform random)",
 		Header: []string{"VCs x depth", "lat @0.15", "lat @0.30"},
 	}
-	cfgs := []struct{ vcs, depth int }{{1, 16}, {2, 8}, {4, 4}}
-	idx := make([]int, len(cfgs))
-	for i := range cfgs {
-		idx[i] = i
+	cfgs := []bufGeom{{1, 16}, {2, 8}, {4, 4}}
+	res, err := bufSweep(ctx, o, cfgs)
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, bufGridPoints(idx, func(i int) (vcs, depth int) { return cfgs[i].vcs, cfgs[i].depth }))
 	for i, c := range cfgs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%dx%d", c.vcs, c.depth), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
+			fmt.Sprintf("%dx%d", c.vcs, c.depth), latCell(res[i][0].Result), latCell(res[i][1].Result),
 		})
 	}
-	return t
+	return t, nil
 }
 
 // ablationRates are the moderate/high loads every buffer-geometry
 // ablation row reports.
 var ablationRates = []float64{0.15, 0.30}
 
-// bufGridPoints expands a buffer-geometry sweep into (config × rate)
-// points for the parallel runner: uniform-random traffic on the 3DM
-// design with overridden buffer geometry. geom maps a config key to its
-// (VCs, depth) pair.
-func bufGridPoints[K any](keys []K, geom func(K) (vcs, depth int)) []Point[Outcome] {
-	points := make([]Point[Outcome], 0, len(keys)*len(ablationRates))
-	for _, k := range keys {
-		vcs, depth := geom(k)
-		for _, rate := range ablationRates {
-			points = append(points, simPoint(fmt.Sprintf("vcs=%d depth=%d rate=%.2f", vcs, depth, rate), func(o Options) scenario.Scenario {
-				sc := o.synthetic(core.Arch3DM, "ur", rate)
-				sc.VCs = vcs
-				sc.BufDepth = depth
-				return sc
-			}))
-		}
-	}
-	return points
+// bufGeom is one input-buffer geometry: VCs per port and flits per VC.
+type bufGeom struct{ vcs, depth int }
+
+// bufSweep runs uniform-random traffic on the 3DM design with each
+// buffer geometry overridden, at both ablation rates.
+func bufSweep(ctx context.Context, o Options, geoms []bufGeom) ([][]Outcome, error) {
+	return sweep(ctx, o, geoms, ablationRates, func(o Options, g bufGeom, rate float64) scenario.Scenario {
+		sc := o.synthetic(core.Arch3DM, "ur", rate)
+		sc.VCs = g.vcs
+		sc.BufDepth = g.depth
+		return sc
+	})
 }
 
 // AblationExpressInterval compares express-channel hop spans on the
@@ -96,22 +96,18 @@ func AblationExpressInterval(ctx context.Context, o Options) (Table, error) {
 		Header: []string{"interval", "max ports", "avg hops (UR)", "lat @0.15", "lat @0.30"},
 	}
 	intervals := []int{2, 3}
-	points := make([]Point[Outcome], 0, len(intervals)*len(ablationRates))
-	for _, interval := range intervals {
-		for _, rate := range ablationRates {
-			points = append(points, simPoint(fmt.Sprintf("interval=%d rate=%.2f", interval, rate), func(o Options) scenario.Scenario {
-				sc := o.synthetic(core.Arch3DME, "ur", rate)
-				sc.ExpressInterval = interval
-				// The delay model would charge interval 3's longer
-				// express wires a second ST+LT cycle; hold the
-				// pipeline constant so the comparison isolates the
-				// topology.
-				sc.STLTCycles = 1
-				return sc
-			}))
-		}
+	res, err := sweep(ctx, o, intervals, ablationRates, func(o Options, interval int, rate float64) scenario.Scenario {
+		sc := o.synthetic(core.Arch3DME, "ur", rate)
+		sc.ExpressInterval = interval
+		// The delay model would charge interval 3's longer express wires
+		// a second ST+LT cycle; hold the pipeline constant so the
+		// comparison isolates the topology.
+		sc.STLTCycles = 1
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	for i, interval := range intervals {
 		topo, err := expressMesh(interval)
 		if err != nil {
@@ -123,7 +119,7 @@ func AblationExpressInterval(ctx context.Context, o Options) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", interval), fmt.Sprintf("%d", topo.MaxPorts()),
-			f2(hops), latCell(res[2*i].Result), latCell(res[2*i+1].Result),
+			f2(hops), latCell(res[i][0].Result), latCell(res[i][1].Result),
 		})
 	}
 	return t, nil
@@ -136,10 +132,4 @@ func expressMesh(interval int) (*topology.Topology, error) {
 		return nil, err
 	}
 	return topo, nil
-}
-
-// areaBufPerLayer returns the per-layer buffer area for modified params
-// (used by the buffer ablation).
-func areaBufPerLayer(p area.Params) float64 {
-	return area.Model(p).Buffer
 }

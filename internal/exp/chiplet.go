@@ -15,7 +15,7 @@ import (
 // mesh, so the sweep isolates exactly what the package boundary costs:
 // added zero-load latency from the slower channels, and throughput loss
 // from narrow serialized channels backing traffic up at the die edge.
-func ChipletSweep(ctx context.Context, o Options) Table {
+func ChipletSweep(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:    "ext-chiplet",
 		Title: "Chiplet d2d link sweep: 2x2 chips of 4x4 nodes, uniform random @ 0.10",
@@ -26,19 +26,22 @@ func ChipletSweep(ctx context.Context, o Options) Table {
 	const rate = 0.10
 	lats := []int{1, 4, 8, 16}
 	sers := []int{1, 4}
-	points := make([]Point[Outcome], 0, len(lats)*len(sers))
-	for _, lat := range lats {
-		for _, ser := range sers {
-			points = append(points, simPoint(fmt.Sprintf("chiplet d2d=%d ser=%d", lat, ser),
-				func(o Options) scenario.Scenario { return ChipletScenario(lat, ser, rate, o) }))
+	// Each point is a 2x2 grid of 4x4-node chips (2DB router pipeline
+	// and pitch) with the point's die-to-die latency and serialization.
+	res, err := sweep(ctx, o, lats, sers, func(o Options, lat, ser int) scenario.Scenario {
+		sc := o.synthetic(core.Arch2DB, "ur", rate)
+		sc.Chips = &scenario.Chips{
+			ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4,
+			D2DLatency: lat, D2DSerCycles: ser,
 		}
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
-	k := 0
-	for _, lat := range lats {
-		for _, ser := range sers {
-			r := res[k].Result
-			k++
+	for i, lat := range lats {
+		for j, ser := range sers {
+			r := res[i][j].Result
 			d2dPct := 0.0
 			if r.Counters.LinkFlits > 0 {
 				d2dPct = 100 * float64(r.Counters.D2DFlits) / float64(r.Counters.LinkFlits)
@@ -57,17 +60,5 @@ func ChipletSweep(ctx context.Context, o Options) Table {
 	t.Notes = append(t.Notes,
 		"extension beyond the paper: MIRA's mesh split across a chip grid with die-to-die link classes",
 		"lat=1 ser=1 reproduces the monolithic 8x8 mesh bit-for-bit; ser=N makes each flit occupy the narrow d2d channel for N cycles with credits returned accordingly")
-	return t
-}
-
-// ChipletScenario is the run description of one sweep point: a 2x2 grid
-// of 4x4-node chips (2DB router pipeline and pitch) under uniform-random
-// traffic with the given die-to-die latency and serialization factor.
-func ChipletScenario(d2dLat, d2dSer int, rate float64, o Options) scenario.Scenario {
-	sc := o.synthetic(core.Arch2DB, "ur", rate)
-	sc.Chips = &scenario.Chips{
-		ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4,
-		D2DLatency: d2dLat, D2DSerCycles: d2dSer,
-	}
-	return sc
+	return t, nil
 }

@@ -10,7 +10,10 @@ func TestChipletSweepSmoke(t *testing.T) {
 		t.Skip("chiplet sweep is a full 8-point simulation sweep")
 	}
 	o := Quick()
-	tb := ChipletSweep(context.Background(), o)
+	tb, err := ChipletSweep(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 8 {
 		t.Fatalf("chiplet sweep: %d rows, want 8", len(tb.Rows))
 	}

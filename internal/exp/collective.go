@@ -9,22 +9,18 @@ import (
 	"mira/internal/scenario"
 )
 
-// CollectiveFabric is one floorplan point of the sweep: a chip grid
-// whose 1x1 corner is the monolithic 8x8 mesh.
-type CollectiveFabric struct {
-	name           string
-	chipsX, chipsY int
-	nodesX, nodesY int
-	d2dLat, d2dSer int
+// collectiveFabric is one floorplan point of the sweep.
+type collectiveFabric struct {
+	name  string
+	chips scenario.Chips
 }
 
-// CollectiveFabrics returns the sweep's floorplan points.
-func CollectiveFabrics() []CollectiveFabric {
-	return []CollectiveFabric{
-		{name: "8x8 mono", chipsX: 1, chipsY: 1, nodesX: 8, nodesY: 8, d2dLat: 1, d2dSer: 1},
-		{name: "2x2 d2d=1:1", chipsX: 2, chipsY: 2, nodesX: 4, nodesY: 4, d2dLat: 1, d2dSer: 1},
-		{name: "2x2 d2d=8:4", chipsX: 2, chipsY: 2, nodesX: 4, nodesY: 4, d2dLat: 8, d2dSer: 4},
-	}
+// collectiveFabrics are chip grids whose 1x1 corner is the monolithic
+// 8x8 mesh.
+var collectiveFabrics = []collectiveFabric{
+	{"8x8 mono", scenario.Chips{ChipsX: 1, ChipsY: 1, NodesX: 8, NodesY: 8, D2DLatency: 1, D2DSerCycles: 1}},
+	{"2x2 d2d=1:1", scenario.Chips{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: 1, D2DSerCycles: 1}},
+	{"2x2 d2d=8:4", scenario.Chips{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: 8, D2DSerCycles: 4}},
 }
 
 // CollectiveSweep runs every collective algorithm over a 64-node fabric
@@ -36,7 +32,7 @@ func CollectiveFabrics() []CollectiveFabric {
 // launch only when their predecessors arrive, which is why d2d
 // serialization compounds across the schedule instead of just adding a
 // fixed per-hop cost.
-func CollectiveSweep(ctx context.Context, o Options) Table {
+func CollectiveSweep(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:    "ext-collective",
 		Title: "Collective completion: 64 ranks, 4-flit messages, 2 iterations",
@@ -45,20 +41,33 @@ func CollectiveSweep(ctx context.Context, o Options) Table {
 		},
 	}
 	algs := collective.Algorithms()
-	fabrics := CollectiveFabrics()
-	points := make([]Point[Outcome], 0, len(algs)*len(fabrics))
-	for _, alg := range algs {
-		for _, fab := range fabrics {
-			points = append(points, simPoint(fmt.Sprintf("collective %s %s", alg, fab.name),
-				func(o Options) scenario.Scenario { return CollectiveScenario(alg, fab, o) }))
+	// The workload is closed-loop — its length is set by the schedule,
+	// not by an offered rate — so the measure window is widened (5x the
+	// options') to let the slow-d2d corners complete; cycles after the
+	// last delivery are idle and nearly free under activity stepping.
+	// Warmup is zero: collectives start at cycle 0 (the scenario layer
+	// rejects anything else for this kind).
+	res, err := sweep(ctx, o, algs, collectiveFabrics, func(o Options, alg collective.Algorithm, fab collectiveFabric) scenario.Scenario {
+		sc := o.Scenario(core.Arch2DB)
+		sc.Warmup = 0
+		sc.Measure = 5 * o.Measure
+		sc.Traffic = scenario.Traffic{
+			Kind: "collective",
+			Collective: &scenario.Collective{
+				Algorithm:  string(alg),
+				Iterations: 2,
+			},
 		}
+		chips := fab.chips
+		sc.Chips = &chips
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
-	k := 0
-	for _, alg := range algs {
-		for _, fab := range fabrics {
-			rep := res[k].Collective
-			k++
+	for i, alg := range algs {
+		for j, fab := range collectiveFabrics {
+			rep := res[i][j].Collective
 			t.Rows = append(t.Rows, []string{
 				string(alg),
 				fab.name,
@@ -77,31 +86,5 @@ func CollectiveSweep(ctx context.Context, o Options) Table {
 		"part = per-participant completion (last receive - iteration start, cycles); e2e/iter = mean end-to-end iteration latency",
 		"ring allreduce takes 2(N-1) steps, reduce-scatter N-1, tree broadcast ceil(log2 N); the broadcast root receives nothing and is excluded from part",
 	)
-	return t
-}
-
-// CollectiveScenario is the run description behind one sweep point. The
-// workload is closed-loop — its length is set by the schedule, not by
-// an offered rate — so the measure window is widened (5x the options')
-// to let the slow-d2d corners complete; cycles after the last delivery
-// are idle and nearly free under activity stepping. Warmup is zero:
-// collectives start at cycle 0 (the scenario layer rejects anything
-// else for this kind).
-func CollectiveScenario(alg collective.Algorithm, fab CollectiveFabric, o Options) scenario.Scenario {
-	sc := o.Scenario(core.Arch2DB)
-	sc.Warmup = 0
-	sc.Measure = 5 * o.Measure
-	sc.Traffic = scenario.Traffic{
-		Kind: "collective",
-		Collective: &scenario.Collective{
-			Algorithm:  string(alg),
-			Iterations: 2,
-		},
-	}
-	sc.Chips = &scenario.Chips{
-		ChipsX: fab.chipsX, ChipsY: fab.chipsY,
-		NodesX: fab.nodesX, NodesY: fab.nodesY,
-		D2DLatency: fab.d2dLat, D2DSerCycles: fab.d2dSer,
-	}
-	return sc
+	return t, nil
 }

@@ -2,10 +2,11 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
-	"mira/internal/noc"
+	"mira/internal/scenario"
 )
 
 func TestCollectiveSweepSmoke(t *testing.T) {
@@ -13,7 +14,10 @@ func TestCollectiveSweepSmoke(t *testing.T) {
 		t.Skip("collective sweep is a full 9-point simulation sweep")
 	}
 	o := Quick()
-	tb := CollectiveSweep(context.Background(), o)
+	tb, err := CollectiveSweep(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 9 {
 		t.Fatalf("collective sweep: %d rows, want 9", len(tb.Rows))
 	}
@@ -42,26 +46,29 @@ func TestCollectiveTablesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep seven times")
 	}
-	run := func(workers, shards int, mode noc.StepMode) Table {
+	run := func(workers, shards int, mode string) Table {
 		o := Quick()
 		o.Workers = workers
-		o.Shards = shards
-		o.StepMode = mode
-		return CollectiveSweep(context.Background(), o)
+		o.Edits = scenario.Edits{fmt.Sprintf("shards=%d", shards), "step_mode=" + mode}
+		tb, err := CollectiveSweep(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
 	}
-	ref := run(1, 1, noc.StepActivity)
+	ref := run(1, 1, "activity")
 	if len(ref.Rows) == 0 {
 		t.Fatal("empty reference table; comparison is vacuous")
 	}
 	cases := []struct {
 		workers, shards int
-		mode            noc.StepMode
+		mode            string
 	}{
-		{8, 1, noc.StepActivity},
-		{1, 4, noc.StepActivity},
-		{8, 4, noc.StepActivity},
-		{1, -1, noc.StepActivity},
-		{1, 4, noc.StepChecked},
+		{8, 1, "activity"},
+		{1, 4, "activity"},
+		{8, 4, "activity"},
+		{1, -1, "activity"},
+		{1, 4, "checked"},
 	}
 	for _, c := range cases {
 		got := run(c.workers, c.shards, c.mode)

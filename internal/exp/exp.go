@@ -1,7 +1,7 @@
 // Package exp contains one driver per table and figure of the MIRA
-// paper's evaluation. The drivers are shared by the mirabench command
-// and the root-level testing.B benchmarks, and their outputs populate
-// EXPERIMENTS.md. Each experiment is deterministic given Options.Seed.
+// paper's evaluation, listed in Experiments. The mirabench command runs
+// them, and their outputs populate EXPERIMENTS.md. Each experiment is
+// deterministic given Options.Seed.
 package exp
 
 import (
@@ -34,16 +34,6 @@ type Options struct {
 	// Progress, when non-nil, is invoked (serialized) after each
 	// completed sweep point, for per-point progress/timing reporting.
 	Progress func(Progress)
-	// StepMode is noc.StepActivity (the default) or noc.StepChecked,
-	// which cross-checks every invariant after every cycle (mirabench
-	// -stepmode). Results are bit-identical in both.
-	StepMode noc.StepMode
-	// Shards partitions each simulated mesh into contiguous router-ID
-	// ranges stepped concurrently inside every cycle (noc.Config.Shards;
-	// mirabench -shards, mirasim -set shards). Results are bit-identical
-	// at any value. Composes with Workers: Workers parallelizes across sweep
-	// points, Shards parallelizes inside each simulation.
-	Shards int
 	// Reuse, when non-nil, is the run-scoped result table the drivers
 	// consult before simulating a sweep point (see Scope): figures that
 	// read the same sweep simulate it once. The zero Options has none
@@ -52,17 +42,12 @@ type Options struct {
 	// tally, set per point by RunAll, counts the point's simulations
 	// for Progress.
 	tally *tally
-	// ObserveWindow, when positive, adds an Observe block with this
-	// sample window (cycles) to every scenario the options produce, so
-	// each sweep point runs with an observability collector attached
-	// (internal/obs). Zero leaves scenarios unobserved; results are
-	// identical either way, observation only adds visibility.
-	ObserveWindow int64
-	// Engine attaches engine self-telemetry (obs.EngineCollector) to
-	// every scenario the options produce: per-shard wall-time, pool
-	// utilization, cycles/sec with ETA (mirabench -enginestats). Like
-	// ObserveWindow, strictly out-of-band — results are bit-identical.
-	Engine bool
+	// Edits are scenario key=value edits (mirabench -set) applied to the
+	// base scenario of every simulation, before the driver sets its own
+	// fields: step_mode, shards, observe.window and observe.engine leave
+	// every table bit-identical. Build them through Edits.Set, which
+	// rejects an edit that does not apply.
+	Edits scenario.Edits
 }
 
 // Default returns the full-size experiment windows.
@@ -76,29 +61,22 @@ func Quick() Options {
 }
 
 // Scenario converts the options into a base run description for one
-// architecture: windows, seed and step mode carried over, traffic and
-// overrides left for the caller to fill in. Every simulation a driver
-// runs goes Options -> Scenario -> run, so mirabench -stepmode/-seed
-// reach every simulation and any driver's point can be reproduced
+// architecture: windows and seed carried over and the edits applied,
+// traffic and overrides left for the caller to fill in. Every simulation
+// a driver runs goes Options -> Scenario -> run, so mirabench -set and
+// -seed reach every simulation and any driver's point can be reproduced
 // standalone from its serialized scenario.
 func (o Options) Scenario(a core.Arch) scenario.Scenario {
 	sc := scenario.Scenario{
-		Arch:     a.String(),
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Drain:    o.Drain,
-		Seed:     o.Seed,
-		StepMode: o.StepMode.String(),
-		Shards:   o.Shards,
+		Arch:    a.String(),
+		Warmup:  o.Warmup,
+		Measure: o.Measure,
+		Drain:   o.Drain,
+		Seed:    o.Seed,
 	}
-	if o.ObserveWindow > 0 {
-		sc.Observe = &scenario.Observe{Window: o.ObserveWindow}
-	}
-	if o.Engine {
-		if sc.Observe == nil {
-			sc.Observe = &scenario.Observe{}
-		}
-		sc.Observe.Engine = true
+	sc, err := o.Edits.Apply(sc)
+	if err != nil {
+		panic(err) // edits not built through Edits.Set
 	}
 	return sc
 }
@@ -119,8 +97,8 @@ func (o Options) trace(a core.Arch, workload, protocol string) scenario.Scenario
 	return sc
 }
 
-// mustRun is run for driver-authored scenarios. Those are statically
-// valid, so failure here is a programming error, not an input error.
+// mustRun is run for RunUR and RunNUCAUR, whose scenarios are statically
+// valid: failure there is a programming error, not an input error.
 func mustRun(ctx context.Context, o Options, sc scenario.Scenario) Outcome {
 	out, err := run(ctx, o, sc)
 	if err != nil {
@@ -129,27 +107,54 @@ func mustRun(ctx context.Context, o Options, sc scenario.Scenario) Outcome {
 	return out
 }
 
-// simPoint is the common sweep point: build a scenario from the
-// point's options (seed already split by RunAll) and run it.
-func simPoint(label string, mk func(Options) scenario.Scenario) Point[Outcome] {
-	return Point[Outcome]{Label: label, Run: func(ctx context.Context, o Options) Outcome {
-		return mustRun(ctx, o, mk(o))
-	}}
+// Experiment is one table or figure: its mirabench ID, a one-line
+// description and its driver.
+type Experiment struct {
+	ID, Desc string
+	Run      func(context.Context, Options) (Table, error)
 }
 
-// tried carries a point's outcome and elaboration error through
-// RunAll, for the drivers that report bad scenarios as errors.
-type tried struct {
-	Outcome
-	err error
+// analytic adapts a table computed from the models alone.
+func analytic(f func() Table) func(context.Context, Options) (Table, error) {
+	return func(context.Context, Options) (Table, error) { return f(), nil }
 }
 
-// tryPoint is simPoint returning the error instead of panicking.
-func tryPoint(label string, mk func(Options) scenario.Scenario) Point[tried] {
-	return Point[tried]{Label: label, Run: func(ctx context.Context, o Options) tried {
-		out, err := run(ctx, o, mk(o))
-		return tried{out, err}
-	}}
+// Experiments lists every experiment, in mirabench's "all" order.
+var Experiments = []Experiment{
+	{"table1", "router component areas (TSMC 90nm model)", analytic(Table1)},
+	{"table2", "physical design parameters", analytic(Table2)},
+	{"table3", "ST+LT pipeline combination delays", analytic(Table3)},
+	{"fig1", "data pattern breakdown per workload", Fig1},
+	{"fig2", "packet type distribution per workload", Fig2},
+	{"fig3", "chip footprint comparison", analytic(Fig3)},
+	{"fig8", "router pipeline family comparison", Fig8},
+	{"fig9", "per-flit energy breakdown", analytic(Fig9)},
+	{"fig10", "NUCA node layouts", analytic(Fig10)},
+	{"fig11a", "latency vs injection rate, uniform random", Fig11a},
+	{"fig11b", "latency vs injection rate, NUCA-UR", Fig11b},
+	{"fig11c", "MP-trace latency normalized to 2DB", Fig11c},
+	{"fig11d", "average hop counts", Fig11d},
+	{"fig12a", "power vs injection rate, uniform random", Fig12a},
+	{"fig12b", "power vs injection rate, NUCA-UR", Fig12b},
+	{"fig12c", "MP-trace power normalized to 2DB", Fig12c},
+	{"fig12d", "normalized power-delay product", Fig12d},
+	{"fig13a", "short flit percentage per workload", Fig13a},
+	{"fig13b", "layer-shutdown power savings", Fig13b},
+	{"fig13c", "temperature reduction from shutdown", Fig13c},
+	{"ablation-buf", "3DM buffer-depth ablation (extension)", AblationBufferDepth},
+	{"ablation-vc", "3DM VC-count ablation (extension)", AblationVCs},
+	{"ablation-express", "express-interval ablation (extension)", AblationExpressInterval},
+	{"ext-leakage", "leakage-thermal feedback (extension)", ExtLeakage},
+	{"ext-cosim", "closed-loop CMP/NoC co-simulation (extension)", ExtCosim},
+	{"ext-patterns", "adversarial traffic patterns (extension)", ExtPatterns},
+	{"ext-qos", "QoS priority arbitration (extension)", ExtQoS},
+	{"ext-fault", "link-fault tolerance via west-first routing (extension)", ExtFault},
+	{"ext-herding", "thermal herding + router shutdown (extension)", ExtHerding},
+	{"ext-protocol", "MESI vs MOESI coherence traffic (extension)", ExtProtocol},
+	{"ext-chiplet", "chiplet grid d2d link sweep (extension)", ChipletSweep},
+	{"ext-collective", "collective workloads: ring allreduce / reduce-scatter / tree broadcast (extension)", CollectiveSweep},
+	{"obs-ur", "observability summaries across UR injection rates (extension)", ObsURSweep},
+	{"obs-stages", "per-flit latency stage decomposition per architecture (extension)", SpanStages},
 }
 
 // Table is a printable experiment result.

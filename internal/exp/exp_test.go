@@ -8,6 +8,7 @@ import (
 
 	"mira/internal/cmp"
 	"mira/internal/core"
+	"mira/internal/power"
 	"mira/internal/thermal"
 )
 
@@ -50,10 +51,14 @@ func TestStaticTablesNonEmpty(t *testing.T) {
 }
 
 func TestFig9HeadlineOrdering(t *testing.T) {
-	e2 := corePowerFlitHop(design(core.Arch2DB)).Total()
-	e3 := corePowerFlitHop(design(core.Arch3DB)).Total()
-	em := corePowerFlitHop(design(core.Arch3DM)).Total()
-	ee := corePowerFlitHop(design(core.Arch3DME)).Total()
+	flitHop := func(a core.Arch) float64 {
+		d := design(a)
+		return power.FlitHopEnergy(d.AreaParams, d.LinkLenMM).Total()
+	}
+	e2 := flitHop(core.Arch2DB)
+	e3 := flitHop(core.Arch3DB)
+	em := flitHop(core.Arch3DM)
+	ee := flitHop(core.Arch3DME)
 	if !(em < ee && ee < e2 && e2 < e3) {
 		t.Errorf("flit energy ordering: 3DM=%.1f 3DM-E=%.1f 2DB=%.1f 3DB=%.1f", em, ee, e2, e3)
 	}
@@ -185,7 +190,7 @@ func TestThermalReduction(t *testing.T) {
 	for _, rate := range []float64{0.1, 0.3} {
 		r0 := RunUR(bg(), core.Arch3DM, rate, 0, o)
 		r50 := RunUR(bg(), core.Arch3DM, rate, 0.5, o)
-		dT := thermal.Average(solveChipTemps(d, r0)) - thermal.Average(solveChipTemps(d, r50))
+		dT := thermal.Average(solveChipTemps(d, r0, EvenCoreLayers)) - thermal.Average(solveChipTemps(d, r50, EvenCoreLayers))
 		if dT <= 0 || dT > 4 {
 			t.Errorf("rate %v: dT = %.2f K out of (0, 4]", rate, dT)
 		}
@@ -209,7 +214,10 @@ func TestHopCountTable(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	o := tiny()
-	buf := AblationBufferDepth(bg(), o)
+	buf, err := AblationBufferDepth(bg(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(buf.Rows) != 4 {
 		t.Errorf("buffer ablation rows = %d, want 4", len(buf.Rows))
 	}
@@ -222,7 +230,10 @@ func TestAblations(t *testing.T) {
 		t.Errorf("depth-8 latency %.1f should beat depth-2 %.1f at high load", lat8, lat2)
 	}
 
-	vcs := AblationVCs(bg(), o)
+	vcs, err := AblationVCs(bg(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(vcs.Rows) != 3 {
 		t.Errorf("VC ablation rows = %d", len(vcs.Rows))
 	}
@@ -257,7 +268,10 @@ func parseLat(t *testing.T, s string) float64 {
 // Thermal herding must strictly reduce chip temperature, and stacking
 // it with router shutdown must be the coolest configuration.
 func TestHerdingOrdering(t *testing.T) {
-	tb := ExtHerding(bg(), tiny())
+	tb, err := ExtHerding(bg(), tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	get := func(i int) float64 { return parseLat(t, tb.Rows[i][1]) }
 	evenFull, evenShort := get(0), get(1)
 	herdFull, herdShort := get(2), get(3)
@@ -348,7 +362,10 @@ func TestTableCharts(t *testing.T) {
 
 func TestFig8PipelineFamily(t *testing.T) {
 	o := tiny()
-	tb := Fig8(bg(), o)
+	tb, err := Fig8(bg(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 5 {
 		t.Fatalf("fig8 rows = %d, want 5", len(tb.Rows))
 	}
@@ -364,7 +381,10 @@ func TestFig8PipelineFamily(t *testing.T) {
 
 func TestExtLeakage(t *testing.T) {
 	o := tiny()
-	tb := ExtLeakage(bg(), o)
+	tb, err := ExtLeakage(bg(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("leakage rows = %d, want 4", len(tb.Rows))
 	}
@@ -388,59 +408,35 @@ func TestExtLeakage(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun exercises every table builder end to end with
-// tiny windows, checking shape and (where numeric) chartability. This is
-// the same inventory mirabench exposes.
+// TestAllExperimentsRun exercises every experiment of the list
+// mirabench runs end to end with the goldens' small windows, checking
+// shape and (where numeric) chartability.
 func TestAllExperimentsRun(t *testing.T) {
-	o := tiny()
-	wrapErr := func(f func(context.Context, Options) Table) func(Options) (Table, error) {
-		return func(o Options) (Table, error) { return f(bg(), o), nil }
-	}
-	wrapCtx := func(f func(context.Context, Options) (Table, error)) func(Options) (Table, error) {
-		return func(o Options) (Table, error) { return f(bg(), o) }
-	}
-	static := func(f func() Table) func(Options) (Table, error) {
-		return func(Options) (Table, error) { return f(), nil }
-	}
-	cases := []struct {
-		id      string
+	o := portGoldenOpts()
+	shape := map[string]struct {
 		minRows int
 		chart   bool
-		run     func(Options) (Table, error)
 	}{
-		{"table1", 8, false, static(Table1)},
-		{"table2", 5, false, static(Table2)},
-		{"table3", 4, false, static(Table3)},
-		{"fig3", 3, true, static(Fig3)},
-		{"fig8", 5, true, wrapErr(Fig8)},
-		{"fig9", 4, true, static(Fig9)},
-		{"fig10", 10, false, static(Fig10)},
-		{"fig11a", len(URRates), true, wrapErr(Fig11a)},
-		{"fig12a", len(URRates), true, wrapErr(Fig12a)},
-		{"fig12d", len(URRates), true, wrapErr(Fig12d)},
-		{"fig13b", 3, true, wrapErr(Fig13b)},
-		{"fig13c", 3, true, wrapErr(Fig13c)},
-		{"ablation-vc", 3, true, wrapErr(AblationVCs)},
-		{"ext-leakage", 4, true, wrapErr(ExtLeakage)},
-		{"ext-qos", 4, true, wrapErr(ExtQoS)},
-		{"ext-herding", 4, true, wrapErr(ExtHerding)},
-		{"ext-protocol", 4, true, wrapCtx(ExtProtocol)},
-		{"ext-fault", 3, false, wrapCtx(ExtFault)},
-		{"ext-patterns", 4, true, wrapCtx(ExtPatterns)},
+		"table1": {8, false}, "table2": {5, false}, "table3": {4, false}, "fig3": {3, true},
+		"fig8": {5, true}, "fig9": {4, true}, "fig10": {10, false},
+		"fig11a": {len(URRates), true}, "fig12a": {len(URRates), true}, "fig12d": {len(URRates), true},
+		"fig13b": {3, true}, "fig13c": {3, true}, "ablation-vc": {3, true},
+		"ext-leakage": {4, true}, "ext-qos": {4, true}, "ext-herding": {4, true},
+		"ext-protocol": {4, true}, "ext-fault": {3, false}, "ext-patterns": {4, true},
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.id, func(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tb, err := c.run(o)
+			tb, err := e.Run(bg(), o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tb.Rows) < c.minRows {
-				t.Fatalf("%s: %d rows, want >= %d", c.id, len(tb.Rows), c.minRows)
+			want := shape[e.ID]
+			if len(tb.Rows) < max(want.minRows, 1) {
+				t.Fatalf("%s: %d rows, want >= %d", e.ID, len(tb.Rows), want.minRows)
 			}
-			if tb.ID != c.id {
-				t.Errorf("table ID %q, want %q", tb.ID, c.id)
+			if tb.ID != e.ID {
+				t.Errorf("table ID %q, want %q", tb.ID, e.ID)
 			}
 			if s := tb.String(); len(s) == 0 {
 				t.Errorf("empty rendering")
@@ -448,9 +444,9 @@ func TestAllExperimentsRun(t *testing.T) {
 			if s := tb.CSV(); len(s) == 0 {
 				t.Errorf("empty CSV")
 			}
-			if c.chart {
+			if want.chart {
 				if _, err := tb.SVG(""); err != nil {
-					t.Errorf("%s should chart: %v", c.id, err)
+					t.Errorf("%s should chart: %v", e.ID, err)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"mira/internal/cmp"
 	"mira/internal/core"
@@ -20,7 +21,7 @@ import (
 // leakage power"). For each design it converges the per-router leakage
 // against its junction temperature and reports leakage as a share of
 // network power at a moderate uniform-random load.
-func ExtLeakage(ctx context.Context, o Options) Table {
+func ExtLeakage(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:    "ext-leakage",
 		Title: "Router leakage with thermal feedback (uniform random @ 0.15)",
@@ -34,22 +35,16 @@ func ExtLeakage(ctx context.Context, o Options) Table {
 	// with lateral spreading; a compact constant derived from the
 	// thermal grid at the 3DM node pitch.
 	const rNodeKPerW = 5.0
-	var archs []core.Arch
-	for _, a := range core.Archs {
-		if a == core.Arch3DMNC || a == core.Arch3DMENC {
-			continue // identical silicon to the combined variants
-		}
-		archs = append(archs, a)
+	archs := paperArchs
+	results, err := sweep(ctx, o, archs, []float64{rate}, func(o Options, a core.Arch, rate float64) scenario.Scenario {
+		return o.synthetic(a, "ur", rate)
+	})
+	if err != nil {
+		return t, err
 	}
-	points := make([]Point[Outcome], 0, len(archs))
-	for _, a := range archs {
-		points = append(points, simPoint(fmt.Sprintf("leakage arch=%s", a),
-			func(o Options) scenario.Scenario { return o.synthetic(a, "ur", rate) }))
-	}
-	results := RunAll(ctx, o, points)
 	for i, a := range archs {
 		d := corePowerOf(a)
-		res := results[i].Result
+		res := results[i][0].Result
 		dynTotal := NetworkPowerW(d, res, false)
 		routers := float64(d.Topo.NumNodes())
 		dynPerRouter := dynTotal / routers
@@ -67,7 +62,7 @@ func ExtLeakage(ctx context.Context, o Options) Table {
 	t.Notes = append(t.Notes,
 		"extension beyond the paper: 90 nm subthreshold leakage, doubling per 28 K, converged against router temperature",
 		fmt.Sprintf("per-router junction resistance %.1f K/W above %.1f K ambient", rNodeKPerW, thermal.AmbientK))
-	return t
+	return t, nil
 }
 
 // ExtCosim is the closed-loop CMP/NoC co-simulation extension: instead
@@ -83,57 +78,42 @@ func ExtCosim(ctx context.Context, o Options) (Table, error) {
 		Header: []string{"workload", "2DB", "3DB", "3DM", "3DM-E", "3DM-E vs 2DB"},
 	}
 	names := []string{"tpcw", "ocean"}
-	archs := []core.Arch{core.Arch2DB, core.Arch3DB, core.Arch3DM, core.Arch3DME}
-	type cosimOut struct {
-		mean float64
-		err  error
-	}
-	points := make([]Point[cosimOut], 0, len(names)*len(archs))
-	for _, name := range names {
+	archs := paperArchs
+	res, err := grid(ctx, o, names, archs, func(_ context.Context, o Options, name string, a core.Arch) (float64, error) {
 		w, ok := cmp.ByName(name)
 		if !ok {
-			return t, fmt.Errorf("exp: workload %s missing", name)
+			return 0, fmt.Errorf("exp: workload %s missing", name)
 		}
-		for _, a := range archs {
-			w, a := w, a
-			points = append(points, Point[cosimOut]{
-				Label: fmt.Sprintf("cosim %s arch=%s", w.Name, a),
-				Run: func(ctx context.Context, o Options) cosimOut {
-					// The closed loop supplies its own traffic, so it
-					// elaborates the design and config (not a Sim)
-					// through the scenario layer and drives the network
-					// itself.
-					d, cfg, err := o.Scenario(a).NoCConfig()
-					if err != nil {
-						return cosimOut{err: err}
-					}
-					cfg.Policy = noc.ByClass
-					p := cmp.DefaultParams(w, d.Topo, o.Seed)
-					cs, err := cmp.NewClosedSystem(p, cfg)
-					if err != nil {
-						return cosimOut{err: err}
-					}
-					st := cs.Run(o.Measure + o.Warmup)
-					return cosimOut{mean: st.MissLatency.Mean()}
-				},
-			})
+		// The closed loop supplies its own traffic, so it elaborates the
+		// design and config (not a Sim) through the scenario layer and
+		// drives the network itself.
+		d, cfg, err := o.Scenario(a).NoCConfig()
+		if err != nil {
+			return 0, err
 		}
+		cfg.Policy = noc.ByClass
+		p := cmp.DefaultParams(w, d.Topo, o.Seed)
+		cs, err := cmp.NewClosedSystem(p, cfg)
+		if err != nil {
+			return 0, err
+		}
+		st := cs.Run(o.Measure + o.Warmup)
+		return st.MissLatency.Mean(), nil
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	for i, name := range names {
 		row := []string{name}
 		var base, express float64
 		for j, a := range archs {
-			r := res[i*len(archs)+j]
-			if r.err != nil {
-				return t, r.err
-			}
-			row = append(row, f1(r.mean))
+			mean := res[i][j]
+			row = append(row, f1(mean))
 			switch a {
 			case core.Arch2DB:
-				base = r.mean
+				base = mean
 			case core.Arch3DME:
-				express = r.mean
+				express = mean
 			}
 		}
 		row = append(row, fmt.Sprintf("-%.0f%%", 100*(1-stats.Ratio(express, base))))
@@ -148,7 +128,7 @@ func ExtCosim(ctx context.Context, o Options) (Table, error) {
 // §3.3: control/request packets get switch priority over data. It
 // reports per-class latency with QoS off and on, near saturation where
 // arbitration matters.
-func ExtQoS(ctx context.Context, o Options) Table {
+func ExtQoS(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:     "ext-qos",
 		Title:  "QoS priority arbitration, bimodal NUCA traffic (3DM)",
@@ -156,22 +136,17 @@ func ExtQoS(ctx context.Context, o Options) Table {
 	}
 	rates := []float64{0.15, 0.20}
 	qosModes := []bool{false, true}
-	points := make([]Point[Outcome], 0, len(rates)*len(qosModes))
-	for _, rate := range rates {
-		for _, qos := range qosModes {
-			points = append(points, simPoint(fmt.Sprintf("qos rate=%.2f on=%v", rate, qos), func(o Options) scenario.Scenario {
-				sc := o.synthetic(core.Arch3DM, "nuca", rate)
-				sc.QoSPriority = qos
-				return sc
-			}))
-		}
+	res, err := sweep(ctx, o, rates, qosModes, func(o Options, rate float64, qos bool) scenario.Scenario {
+		sc := o.synthetic(core.Arch3DM, "nuca", rate)
+		sc.QoSPriority = qos
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
-	k := 0
-	for _, rate := range rates {
-		for _, qos := range qosModes {
-			r := res[k].Result
-			k++
+	for i, rate := range rates {
+		for j, qos := range qosModes {
+			r := res[i][j].Result
 			label := fmt.Sprintf("%.2f / off", rate)
 			if qos {
 				label = fmt.Sprintf("%.2f / on", rate)
@@ -187,7 +162,7 @@ func ExtQoS(ctx context.Context, o Options) Table {
 	t.Notes = append(t.Notes,
 		"extension beyond the paper (§3.3 flags QoS as a use of the spare port bandwidth)",
 		"largely a negative result for this traffic mix: the per-class VCs already isolate the sparse control packets, so switch priority buys little control latency and costs data latency once the network saturates (0.20 row)")
-	return t
+	return t, nil
 }
 
 // ExtFault evaluates the fault-tolerance use of §3.3: a 3DM mesh with a
@@ -203,31 +178,30 @@ func ExtFault(ctx context.Context, o Options) (Table, error) {
 	// The faulted configuration fails the east link out of the centre
 	// node (2,2), the highest-traffic region of the mesh.
 	mid := int(core.MustDesign(core.Arch3DM).Topo.MustNodeAt(topology.Coord{X: 2, Y: 2}).ID)
-	cases := []struct {
+	type faultCase struct {
 		name    string
 		routing string
 		faults  []scenario.Fault
-	}{
+	}
+	cases := []faultCase{
 		{"healthy, X-Y", "xy", nil},
 		{"healthy, west-first", "westfirst", nil},
 		{"east link (2,2) failed, west-first", "westfirst", []scenario.Fault{{Src: mid, Dir: "east"}}},
 	}
-	points := make([]Point[tried], 0, len(cases))
-	for _, c := range cases {
-		points = append(points, tryPoint("fault "+c.name, func(o Options) scenario.Scenario {
-			sc := o.synthetic(core.Arch3DM, "ur", 0.15)
-			sc.Routing = c.routing
-			sc.Faults = c.faults
-			return sc
-		}))
+	res, err := sweep(ctx, o, []float64{0.15}, cases, func(o Options, rate float64, c faultCase) scenario.Scenario {
+		sc := o.synthetic(core.Arch3DM, "ur", rate)
+		sc.Routing = c.routing
+		sc.Faults = c.faults
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	for i, r := range RunAll(ctx, o, points) {
-		if r.err != nil {
-			return t, r.err
-		}
+	for j, out := range res[0] {
+		r := out.Result
 		t.Rows = append(t.Rows, []string{
-			cases[i].name, latCell(r.Result), f2(r.Result.AvgHops),
-			fmt.Sprintf("%d/%d", r.Result.Ejected, r.Result.Generated),
+			cases[j].name, latCell(r), f2(r.AvgHops),
+			fmt.Sprintf("%d/%d", r.Ejected, r.Generated),
 		})
 	}
 
@@ -249,31 +223,16 @@ func ExtProtocol(ctx context.Context, o Options) (Table, error) {
 	}
 	names := []string{"barnes", "tpcw"}
 	protos := []cmp.Protocol{cmp.MESI, cmp.MOESI}
-	points := make([]Point[tried], 0, len(names)*len(protos))
-	for _, name := range names {
-		w, ok := cmp.ByName(name)
-		if !ok {
-			return t, fmt.Errorf("exp: workload %s missing", name)
-		}
-		for _, proto := range protos {
-			protoName := "mesi"
-			if proto == cmp.MOESI {
-				protoName = "moesi"
-			}
-			points = append(points, tryPoint(fmt.Sprintf("protocol %s/%s", w.Name, proto),
-				func(o Options) scenario.Scenario { return o.trace(core.Arch3DM, w.Name, protoName) }))
-		}
+	res, err := sweep(ctx, o, names, protos, func(o Options, name string, proto cmp.Protocol) scenario.Scenario {
+		return o.trace(core.Arch3DM, name, strings.ToLower(proto.String()))
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	d := corePowerOf(core.Arch3DM)
-	k := 0
-	for _, name := range names {
-		for _, proto := range protos {
-			r := res[k]
-			k++
-			if r.err != nil {
-				return t, r.err
-			}
+	for i, name := range names {
+		for j, proto := range protos {
+			r := res[i][j]
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%s/%s", name, proto),
 				fmt.Sprintf("%d", r.Stats.KindCounts[cmp.KindWriteBack]),
@@ -292,24 +251,22 @@ func ExtProtocol(ctx context.Context, o Options) (Table, error) {
 // MIRA router. Steering core activity toward the heat-sink layer and
 // shutting down router layers for short flits compound into a lower
 // chip temperature than either technique alone.
-func ExtHerding(ctx context.Context, o Options) Table {
+func ExtHerding(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:     "ext-herding",
 		Title:  "Thermal herding + 3DM router shutdown (uniform random @ 0.20)",
 		Header: []string{"configuration", "avg T rise (K)", "max T rise (K)"},
 	}
-	fracs := []float64{0, 0.5}
-	points := make([]Point[Outcome], 0, len(fracs))
-	for _, frac := range fracs {
-		points = append(points, simPoint(fmt.Sprintf("herding short=%.0f%%", 100*frac), func(o Options) scenario.Scenario {
-			sc := o.synthetic(core.Arch3DM, "ur", 0.20)
-			sc.Traffic.ShortFrac = frac
-			return sc
-		}))
+	res, err := sweep(ctx, o, []float64{0.20}, []float64{0, 0.5}, func(o Options, rate, frac float64) scenario.Scenario {
+		sc := o.synthetic(core.Arch3DM, "ur", rate)
+		sc.Traffic.ShortFrac = frac
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	d := corePowerOf(core.Arch3DM)
-	r0, r50 := res[0].Result, res[1].Result
+	r0, r50 := res[0][0].Result, res[0][1].Result
 	cases := []struct {
 		name string
 		res  noc.Result
@@ -321,13 +278,13 @@ func ExtHerding(ctx context.Context, o Options) Table {
 		{"herded cores, 50% short flits", r50, HerdedCoreLayers},
 	}
 	for _, c := range cases {
-		temps := solveChipTempsDist(d, c.res, c.dist)
+		temps := solveChipTemps(d, c.res, c.dist)
 		t.Rows = append(t.Rows, []string{c.name, f2(thermal.Average(temps)), f2(thermal.Max(temps))})
 	}
 	t.Notes = append(t.Notes,
 		"extension: the paper's conclusion proposes combining true-3D processors [16] with the 3DM router",
 		"herding steers 60% of core activity to the heat-sink layer")
-	return t
+	return t, nil
 }
 
 // ExtPatterns stresses the designs with adversarial synthetic patterns
@@ -340,40 +297,34 @@ func ExtPatterns(ctx context.Context, o Options) (Table, error) {
 		Title:  "Adversarial traffic patterns: avg latency (cycles) at 0.15 flits/node/cycle",
 		Header: []string{"pattern", "2DB", "3DB", "3DM", "3DM-E"},
 	}
-	archs := []core.Arch{core.Arch2DB, core.Arch3DB, core.Arch3DM, core.Arch3DME}
+	archs := paperArchs
 	const rate = 0.15
 	// The hotspot row uses the scenario layer's default hot set: the
 	// chip-centre nodes of each floorplan, 30 % of the traffic.
-	rows := []struct {
+	type pattern struct {
 		name string
 		kind string
-	}{
+	}
+	rows := []pattern{
 		{"transpose", "transpose"},
 		{"complement", "complement"},
 		{"tornado", "tornado"},
 		{"hotspot(4c,30%)", "hotspot"},
 	}
-	points := make([]Point[tried], 0, len(rows)*len(archs))
-	for _, r := range rows {
-		for _, a := range archs {
-			points = append(points, tryPoint(fmt.Sprintf("pattern=%s arch=%s", r.name, a), func(o Options) scenario.Scenario {
-				sc := o.synthetic(a, r.kind, rate)
-				if r.kind == "hotspot" {
-					sc.Traffic.HotFrac = 0.3
-				}
-				return sc
-			}))
+	res, err := sweep(ctx, o, rows, archs, func(o Options, r pattern, a core.Arch) scenario.Scenario {
+		sc := o.synthetic(a, r.kind, rate)
+		if r.kind == "hotspot" {
+			sc.Traffic.HotFrac = 0.3
 		}
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	for i, r := range rows {
 		row := []string{r.name}
-		for j := range archs {
-			p := res[i*len(archs)+j]
-			if p.err != nil {
-				return t, p.err
-			}
-			row = append(row, latCell(p.Result))
+		for _, out := range res[i] {
+			row = append(row, latCell(out.Result))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"fmt"
 
 	"mira/internal/core"
 	"mira/internal/scenario"
@@ -13,7 +12,7 @@ import (
 // routing plus speculation (2-stage), and the 3DM ST+LT combination —
 // alone and stacked on top of the aggressive pipelines. Latencies are
 // measured on the 6x6 mesh under uniform random traffic.
-func Fig8(ctx context.Context, o Options) Table {
+func Fig8(ctx context.Context, o Options) (Table, error) {
 	t := Table{
 		ID:     "fig8",
 		Title:  "Router pipeline family (uniform random, 6x6 mesh)",
@@ -32,27 +31,24 @@ func Fig8(ctx context.Context, o Options) Table {
 		{"(c)+(d) VA+SA|ST+LT", true, true, 1},
 	}
 	rates := []float64{0.05, 0.15, 0.30}
-	points := make([]Point[Outcome], 0, len(variants)*len(rates))
-	for _, v := range variants {
-		for _, rate := range rates {
-			points = append(points, simPoint(fmt.Sprintf("pipe=%s rate=%.2f", v.name, rate), func(o Options) scenario.Scenario {
-				sc := o.synthetic(core.Arch2DB, "ur", rate)
-				sc.LookaheadRC = v.look
-				sc.SpecSA = v.spec
-				sc.STLTCycles = v.stlt
-				return sc
-			}))
-		}
+	res, err := sweep(ctx, o, variants, rates, func(o Options, v variant, rate float64) scenario.Scenario {
+		sc := o.synthetic(core.Arch2DB, "ur", rate)
+		sc.LookaheadRC = v.look
+		sc.SpecSA = v.spec
+		sc.STLTCycles = v.stlt
+		return sc
+	})
+	if err != nil {
+		return t, err
 	}
-	res := RunAll(ctx, o, points)
 	for i, v := range variants {
 		row := []string{v.name, f2(float64(v.stlt))}
-		for j := range rates {
-			row = append(row, latCell(res[i*len(rates)+j].Result))
+		for _, out := range res[i] {
+			row = append(row, latCell(out.Result))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"(d) assumes the 3DM wire lengths; on the real 2DB crossbar the combined stage misses the 500 ps budget (Table 3)")
-	return t
+	return t, nil
 }

@@ -105,48 +105,20 @@ func portGoldenOpts() Options {
 	return Options{Warmup: 200, Measure: 800, Drain: 3000, TraceCycles: 2000, Seed: 42}
 }
 
-// portGoldenDrivers lists every simulation-backed driver (the analytic
-// tables are pinned cell-by-cell above). The adapters run each driver
-// under context.Background(): the goldens pin uncanceled output.
-func portGoldenDrivers() []struct {
-	id  string
-	run func(Options) (Table, error)
-} {
-	tbl := func(f func(context.Context, Options) Table) func(Options) (Table, error) {
-		return func(o Options) (Table, error) { return f(context.Background(), o), nil }
+// portGoldenDrivers lists every experiment with a golden file: the
+// simulation-backed drivers (the analytic tables are pinned cell-by-cell
+// above).
+func portGoldenDrivers(t *testing.T) []Experiment {
+	var out []Experiment
+	for _, e := range Experiments {
+		if _, err := os.Stat(filepath.Join("testdata", "port", e.ID+".golden")); err == nil {
+			out = append(out, e)
+		}
 	}
-	tblE := func(f func(context.Context, Options) (Table, error)) func(Options) (Table, error) {
-		return func(o Options) (Table, error) { return f(context.Background(), o) }
+	if len(out) != 24 {
+		t.Fatalf("%d experiments have a golden file, want 24", len(out))
 	}
-	return []struct {
-		id  string
-		run func(Options) (Table, error)
-	}{
-		{"fig1", tblE(Fig1)},
-		{"fig2", tblE(Fig2)},
-		{"fig8", tbl(Fig8)},
-		{"fig11a", tbl(Fig11a)},
-		{"fig11b", tbl(Fig11b)},
-		{"fig11c", tblE(Fig11c)},
-		{"fig11d", tblE(Fig11d)},
-		{"fig12a", tbl(Fig12a)},
-		{"fig12b", tbl(Fig12b)},
-		{"fig12c", tblE(Fig12c)},
-		{"fig12d", tbl(Fig12d)},
-		{"fig13a", tblE(Fig13a)},
-		{"fig13b", tbl(Fig13b)},
-		{"fig13c", tbl(Fig13c)},
-		{"ablation-buf", tbl(AblationBufferDepth)},
-		{"ablation-vc", tbl(AblationVCs)},
-		{"ablation-express", tblE(AblationExpressInterval)},
-		{"ext-leakage", tbl(ExtLeakage)},
-		{"ext-cosim", tblE(ExtCosim)},
-		{"ext-patterns", tblE(ExtPatterns)},
-		{"ext-qos", tbl(ExtQoS)},
-		{"ext-fault", tblE(ExtFault)},
-		{"ext-herding", tbl(ExtHerding)},
-		{"ext-protocol", tblE(ExtProtocol)},
-	}
+	return out
 }
 
 // TestScenarioPortGolden asserts every simulation-backed driver renders
@@ -154,16 +126,15 @@ func portGoldenDrivers() []struct {
 // windows), i.e. the scenario port changed zero simulated behaviour.
 func TestScenarioPortGolden(t *testing.T) {
 	o := portGoldenOpts()
-	for _, d := range portGoldenDrivers() {
-		d := d
-		t.Run(d.id, func(t *testing.T) {
+	for _, d := range portGoldenDrivers(t) {
+		t.Run(d.ID, func(t *testing.T) {
 			t.Parallel()
-			tb, err := d.run(o)
+			tb, err := d.Run(context.Background(), o)
 			if err != nil {
-				t.Fatalf("%s: %v", d.id, err)
+				t.Fatalf("%s: %v", d.ID, err)
 			}
 			got := tb.String()
-			path := filepath.Join("testdata", "port", d.id+".golden")
+			path := filepath.Join("testdata", "port", d.ID+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -179,7 +150,7 @@ func TestScenarioPortGolden(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s diverged from the pre-scenario-port output:\n--- want ---\n%s\n--- got ---\n%s",
-					d.id, want, got)
+					d.ID, want, got)
 			}
 		})
 	}

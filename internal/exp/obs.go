@@ -3,8 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
 
 	"mira/internal/core"
 	"mira/internal/noc"
@@ -13,32 +11,40 @@ import (
 )
 
 // Observability-backed experiments: sweeps that attach the internal/obs
-// collector to every point and aggregate the per-point summaries, plus
-// the probe-overhead measurement behind mirabench -obs.
+// collector to every point and aggregate the per-point summaries.
 
-// ObsURSweep sweeps uniform-random injection rates on one architecture
-// with a collector attached to every point, fanning the points through
-// RunAll and aggregating the per-point summaries: probe-derived flit and
-// packet latency percentiles next to the simulator's own measured
-// latency, plus the windowed backpressure totals. The probe percentiles
-// cover every flit the network carried (warm-up included), so they
-// bracket the measured-window averages of the paper's Fig. 11 curves.
-func ObsURSweep(ctx context.Context, a core.Arch, rates []float64, o Options) Table {
-	if o.ObserveWindow == 0 {
-		o.ObserveWindow = obs.DefaultWindow
+// observed is sc with a collector attached; observe.* edits carry over.
+func observed(sc scenario.Scenario) scenario.Scenario {
+	if sc.Observe == nil {
+		sc.Observe = &scenario.Observe{}
 	}
-	points := make([]Point[Outcome], len(rates))
-	for i, rate := range rates {
-		points[i] = simPoint(fmt.Sprintf("%s ur %.2f", a, rate),
-			func(o Options) scenario.Scenario { return o.synthetic(a, "ur", rate) })
-	}
+	return sc
+}
+
+// ObsURSweep sweeps uniform-random injection rates on 3DM with a
+// collector attached to every point, fanning the points through RunAll
+// and aggregating the per-point summaries: probe-derived flit and packet
+// latency percentiles next to the simulator's own measured latency, plus
+// the windowed backpressure totals. The probe percentiles cover every
+// flit the network carried (warm-up included), so they bracket the
+// measured-window averages of the paper's Fig. 11 curves.
+func ObsURSweep(ctx context.Context, o Options) (Table, error) {
+	const a = core.Arch3DM
+	rates := []float64{0.05, 0.10, 0.15, 0.20, 0.25}
 	t := Table{
 		ID:    "obs-ur",
 		Title: fmt.Sprintf("%s uniform random: observability summaries per injection rate", a),
 		Header: []string{"rate", "avg lat", "flit p50", "flit p95", "flit p99",
 			"pkt p99", "credit stalls", "windows"},
 	}
-	for i, out := range RunAll(ctx, o, points) {
+	res, err := sweep(ctx, o, rates, []core.Arch{a}, func(o Options, rate float64, a core.Arch) scenario.Scenario {
+		return observed(o.synthetic(a, "ur", rate))
+	})
+	if err != nil {
+		return t, err
+	}
+	for i, outs := range res {
+		out := outs[0]
 		var sum obs.Summary
 		if out.Obs != nil { // nil: a canceled sweep never ran this point
 			sum = out.Obs.Summary()
@@ -54,7 +60,7 @@ func ObsURSweep(ctx context.Context, a core.Arch, rates []float64, o Options) Ta
 	}
 	t.Notes = append(t.Notes,
 		"probe percentiles cover all carried flits (warm-up included); avg lat is the measured window only")
-	return t
+	return t, nil
 }
 
 // SpanStages runs one mid-load uniform-random point per architecture
@@ -65,31 +71,26 @@ func ObsURSweep(ctx context.Context, a core.Arch, rates []float64, o Options) Ta
 // table is an exact accounting of where each architecture's cycles go,
 // not an estimate. Tables are bit-identical for any worker count and
 // step mode.
-func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options) Table {
+func SpanStages(ctx context.Context, o Options) (Table, error) {
+	const rate = 0.15
+	archs := paperArchs
 	type staged struct {
 		res  noc.Result
 		sums obs.StageSums
 	}
-	points := make([]Point[staged], len(archs))
-	for i, a := range archs {
-		points[i] = Point[staged]{
-			Label: fmt.Sprintf("%s ur %.2f spans", a, rate),
-			Run: func(ctx context.Context, o Options) staged {
-				sc := o.synthetic(a, "ur", rate)
-				if sc.Observe == nil {
-					sc.Observe = &scenario.Observe{}
-				}
-				sc.Observe.Spans = true
-				out := mustRun(ctx, o, sc)
-				sb := out.Obs.Spans()
-				if err := sb.Err(); err != nil {
-					panic(err)
-				}
-				return staged{res: out.Result, sums: sb.Attribution().Total()}
-			},
+	res, err := grid(ctx, o, archs, []float64{rate}, func(ctx context.Context, o Options, a core.Arch, rate float64) (staged, error) {
+		sc := observed(o.synthetic(a, "ur", rate))
+		sc.Observe.Spans = true
+		out, err := run(ctx, o, sc)
+		if err != nil {
+			return staged{}, err
 		}
+		sb := out.Obs.Spans()
+		return staged{res: out.Result, sums: sb.Attribution().Total()}, sb.Err()
+	})
+	if err != nil {
+		return Table{}, err
 	}
-	results := RunAll(ctx, o, points)
 
 	t := Table{
 		ID:    "obs-stages",
@@ -103,7 +104,8 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 		}
 		return fmt.Sprintf("%.2f", float64(cycles)/float64(n))
 	}
-	for i, r := range results {
+	for i, outs := range res {
+		r := outs[0]
 		s := r.sums
 		row := []string{archs[i].String(), fmt.Sprint(s.N)}
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
@@ -114,80 +116,5 @@ func SpanStages(ctx context.Context, archs []core.Arch, rate float64, o Options)
 	}
 	t.Notes = append(t.Notes,
 		"stage means sum exactly to the network mean (all carried flits, warm-up included); avg lat is the measured window only")
-	return t
-}
-
-// ObsOverhead measures the live cost of the observability layer on one
-// mid-load uniform-random run: the same scenario is executed bare, with
-// the full collector attached, with the collector streaming a JSONL
-// trace to a discarded writer, and with span folding on top of that
-// (what the ur6x6_observed benchmark workload attaches). Each variant
-// runs reps times and keeps its fastest wall-clock, the standard noise
-// reduction for this kind of measurement. Simulated results are
-// bit-identical across variants (the probe observes, never steers),
-// which the table asserts in its note.
-func ObsOverhead(ctx context.Context, o Options) Table {
-	sc := o.synthetic(core.Arch3DM, "ur", 0.15)
-
-	const reps = 3
-	run := func(observe *scenario.Observe, trace bool) (noc.Result, time.Duration) {
-		var best time.Duration
-		var res noc.Result
-		for r := 0; r < reps; r++ {
-			s := sc
-			s.Observe = observe
-			e, err := s.Elaborate()
-			if err != nil {
-				panic(err) // driver-authored scenario
-			}
-			if trace {
-				e.Obs.SetTraceWriter(io.Discard)
-			}
-			start := time.Now()
-			res = e.Sim.Run(ctx)
-			if e.Obs != nil {
-				// Timed: the sinks fold their last batch and flush here.
-				if err := e.Obs.Close(); err != nil {
-					panic(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if r == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		return res, best
-	}
-
-	bareRes, bare := run(nil, false)
-	probedRes, probed := run(&scenario.Observe{}, false)
-	tracedRes, traced := run(&scenario.Observe{}, true)
-	spannedRes, spanned := run(&scenario.Observe{Spans: true}, true)
-
-	cycles := sc.Warmup + sc.Measure // lower bound; drain adds more
-	row := func(name string, d time.Duration) []string {
-		overhead := 100 * (d.Seconds() - bare.Seconds()) / bare.Seconds()
-		return []string{name, fmt.Sprintf("%.1f", float64(d.Microseconds())/1e3),
-			fmt.Sprintf("%.1f", float64(cycles)/d.Seconds()/1e6),
-			fmt.Sprintf("%+.1f%%", overhead)}
-	}
-	t := Table{
-		ID:     "obs-overhead",
-		Title:  "probe overhead: 3DM uniform random at 0.15 flits/node/cycle",
-		Header: []string{"variant", "wall ms", "Mcycles/s", "overhead"},
-		Rows: [][]string{
-			row("no probe", bare),
-			row("collector", probed),
-			row("collector + trace", traced),
-			row("collector + spans + trace", spanned),
-		},
-	}
-	if bareRes.AvgLatency != probedRes.AvgLatency || bareRes.AvgLatency != tracedRes.AvgLatency ||
-		bareRes.AvgLatency != spannedRes.AvgLatency {
-		t.Notes = append(t.Notes, "WARNING: observing changed simulation results — probe purity violated")
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"simulated results bit-identical across variants (avg lat %.2f); wall times are host-dependent", bareRes.AvgLatency))
-	}
-	return t
+	return t, nil
 }

@@ -33,19 +33,12 @@ func (s *Scope) stored() int {
 // sharingFigures are the eight drivers that read three shared grids:
 // 11a/12a/12d the UR grid, 11b/12b the NUCA-UR grid, 11c/11d/12c the
 // trace grid.
-func sharingFigures() []struct {
-	id  string
-	run func(Options) (Table, error)
-} {
-	share := map[string]bool{
-		"fig11a": true, "fig11b": true, "fig11c": true, "fig11d": true,
-		"fig12a": true, "fig12b": true, "fig12c": true, "fig12d": true,
-	}
-	all := portGoldenDrivers()
-	out := all[:0:0]
-	for _, d := range all {
-		if share[d.id] {
-			out = append(out, d)
+func sharingFigures() []Experiment {
+	var out []Experiment
+	for _, e := range Experiments {
+		switch e.ID {
+		case "fig11a", "fig11b", "fig11c", "fig11d", "fig12a", "fig12b", "fig12c", "fig12d":
+			out = append(out, e)
 		}
 	}
 	return out
@@ -78,22 +71,22 @@ func TestReuseTablesIdentical(t *testing.T) {
 	shared.Reuse = NewScope()
 	var racing simCount
 	shared.Progress = racing.add
-	render := func(t *testing.T, pass, id string, run func(Options) (Table, error), o Options) {
+	render := func(t *testing.T, pass string, e Experiment, o Options) {
 		t.Helper()
-		tb, err := run(o)
+		tb, err := e.Run(bg(), o)
 		if err != nil {
-			t.Fatalf("%s (%s): %v", id, pass, err)
+			t.Fatalf("%s (%s): %v", e.ID, pass, err)
 		}
-		if got, want := tb.String(), readGolden(t, id); got != want {
+		if got, want := tb.String(), readGolden(t, e.ID); got != want {
 			t.Errorf("%s rendered from a %s scope diverges from its golden:\n--- want ---\n%s\n--- got ---\n%s",
-				id, pass, want, got)
+				e.ID, pass, want, got)
 		}
 	}
 	t.Run("racing", func(t *testing.T) {
-		for _, d := range sharingFigures() {
-			t.Run(d.id, func(t *testing.T) {
+		for _, e := range sharingFigures() {
+			t.Run(e.ID, func(t *testing.T) {
 				t.Parallel()
-				render(t, "racing", d.id, d.run, shared)
+				render(t, "racing", e, shared)
 			})
 		}
 	})
@@ -107,11 +100,11 @@ func TestReuseTablesIdentical(t *testing.T) {
 
 	var warm simCount
 	shared.Progress = warm.add
-	for _, d := range sharingFigures() {
-		render(t, "warm", d.id, d.run, shared)
+	for _, e := range sharingFigures() {
+		render(t, "warm", e, shared)
 		cold := portGoldenOpts()
 		cold.Reuse = NewScope()
-		render(t, "cold", d.id, d.run, cold)
+		render(t, "cold", e, cold)
 	}
 	if ran := warm.ran.Load(); ran != 0 {
 		t.Errorf("warm pass ran %d simulations, want 0", ran)
@@ -144,15 +137,19 @@ func TestReuseCanceledSweepStoresNothing(t *testing.T) {
 	o := tiny()
 	o.Workers = 1
 	o.Reuse = NewScope()
+	ur := func(o Options, rate float64, a core.Arch) scenario.Scenario { return o.synthetic(a, "ur", rate) }
 	rates := []float64{0.10}
 	perPoint := (o.Warmup+o.Measure)/noc.CancelCheckStride + 2 // RunAll's poll + Sim.Run's, at least
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(perPoint + 2) // runs out inside point 1
-	cut := runSweep(ctx, o, "ur", rates)
-	if r := cut[0].Results[core.Archs[0]]; r.Canceled || r.Ejected == 0 {
+	cut, err := sweep(ctx, o, rates, core.Archs, ur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := cut[0][0].Result; r.Canceled || r.Ejected == 0 {
 		t.Fatalf("point 0 should have completed before the cancellation: %v", r.String())
 	}
-	if r := cut[0].Results[core.Archs[1]]; !r.Canceled {
+	if r := cut[0][1].Result; !r.Canceled {
 		t.Fatalf("point 1 should have been canceled mid-flight: %v", r.String())
 	}
 	if n := o.Reuse.stored(); n != 1 {
@@ -161,12 +158,15 @@ func TestReuseCanceledSweepStoresNothing(t *testing.T) {
 
 	var rerun simCount
 	o.Progress = rerun.add
-	full := runSweep(bg(), o, "ur", rates)
+	full, err := sweep(bg(), o, rates, core.Archs, ur)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ran, reused := rerun.ran.Load(), rerun.reused.Load(); ran != int64(len(core.Archs)-1) || reused != 1 {
 		t.Errorf("rerun ran %d and reused %d, want %d and 1", ran, reused, len(core.Archs)-1)
 	}
-	for _, a := range core.Archs {
-		if r := full[0].Results[a]; r.Canceled || r.Ejected == 0 {
+	for j, a := range core.Archs {
+		if r := full[0][j].Result; r.Canceled || r.Ejected == 0 {
 			t.Errorf("%s: rerun result is not a complete simulation: %v", a, r.String())
 		}
 	}
@@ -229,8 +229,8 @@ func TestReuseKey(t *testing.T) {
 		{"Warmup", ur, func(o *Options) { o.Warmup++ }},
 		{"Measure", ur, func(o *Options) { o.Measure++ }},
 		{"Drain", ur, func(o *Options) { o.Drain++ }},
-		{"StepMode", ur, func(o *Options) { o.StepMode = noc.StepChecked }},
-		{"Shards", ur, func(o *Options) { o.Shards = 2 }},
+		{"step_mode", ur, func(o *Options) { o.Edits = scenario.Edits{"step_mode=checked"} }},
+		{"shards", ur, func(o *Options) { o.Edits = scenario.Edits{"shards=2"} }},
 		{"arch", func(o Options) scenario.Scenario { return o.synthetic(core.Arch3DM, "ur", 0.10) }, nil},
 		{"traffic kind", func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "nuca", 0.10) }, nil},
 		{"traffic rate", func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "ur", 0.11) }, nil},
@@ -266,7 +266,7 @@ func TestReuseKey(t *testing.T) {
 
 	ran, stored := base.tally.ran, base.Reuse.stored()
 	o := base
-	o.ObserveWindow = 100
+	o.Edits = scenario.Edits{"observe.window=100"}
 	for i := 0; i < 2; i++ {
 		if out := mustRun(bg(), o, ur(o)); out.Obs == nil {
 			t.Fatal("observed scenario ran without its collector")

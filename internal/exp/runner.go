@@ -2,9 +2,12 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
+
+	"mira/internal/scenario"
 )
 
 // The parallel experiment engine. Every figure of the MIRA evaluation is
@@ -149,4 +152,44 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	return out
+}
+
+// grid runs f at every (row, col) pair as one RunAll point each, in
+// row-major order (the order fixes each point's SeedFor seed), and
+// returns the values indexed [row][col] or the first error in that order.
+func grid[R, C, T any](ctx context.Context, o Options, rows []R, cols []C, f func(context.Context, Options, R, C) (T, error)) ([][]T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	points := make([]Point[result], 0, len(rows)*len(cols))
+	for _, r := range rows {
+		for _, c := range cols {
+			points = append(points, Point[result]{Label: fmt.Sprint(r, " ", c), Run: func(ctx context.Context, o Options) result {
+				v, err := f(ctx, o, r, c)
+				return result{v, err}
+			}})
+		}
+	}
+	flat := RunAll(ctx, o, points)
+	out := make([][]T, len(rows))
+	for i := range out {
+		out[i] = make([]T, len(cols))
+		for j := range out[i] {
+			p := flat[i*len(cols)+j]
+			if p.err != nil {
+				return nil, p.err
+			}
+			out[i][j] = p.v
+		}
+	}
+	return out, nil
+}
+
+// sweep is the simulated grid: mk builds each point's scenario from the
+// point's options, and run simulates it (or serves it from o.Reuse).
+func sweep[R, C any](ctx context.Context, o Options, rows []R, cols []C, mk func(Options, R, C) scenario.Scenario) ([][]Outcome, error) {
+	return grid(ctx, o, rows, cols, func(ctx context.Context, o Options, r R, c C) (Outcome, error) {
+		return run(ctx, o, mk(o, r, c))
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mira/internal/core"
+	"mira/internal/scenario"
 )
 
 // TestSeedForDistinct checks that neighbouring point indices get
@@ -135,7 +136,7 @@ func TestRunAllCancel(t *testing.T) {
 // sweep produces byte-identical tables with 1 worker and with 8.
 func TestRunAllDeterminism(t *testing.T) {
 	o := tiny()
-	sweep := func(workers int) []SweepResult {
+	run := func(workers int) [][]Outcome {
 		so := o
 		so.Workers = workers
 		var launched, ran int32
@@ -143,7 +144,12 @@ func TestRunAllDeterminism(t *testing.T) {
 			atomic.AddInt32(&launched, 1)
 			atomic.AddInt32(&ran, int32(p.Ran))
 		}
-		res := runSweep(context.Background(), so, "ur", []float64{0.05, 0.30})
+		res, err := sweep(context.Background(), so, []float64{0.05, 0.30}, core.Archs, func(o Options, rate float64, a core.Arch) scenario.Scenario {
+			return o.synthetic(a, "ur", rate)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if int(launched) != 2*len(core.Archs) {
 			t.Fatalf("workers=%d: %d progress callbacks, want %d", workers, launched, 2*len(core.Archs))
 		}
@@ -152,8 +158,8 @@ func TestRunAllDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	seq := sweep(1)
-	par := sweep(8)
+	seq := run(1)
+	par := run(8)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("sweep results differ between workers=1 and workers=8")
 	}

@@ -2,8 +2,11 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"mira/internal/scenario"
 )
 
 // TestShardTablesIdentical is the experiment-level half of the
@@ -17,11 +20,14 @@ func TestShardTablesIdentical(t *testing.T) {
 	run := func(workers, shards int) Table {
 		o := Options{
 			Warmup: 200, Measure: 800, Drain: 3000, TraceCycles: 2000,
-			Seed: 42, Workers: workers, Shards: shards,
+			Seed: 42, Workers: workers, Edits: scenario.Edits{fmt.Sprintf("shards=%d", shards)},
 		}
 		var sims simCount
 		o.Progress = sims.add
-		tb := Fig11a(context.Background(), o)
+		tb, err := Fig11a(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ran := sims.ran.Load(); ran != ratePoints {
 			t.Fatalf("workers=%d shards=%d: %d simulations ran, want %d: the arm compares nothing",
 				workers, shards, ran, ratePoints)

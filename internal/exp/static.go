@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"mira/internal/area"
 	"mira/internal/core"
+	"mira/internal/power"
 	"mira/internal/timing"
 	"mira/internal/topology"
 )
@@ -124,11 +126,9 @@ func Fig9() Table {
 		Title:  "Flit energy breakdown (pJ per flit per hop)",
 		Header: []string{"Design", "Buffer", "Crossbar", "Link", "Allocators", "Total"},
 	}
-	for _, d := range Designs() {
-		if d.Arch == core.Arch3DMNC || d.Arch == core.Arch3DMENC {
-			continue // same datapath energy as the combined variants
-		}
-		e := corePowerFlitHop(d)
+	for _, a := range paperArchs {
+		d := core.MustDesign(a)
+		e := power.FlitHopEnergy(d.AreaParams, d.LinkLenMM)
 		t.Rows = append(t.Rows, []string{
 			d.Arch.String(), f2(e.Buffer), f2(e.Crossbar), f2(e.Link), f2(e.Allocators), f2(e.Total()),
 		})
@@ -143,32 +143,15 @@ func Fig10() Table {
 		Title:  "Node layouts for 36 cores (P = processor, c = cache)",
 		Header: []string{"Design", "Layout"},
 	}
-	d2 := core.MustDesign(core.Arch2DB)
-	d3 := core.MustDesign(core.Arch3DB)
-	t.Rows = append(t.Rows,
-		[]string{"2DB/3DM/3DM-E", ""},
-	)
-	for _, line := range splitLines(topology.LayoutString(d2.Topo)) {
-		t.Rows = append(t.Rows, []string{"", line})
-	}
-	t.Rows = append(t.Rows, []string{"3DB (layer 3 = heat sink)", ""})
-	for _, line := range splitLines(topology.LayoutString(d3.Topo)) {
-		t.Rows = append(t.Rows, []string{"", line})
-	}
-	return t
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
+	for _, l := range []struct {
+		name string
+		arch core.Arch
+	}{{"2DB/3DM/3DM-E", core.Arch2DB}, {"3DB (layer 3 = heat sink)", core.Arch3DB}} {
+		t.Rows = append(t.Rows, []string{l.name, ""})
+		layout := topology.LayoutString(core.MustDesign(l.arch).Topo)
+		for _, line := range strings.Split(strings.TrimSuffix(layout, "\n"), "\n") {
+			t.Rows = append(t.Rows, []string{"", line})
 		}
 	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
+	return t
 }

@@ -5,15 +5,15 @@ import (
 	"reflect"
 	"testing"
 
-	"mira/internal/noc"
+	"mira/internal/scenario"
 )
 
 // stepModeOpts is deliberately small: the point is comparing modes
 // cell-for-cell, not exercising long windows.
-func stepModeOpts(mode noc.StepMode) Options {
+func stepModeOpts(mode string) Options {
 	return Options{
 		Warmup: 200, Measure: 800, Drain: 3000, TraceCycles: 2000,
-		Seed: 42, Workers: 2, StepMode: mode,
+		Seed: 42, Workers: 2, Edits: scenario.Edits{"step_mode=" + mode},
 	}
 }
 
@@ -28,7 +28,7 @@ func stepModeOpts(mode noc.StepMode) Options {
 func TestStepModeTablesIdentical(t *testing.T) {
 	drivers := []struct {
 		name   string
-		run    func(context.Context, Options) Table
+		run    func(context.Context, Options) (Table, error)
 		points int64
 	}{
 		{"fig8", Fig8, 15},
@@ -38,17 +38,20 @@ func TestStepModeTablesIdentical(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			// Each arm must really simulate its every point, or the
 			// comparison proves nothing.
-			run := func(mode noc.StepMode) Table {
+			run := func(mode string) Table {
 				o := stepModeOpts(mode)
 				var sims simCount
 				o.Progress = sims.add
-				tb := d.run(context.Background(), o)
+				tb, err := d.run(context.Background(), o)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if ran := sims.ran.Load(); ran != d.points || sims.reused.Load() != 0 {
 					t.Fatalf("%v: %d simulations ran (%d reused), want %d", mode, ran, sims.reused.Load(), d.points)
 				}
 				return tb
 			}
-			chk, act := run(noc.StepChecked), run(noc.StepActivity)
+			chk, act := run("checked"), run("activity")
 			if !reflect.DeepEqual(chk, act) {
 				t.Fatalf("tables diverge between step modes:\nchecked:\n%s\nactivity:\n%s",
 					chk.String(), act.String())
@@ -67,9 +70,12 @@ func TestStepModeCheckedTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checked mode is slow")
 	}
-	o := stepModeOpts(noc.StepChecked)
+	o := stepModeOpts("checked")
 	o.Warmup, o.Measure, o.Drain = 50, 200, 1500
-	tb := Fig8(context.Background(), o)
+	tb, err := Fig8(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) == 0 {
 		t.Fatal("checked-mode sweep produced no rows")
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -406,6 +407,17 @@ func drive(t *testing.T, net *Network, rate float64, size int, cycles int64) {
 	}
 }
 
+// poolWorkers counts the shard-pool worker goroutines in the process,
+// read from every goroutine's stack: goroutines of anything else the
+// test binary runs cannot move the count.
+func poolWorkers() int {
+	for buf := make([]byte, 1<<16); ; buf = make([]byte, 2*len(buf)) {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("created by mira/internal/noc.newShardPool"))
+		}
+	}
+}
+
 // waitFor polls cond for up to five seconds.
 func waitFor(cond func() bool) bool {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -549,7 +561,7 @@ func TestShardBarrierBackoff(t *testing.T) {
 // TestShardPoolLifecycle pins what the pool promises around the step
 // loop: it starts lazily, an abandoned network's workers end up parked
 // (not spinning), ReleaseWorkers is idempotent and returns the process
-// to its goroutine and live-shard baseline, and a released network
+// to its pool-worker and live-shard baseline, and a released network
 // steps on — with a fresh pool — to the same ejection stream as one
 // never released. Two shards spin on a host with two cores, four park
 // at once.
@@ -578,17 +590,17 @@ func TestShardPoolLifecycle(t *testing.T) {
 			// Workers released just now (ref's, an earlier test's) may
 			// still be exiting: wait for the count to settle.
 			base, live := -1, liveShards.Load()
-			waitFor(func() bool { b := base; base = runtime.NumGoroutine(); return b == base })
+			waitFor(func() bool { b := base; base = poolWorkers(); return b == base })
 			n := NewNetwork(cfg)
 			t.Cleanup(n.ReleaseWorkers)
 			record(n, &got)
 			n.ReleaseWorkers() // nothing started yet
-			if n.pool != nil || runtime.NumGoroutine() != base {
+			if n.pool != nil || poolWorkers() != base {
 				t.Fatal("pool started before the first sharded step")
 			}
 			drive(t, n, 0.2, 4, 300)
-			if g := runtime.NumGoroutine(); g != base+shards-1 {
-				t.Fatalf("%d goroutines while stepping, want baseline %d + %d workers", g, base, shards-1)
+			if g := poolWorkers(); g != base+shards-1 {
+				t.Fatalf("%d pool workers while stepping, want baseline %d + %d", g, base, shards-1)
 			}
 			if l := liveShards.Load(); l != live+int64(shards) {
 				t.Fatalf("%d live shards while stepping, want baseline %d + %d", l, live, shards)
@@ -606,8 +618,8 @@ func TestShardPoolLifecycle(t *testing.T) {
 			}
 			n.ReleaseWorkers()
 			n.ReleaseWorkers()
-			if !waitFor(func() bool { return runtime.NumGoroutine() == base }) {
-				t.Fatalf("%d goroutines after ReleaseWorkers, want baseline %d", runtime.NumGoroutine(), base)
+			if !waitFor(func() bool { return poolWorkers() == base }) {
+				t.Fatalf("%d pool workers after ReleaseWorkers, want baseline %d", poolWorkers(), base)
 			}
 			if l := liveShards.Load(); l != live {
 				t.Fatalf("%d live shards after ReleaseWorkers, want baseline %d", l, live)

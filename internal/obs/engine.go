@@ -136,8 +136,8 @@ func humanRate(r float64) string {
 }
 
 // engineProgressHook is the process-wide progress sink, installed once
-// at command startup (mirasim -progress, mirabench -progress
-// -enginestats). A package global rather than per-collector plumbing
+// at command startup (mirasim -progress; mirabench, for points with
+// observe.engine). A package global rather than per-collector plumbing
 // because collectors are built deep inside scenario elaboration, where
 // no command-level writer is in scope; the hook receives the label so
 // concurrent batch runs stay distinguishable.
@@ -283,7 +283,7 @@ func (ec *EngineCollector) sample(now time.Time) {
 		slog.Warn("shard load imbalance: the hottest shard ran more than 2x the mean busy time",
 			"label", ec.label, "shards", S,
 			"imbalanced_cycle_frac", fmt.Sprintf("%.2f", imbFrac),
-			"hint", "consider -shards=-1 to auto-tune the shard count")
+			"hint", "consider -set shards=-1 to auto-tune the shard count")
 	}
 	if fn := engineProgressHook.Load(); fn != nil {
 		(*fn)(progress)

@@ -19,8 +19,7 @@
 //     recorded file.
 //
 // Scenarios opt in through their Observe block (internal/scenario);
-// mirasim -trace writes traces, miratrace flits replays them, and
-// mirabench -obs measures the probe overhead.
+// mirasim -trace writes traces, and miratrace flits replays them.
 package obs
 
 import (

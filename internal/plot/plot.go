@@ -4,7 +4,7 @@
 // 2, 9 and 13) using only the standard library. The output aims for
 // "paper figure" fidelity: titled axes, tick labels, legends,
 // deterministic layout. mirabench -svg routes every exp.Table with a
-// numeric series through here.
+// numeric series through here (exp.Table.SVG picks the chart).
 package plot
 
 import (

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"mira/internal/core"
@@ -426,6 +427,40 @@ func (s Scenario) Set(key, value string) (Scenario, error) {
 		return s, fmt.Errorf("scenario: set %s=%s: %w", key, value, err)
 	}
 	return out, nil
+}
+
+// Edits is an ordered list of key=value edits (see Set). As a flag.Value
+// it is the repeatable -set flag of the commands.
+type Edits []string
+
+func (e *Edits) String() string { return strings.Join(*e, " ") }
+
+// Set appends one key=value edit, rejecting one that does not apply to
+// the zero scenario. Whether an edit applies depends only on the types
+// along its key, which every scenario shares, so Apply of edits built
+// through Set fails on no scenario.
+func (e *Edits) Set(kv string) error {
+	if !strings.Contains(kv, "=") {
+		return fmt.Errorf("%q is not key=value", kv)
+	}
+	next := append(slices.Clip(*e), kv)
+	if _, err := next.Apply(Scenario{}); err != nil {
+		return err
+	}
+	*e = next
+	return nil
+}
+
+// Apply returns s with every edit applied in order.
+func (e Edits) Apply(s Scenario) (Scenario, error) {
+	for _, kv := range e {
+		k, v, _ := strings.Cut(kv, "=")
+		var err error
+		if s, err = s.Set(k, v); err != nil {
+			return s, err
+		}
+	}
+	return s, nil
 }
 
 // decodeNumbers unmarshals data keeping numbers as json.Number literals.

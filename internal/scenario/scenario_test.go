@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,6 +157,37 @@ func TestSet(t *testing.T) {
 		if _, err := sc.Set(c.key, c.value); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Set(%s, %s) err = %v, want %q", c.key, c.value, err, c.want)
 		}
+	}
+}
+
+// TestEdits: -set edits apply in command-line order, later ones win, and
+// a malformed, unknown or mistyped edit is rejected when it is set.
+func TestEdits(t *testing.T) {
+	var e Edits
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.Var(&e, "set", "")
+	if err := fs.Parse([]string{"-set", "shards=2", "-set", "observe.window=500", "-set", "shards=-1"}); err != nil {
+		t.Fatal(err)
+	}
+	if e.String() != "shards=2 observe.window=500 shards=-1" {
+		t.Errorf("String() = %q", e.String())
+	}
+	sc, err := e.Apply(ur())
+	if err != nil || sc.Shards != -1 || sc.Observe == nil || sc.Observe.Window != 500 {
+		t.Errorf("Apply = %+v, %v", sc, err)
+	}
+	for kv, want := range map[string]string{
+		"warmup":          `"warmup" is not key=value`,
+		"shard=4":         `unknown field "shard"`,
+		"observe=1":       "observe",
+		"traffic.rate=up": "traffic.rate",
+	} {
+		if err := e.Set(kv); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Set(%s) = %v, want an error naming %q", kv, err, want)
+		}
+	}
+	if len(e) != 3 {
+		t.Errorf("rejected edits were kept: %q", e)
 	}
 }
 
