@@ -29,12 +29,15 @@ type shardPool struct {
 // freshly woken peer parks too (58 000 parks in 32 000 cycles at 1<<16,
 // 600 at 1<<18). On a core a runnable shard needs, a spinner costs that
 // shard the whole budget: a wait parks at once while the process runs
-// more shards than cores (liveShards), and — for load that count cannot
-// see — for poolSpinRetry waits once poolParkStreak in a row have parked.
+// more simulation threads than cores (liveThreads), and — for load that
+// count cannot see — for poolSpinRetry waits once poolParkStreak in a row
+// have parked.
 const poolSpinBudget, poolParkStreak, poolSpinRetry = 1 << 18, 8, 1 << 10
 
-// liveShards counts the shards of every running pool in the process.
-var liveShards atomic.Int64
+// liveThreads counts the process's simulation threads: the shards of
+// every running pool, each running unsharded Sim.Run and each goroutine
+// generating ahead of one (ahead.go).
+var liveThreads atomic.Int64
 
 // waiter is one goroutine's parking spot, padded to a cache line. parked
 // announces the intent to block; whoever swaps it back — the releaser, or
@@ -58,7 +61,7 @@ func (w *waiter) release() {
 // its word: a worker descheduled between its last decrement and its
 // release of the caller delivers that token into the caller's next wait.
 func (p *shardPool) await(w *waiter, word *atomic.Int64, want int64) (parked bool) {
-	noSpin := w.streak < 0 || liveShards.Load() > p.cores
+	noSpin := w.streak < 0 || liveThreads.Load() > p.cores
 	for i := 0; word.Load() != want; i++ {
 		if noSpin || i >= poolSpinBudget {
 			parked = true
@@ -91,7 +94,7 @@ func (p *shardPool) publish() {
 func newShardPool(n *Network) *shardPool {
 	p := &shardPool{workers: make([]waiter, len(n.shards)-1), cores: int64(shardCores())}
 	p.caller.wake = make(chan struct{}, 1)
-	liveShards.Add(int64(len(n.shards)))
+	liveThreads.Add(int64(len(n.shards)))
 	for i := range p.workers {
 		w, sh := &p.workers[i], &n.shards[i+1]
 		w.wake = make(chan struct{}, 1)
@@ -129,7 +132,7 @@ func (n *Network) runShardCycle(sh *shardState) {
 // ReleaseWorkers tells the shard workers, if any are running, to exit.
 // It is idempotent and must not run concurrently with Step; the next
 // sharded step starts a fresh pool. Sim.Run releases on exit; an
-// abandoned network keeps its parked workers and its share of liveShards.
+// abandoned network keeps its parked workers and its share of liveThreads.
 func (n *Network) ReleaseWorkers() {
 	p := n.pool
 	if p == nil {
@@ -138,5 +141,5 @@ func (n *Network) ReleaseWorkers() {
 	n.pool = nil
 	p.stop = true
 	p.publish()
-	liveShards.Add(-int64(len(p.workers) + 1))
+	liveThreads.Add(-int64(len(p.workers) + 1))
 }

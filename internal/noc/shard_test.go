@@ -407,13 +407,16 @@ func drive(t *testing.T, net *Network, rate float64, size int, cycles int64) {
 	}
 }
 
-// poolWorkers counts the shard-pool worker goroutines in the process,
-// read from every goroutine's stack: goroutines of anything else the
-// test binary runs cannot move the count.
-func poolWorkers() int {
+// poolWorkers counts the shard-pool worker goroutines in the process.
+func poolWorkers() int { return createdBy("mira/internal/noc.newShardPool") }
+
+// createdBy counts the goroutines fn started, read from every
+// goroutine's stack: goroutines of anything else the test binary runs
+// cannot move the count.
+func createdBy(fn string) int {
 	for buf := make([]byte, 1<<16); ; buf = make([]byte, 2*len(buf)) {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return bytes.Count(buf[:n], []byte("created by mira/internal/noc.newShardPool"))
+			return bytes.Count(buf[:n], []byte("created by "+fn))
 		}
 	}
 }
@@ -589,7 +592,7 @@ func TestShardPoolLifecycle(t *testing.T) {
 
 			// Workers released just now (ref's, an earlier test's) may
 			// still be exiting: wait for the count to settle.
-			base, live := -1, liveShards.Load()
+			base, live := -1, liveThreads.Load()
 			waitFor(func() bool { b := base; base = poolWorkers(); return b == base })
 			n := NewNetwork(cfg)
 			t.Cleanup(n.ReleaseWorkers)
@@ -602,7 +605,7 @@ func TestShardPoolLifecycle(t *testing.T) {
 			if g := poolWorkers(); g != base+shards-1 {
 				t.Fatalf("%d pool workers while stepping, want baseline %d + %d", g, base, shards-1)
 			}
-			if l := liveShards.Load(); l != live+int64(shards) {
+			if l := liveThreads.Load(); l != live+int64(shards) {
 				t.Fatalf("%d live shards while stepping, want baseline %d + %d", l, live, shards)
 			}
 			p := n.pool
@@ -621,7 +624,7 @@ func TestShardPoolLifecycle(t *testing.T) {
 			if !waitFor(func() bool { return poolWorkers() == base }) {
 				t.Fatalf("%d pool workers after ReleaseWorkers, want baseline %d", poolWorkers(), base)
 			}
-			if l := liveShards.Load(); l != live {
+			if l := liveThreads.Load(); l != live {
 				t.Fatalf("%d live shards after ReleaseWorkers, want baseline %d", l, live)
 			}
 			drive(t, n, 0.2, 4, 300)

@@ -51,6 +51,9 @@ type Permutation struct {
 
 var _ noc.Generator = (*Permutation)(nil)
 
+// OpenLoop implements noc.OpenLoop.
+func (*Permutation) OpenLoop() {}
+
 // Generate implements noc.Generator.
 func (p *Permutation) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
 	pPkt := p.InjectionRate / float64(p.PacketSize)
@@ -95,6 +98,9 @@ type Hotspot struct {
 }
 
 var _ noc.Generator = (*Hotspot)(nil)
+
+// OpenLoop implements noc.OpenLoop.
+func (*Hotspot) OpenLoop() {}
 
 // Generate implements noc.Generator.
 func (h *Hotspot) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {

@@ -27,6 +27,9 @@ type Uniform struct {
 
 var _ noc.Generator = (*Uniform)(nil)
 
+// OpenLoop implements noc.OpenLoop: every node is a Bernoulli source.
+func (*Uniform) OpenLoop() {}
+
 // Generate implements noc.Generator.
 func (u *Uniform) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
 	n := u.Topo.NumNodes()
@@ -82,6 +85,10 @@ type NUCA struct {
 }
 
 var _ noc.Generator = (*NUCA)(nil)
+
+// OpenLoop implements noc.OpenLoop: a response follows its request after
+// BankDelay cycles, not after its delivery.
+func (*NUCA) OpenLoop() {}
 
 // Generate implements noc.Generator.
 func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
