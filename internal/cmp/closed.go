@@ -2,13 +2,11 @@ package cmp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/stats"
 	"mira/internal/topology"
-	"mira/internal/traffic"
 )
 
 // Closed-loop co-simulation. The paper's methodology (and this
@@ -44,24 +42,15 @@ type ClosedStats struct {
 
 // ClosedSystem couples the protocol engines to a live network.
 type ClosedSystem struct {
-	p   Params
-	cfg noc.Config
-	net *noc.Network
-	rng *rand.Rand
-
-	l1s       []*L1
-	dirs      map[topology.NodeID]*Directory
-	cpuNodes  []topology.NodeID
-	bankNodes []topology.NodeID
-	nodeCPU   map[topology.NodeID]int // reverse CPU lookup
+	hierarchy
+	cfg     noc.Config
+	net     *noc.Network
+	nodeCPU map[topology.NodeID]int // reverse CPU lookup
 
 	inflight    map[*noc.Packet]protoMsg
 	scheduled   map[int64][]func()
 	outstanding []int
 	issueTime   map[reqKey]issueInfo
-	seqPtr      []uint32
-	recent      []reuseWindow
-	wordCounts  [traffic.NumPatterns]int64
 	// bankFreeAt serializes each L2 bank: one access per BankLat window
 	// (a contended home bank queues requests, §4.1.2's bank model).
 	bankFreeAt map[topology.NodeID]int64
@@ -91,26 +80,19 @@ func NewClosedSystem(p Params, cfg noc.Config) (*ClosedSystem, error) {
 	if cfg.Policy != noc.ByClass {
 		return nil, fmt.Errorf("cmp: closed system requires the ByClass VC policy")
 	}
-	base, err := NewSystem(p)
+	h, err := newHierarchy(p)
 	if err != nil {
 		return nil, err
 	}
 	s := &ClosedSystem{
-		p:           p,
+		hierarchy:   h,
 		cfg:         cfg,
 		net:         noc.NewNetwork(cfg),
-		rng:         rand.New(rand.NewSource(p.Seed)),
-		l1s:         base.l1s,
-		dirs:        base.dirs,
-		cpuNodes:    base.cpuNodes,
-		bankNodes:   base.bankNodes,
 		nodeCPU:     make(map[topology.NodeID]int),
 		inflight:    make(map[*noc.Packet]protoMsg),
 		scheduled:   make(map[int64][]func()),
-		outstanding: make([]int, len(base.cpuNodes)),
+		outstanding: make([]int, len(h.cpuNodes)),
 		issueTime:   make(map[reqKey]issueInfo),
-		seqPtr:      make([]uint32, len(base.cpuNodes)),
-		recent:      make([]reuseWindow, len(base.cpuNodes)),
 		bankFreeAt:  make(map[topology.NodeID]int64),
 	}
 	for i, n := range s.cpuNodes {
@@ -134,7 +116,7 @@ func (s *ClosedSystem) send(m protoMsg, src, dst topology.NodeID) {
 	if m.kind.IsData() {
 		size = DataFlits
 		class = noc.Data
-		layers = core.PacketLayers(dataPayload(s.p.Workload.Patterns, s.rng, &s.wordCounts))
+		layers = core.PacketLayers(s.dataPayload())
 	} else {
 		layers = []uint8{1} // address/coherence flits are short (§3.2.1)
 	}
@@ -220,10 +202,7 @@ func (s *ClosedSystem) bankGetS(m protoMsg, bank topology.NodeID) {
 		s.send(protoMsg{kind: KindFwd, addr: m.addr, cpu: m.cpu}, bank, s.cpuNodes[owner])
 		return
 	}
-	lat := s.p.BankLat
-	if s.rng.Float64() < s.p.Workload.L2MissFrac {
-		lat += s.p.MemLat
-	}
+	lat := s.l2Latency()
 	if e.sharers == 0 && e.owner < 0 {
 		e.owner = int8(m.cpu)
 	}
@@ -260,10 +239,7 @@ func (s *ClosedSystem) bankGetX(m protoMsg, bank topology.NodeID) {
 		s.bankAfter(bank, s.p.BankLat, func() { s.send(grant, bank, cpuNode) })
 		return
 	}
-	lat := s.p.BankLat
-	if s.rng.Float64() < s.p.Workload.L2MissFrac {
-		lat += s.p.MemLat
-	}
+	lat := s.l2Latency()
 	resp := protoMsg{kind: KindData, addr: m.addr, cpu: m.cpu}
 	s.bankAfter(bank, lat, func() { s.send(resp, bank, cpuNode) })
 }
@@ -331,17 +307,8 @@ func (s *ClosedSystem) finishMiss(cpu int, addr uint32, st LineState) {
 		s.recordCompletion(cpu, addr)
 		return
 	}
-	victim, vState := s.l1s[cpu].Fill(addr, st)
-	if vState != Invalid {
-		vBank := s.bankOf(victim)
-		ve := s.dirs[vBank].Entry(victim)
-		ve.clearSharer(cpu)
-		if int(ve.owner) == cpu {
-			ve.owner = -1
-		}
-		if vState.Dirty() {
-			s.send(protoMsg{kind: KindWriteBack, addr: victim, cpu: cpu}, s.cpuNodes[cpu], vBank)
-		}
+	if victim, bank, dirty := s.fill(cpu, addr, st); dirty {
+		s.send(protoMsg{kind: KindWriteBack, addr: victim, cpu: cpu}, s.cpuNodes[cpu], bank)
 	}
 	s.recordCompletion(cpu, addr)
 }
@@ -355,69 +322,36 @@ func (s *ClosedSystem) recordCompletion(cpu int, addr uint32) {
 	}
 }
 
-func (s *ClosedSystem) bankOf(addr uint32) topology.NodeID {
-	return s.bankNodes[int(addr)%len(s.bankNodes)]
-}
-
-func (s *ClosedSystem) genAddr(cpu int) uint32 {
-	w := &s.p.Workload
-	if u := s.rng.Float64(); u < w.ReuseFrac {
-		if addr, ok := s.recent[cpu].sample(s.rng); ok {
-			return addr
-		}
-	}
-	var addr uint32
-	u := s.rng.Float64()
-	switch {
-	case u < w.SharedFrac:
-		addr = sharedBase + uint32(s.rng.Intn(w.SharedLines))
-	case u < w.SharedFrac+w.SeqFrac:
-		s.seqPtr[cpu] = (s.seqPtr[cpu] + 1) % uint32(w.WorkingSetLines)
-		addr = uint32(cpu+1)<<20 + s.seqPtr[cpu]
-	default:
-		addr = uint32(cpu+1)<<20 + uint32(s.rng.Intn(w.WorkingSetLines))
-	}
-	s.recent[cpu].push(addr)
-	return addr
-}
-
 // issue runs one CPU cycle: maybe start a memory access.
 func (s *ClosedSystem) issue(cpu int) {
-	w := &s.p.Workload
 	if s.outstanding[cpu] >= s.p.MaxOutstanding {
 		return
 	}
-	if s.rng.Float64() >= w.Intensity {
+	addr, ok := s.access(cpu)
+	if !ok {
 		return
 	}
 	s.stats.Accesses++
-	addr := s.genAddr(cpu)
 	key := reqKey{cpu, addr}
 	if _, dup := s.issueTime[key]; dup {
 		return // already outstanding to this line; coalesce into the MSHR
 	}
-	isRead := s.rng.Float64() < w.ReadFrac
-	st := s.l1s[cpu].Lookup(addr)
-
-	switch {
-	case isRead && st != Invalid:
+	isRead, hit, st := s.lookup(cpu, addr)
+	if hit {
 		s.stats.L1Hits++
-	case !isRead && (st == Modified || st == Exclusive):
-		s.stats.L1Hits++
-		s.l1s[cpu].SetState(addr, Modified)
-	default:
-		s.stats.L1Misses++
-		kind := KindGetS
-		if !isRead {
-			kind = KindGetX
-			if st == Shared || st == Owned {
-				kind = KindUpgrade
-			}
-		}
-		s.issueTime[key] = issueInfo{at: s.net.Cycle(), write: !isRead}
-		s.outstanding[cpu]++
-		s.send(protoMsg{kind: kind, addr: addr, cpu: cpu}, s.cpuNodes[cpu], s.bankOf(addr))
+		return
 	}
+	s.stats.L1Misses++
+	kind := KindGetS
+	if !isRead {
+		kind = KindGetX
+		if st == Shared || st == Owned {
+			kind = KindUpgrade
+		}
+	}
+	s.issueTime[key] = issueInfo{at: s.net.Cycle(), write: !isRead}
+	s.outstanding[cpu]++
+	s.send(protoMsg{kind: kind, addr: addr, cpu: cpu}, s.cpuNodes[cpu], s.bankOf(addr))
 }
 
 // Run advances the co-simulation for the given number of cycles and

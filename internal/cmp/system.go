@@ -114,93 +114,171 @@ func (s *Stats) WordPatternShares() map[traffic.WordPattern]float64 {
 	return out
 }
 
-// System simulates the NUCA memory hierarchy of §4.1.2 and records the
-// coherence traffic it generates.
-type System struct {
+// hierarchy is the memory system both System and ClosedSystem model:
+// the L1s, the home-bank directories and the CPUs' address streams,
+// all drawing from one rng seeded by Params.Seed.
+type hierarchy struct {
 	p         Params
 	rng       *rand.Rand
 	l1s       []*L1
 	dirs      map[topology.NodeID]*Directory
 	cpuNodes  []topology.NodeID
 	bankNodes []topology.NodeID
-	trace     *traffic.Trace
-	stats     Stats
-
-	outstanding [][]int64 // per-CPU completion times
-	seqPtr      []uint32  // per-CPU sequential stream position
-	recent      []reuseWindow
+	seqPtr    []uint32 // per-CPU sequential stream position
+	recent    []reuseWindow
+	words     [traffic.NumPatterns]int64 // data words by Figure 1 pattern
 }
 
-// NewSystem validates the parameters and builds a system.
-func NewSystem(p Params) (*System, error) {
+// newHierarchy validates the parameters and builds empty caches and
+// directories.
+func newHierarchy(p Params) (hierarchy, error) {
 	cpus, banks := p.Topo.CPUs(), p.Topo.Caches()
 	if len(cpus) == 0 || len(banks) == 0 {
-		return nil, fmt.Errorf("cmp: topology lacks CPU/cache layout (%d cpus, %d banks)", len(cpus), len(banks))
+		return hierarchy{}, fmt.Errorf("cmp: topology lacks CPU/cache layout (%d cpus, %d banks)", len(cpus), len(banks))
 	}
 	if len(cpus) > 16 {
-		return nil, fmt.Errorf("cmp: directory sharer mask supports <= 16 CPUs, have %d", len(cpus))
+		return hierarchy{}, fmt.Errorf("cmp: directory sharer mask supports <= 16 CPUs, have %d", len(cpus))
 	}
 	if err := p.Workload.Patterns.Validate(); err != nil {
-		return nil, err
+		return hierarchy{}, err
 	}
 	if p.MaxOutstanding < 1 {
-		return nil, fmt.Errorf("cmp: MaxOutstanding = %d", p.MaxOutstanding)
+		return hierarchy{}, fmt.Errorf("cmp: MaxOutstanding = %d", p.MaxOutstanding)
 	}
-	s := &System{
-		p:           p,
-		rng:         rand.New(rand.NewSource(p.Seed)),
-		cpuNodes:    cpus,
-		bankNodes:   banks,
-		dirs:        make(map[topology.NodeID]*Directory, len(banks)),
-		trace:       &traffic.Trace{Name: p.Workload.Name},
-		outstanding: make([][]int64, len(cpus)),
-		seqPtr:      make([]uint32, len(cpus)),
-		recent:      make([]reuseWindow, len(cpus)),
+	h := hierarchy{
+		p:         p,
+		rng:       rand.New(rand.NewSource(p.Seed)),
+		cpuNodes:  cpus,
+		bankNodes: banks,
+		dirs:      make(map[topology.NodeID]*Directory, len(banks)),
+		seqPtr:    make([]uint32, len(cpus)),
+		recent:    make([]reuseWindow, len(cpus)),
 	}
-	for i := 0; i < len(cpus); i++ {
-		s.l1s = append(s.l1s, &L1{})
+	for range cpus {
+		h.l1s = append(h.l1s, &L1{})
 	}
 	for _, b := range banks {
-		s.dirs[b] = NewDirectory()
+		h.dirs[b] = NewDirectory()
 	}
-	return s, nil
+	return h, nil
 }
 
 // bankOf maps a line address to its home bank node: SNUCA places sets
 // statically by the low-order bits of the address (§4.1.2).
-func (s *System) bankOf(addr uint32) topology.NodeID {
-	return s.bankNodes[int(addr)%len(s.bankNodes)]
+func (h *hierarchy) bankOf(addr uint32) topology.NodeID {
+	return h.bankNodes[int(addr)%len(h.bankNodes)]
 }
 
 // Address-space layout: each CPU has a private region; a common shared
 // region drives coherence traffic.
 const sharedBase uint32 = 0xE000000
 
-func (s *System) privateBase(cpu int) uint32 { return uint32(cpu+1) << 20 }
+func privateBase(cpu int) uint32 { return uint32(cpu+1) << 20 }
+
+// access draws whether the CPU issues a memory access this cycle and,
+// if it does, the line address.
+func (h *hierarchy) access(cpu int) (addr uint32, ok bool) {
+	if h.rng.Float64() >= h.p.Workload.Intensity {
+		return 0, false
+	}
+	return h.genAddr(cpu), true
+}
 
 // genAddr draws the next line address for a CPU: temporal re-reference
 // of a recent line, a shared-region access, a sequential step, or a
 // random touch of the private working set.
-func (s *System) genAddr(cpu int) uint32 {
-	w := &s.p.Workload
-	if u := s.rng.Float64(); u < w.ReuseFrac {
-		if addr, ok := s.recent[cpu].sample(s.rng); ok {
+func (h *hierarchy) genAddr(cpu int) uint32 {
+	w := &h.p.Workload
+	if u := h.rng.Float64(); u < w.ReuseFrac {
+		if addr, ok := h.recent[cpu].sample(h.rng); ok {
 			return addr
 		}
 	}
 	var addr uint32
-	u := s.rng.Float64()
+	u := h.rng.Float64()
 	switch {
 	case u < w.SharedFrac:
-		addr = sharedBase + uint32(s.rng.Intn(w.SharedLines))
+		addr = sharedBase + uint32(h.rng.Intn(w.SharedLines))
 	case u < w.SharedFrac+w.SeqFrac:
-		s.seqPtr[cpu] = (s.seqPtr[cpu] + 1) % uint32(w.WorkingSetLines)
-		addr = s.privateBase(cpu) + s.seqPtr[cpu]
+		h.seqPtr[cpu] = (h.seqPtr[cpu] + 1) % uint32(w.WorkingSetLines)
+		addr = privateBase(cpu) + h.seqPtr[cpu]
 	default:
-		addr = s.privateBase(cpu) + uint32(s.rng.Intn(w.WorkingSetLines))
+		addr = privateBase(cpu) + uint32(h.rng.Intn(w.WorkingSetLines))
 	}
-	s.recent[cpu].push(addr)
+	h.recent[cpu].push(addr)
 	return addr
+}
+
+// lookup draws whether the access is a load and looks the line up in the
+// CPU's L1. A load of a valid line and a store to an M or E line hit
+// (the store leaves it Modified); anything else is a miss the protocol
+// must serve, from line state st.
+func (h *hierarchy) lookup(cpu int, addr uint32) (isRead, hit bool, st LineState) {
+	isRead = h.rng.Float64() < h.p.Workload.ReadFrac
+	st = h.l1s[cpu].Lookup(addr)
+	switch {
+	case isRead && st != Invalid:
+		return isRead, true, st
+	case !isRead && (st == Modified || st == Exclusive):
+		h.l1s[cpu].SetState(addr, Modified)
+		return isRead, true, st
+	}
+	return isRead, false, st
+}
+
+// l2Latency draws a home-bank access time: a bank hit, or an L2 miss
+// that goes on to DRAM.
+func (h *hierarchy) l2Latency() int64 {
+	lat := h.p.BankLat
+	if h.rng.Float64() < h.p.Workload.L2MissFrac {
+		lat += h.p.MemLat
+	}
+	return lat
+}
+
+// dataPayload draws a cache line's words, counting them by pattern.
+func (h *hierarchy) dataPayload() [][]uint32 {
+	return dataPayload(h.p.Workload.Patterns, h.rng, &h.words)
+}
+
+// fill installs a line into the CPU's L1 and retires the victim, if
+// any, from its directory entry (clean victims leave silently). It
+// returns a dirty victim's address and home bank, which the caller
+// writes back over the network.
+func (h *hierarchy) fill(cpu int, addr uint32, st LineState) (victim uint32, bank topology.NodeID, dirty bool) {
+	victim, vState := h.l1s[cpu].Fill(addr, st)
+	if vState == Invalid {
+		return 0, 0, false
+	}
+	bank = h.bankOf(victim)
+	ve := h.dirs[bank].Entry(victim)
+	ve.clearSharer(cpu)
+	if int(ve.owner) == cpu {
+		ve.owner = -1
+	}
+	return victim, bank, vState.Dirty()
+}
+
+// System simulates the NUCA memory hierarchy of §4.1.2 and records the
+// coherence traffic it generates.
+type System struct {
+	hierarchy
+	trace       *traffic.Trace
+	stats       Stats
+	outstanding [][]int64 // per-CPU completion times
+}
+
+// NewSystem validates the parameters and builds a system.
+func NewSystem(p Params) (*System, error) {
+	h, err := newHierarchy(p)
+	if err != nil {
+		return nil, err
+	}
+	return &System{
+		hierarchy:   h,
+		trace:       &traffic.Trace{Name: p.Workload.Name},
+		outstanding: make([][]int64, len(h.cpuNodes)),
+	}, nil
 }
 
 // emit records one message in the trace.
@@ -226,7 +304,7 @@ func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, paylo
 }
 
 func (s *System) emitData(cycle int64, kind MsgKind, src, dst topology.NodeID) {
-	s.emit(cycle, kind, src, dst, dataPayload(s.p.Workload.Patterns, s.rng, &s.stats.WordCounts))
+	s.emit(cycle, kind, src, dst, s.dataPayload())
 }
 
 func (s *System) emitCtrl(cycle int64, kind MsgKind, src, dst topology.NodeID, addr uint32) {
@@ -262,10 +340,7 @@ func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 		s.emitData(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
 		respAt = t + 2*s.p.ReqNetLat
 	} else {
-		lat := s.p.BankLat
-		if s.rng.Float64() < s.p.Workload.L2MissFrac {
-			lat += s.p.MemLat
-		}
+		lat := s.l2Latency()
 		s.emitData(t+lat, KindData, bank, cpuNode)
 		respAt = t + lat + s.p.ReqNetLat
 	}
@@ -319,10 +394,7 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 			s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode, addr)
 			respAt = t + s.p.BankLat + s.p.ReqNetLat
 		} else {
-			lat := s.p.BankLat
-			if s.rng.Float64() < s.p.Workload.L2MissFrac {
-				lat += s.p.MemLat
-			}
+			lat := s.l2Latency()
 			s.emitData(t+lat, KindData, bank, cpuNode)
 			respAt = t + lat + s.p.ReqNetLat
 		}
@@ -339,29 +411,17 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 	return respAt
 }
 
-// fill installs a line into the L1 and handles the victim: Modified
-// victims write back over the network, clean victims notify their
-// directory silently (state tracked here directly).
+// fill installs a line into the L1; a Modified victim writes back over
+// the network.
 func (s *System) fill(cycle int64, cpu int, addr uint32, st LineState) {
-	victim, vState := s.l1s[cpu].Fill(addr, st)
-	if vState == Invalid {
-		return
-	}
-	vBank := s.bankOf(victim)
-	ve := s.dirs[vBank].Entry(victim)
-	ve.clearSharer(cpu)
-	if int(ve.owner) == cpu {
-		ve.owner = -1
-	}
-	if vState.Dirty() {
-		s.emitData(cycle, KindWriteBack, s.cpuNodes[cpu], vBank)
+	if _, bank, dirty := s.hierarchy.fill(cpu, addr, st); dirty {
+		s.emitData(cycle, KindWriteBack, s.cpuNodes[cpu], bank)
 	}
 }
 
 // Run executes the CPUs for the given number of cycles and returns the
 // recorded trace (time-sorted) plus statistics.
 func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
-	w := &s.p.Workload
 	for cycle := int64(0); cycle < cycles; cycle++ {
 		for cpu := range s.l1s {
 			// Retire completed misses.
@@ -375,20 +435,15 @@ func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 			if len(out) >= s.p.MaxOutstanding {
 				continue
 			}
-			if s.rng.Float64() >= w.Intensity {
+			addr, ok := s.access(cpu)
+			if !ok {
 				continue
 			}
 			s.stats.Accesses++
-			addr := s.genAddr(cpu)
-			isRead := s.rng.Float64() < w.ReadFrac
-			st := s.l1s[cpu].Lookup(addr)
-
+			isRead, hit, st := s.lookup(cpu, addr)
 			switch {
-			case isRead && st != Invalid:
+			case hit:
 				s.stats.L1Hits++
-			case !isRead && (st == Modified || st == Exclusive):
-				s.stats.L1Hits++
-				s.l1s[cpu].SetState(addr, Modified)
 			case isRead:
 				s.stats.L1Misses++
 				s.outstanding[cpu] = append(s.outstanding[cpu], s.read(cycle, cpu, addr))
@@ -399,6 +454,7 @@ func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 		}
 	}
 	s.trace.Sort()
+	s.stats.WordCounts = s.words
 	return s.trace, s.stats
 }
 

@@ -312,9 +312,6 @@ func (e *Engine) OnDeliver(pkt *noc.Packet) {
 	}
 }
 
-// NumRanks returns the participant count.
-func (e *Engine) NumRanks() int { return len(e.ranks) }
-
 // NumSteps returns the schedule's step count.
 func (e *Engine) NumSteps() int { return e.steps }
 

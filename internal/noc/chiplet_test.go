@@ -81,9 +81,10 @@ func TestChipletD2DLatency(t *testing.T) {
 	}
 }
 
-type probeFn func(ProbeEvent)
+// probeFunc adapts a function to the Probe interface.
+type probeFunc func(ProbeEvent)
 
-func (f probeFn) ProbeEvent(e ProbeEvent) { f(e) }
+func (f probeFunc) ProbeEvent(ev ProbeEvent) { f(ev) }
 
 // TestChipletSerialization pins the narrow-channel model: a flit
 // occupies the link for ser cycles, so the head arrives ser-1 cycles
@@ -106,7 +107,7 @@ func TestChipletSerialization(t *testing.T) {
 		cfg.Alg = routing.ChipDOR{}
 		net := NewNetwork(cfg)
 		var departs []int64
-		net.SetProbe(probeFn(func(e ProbeEvent) {
+		net.SetProbe(probeFunc(func(e ProbeEvent) {
 			if e.Kind == ProbeLink && e.Router == 0 {
 				departs = append(departs, e.Cycle)
 			}
@@ -131,64 +132,6 @@ func TestChipletSerialization(t *testing.T) {
 					c.ser, c.size, i-1, i, gap, c.ser)
 			}
 		}
-	}
-}
-
-// TestChipletDeterminismSuite runs the 2x2 chip-grid fabric (multi-cycle
-// serializing d2d channels plus express links) across a sweep of shard
-// counts — including counts that misalign with the chip boundaries —
-// and requires bit-identical results everywhere, full delivery
-// (reachability/no-deadlock), survival of checked mode's per-cycle
-// invariants, and agreement with the oracle on a cut that splits chips.
-// The SpecSA case puts speculative forwards — the second send-phase
-// segment of the rings and mailboxes — on the same latency-stamped
-// cross-shard path. Run under -race in CI, this is also the
-// concurrency-safety proof for latency-stamped cross-shard events.
-func TestChipletDeterminismSuite(t *testing.T) {
-	type point struct {
-		mode   StepMode
-		shards int
-	}
-	for _, c := range []struct {
-		name   string
-		specSA bool
-		// 3, 5 and 7 shards split mid-chip; correctness must not depend
-		// on shard boundaries aligning with chip boundaries. Checked mode
-		// rides on two of the counts instead of all of them.
-		points []point
-	}{
-		{"baseline", false, []point{{StepActivity, 2}, {StepActivity, 3}, {StepActivity, 4}, {StepActivity, 5},
-			{StepActivity, 7}, {StepActivity, AutoShards}, {StepChecked, 1}, {StepChecked, 3}}},
-		{"specsa", true, []point{{StepActivity, 2}, {StepActivity, 3}, {StepActivity, 4}, {StepActivity, 7}, {StepChecked, 5}}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			mk := func(mode StepMode, shards int) Config {
-				cfg := cfgChiplet(4, 2, true)
-				cfg.Seed = 7
-				cfg.SpecSA = c.specSA
-				cfg.Mode = mode
-				cfg.Shards = shards
-				return cfg
-			}
-			run := func(mode StepMode, shards int) Result {
-				cfg := mk(mode, shards)
-				return shortSim(cfg, bernoulli(cfg.Topo, 0.1, 4, Data))
-			}
-			ref := run(StepActivity, 1)
-			if ref.Generated == 0 || ref.Ejected != ref.Generated {
-				t.Fatalf("reference run did not deliver all traffic: %v", ref.String())
-			}
-			for _, p := range c.points {
-				got := run(p.mode, p.shards)
-				if got.AvgLatency != ref.AvgLatency || got.AvgHops != ref.AvgHops ||
-					got.Generated != ref.Generated || got.Ejected != ref.Ejected ||
-					got.Counters != ref.Counters {
-					t.Fatalf("mode=%v shards=%d diverges:\n  got %v\n  ref %v", p.mode, p.shards, got.String(), ref.String())
-				}
-			}
-			cfg := mk(StepActivity, 5)
-			againstOracle(t, cfg, bernoulli(cfg.Topo, 0.2, 4, Data), 500, oracleOpts{probed: true})
-		})
 	}
 }
 

@@ -1,38 +1,42 @@
 package noc
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// runMetered is runModal with an engine meter attached before the first
-// step; it returns the ejection stream, the final counters and the
-// meter snapshot after the run.
-func runMetered(t *testing.T, cfg Config, mode StepMode, rate float64, cycles int64) ([]ejection, Counters, EngineSnapshot) {
+// ejection is one packet leaving the network, in callback order.
+type ejection struct {
+	id       int64
+	ejected  int64
+	injected int64
+	hops     int
+}
+
+// runMetered drives cfg under Bernoulli traffic of 4-flit packets for
+// the given cycles and a drain, an engine meter attached before the
+// first step if metered, and returns the ejection stream, the final
+// counters and the meter's snapshot.
+func runMetered(t *testing.T, cfg Config, mode StepMode, rate float64, cycles int64, metered bool) ([]ejection, Counters, EngineSnapshot) {
 	t.Helper()
 	cfg.Mode = mode
 	net := NewNetwork(cfg)
 	t.Cleanup(net.ReleaseWorkers)
-	m := net.EnableEngineMeter()
+	var m *EngineMeter
+	if metered {
+		m = net.EnableEngineMeter()
+	}
 	var stream []ejection
 	net.SetEjectHandler(func(p *Packet) {
 		stream = append(stream, ejection{id: p.ID, ejected: p.EjectedAt, injected: p.InjectedAt, hops: p.Hops})
 	})
-	gen := bernoulli(cfg.Topo, rate, 4, Data)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for cycle := int64(0); cycle < cycles; cycle++ {
-		for _, spec := range gen.Generate(cycle, rng, nil) {
-			if _, err := net.Enqueue(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		net.Step()
-	}
-	for i := int64(0); i < 20000 && !net.Idle(); i++ {
+	drive(t, net, rate, 4, cycles)
+	for i := 0; i < 20000 && !net.Idle(); i++ {
 		net.Step()
 	}
 	net.ReleaseWorkers()
-	return stream, net.TotalCounters(), m.Snapshot()
+	var snap EngineSnapshot
+	if m != nil {
+		snap = m.Snapshot()
+	}
+	return stream, net.TotalCounters(), snap
 }
 
 // TestEngineMeterPurity pins the out-of-band contract: a run with an
@@ -46,8 +50,8 @@ func TestEngineMeterPurity(t *testing.T) {
 			cfg := cfg2D(2)
 			cfg.Seed = 42
 			cfg.Shards = shards
-			ref, refCnt, _ := runModal(t, cfg, mode, 0.2, 4, 800)
-			got, gotCnt, _ := runMetered(t, cfg, mode, 0.2, 800)
+			ref, refCnt, _ := runMetered(t, cfg, mode, 0.2, 800, false)
+			got, gotCnt, _ := runMetered(t, cfg, mode, 0.2, 800, true)
 			if len(ref) == 0 {
 				t.Fatal("no traffic delivered; test is vacuous")
 			}
@@ -75,7 +79,7 @@ func TestEngineMeterSharded(t *testing.T) {
 	cfg := cfg2D(2)
 	cfg.Seed = 7
 	cfg.Shards = 4
-	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 800)
+	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 800, true)
 	if snap.Cycles == 0 || snap.StepNs <= 0 {
 		t.Fatalf("no metered cycles: %+v", snap)
 	}
@@ -128,7 +132,7 @@ func TestEngineMeterSharded(t *testing.T) {
 func TestEngineMeterSequential(t *testing.T) {
 	cfg := cfg2D(2)
 	cfg.Seed = 7
-	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 400)
+	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 400, true)
 	if len(snap.Shards) != 1 {
 		t.Fatalf("want 1 shard stat, got %d", len(snap.Shards))
 	}

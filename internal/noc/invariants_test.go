@@ -10,72 +10,6 @@ import (
 	"mira/internal/topology"
 )
 
-// Every cycle of a loaded simulation must satisfy the flow-control
-// invariants, for all three fabric shapes and both pipeline depths.
-func TestInvariantsUnderLoad(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		rate float64
-	}{
-		{"mesh-stlt2", cfg2D(2), 0.25},
-		{"mesh-stlt1", cfg2D(1), 0.25},
-		{"mesh3d", cfg3D(2), 0.25},
-		{"express", cfgExpress(1), 0.25},
-		{"express-overload", cfgExpress(1), 0.9},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			net := NewNetwork(c.cfg)
-			gen := bernoulli(c.cfg.Topo, c.rate, 4, Data)
-			rng := rand.New(rand.NewSource(5))
-			for cycle := int64(0); cycle < 1500; cycle++ {
-				for _, spec := range gen.Generate(cycle, rng, nil) {
-					if _, err := net.Enqueue(spec); err != nil {
-						t.Fatal(err)
-					}
-				}
-				net.Step()
-				if cycle%50 == 0 {
-					if err := net.CheckInvariants(); err != nil {
-						t.Fatalf("cycle %d: %v", cycle, err)
-					}
-				}
-			}
-			if err := net.CheckInvariants(); err != nil {
-				t.Fatalf("final: %v", err)
-			}
-		})
-	}
-}
-
-func TestInvariantsByClassBimodal(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.Policy = ByClass
-	net := NewNetwork(cfg)
-	rng := rand.New(rand.NewSource(6))
-	for cycle := int64(0); cycle < 2000; cycle++ {
-		if rng.Float64() < 0.3 {
-			a := topology.NodeID(rng.Intn(36))
-			b := topology.NodeID(rng.Intn(36))
-			if a != b {
-				if _, err := net.Enqueue(Spec{Src: a, Dst: b, Size: 1, Class: Control}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := net.Enqueue(Spec{Src: b, Dst: a, Size: 4, Class: Data}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		net.Step()
-		if cycle%100 == 0 {
-			if err := net.CheckInvariants(); err != nil {
-				t.Fatalf("cycle %d: %v", cycle, err)
-			}
-		}
-	}
-}
-
 // TestCheckInvariantsNamesCorruptWord is the negative half of property
 // 6 (and 7): on a loaded network that passes the check, corrupting one
 // word of the activity state — a pending mask, a route or class mask,
@@ -209,30 +143,6 @@ func TestInvariantsAfterDrain(t *testing.T) {
 	}
 }
 
-// Back-to-back packets through the same VC must reallocate it cleanly.
-func TestVCReallocation(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.VCs = 1 // force every packet through the single VC
-	cfg.Policy = AnyFree
-	net := NewNetwork(cfg)
-	var ejected int
-	net.SetEjectHandler(func(p *Packet) { ejected++ })
-	for i := 0; i < 10; i++ {
-		if _, err := net.Enqueue(Spec{Src: 0, Dst: 3, Size: 4, Class: Data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3000 && !net.Idle(); i++ {
-		net.Step()
-		if err := net.CheckInvariants(); err != nil {
-			t.Fatalf("cycle %d: %v", i, err)
-		}
-	}
-	if ejected != 10 {
-		t.Fatalf("delivered %d/10 with a single VC", ejected)
-	}
-}
-
 // Fairness: two flows contending for one output port share its
 // bandwidth roughly evenly under round-robin arbitration.
 func TestArbitrationFairness(t *testing.T) {
@@ -271,104 +181,6 @@ func TestNoStallOnHealthyDrain(t *testing.T) {
 	}
 	if res.Ejected != res.Generated {
 		t.Fatalf("healthy drain incomplete: %v", res.String())
-	}
-}
-
-// Property: the full configuration matrix (pipeline depth x speculation
-// x look-ahead x arbiter x QoS x policy) delivers all traffic without
-// stalls on all three fabrics.
-func TestConfigMatrixDelivery(t *testing.T) {
-	type variant struct {
-		stlt      int
-		look      bool
-		spec      bool
-		arb       ArbPolicy
-		qos       bool
-		mkCfg     func(int) Config
-		fabric    string
-		classFrac float64
-	}
-	var cases []variant
-	for _, mk := range []struct {
-		name string
-		f    func(int) Config
-	}{
-		{"mesh", cfg2D}, {"mesh3d", cfg3D}, {"express", cfgExpress},
-	} {
-		for _, stlt := range []int{1, 2} {
-			for _, look := range []bool{false, true} {
-				for _, spec := range []bool{false, true} {
-					cases = append(cases, variant{
-						stlt: stlt, look: look, spec: spec,
-						arb: ArbPolicy(len(cases) % 2), qos: len(cases)%3 == 0,
-						mkCfg: mk.f, fabric: mk.name,
-					})
-				}
-			}
-		}
-	}
-	for i, c := range cases {
-		cfg := c.mkCfg(c.stlt)
-		cfg.LookaheadRC = c.look
-		cfg.SpecSA = c.spec
-		cfg.Arb = c.arb
-		cfg.QoSPriority = c.qos
-		cfg.Seed = int64(i)
-		net := NewNetwork(cfg)
-		s := NewSim(net, bernoulli(cfg.Topo, 0.15, 4, Data))
-		s.Params = SimParams{Warmup: 100, Measure: 800, DrainMax: 6000}
-		res := s.Run(context.Background())
-		if res.Stalled || res.Ejected != res.Generated {
-			t.Fatalf("case %d (%s stlt=%d look=%v spec=%v arb=%v qos=%v): %v",
-				i, c.fabric, c.stlt, c.look, c.spec, c.arb, c.qos, res.String())
-		}
-		if err := net.CheckInvariants(); err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-	}
-}
-
-func TestLinkLoads(t *testing.T) {
-	cfg := cfg2D(2)
-	net := NewNetwork(cfg)
-	// Row-0 eastbound stream: only east links of row 0 carry traffic.
-	var done int
-	net.SetEjectHandler(func(*Packet) { done++ })
-	for i := 0; i < 10; i++ {
-		if _, err := net.Enqueue(Spec{Src: 0, Dst: 5, Size: 2, Class: Data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2000 && !net.Idle(); i++ {
-		net.Step()
-	}
-	if done != 10 {
-		t.Fatalf("delivered %d/10", done)
-	}
-	loads := net.LinkLoads()
-	if len(loads) != len(cfg.Topo.Links()) {
-		t.Fatalf("loads = %d entries, want %d", len(loads), len(cfg.Topo.Links()))
-	}
-	var east, other int64
-	for _, l := range loads {
-		row0 := cfg.Topo.Node(l.Src).Coord.Y == 0
-		if l.Dir == topology.East && row0 {
-			east += l.Flits
-		} else {
-			other += l.Flits
-		}
-	}
-	if east != 5*10*2 { // 5 hops x 10 packets x 2 flits
-		t.Errorf("east flits = %d, want 100", east)
-	}
-	if other != 0 {
-		t.Errorf("non-east links carried %d flits", other)
-	}
-	net.ResetCounters()
-	for _, l := range net.LinkLoads() {
-		if l.Flits != 0 {
-			t.Fatalf("reset left %d flits on %v/%v", l.Flits, l.Src, l.Dir)
-		}
 	}
 }
 
@@ -422,27 +234,6 @@ func TestPacketIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate packet ID %d", pkt.ID)
 		}
 		seen[pkt.ID] = true
-	}
-}
-
-func TestMatrixArbiterEndToEnd(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.Arb = ArbMatrix
-	net := NewNetwork(cfg)
-	s := NewSim(net, bernoulli(cfg.Topo, 0.2, 4, Data))
-	s.Params = SimParams{Warmup: 200, Measure: 2000, DrainMax: 8000}
-	res := s.Run(context.Background())
-	if res.Ejected != res.Generated {
-		t.Fatalf("matrix-arbiter network lost packets: %v", res.String())
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Zero-load latency must be identical to the round-robin build
-	// (arbiters only matter under contention).
-	pkt := onePacket(t, cfg, Spec{Src: 0, Dst: 1, Size: 1, Class: Control})
-	if lat := pkt.EjectedAt - pkt.CreatedAt; lat != 11 {
-		t.Errorf("matrix zero-load latency = %d, want 11", lat)
 	}
 }
 

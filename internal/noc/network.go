@@ -435,15 +435,6 @@ func (n *Network) Step() {
 	}
 }
 
-// CheckedStep advances one cycle (honouring Config.Mode) and then
-// validates every flow-control and activity invariant, returning the
-// first violation instead of panicking. It is the debugging entry point
-// for bisecting activity-tracking bugs regardless of Config.Mode.
-func (n *Network) CheckedStep() error {
-	n.Step()
-	return n.CheckInvariants()
-}
-
 // inject advances the NI at node id by at most one flit. It touches
 // only state of id's shard (the NI, the router's local port, the
 // shard's hot counters and NI set), so shards inject concurrently.
@@ -565,36 +556,7 @@ func (n *Network) ResetCounters() {
 		r := &n.routers[i]
 		writes, layers := r.onWire()
 		r.cnt, r.bufLayers = Counters{BufWrites: writes}, layers
-		for oi := range r.outPorts {
-			r.outPorts[oi].flitCount = 0
-		}
 	}
-}
-
-// LinkLoad is the traffic carried by one unidirectional link.
-type LinkLoad struct {
-	Src   topology.NodeID
-	Dir   topology.Dir
-	Flits int64
-}
-
-// LinkLoads reports every link's flit count since the last counter
-// reset, in deterministic (router, port) order. The spread between hot
-// and cold links exposes pattern asymmetry (e.g. tornado loading only
-// the eastbound channels).
-func (n *Network) LinkLoads() []LinkLoad {
-	var out []LinkLoad
-	for i := range n.routers {
-		r := &n.routers[i]
-		for oi := range r.outPorts {
-			op := &r.outPorts[oi]
-			if !op.hasLink {
-				continue
-			}
-			out = append(out, LinkLoad{Src: r.id, Dir: op.dir, Flits: op.flitCount})
-		}
-	}
-	return out
 }
 
 // Occupancy returns the total number of buffered flits (diagnostics).

@@ -125,26 +125,6 @@ func TestZeroLoad3DVertical(t *testing.T) {
 	}
 }
 
-func TestHopsMatchRouting(t *testing.T) {
-	cfg := cfgExpress(1)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 25; i++ {
-		src := topology.NodeID(rng.Intn(36))
-		dst := topology.NodeID(rng.Intn(36))
-		if src == dst {
-			continue
-		}
-		want, err := routing.HopCount(cfg.Topo, cfg.Alg, src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkt := onePacket(t, cfg, Spec{Src: src, Dst: dst, Size: 2, Class: Data})
-		if pkt.Hops != want {
-			t.Errorf("%d->%d hops = %d, want %d", src, dst, pkt.Hops, want)
-		}
-	}
-}
-
 // bernoulli builds a uniform-random Bernoulli generator for tests.
 func bernoulli(topo *topology.Topology, flitsPerNodeCycle float64, size int, class Class) Generator {
 	n := topo.NumNodes()

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -51,12 +49,9 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	net.SetEjectHandler(func(p *Packet) {
 		got = append(got, oEjection{id: p.ID, cycle: p.EjectedAt, router: p.Dst, created: p.CreatedAt, injected: p.InjectedAt, hops: p.Hops})
 	})
-	var prodEvents, orcEvents []oEvent
+	var prodEvents, orcEvents probeTap
 	if opts.probed {
-		net.SetProbe(probeFunc(func(ev ProbeEvent) {
-			prodEvents = append(prodEvents, oEvent{kind: ev.Kind, cycle: ev.Cycle, router: ev.Router, dir: ev.Dir,
-				vc: int(ev.VC), pkt: ev.Flit.Pkt.ID, seq: int(ev.Flit.Seq)})
-		}))
+		net.SetProbe(&prodEvents)
 		o.log = func(ev oEvent) { orcEvents = append(orcEvents, ev) }
 	}
 	var sent []Spec // by packet ID - 1
@@ -159,10 +154,15 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	return got
 }
 
-// probeFunc adapts a function to the Probe interface.
-type probeFunc func(ProbeEvent)
+// probeTap records production's probe events in the oracle's
+// vocabulary. It keeps a flit's packet ID, not its *Packet, which the
+// network reuses once the tail has ejected.
+type probeTap []oEvent
 
-func (f probeFunc) ProbeEvent(ev ProbeEvent) { f(ev) }
+func (p *probeTap) ProbeEvent(ev ProbeEvent) {
+	*p = append(*p, oEvent{kind: ev.Kind, cycle: ev.Cycle, router: ev.Router, dir: ev.Dir,
+		vc: int(ev.VC), pkt: ev.Flit.Pkt.ID, seq: int(ev.Flit.Seq)})
+}
 
 // checkLaws scans the oracle's structures for flit conservation
 // (generated = ejected + queued + buffered + on wires) and, per link and
@@ -330,314 +330,5 @@ func checkZeroLoad(t testing.TB, cfg Config, rng *rand.Rand, pairs, size int) {
 			net.Step()
 			o.step()
 		}
-	}
-}
-
-// oracleShape is one generated comparison, every field a small index
-// into the axis it names. It packs into the uint64 the fuzzer mutates
-// (mixed radix, in axes order), so any uint64 decodes to a valid
-// shape and the seed corpus can be written as field values. A new axis
-// goes last, where its zero leaves every older packed input's decoding
-// unchanged (TestOracleTestdataShapes).
-type oracleShape struct {
-	Topo, Lat, Ser, ChipExpress       int // fabric; Lat/Ser/ChipExpress apply to the chip grid
-	Routing, Fault                    int
-	Lookahead, Spec, STLT             int // Fig. 8 pipeline variants
-	VCs, Depth, Arb, QoS, ByClass     int
-	Rate, Pattern, Sizes, ShortLayers int // traffic
-	Shards, Checked, Probed, Cycles   int
-	LongLink                          int // chip grid: latency 16, 4:1 serialization in place of Lat/Ser
-}
-
-var (
-	shapeVCs    = []int{1, 2, 3, 4, 16} // clamped to 64 flat VCs per router
-	shapeDepths = []int{1, 2, 4, 8}
-	shapeLats   = []int{1, 2, 3, 6}
-	shapeRates  = []float64{0.05, 0.15, 0.3, 0.6}
-	shapeShards = []int{1, 3}
-)
-
-const (
-	topoMesh     = iota // 4x4
-	topoMesh3D          // 3x3x2
-	topoExpress         // 5x4, express interval 2: up to 8 ports
-	topoChipGrid        // 2x2 chips of 2x2 nodes, d2d lat:ser
-	topoMeshWide        // 4x2: 4 ports, so 16 VCs is exactly 64 flat VCs
-	numTopos
-)
-
-const (
-	routeNative    = iota // XY, Express or ChipDOR, whichever the fabric is built for
-	routeWestFirst        // planar fabrics only
-	routeXY               // differs from native only on the chip grid
-	numRoutes
-)
-
-const (
-	sizesOne     = iota // single-flit packets
-	sizesFour           // 4-flit packets
-	sizesBimodal        // 1-flit control, 5-flit data
-	sizesRandom         // 1..6
-	numSizes
-)
-
-// shapeAxis is one field of a shape and the number of values it takes.
-type shapeAxis struct {
-	f *int
-	n int
-}
-
-// axes lists every field with its radix, in packing order.
-func (s *oracleShape) axes() []shapeAxis {
-	return []shapeAxis{
-		{&s.Topo, numTopos}, {&s.Lat, len(shapeLats)}, {&s.Ser, 3}, {&s.ChipExpress, 2},
-		{&s.Routing, numRoutes}, {&s.Fault, 2},
-		{&s.Lookahead, 2}, {&s.Spec, 2}, {&s.STLT, 2},
-		{&s.VCs, len(shapeVCs)}, {&s.Depth, len(shapeDepths)}, {&s.Arb, 2}, {&s.QoS, 2}, {&s.ByClass, 2},
-		{&s.Rate, len(shapeRates)}, {&s.Pattern, 3}, {&s.Sizes, numSizes}, {&s.ShortLayers, 2},
-		{&s.Shards, len(shapeShards)}, {&s.Checked, 2}, {&s.Probed, 2}, {&s.Cycles, 3},
-		{&s.LongLink, 2},
-	}
-}
-
-func (s oracleShape) pack() uint64 {
-	var v uint64
-	ax := s.axes()
-	for i := len(ax) - 1; i >= 0; i-- {
-		v = v*uint64(ax[i].n) + uint64(*ax[i].f)
-	}
-	return v
-}
-
-func unpackShape(v uint64) oracleShape {
-	var s oracleShape
-	for _, a := range s.axes() {
-		*a.f = int(v % uint64(a.n))
-		v /= uint64(a.n)
-	}
-	return s
-}
-
-// build turns the shape into a production config and a generator.
-func (s oracleShape) build(seed int64) (Config, Generator) {
-	cfg := Config{
-		STLTCycles: 1 + s.STLT, Layers: 4, Seed: seed,
-		LookaheadRC: s.Lookahead == 1, SpecSA: s.Spec == 1,
-		BufDepth: shapeDepths[s.Depth], Arb: ArbPolicy(s.Arb), QoSPriority: s.QoS == 1,
-		Shards: shapeShards[s.Shards],
-	}
-	if s.Checked == 1 {
-		cfg.Mode = StepChecked
-	}
-	switch s.Topo {
-	case topoMesh:
-		cfg.Topo, cfg.Alg = topology.NewMesh2D(4, 4, 3.1), routing.XY{}
-	case topoMesh3D:
-		cfg.Topo, cfg.Alg = topology.NewMesh3D(3, 3, 2, 3.1, 0.02), routing.XY{}
-	case topoExpress:
-		cfg.Topo, cfg.Alg = topology.NewExpressMesh2D(5, 4, 1.58, 2), routing.Express{}
-	case topoChipGrid:
-		lat, ser := shapeLats[s.Lat], 1+s.Ser
-		if s.LongLink == 1 {
-			lat, ser = 16, 4
-		}
-		cfg.Topo = topology.NewChipGrid(topology.ChipGridSpec{
-			ChipsX: 2, ChipsY: 2, NodesX: 2, NodesY: 2, PitchMM: 3.1,
-			D2DLatency: lat, D2DSerCycles: ser, Express: s.ChipExpress == 1,
-		})
-		cfg.Alg = routing.ChipDOR{}
-	case topoMeshWide:
-		cfg.Topo, cfg.Alg = topology.NewMesh2D(4, 2, 3.1), routing.XY{}
-	}
-	switch {
-	case s.Routing == routeXY && s.Topo == topoChipGrid:
-		cfg.Alg = routing.XY{}
-	case s.Routing == routeWestFirst && cfg.Topo.ZDim == 1:
-		var faults []routing.LinkFault
-		if s.Fault == 1 { // a dead eastbound link in the top row
-			faults = []routing.LinkFault{{Src: 1, Dir: topology.East}}
-		}
-		wf, err := routing.NewWestFirst(cfg.Topo, faults)
-		if err != nil {
-			wf, _ = routing.NewWestFirst(cfg.Topo, nil)
-		}
-		cfg.Alg = wf
-	}
-	cfg.VCs = min(shapeVCs[s.VCs], 64/cfg.Topo.MaxPorts())
-	if s.ByClass == 1 && cfg.VCs >= int(NumClasses) {
-		cfg.Policy = ByClass
-	}
-
-	n := cfg.Topo.NumNodes()
-	hot := topology.NodeID(n / 3)
-	rate := shapeRates[s.Rate]
-	meanSize := [numSizes]float64{1, 4, 3, 3.5}[s.Sizes]
-	gen := GeneratorFunc(func(_ int64, rng *rand.Rand, specs []Spec) []Spec {
-		for src := 0; src < n; src++ {
-			if rng.Float64() >= rate/meanSize {
-				continue
-			}
-			sp := Spec{Src: topology.NodeID(src), Class: Class(rng.Intn(int(NumClasses)))}
-			switch s.Sizes {
-			case sizesOne:
-				sp.Size = 1
-			case sizesFour:
-				sp.Size = 4
-			case sizesBimodal:
-				sp.Size = 1 + 4*int(sp.Class)
-			case sizesRandom:
-				sp.Size = 1 + rng.Intn(6)
-			}
-			sp.Dst = topology.NodeID(rng.Intn(n - 1)) // uniform over the other nodes
-			if sp.Dst >= sp.Src {
-				sp.Dst++
-			}
-			switch s.Pattern {
-			case 1: // hotspot: half the traffic converges on one node
-				if rng.Intn(2) == 0 && sp.Src != hot {
-					sp.Dst = hot
-				}
-			case 2: // fixed partner: long-lived flows contending link by link
-				if p := topology.NodeID(n - 1 - src); p != sp.Src {
-					sp.Dst = p
-				}
-			}
-			if s.ShortLayers == 1 {
-				sp.LayersPerFlit = make([]uint8, sp.Size)
-				for i := range sp.LayersPerFlit {
-					sp.LayersPerFlit[i] = uint8(1 + rng.Intn(cfg.Layers))
-				}
-			}
-			specs = append(specs, sp)
-		}
-		return specs
-	})
-	return cfg, gen
-}
-
-// runShape is the body of FuzzOracle: one side-by-side comparison under
-// load and the zero-load latency law on the same configuration.
-func runShape(t testing.TB, s oracleShape, seed int64) {
-	cfg, gen := s.build(seed)
-	againstOracle(t, cfg, gen, int64(100+150*s.Cycles), oracleOpts{probed: s.Probed == 1})
-	checkZeroLoad(t, cfg, rand.New(rand.NewSource(seed)), 6, 4)
-}
-
-// oracleCorpus is the tier-1 seed corpus: hand-picked corners first,
-// then a fixed pseudo-random spread wide enough that every value of
-// every axis occurs (TestOracleCorpusCoversAxes holds it to that).
-func oracleCorpus() []oracleShape {
-	corpus := []oracleShape{
-		// PR 6's defect: SpecSA + LookaheadRC, single-flit packets, saturated.
-		{Topo: topoMesh, Lookahead: 1, Spec: 1, VCs: 1, Depth: 2, Rate: 3, Sizes: sizesOne, Cycles: 2},
-		// The mask's edge: 4 ports x 16 VCs = 64 flat VCs, both arbiters.
-		{Topo: topoMeshWide, VCs: 4, Depth: 1, Rate: 2, Sizes: sizesFour, STLT: 1},
-		{Topo: topoMeshWide, VCs: 4, Depth: 1, Rate: 2, Sizes: sizesFour, Arb: 1, QoS: 1, Lookahead: 1, Spec: 1, Shards: 1},
-		// A lat:ser chip grid cut by three shards that ignore the chip tiling.
-		{Topo: topoChipGrid, Lat: 3, Ser: 2, VCs: 1, Depth: 2, Rate: 1, Sizes: sizesBimodal, ByClass: 1, Shards: 1, STLT: 1},
-		{Topo: topoChipGrid, Lat: 1, Ser: 1, ChipExpress: 1, VCs: 1, Depth: 1, Rate: 2, Pattern: 1, Sizes: sizesRandom, Spec: 1, Checked: 1},
-		// Latency 16, 4:1 serialization: the counter reset lands with
-		// flits deep on the d2d wires, where the write correction lives.
-		{Topo: topoChipGrid, LongLink: 1, VCs: 1, Depth: 3, Rate: 2, Sizes: sizesFour, ShortLayers: 1, Cycles: 2},
-		// Few VCs, shallow buffers, a hotspot: VA contended every cycle.
-		{Topo: topoMesh, VCs: 0, Depth: 0, Rate: 2, Pattern: 1, Sizes: sizesFour, Arb: 1},
-		{Topo: topoMesh3D, VCs: 1, Depth: 1, Rate: 3, Pattern: 1, Sizes: sizesBimodal, ByClass: 1, QoS: 1, Shards: 1, ShortLayers: 1},
-		// West-first around a dead link; express channels at saturation.
-		{Topo: topoMesh, Routing: routeWestFirst, Fault: 1, VCs: 1, Depth: 2, Rate: 2, Pattern: 2, Sizes: sizesRandom, Lookahead: 1},
-		{Topo: topoExpress, VCs: 1, Depth: 3, Rate: 3, Sizes: sizesFour, Shards: 1},
-	}
-	rng := rand.New(rand.NewSource(22))
-	for i := 0; i < 24; i++ {
-		var s oracleShape
-		for _, a := range s.axes() {
-			if a.f != &s.LongLink { // stays 0: the hand-picked lat-16 shape covers it
-				*a.f = rng.Intn(a.n)
-			}
-		}
-		corpus = append(corpus, s)
-	}
-	return corpus
-}
-
-// FuzzOracle compares production against the oracle over generated
-// configurations: Fig. 8 pipeline variants x VCs x BufDepth x arbiter x
-// QoS x ByClass x fabric (mesh, 3D mesh, express, lat:ser chip grid) x
-// routing x traffic x shards x checked mode. The seed corpus runs in
-// tier-1; CI runs the fuzzer time-boxed.
-func FuzzOracle(f *testing.F) {
-	for i, s := range oracleCorpus() {
-		f.Add(s.pack(), int64(i+1))
-	}
-	f.Fuzz(func(t *testing.T, shape uint64, seed int64) {
-		runShape(t, unpackShape(shape), seed)
-	})
-}
-
-// TestOracleCorpusCoversAxes keeps the seed corpus honest: every value
-// of every axis, and the corners the issue names, must occur in it.
-func TestOracleCorpusCoversAxes(t *testing.T) {
-	corpus := oracleCorpus()
-	var probe oracleShape
-	seen := make([]map[int]bool, len(probe.axes()))
-	var wide, serGridSharded, longSerGrid bool
-	for _, s := range corpus {
-		if got := unpackShape(s.pack()); got != s {
-			t.Fatalf("shape does not survive packing: %+v -> %+v", s, got)
-		}
-		for i, a := range s.axes() {
-			if seen[i] == nil {
-				seen[i] = map[int]bool{}
-			}
-			seen[i][*a.f] = true
-		}
-		cfg, _ := s.build(1)
-		wide = wide || cfg.Topo.MaxPorts()*cfg.VCs == 64
-		serGridSharded = serGridSharded || (s.Topo == topoChipGrid && s.Lat > 0 && s.Ser > 0 && cfg.Shards == 3)
-		longSerGrid = longSerGrid || (s.Topo == topoChipGrid && s.LongLink == 1)
-	}
-	for i, a := range probe.axes() {
-		if len(seen[i]) != a.n {
-			t.Errorf("axis %d: corpus covers %d of %d values", i, len(seen[i]), a.n)
-		}
-	}
-	if !wide || !serGridSharded || !longSerGrid {
-		t.Errorf("corpus lacks a named corner: 64 flat VCs %v, sharded lat:ser chip grid %v, lat-16 ser-4 grid %v",
-			wide, serGridSharded, longSerGrid)
-	}
-}
-
-// TestOracleTestdataShapes pins the shape each saved FuzzOracle input
-// decodes to, so a change to the axes cannot silently turn a kept
-// regression into some other configuration. A new input is added here
-// with the shape it failed on.
-func TestOracleTestdataShapes(t *testing.T) {
-	want := map[string]oracleShape{
-		// checkZeroLoad must let a lone packet's credits cross a slow d2d
-		// link (lat 6, 3:1 serialization) before the next one, at depth 2.
-		"ffddafdb88d332da": {Topo: topoChipGrid, Lat: 3, Ser: 2, Fault: 1, Spec: 1, Depth: 1, Arb: 1, QoS: 1,
-			Rate: 2, Sizes: sizesRandom, Cycles: 1},
-	}
-	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOracle", "*"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no saved inputs (%v)", err)
-	}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v uint64
-		if _, err := fmt.Sscanf(string(data), "go test fuzz v1\nuint64(%d)", &v); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		name := filepath.Base(path)
-		if s, ok := want[name]; !ok {
-			t.Errorf("%s: decodes to %+v, which no entry pins", name, unpackShape(v))
-		} else if got := unpackShape(v); got != s {
-			t.Errorf("%s: decodes to %+v, pinned %+v", name, got, s)
-		}
-	}
-	if len(files) != len(want) {
-		t.Errorf("%d saved inputs, %d pinned", len(files), len(want))
 	}
 }

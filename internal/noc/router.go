@@ -71,9 +71,6 @@ type outputPort struct {
 	// credits counts free buffer slots in the downstream input VC.
 	reserved []bool
 	credits  []int32
-	// flitCount tallies flits sent over this port's link, for the
-	// per-link utilization report.
-	flitCount int64
 	// downVCBase is the global flat VC index of the downstream input
 	// channel's vc 0 (the port this link lands on), precomputed so the
 	// forward path reserves the destination slot and schedules the
@@ -742,7 +739,6 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		}
 		r.cnt.LinkFlits++
 		r.cnt.WLinkFlits += frac
-		op.flitCount++
 		if sh.probe != nil {
 			sh.probe.ProbeEvent(ProbeEvent{
 				Kind: ProbeLink, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -14,214 +13,45 @@ import (
 	"mira/internal/topology"
 )
 
-// TestShardDeterminism is the tentpole contract of sharded stepping:
-// for every shard count the ejection stream (order included), the final
-// counters and the flow-control state must be bit-identical to the
-// sequential single-shard run, across seeds and pipeline variants. Each
-// case and seed has three arms: "activity" compares sharded production
-// with sequential production; "checked" does so with the full invariant
-// suite cross-checked after every sharded cycle; "fullscan" holds
-// sharded production to the full-scan oracle (oracle_test.go), backlog
-// and every pipeline event included. The shard counts are spread over
-// the arms rather than multiplied with them, on both sides of the host's
-// core count, so the barrier both spins and parks (pool.go); CI's race
-// job reruns the Shard and Chiplet tests under -cpu 1,2,4.
-func TestShardDeterminism(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		rate float64
-	}{
-		{"mesh-stlt2", cfg2D(2), 0.2},
-		{"mesh-lookahead-spec", func() Config {
-			c := cfg2D(1)
-			c.LookaheadRC = true
-			c.SpecSA = true
-			return c
-		}(), 0.2},
-		{"mesh-qos-matrix", func() Config {
-			c := cfg2D(2)
-			c.QoSPriority = true
-			c.Arb = ArbMatrix
-			return c
-		}(), 0.2},
-		{"mesh3d", cfg3D(2), 0.2},
-		{"express-saturated", cfgExpress(1), 0.9},
-	}
-	arms := []struct {
-		name   string
-		mode   StepMode
-		oracle bool // the reference is the oracle, not sequential production
-		cycles int64
-		shards []int
-	}{
-		{"activity", StepActivity, false, 1200, []int{2, 4, 8}},
-		{"fullscan", StepActivity, true, 400, []int{3}},
-		{"checked", StepChecked, false, 300, []int{5}}, // invariant suite per cycle is expensive
-	}
-	for _, c := range cases {
-		for _, seed := range []int64{42, 7} {
-			for _, arm := range arms {
-				t.Run(fmt.Sprintf("%s/seed%d/%s", c.name, seed, arm.name), func(t *testing.T) {
-					cfg := c.cfg
-					cfg.Seed = seed
-					if arm.oracle {
-						cfg.Shards = arm.shards[0]
-						if got := againstOracle(t, cfg, bernoulli(cfg.Topo, c.rate, 4, Data), arm.cycles, oracleOpts{probed: true}); len(got) == 0 {
-							t.Fatal("no traffic delivered; test is vacuous")
-						}
-						return
-					}
-					cfg.Shards = 1
-					ref, refCnt, _ := runModal(t, cfg, arm.mode, c.rate, 4, arm.cycles)
-					if len(ref) == 0 {
-						t.Fatal("no traffic delivered; test is vacuous")
-					}
-					for _, shards := range arm.shards {
-						cfg.Shards = shards
-						got, gotCnt, gotNet := runModal(t, cfg, arm.mode, c.rate, 4, arm.cycles)
-						if len(got) != len(ref) {
-							t.Fatalf("shards=%d: ejection streams diverge: %d vs %d packets", shards, len(got), len(ref))
-						}
-						for i := range ref {
-							if got[i] != ref[i] {
-								t.Fatalf("shards=%d: ejection %d diverges: %+v, sequential %+v", shards, i, got[i], ref[i])
-							}
-						}
-						if gotCnt != refCnt {
-							t.Fatalf("shards=%d: counters diverge:\nsharded    %+v\nsequential %+v", shards, gotCnt, refCnt)
-						}
-						if err := gotNet.CheckInvariants(); err != nil {
-							t.Fatalf("shards=%d: invariants: %v", shards, err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardCountersThreeLayers holds the per-router counters to
-// bit-identity across shard counts where k/Layers is inexact in float64
-// (Layers = 3, short flits): direct writes count at send time and
-// mailbox writes at landing, so the write order differs with the shard
-// count. Read mid-run with flits on the wire, after a reset taken with
-// flits on the wire, and after the drain.
-func TestShardCountersThreeLayers(t *testing.T) {
-	run := func(shards int) (reads [2][]Counters) {
-		cfg := cfg2D(2)
-		cfg.Layers, cfg.Shards, cfg.Seed = 3, shards, 5
-		net := NewNetwork(cfg)
-		t.Cleanup(net.ReleaseWorkers)
-		rng := rand.New(rand.NewSource(5))
-		n := cfg.Topo.NumNodes()
-		for c := 0; c < 900; c++ {
-			for src := 0; c < 600 && src < n; src++ {
-				if rng.Float64() >= 0.06 {
-					continue
-				}
-				sp := Spec{Src: topology.NodeID(src), Dst: topology.NodeID((src + 1 + rng.Intn(n-1)) % n), Size: 4, Class: Data,
-					LayersPerFlit: []uint8{uint8(1 + rng.Intn(3)), uint8(1 + rng.Intn(3)), 1, 2}}
-				if _, err := net.Enqueue(sp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			switch c {
-			case 200:
-				net.ResetCounters()
-			case 500:
-				reads[0] = net.RouterCounters()
-			}
-			net.Step()
-		}
-		for i := 0; i < 5000 && !net.Idle(); i++ {
-			net.Step()
-		}
-		reads[1] = net.RouterCounters()
-		return reads
-	}
-	ref := run(1)
-	for _, shards := range []int{2, 3} {
-		got := run(shards)
-		for k := range ref {
-			for i := range ref[k] {
-				if got[k][i] != ref[k][i] {
-					t.Fatalf("shards=%d read %d router %d: counters diverge:\nsharded    %+v\nsequential %+v",
-						shards, k, i, got[k][i], ref[k][i])
-				}
-			}
-		}
-	}
-}
-
-// probeRec is a comparable snapshot of one probe event (the live event
-// carries a *Packet, which differs between runs by identity).
-type probeRec struct {
-	kind   ProbeKind
-	cycle  int64
-	router topology.NodeID
-	dir    topology.Dir
-	vc     int8
-	pktID  int64
-	seq    int32
-	typ    FlitType
-}
-
-type probeTap struct{ evs []probeRec }
-
-func (p *probeTap) ProbeEvent(ev ProbeEvent) {
-	p.evs = append(p.evs, probeRec{
-		kind: ev.Kind, cycle: ev.Cycle, router: ev.Router, dir: ev.Dir, vc: ev.VC,
-		pktID: ev.Flit.Pkt.ID, seq: ev.Flit.Seq, typ: ev.Flit.Type,
-	})
-}
-
 // TestShardProbeStreamIdentical pins the probe-merge contract: with a
 // probe attached, the sharded step must replay the exact event sequence
 // sequential stepping emits — same events, same order, byte for byte —
-// so traces and spans are reproducible at any shard count. The config
-// enables look-ahead and speculation so all six event kinds fire from
-// all emission phases (delivery, injection, SA, VA, RC).
+// so traces and spans are reproducible at any shard count; and checked
+// mode's invariant pass between cycles must leave it untouched. The
+// config enables look-ahead and speculation so all six event kinds fire
+// from all emission phases (delivery, injection, SA, VA, RC).
 func TestShardProbeStreamIdentical(t *testing.T) {
-	run := func(shards int, lookahead bool) []probeRec {
+	run := func(shards int, mode StepMode, lookahead bool) probeTap {
 		cfg := cfg2D(2)
-		cfg.Seed = 42
-		cfg.Shards = shards
-		cfg.LookaheadRC = lookahead
-		cfg.SpecSA = lookahead
+		cfg.Seed, cfg.Shards, cfg.Mode = 42, shards, mode
+		cfg.LookaheadRC, cfg.SpecSA = lookahead, lookahead
 		net := NewNetwork(cfg)
 		t.Cleanup(net.ReleaseWorkers)
-		tap := &probeTap{}
-		net.SetProbe(tap)
-		gen := bernoulli(cfg.Topo, 0.25, 4, Data)
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for cycle := int64(0); cycle < 600; cycle++ {
-			for _, spec := range gen.Generate(cycle, rng, nil) {
-				if _, err := net.Enqueue(spec); err != nil {
-					t.Fatal(err)
-				}
-			}
+		var tap probeTap
+		net.SetProbe(&tap)
+		drive(t, net, 0.25, 4, 600)
+		for i := 0; i < 20000 && !net.Idle(); i++ {
 			net.Step()
 		}
-		for i := int64(0); i < 20000 && !net.Idle(); i++ {
-			net.Step()
-		}
-		return tap.evs
+		return tap
 	}
 	for _, lookahead := range []bool{false, true} {
-		ref := run(1, lookahead)
+		ref := run(1, StepActivity, lookahead)
 		if len(ref) == 0 {
 			t.Fatal("no probe events; test is vacuous")
 		}
-		for _, shards := range []int{2, 4, 8} {
-			got := run(shards, lookahead)
+		for _, c := range []struct {
+			shards int
+			mode   StepMode
+		}{{2, StepActivity}, {4, StepActivity}, {8, StepActivity}, {1, StepChecked}} {
+			got := run(c.shards, c.mode, lookahead)
 			if len(got) != len(ref) {
-				t.Fatalf("lookahead=%v shards=%d: %d probe events, sequential %d", lookahead, shards, len(got), len(ref))
+				t.Fatalf("lookahead=%v %+v: %d probe events, sequential %d", lookahead, c, len(got), len(ref))
 			}
 			for i := range ref {
 				if got[i] != ref[i] {
-					t.Fatalf("lookahead=%v shards=%d: event %d diverges:\nsharded    %+v\nsequential %+v",
-						lookahead, shards, i, got[i], ref[i])
+					t.Fatalf("lookahead=%v %+v: event %d diverges:\ngot        %+v\nsequential %+v",
+						lookahead, c, i, got[i], ref[i])
 				}
 			}
 		}
@@ -355,39 +185,6 @@ func TestShardConfig(t *testing.T) {
 	}
 	if next != int32(len(n.routers)) {
 		t.Fatalf("shards cover [0,%d), want [0,%d)", next, len(n.routers))
-	}
-}
-
-// TestShardedDrainReachesIdle pins the drain exit of Sim.Run under
-// sharding: a flit that crosses a shard boundary is counted up in its
-// source shard and down in its destination, so Idle must judge the
-// summed in-flight count. Testing each shard for zero (the old code)
-// never saw an idle network and stepped into the stall watchdog with
-// every packet delivered.
-func TestShardedDrainReachesIdle(t *testing.T) {
-	run := func(shards int) (Result, int64) {
-		cfg := cfg2D(2)
-		cfg.Shards = shards
-		net := NewNetwork(cfg)
-		s := NewSim(net, bernoulli(cfg.Topo, 0.15, 4, Data))
-		s.Params = SimParams{Warmup: 100, Measure: 600, DrainMax: 8000}
-		return s.Run(context.Background()), net.Cycle()
-	}
-	ref, refCycles := run(1)
-	if ref.Ejected == 0 || ref.Ejected != ref.Generated || ref.Stalled {
-		t.Fatalf("sequential reference did not drain cleanly: %v", ref.String())
-	}
-	for _, shards := range []int{2, 4} {
-		res, cycles := run(shards)
-		if res.Stalled {
-			t.Errorf("shards=%d: Stalled with %d/%d packets delivered", shards, res.Ejected, res.Generated)
-		}
-		if res.Ejected != ref.Ejected {
-			t.Errorf("shards=%d: ejected %d, sequential %d", shards, res.Ejected, ref.Ejected)
-		}
-		if cycles != refCycles {
-			t.Errorf("shards=%d: stepped %d cycles, sequential stepped %d", shards, cycles, refCycles)
-		}
 	}
 }
 

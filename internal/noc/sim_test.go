@@ -23,29 +23,3 @@ func TestSimSingleShot(t *testing.T) {
 	}()
 	s.Run(context.Background())
 }
-
-// TestBacklogCounters cross-checks the network's incremental backlog
-// counters against the simulation making progress: after a short run
-// drains, both queued and in-flight counts must return to zero.
-func TestBacklogCounters(t *testing.T) {
-	cfg := cfg2D(2)
-	net := NewNetwork(cfg)
-	s := NewSim(net, bernoulli(cfg.Topo, 0.1, 2, Data))
-	s.Params = SimParams{Warmup: 100, Measure: 500, DrainMax: 5000}
-	res := s.Run(context.Background())
-	if res.Generated == 0 {
-		t.Fatal("no packets generated")
-	}
-	if q := net.QueuedFlits(); q != 0 {
-		t.Errorf("QueuedFlits = %d after drain, want 0", q)
-	}
-	if f := net.InFlightFlits(); f != 0 {
-		t.Errorf("InFlightFlits = %d after drain, want 0", f)
-	}
-	if b := net.BacklogFlits(); b != 0 {
-		t.Errorf("BacklogFlits = %d after drain, want 0", b)
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Errorf("invariants after drain: %v", err)
-	}
-}

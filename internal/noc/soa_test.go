@@ -301,7 +301,7 @@ func TestBodyFlitsScheduleNoEvent(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		cfg := cfg2D(2)
 		cfg.Seed, cfg.Shards = 42, shards
-		stream, _, snap := runMetered(t, cfg, StepActivity, 0.3, 600)
+		stream, _, snap := runMetered(t, cfg, StepActivity, 0.3, 600, true)
 		want := int64(0)
 		for _, e := range stream {
 			want += 4 + int64(e.hops)
