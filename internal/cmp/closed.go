@@ -3,7 +3,6 @@ package cmp
 import (
 	"fmt"
 
-	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/stats"
 	"mira/internal/topology"
@@ -116,9 +115,10 @@ func (s *ClosedSystem) send(m protoMsg, src, dst topology.NodeID) {
 	if m.kind.IsData() {
 		size = DataFlits
 		class = noc.Data
-		layers = core.PacketLayers(s.dataPayload())
+		l := s.dataPayload()
+		layers = l.layers()
 	} else {
-		layers = []uint8{1} // address/coherence flits are short (§3.2.1)
+		layers = controlLayers // address/coherence flits are short (§3.2.1)
 	}
 	pkt, err := s.net.Enqueue(noc.Spec{Src: src, Dst: dst, Size: size, Class: class, LayersPerFlit: layers})
 	if err != nil {

@@ -3,8 +3,10 @@ package cmp
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/routing"
 	"mira/internal/topology"
@@ -93,17 +95,44 @@ func TestDirectorySharers(t *testing.T) {
 	}
 }
 
+// TestControlPayloadIsShort: every control packet a System emits is one
+// address flit, the line address in the top layer's word and zeros
+// above, so it needs one layer (§3.2.1).
 func TestControlPayloadIsShort(t *testing.T) {
-	p := controlPayload(0xdeadbeef)
-	if len(p) != 1 {
-		t.Fatalf("control payload flits = %d, want 1", len(p))
+	w, _ := ByName("tpcw")
+	tr, _, err := GenerateTrace(w, nucaTopo(t), 5000, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p[0][0] != 0xdeadbeef {
-		t.Errorf("address word wrong")
+	n := 0
+	for _, e := range tr.Events {
+		if e.Class != noc.Control {
+			continue
+		}
+		n++
+		if !slices.Equal(e.Layers, []uint8{1}) {
+			t.Fatalf("control packet %+v: layers %v, want [1]", e, e.Layers)
+		}
 	}
-	for _, w := range p[0][1:] {
-		if w != 0 {
-			t.Errorf("upper control words must be zero: %x", p[0])
+	if n == 0 {
+		t.Fatal("no control packets emitted")
+	}
+}
+
+// TestLineLayersMatchPacketLayers: the interned layers of a line are
+// core.PacketLayers of its words.
+func TestLineLayersMatchPacketLayers(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var counts [traffic.NumPatterns]int64
+	p := traffic.PatternProfile{Zero: 0.4, One: 0.2, Freq: 0.1}
+	for i := 0; i < 2000; i++ {
+		l := dataPayload(p, rng, &counts)
+		flits := make([][]uint32, len(l))
+		for f := range l {
+			flits[f] = l[f][:]
+		}
+		if got, want := l.layers(), core.PacketLayers(flits); !slices.Equal(got, want) {
+			t.Fatalf("line %x: layers %v, want %v", l, got, want)
 		}
 	}
 }

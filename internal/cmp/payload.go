@@ -3,6 +3,7 @@ package cmp
 import (
 	"math/rand"
 
+	"mira/internal/core"
 	"mira/internal/traffic"
 )
 
@@ -49,25 +50,44 @@ func sampleWord(p traffic.PatternProfile, rng *rand.Rand) (uint32, traffic.WordP
 	}
 }
 
-// dataPayload synthesizes a cache line as flit-major words, counting
-// word patterns into counts.
-func dataPayload(p traffic.PatternProfile, rng *rand.Rand, counts *[traffic.NumPatterns]int64) [][]uint32 {
-	flits := make([][]uint32, flitsPerLine)
-	for f := range flits {
-		words := make([]uint32, wordsPerFlit)
-		for w := range words {
+// line is a cache line's payload, flit-major.
+type line [flitsPerLine][wordsPerFlit]uint32
+
+// dataPayload synthesizes a cache line, counting word patterns into
+// counts.
+func dataPayload(p traffic.PatternProfile, rng *rand.Rand, counts *[traffic.NumPatterns]int64) (l line) {
+	for f := range l {
+		for w := range l[f] {
 			v, pat := sampleWord(p, rng)
-			words[w] = v
+			l[f][w] = v
 			counts[pat]++
 		}
-		flits[f] = words
 	}
-	return flits
+	return l
 }
 
-// controlPayload synthesizes an address/coherence flit: the 32-bit line
-// address in the top-layer word, zeros above. Such flits always qualify
-// as short.
-func controlPayload(addr uint32) [][]uint32 {
-	return [][]uint32{{addr, 0, 0, 0}}
+// lineLayers interns every data packet's per-flit active layers: flit f
+// of entry k needs k>>(2f)&3 + 1 of its wordsPerFlit layers.
+var lineLayers = func() (t [1 << (2 * flitsPerLine)][flitsPerLine]uint8) {
+	for k := range t {
+		for f := range t[k] {
+			t[k][f] = uint8(k>>(2*f)&3 + 1)
+		}
+	}
+	return t
+}()
+
+// layers returns the line's per-flit active layers (core.PacketLayers),
+// interned: the slice is shared and must not be written.
+func (l *line) layers() []uint8 {
+	k := 0
+	for f := range l {
+		k |= int(core.ActiveLayers(l[f][:])-1) << (2 * f)
+	}
+	return lineLayers[k][:]
 }
+
+// controlLayers are an address/coherence packet's active layers, shared
+// like lineLayers: the 32-bit line address fills the top layer's word and
+// zeros the rest, so such flits always qualify as short.
+var controlLayers = []uint8{1}

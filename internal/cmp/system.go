@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/topology"
 	"mira/internal/traffic"
@@ -237,7 +236,7 @@ func (h *hierarchy) l2Latency() int64 {
 }
 
 // dataPayload draws a cache line's words, counting them by pattern.
-func (h *hierarchy) dataPayload() [][]uint32 {
+func (h *hierarchy) dataPayload() line {
 	return dataPayload(h.p.Workload.Patterns, h.rng, &h.words)
 }
 
@@ -281,18 +280,17 @@ func NewSystem(p Params) (*System, error) {
 	}, nil
 }
 
-// emit records one message in the trace.
-func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, payload [][]uint32) {
+// emit records one message, of len(layers) flits, in the trace.
+func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, layers []uint8) {
 	if src == dst {
 		return // bank-local access, no network message
 	}
-	layers := core.PacketLayers(payload)
 	class := noc.Control
 	if kind.IsData() {
 		class = noc.Data
 	}
 	s.trace.Events = append(s.trace.Events, traffic.Event{
-		Cycle: cycle, Src: src, Dst: dst, Size: len(payload), Class: class, Layers: layers,
+		Cycle: cycle, Src: src, Dst: dst, Size: len(layers), Class: class, Layers: layers,
 	})
 	s.stats.KindCounts[kind]++
 	for _, l := range layers {
@@ -304,11 +302,12 @@ func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, paylo
 }
 
 func (s *System) emitData(cycle int64, kind MsgKind, src, dst topology.NodeID) {
-	s.emit(cycle, kind, src, dst, s.dataPayload())
+	l := s.dataPayload()
+	s.emit(cycle, kind, src, dst, l.layers())
 }
 
-func (s *System) emitCtrl(cycle int64, kind MsgKind, src, dst topology.NodeID, addr uint32) {
-	s.emit(cycle, kind, src, dst, controlPayload(addr))
+func (s *System) emitCtrl(cycle int64, kind MsgKind, src, dst topology.NodeID) {
+	s.emit(cycle, kind, src, dst, controlLayers)
 }
 
 // read handles an L1 load miss: GetS to the home bank, then either a
@@ -316,7 +315,7 @@ func (s *System) emitCtrl(cycle int64, kind MsgKind, src, dst topology.NodeID, a
 func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 	cpuNode := s.cpuNodes[cpu]
 	bank := s.bankOf(addr)
-	s.emitCtrl(cycle, KindGetS, cpuNode, bank, addr)
+	s.emitCtrl(cycle, KindGetS, cpuNode, bank)
 	t := cycle + s.p.ReqNetLat
 	e := s.dirs[bank].Entry(addr)
 
@@ -327,7 +326,7 @@ func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 		// back immediately; under MOESI it keeps ownership in the
 		// Owned state and the write-back waits for its eviction.
 		ownerNode := s.cpuNodes[e.owner]
-		s.emitCtrl(t, KindFwd, bank, ownerNode, addr)
+		s.emitCtrl(t, KindFwd, bank, ownerNode)
 		if s.p.Protocol == MOESI {
 			s.l1s[e.owner].SetState(addr, Owned)
 			e.addSharer(int(e.owner))
@@ -368,13 +367,13 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 		kind = KindUpgrade
 		s.stats.Upgrades++
 	}
-	s.emitCtrl(cycle, kind, cpuNode, bank, addr)
+	s.emitCtrl(cycle, kind, cpuNode, bank)
 
 	var respAt int64
 	if e.owner >= 0 && int(e.owner) != cpu {
 		// Dirty elsewhere: forward; ownership transfers cache-to-cache.
 		ownerNode := s.cpuNodes[e.owner]
-		s.emitCtrl(t, KindFwd, bank, ownerNode, addr)
+		s.emitCtrl(t, KindFwd, bank, ownerNode)
 		s.l1s[e.owner].SetState(addr, Invalid)
 		s.emitData(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
 		respAt = t + 2*s.p.ReqNetLat
@@ -385,13 +384,13 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 				continue
 			}
 			shNode := s.cpuNodes[sh]
-			s.emitCtrl(t, KindInv, bank, shNode, addr)
+			s.emitCtrl(t, KindInv, bank, shNode)
 			s.l1s[sh].SetState(addr, Invalid)
-			s.emitCtrl(t+s.p.ReqNetLat, KindAck, shNode, cpuNode, addr)
+			s.emitCtrl(t+s.p.ReqNetLat, KindAck, shNode, cpuNode)
 		}
 		if st == Shared || st == Owned {
 			// Upgrade: data already present, the bank grants ownership.
-			s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode, addr)
+			s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode)
 			respAt = t + s.p.BankLat + s.p.ReqNetLat
 		} else {
 			lat := s.l2Latency()

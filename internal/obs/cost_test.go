@@ -121,8 +121,10 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 	perHop := float64(grown) / float64(hops)
 	logPerHop := float64(c.Spans().RetainedBytes()) / float64(c.EventCount(noc.ProbeSAGrant))
 	t.Logf("%.2f log bytes, %.1f heap bytes per completed hop (%d hops)", logPerHop, perHop, hops)
-	if logPerHop > 12 {
-		t.Errorf("the span log keeps %.2f bytes per completed hop, want <= 12", logPerHop)
+	// 3.79 measured: compact body and tail spans. The margin lets a kernel
+	// change move a few flits; full spans alone cost 9.07.
+	if logPerHop > 4.5 {
+		t.Errorf("the span log keeps %.2f bytes per completed hop, want <= 4.5", logPerHop)
 	}
 	if perHop > 48 {
 		t.Errorf("retained spans cost %.1f heap bytes per completed hop, want <= 48", perHop)

@@ -49,7 +49,7 @@ type Config struct {
 	// Spans enables live per-flit span building: every probe event is
 	// folded into per-hop stage spans and the latency attribution
 	// aggregate (see SpanBuilder). Costs memory proportional to the
-	// completed hop count (about 9 bytes a hop, SpanBuilder.RetainedBytes).
+	// completed hop count (about 3.4 bytes a hop, SpanBuilder.RetainedBytes).
 	Spans bool
 	// Engine enables engine self-telemetry (engine.go): a wall-clock
 	// ticker sampling per-shard step timings, throughput and Go runtime

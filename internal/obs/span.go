@@ -166,11 +166,24 @@ type flitKey struct {
 // spanLog keeps completed spans in eject order as one append-only byte
 // log of varints, in chunks of logChunk bytes. A span never straddles two
 // chunks — add reserves its worst-case size first — so growing never
-// copies.
+// copies. A wormhole packet's body and tail flits take its head's routers,
+// output ports and VCs, so heads keeps the path of each packet's last
+// logged head until its tail is logged, and a span that repeats the path
+// is written compact, as a reference to its head.
 type spanLog struct {
 	chunks            [][]byte
 	spans, hops, size int
 	pkt, inject       int64 // the last span's, which the next one's are deltas against
+	heads             map[int64]headPath
+	spare             [][]hop // the path storage of packets whose tail was logged
+}
+
+// headPath is what a compact span takes from its packet's head.
+type headPath struct {
+	created, stlt int64
+	src, dst      int32
+	class         noc.Class
+	hops          []hop // of which only router, dir and vc are read
 }
 
 // logChunk is a chunk's size; maxSpanBytes and maxHopBytes bound what
@@ -185,34 +198,72 @@ const (
 // uvarint loop writes signed and unsigned fields alike.
 func zigzag(v int64) uint64 { return uint64(v<<1 ^ v>>63) }
 
-// add appends a span as uvarints: zigzag deltas of pkt and inject against
-// the last span's and of created and eject against inject; zigzag seq,
-// src and dst; type<<4|class, one byte; layers, the hop count and the
-// ST+LT depth. Then per hop its router, its dir and vc bytes and the
-// waits route-arrive, alloc-route and grant-alloc, which finish checked
-// are non-negative. Differences wrap, so any int64 round-trips.
+// add appends a span: a tag byte, type<<4|class (0x80|type<<5|layers when
+// compact), then uvarints. First zigzag deltas of pkt and inject against
+// the last span's and zigzag seq; a full span goes on with zigzag
+// created-inject, src and dst, layers, the hop count and the ST+LT depth,
+// and per hop its router, its dir and vc bytes and the waits route-arrive
+// and alloc-route. Each hop ends with grant-alloc; a compact span's route
+// and alloc waits are 0. Eject is the last grant plus ST+LT. finish
+// checked the waits are non-negative; differences wrap, so any int64
+// round-trips.
 func (l *spanLog) add(s *spanHdr, hops []hop) {
 	need, n := maxSpanBytes+len(hops)*maxHopBytes, len(l.chunks)
 	if n == 0 || cap(l.chunks[n-1])-len(l.chunks[n-1]) < need {
 		l.chunks, n = append(l.chunks, make([]byte, 0, max(logChunk, need))), n+1
 	}
-	c, stlt := l.chunks[n-1], s.eject-hops[len(hops)-1].grant
-	for _, v := range [...]uint64{zigzag(s.pkt - l.pkt), zigzag(s.inject - l.inject), zigzag(s.created - s.inject),
-		zigzag(s.eject - s.inject), zigzag(int64(s.seq)), zigzag(int64(s.src)), zigzag(int64(s.dst)),
-		uint64(s.typ)<<4 | uint64(s.class), uint64(s.layers), uint64(len(hops)), uint64(stlt)} {
+	c, stlt, arrive := l.chunks[n-1], s.eject-hops[len(hops)-1].grant, s.inject
+	head, ok := l.heads[s.pkt]
+	compact := ok && head.follows(s, hops, stlt)
+	tag, f := byte(s.typ)<<4|byte(s.class), [...]uint64{zigzag(s.pkt - l.pkt), zigzag(s.inject - l.inject),
+		zigzag(int64(s.seq)), zigzag(s.created - s.inject), zigzag(int64(s.src)), zigzag(int64(s.dst)),
+		uint64(s.layers), uint64(len(hops)), uint64(stlt)}
+	nf := len(f)
+	if compact {
+		tag, nf = 0x80|byte(s.typ)<<5|s.layers, 3
+	}
+	c = append(c, tag)
+	for _, v := range f[:nf] {
 		c = binary.AppendUvarint(c, v)
 	}
-	arrive := s.inject
 	for i := range hops {
 		h := &hops[i]
-		c = append(binary.AppendUvarint(c, uint64(uint32(h.router))), byte(h.dir), byte(h.vc))
-		for _, v := range [...]int64{h.route - arrive, h.alloc - h.route, h.grant - h.alloc} {
-			c = binary.AppendUvarint(c, uint64(v))
+		if !compact {
+			c = append(binary.AppendUvarint(c, uint64(uint32(h.router))), byte(h.dir), byte(h.vc))
+			c = binary.AppendUvarint(binary.AppendUvarint(c, uint64(h.route-arrive)), uint64(h.alloc-h.route))
 		}
-		arrive = h.grant + stlt
+		c, arrive = binary.AppendUvarint(c, uint64(h.grant-h.alloc)), h.grant+stlt
+	}
+	switch {
+	case s.typ == noc.HeadFlit:
+		if !ok && len(l.spare) > 0 {
+			head.hops, l.spare = l.spare[len(l.spare)-1], l.spare[:len(l.spare)-1]
+		}
+		l.heads[s.pkt] = headPath{s.created, stlt, s.src, s.dst, s.class, append(head.hops[:0], hops...)}
+	case s.typ == noc.TailFlit && ok:
+		l.spare = append(l.spare, head.hops)
+		delete(l.heads, s.pkt)
 	}
 	l.size += len(c) - len(l.chunks[n-1])
 	l.chunks[n-1], l.pkt, l.inject, l.spans, l.hops = c, s.pkt, s.inject, l.spans+1, l.hops+len(hops)
+}
+
+// follows reports whether s can be written compact against its head h:
+// same header fields and path, no route or VC wait at any hop (HopSpan),
+// and layers that fit the tag.
+func (h *headPath) follows(s *spanHdr, hops []hop, stlt int64) bool {
+	if h.created != s.created || h.stlt != stlt || h.src != s.src || h.dst != s.dst || h.class != s.class ||
+		len(h.hops) != len(hops) || s.layers >= 32 {
+		return false
+	}
+	arrive := s.inject
+	for i, p := range hops {
+		if q := &h.hops[i]; p.route != arrive || p.alloc != arrive || p.router != q.router || p.dir != q.dir || p.vc != q.vc {
+			return false
+		}
+		arrive = p.grant + stlt
+	}
+	return true
 }
 
 // logReader decodes a chunk of the span log front to back.
@@ -252,12 +303,13 @@ type SpanBuilder struct {
 
 // NewSpanBuilder returns a builder that aggregates attribution totals.
 // When retain is true, completed spans are also kept (required for the
-// Perfetto and heatmap exports) in a log of about 9 bytes a completed
+// Perfetto and heatmap exports) in a log of about 3.4 bytes a completed
 // hop: memory grows with the run, not with the in-flight window.
 func NewSpanBuilder(retain bool) *SpanBuilder { return newSpanBuilder(true, retain) }
 
 func newSpanBuilder(fold, retain bool) *SpanBuilder {
 	return &SpanBuilder{fold: fold, retain: retain, slots: make([]int32, 256), spill: make(map[flitKey]int32),
+		log: spanLog{heads: make(map[int64]headPath)},
 		agg: &Attribution{}, lat: latencyAcc{flitHist: stats.NewHistogram(histBins), pktHist: stats.NewHistogram(histBins)}}
 }
 
@@ -272,33 +324,52 @@ func (b *SpanBuilder) Err() error { return b.err }
 func (b *SpanBuilder) Spans() []FlitSpan {
 	spans := make([]FlitSpan, 0, b.log.spans)
 	hops := make([]HopSpan, 0, b.log.hops)
+	// spanLog.heads as indexes into spans. A compact span refers to the
+	// last head of its pkt, so an entry need not be dropped at the tail.
+	heads := make(map[int64]int)
 	var pkt, inject int64
 	for _, c := range b.log.chunks {
 		for r := logReader(c); len(r) > 0; {
+			tag, first := r.next(), len(hops)
 			pkt, inject = pkt+r.varint(), inject+r.varint()
-			s := FlitSpan{Pkt: pkt, Inject: inject, Created: inject + r.varint(), Eject: inject + r.varint()}
-			s.Seq, s.Src, s.Dst = int(r.varint()), int(r.varint()), int(r.varint())
-			tc := r.uvarint()
-			s.Type, s.Class, s.Layers = flitTypeName(noc.FlitType(tc>>4)), noc.Class(tc&15).String(), int(r.uvarint())
-			n, stlt, arrive := int(r.uvarint()), int64(r.uvarint()), inject
+			var s FlitSpan
+			var path []HopSpan
+			typ, seq, n, stlt := noc.FlitType(tag>>4), int(r.varint()), 0, int64(0)
+			if tag&0x80 != 0 {
+				s = spans[heads[pkt]]
+				typ, s.Layers, path, n = noc.FlitType(tag>>5&3), int(tag&31), s.Hops, len(s.Hops)
+				stlt = s.Eject - path[n-1].Grant
+			} else {
+				s.Created, s.Src, s.Dst = inject+r.varint(), int(r.varint()), int(r.varint())
+				s.Class, s.Layers = noc.Class(tag&15).String(), int(r.uvarint())
+				n, stlt = int(r.uvarint()), int64(r.uvarint())
+			}
+			arrive := inject
 			for j := 0; j < n; j++ {
-				h := HopSpan{Router: int(int32(r.uvarint())), Arrive: arrive}
-				h.Dir, h.VC = topology.Dir(int8(r.next())).String(), int(int8(r.next()))
-				h.Route = arrive + int64(r.uvarint())
-				h.Alloc = h.Route + int64(r.uvarint())
+				h := HopSpan{Arrive: arrive, Route: arrive, Alloc: arrive}
+				if path != nil {
+					h.Router, h.Dir, h.VC = path[j].Router, path[j].Dir, path[j].VC
+				} else {
+					h.Router, h.Dir, h.VC = int(int32(r.uvarint())), topology.Dir(int8(r.next())).String(), int(int8(r.next()))
+					h.Route += int64(r.uvarint())
+					h.Alloc = h.Route + int64(r.uvarint())
+				}
 				h.Grant = h.Alloc + int64(r.uvarint())
 				h.Depart, arrive = h.Grant+stlt, h.Grant+stlt
 				hops = append(hops, h)
 			}
-			s.Hops = hops[len(hops)-n : len(hops) : len(hops)]
+			s.Pkt, s.Seq, s.Type, s.Inject, s.Eject = pkt, seq, flitTypeName(typ), inject, arrive
+			if s.Hops = hops[first:len(hops):len(hops)]; typ == noc.HeadFlit {
+				heads[pkt] = len(spans)
+			}
 			spans = append(spans, s)
 		}
 	}
 	return spans
 }
 
-// RetainedBytes returns the size of the completed-span log, which is
-// allocated logChunk bytes at a time.
+// RetainedBytes returns the size of the completed-span log (about 3.4
+// bytes a hop with 4-flit packets), allocated logChunk bytes at a time.
 func (b *SpanBuilder) RetainedBytes() int64 { return int64(b.log.size) }
 
 // Attribution returns the running latency decomposition aggregate.

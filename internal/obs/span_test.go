@@ -455,7 +455,13 @@ const maxFuzzHops = 2048
 // each for type, class and layers; per hop, varints for router and the
 // waits route-arrive, alloc-route and grant-alloc, then a byte each for
 // dir and vc. Eject is the last grant plus ST+LT, as in any span. A span
-// the input ends inside is dropped. spanInput is its inverse.
+// whose type byte has its top bit set, of a packet with a head earlier in
+// the input, follows the last such head: its created, src, dst, class,
+// ST+LT and hop count and its hops' routers, dirs and vcs are the head's
+// plus what the input holds (hop j adds to head hop j mod the head's
+// count), so zeros and zero route and VC waits make it the body or tail
+// the log writes compact. A span the input ends inside is dropped.
+// spanInput is its inverse.
 func fuzzSpans(data []byte) (spans []loggedSpan) {
 	read := func(v []int64, raw []byte) bool {
 		for i := range v {
@@ -471,44 +477,67 @@ func fuzzSpans(data []byte) (spans []loggedSpan) {
 		data = data[copy(raw, data):]
 		return true
 	}
+	heads := map[int64]loggedSpan{}
 	for {
 		var v [8]int64
 		var b [3]byte
 		if !read(v[:], b[:]) {
 			return spans
 		}
-		s := loggedSpan{hdr: spanHdr{pkt: v[0], created: v[1], inject: v[2], seq: int32(v[4]),
-			src: int32(v[5]), dst: int32(v[6]), typ: noc.FlitType(int(b[0]) % len(flitTypeNames)),
-			class: noc.Class(b[1]) % noc.NumClasses, layers: b[2]}}
-		stlt, arrive := v[3], v[2]
-		for n := 1 + uint64(v[7])%maxFuzzHops; n > 0; n-- {
+		base := loggedSpan{hops: make([]hop, 1)} // all zero: the fields are as read
+		if h, ok := heads[v[0]]; ok && b[0] >= 0x80 {
+			base = h
+		}
+		s := loggedSpan{hdr: spanHdr{pkt: v[0], created: base.hdr.created + v[1], inject: v[2], seq: int32(v[4]),
+			src: base.hdr.src + int32(v[5]), dst: base.hdr.dst + int32(v[6]),
+			typ: noc.FlitType(int(b[0]) % len(flitTypeNames)), class: (base.hdr.class + noc.Class(b[1])) % noc.NumClasses,
+			layers: b[2]}}
+		stlt, arrive := base.stlt()+v[3], v[2]
+		for n := 1 + uint64(int64(len(base.hops)-1)+v[7])%maxFuzzHops; n > 0; n-- {
 			if !read(v[:4], b[:2]) {
 				return spans
 			}
-			h := hop{router: int32(uint64(v[0]) % (1 << 16)), route: arrive + v[1], dir: int8(b[0]), vc: int8(b[1])}
+			p := base.hops[len(s.hops)%len(base.hops)]
+			h := hop{router: int32((uint64(p.router) + uint64(v[0])) % (1 << 16)), route: arrive + v[1],
+				dir: p.dir + int8(b[0]), vc: p.vc + int8(b[1])}
 			h.alloc = h.route + v[2]
 			h.grant = h.alloc + v[3]
 			s.hops, arrive = append(s.hops, h), h.grant+stlt
 		}
 		s.hdr.eject = arrive
+		if s.hdr.typ == noc.HeadFlit {
+			heads[s.hdr.pkt] = s
+		}
 		spans = append(spans, s)
 	}
 }
 
+func (s *loggedSpan) stlt() int64 { return s.hdr.eject - s.hops[len(s.hops)-1].grant }
+
 func spanInput(spans ...loggedSpan) (data []byte) {
+	heads := map[int64]loggedSpan{}
 	for _, s := range spans {
-		h := &s.hdr
-		for _, v := range [...]int64{h.pkt, h.created, h.inject, h.eject - s.hops[len(s.hops)-1].grant,
-			int64(h.seq), int64(h.src), int64(h.dst), int64(len(s.hops) - 1)} {
+		h, base, typ := &s.hdr, loggedSpan{hops: make([]hop, 1)}, byte(s.hdr.typ)
+		if head, ok := heads[h.pkt]; ok {
+			base, typ = head, typ|0x80
+		}
+		b := &base.hdr
+		for _, v := range [...]int64{h.pkt, h.created - b.created, h.inject, s.stlt() - base.stlt(),
+			int64(h.seq), int64(h.src - b.src), int64(h.dst - b.dst), int64(len(s.hops) - len(base.hops))} {
 			data = binary.AppendVarint(data, v)
 		}
-		data = append(data, byte(h.typ), byte(h.class), h.layers)
-		arrive, stlt := h.inject, h.eject-s.hops[len(s.hops)-1].grant
-		for _, p := range s.hops {
-			for _, v := range [...]int64{int64(p.router), p.route - arrive, p.alloc - p.route, p.grant - p.alloc} {
+		classes := int(noc.NumClasses)
+		data = append(data, typ, byte((int(h.class)-int(b.class)+classes)%classes), h.layers)
+		arrive, stlt := h.inject, s.stlt()
+		for j, p := range s.hops {
+			q := base.hops[j%len(base.hops)]
+			for _, v := range [...]int64{int64(p.router - q.router), p.route - arrive, p.alloc - p.route, p.grant - p.alloc} {
 				data = binary.AppendVarint(data, v)
 			}
-			data, arrive = append(data, byte(p.dir), byte(p.vc)), p.grant+stlt
+			data, arrive = append(data, byte(p.dir-q.dir), byte(p.vc-q.vc)), p.grant+stlt
+		}
+		if h.typ == noc.HeadFlit {
+			heads[h.pkt] = s
 		}
 	}
 	return data
@@ -549,6 +578,38 @@ func FuzzSpanLog(f *testing.F) {
 	}
 	f.Add(spanInput(waits(5, 400)), uint8(4))
 	f.Add(spanInput(waits(9, 2000), loggedSpan{hdr(10, 0, 1, 3), []hop{at(0, 1, 1, 2)}}), uint8(0))
+	// flit is a flit of packet pkt through routers rs, ST+LT 2; a head
+	// waits a cycle each for its route and its VC, a body or tail for
+	// neither, so it follows its head's span compact when rs are equal.
+	flit := func(pkt int64, typ noc.FlitType, dst int32, inject int64, rs ...int32) loggedSpan {
+		s, arrive, wait := loggedSpan{hdr: spanHdr{pkt: pkt, inject: inject, seq: int32(typ), dst: dst, typ: typ}}, inject, int64(0)
+		if typ == noc.HeadFlit {
+			wait = 1
+		}
+		for _, r := range rs {
+			h := at(r, arrive+wait, arrive+2*wait, arrive+2*wait+1)
+			s.hops, arrive = append(s.hops, h), h.grant+2
+		}
+		s.hdr.eject = arrive
+		return s
+	}
+	// Two packets interleaved across destinations, logged three times
+	// over: their IDs are reused.
+	f.Add(spanInput(flit(20, noc.HeadFlit, 5, 0, 0, 1, 5), flit(21, noc.HeadFlit, 9, 1, 4, 5, 9),
+		flit(20, noc.BodyFlit, 5, 1, 0, 1, 5), flit(21, noc.BodyFlit, 9, 2, 4, 5, 9),
+		flit(20, noc.TailFlit, 5, 2, 0, 1, 5), flit(21, noc.TailFlit, 9, 3, 4, 5, 9)), uint8(2))
+	// A reused ID whose first packet's tail was never logged: the body
+	// after the second head takes the first head's path, so it must not
+	// be written against the second.
+	f.Add(spanInput(flit(30, noc.HeadFlit, 7, 0, 0, 1, 2), flit(30, noc.BodyFlit, 7, 1, 0, 1, 2),
+		flit(30, noc.HeadFlit, 7, 10, 0, 3, 2), flit(30, noc.BodyFlit, 7, 11, 0, 1, 2),
+		flit(30, noc.TailFlit, 7, 12, 0, 3, 2)), uint8(0))
+	// A body and tail whose head was never logged.
+	f.Add(spanInput(flit(40, noc.BodyFlit, 3, 0, 0, 1), flit(40, noc.TailFlit, 3, 1, 0, 1)), uint8(0))
+	// A body that leaves one hop on another VC than its head.
+	vc := flit(50, noc.BodyFlit, 6, 1, 0, 1, 2)
+	vc.hops[1].vc = 1
+	f.Add(spanInput(flit(50, noc.HeadFlit, 6, 0, 0, 1, 2), vc, flit(50, noc.TailFlit, 6, 2, 0, 1, 2)), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
 		b, ref := newSpanBuilder(true, true), arenaSpans{}
 		spans := fuzzSpans(data)

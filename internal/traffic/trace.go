@@ -2,10 +2,11 @@ package traffic
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,7 +36,7 @@ type Trace struct {
 // Sort orders events by cycle (stable, preserving generation order for
 // equal cycles).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Cycle < t.Events[j].Cycle })
+	slices.SortStableFunc(t.Events, func(a, b Event) int { return cmp.Compare(a.Cycle, b.Cycle) })
 }
 
 // Span returns the cycle range covered (last event cycle + 1), or 0.

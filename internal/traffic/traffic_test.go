@@ -346,3 +346,38 @@ func TestReplayerEmptyTrace(t *testing.T) {
 		t.Errorf("empty trace should generate nothing")
 	}
 }
+
+// TestGenerateSteadyStateAllocs: once its buffers have grown, an
+// open-loop generator allocates nothing per cycle; Generate runs on
+// every simulated cycle.
+func TestGenerateSteadyStateAllocs(t *testing.T) {
+	nuca := topology.NewMesh2D(6, 6, 3.1)
+	if err := topology.ApplyNUCALayout2D(nuca); err != nil {
+		t.Fatal(err)
+	}
+	mesh := topology.NewMesh2D(6, 6, 3.1)
+	for _, tc := range []struct {
+		name string
+		gen  noc.Generator
+	}{
+		{"uniform", &Uniform{Topo: mesh, InjectionRate: 0.3, PacketSize: 4}},
+		{"nuca", &NUCA{Topo: nuca, InjectionRate: 0.3, RequestSize: 1, ResponseSize: 4, BankDelay: 20}},
+		{"permutation", &Permutation{Topo: mesh, InjectionRate: 0.3, PacketSize: 4, Dst: Transpose, Name: "transpose"}},
+		{"hotspot", &Hotspot{Topo: mesh, InjectionRate: 0.3, PacketSize: 4, Hot: []topology.NodeID{7, 28}, Frac: 0.3}},
+		{"replayer", &Replayer{Trace: makeTrace(), Loop: true}},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		var specs []noc.Spec
+		cycle := int64(0)
+		step := func() {
+			specs = tc.gen.Generate(cycle, rng, specs[:0])
+			cycle++
+		}
+		for cycle < 5000 {
+			step()
+		}
+		if n := testing.AllocsPerRun(2000, step); n != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", tc.name, n)
+		}
+	}
+}

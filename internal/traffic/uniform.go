@@ -82,6 +82,8 @@ type NUCA struct {
 	// BankDelay ahead and cycles are queried in increasing order, so
 	// buckets can be recycled in place with no per-cycle map churn.
 	pending [][]noc.Spec
+	// cpus and caches are Topo's node lists, taken with pending.
+	cpus, caches []topology.NodeID
 }
 
 var _ noc.Generator = (*NUCA)(nil)
@@ -100,9 +102,9 @@ func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spe
 			size = 2
 		}
 		g.pending = make([][]noc.Spec, size)
+		g.cpus, g.caches = g.Topo.CPUs(), g.Topo.Caches()
 	}
-	cpus := g.Topo.CPUs()
-	caches := g.Topo.Caches()
+	cpus, caches := g.cpus, g.caches
 	if len(cpus) == 0 || len(caches) == 0 {
 		return specs
 	}
