@@ -58,6 +58,7 @@ import (
 	"mira/internal/exp"
 	"mira/internal/obs"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 func main() {
@@ -243,11 +244,11 @@ func writeTimings(path string, o exp.Options, workers int, timings []expTiming) 
 
 // writeSVG renders a table as a figure in dir. Tables with no numeric
 // series (e.g. the fig10 layouts) report an error and are skipped.
-func writeSVG(dir string, tb exp.Table) error {
+func writeSVG(dir string, tb stats.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	svg, err := tb.SVG("")
+	svg, err := exp.SVG(tb, "")
 	if err != nil {
 		return err
 	}

@@ -172,7 +172,7 @@ func main() {
 		}
 	}
 
-	batchOpts := scenario.BatchOptions{Workers: *workers, Timeout: *timeout}
+	batchOpts := exp.BatchOptions{Workers: *workers, Timeout: *timeout}
 	if *serveAddr != "" {
 		if err := runServe(ctx, *serveAddr, scs, batchOpts); err != nil {
 			cli.Fatal("mirasim", err)
@@ -180,7 +180,7 @@ func main() {
 		return
 	}
 	if *scenarioFile != "" {
-		if err := printJSON(scenario.RunBatch(ctx, scs, batchOpts)); err != nil {
+		if err := printJSON(exp.RunBatch(ctx, scs, batchOpts)); err != nil {
 			cli.Fatal("mirasim", err)
 		}
 		return
@@ -211,7 +211,8 @@ func main() {
 		e.Obs.SetTraceWriter(traceOut)
 	}
 
-	r := e.Sim.Run(ctx)
+	out, closeErr := e.Run(ctx)
+	r := out.Result
 	report(d, r, exp.NetworkPowerW(d, r, true))
 	if e.Collective != nil {
 		fmt.Print(e.Collective.Summary().String())
@@ -221,7 +222,7 @@ func main() {
 	}
 
 	if e.Obs != nil {
-		if err := finishObs(e.Obs, traceOut, *trace, *series, *attrib); err != nil {
+		if err := finishObs(e.Obs, closeErr, traceOut, *trace, *series, *attrib); err != nil {
 			cli.Fatal("mirasim", err)
 		}
 		if *progress {
@@ -266,14 +267,14 @@ func writeEngineJSON(ec *obs.EngineCollector, path string) error {
 	return nil
 }
 
-// finishObs flushes and closes the trace, writes the series and
-// attribution CSVs and prints the observability digest for an observed
-// run. Trace-writer failures (a disk that filled mid-run, a pipe that
-// closed) surface here: the collector's Close reports the buffered
-// writer's first error together with the count of events that made it
-// out, and closing the file itself is checked rather than deferred away.
-func finishObs(c *obs.Collector, traceOut *os.File, tracePath, seriesPath, attribPath string) error {
-	closeErr := c.Close()
+// finishObs closes the trace file, writes the series and attribution
+// CSVs and prints the observability digest for an observed run, whose
+// collector Elaboration.Run has closed. Trace-writer failures (a disk
+// that filled mid-run, a pipe that closed) surface here: closeErr is
+// the collector's Close error, the buffered writer's first error
+// together with the count of events that made it out, and closing the
+// file itself is checked rather than deferred away.
+func finishObs(c *obs.Collector, closeErr error, traceOut *os.File, tracePath, seriesPath, attribPath string) error {
 	if traceOut != nil {
 		if err := traceOut.Close(); err != nil && closeErr == nil {
 			closeErr = fmt.Errorf("trace %s: %w", tracePath, err)
@@ -339,7 +340,7 @@ func printJSON(v any) error {
 // the server then runs until the batch finishes (or ctx is canceled,
 // which also cancels in-flight runs), the results are printed as JSON,
 // and the server is drained with a short grace period.
-func runServe(ctx context.Context, addr string, scs []scenario.Scenario, o scenario.BatchOptions) error {
+func runServe(ctx context.Context, addr string, scs []scenario.Scenario, o exp.BatchOptions) error {
 	srv := serve.New(scs)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

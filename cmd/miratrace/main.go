@@ -306,21 +306,27 @@ func cmdSpans(args []string) error {
 	}
 	if *heatmap != "" || *svgOut != "" {
 		hm := obs.CongestionHeatmap(spans, *window)
+		tbl := hm.Table()
 		if *heatmap != "" {
-			if err := os.WriteFile(*heatmap, []byte(hm.CSV()), 0o644); err != nil {
+			if err := os.WriteFile(*heatmap, []byte(tbl.CSV()), 0o644); err != nil {
 				return fmt.Errorf("heatmap: %w", err)
 			}
 			slog.Info("congestion heatmap written", "file", *heatmap, "window", *window)
 		}
 		if *svgOut != "" {
-			rows, rowLabels, colLabels := obs.HeatmapMatrix(hm)
 			chart := plot.Heatmap{
 				Title:     "per-router congestion (stalled-flit cycles)",
 				XLabel:    fmt.Sprintf("cycle window (%d cycles)", *window),
 				YLabel:    "router",
-				Rows:      rows,
-				RowLabels: rowLabels,
-				ColLabels: colLabels,
+				ColLabels: tbl.Header[1:],
+			}
+			for r, cells := range hm.Cells {
+				row := make([]float64, len(cells))
+				for w, v := range cells {
+					row[w] = float64(v)
+				}
+				chart.Rows = append(chart.Rows, row)
+				chart.RowLabels = append(chart.RowLabels, tbl.Rows[r][0])
 			}
 			svg, err := chart.SVG()
 			if err != nil {

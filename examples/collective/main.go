@@ -37,8 +37,11 @@ func run(alg collective.Algorithm, chips *scenario.Chips, iters int) collective.
 	if err != nil {
 		panic(err)
 	}
-	e.Sim.Run(context.Background())
-	return e.Collective.Report()
+	out, err := e.Run(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return out.Collective
 }
 
 func main() {

@@ -120,18 +120,18 @@ func TestControlPayloadIsShort(t *testing.T) {
 }
 
 // TestLineLayersMatchPacketLayers: the interned layers of a line are
-// core.PacketLayers of its words.
+// core.ActiveLayers of each flit's words.
 func TestLineLayersMatchPacketLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var counts [traffic.NumPatterns]int64
 	p := traffic.PatternProfile{Zero: 0.4, One: 0.2, Freq: 0.1}
 	for i := 0; i < 2000; i++ {
 		l := dataPayload(p, rng, &counts)
-		flits := make([][]uint32, len(l))
+		want := make([]uint8, len(l))
 		for f := range l {
-			flits[f] = l[f][:]
+			want[f] = core.ActiveLayers(l[f][:])
 		}
-		if got, want := l.layers(), core.PacketLayers(flits); !slices.Equal(got, want) {
+		if got := l.layers(); !slices.Equal(got, want) {
 			t.Fatalf("line %x: layers %v, want %v", l, got, want)
 		}
 	}

@@ -77,7 +77,7 @@ var lineLayers = func() (t [1 << (2 * flitsPerLine)][flitsPerLine]uint8) {
 	return t
 }()
 
-// layers returns the line's per-flit active layers (core.PacketLayers),
+// layers returns the line's per-flit active layers (core.ActiveLayers),
 // interned: the slice is shared and must not be written.
 func (l *line) layers() []uint8 {
 	k := 0

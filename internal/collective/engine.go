@@ -312,12 +312,6 @@ func (e *Engine) OnDeliver(pkt *noc.Packet) {
 	}
 }
 
-// NumSteps returns the schedule's step count.
-func (e *Engine) NumSteps() int { return e.steps }
-
-// MessagesPerIteration returns the message count of one collective.
-func (e *Engine) MessagesPerIteration() int { return e.msgsPer }
-
 // Completed returns how many iterations fully delivered.
 func (e *Engine) Completed() int { return e.completed }
 

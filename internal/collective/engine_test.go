@@ -60,11 +60,11 @@ func TestProgramShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%d: %v", c.alg, c.ranks, err)
 		}
-		if e.NumSteps() != c.steps {
-			t.Errorf("%s/%d: %d steps, want %d", c.alg, c.ranks, e.NumSteps(), c.steps)
+		if e.steps != c.steps {
+			t.Errorf("%s/%d: %d steps, want %d", c.alg, c.ranks, e.steps, c.steps)
 		}
-		if e.MessagesPerIteration() != c.msgsPer {
-			t.Errorf("%s/%d: %d msgs/iter, want %d", c.alg, c.ranks, e.MessagesPerIteration(), c.msgsPer)
+		if e.msgsPer != c.msgsPer {
+			t.Errorf("%s/%d: %d msgs/iter, want %d", c.alg, c.ranks, e.msgsPer, c.msgsPer)
 		}
 		// The send programs must account for every message exactly once.
 		total := 0
@@ -175,7 +175,7 @@ func TestDependencyGating(t *testing.T) {
 	// Drain the rest of iteration 1: keep delivering what was issued.
 	cycle := int64(7)
 	delivered := 8
-	for delivered < e.MessagesPerIteration() {
+	for delivered < e.msgsPer {
 		deliver(e, specs, cycle, 5)
 		specs = e.Generate(cycle+5, nil, nil)
 		delivered += len(specs)
@@ -199,8 +199,8 @@ func TestDependencyGating(t *testing.T) {
 	rep := e.Report()
 	// Only iteration 1's deliveries are aggregated; iteration 2's first
 	// sends are in flight.
-	if rep.Messages.N != int64(e.MessagesPerIteration()) {
-		t.Fatalf("message agg holds %d samples, want %d", rep.Messages.N, e.MessagesPerIteration())
+	if rep.Messages.N != int64(e.msgsPer) {
+		t.Fatalf("message agg holds %d samples, want %d", rep.Messages.N, e.msgsPer)
 	}
 	if rep.Iteration.N != 1 {
 		t.Fatalf("iteration agg holds %d samples, want 1", rep.Iteration.N)
@@ -278,7 +278,7 @@ func TestEngineReadySetMatchesScan(t *testing.T) {
 				pending[cycle+flight] = append(pending[cycle+flight], got[k])
 			}
 		}
-		if want := 2 * e.MessagesPerIteration(); issued != want {
+		if want := 2 * e.msgsPer; issued != want {
 			t.Fatalf("%s: %d sends issued, want %d", alg, issued, want)
 		}
 	}

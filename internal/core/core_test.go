@@ -63,17 +63,6 @@ func TestActiveLayersMinimal(t *testing.T) {
 	}
 }
 
-func TestPacketLayers(t *testing.T) {
-	flits := [][]uint32{
-		{1, 0, 0, 0},
-		{1, 2, 3, 4},
-	}
-	got := PacketLayers(flits)
-	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Errorf("PacketLayers = %v, want [1 4]", got)
-	}
-}
-
 func TestAllDesignsElaborate(t *testing.T) {
 	for _, a := range Archs {
 		d, err := NewDesign(a)
@@ -136,26 +125,6 @@ func TestMultilayerFlags(t *testing.T) {
 	}
 	if !MustDesign(Arch3DM).Multilayer() || !MustDesign(Arch3DME).Multilayer() {
 		t.Errorf("3DM family must be multilayer")
-	}
-}
-
-func TestLayerPlan(t *testing.T) {
-	p := MustDesign(Arch3DM).LayerPlan()
-	if len(p) != 4 {
-		t.Fatalf("layer plan has %d layers, want 4", len(p))
-	}
-	// VA2 must not be in the heat-sink layer (§3.2.7).
-	for _, m := range p[0] {
-		if m == "VA2[1/3]" {
-			t.Errorf("VA2 in heat-sink layer")
-		}
-	}
-	if len(p[1]) == 0 {
-		t.Errorf("lower layers empty")
-	}
-	flat := MustDesign(Arch2DB).LayerPlan()
-	if len(flat) != 1 {
-		t.Errorf("planar design layer plan = %d layers", len(flat))
 	}
 }
 

@@ -196,24 +196,3 @@ func (d *Design) NoCConfig(policy noc.VCPolicy, seed int64) noc.Config {
 // Multilayer reports whether the datapath is split across layers (the
 // short-flit shutdown then also reduces power density, not just energy).
 func (d *Design) Multilayer() bool { return d.AreaParams.Layers > 1 }
-
-// LayerPlan describes which router modules occupy which layer, following
-// §3.2.7: the heat-sink layer (index 0) holds all control logic except
-// VA2, which spreads over the lower layers; datapath slices go
-// everywhere.
-func (d *Design) LayerPlan() [][]string {
-	if !d.Multilayer() {
-		return [][]string{{"RC", "SA1", "SA2", "VA1", "VA2", "crossbar", "buffer", "links"}}
-	}
-	plan := make([][]string, Layers)
-	plan[0] = []string{"RC", "SA1", "SA2", "VA1", "crossbar[0]", "buffer[0]", "links[0]"}
-	for l := 1; l < Layers; l++ {
-		plan[l] = []string{
-			fmt.Sprintf("VA2[%d/3]", l),
-			fmt.Sprintf("crossbar[%d]", l),
-			fmt.Sprintf("buffer[%d]", l),
-			fmt.Sprintf("links[%d]", l),
-		}
-	}
-	return plan
-}

@@ -34,13 +34,3 @@ func ActiveLayers(words []uint32) uint8 {
 
 // IsShort reports whether the flit needs only the top layer.
 func IsShort(words []uint32) bool { return ActiveLayers(words) == 1 }
-
-// PacketLayers maps a packet payload (flit-major word slices) to the
-// per-flit active layer counts consumed by noc.Spec.LayersPerFlit.
-func PacketLayers(flits [][]uint32) []uint8 {
-	out := make([]uint8, len(flits))
-	for i, f := range flits {
-		out[i] = ActiveLayers(f)
-	}
-	return out
-}

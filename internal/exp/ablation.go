@@ -8,6 +8,7 @@ import (
 	"mira/internal/core"
 	"mira/internal/routing"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 	"mira/internal/topology"
 )
 
@@ -20,8 +21,8 @@ import (
 
 // AblationBufferDepth sweeps the per-VC buffer depth of the 3DM router
 // at a moderate and a high load.
-func AblationBufferDepth(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func AblationBufferDepth(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ablation-buf",
 		Title:  "3DM buffer-depth ablation (uniform random)",
 		Header: []string{"depth (flits)", "lat @0.15", "lat @0.30", "buffer area um^2/layer"},
@@ -49,8 +50,8 @@ func AblationBufferDepth(ctx context.Context, o Options) (Table, error) {
 
 // AblationVCs sweeps the VC count per port at fixed total buffer bits
 // (VCs x depth constant), the tradeoff ViChaR [23] explores.
-func AblationVCs(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func AblationVCs(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ablation-vc",
 		Title:  "3DM virtual-channel ablation at constant buffer bits (uniform random)",
 		Header: []string{"VCs x depth", "lat @0.15", "lat @0.30"},
@@ -77,7 +78,7 @@ type bufGeom struct{ vcs, depth int }
 
 // bufSweep runs uniform-random traffic on the 3DM design with each
 // buffer geometry overridden, at both ablation rates.
-func bufSweep(ctx context.Context, o Options, geoms []bufGeom) ([][]Outcome, error) {
+func bufSweep(ctx context.Context, o Options, geoms []bufGeom) ([][]scenario.Outcome, error) {
 	return sweep(ctx, o, geoms, ablationRates, func(o Options, g bufGeom, rate float64) scenario.Scenario {
 		sc := o.synthetic(core.Arch3DM, "ur", rate)
 		sc.VCs = g.vcs
@@ -89,8 +90,8 @@ func bufSweep(ctx context.Context, o Options, geoms []bufGeom) ([][]Outcome, err
 // AblationExpressInterval compares express-channel hop spans on the
 // 3DM-E fabric. Interval 2 is the paper's design; interval 3 trades
 // lower maximum radix for fewer skippable hops on a 6-wide mesh.
-func AblationExpressInterval(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func AblationExpressInterval(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ablation-express",
 		Title:  "Express-channel interval ablation (uniform random)",
 		Header: []string{"interval", "max ports", "avg hops (UR)", "lat @0.15", "lat @0.30"},

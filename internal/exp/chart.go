@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mira/internal/plot"
+	"mira/internal/stats"
 )
 
 // Chart conversion: experiment tables render as paper-style figures.
@@ -25,7 +26,7 @@ func parseNumeric(s string) (float64, bool) {
 
 // numericColumns returns the indices (>= from) of columns whose every
 // cell parses as a number.
-func (t Table) numericColumns(from int) []int {
+func numericColumns(t stats.Table, from int) []int {
 	var cols []int
 	for c := from; c < len(t.Header); c++ {
 		ok := len(t.Rows) > 0
@@ -46,10 +47,10 @@ func (t Table) numericColumns(from int) []int {
 	return cols
 }
 
-// LineChart converts the table into a line chart with column 0 as the x
+// lineChart converts the table into a line chart with column 0 as the x
 // axis.
-func (t Table) LineChart(ylabel string) (*plot.LineChart, error) {
-	cols := t.numericColumns(1)
+func lineChart(t stats.Table, ylabel string) (*plot.LineChart, error) {
+	cols := numericColumns(t, 1)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("exp: table %s has no numeric series columns", t.ID)
 	}
@@ -70,10 +71,10 @@ func (t Table) LineChart(ylabel string) (*plot.LineChart, error) {
 	return c, nil
 }
 
-// BarChart converts the table into a grouped bar chart with column 0 as
+// barChart converts the table into a grouped bar chart with column 0 as
 // the group labels.
-func (t Table) BarChart(ylabel string) (*plot.BarChart, error) {
-	cols := t.numericColumns(1)
+func barChart(t stats.Table, ylabel string) (*plot.BarChart, error) {
+	cols := numericColumns(t, 1)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("exp: table %s has no numeric series columns", t.ID)
 	}
@@ -94,18 +95,18 @@ func (t Table) BarChart(ylabel string) (*plot.BarChart, error) {
 
 // SVG renders the table as the most suitable chart: a line chart when
 // the first column is numeric (a sweep), otherwise a grouped bar chart.
-func (t Table) SVG(ylabel string) (string, error) {
+func SVG(t stats.Table, ylabel string) (string, error) {
 	if len(t.Rows) == 0 {
 		return "", fmt.Errorf("exp: table %s is empty", t.ID)
 	}
 	if _, numericX := parseNumeric(t.Rows[0][0]); numericX {
-		c, err := t.LineChart(ylabel)
+		c, err := lineChart(t, ylabel)
 		if err != nil {
 			return "", err
 		}
 		return c.SVG()
 	}
-	c, err := t.BarChart(ylabel)
+	c, err := barChart(t, ylabel)
 	if err != nil {
 		return "", err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mira/internal/core"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // ChipletSweep evaluates the chiplet decomposition of the mesh: a 2x2
@@ -15,8 +16,8 @@ import (
 // mesh, so the sweep isolates exactly what the package boundary costs:
 // added zero-load latency from the slower channels, and throughput loss
 // from narrow serialized channels backing traffic up at the die edge.
-func ChipletSweep(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ChipletSweep(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:    "ext-chiplet",
 		Title: "Chiplet d2d link sweep: 2x2 chips of 4x4 nodes, uniform random @ 0.10",
 		Header: []string{

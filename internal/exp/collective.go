@@ -7,6 +7,7 @@ import (
 	"mira/internal/collective"
 	"mira/internal/core"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // collectiveFabric is one floorplan point of the sweep.
@@ -32,8 +33,8 @@ var collectiveFabrics = []collectiveFabric{
 // launch only when their predecessors arrive, which is why d2d
 // serialization compounds across the schedule instead of just adding a
 // fixed per-hop cost.
-func CollectiveSweep(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func CollectiveSweep(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:    "ext-collective",
 		Title: "Collective completion: 64 ranks, 4-flit messages, 2 iterations",
 		Header: []string{

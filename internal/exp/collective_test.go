@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 func TestCollectiveSweepSmoke(t *testing.T) {
@@ -46,7 +47,7 @@ func TestCollectiveTablesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep seven times")
 	}
-	run := func(workers, shards int, mode string) Table {
+	run := func(workers, shards int, mode string) stats.Table {
 		o := Quick()
 		o.Workers = workers
 		o.Edits = scenario.Edits{fmt.Sprintf("shards=%d", shards), "step_mode=" + mode}

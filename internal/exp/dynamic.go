@@ -27,8 +27,8 @@ var URRates = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40}
 
 // Fig1 reports the data-pattern breakdown of each workload's payload
 // words (all-0 / all-1 / other frequent patterns / irregular).
-func Fig1(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig1(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig1",
 		Title:  "Data pattern breakdown (fraction of data words)",
 		Header: []string{"Workload", "all-0", "all-1", "frequent", "other", "short flits %"},
@@ -70,8 +70,8 @@ func traceStats(ctx context.Context, o Options, names []string) ([][]cmp.Stats, 
 }
 
 // Fig2 reports the packet-type distribution of the coherence traffic.
-func Fig2(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig2(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig2",
 		Title:  "Packet type distribution (fraction of packets)",
 		Header: []string{"Workload", "GetS", "GetX", "Upgrade", "Inv", "Fwd", "Ack", "Data", "WB", "control total"},
@@ -98,8 +98,8 @@ func Fig2(ctx context.Context, o Options) (Table, error) {
 
 // archTable renders a grid whose columns are core.Archs, one row per
 // label; cell also sees the row's 2DB result, for normalized readings.
-func archTable(id, title, first string, labels []string, res [][]Outcome, cell func(d *core.Design, r, base noc.Result) string) Table {
-	t := Table{ID: id, Title: title}
+func archTable(id, title, first string, labels []string, res [][]scenario.Outcome, cell func(d *core.Design, r, base noc.Result) string) stats.Table {
+	t := stats.Table{ID: id, Title: title}
 	t.Header = []string{first}
 	designs := Designs()
 	for _, d := range designs {
@@ -122,12 +122,12 @@ func archTable(id, title, first string, labels []string, res [][]Outcome, cell f
 
 // rateTable reads the (rate × arch) grid of one synthetic traffic kind;
 // a non-empty metric adds the curve's note.
-func rateTable(ctx context.Context, o Options, kind, id, title, metric string, cell func(d *core.Design, r, base noc.Result) string) (Table, error) {
+func rateTable(ctx context.Context, o Options, kind, id, title, metric string, cell func(d *core.Design, r, base noc.Result) string) (stats.Table, error) {
 	res, err := sweep(ctx, o, URRates, core.Archs, func(o Options, rate float64, a core.Arch) scenario.Scenario {
 		return o.synthetic(a, kind, rate)
 	})
 	if err != nil {
-		return Table{}, err
+		return stats.Table{}, err
 	}
 	var labels []string
 	for _, rate := range URRates {
@@ -146,29 +146,29 @@ func latency(_ *core.Design, r, _ noc.Result) string { return latCell(r) }
 func powerW(d *core.Design, r, _ noc.Result) string { return f3(NetworkPowerW(d, r, false)) }
 
 // Fig11a: average latency vs injection rate, uniform random traffic.
-func Fig11a(ctx context.Context, o Options) (Table, error) {
+func Fig11a(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "ur", "fig11a", "Average latency, uniform random (cycles)", "avg packet latency", latency)
 }
 
 // Fig11b: average latency vs injection rate, NUCA-constrained bimodal
 // traffic.
-func Fig11b(ctx context.Context, o Options) (Table, error) {
+func Fig11b(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "nuca", "fig11b", "Average latency, NUCA-UR (cycles)", "avg packet latency", latency)
 }
 
 // traceGrid runs every presented workload's trace on every architecture:
 // the MP-trace grid of Figures 11 (c), 11 (d) and 12 (c).
-func traceGrid(ctx context.Context, o Options) ([][]Outcome, error) {
+func traceGrid(ctx context.Context, o Options) ([][]scenario.Outcome, error) {
 	return sweep(ctx, o, cmp.Presented, core.Archs, func(o Options, name string, a core.Arch) scenario.Scenario {
 		return o.trace(a, name, "")
 	})
 }
 
 // Fig11c: per-workload latency normalized to 2DB.
-func Fig11c(ctx context.Context, o Options) (Table, error) {
+func Fig11c(ctx context.Context, o Options) (stats.Table, error) {
 	res, err := traceGrid(ctx, o)
 	if err != nil {
-		return Table{}, err
+		return stats.Table{}, err
 	}
 	return archTable("fig11c", "MP-trace latency normalized to 2DB", "workload", cmp.Presented, res,
 		func(d *core.Design, r, base noc.Result) string {
@@ -179,8 +179,8 @@ func Fig11c(ctx context.Context, o Options) (Table, error) {
 // Fig11d: average hop count per architecture for the three traffic
 // types. UR and NUCA-UR hop counts are computed analytically from the
 // routing function; MP-trace hops are measured from the trace runs.
-func Fig11d(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig11d(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig11d",
 		Title:  "Average hop count",
 		Header: []string{"design", "UR", "NUCA-UR", "MP-traces"},
@@ -216,22 +216,22 @@ func Fig11d(ctx context.Context, o Options) (Table, error) {
 
 // Fig12a: average network power vs injection rate, uniform random, 0 %
 // short flits (pure structural comparison, no shutdown).
-func Fig12a(ctx context.Context, o Options) (Table, error) {
+func Fig12a(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "ur", "fig12a", "Average power, uniform random, 0% short flits (W)", "avg network power", powerW)
 }
 
 // Fig12b: average power under NUCA-UR traffic.
-func Fig12b(ctx context.Context, o Options) (Table, error) {
+func Fig12b(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "nuca", "fig12b", "Average power, NUCA-UR (W)", "avg network power", powerW)
 }
 
 // Fig12c: MP-trace power normalized to a 2DB baseline *without* layer
 // shutdown; the other designs use the shutdown technique, as in the
 // paper ("with no layer shut down in the base cases").
-func Fig12c(ctx context.Context, o Options) (Table, error) {
+func Fig12c(ctx context.Context, o Options) (stats.Table, error) {
 	res, err := traceGrid(ctx, o)
 	if err != nil {
-		return Table{}, err
+		return stats.Table{}, err
 	}
 	t := archTable("fig12c", "MP-trace power normalized to 2DB (no shutdown)", "workload", cmp.Presented, res,
 		func(d *core.Design, r, base noc.Result) string {
@@ -263,7 +263,7 @@ func corePowerOf(a core.Arch) *core.Design {
 }
 
 // Fig12d: power-delay product normalized to 2DB, uniform random.
-func Fig12d(ctx context.Context, o Options) (Table, error) {
+func Fig12d(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "ur", "fig12d", "Normalized power-delay product, uniform random", "",
 		func(d *core.Design, r, base noc.Result) string {
 			basePDP := NetworkPowerW(corePowerOf(core.Arch2DB), base, false) * base.AvgLatency
@@ -273,8 +273,8 @@ func Fig12d(ctx context.Context, o Options) (Table, error) {
 }
 
 // Fig13a: short-flit percentage per workload.
-func Fig13a(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig13a(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig13a",
 		Title:  "Short flit percentage per workload",
 		Header: []string{"workload", "short flits %"},
@@ -295,8 +295,8 @@ func Fig13a(ctx context.Context, o Options) (Table, error) {
 
 // Fig13b: power saving from the layer-shutdown technique at 25 % and
 // 50 % short flits (uniform random at a fixed moderate load).
-func Fig13b(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig13b(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig13b",
 		Title:  "Power saving from layer shutdown (% vs same design, 0% short)",
 		Header: []string{"design", "25% short", "50% short"},
@@ -329,8 +329,8 @@ func Fig13b(ctx context.Context, o Options) (Table, error) {
 // 50 % of flits are short, at three injection rates. Router power comes
 // from the simulation; CPU (8 W) and cache-bank (0.1 W) static power
 // uses the paper's §4.2.3 numbers, spread equally over the four layers.
-func Fig13c(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig13c(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig13c",
 		Title:  "3DM average temperature reduction, 50% vs 0% short flits (K)",
 		Header: []string{"inj rate", "avg dT (K)", "max dT (K)"},

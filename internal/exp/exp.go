@@ -1,16 +1,16 @@
 // Package exp contains one driver per table and figure of the MIRA
-// paper's evaluation, listed in Experiments. The mirabench command runs
-// them, and their outputs populate EXPERIMENTS.md. Each experiment is
-// deterministic given Options.Seed.
+// paper's evaluation, listed in Experiments, each returning a
+// stats.Table. The mirabench command runs them, and their outputs
+// populate EXPERIMENTS.md. Each experiment is deterministic given
+// Options.Seed. RunAll is the one worker pool: the sweeps fan their
+// points across it, and RunBatch runs mirasim's and the serving layer's
+// scenario batches on it.
 package exp
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
-	"strings"
 
-	"mira/internal/cmp"
 	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/power"
@@ -99,7 +99,7 @@ func (o Options) trace(a core.Arch, workload, protocol string) scenario.Scenario
 
 // mustRun is run for RunUR and RunNUCAUR, whose scenarios are statically
 // valid: failure there is a programming error, not an input error.
-func mustRun(ctx context.Context, o Options, sc scenario.Scenario) Outcome {
+func mustRun(ctx context.Context, o Options, sc scenario.Scenario) scenario.Outcome {
 	out, err := run(ctx, o, sc)
 	if err != nil {
 		panic(err)
@@ -111,12 +111,12 @@ func mustRun(ctx context.Context, o Options, sc scenario.Scenario) Outcome {
 // description and its driver.
 type Experiment struct {
 	ID, Desc string
-	Run      func(context.Context, Options) (Table, error)
+	Run      func(context.Context, Options) (stats.Table, error)
 }
 
 // analytic adapts a table computed from the models alone.
-func analytic(f func() Table) func(context.Context, Options) (Table, error) {
-	return func(context.Context, Options) (Table, error) { return f(), nil }
+func analytic(f func() stats.Table) func(context.Context, Options) (stats.Table, error) {
+	return func(context.Context, Options) (stats.Table, error) { return f(), nil }
 }
 
 // Experiments lists every experiment, in mirabench's "all" order.
@@ -157,66 +157,6 @@ var Experiments = []Experiment{
 	{"obs-stages", "per-flit latency stage decomposition per architecture (extension)", SpanStages},
 }
 
-// Table is a printable experiment result.
-type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	// Notes carry caveats (substitutions, saturated points).
-	Notes []string
-}
-
-// String renders the table as aligned plain text.
-func (t Table) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteByte('\n')
-	}
-	line(t.Header)
-	for _, row := range t.Rows {
-		line(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as RFC 4180 CSV (header + rows; notes are
-// omitted), for plotting pipelines. Cells containing commas, quotes or
-// newlines are fully quoted per the RFC.
-func (t Table) CSV() string {
-	var sb strings.Builder
-	w := csv.NewWriter(&sb)
-	if err := w.Write(t.Header); err != nil {
-		panic(err) // strings.Builder never errors
-	}
-	if err := w.WriteAll(t.Rows); err != nil {
-		panic(err)
-	}
-	w.Flush()
-	return sb.String()
-}
-
 // Designs elaborates all six architectures fresh (topologies are
 // mutable by node-type assignment, so experiments never share them).
 func Designs() []*core.Design {
@@ -242,13 +182,6 @@ func RunNUCAUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Opti
 	sc := o.synthetic(a, "nuca", rate)
 	sc.Traffic.ShortFrac = shortFrac
 	return mustRun(ctx, o, sc).Result
-}
-
-// RunTrace generates the workload's CMP coherence trace on the
-// architecture's own topology and replays it through the NoC.
-func RunTrace(ctx context.Context, a core.Arch, w cmp.Workload, o Options) (noc.Result, cmp.Stats, error) {
-	out, err := run(ctx, o, o.trace(a, w.Name, ""))
-	return out.Result, out.Stats, err
 }
 
 // NetworkPowerW converts a simulation result into average network power

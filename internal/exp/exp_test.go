@@ -8,7 +8,9 @@ import (
 
 	"mira/internal/cmp"
 	"mira/internal/core"
+	"mira/internal/noc"
 	"mira/internal/power"
+	"mira/internal/stats"
 	"mira/internal/thermal"
 )
 
@@ -20,27 +22,38 @@ func tiny() Options {
 
 func design(a core.Arch) *core.Design { return core.MustDesign(a) }
 
+// runTrace replays the tpcw CMP trace on the architecture.
+func runTrace(t *testing.T, a core.Arch, o Options) noc.Result {
+	out, err := run(bg(), o, o.trace(a, "tpcw", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Result
+}
+
 // bg is the context every behavioural test runs under; cancellation has
 // its own regression tests in internal/scenario.
 func bg() context.Context { return context.Background() }
 
 func TestTableRendering(t *testing.T) {
-	tb := Table{
+	tb := stats.Table{
 		ID: "x", Title: "demo",
 		Header: []string{"a", "bb"},
 		Rows:   [][]string{{"1", "2"}},
 		Notes:  []string{"n"},
 	}
 	s := tb.String()
-	for _, want := range []string{"demo", "bb", "note: n"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, s)
+	tb.ID = ""
+	bare := tb.String()
+	for _, c := range [][2]string{{s, "== x: demo ==\n"}, {s, "bb"}, {s, "note: n\n"}, {bare, "== demo ==\n"}, {bare, "note: n\n"}} {
+		if !strings.Contains(c[0], c[1]) {
+			t.Errorf("rendered table missing %q:\n%s", c[1], c[0])
 		}
 	}
 }
 
 func TestStaticTablesNonEmpty(t *testing.T) {
-	for _, tb := range []Table{Table1(), Table2(), Table3(), Fig3(), Fig9(), Fig10()} {
+	for _, tb := range []stats.Table{Table1(), Table2(), Table3(), Fig3(), Fig9(), Fig10()} {
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s has no rows", tb.ID)
 		}
@@ -118,14 +131,9 @@ func TestURPowerOrdering(t *testing.T) {
 // ~38 % vs 2DB, 3DM by ~20 %; 3DB is no better than 2DB.
 func TestTraceLatencyHeadlines(t *testing.T) {
 	o := tiny()
-	w, _ := cmp.ByName("tpcw")
 	res := map[core.Arch]float64{}
 	for _, a := range []core.Arch{core.Arch2DB, core.Arch3DB, core.Arch3DM, core.Arch3DME} {
-		r, _, err := RunTrace(bg(), a, w, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res[a] = r.AvgLatency
+		res[a] = runTrace(t, a, o).AvgLatency
 	}
 	base := res[core.Arch2DB]
 	if r := res[core.Arch3DME] / base; r < 0.5 || r > 0.75 {
@@ -143,19 +151,8 @@ func TestTraceLatencyHeadlines(t *testing.T) {
 // network power by roughly 2/3 vs a no-shutdown 2DB.
 func TestTracePowerHeadlines(t *testing.T) {
 	o := tiny()
-	w, _ := cmp.ByName("tpcw")
-	d2 := design(core.Arch2DB)
-	r2, _, err := RunTrace(bg(), core.Arch2DB, w, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := NetworkPowerW(d2, r2, false)
-	de := design(core.Arch3DME)
-	re, _, err := RunTrace(bg(), core.Arch3DME, w, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := NetworkPowerW(de, re, true) / base
+	base := NetworkPowerW(design(core.Arch2DB), runTrace(t, core.Arch2DB, o), false)
+	ratio := NetworkPowerW(design(core.Arch3DME), runTrace(t, core.Arch3DME, o), true) / base
 	if ratio < 0.15 || ratio > 0.45 {
 		t.Errorf("3DM-E trace power ratio = %.2f, want ~0.3 (paper ~67%% saving)", ratio)
 	}
@@ -309,7 +306,7 @@ func TestSeedStability(t *testing.T) {
 }
 
 func TestTableCSV(t *testing.T) {
-	tb := Table{
+	tb := stats.Table{
 		Header: []string{"a", "b"},
 		Rows:   [][]string{{"1,x", "he \"said\""}, {"2", "3"}},
 	}
@@ -321,7 +318,7 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestTableCharts(t *testing.T) {
-	sweep := Table{
+	sweep := stats.Table{
 		ID:     "sweep",
 		Header: []string{"rate", "2DB", "3DM-E", "notes"},
 		Rows: [][]string{
@@ -329,7 +326,7 @@ func TestTableCharts(t *testing.T) {
 			{"0.2", "33.0", "20.0", "x/y"},
 		},
 	}
-	lc, err := sweep.LineChart("cycles")
+	lc, err := lineChart(sweep, "cycles")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,23 +336,23 @@ func TestTableCharts(t *testing.T) {
 	if lc.Series[1].Y[0] != 19.2 { // '*' stripped
 		t.Errorf("saturated cell parsed as %v", lc.Series[1].Y[0])
 	}
-	svg, err := sweep.SVG("cycles")
+	svg, err := SVG(sweep, "cycles")
 	if err != nil || !strings.Contains(svg, "polyline") {
 		t.Errorf("sweep should render as line chart: %v", err)
 	}
 
-	bars := Table{
+	bars := stats.Table{
 		ID:     "bars",
 		Header: []string{"workload", "3DM"},
 		Rows:   [][]string{{"tpcw", "0.33"}, {"ocean", "0.41"}},
 	}
-	svg, err = bars.SVG("")
+	svg, err = SVG(bars, "")
 	if err != nil || strings.Contains(svg, "polyline") {
 		t.Errorf("categorical table should render as bars: %v", err)
 	}
 
-	layouts := Table{ID: "x", Header: []string{"a", "b"}, Rows: [][]string{{"p", "q"}}}
-	if _, err := layouts.SVG(""); err == nil {
+	layouts := stats.Table{ID: "x", Header: []string{"a", "b"}, Rows: [][]string{{"p", "q"}}}
+	if _, err := SVG(layouts, ""); err == nil {
 		t.Errorf("non-numeric table should refuse to chart")
 	}
 }
@@ -445,7 +442,7 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("empty CSV")
 			}
 			if want.chart {
-				if _, err := tb.SVG(""); err != nil {
+				if _, err := SVG(tb, ""); err != nil {
 					t.Errorf("%s should chart: %v", e.ID, err)
 				}
 			}

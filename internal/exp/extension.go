@@ -21,8 +21,8 @@ import (
 // leakage power"). For each design it converges the per-router leakage
 // against its junction temperature and reports leakage as a share of
 // network power at a moderate uniform-random load.
-func ExtLeakage(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtLeakage(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:    "ext-leakage",
 		Title: "Router leakage with thermal feedback (uniform random @ 0.15)",
 		Header: []string{
@@ -71,8 +71,8 @@ func ExtLeakage(ctx context.Context, o Options) (Table, error) {
 // includes real queueing. It reports the end-to-end L2 access time per
 // architecture, the quantity the interconnect improvements ultimately
 // buy.
-func ExtCosim(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtCosim(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-cosim",
 		Title:  "Closed-loop CMP co-simulation: L1-miss (L2 access) latency",
 		Header: []string{"workload", "2DB", "3DB", "3DM", "3DM-E", "3DM-E vs 2DB"},
@@ -128,8 +128,8 @@ func ExtCosim(ctx context.Context, o Options) (Table, error) {
 // §3.3: control/request packets get switch priority over data. It
 // reports per-class latency with QoS off and on, near saturation where
 // arbitration matters.
-func ExtQoS(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtQoS(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-qos",
 		Title:  "QoS priority arbitration, bimodal NUCA traffic (3DM)",
 		Header: []string{"inj rate / QoS", "ctrl lat", "data lat", "avg lat"},
@@ -169,8 +169,8 @@ func ExtQoS(ctx context.Context, o Options) (Table, error) {
 // failed east link keeps operating under west-first routing. The table
 // compares the healthy network under X-Y and west-first (the adaptivity
 // tax) against the faulted network (the detour tax).
-func ExtFault(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtFault(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-fault",
 		Title:  "Link-fault tolerance via west-first routing (3DM, uniform random @ 0.15)",
 		Header: []string{"configuration", "avg lat", "avg hops", "delivered"},
@@ -215,8 +215,8 @@ func ExtFault(ctx context.Context, o Options) (Table, error) {
 // MOESI's Owned state turns each read forward's immediate write-back
 // into a deferred, eviction-time one, cutting data traffic and hence
 // network power on sharing-heavy workloads.
-func ExtProtocol(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtProtocol(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-protocol",
 		Title:  "MESI vs MOESI coherence traffic on the 3DM network",
 		Header: []string{"workload/protocol", "WB packets", "flits", "net power (W)", "avg lat"},
@@ -251,8 +251,8 @@ func ExtProtocol(ctx context.Context, o Options) (Table, error) {
 // MIRA router. Steering core activity toward the heat-sink layer and
 // shutting down router layers for short flits compound into a lower
 // chip temperature than either technique alone.
-func ExtHerding(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtHerding(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-herding",
 		Title:  "Thermal herding + 3DM router shutdown (uniform random @ 0.20)",
 		Header: []string{"configuration", "avg T rise (K)", "max T rise (K)"},
@@ -291,8 +291,8 @@ func ExtHerding(ctx context.Context, o Options) (Table, error) {
 // (transpose, complement, tornado, hotspot) beyond the paper's uniform
 // random workload, probing whether the 3DM-E advantage survives
 // non-uniform loads.
-func ExtPatterns(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func ExtPatterns(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "ext-patterns",
 		Title:  "Adversarial traffic patterns: avg latency (cycles) at 0.15 flits/node/cycle",
 		Header: []string{"pattern", "2DB", "3DB", "3DM", "3DM-E"},

@@ -5,6 +5,7 @@ import (
 
 	"mira/internal/core"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // Fig8 evaluates the router pipeline family of Figure 8: the canonical
@@ -12,8 +13,8 @@ import (
 // routing plus speculation (2-stage), and the 3DM ST+LT combination —
 // alone and stacked on top of the aggressive pipelines. Latencies are
 // measured on the 6x6 mesh under uniform random traffic.
-func Fig8(ctx context.Context, o Options) (Table, error) {
-	t := Table{
+func Fig8(ctx context.Context, o Options) (stats.Table, error) {
+	t := stats.Table{
 		ID:     "fig8",
 		Title:  "Router pipeline family (uniform random, 6x6 mesh)",
 		Header: []string{"pipeline", "STLT", "lat @0.05", "lat @0.15", "lat @0.30"},

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mira/internal/stats"
 )
 
 // Golden tests pin the fully deterministic analytic artifacts (areas,
@@ -14,7 +16,7 @@ import (
 // accidental constant drift. Simulation-backed tables are checked
 // behaviourally elsewhere, not pinned.
 
-func findRow(t *testing.T, tb Table, name string) []string {
+func findRow(t *testing.T, tb stats.Table, name string) []string {
 	t.Helper()
 	for _, row := range tb.Rows {
 		if row[0] == name {

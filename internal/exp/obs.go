@@ -8,6 +8,7 @@ import (
 	"mira/internal/noc"
 	"mira/internal/obs"
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // Observability-backed experiments: sweeps that attach the internal/obs
@@ -28,10 +29,10 @@ func observed(sc scenario.Scenario) scenario.Scenario {
 // the windowed backpressure totals. The probe percentiles cover every
 // flit the network carried (warm-up included), so they bracket the
 // measured-window averages of the paper's Fig. 11 curves.
-func ObsURSweep(ctx context.Context, o Options) (Table, error) {
+func ObsURSweep(ctx context.Context, o Options) (stats.Table, error) {
 	const a = core.Arch3DM
 	rates := []float64{0.05, 0.10, 0.15, 0.20, 0.25}
-	t := Table{
+	t := stats.Table{
 		ID:    "obs-ur",
 		Title: fmt.Sprintf("%s uniform random: observability summaries per injection rate", a),
 		Header: []string{"rate", "avg lat", "flit p50", "flit p95", "flit p99",
@@ -71,7 +72,7 @@ func ObsURSweep(ctx context.Context, o Options) (Table, error) {
 // table is an exact accounting of where each architecture's cycles go,
 // not an estimate. Tables are bit-identical for any worker count and
 // step mode.
-func SpanStages(ctx context.Context, o Options) (Table, error) {
+func SpanStages(ctx context.Context, o Options) (stats.Table, error) {
 	const rate = 0.15
 	archs := paperArchs
 	type staged struct {
@@ -89,10 +90,10 @@ func SpanStages(ctx context.Context, o Options) (Table, error) {
 		return staged{res: out.Result, sums: sb.Attribution().Total()}, sb.Err()
 	})
 	if err != nil {
-		return Table{}, err
+		return stats.Table{}, err
 	}
 
-	t := Table{
+	t := stats.Table{
 		ID:    "obs-stages",
 		Title: fmt.Sprintf("per-flit latency decomposition at %.2f flits/node/cycle (mean cycles per stage)", rate),
 		Header: []string{"arch", "flits", "queue", "route", "va_stall", "sa_stall",

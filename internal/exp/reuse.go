@@ -5,27 +5,9 @@ import (
 	"encoding/json"
 	"sync"
 
-	"mira/internal/cmp"
-	"mira/internal/collective"
 	"mira/internal/noc"
-	"mira/internal/obs"
 	"mira/internal/scenario"
 )
-
-// Outcome is what a driver reads back from one simulated scenario. One
-// served from a Scope is shared with every other caller that asked for
-// the same scenario (Result.PerRouter and Collective.StepLat alias the
-// stored copy): treat it as read-only. The result's latency histogram
-// is dropped; P99Latency is already extracted from it.
-type Outcome struct {
-	Result     noc.Result
-	Stats      cmp.Stats         // CMP trace generation (trace-backed traffic)
-	Collective collective.Report // completion report ("collective" traffic)
-	// Obs is the collector of an observed scenario, closed. Its side
-	// outputs are the point of such a run, so observed scenarios are
-	// never reused and Obs is never shared.
-	Obs *obs.Collector
-}
 
 // Scope is a run-scoped result-reuse table: within one scope every
 // distinct scenario is simulated once, and later requests for it — from
@@ -45,7 +27,7 @@ type Scope struct {
 // claimed the slot finishes; out is valid afterwards iff stored.
 type entry struct {
 	done   chan struct{}
-	out    Outcome
+	out    scenario.Outcome
 	stored bool
 }
 
@@ -57,7 +39,7 @@ func NewScope() *Scope { return &Scope{entries: make(map[string]*entry)} }
 // key's owner (nil outcome): it simulates, then calls settle exactly
 // once. A waiter whose context ends first gets a bare canceled result,
 // as Sim.Run would give it.
-func (s *Scope) claim(ctx context.Context, key string) (*Outcome, *entry) {
+func (s *Scope) claim(ctx context.Context, key string) (*scenario.Outcome, *entry) {
 	for {
 		s.mu.Lock()
 		e := s.entries[key]
@@ -75,7 +57,7 @@ func (s *Scope) claim(ctx context.Context, key string) (*Outcome, *entry) {
 			}
 			// The owner withdrew the slot; compete for it again.
 		case <-ctx.Done():
-			return &Outcome{Result: noc.Result{Canceled: true}}, nil
+			return &scenario.Outcome{Result: noc.Result{Canceled: true}}, nil
 		}
 	}
 }
@@ -84,7 +66,7 @@ func (s *Scope) claim(ctx context.Context, key string) (*Outcome, *entry) {
 // stored; anything else (elaboration error, canceled run, a panic
 // unwinding through the owner) withdraws the slot, so the next request
 // simulates afresh.
-func (s *Scope) settle(key string, e *entry, out Outcome, complete bool) {
+func (s *Scope) settle(key string, e *entry, out scenario.Outcome, complete bool) {
 	s.mu.Lock()
 	if complete {
 		e.out, e.stored = out, true
@@ -103,12 +85,12 @@ type tally struct{ ran, reused int }
 // elaborates and simulates sc, or returns the outcome o.Reuse already
 // holds for it. Without a scope, and for observed scenarios, it always
 // simulates. The error is the elaboration error.
-func run(ctx context.Context, o Options, sc scenario.Scenario) (out Outcome, err error) {
+func run(ctx context.Context, o Options, sc scenario.Scenario) (out scenario.Outcome, err error) {
 	complete := false
 	if o.Reuse != nil && sc.Observe == nil {
 		raw, err := json.Marshal(sc)
 		if err != nil {
-			return Outcome{}, err
+			return scenario.Outcome{}, err
 		}
 		key := string(raw)
 		hit, slot := o.Reuse.claim(ctx, key)
@@ -125,19 +107,15 @@ func run(ctx context.Context, o Options, sc scenario.Scenario) (out Outcome, err
 	}
 	e, err := sc.Elaborate()
 	if err != nil {
-		return Outcome{}, err
+		return scenario.Outcome{}, err
 	}
-	out = Outcome{Result: e.Sim.Run(ctx).WithoutHistogram(), Stats: e.Stats, Obs: e.Obs}
-	if e.Obs != nil {
-		// Folds the last events and frees the collector's event batches:
-		// a sweep keeps every point's outcome until its table is drawn.
-		if err := e.Obs.Close(); err != nil {
-			return Outcome{}, err
-		}
+	// Run closes an observed point's collector, freeing its event
+	// batches: a sweep keeps every point's outcome until its table is
+	// drawn, and so drops the latency histogram too.
+	if out, err = e.Run(ctx); err != nil {
+		return scenario.Outcome{}, err
 	}
-	if e.Collective != nil {
-		out.Collective = e.Collective.Report()
-	}
+	out.Result = out.Result.WithoutHistogram()
 	complete = !out.Result.Canceled
 	return out, nil
 }

@@ -179,8 +179,8 @@ func TestReuseFailedRunStoresNothing(t *testing.T) {
 	o.Reuse = NewScope()
 	o.tally = new(tally)
 	for i := 0; i < 2; i++ {
-		if _, _, err := RunTrace(bg(), core.Arch2DB, cmp.Workload{Name: "no-such-workload"}, o); err == nil {
-			t.Fatal("RunTrace accepted an unknown workload")
+		if _, err := run(bg(), o, o.trace(core.Arch2DB, "no-such-workload", "")); err == nil {
+			t.Fatal("run accepted an unknown workload")
 		}
 	}
 	if o.tally.ran != 2 || o.tally.reused != 0 {
@@ -300,12 +300,12 @@ func TestScopeWaiters(t *testing.T) {
 		_, again := s.claim(bg(), "k")
 		took <- again
 	}()
-	s.settle("k", slot, Outcome{}, false)
+	s.settle("k", slot, scenario.Outcome{}, false)
 	again := <-took
 	if again == nil {
 		t.Fatal("waiter was served an outcome the owner withdrew")
 	}
-	s.settle("k", again, Outcome{Result: noc.Result{Ejected: 7}}, true)
+	s.settle("k", again, scenario.Outcome{Result: noc.Result{Ejected: 7}}, true)
 	if hit, _ := s.claim(bg(), "k"); hit == nil || hit.Result.Ejected != 7 {
 		t.Fatalf("settled outcome not served: %v", hit)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"mira/internal/noc"
 	"mira/internal/scenario"
 )
 
@@ -154,6 +155,84 @@ dispatch:
 	return out
 }
 
+// BatchOptions controls RunBatch.
+type BatchOptions struct {
+	// Workers caps the worker pool; 0 means GOMAXPROCS.
+	Workers int `json:"workers,omitempty"`
+	// Timeout bounds each individual run (elaboration + simulation);
+	// a run over budget returns its partial result with
+	// Result.Canceled set. 0 means no per-run bound.
+	Timeout time.Duration `json:"timeout,omitempty"`
+
+	// OnStart, when non-nil, is called from the worker goroutine right
+	// after scenario i elaborates and before its simulation starts. The
+	// serving layer (internal/serve) uses it to publish the run's live
+	// observability collector. Hooks must be safe for concurrent calls
+	// from multiple workers.
+	OnStart func(i int, e *scenario.Elaboration) `json:"-"`
+	// OnDone, when non-nil, is called from the worker goroutine as soon
+	// as run i finishes (successfully or not), before the batch as a
+	// whole completes.
+	OnDone func(r BatchResult) `json:"-"`
+}
+
+// BatchResult pairs one scenario with its outcome. Exactly one of
+// Result (Err == "") and Err is meaningful; a run that was cut off by
+// the per-run timeout or the batch context still reports its partial
+// Result with Canceled set.
+type BatchResult struct {
+	Index    int               `json:"index"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Result   noc.Result        `json:"result"`
+	Err      string            `json:"error,omitempty"`
+}
+
+// RunBatch runs scenarios as given (each keeps its own seed) on the
+// RunAll pool and returns one result per scenario, in input order.
+// Invalid scenarios fail individually (their Err is set) without
+// affecting the rest. When ctx is canceled the batch stops dispatching,
+// in-flight runs return partial results, and never-started entries
+// carry an error saying so. This is mirasim -scenario's and the serving
+// layer's entry point: scenarios in (scenario.DecodeBatch reads them
+// from JSON), JSON-serializable results out.
+func RunBatch(ctx context.Context, scs []scenario.Scenario, o BatchOptions) []BatchResult {
+	points := make([]Point[*BatchResult], len(scs))
+	for i, sc := range scs {
+		points[i].Run = func(ctx context.Context, _ Options) *BatchResult {
+			if o.Timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+				defer cancel()
+			}
+			br := &BatchResult{Index: i, Scenario: sc}
+			e, err := sc.Elaborate()
+			if err == nil {
+				if o.OnStart != nil {
+					o.OnStart(i, e)
+				}
+				var out scenario.Outcome
+				out, err = e.Run(ctx)
+				br.Result = out.Result
+			}
+			if err != nil {
+				br.Err = err.Error()
+			}
+			if o.OnDone != nil {
+				o.OnDone(*br)
+			}
+			return br
+		}
+	}
+	out := make([]BatchResult, len(scs))
+	for i, br := range RunAll(ctx, Options{Workers: o.Workers}, points) {
+		if br == nil {
+			br = &BatchResult{Index: i, Scenario: scs[i], Err: "batch canceled before this scenario started"}
+		}
+		out[i] = *br
+	}
+	return out
+}
+
 // grid runs f at every (row, col) pair as one RunAll point each, in
 // row-major order (the order fixes each point's SeedFor seed), and
 // returns the values indexed [row][col] or the first error in that order.
@@ -188,8 +267,8 @@ func grid[R, C, T any](ctx context.Context, o Options, rows []R, cols []C, f fun
 
 // sweep is the simulated grid: mk builds each point's scenario from the
 // point's options, and run simulates it (or serves it from o.Reuse).
-func sweep[R, C any](ctx context.Context, o Options, rows []R, cols []C, mk func(Options, R, C) scenario.Scenario) ([][]Outcome, error) {
-	return grid(ctx, o, rows, cols, func(ctx context.Context, o Options, r R, c C) (Outcome, error) {
+func sweep[R, C any](ctx context.Context, o Options, rows []R, cols []C, mk func(Options, R, C) scenario.Scenario) ([][]scenario.Outcome, error) {
+	return grid(ctx, o, rows, cols, func(ctx context.Context, o Options, r R, c C) (scenario.Outcome, error) {
 		return run(ctx, o, mk(o, r, c))
 	})
 }

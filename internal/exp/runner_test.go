@@ -2,7 +2,9 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,7 +138,7 @@ func TestRunAllCancel(t *testing.T) {
 // sweep produces byte-identical tables with 1 worker and with 8.
 func TestRunAllDeterminism(t *testing.T) {
 	o := tiny()
-	run := func(workers int) [][]Outcome {
+	run := func(workers int) [][]scenario.Outcome {
 		so := o
 		so.Workers = workers
 		var launched, ran int32
@@ -163,4 +165,146 @@ func TestRunAllDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("sweep results differ between workers=1 and workers=8")
 	}
+}
+
+// longUR is a scenario whose windows are far too long to ever finish in
+// a test; only cancellation ends it.
+func longUR() scenario.Scenario {
+	return scenario.Scenario{Arch: "2DB", Traffic: scenario.Traffic{Kind: "ur", Rate: 0.2}, Measure: 1 << 40, Seed: 1}
+}
+
+// smallUR is a scenario that completes in a few milliseconds.
+func smallUR() scenario.Scenario {
+	return scenario.Scenario{Arch: "2DB", Traffic: scenario.Traffic{Kind: "ur", Rate: 0.1}, Warmup: 50, Measure: 200, Drain: 1000, Seed: 42}
+}
+
+// TestRunBatchCancel: canceling the batch context stops dispatch, ends
+// in-flight runs within a stride, and every worker exits (RunBatch
+// returning at all is the exit proof; the deadline bounds it).
+func TestRunBatchCancel(t *testing.T) {
+	scs := make([]scenario.Scenario, 8)
+	for i := range scs {
+		scs[i] = longUR()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+
+	done := make(chan []BatchResult, 1)
+	go func() { done <- RunBatch(ctx, scs, BatchOptions{Workers: 2}) }()
+	var out []BatchResult
+	select {
+	case out = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunBatch did not return after cancellation: workers stuck")
+	}
+	ran, skipped := 0, 0
+	for _, br := range out {
+		switch {
+		case br.Err != "":
+			if !strings.Contains(br.Err, "canceled") {
+				t.Errorf("entry %d: unexpected error %q", br.Index, br.Err)
+			}
+			skipped++
+		case br.Result.Canceled:
+			ran++
+		default:
+			t.Errorf("entry %d completed a %d-cycle run; cancellation did not reach it", br.Index, scs[0].Measure)
+		}
+	}
+	if ran == 0 {
+		t.Error("no in-flight run reported a partial canceled result")
+	}
+	if skipped == 0 {
+		t.Error("no queued scenario was skipped; cancellation arrived too late to test dispatch")
+	}
+}
+
+// TestRunBatchPrecanceled: nothing runs, every entry says why.
+func TestRunBatchPrecanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := RunBatch(ctx, []scenario.Scenario{longUR(), longUR()}, BatchOptions{Workers: 2})
+	for _, br := range out {
+		if !strings.Contains(br.Err, "canceled before") {
+			t.Errorf("entry %d: err = %q, want the never-started marker", br.Index, br.Err)
+		}
+	}
+}
+
+// TestRunBatchTimeout: the per-run timeout cancels an over-budget run
+// without failing the batch entry.
+func TestRunBatchTimeout(t *testing.T) {
+	out := RunBatch(context.Background(), []scenario.Scenario{longUR()}, BatchOptions{
+		Workers: 1, Timeout: 30 * time.Millisecond,
+	})
+	if out[0].Err != "" {
+		t.Fatalf("timeout should yield a partial result, not an error: %q", out[0].Err)
+	}
+	if !out[0].Result.Canceled {
+		t.Error("over-budget run not marked Canceled")
+	}
+}
+
+// TestRunBatchMixedValidity: invalid entries fail individually while
+// valid ones complete.
+func TestRunBatchMixedValidity(t *testing.T) {
+	good := smallUR()
+	bad := smallUR()
+	bad.Arch = "4DX"
+	out := RunBatch(context.Background(), []scenario.Scenario{good, bad}, BatchOptions{Workers: 2})
+	if out[0].Err != "" || out[0].Result.Ejected == 0 {
+		t.Errorf("valid entry failed: err=%q ejected=%d", out[0].Err, out[0].Result.Ejected)
+	}
+	if out[1].Err == "" || !strings.Contains(out[1].Err, "unknown architecture") {
+		t.Errorf("invalid entry err = %q", out[1].Err)
+	}
+}
+
+// TestRunBatchJSON: the serialized path (DecodeBatch, RunBatch, results
+// marshaled back) accepts both a single object and an array, and
+// returns decodable results in input order.
+func TestRunBatchJSON(t *testing.T) {
+	runJSON := func(in string) (string, error) {
+		scs, err := scenario.DecodeBatch(strings.NewReader(in))
+		if err != nil {
+			return "", err
+		}
+		out, err := json.Marshal(RunBatch(context.Background(), scs, BatchOptions{}))
+		return string(out), err
+	}
+	sc := smallUR()
+	data, err := sc.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runJSON(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := decodeBatch(t, res)
+	if len(out) != 1 || out[0].Err != "" || out[0].Result.Ejected == 0 {
+		t.Errorf("single-object batch = %+v", out)
+	}
+
+	if res, err = runJSON("[" + string(data) + "," + string(data) + "]"); err != nil {
+		t.Fatal(err)
+	}
+	out = decodeBatch(t, res)
+	if len(out) != 2 || out[0].Index != 0 || out[1].Index != 1 {
+		t.Errorf("array batch order wrong: %+v", out)
+	}
+
+	if _, err := runJSON("not json"); err == nil {
+		t.Error("malformed batch input accepted")
+	}
+}
+
+func decodeBatch(t *testing.T, s string) []BatchResult {
+	t.Helper()
+	var out []BatchResult
+	if err := json.Unmarshal([]byte(s), &out); err != nil {
+		t.Fatalf("batch output not decodable: %v\n%s", err, s)
+	}
+	return out
 }

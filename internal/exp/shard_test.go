@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // TestShardTablesIdentical is the experiment-level half of the
@@ -17,7 +18,7 @@ import (
 // perturbing a single formatted value. Fig11a covers all six
 // architectures including the 3D fabrics.
 func TestShardTablesIdentical(t *testing.T) {
-	run := func(workers, shards int) Table {
+	run := func(workers, shards int) stats.Table {
 		o := Options{
 			Warmup: 200, Measure: 800, Drain: 3000, TraceCycles: 2000,
 			Seed: 42, Workers: workers, Edits: scenario.Edits{fmt.Sprintf("shards=%d", shards)},

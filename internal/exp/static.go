@@ -7,14 +7,15 @@ import (
 	"mira/internal/area"
 	"mira/internal/core"
 	"mira/internal/power"
+	"mira/internal/stats"
 	"mira/internal/timing"
 	"mira/internal/topology"
 )
 
 // Table1 regenerates the router component area table from the analytic
 // area model.
-func Table1() Table {
-	t := Table{
+func Table1() stats.Table {
+	t := stats.Table{
 		ID:     "table1",
 		Title:  "Router component area (um^2); multi-layer entries are max per layer",
 		Header: []string{"Area", "2DB", "3DB", "3DM", "3DM-E"},
@@ -56,8 +57,8 @@ func Table1() Table {
 }
 
 // Table2 echoes the physical design parameters.
-func Table2() Table {
-	return Table{
+func Table2() stats.Table {
+	return stats.Table{
 		ID:     "table2",
 		Title:  "Design parameters",
 		Header: []string{"Parameter", "Value"},
@@ -73,8 +74,8 @@ func Table2() Table {
 }
 
 // Table3 regenerates the ST+LT pipeline combination feasibility check.
-func Table3() Table {
-	t := Table{
+func Table3() stats.Table {
+	t := stats.Table{
 		ID:     "table3",
 		Title:  "Delay validation for pipeline combination (2 GHz, 500 ps budget)",
 		Header: []string{"Design", "XBAR (ps)", "Link (ps)", "Combined (ps)", "ST+LT combined"},
@@ -103,7 +104,7 @@ func Table3() Table {
 
 // Fig3 compares per-layer chip footprints: stacking shrinks the
 // footprint by the layer count in both 3D organizations.
-func Fig3() Table {
+func Fig3() stats.Table {
 	node2D := core.Pitch2DMM * core.Pitch2DMM
 	node3DM := core.Pitch3DMMM * core.Pitch3DMMM
 	rows := [][]string{
@@ -111,7 +112,7 @@ func Fig3() Table {
 		{"3DB", "4", "9", f1(9 * node2D), f2(9 * node2D / (36 * node2D))},
 		{"3DM", "4", "36", f1(36 * node3DM), f2(36 * node3DM / (36 * node2D))},
 	}
-	return Table{
+	return stats.Table{
 		ID:     "fig3",
 		Title:  "Footprint comparison, 36 nodes (per-layer silicon area)",
 		Header: []string{"Design", "Layers", "Nodes/layer", "Footprint (mm^2)", "vs 2DB"},
@@ -120,8 +121,8 @@ func Fig3() Table {
 }
 
 // Fig9 is the per-flit energy breakdown by router component.
-func Fig9() Table {
-	t := Table{
+func Fig9() stats.Table {
+	t := stats.Table{
 		ID:     "fig9",
 		Title:  "Flit energy breakdown (pJ per flit per hop)",
 		Header: []string{"Design", "Buffer", "Crossbar", "Link", "Allocators", "Total"},
@@ -137,8 +138,8 @@ func Fig9() Table {
 }
 
 // Fig10 prints the NUCA node layouts.
-func Fig10() Table {
-	t := Table{
+func Fig10() stats.Table {
+	t := stats.Table{
 		ID:     "fig10",
 		Title:  "Node layouts for 36 cores (P = processor, c = cache)",
 		Header: []string{"Design", "Layout"},

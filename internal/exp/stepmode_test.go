@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mira/internal/scenario"
+	"mira/internal/stats"
 )
 
 // stepModeOpts is deliberately small: the point is comparing modes
@@ -28,7 +29,7 @@ func stepModeOpts(mode string) Options {
 func TestStepModeTablesIdentical(t *testing.T) {
 	drivers := []struct {
 		name   string
-		run    func(context.Context, Options) (Table, error)
+		run    func(context.Context, Options) (stats.Table, error)
 		points int64
 	}{
 		{"fig8", Fig8, 15},
@@ -38,7 +39,7 @@ func TestStepModeTablesIdentical(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			// Each arm must really simulate its every point, or the
 			// comparison proves nothing.
-			run := func(mode string) Table {
+			run := func(mode string) stats.Table {
 				o := stepModeOpts(mode)
 				var sims simCount
 				o.Progress = sims.add

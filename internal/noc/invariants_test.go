@@ -241,7 +241,7 @@ func TestPacketIDsUnique(t *testing.T) {
 func TestLatencyHistogram(t *testing.T) {
 	cfg := cfg2D(2)
 	res := shortSim(cfg, bernoulli(cfg.Topo, 0.1, 4, Data))
-	h := res.LatencyHistogram()
+	h := res.latHist
 	if h == nil || h.N() != res.Ejected {
 		t.Fatalf("histogram N = %v, want %d", h, res.Ejected)
 	}

@@ -162,13 +162,3 @@ func (r *Router) NumInVCs() int { return len(r.inPorts) * r.vcsPerPort }
 
 // VCOccupancy returns the landed flits in input VC vi of port pi.
 func (r *Router) VCOccupancy(pi, vi int) int { return r.vcLanded(r.flatVC(pi, vi), r.net.cycle) }
-
-// VCOccupancies appends the per-input-VC buffer occupancies (flits) in
-// flat (port, vc) order to dst and returns the extended slice, so a
-// per-window sampler can reuse one backing array.
-func (r *Router) VCOccupancies(dst []int) []int {
-	for f := range r.vcLen {
-		dst = append(dst, r.vcLanded(f, r.net.cycle))
-	}
-	return dst
-}

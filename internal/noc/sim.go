@@ -90,10 +90,6 @@ type Result struct {
 	latHist *stats.Histogram
 }
 
-// LatencyHistogram returns the measured packet-latency histogram (unit
-// bins in cycles), or nil for a zero Result.
-func (r *Result) LatencyHistogram() *stats.Histogram { return r.latHist }
-
 // WithoutHistogram returns the result minus its latency histogram —
 // 32 KB of bins whose one consumer, P99Latency, is already extracted —
 // for callers that retain many results.

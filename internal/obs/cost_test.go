@@ -110,16 +110,16 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	pass()
-	before, warm := heap(), c.EventCount(noc.ProbeSAGrant)
+	before, warm := heap(), c.counts[noc.ProbeSAGrant]
 	const passes = 20
 	for p := 0; p < passes; p++ {
 		pass()
 	}
 	grown := heap() - before
 	runtime.KeepAlive(stream) // or the second reading frees it, and the heap shrinks
-	hops := c.EventCount(noc.ProbeSAGrant) - warm
+	hops := c.counts[noc.ProbeSAGrant] - warm
 	perHop := float64(grown) / float64(hops)
-	logPerHop := float64(c.Spans().RetainedBytes()) / float64(c.EventCount(noc.ProbeSAGrant))
+	logPerHop := float64(c.Spans().RetainedBytes()) / float64(c.counts[noc.ProbeSAGrant])
 	t.Logf("%.2f log bytes, %.1f heap bytes per completed hop (%d hops)", logPerHop, perHop, hops)
 	// 3.79 measured: compact body and tail spans. The margin lets a kernel
 	// change move a few flits; full spans alone cost 9.07.
@@ -129,8 +129,8 @@ func TestRetainedSpanBytesPerHop(t *testing.T) {
 	if perHop > 48 {
 		t.Errorf("retained spans cost %.1f heap bytes per completed hop, want <= 48", perHop)
 	}
-	if n := len(c.Spans().Spans()); int64(n) != c.EventCount(noc.ProbeEject) {
-		t.Errorf("%d spans materialized for %d ejected flits", n, c.EventCount(noc.ProbeEject))
+	if n := len(c.Spans().Spans()); int64(n) != c.counts[noc.ProbeEject] {
+		t.Errorf("%d spans materialized for %d ejected flits", n, c.counts[noc.ProbeEject])
 	}
 }
 

@@ -58,8 +58,8 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 		t.Fatal("engine collector attached without Config.Engine")
 	}
 	var pf bytes.Buffer
-	if err := WritePerfetto(&pf, c.Spans().Spans()); err != nil {
-		t.Fatalf("WritePerfetto: %v", err)
+	if err := WriteTraceDoc(&pf, PerfettoDoc(c.Spans().Spans())); err != nil {
+		t.Fatalf("WriteTraceDoc: %v", err)
 	}
 	resJSON, err := json.Marshal(res)
 	if err != nil {

@@ -83,7 +83,7 @@ func TestTraceGolden(t *testing.T) {
 			}
 			attrib := sha256.Sum256([]byte(sb.Attribution().CombinedTable().CSV()))
 			perfetto := sha256.New()
-			if err := obs.WritePerfetto(perfetto, sb.Spans()); err != nil {
+			if err := obs.WriteTraceDoc(perfetto, obs.PerfettoDoc(sb.Spans())); err != nil {
 				t.Fatal(err)
 			}
 			for suffix, sum := range map[string][]byte{".attrib.sha256": attrib[:], ".perfetto.sha256": perfetto.Sum(nil)} {

@@ -346,9 +346,6 @@ func (c *Collector) Close() error {
 	return c.tw.Close()
 }
 
-// EventCount returns how many events of kind k were observed.
-func (c *Collector) EventCount(k noc.ProbeKind) int64 { return c.counts[k] }
-
 // Latency returns the per-flit/per-packet latency statistics observed so far.
 func (c *Collector) Latency() LatencyStats {
 	c.sync()

@@ -99,7 +99,7 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 func TestCollectorCountsMatchResult(t *testing.T) {
 	c, res := runObserved(t, Config{}, nil)
 	// Fully drained run: every injected flit ejects.
-	if in, out := c.EventCount(noc.ProbeInject), c.EventCount(noc.ProbeEject); in != out {
+	if in, out := c.counts[noc.ProbeInject], c.counts[noc.ProbeEject]; in != out {
 		t.Errorf("inject %d != eject %d", in, out)
 	}
 	lat := c.Latency()
@@ -109,7 +109,7 @@ func TestCollectorCountsMatchResult(t *testing.T) {
 		t.Errorf("collector packets %d < measured ejected %d", lat.Packets, res.Ejected)
 	}
 	sum := c.Summary()
-	if sum.Events["inject"] != c.EventCount(noc.ProbeInject) {
+	if sum.Events["inject"] != c.counts[noc.ProbeInject] {
 		t.Errorf("summary events mismatch")
 	}
 	if sum.Windows != c.Sampler().Samples() {
@@ -147,8 +147,8 @@ func TestSamplerSeries(t *testing.T) {
 	for _, v := range s.Series("net.link_flits") {
 		links += v
 	}
-	if int64(links) > c.EventCount(noc.ProbeLink) {
-		t.Errorf("windowed link flits %v exceed total %d", links, c.EventCount(noc.ProbeLink))
+	if int64(links) > c.counts[noc.ProbeLink] {
+		t.Errorf("windowed link flits %v exceed total %d", links, c.counts[noc.ProbeLink])
 	}
 
 	tbl := c.SeriesTable()

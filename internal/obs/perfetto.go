@@ -113,11 +113,6 @@ func stageSlices(v routerVisit) []stageSlice {
 	return out
 }
 
-// WritePerfetto renders spans as Chrome trace-event JSON on w.
-func WritePerfetto(w io.Writer, spans []FlitSpan) error {
-	return WriteTraceDoc(w, PerfettoDoc(spans))
-}
-
 // WriteTraceDoc encodes a caller-assembled trace-event document on w
 // (e.g. PerfettoDoc output after AppendEngineTrack).
 func WriteTraceDoc(w io.Writer, doc TraceDoc) error {
@@ -241,14 +236,19 @@ func (d *TraceDoc) AppendEngineTrack(es EngineSeries) {
 	d.TraceEvents = append(d.TraceEvents, EngineTrackEvents(es)...)
 }
 
-// CongestionHeatmap aggregates spans into a per-router stall-cycle
-// time series: for each router and each window of the given cycle
-// width, the number of flit-cycles spent stalled there (arrival to
-// switch grant — the congestion component, excluding the fixed ST+LT
-// traversal). The result is a stats.Table with one row per router and
-// one column per window, the CSV behind "miratrace spans -heatmap" and
-// the input to plot.Heatmap.
-func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
+// Congestion is a per-router stall-cycle time series: Cells[r][w] is
+// the number of flit-cycles spent stalled at router r (arrival to switch
+// grant — the congestion component, excluding the fixed ST+LT
+// traversal) during the w-th window of Window cycles. Its Table is the
+// CSV behind "miratrace spans -heatmap"; Cells feed plot.Heatmap.
+type Congestion struct {
+	Window int64
+	Cells  [][]int64
+}
+
+// CongestionHeatmap aggregates spans into a Congestion matrix with
+// windows of the given cycle width (DefaultWindow when <= 0).
+func CongestionHeatmap(spans []FlitSpan, window int64) Congestion {
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -261,7 +261,7 @@ func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
 	}
 	nWin := int((maxCycle + window - 1) / window)
 	if nWin == 0 || maxRouter < 0 {
-		return stats.Table{Title: "per-router congestion heatmap", Header: []string{"router"}}
+		return Congestion{Window: window}
 	}
 	cells := make([][]int64, maxRouter+1)
 	for i := range cells {
@@ -279,36 +279,29 @@ func CongestionHeatmap(spans []FlitSpan, window int64) stats.Table {
 			}
 		}
 	}
+	return Congestion{Window: window, Cells: cells}
+}
+
+// Table renders the matrix with one row per router and one column per
+// window, headed by the window's last cycle.
+func (g Congestion) Table() stats.Table {
 	t := stats.Table{
 		Title:  "per-router congestion heatmap (stall cycles per window)",
-		Header: append(make([]string, 0, nWin+1), "router"),
+		Header: []string{"router"},
 	}
-	for w := 0; w < nWin; w++ {
-		t.Header = append(t.Header, fmt.Sprintf("c%d", int64(w+1)*window))
+	if len(g.Cells) > 0 {
+		for w := range g.Cells[0] {
+			t.Header = append(t.Header, fmt.Sprintf("c%d", int64(w+1)*g.Window))
+		}
 	}
-	for r := range cells {
-		row := append(make([]string, 0, nWin+1), fmt.Sprintf("%d", r))
-		for _, v := range cells[r] {
+	for r, cells := range g.Cells {
+		row := append(make([]string, 0, len(cells)+1), fmt.Sprintf("%d", r))
+		for _, v := range cells {
 			row = append(row, fmt.Sprintf("%d", v))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("cell = flit-cycles stalled (arrival to switch grant) at the router during the %d-cycle window ending at the column cycle", window))
+		fmt.Sprintf("cell = flit-cycles stalled (arrival to switch grant) at the router during the %d-cycle window ending at the column cycle", g.Window))
 	return t
-}
-
-// HeatmapMatrix extracts the numeric cell matrix from a congestion
-// heatmap table (row per router, column per window), for plot.Heatmap.
-func HeatmapMatrix(t stats.Table) ([][]float64, []string, []string) {
-	rows := make([][]float64, len(t.Rows))
-	rowLabels := make([]string, len(t.Rows))
-	for i, r := range t.Rows {
-		rowLabels[i] = r[0]
-		rows[i] = make([]float64, len(r)-1)
-		for j, c := range r[1:] {
-			fmt.Sscanf(c, "%g", &rows[i][j])
-		}
-	}
-	return rows, rowLabels, t.Header[1:]
 }

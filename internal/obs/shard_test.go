@@ -22,8 +22,8 @@ func TestArtifactsIdenticalAcrossShards(t *testing.T) {
 		c := runSpans(t, func(nc *noc.Config) { nc.Shards = shards }, &buf)
 		sb := c.Spans()
 		var pf bytes.Buffer
-		if err := WritePerfetto(&pf, sb.Spans()); err != nil {
-			t.Fatalf("WritePerfetto: %v", err)
+		if err := WriteTraceDoc(&pf, PerfettoDoc(sb.Spans())); err != nil {
+			t.Fatalf("WriteTraceDoc: %v", err)
 		}
 		return artifacts{
 			trace:    buf.String(),

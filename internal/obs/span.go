@@ -118,19 +118,6 @@ func (s FlitSpan) QueueWait() int64 { return s.Inject - s.Created }
 // collector's per-flit latency and to the sum of the hop stages.
 func (s FlitSpan) Network() int64 { return s.Eject - s.Inject }
 
-// StageTotal sums stage st across the flit's hops (or returns the queue
-// wait for StageQueue).
-func (s FlitSpan) StageTotal(st Stage) int64 {
-	if st == StageQueue {
-		return s.QueueWait()
-	}
-	var sum int64
-	for _, h := range s.Hops {
-		sum += h.Wait(st)
-	}
-	return sum
-}
-
 // hop is one router visit of an open flit: the probed stage boundaries,
 // -1 until their events arrive. Arrive and Depart are derived — a hop
 // departs ST+LT after its grant and arrives as the previous one departs.
@@ -668,9 +655,6 @@ const (
 )
 
 var groupNames = [...]string{byRouter: GroupRouter, byClass: GroupClass, byHops: GroupHops, byLayers: GroupLayers}
-
-// Groupings lists the supported attribution groupings.
-func Groupings() []string { return slices.Clone(groupNames[:]) }
 
 // attribution table header; "n" counts flits, except for the router
 // grouping where it counts router visits (hops).

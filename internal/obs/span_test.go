@@ -74,8 +74,10 @@ func TestSpanTotalsMatchCollector(t *testing.T) {
 			var sum, n int64
 			for _, s := range spans {
 				var stages int64
-				for st := StageRoute; st < NumStages; st++ {
-					stages += s.StageTotal(st)
+				for _, h := range s.Hops {
+					for st := StageRoute; st < NumStages; st++ {
+						stages += h.Wait(st)
+					}
 				}
 				if stages != s.Network() {
 					t.Fatalf("flit %d.%d stages sum to %d, network latency %d", s.Pkt, s.Seq, stages, s.Network())
@@ -151,7 +153,7 @@ func TestSpanAttributionTables(t *testing.T) {
 	c := runSpans(t, nil, nil)
 	agg := c.Spans().Attribution()
 	tot := agg.Total()
-	for _, g := range Groupings() {
+	for _, g := range groupNames {
 		tbl, err := agg.Table(g)
 		if err != nil {
 			t.Fatalf("Table(%s): %v", g, err)
@@ -279,11 +281,11 @@ func TestPerfettoExport(t *testing.T) {
 	c1 := runSpans(t, nil, nil)
 	c2 := runSpans(t, nil, nil)
 	var b1, b2 bytes.Buffer
-	if err := WritePerfetto(&b1, c1.Spans().Spans()); err != nil {
-		t.Fatalf("WritePerfetto: %v", err)
+	if err := WriteTraceDoc(&b1, PerfettoDoc(c1.Spans().Spans())); err != nil {
+		t.Fatalf("WriteTraceDoc: %v", err)
 	}
-	if err := WritePerfetto(&b2, c2.Spans().Spans()); err != nil {
-		t.Fatalf("WritePerfetto: %v", err)
+	if err := WriteTraceDoc(&b2, PerfettoDoc(c2.Spans().Spans())); err != nil {
+		t.Fatalf("WriteTraceDoc: %v", err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("identical runs produced different Perfetto JSON")
@@ -341,23 +343,23 @@ func TestPerfettoExport(t *testing.T) {
 }
 
 // TestCongestionHeatmap: cell totals equal the attribution's total
-// stall cycles (route + VA + SA waits), and the matrix extraction is
-// shape-consistent.
+// stall cycles (route + VA + SA waits), and the table has the matrix's
+// shape.
 func TestCongestionHeatmap(t *testing.T) {
 	c := runSpans(t, nil, nil)
 	spans := c.Spans().Spans()
-	tbl := CongestionHeatmap(spans, 200)
+	hm := CongestionHeatmap(spans, 200)
+	tbl := hm.Table()
 	if len(tbl.Rows) == 0 || len(tbl.Header) < 2 {
 		t.Fatalf("empty heatmap: header %v", tbl.Header)
 	}
-	m, rowLabels, colLabels := HeatmapMatrix(tbl)
-	if len(m) != len(tbl.Rows) || len(rowLabels) != len(m) || len(colLabels) != len(tbl.Header)-1 {
-		t.Fatalf("matrix shape mismatch: %d rows, %d labels, %d cols", len(m), len(rowLabels), len(colLabels))
-	}
 	var cellSum int64
-	for _, row := range m {
+	for r, row := range hm.Cells {
+		if len(row) != len(tbl.Header)-1 || tbl.Rows[r][0] != fmt.Sprint(r) {
+			t.Fatalf("router %d: %d cells under %d window columns, label %q", r, len(row), len(tbl.Header)-1, tbl.Rows[r][0])
+		}
 		for _, v := range row {
-			cellSum += int64(v)
+			cellSum += v
 		}
 	}
 	tot := c.Spans().Attribution().Total()
@@ -380,13 +382,13 @@ func TestSpanArtifactsIdenticalAcrossStepModes(t *testing.T) {
 		c := runSpans(t, func(nc *noc.Config) { nc.Mode = mode }, nil)
 		sb := c.Spans()
 		var buf bytes.Buffer
-		if err := WritePerfetto(&buf, sb.Spans()); err != nil {
-			t.Fatalf("WritePerfetto: %v", err)
+		if err := WriteTraceDoc(&buf, PerfettoDoc(sb.Spans())); err != nil {
+			t.Fatalf("WriteTraceDoc: %v", err)
 		}
 		return artifacts{
 			attrib:   sb.Attribution().CombinedTable().CSV(),
 			perfetto: buf.String(),
-			heatmap:  CongestionHeatmap(sb.Spans(), 200).CSV(),
+			heatmap:  CongestionHeatmap(sb.Spans(), 200).Table().CSV(),
 		}
 	}
 	ref, got := build(noc.StepActivity), build(noc.StepChecked)

@@ -3,8 +3,8 @@
 // bar charts for the per-workload and per-design comparisons of Figs. 1,
 // 2, 9 and 13) using only the standard library. The output aims for
 // "paper figure" fidelity: titled axes, tick labels, legends,
-// deterministic layout. mirabench -svg routes every exp.Table with a
-// numeric series through here (exp.Table.SVG picks the chart).
+// deterministic layout. mirabench -svg routes every experiment table with a
+// numeric series through here (exp.SVG picks the chart).
 package plot
 
 import (

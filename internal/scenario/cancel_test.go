@@ -2,11 +2,8 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mira/internal/noc"
 )
@@ -47,12 +44,14 @@ func longUR() Scenario {
 func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := longUR().Run(ctx)
+	e, err := longUR().Elaborate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Canceled {
-		t.Error("Canceled not set")
+	out, err := e.Run(ctx)
+	res := out.Result
+	if err != nil || !res.Canceled {
+		t.Errorf("Canceled not set (err %v)", err)
 	}
 	if res.Cycles != 0 || res.Generated != 0 {
 		t.Errorf("pre-canceled run simulated work: cycles=%d generated=%d", res.Cycles, res.Generated)
@@ -111,135 +110,4 @@ func TestRunCanceledDuringWarmup(t *testing.T) {
 	if res.Cycles != 0 || res.Generated != 0 {
 		t.Errorf("warm-up cancellation leaked a measured window: cycles=%d generated=%d", res.Cycles, res.Generated)
 	}
-}
-
-// TestRunBatchCancel: canceling the batch context stops dispatch, ends
-// in-flight runs within a stride, and every worker exits (RunBatch
-// returning at all is the exit proof; the deadline bounds it).
-func TestRunBatchCancel(t *testing.T) {
-	scs := make([]Scenario, 8)
-	for i := range scs {
-		scs[i] = longUR()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(50*time.Millisecond, cancel)
-	defer timer.Stop()
-
-	done := make(chan []BatchResult, 1)
-	go func() { done <- RunBatch(ctx, scs, BatchOptions{Workers: 2}) }()
-	var out []BatchResult
-	select {
-	case out = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunBatch did not return after cancellation: workers stuck")
-	}
-	ran, skipped := 0, 0
-	for _, br := range out {
-		switch {
-		case br.Err != "":
-			if !strings.Contains(br.Err, "canceled") {
-				t.Errorf("entry %d: unexpected error %q", br.Index, br.Err)
-			}
-			skipped++
-		case br.Result.Canceled:
-			ran++
-		default:
-			t.Errorf("entry %d completed a %d-cycle run; cancellation did not reach it", br.Index, scs[0].Measure)
-		}
-	}
-	if ran == 0 {
-		t.Error("no in-flight run reported a partial canceled result")
-	}
-	if skipped == 0 {
-		t.Error("no queued scenario was skipped; cancellation arrived too late to test dispatch")
-	}
-}
-
-// TestRunBatchPrecanceled: nothing runs, every entry says why.
-func TestRunBatchPrecanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out := RunBatch(ctx, []Scenario{longUR(), longUR()}, BatchOptions{Workers: 2})
-	for _, br := range out {
-		if !strings.Contains(br.Err, "canceled before") {
-			t.Errorf("entry %d: err = %q, want the never-started marker", br.Index, br.Err)
-		}
-	}
-}
-
-// TestRunBatchTimeout: the per-run timeout cancels an over-budget run
-// without failing the batch entry.
-func TestRunBatchTimeout(t *testing.T) {
-	out := RunBatch(context.Background(), []Scenario{longUR()}, BatchOptions{
-		Workers: 1, Timeout: 30 * time.Millisecond,
-	})
-	if out[0].Err != "" {
-		t.Fatalf("timeout should yield a partial result, not an error: %q", out[0].Err)
-	}
-	if !out[0].Result.Canceled {
-		t.Error("over-budget run not marked Canceled")
-	}
-}
-
-// TestRunBatchMixedValidity: invalid entries fail individually while
-// valid ones complete.
-func TestRunBatchMixedValidity(t *testing.T) {
-	good := ur()
-	bad := ur()
-	bad.Arch = "4DX"
-	out := RunBatch(context.Background(), []Scenario{good, bad}, BatchOptions{Workers: 2})
-	if out[0].Err != "" || out[0].Result.Ejected == 0 {
-		t.Errorf("valid entry failed: err=%q ejected=%d", out[0].Err, out[0].Result.Ejected)
-	}
-	if out[1].Err == "" || !strings.Contains(out[1].Err, "unknown architecture") {
-		t.Errorf("invalid entry err = %q", out[1].Err)
-	}
-}
-
-// TestRunBatchJSON: the serialized path (DecodeBatch, RunBatch, results
-// marshaled back) accepts both a single object and an array, and
-// returns decodable results in input order.
-func TestRunBatchJSON(t *testing.T) {
-	runJSON := func(in string) (string, error) {
-		scs, err := DecodeBatch(strings.NewReader(in))
-		if err != nil {
-			return "", err
-		}
-		out, err := json.Marshal(RunBatch(context.Background(), scs, BatchOptions{}))
-		return string(out), err
-	}
-	sc := ur()
-	data, err := sc.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runJSON(string(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := decodeBatch(t, res)
-	if len(out) != 1 || out[0].Err != "" || out[0].Result.Ejected == 0 {
-		t.Errorf("single-object batch = %+v", out)
-	}
-
-	if res, err = runJSON("[" + string(data) + "," + string(data) + "]"); err != nil {
-		t.Fatal(err)
-	}
-	out = decodeBatch(t, res)
-	if len(out) != 2 || out[0].Index != 0 || out[1].Index != 1 {
-		t.Errorf("array batch order wrong: %+v", out)
-	}
-
-	if _, err := runJSON("not json"); err == nil {
-		t.Error("malformed batch input accepted")
-	}
-}
-
-func decodeBatch(t *testing.T, s string) []BatchResult {
-	t.Helper()
-	var out []BatchResult
-	if err := json.Unmarshal([]byte(s), &out); err != nil {
-		t.Fatalf("batch output not decodable: %v\n%s", err, s)
-	}
-	return out
 }

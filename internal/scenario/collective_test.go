@@ -81,10 +81,11 @@ func TestCollectiveRun(t *testing.T) {
 		if !e.Collective.Done() {
 			t.Fatalf("%s: %d/3 iterations complete", alg, e.Collective.Completed())
 		}
-		want := int64(3 * e.Collective.MessagesPerIteration())
+		// 8 ranks: ring 2(N-1) steps of N messages, reduce-scatter N-1, tree N-1 messages.
+		want := 3 * map[string]int64{"ring-allreduce": 112, "reduce-scatter": 56, "tree-broadcast": 7}[alg]
 		if res.Generated != want || res.Ejected != want {
-			t.Fatalf("%s: generated/ejected %d/%d packets, want %d (3 iterations of %d messages)",
-				alg, res.Generated, res.Ejected, want, e.Collective.MessagesPerIteration())
+			t.Fatalf("%s: generated/ejected %d/%d packets, want %d (3 iterations)",
+				alg, res.Generated, res.Ejected, want)
 		}
 		rep := e.Collective.Report()
 		if rep.Messages.N != want {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mira/internal/cmp"
 	"mira/internal/collective"
@@ -32,11 +31,11 @@ type Elaboration struct {
 	Stats cmp.Stats
 	// Collective is the closed-loop dependency engine ("collective"
 	// traffic), already wired to the Sim's delivery callback; read its
-	// Summary/StepTable/Report after the run.
+	// Summary/StepTable after the run (Run takes its Report).
 	Collective *collective.Engine
 	// Obs is the attached observability collector, present iff the
 	// scenario carries an Observe block. Callers that want a flit-event
-	// trace call Obs.SetTraceWriter before running and Obs.Close after.
+	// trace call Obs.SetTraceWriter before Run, which closes it.
 	Obs *obs.Collector
 }
 
@@ -178,26 +177,45 @@ func (s Scenario) Elaborate() (*Elaboration, error) {
 			}
 		}
 		e.Obs = obs.New(net, obs.Config{
-			Window:         o.Window,
-			PerVCNodes:     o.PerVCNodes,
-			TraceNodes:     o.TraceNodes,
-			TraceClass:     o.TraceClass,
-			Spans:          o.Spans,
-			Engine:         o.Engine,
-			EngineInterval: time.Duration(o.EngineIntervalMs) * time.Millisecond,
-			EngineLabel:    fmt.Sprintf("%s/%s", s.Arch, s.Traffic.Kind),
+			Window:      o.Window,
+			PerVCNodes:  o.PerVCNodes,
+			TraceNodes:  o.TraceNodes,
+			TraceClass:  o.TraceClass,
+			Spans:       o.Spans,
+			Engine:      o.Engine,
+			EngineLabel: fmt.Sprintf("%s/%s", s.Arch, s.Traffic.Kind),
 		})
 		e.Obs.Attach(sim)
 	}
 	return e, nil
 }
 
-// Run elaborates and executes the scenario under the context. The
-// result is partial (Result.Canceled) if the context ends first.
-func (s Scenario) Run(ctx context.Context) (noc.Result, error) {
-	e, err := s.Elaborate()
-	if err != nil {
-		return noc.Result{}, err
+// Outcome is what one simulated scenario yields. An Outcome served
+// from an exp.Scope is shared with every caller that asked for the same
+// scenario (Result.PerRouter and Collective.StepLat alias the stored
+// copy): treat it as read-only.
+type Outcome struct {
+	Result     noc.Result
+	Stats      cmp.Stats         // CMP trace generation (trace-backed traffic)
+	Collective collective.Report // completion report ("collective" traffic)
+	// Obs is the collector of an observed scenario, closed.
+	Obs *obs.Collector
+}
+
+// Run simulates the elaboration under the context: Sim.Run, then
+// Obs.Close (folding the last event batch and the trailing sample
+// window, flushing any trace writer), then the collective report. It
+// is the one run sequence every caller goes through. The result is
+// partial (Result.Canceled) if the context ends first; the error is the
+// collector's (a failing trace writer), returned with the outcome.
+func (e *Elaboration) Run(ctx context.Context) (Outcome, error) {
+	out := Outcome{Result: e.Sim.Run(ctx), Stats: e.Stats, Obs: e.Obs}
+	var err error
+	if e.Obs != nil {
+		err = e.Obs.Close()
 	}
-	return e.Sim.Run(ctx), nil
+	if e.Collective != nil {
+		out.Collective = e.Collective.Report()
+	}
+	return out, err
 }

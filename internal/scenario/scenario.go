@@ -2,11 +2,13 @@
 // JSON-serializable Scenario fully specifies a MIRA simulation — the
 // architecture, the traffic, the measurement windows, the seed and every
 // router-level knob — and Elaborate turns it into a ready
-// (Design, Network, Sim) triple. It is the single construction path the
-// experiment drivers (internal/exp) and the commands (mirasim,
-// mirabench, miratrace) build their simulations through, which is what
-// makes runs reproducible from a stored description and lets a batch
-// front end (RunBatch) accept work over the wire.
+// (Design, Network, Sim) triple whose Run is the one run sequence. It is
+// the single construction path the experiment drivers (internal/exp) and
+// the commands (mirasim, mirabench, miratrace) build their simulations
+// through, which is what makes runs reproducible from a stored
+// description and lets a batch (DecodeBatch, then exp.RunBatch) arrive
+// over the wire. The package is declarative: decode, validate, edit,
+// elaborate and run one scenario; pools live in internal/exp.
 package scenario
 
 import (
@@ -105,9 +107,6 @@ type Observe struct {
 	// and Go runtime stats, sampled on a wall-clock ticker. Strictly
 	// out-of-band — simulated results are bit-identical either way.
 	Engine bool `json:"engine,omitempty"`
-	// EngineIntervalMs overrides the engine sampling period in
-	// milliseconds (0 = the obs package default of 500).
-	EngineIntervalMs int64 `json:"engine_interval_ms,omitempty"`
 }
 
 // Fault is a serializable failed link for the fault-tolerant routing
@@ -310,9 +309,6 @@ func (s Scenario) validateCore() error {
 		if o.Window < 0 {
 			return fmt.Errorf("scenario: observe window %d is negative", o.Window)
 		}
-		if o.EngineIntervalMs < 0 {
-			return fmt.Errorf("scenario: observe engine_interval_ms %d is negative", o.EngineIntervalMs)
-		}
 		switch o.TraceClass {
 		case "", noc.Control.String(), noc.Data.String():
 		default:
@@ -333,8 +329,8 @@ func (s Scenario) validateCore() error {
 // Validate checks the scenario is fully specified and internally
 // consistent: a known architecture, a registered traffic kind whose
 // parameters pass the kind's own checks, sane windows and overrides.
-// Elaborate validates implicitly; RunBatch rejects invalid scenarios
-// per entry instead of failing the batch.
+// Elaborate validates implicitly; exp.RunBatch rejects invalid
+// scenarios per entry instead of failing the batch.
 func (s Scenario) Validate() error {
 	if err := s.validateCore(); err != nil {
 		return err
@@ -379,6 +375,27 @@ func decodeStrict(data []byte, v any) error {
 		return fmt.Errorf("trailing data after the JSON value")
 	}
 	return nil
+}
+
+// DecodeBatch reads a batch description: either a JSON array of
+// scenarios or a single scenario object, decoded as strictly as Decode.
+func DecodeBatch(r io.Reader) ([]Scenario, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: reading batch input: %w", err)
+	}
+	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) == 0 || t[0] != '[' {
+		sc, err := Decode(data)
+		if err != nil {
+			return nil, err
+		}
+		return []Scenario{sc}, nil
+	}
+	var scs []Scenario
+	if err := decodeStrict(data, &scs); err != nil {
+		return nil, fmt.Errorf("scenario: batch array: %w", err)
+	}
+	return scs, nil
 }
 
 // Set returns s with one field replaced. The key is a dotted JSON path

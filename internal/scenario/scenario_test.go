@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -325,11 +326,15 @@ func TestElaborateDeterminism(t *testing.T) {
 	run := func(seed int64) noc.Result {
 		sc := ur()
 		sc.Seed = seed
-		res, err := sc.Run(context.Background())
+		e, err := sc.Elaborate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		out, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Result
 	}
 	a, b := run(42), run(42)
 	// The histogram pointer differs; compare the serialized form.
@@ -342,6 +347,43 @@ func TestElaborateDeterminism(t *testing.T) {
 	cj, _ := json.Marshal(c)
 	if string(aj) == string(cj) {
 		t.Error("different seeds produced identical results")
+	}
+}
+
+// failWriter is a trace sink whose every write fails.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestElaborationRun: the one run sequence closes an observed run's
+// collector and hands back its error with the result, takes the
+// collective report, and leaves Obs nil when nothing observes.
+func TestElaborationRun(t *testing.T) {
+	run := func(sc Scenario, traced bool) (Outcome, error) {
+		e, err := sc.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			e.Obs.SetTraceWriter(failWriter{})
+		}
+		return e.Run(context.Background())
+	}
+	observed := ur()
+	observed.Observe = &Observe{}
+	out, err := run(observed, true)
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("failing trace writer: err = %v, want the writer's error", err)
+	}
+	if out.Obs == nil || out.Result.Ejected == 0 || out.Result.Canceled {
+		t.Errorf("failing trace writer lost the run: obs %v, result %v", out.Obs != nil, out.Result)
+	}
+	out, err = run(collectiveScenario("tree-broadcast", 2), false)
+	if c := out.Collective; err != nil || c.Completed != 2 || c.Iteration.N != 2 || c.Messages.N != 14 {
+		t.Errorf("collective outcome = %+v, %v; want 2 complete iterations of 7 messages", c, err)
+	}
+	if out, err = run(ur(), false); err != nil || out.Obs != nil || out.Result.Ejected == 0 {
+		t.Errorf("unobserved run: obs %v, err %v, result %v", out.Obs != nil, err, out.Result)
 	}
 }
 

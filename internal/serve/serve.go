@@ -8,11 +8,13 @@
 // watch an experiment sweep converge window by window instead of
 // waiting for the final tables.
 //
-// Serving is observation-only by construction: the handlers read the
-// samplers' already-snapshotted series (mutex-guarded) and the batch
-// results written at run completion. No handler touches live network
-// state, so a served batch produces bit-identical results to a bare
-// one (pinned by TestServedResultsBitIdentical).
+// The batch runs through exp.RunBatch, whose per-run hooks publish each
+// run's collector and result. Serving is observation-only by
+// construction: the handlers read the samplers' already-snapshotted
+// series (mutex-guarded) and the batch results written at run
+// completion. No handler touches live network state, so a served batch
+// produces bit-identical results to a bare exp.RunBatch (pinned by
+// TestServedResultsBitIdentical).
 package serve
 
 import (
@@ -25,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"mira/internal/exp"
 	"mira/internal/noc"
 	"mira/internal/obs"
 	"mira/internal/scenario"
@@ -48,7 +51,7 @@ type runState struct {
 	state string
 	col   *obs.Collector // non-nil once running
 	names []string       // registry column names, fixed at elaboration
-	res   *scenario.BatchResult
+	res   *exp.BatchResult
 	// progress reports the wall time of the run's last observed cycle
 	// advance (obs.EngineCollector.LastProgress); nil when the run has
 	// no engine collector. A closure so tests can inject a stalled run.
@@ -90,15 +93,11 @@ func New(scs []scenario.Scenario) *Server {
 	return s
 }
 
-// Scenarios returns the (possibly Observe-augmented) batch.
-func (s *Server) Scenarios() []scenario.Scenario { return s.scs }
-
-// Run executes the batch, publishing per-run progress as it goes. The
-// caller's OnStart/OnDone hooks in o, if any, still fire (after the
-// server's own bookkeeping). Blocks until the batch completes; serve
-// the Handler from another goroutine.
-func (s *Server) Run(ctx context.Context, o scenario.BatchOptions) []scenario.BatchResult {
-	userStart, userDone := o.OnStart, o.OnDone
+// Run executes the batch through exp.RunBatch, publishing per-run
+// progress as it goes; the server sets o's OnStart and OnDone hooks.
+// Blocks until the batch completes; serve the Handler from another
+// goroutine.
+func (s *Server) Run(ctx context.Context, o exp.BatchOptions) []exp.BatchResult {
 	o.OnStart = func(i int, e *scenario.Elaboration) {
 		s.mu.Lock()
 		s.runs[i].state = StateRunning
@@ -110,21 +109,14 @@ func (s *Server) Run(ctx context.Context, o scenario.BatchOptions) []scenario.Ba
 			}
 		}
 		s.mu.Unlock()
-		if userStart != nil {
-			userStart(i, e)
-		}
 	}
-	o.OnDone = func(r scenario.BatchResult) {
+	o.OnDone = func(r exp.BatchResult) {
 		s.mu.Lock()
-		res := r
 		s.runs[r.Index].state = StateDone
-		s.runs[r.Index].res = &res
+		s.runs[r.Index].res = &r
 		s.mu.Unlock()
-		if userDone != nil {
-			userDone(r)
-		}
 	}
-	return scenario.RunBatch(ctx, s.scs, o)
+	return exp.RunBatch(ctx, s.scs, o)
 }
 
 // Handler returns the service mux: /healthz, /runs, /metrics and

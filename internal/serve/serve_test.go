@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/exp"
 	"mira/internal/scenario"
 )
 
@@ -63,7 +64,7 @@ func TestServeEndpoints(t *testing.T) {
 			}
 		}(path)
 	}
-	results := srv.Run(context.Background(), scenario.BatchOptions{Workers: 2})
+	results := srv.Run(context.Background(), exp.BatchOptions{Workers: 2})
 	close(done)
 	pollers.Wait()
 
@@ -145,10 +146,10 @@ func TestServeEndpoints(t *testing.T) {
 
 // TestServedResultsBitIdentical pins probe purity for the serving
 // layer: running the batch under the server with concurrent scrapes
-// yields byte-identical serialized results to a bare RunBatch.
+// yields byte-identical serialized results to a bare exp.RunBatch.
 func TestServedResultsBitIdentical(t *testing.T) {
 	scs := testBatch()
-	bare := scenario.RunBatch(context.Background(), scs, scenario.BatchOptions{Workers: 2})
+	bare := exp.RunBatch(context.Background(), scs, exp.BatchOptions{Workers: 2})
 
 	srv := New(scs)
 	ts := httptest.NewServer(srv.Handler())
@@ -171,7 +172,7 @@ func TestServedResultsBitIdentical(t *testing.T) {
 			}
 		}
 	}()
-	served := srv.Run(context.Background(), scenario.BatchOptions{Workers: 2})
+	served := srv.Run(context.Background(), exp.BatchOptions{Workers: 2})
 	close(done)
 	poller.Wait()
 
@@ -194,7 +195,7 @@ func TestNewForcesObserve(t *testing.T) {
 	sc := testBatch()[0]
 	sc.Observe = nil
 	srv := New([]scenario.Scenario{sc})
-	o := srv.Scenarios()[0].Observe
+	o := srv.scs[0].Observe
 	if o == nil {
 		t.Fatal("New did not attach an Observe block")
 	}

@@ -6,7 +6,8 @@
 // Histogram supplies the latency distributions behind the Fig. 11 curves
 // and the observability layer's p50/p95/p99 digests, Mean backs the
 // replicated-seed confidence checks on every simulated table, and Table
-// is the export format of the obs time series (internal/obs).
+// renders every table: the experiment drivers' (internal/exp) and the
+// obs time series and summaries (internal/obs).
 //
 // All accumulators have useful zero values and are not safe for concurrent
 // use; the simulator is single-threaded per network instance.
@@ -162,18 +163,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.total)
-}
-
-// Count returns the count in bin v, or the overflow count when v is past
-// the last bin.
-func (h *Histogram) Count(v int) int64 {
-	if v < 0 {
-		return 0
-	}
-	if v < len(h.bins) {
-		return h.bins[v]
-	}
-	return h.overflow
 }
 
 // Percentile returns the smallest bin index p such that at least q

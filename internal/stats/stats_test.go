@@ -215,11 +215,8 @@ func TestHistogram(t *testing.T) {
 	if h.N() != 15 {
 		t.Fatalf("N = %d, want 15", h.N())
 	}
-	if h.Count(3) != 1 {
-		t.Errorf("Count(3) = %d, want 1", h.Count(3))
-	}
-	if h.Count(12) != 5 { // 10..14 overflow
-		t.Errorf("overflow = %d, want 5", h.Count(12))
+	if h.bins[3] != 1 || h.overflow != 5 { // 10..14 overflow
+		t.Errorf("bin 3 = %d, overflow = %d, want 1 and 5", h.bins[3], h.overflow)
 	}
 	if got := h.Mean(); !almostEq(got, 7, 1e-12) {
 		t.Errorf("Mean = %v, want 7", got)
@@ -229,7 +226,7 @@ func TestHistogram(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram(4)
 	h.Add(-3)
-	if h.Count(0) != 1 {
+	if h.bins[0] != 1 {
 		t.Errorf("negative value should clamp to bin 0")
 	}
 }

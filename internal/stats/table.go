@@ -7,12 +7,15 @@ import (
 	"strings"
 )
 
-// Table is a minimal tabular export container: a header row and string
-// cells, renderable as aligned text, RFC 4180 CSV, or JSON. The
-// observability layer (internal/obs) exports its time series and
-// summaries through it; the experiment drivers keep their own richer
-// exp.Table (IDs, notes, SVG rendering) for the paper artifacts.
+// Table is the one tabular result type: a header row and string cells,
+// renderable as aligned text, RFC 4180 CSV, or JSON. The experiment
+// drivers (internal/exp) return one per paper table or figure, tagged
+// with its ID; the observability layer (internal/obs) and the collective
+// engine export their series and summaries through it.
 type Table struct {
+	// ID names an experiment table (mirabench's experiment ID); it
+	// prefixes the title line when set.
+	ID     string     `json:"id,omitempty"`
 	Title  string     `json:"title,omitempty"`
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
@@ -28,7 +31,10 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // String renders the table as aligned plain text.
 func (t Table) String() string {
 	var sb strings.Builder
-	if t.Title != "" {
+	switch {
+	case t.ID != "":
+		fmt.Fprintf(&sb, "== %s: %s ==\n", t.ID, t.Title)
+	case t.Title != "":
 		fmt.Fprintf(&sb, "== %s ==\n", t.Title)
 	}
 	widths := make([]int, len(t.Header))
@@ -60,7 +66,7 @@ func (t Table) String() string {
 		line(row)
 	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "# %s\n", n)
+		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	return sb.String()
 }

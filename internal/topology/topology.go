@@ -327,34 +327,6 @@ func (t *Topology) ChipOf(id NodeID) (cx, cy int) {
 	return c.X / t.ChipNodesX, c.Y / t.ChipNodesY
 }
 
-// LocalCoord returns node id's coordinate within its chip (equal to the
-// global coordinate on single-chip topologies).
-func (t *Topology) LocalCoord(id NodeID) Coord {
-	c := t.Node(id).Coord
-	if t.ChipsX == 0 {
-		return c
-	}
-	return Coord{X: c.X % t.ChipNodesX, Y: c.Y % t.ChipNodesY, Z: c.Z}
-}
-
-// ChipNodeAt resolves hierarchical (chip, node) addressing: the node at
-// within-chip coordinate local on chip (cx, cy).
-func (t *Topology) ChipNodeAt(cx, cy int, local Coord) (Node, bool) {
-	if t.ChipsX == 0 {
-		if cx != 0 || cy != 0 {
-			return Node{}, false
-		}
-		return t.NodeAt(local)
-	}
-	if cx < 0 || cx >= t.ChipsX || cy < 0 || cy >= t.ChipsY {
-		return Node{}, false
-	}
-	if local.X < 0 || local.X >= t.ChipNodesX || local.Y < 0 || local.Y >= t.ChipNodesY {
-		return Node{}, false
-	}
-	return t.NodeAt(Coord{X: cx*t.ChipNodesX + local.X, Y: cy*t.ChipNodesY + local.Y, Z: local.Z})
-}
-
 // IsBoundary reports whether node id terminates at least one die-to-die
 // link (it sits on a chip edge facing another chip).
 func (t *Topology) IsBoundary(id NodeID) bool {
@@ -364,18 +336,6 @@ func (t *Topology) IsBoundary(id NodeID) bool {
 		}
 	}
 	return false
-}
-
-// BoundaryNodes returns the IDs of every boundary node in ascending
-// order (empty for single-chip topologies).
-func (t *Topology) BoundaryNodes() []NodeID {
-	var out []NodeID
-	for _, n := range t.nodes {
-		if t.IsBoundary(n.ID) {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }
 
 // MaxLinkDelay returns the largest latency + SerCycles - 1 over all

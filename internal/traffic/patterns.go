@@ -74,34 +74,6 @@ func (p PatternProfile) SampleWord(rng *rand.Rand) WordPattern {
 	}
 }
 
-// ShortFlitFraction returns the probability that a data flit is short:
-// every word except the top-layer word is all-0s or all-1s (§3.2.1's
-// zero-detector treats both as redundant). With L layers a flit carries
-// L words, so the lower L-1 words must all be redundant.
-func (p PatternProfile) ShortFlitFraction(layers int) float64 {
-	red := p.Zero + p.One
-	frac := 1.0
-	for i := 0; i < layers-1; i++ {
-		frac *= red
-	}
-	return frac
-}
-
-// SampleFlitLayers draws the number of active layers for one data flit
-// carrying `layers` words: the flit needs as many layers as its highest
-// non-redundant word (LSB word lives in the top layer, §3.2.1).
-func (p PatternProfile) SampleFlitLayers(rng *rand.Rand, layers int) uint8 {
-	active := 1
-	red := p.Zero + p.One
-	for w := layers - 1; w >= 1; w-- {
-		if rng.Float64() >= red {
-			active = w + 1
-			break
-		}
-	}
-	return uint8(active)
-}
-
 // ShortFlitProfile is a degenerate profile where exactly the given
 // fraction of flits is fully short (1 active layer) and the rest are
 // full-width. It is used for the controlled 0 % / 25 % / 50 % short-flit

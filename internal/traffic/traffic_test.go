@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"mira/internal/noc"
 	"mira/internal/topology"
@@ -46,50 +45,6 @@ func TestSampleWordDistribution(t *testing.T) {
 	check(PatternOne, 0.2)
 	check(PatternFreq, 0.1)
 	check(PatternOther, 0.2)
-}
-
-func TestShortFlitFraction(t *testing.T) {
-	p := PatternProfile{Zero: 0.4, One: 0.1} // 50% redundant words
-	got := p.ShortFlitFraction(4)
-	if math.Abs(got-0.125) > 1e-12 { // 0.5^3
-		t.Errorf("short fraction = %v, want 0.125", got)
-	}
-	if f := p.ShortFlitFraction(1); f != 1 {
-		t.Errorf("1-layer short fraction = %v, want 1", f)
-	}
-}
-
-func TestSampleFlitLayersDistribution(t *testing.T) {
-	p := PatternProfile{Zero: 0.5, One: 0.0}
-	rng := rand.New(rand.NewSource(2))
-	const n = 100000
-	counts := make(map[uint8]int)
-	for i := 0; i < n; i++ {
-		counts[p.SampleFlitLayers(rng, 4)]++
-	}
-	// P(layers=4) = P(word3 not redundant) = 0.5
-	// P(layers=3) = 0.5 * 0.5; P(2) = 0.125; P(1) = 0.125.
-	wants := map[uint8]float64{4: 0.5, 3: 0.25, 2: 0.125, 1: 0.125}
-	for l, want := range wants {
-		got := float64(counts[l]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("P(layers=%d) = %.3f, want %.3f", l, got, want)
-		}
-	}
-}
-
-// Property: sampled layers are always within [1, layers].
-func TestSampleFlitLayersBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(z, o uint8, layers uint8) bool {
-		L := int(layers%6) + 1
-		p := PatternProfile{Zero: float64(z%100) / 200, One: float64(o%100) / 200}
-		got := p.SampleFlitLayers(rng, L)
-		return got >= 1 && int(got) <= L
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestShortFlitProfileSample(t *testing.T) {
