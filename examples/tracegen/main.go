@@ -13,9 +13,8 @@ import (
 	"path/filepath"
 
 	"mira/internal/cmp"
-	"mira/internal/core"
 	"mira/internal/exp"
-	"mira/internal/noc"
+	"mira/internal/scenario"
 	"mira/internal/traffic"
 )
 
@@ -24,8 +23,7 @@ func main() {
 	if len(os.Args) > 1 {
 		name = os.Args[1]
 	}
-	w, ok := cmp.ByName(name)
-	if !ok {
+	if _, ok := cmp.ByName(name); !ok {
 		fmt.Fprintf(os.Stderr, "unknown workload %q; available:", name)
 		for _, w := range cmp.Workloads {
 			fmt.Fprintf(os.Stderr, " %s", w.Name)
@@ -34,42 +32,42 @@ func main() {
 		os.Exit(2)
 	}
 
-	d := core.MustDesign(core.Arch2DB)
-	tr, stats, err := cmp.GenerateTrace(w, d.Topo, 20000, 11)
-	check(err)
-	fmt.Printf("generated %d packets (%d flits) over %d cycles\n",
-		len(tr.Events), tr.Flits(), tr.Span())
-	fmt.Printf("short flits: %.1f%%, control packets: %.0f%%\n",
-		stats.ShortFlitPct(), 100*stats.ControlPacketFrac())
-
-	path := filepath.Join(os.TempDir(), name+".trace")
-	f, err := os.Create(path)
-	check(err)
-	_, err = tr.WriteTo(f)
-	check(err)
-	check(f.Close())
-	fmt.Printf("wrote %s\n", path)
-
-	f, err = os.Open(path)
-	check(err)
-	loaded, err := traffic.ReadTrace(f)
-	check(err)
-	check(f.Close())
-	fmt.Printf("reloaded %d events (name %q)\n\n", len(loaded.Events), loaded.Name)
-
-	opts := exp.Options{Warmup: 1000, Measure: 8000, Drain: 20000, Seed: 1}
-	for _, arch := range []core.Arch{core.Arch2DB, core.Arch3DME} {
-		dd := core.MustDesign(arch)
-		// Regenerate on the design's own topology: node IDs differ
-		// between planar and stacked layouts.
-		trd, _, err := cmp.GenerateTrace(w, dd.Topo, 20000, 11)
+	// A "trace" scenario generates the trace on the design's own
+	// topology (node IDs differ between planar and stacked layouts).
+	sc := scenario.Scenario{
+		Traffic: scenario.Traffic{Kind: "trace", Workload: name, TraceCycles: 20000},
+		Warmup:  1000, Measure: 8000, Drain: 20000, Seed: 11,
+	}
+	for _, arch := range []string{"2DB", "3DM-E"} {
+		sc.Arch = arch
+		e, err := sc.Elaborate()
 		check(err)
-		net := noc.NewNetwork(dd.NoCConfig(noc.ByClass, 1))
-		sim := noc.NewSim(net, &traffic.Replayer{Trace: trd, Loop: true})
-		sim.Params = noc.SimParams{Warmup: opts.Warmup, Measure: opts.Measure, DrainMax: opts.Drain}
-		res := sim.Run(context.Background())
+		if arch == "2DB" { // write the first trace out and read it back
+			tr := e.Trace
+			fmt.Printf("generated %d packets (%d flits) over %d cycles\n",
+				len(tr.Events), tr.Flits(), tr.Span())
+			fmt.Printf("short flits: %.1f%%, control packets: %.0f%%\n",
+				e.Stats.ShortFlitPct(), 100*e.Stats.ControlPacketFrac())
+
+			path := filepath.Join(os.TempDir(), name+".trace")
+			f, err := os.Create(path)
+			check(err)
+			_, err = tr.WriteTo(f)
+			check(err)
+			check(f.Close())
+			fmt.Printf("wrote %s\n", path)
+
+			f, err = os.Open(path)
+			check(err)
+			loaded, err := traffic.ReadTrace(f)
+			check(err)
+			check(f.Close())
+			fmt.Printf("reloaded %d events (name %q)\n\n", len(loaded.Events), loaded.Name)
+		}
+		out, err := e.Run(context.Background())
+		check(err)
 		fmt.Printf("%-8s replay: %s  power=%.3f W\n",
-			arch, res.String(), exp.NetworkPowerW(dd, res, true))
+			arch, out.Result.String(), exp.NetworkPowerW(e.Design, out.Result, true))
 	}
 }
 

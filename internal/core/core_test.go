@@ -119,15 +119,6 @@ func TestLinkLengths(t *testing.T) {
 	}
 }
 
-func TestMultilayerFlags(t *testing.T) {
-	if MustDesign(Arch2DB).Multilayer() || MustDesign(Arch3DB).Multilayer() {
-		t.Errorf("planar designs must not be multilayer")
-	}
-	if !MustDesign(Arch3DM).Multilayer() || !MustDesign(Arch3DME).Multilayer() {
-		t.Errorf("3DM family must be multilayer")
-	}
-}
-
 func TestArchString(t *testing.T) {
 	if Arch3DME.String() != "3DM-E" || Arch2DB.String() != "2DB" {
 		t.Errorf("arch names wrong")

@@ -192,7 +192,3 @@ func (d *Design) NoCConfig(policy noc.VCPolicy, seed int64) noc.Config {
 		Seed:       seed,
 	}
 }
-
-// Multilayer reports whether the datapath is split across layers (the
-// short-flit shutdown then also reduces power density, not just energy).
-func (d *Design) Multilayer() bool { return d.AreaParams.Layers > 1 }

@@ -102,9 +102,6 @@ type Config struct {
 	// have priority for switch ports.
 	SpecSA bool
 
-	// Arb selects the allocator arbiter implementation.
-	Arb ArbPolicy
-
 	// QoSPriority gives control-class (request/coherence) flits switch
 	// priority over data flits (§3.3 suggests the spare 3DM bandwidth
 	// could serve QoS provisioning; this is the scheduling half).
@@ -148,25 +145,6 @@ func shardCores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 // autoShards picks the shard count for num routers: one per
 // autoShardRouters, at most shardCores (more only park, pool.go), at least one.
 func autoShards(num int) int { return max(1, min(num/autoShardRouters, shardCores())) }
-
-// ArbPolicy selects the arbiter used in the VA and SA allocators.
-type ArbPolicy uint8
-
-// Arbiter policies.
-const (
-	// ArbRoundRobin uses rotating-priority arbiters (strongly fair).
-	ArbRoundRobin ArbPolicy = iota
-	// ArbMatrix uses least-recently-served matrix arbiters, the classic
-	// hardware choice for the small allocators of Table 1.
-	ArbMatrix
-)
-
-func (a ArbPolicy) String() string {
-	if a == ArbMatrix {
-		return "matrix"
-	}
-	return "round-robin"
-}
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {

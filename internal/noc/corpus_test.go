@@ -25,7 +25,7 @@ type oracleShape struct {
 	Topo, Lat, Ser, ChipExpress       int // fabric; Lat/Ser/ChipExpress apply to the chip grid
 	Routing, Fault                    int
 	Lookahead, Spec, STLT             int // Fig. 8 pipeline variants
-	VCs, Depth, Arb, QoS, ByClass     int
+	VCs, Depth, QoS, ByClass          int
 	Rate, Pattern, Sizes, ShortLayers int // traffic
 	Shards, Checked, Probed, Cycles   int
 	LongLink                          int // chip grid: latency 16, 4:1 serialization in place of Lat/Ser
@@ -80,7 +80,7 @@ func (s *oracleShape) axes() []shapeAxis {
 		{&s.Topo, numTopos}, {&s.Lat, len(shapeLats)}, {&s.Ser, 3}, {&s.ChipExpress, 2},
 		{&s.Routing, numRoutes}, {&s.Fault, 2},
 		{&s.Lookahead, 2}, {&s.Spec, 2}, {&s.STLT, 2},
-		{&s.VCs, len(shapeVCs)}, {&s.Depth, len(shapeDepths)}, {&s.Arb, 2}, {&s.QoS, 2}, {&s.ByClass, 2},
+		{&s.VCs, len(shapeVCs)}, {&s.Depth, len(shapeDepths)}, {&s.QoS, 2}, {&s.ByClass, 2},
 		{&s.Rate, len(shapeRates)}, {&s.Pattern, 3}, {&s.Sizes, numSizes}, {&s.ShortLayers, 2},
 		{&s.Shards, len(shapeShards)}, {&s.Checked, 2}, {&s.Probed, 2}, {&s.Cycles, len(shapeCycles)},
 		{&s.LongLink, 2}, {&s.MoreShards, len(shapeMoreShards)}, {&s.ThreeLayers, 2}, {&s.Sim, 2},
@@ -110,7 +110,7 @@ func (s oracleShape) build(seed int64) (Config, Generator) {
 	cfg := Config{
 		STLTCycles: 1 + s.STLT, Layers: 4 - s.ThreeLayers, Seed: seed,
 		LookaheadRC: s.Lookahead == 1, SpecSA: s.Spec == 1,
-		BufDepth: shapeDepths[s.Depth], Arb: ArbPolicy(s.Arb), QoSPriority: s.QoS == 1,
+		BufDepth: shapeDepths[s.Depth], QoSPriority: s.QoS == 1,
 		Shards: shapeShards[s.Shards],
 	}
 	if n := shapeMoreShards[s.MoreShards]; n != 0 {
@@ -213,8 +213,8 @@ type corpusEntry struct {
 	shape oracleShape
 	seed  int64
 	// edge requires the run to reach the request mask's edge: flat VC
-	// 63 bidding for an output VC and, under round robin, a rotor left
-	// at 64 by a lone grant to it.
+	// 63 bidding for an output VC and a rotor left at 64 by a lone
+	// grant to it.
 	edge bool
 }
 
@@ -244,7 +244,7 @@ func (e corpusEntry) run(t testing.TB) {
 	if got := againstOracle(t, cfg, gen, shapeCycles[s.Cycles], opts); len(got) == 0 && e.name != "" {
 		t.Fatal("no traffic delivered; the entry is vacuous")
 	}
-	if e.edge && (topBids == 0 || (cfg.Arb == ArbRoundRobin && fullRotor == 0)) {
+	if e.edge && (topBids == 0 || fullRotor == 0) {
 		t.Fatalf("the mask's edge was not reached: flat VC 63 waited for a VC on %d router-cycles, a rotor stood at 64 on %d", topBids, fullRotor)
 	}
 	checkZeroLoad(t, cfg, rand.New(rand.NewSource(e.seed)), 6, 4)
@@ -298,7 +298,7 @@ func oracleCorpus() []corpusEntry {
 	pipelines := []named{
 		{"mesh-stlt2", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1}},
 		{"mesh-lookahead-spec", oracleShape{Topo: topoMesh, Lookahead: 1, Spec: 1, Rate: 1}},
-		{"mesh-qos-matrix", oracleShape{Topo: topoMesh, STLT: 1, QoS: 1, Arb: 1, Rate: 1}},
+		{"mesh-qos", oracleShape{Topo: topoMesh, STLT: 1, QoS: 1, Rate: 1}},
 		{"mesh3d", oracleShape{Topo: topoMesh3D, STLT: 1, Rate: 1}},
 		{"express-saturated", oracleShape{Topo: topoExpress, Rate: 3}},
 	}
@@ -324,7 +324,6 @@ func oracleCorpus() []corpusEntry {
 		{"mesh-stlt2", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1}},
 		{"mesh-stlt1-lookahead", oracleShape{Topo: topoMesh, Lookahead: 1, Rate: 1}},
 		{"mesh-spec-sa", oracleShape{Topo: topoMesh, STLT: 1, Spec: 1, Rate: 1}},
-		{"mesh-matrix-arb", oracleShape{Topo: topoMesh, STLT: 1, Arb: 1, Rate: 1}},
 		{"mesh-qos", oracleShape{Topo: topoMesh, STLT: 1, QoS: 1, Rate: 1}},
 		{"mesh3d", oracleShape{Topo: topoMesh3D, STLT: 1, Rate: 1}},
 		{"express-low", oracleShape{Topo: topoExpress, Rate: 0}},
@@ -360,21 +359,19 @@ func oracleCorpus() []corpusEntry {
 	}
 	// The 64-flat-VC edge: 4 ports x 16 VCs of depth 1, single flits at
 	// 0.6 with a hotspot (seed 41 reaches the edge in every combination),
-	// both arbiters with and without QoS and the short pipeline, checked
-	// mode as a complete Sim; the last one also at 3 shards.
+	// with and without QoS and the short pipeline, checked mode as a
+	// complete Sim; the last one also at 3 shards.
 	add("TestActivityMatchesFullScanSim/mesh-stlt2", 42, oracleShape{Topo: topoMesh, STLT: 1, VCs: 1, Depth: 3,
 		Sizes: sizesFour, Rate: 1, Checked: 1, Sim: 1, Cycles: 2})
-	for _, arb := range []int{0, 1} {
-		for _, qos := range []int{0, 1} {
-			for _, spec := range []int{0, 1} {
-				name := "wide-" + ArbPolicy(arb).String() + []string{"", "-qos"}[qos] + []string{"", "-spec"}[spec]
-				s := oracleShape{Topo: topoMeshWide, VCs: 4, Arb: arb, QoS: qos, Lookahead: spec, Spec: spec,
-					Rate: 3, Pattern: 1, Sizes: sizesOne, Checked: spec, Sim: spec & qos, Cycles: 2}
-				corpus = append(corpus, corpusEntry{name: "TestActivityMatchesFullScanSim/" + name, shape: s, seed: 41, edge: true})
-				if arb+qos+spec == 3 {
-					s.Checked, s.Shards = 0, 1
-					corpus = append(corpus, corpusEntry{name: "TestShardDeterminism/" + name, shape: s, seed: 41, edge: true})
-				}
+	for _, qos := range []int{0, 1} {
+		for _, spec := range []int{0, 1} {
+			name := "wide-round-robin" + []string{"", "-qos"}[qos] + []string{"", "-spec"}[spec]
+			s := oracleShape{Topo: topoMeshWide, VCs: 4, QoS: qos, Lookahead: spec, Spec: spec,
+				Rate: 3, Pattern: 1, Sizes: sizesOne, Checked: spec, Sim: spec & qos, Cycles: 2}
+			corpus = append(corpus, corpusEntry{name: "TestActivityMatchesFullScanSim/" + name, shape: s, seed: 41, edge: true})
+			if qos+spec == 2 {
+				s.Checked, s.Shards = 0, 1
+				corpus = append(corpus, corpusEntry{name: "TestShardDeterminism/" + name, shape: s, seed: 41, edge: true})
 			}
 		}
 	}
@@ -425,12 +422,12 @@ func oracleCorpus() []corpusEntry {
 		s.VCs, s.Depth, s.Sizes, s.Cycles = 1, 3, sizesFour, 2
 		add("TestInvariantsUnderLoad/"+c.name, 5, s)
 	}
-	// Every Fig. 8 pipeline on every fabric the paper compares, arbiter
-	// and QoS alternating.
+	// Every Fig. 8 pipeline on every fabric the paper compares, QoS
+	// alternating.
 	for i, topo := range []int{topoMesh, topoMesh3D, topoExpress} {
 		for p := 0; p < 8; p++ {
 			s := oracleShape{Topo: topo, Lookahead: p & 1, Spec: p >> 1 & 1, STLT: p >> 2, VCs: 1, Depth: 3,
-				Sizes: sizesFour, Rate: 1, Arb: p % 2, QoS: min(1, (8*i+p)%3)}
+				Sizes: sizesFour, Rate: 1, QoS: min(1, (8*i+p)%3)}
 			add(fmt.Sprintf("TestConfigMatrixDelivery/%s/la%d-spec%d-stlt%d", []string{"mesh", "mesh3d", "express"}[i],
 				s.Lookahead, s.Spec, 1+s.STLT), int64(8*i+p), s)
 		}
@@ -438,9 +435,9 @@ func oracleCorpus() []corpusEntry {
 	// Single-test corners: one VC reallocated by back-to-back packets of
 	// fixed flows; speculation on express links at saturation, per-cycle
 	// invariants included, also as a complete checked Sim; hop counts
-	// equal to the routing function's (checkZeroLoad); the matrix arbiter
-	// end to end; the backlog counters (queued and in-network flits
-	// against the oracle's every cycle) down to zero after a drain.
+	// equal to the routing function's (checkZeroLoad); the backlog
+	// counters (queued and in-network flits against the oracle's every
+	// cycle) down to zero after a drain.
 	add("TestVCReallocation/one-vc", 1, oracleShape{Topo: topoMesh, STLT: 1, VCs: 0, Depth: 3, Sizes: sizesFour,
 		Rate: 2, Pattern: 2, Checked: 1, Cycles: 2})
 	add("TestSpeculationInvariantsUnderContention/express", 1, oracleShape{Topo: topoExpress, Lookahead: 1, Spec: 1,
@@ -448,17 +445,15 @@ func oracleCorpus() []corpusEntry {
 	add("TestCheckedStepMode/express", 1, oracleShape{Topo: topoExpress, Lookahead: 1, Spec: 1, VCs: 1, Depth: 3,
 		Sizes: sizesFour, Rate: 2, Checked: 1, Sim: 1, Cycles: 1})
 	add("TestHopsMatchRouting/express", 3, oracleShape{Topo: topoExpress, VCs: 1, Depth: 3, Sizes: sizesFour, Rate: 1})
-	add("TestMatrixArbiterEndToEnd/mesh", 1, oracleShape{Topo: topoMesh, STLT: 1, Arb: 1, VCs: 1, Depth: 3,
-		Sizes: sizesFour, Rate: 1, Cycles: 2})
 	add("TestBacklogCounters/mesh", 1, oracleShape{Topo: topoMesh, STLT: 1, VCs: 1, Depth: 3, Sizes: sizesFour, Rate: 1, Cycles: 2})
 
 	// The seed corpus. PR 6's defect: SpecSA + LookaheadRC, single-flit
 	// packets, saturated.
 	for i, s := range []oracleShape{
 		{Topo: topoMesh, Lookahead: 1, Spec: 1, VCs: 1, Depth: 2, Rate: 3, Sizes: sizesOne, Cycles: 2},
-		// The mask's edge: 4 ports x 16 VCs = 64 flat VCs, both arbiters.
+		// The mask's edge: 4 ports x 16 VCs = 64 flat VCs.
 		{Topo: topoMeshWide, VCs: 4, Depth: 1, Rate: 2, Sizes: sizesFour, STLT: 1},
-		{Topo: topoMeshWide, VCs: 4, Depth: 1, Rate: 2, Sizes: sizesFour, Arb: 1, QoS: 1, Lookahead: 1, Spec: 1, Shards: 1},
+		{Topo: topoMeshWide, VCs: 4, Depth: 1, Rate: 2, Sizes: sizesFour, QoS: 1, Lookahead: 1, Spec: 1, Shards: 1},
 		// A lat:ser chip grid cut by three shards that ignore the chip tiling.
 		{Topo: topoChipGrid, Lat: 3, Ser: 2, VCs: 1, Depth: 2, Rate: 1, Sizes: sizesBimodal, ByClass: 1, Shards: 1, STLT: 1},
 		{Topo: topoChipGrid, Lat: 1, Ser: 1, ChipExpress: 1, VCs: 1, Depth: 1, Rate: 2, Pattern: 1, Sizes: sizesRandom, Spec: 1, Checked: 1},
@@ -466,7 +461,7 @@ func oracleCorpus() []corpusEntry {
 		// flits deep on the d2d wires, where the write correction lives.
 		{Topo: topoChipGrid, LongLink: 1, VCs: 1, Depth: 3, Rate: 2, Sizes: sizesFour, ShortLayers: 1, Cycles: 2},
 		// Few VCs, shallow buffers, a hotspot: VA contended every cycle.
-		{Topo: topoMesh, VCs: 0, Depth: 0, Rate: 2, Pattern: 1, Sizes: sizesFour, Arb: 1},
+		{Topo: topoMesh, VCs: 0, Depth: 0, Rate: 2, Pattern: 1, Sizes: sizesFour},
 		{Topo: topoMesh3D, VCs: 1, Depth: 1, Rate: 3, Pattern: 1, Sizes: sizesBimodal, ByClass: 1, QoS: 1, Shards: 1, ShortLayers: 1},
 		// West-first around a dead link; express channels at saturation.
 		{Topo: topoMesh, Routing: routeWestFirst, Fault: 1, VCs: 1, Depth: 2, Rate: 2, Pattern: 2, Sizes: sizesRandom, Lookahead: 1},
@@ -487,8 +482,8 @@ func oracleCorpus() []corpusEntry {
 }
 
 // FuzzOracle compares production against the oracle over generated
-// configurations: Fig. 8 pipeline variants x VCs x BufDepth x arbiter x
-// QoS x ByClass x fabric (mesh, 3D mesh, express, lat:ser chip grid) x
+// configurations: Fig. 8 pipeline variants x VCs x BufDepth x QoS x
+// ByClass x fabric (mesh, 3D mesh, express, lat:ser chip grid) x
 // routing x traffic x shards x checked mode. The seed corpus runs in
 // tier-1; CI runs the fuzzer time-boxed.
 func FuzzOracle(f *testing.F) {
@@ -536,7 +531,6 @@ func TestVCReallocation(t *testing.T)                           { runCorpus(t) }
 func TestSpeculationInvariantsUnderContention(t *testing.T)     { runCorpus(t) }
 func TestCheckedStepMode(t *testing.T)                          { runCorpus(t) }
 func TestHopsMatchRouting(t *testing.T)                         { runCorpus(t) }
-func TestMatrixArbiterEndToEnd(t *testing.T)                    { runCorpus(t) }
 func TestBacklogCounters(t *testing.T)                          { runCorpus(t) }
 
 func TestChipletDeterminismSuite(t *testing.T) {
@@ -651,7 +645,7 @@ func TestOracleTestdataShapes(t *testing.T) {
 	want := map[string]oracleShape{
 		// checkZeroLoad must let a lone packet's credits cross a slow d2d
 		// link (lat 6, 3:1 serialization) before the next one, at depth 2.
-		"ffddafdb88d332da": {Topo: topoChipGrid, Lat: 3, Ser: 2, Fault: 1, Spec: 1, Depth: 1, Arb: 1, QoS: 1,
+		"ffddafdb88d332da": {Topo: topoChipGrid, Lat: 3, Ser: 2, Fault: 1, Spec: 1, Depth: 1, QoS: 1,
 			Rate: 2, Sizes: sizesRandom, Cycles: 1},
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOracle", "*"))

@@ -16,7 +16,7 @@ import (
 // Counters record its results are compared in; it shares none of the
 // machinery the cycle kernel is built from: no flat arrays or windows,
 // no activity lists or sets, no request masks, no shards, mailboxes or
-// event rings, and its own arbiters (oRoundRobin, oMatrix).
+// event rings, and its own arbiter (oRoundRobin).
 //
 // What the two must agree on is the model (DESIGN.md §5):
 //
@@ -149,7 +149,7 @@ type oVC struct {
 type oOutVC struct {
 	reserved bool
 	credits  int
-	arb      oArbiter
+	arb      oRoundRobin
 }
 
 // oPort is one physical port, input and output side.
@@ -158,7 +158,7 @@ type oPort struct {
 	link     topology.Link // leaving through dir; zero for Local
 	in       []oVC
 	out      []oOutVC
-	sa       oArbiter
+	sa       oRoundRobin
 	inUsed   bool  // an input VC of this port won the switch this cycle
 	outUsed  bool  // this output was granted this cycle
 	linkFree int64 // first cycle a serializing link takes the next flit
@@ -178,10 +178,8 @@ type oNI struct {
 	vc    int
 }
 
-// oArbiter picks one of the requesters, or -1.
-type oArbiter interface{ pick(req []bool) int }
-
-// oRoundRobin gives the requester after the last winner first refusal.
+// oRoundRobin picks one of the requesters, or -1, giving the requester
+// after the last winner first refusal.
 type oRoundRobin struct{ next int }
 
 func (a *oRoundRobin) pick(req []bool) int {
@@ -194,58 +192,11 @@ func (a *oRoundRobin) pick(req []bool) int {
 	return -1
 }
 
-// oMatrix serves the least recently served requester: beats[i][j] says
-// i outranks j; a winner drops below everyone. Initially lower indices
-// outrank higher ones.
-type oMatrix struct{ beats [][]bool }
-
-func newOMatrix(n int) *oMatrix {
-	m := &oMatrix{beats: make([][]bool, n)}
-	for i := range m.beats {
-		m.beats[i] = make([]bool, n)
-		for j := i + 1; j < n; j++ {
-			m.beats[i][j] = true
-		}
-	}
-	return m
-}
-
-func (m *oMatrix) pick(req []bool) int {
-	for i := range req {
-		if !req[i] {
-			continue
-		}
-		wins := true
-		for j := range req {
-			if j != i && req[j] && !m.beats[i][j] {
-				wins = false
-			}
-		}
-		if wins {
-			for j := range req {
-				if j != i {
-					m.beats[i][j], m.beats[j][i] = false, true
-				}
-			}
-			return i
-		}
-	}
-	return -1
-}
-
-func newOArbiter(p ArbPolicy, n int) oArbiter {
-	if p == ArbMatrix {
-		return newOMatrix(n)
-	}
-	return &oRoundRobin{}
-}
-
 func newOracle(cfg Config) *oracle {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	o := &oracle{cfg: cfg, nis: make([]oNI, cfg.Topo.NumNodes())}
-	newArb := func(n int) oArbiter { return newOArbiter(cfg.Arb, n) }
 	for id := 0; id < cfg.Topo.NumNodes(); id++ {
 		r := &oRouter{id: topology.NodeID(id)}
 		for i := range r.portOf {
@@ -253,13 +204,10 @@ func newOracle(cfg Config) *oracle {
 		}
 		dirs := cfg.Topo.Ports(r.id)
 		for pi, d := range dirs {
-			p := oPort{dir: d, in: make([]oVC, cfg.VCs), out: make([]oOutVC, cfg.VCs), sa: newArb(len(dirs) * cfg.VCs)}
+			p := oPort{dir: d, in: make([]oVC, cfg.VCs), out: make([]oOutVC, cfg.VCs)}
 			if d != topology.Local {
 				p.link, _ = cfg.Topo.OutLink(r.id, d)
-			}
-			for v := range p.out {
-				p.out[v].arb = newArb(len(dirs) * cfg.VCs)
-				if d != topology.Local {
+				for v := range p.out {
 					p.out[v].credits = cfg.BufDepth
 				}
 			}

@@ -178,9 +178,6 @@ type Router struct {
 	// is free again (window; meaningful only for serMask ports, where
 	// forward stamps cycle + serCycles).
 	serFree []int64
-	// reqScratch is the all-false []bool request vector of grantMask's
-	// matrix delegation (window over flat input-VC indices).
-	reqScratch []bool
 
 	// portOf/vcOf invert the flat VC index without divisions (windows).
 	portOf []int8
@@ -285,7 +282,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.routeTo = st.routeTo[portBase : portBase+nP]
 	r.portVCs = 1<<uint(cfg.VCs) - 1
 
-	r.reqScratch = st.reqScratch[vcBase : vcBase+nVC]
 	_, r.algXY = cfg.Alg.(routing.XY)
 	r.portOf = st.portOf[vcBase : vcBase+nVC]
 	r.vcOf = st.vcOf[vcBase : vcBase+nVC]
@@ -309,9 +305,9 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 				r.serMask |= 1 << uint(oi)
 			}
 		}
-		r.saArb(oi).init(cfg.Arb, nVC)
+		r.saArb(oi).init(nVC)
 		for ov := 0; ov < cfg.VCs; ov++ {
-			r.vaArb(oi, ov).init(cfg.Arb, nVC)
+			r.vaArb(oi, ov).init(nVC)
 		}
 	}
 }
@@ -481,7 +477,7 @@ func (r *Router) stepVA(cycle int64) {
 			g := bits.TrailingZeros64(mask)
 			if mask&(mask-1) == 0 {
 				r.vaArb(oi, ov).grantSingle(g)
-			} else if g = r.vaArb(oi, ov).grantMask(mask, r.reqScratch); g < 0 {
+			} else if g = r.vaArb(oi, ov).grantMask(mask); g < 0 {
 				continue
 			}
 			ready &^= 1 << uint(g)
@@ -626,7 +622,7 @@ func (r *Router) saGrantPort(cycle int64, oi int, req uint64) {
 	g := bits.TrailingZeros64(mask)
 	if mask&(mask-1) == 0 {
 		r.saArb(oi).grantSingle(g)
-	} else if g = r.saArb(oi).grantMask(mask, r.reqScratch); g < 0 {
+	} else if g = r.saArb(oi).grantMask(mask); g < 0 {
 		return
 	}
 	r.claim(g, oi)

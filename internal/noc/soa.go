@@ -95,9 +95,7 @@ type soaState struct {
 	credits  []int32
 
 	// Arbiter state, indexed by (portBase(r)+oi)*(1+VCs): the SA
-	// arbiter first, then the VCs' VA arbiters. Round-robin rotors live
-	// inline; matrix arbiters hang off a pointer (their n x n priority
-	// state has no fixed-size slot).
+	// arbiter first, then the VCs' VA arbiters.
 	arbs []arbState
 
 	// serFree is the per-output-port link-class lane: the first cycle
@@ -112,8 +110,7 @@ type soaState struct {
 	// ownerOf maps a global flat VC index back to its router's index,
 	// so event delivery decodes an int32 arrival word without any
 	// per-event metadata.
-	ownerOf    []int32
-	reqScratch []bool
+	ownerOf []int32
 }
 
 // newSoAState allocates the flat arrays for totalVCs flat VC slots and
@@ -140,7 +137,6 @@ func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 		portOf:     make([]int8, totalVCs),
 		vcOf:       make([]int8, totalVCs),
 		ownerOf:    make([]int32, totalVCs),
-		reqScratch: make([]bool, totalVCs),
 	}
 	return st
 }

@@ -231,22 +231,6 @@ func (s *Sampler) Latest() (cycle int64, row []float64, ok bool) {
 	return s.cycles[len(s.cycles)-1], slices.Clone(s.rows[len(s.rows)-1]), true
 }
 
-// Series returns the time series of one metric (one value per sampled
-// window), or nil if the metric is unknown.
-func (s *Sampler) Series(name string) []float64 {
-	i, ok := s.reg.byName[name]
-	if !ok {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.rows))
-	for j, row := range s.rows {
-		out[j] = row[i]
-	}
-	return out
-}
-
 // Table exports every sampled window as a stats.Table: a "cycle" column,
 // one column per metric in registration order, and a trailing "partial"
 // flag column (1 on the final short window emitted by Final, else 0).

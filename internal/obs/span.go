@@ -111,9 +111,6 @@ type FlitSpan struct {
 	Hops    []HopSpan `json:"hops"`
 }
 
-// QueueWait is the source-NI queueing delay (creation to injection).
-func (s FlitSpan) QueueWait() int64 { return s.Inject - s.Created }
-
 // Network is the inject-to-eject latency — identical to the live
 // collector's per-flit latency and to the sum of the hop stages.
 func (s FlitSpan) Network() int64 { return s.Eject - s.Inject }

@@ -10,7 +10,7 @@ func chipGrid(express bool) *topology.Topology {
 	return topology.NewChipGrid(topology.ChipGridSpec{
 		ChipsX: 3, ChipsY: 2, NodesX: 3, NodesY: 3,
 		PitchMM: 3.1, D2DLatency: 4, D2DSerCycles: 2,
-		Express: express, ExpressLatency: 6,
+		Express: express,
 	})
 }
 

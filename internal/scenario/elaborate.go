@@ -90,9 +90,6 @@ func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 	cfg.LookaheadRC = s.LookaheadRC
 	cfg.SpecSA = s.SpecSA
 	cfg.QoSPriority = s.QoSPriority
-	if s.MatrixArb {
-		cfg.Arb = noc.ArbMatrix
-	}
 	mode, err := noc.ParseStepMode(s.StepMode)
 	if err != nil {
 		return nil, noc.Config{}, err
@@ -137,11 +134,7 @@ func (s Scenario) Elaborate() (*Elaboration, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, ok := lookupTraffic(s.Traffic.Kind)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown traffic kind %q", s.Traffic.Kind)
-	}
-	built, err := b.Build(s, d)
+	built, err := builders[s.Traffic.Kind].Build(s, d)
 	if err != nil {
 		return nil, err
 	}

@@ -24,13 +24,13 @@ import (
 	"mira/internal/topology"
 )
 
-// Traffic describes the workload half of a scenario. Kind selects a
-// registered traffic builder (see RegisterTraffic); the remaining fields
+// Traffic describes the workload half of a scenario. Kind selects one
+// of the fixed traffic builders (traffic.go); the remaining fields
 // parameterize it and are ignored by kinds that do not use them.
 type Traffic struct {
 	// Kind names the traffic builder: "ur", "nuca", "transpose",
-	// "complement", "tornado", "hotspot", "trace" or "replay" are
-	// built in. Empty is allowed only for config-only elaboration
+	// "complement", "tornado", "hotspot", "trace", "replay" or
+	// "collective". Empty is allowed only for config-only elaboration
 	// (NoCConfig), where traffic is supplied externally, e.g. by the
 	// closed-loop CMP co-simulation.
 	Kind string `json:"kind"`
@@ -48,14 +48,9 @@ type Traffic struct {
 	TraceCycles int64 `json:"trace_cycles,omitempty"`
 	// TraceFile is a recorded trace to replay ("replay" kind).
 	TraceFile string `json:"trace_file,omitempty"`
-	// BankDelay is the L2 bank access latency of the "nuca" kind;
-	// 0 means the default 24 cycles (bank access + request traversal).
-	BankDelay int64 `json:"bank_delay,omitempty"`
-	// HotFrac is the probability a "hotspot" packet targets a hot node.
+	// HotFrac is the probability a "hotspot" packet targets a hot node
+	// (the four chip-centre nodes of the 6-wide floorplans).
 	HotFrac float64 `json:"hot_frac,omitempty"`
-	// Hot lists explicit hotspot node IDs; empty means the chip-centre
-	// default (the four centre nodes of the 6-wide floorplans).
-	Hot []int `json:"hot,omitempty"`
 	// Collective parameterizes the "collective" kind (required for it,
 	// ignored otherwise).
 	Collective *Collective `json:"collective,omitempty"`
@@ -171,7 +166,6 @@ type Scenario struct {
 	LookaheadRC bool `json:"lookahead_rc,omitempty"`
 	SpecSA      bool `json:"spec_sa,omitempty"`
 	QoSPriority bool `json:"qos_priority,omitempty"`
-	MatrixArb   bool `json:"matrix_arb,omitempty"`
 
 	// Routing overrides the routing algorithm: "" or "xy" for the
 	// architecture default, "westfirst" for fault-tolerant west-first
@@ -199,10 +193,8 @@ type Chips struct {
 	D2DLatency   int `json:"d2d_latency,omitempty"`
 	D2DSerCycles int `json:"d2d_ser_cycles,omitempty"`
 	// Express adds full-width inter-chip express channels between
-	// matching boundary nodes of adjacent chips; ExpressLatency
-	// overrides their latency (0 = D2DLatency).
-	Express        bool `json:"express,omitempty"`
-	ExpressLatency int  `json:"express_latency,omitempty"`
+	// matching boundary nodes of adjacent chips, at D2DLatency.
+	Express bool `json:"express,omitempty"`
 }
 
 // spec converts the JSON block to a topology builder spec; pitch is the
@@ -214,7 +206,7 @@ func (c *Chips) spec(pitchMM float64) topology.ChipGridSpec {
 		PitchMM:      pitchMM,
 		D2DLatency:   c.D2DLatency,
 		D2DSerCycles: c.D2DSerCycles,
-		Express:      c.Express, ExpressLatency: c.ExpressLatency,
+		Express:      c.Express,
 	}
 }
 
@@ -327,7 +319,7 @@ func (s Scenario) validateCore() error {
 }
 
 // Validate checks the scenario is fully specified and internally
-// consistent: a known architecture, a registered traffic kind whose
+// consistent: a known architecture, a known traffic kind whose
 // parameters pass the kind's own checks, sane windows and overrides.
 // Elaborate validates implicitly; exp.RunBatch rejects invalid
 // scenarios per entry instead of failing the batch.
@@ -335,17 +327,17 @@ func (s Scenario) Validate() error {
 	if err := s.validateCore(); err != nil {
 		return err
 	}
-	b, ok := lookupTraffic(s.Traffic.Kind)
+	b, ok := builders[s.Traffic.Kind]
 	if !ok {
-		return fmt.Errorf("scenario: unknown traffic kind %q (registered: %s)",
-			s.Traffic.Kind, strings.Join(TrafficKinds(), ", "))
-	}
-	if b.Validate != nil {
-		if err := b.Validate(s); err != nil {
-			return err
+		kinds := make([]string, 0, len(builders))
+		for k := range builders {
+			kinds = append(kinds, k)
 		}
+		slices.Sort(kinds)
+		return fmt.Errorf("scenario: unknown traffic kind %q (known: %s)",
+			s.Traffic.Kind, strings.Join(kinds, ", "))
 	}
-	return nil
+	return b.Validate(s)
 }
 
 // MarshalIndent renders the scenario as formatted JSON.

@@ -19,12 +19,12 @@ func full() Scenario {
 	return Scenario{
 		Arch: "3DM",
 		Traffic: Traffic{
-			Kind: "hotspot", Rate: 0.2, ShortFrac: 0.25, HotFrac: 0.5, Hot: []int{3, 7},
+			Kind: "hotspot", Rate: 0.2, ShortFrac: 0.25, HotFrac: 0.5,
 		},
 		Warmup: 100, Measure: 500, Drain: 1000, Seed: 7,
 		StepMode: "checked",
 		VCs:      4, BufDepth: 4, STLTCycles: 2,
-		LookaheadRC: true, SpecSA: true, QoSPriority: true, MatrixArb: true,
+		LookaheadRC: true, SpecSA: true, QoSPriority: true,
 		Routing: "westfirst",
 		Faults:  []Fault{{Src: 2, Dir: "east"}},
 	}
@@ -70,13 +70,17 @@ func TestJSONOmitsDefaults(t *testing.T) {
 	}
 }
 
-// TestDecodeStrict: a misspelled key, at the top level or nested, and
-// trailing data fail naming the problem, in Decode and DecodeBatch
-// alike, instead of running with the field at its default.
+// TestDecodeStrict: a misspelled or retired key, at the top level or
+// nested, and trailing data fail naming the problem, in Decode and
+// DecodeBatch alike, instead of running with the field at its default.
 func TestDecodeStrict(t *testing.T) {
 	for _, c := range []struct{ in, want string }{
 		{`{"arch": "2DB", "shard": 4}`, `unknown field "shard"`},
 		{`{"arch": "2DB", "traffic": {"kind": "ur", "rat": 0.1}}`, `unknown field "rat"`},
+		{`{"arch": "2DB", "matrix_arb": true}`, `unknown field "matrix_arb"`},
+		{`{"arch": "2DB", "traffic": {"kind": "nuca", "bank_delay": 24}}`, `unknown field "bank_delay"`},
+		{`{"arch": "2DB", "traffic": {"kind": "hotspot", "hot": [14]}}`, `unknown field "hot"`},
+		{`{"arch": "2DB", "chips": {"chips_x": 2, "express_latency": 6}}`, `unknown field "express_latency"`},
 	} {
 		if _, err := Decode([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Decode(%s) err = %v, want %q", c.in, err, c.want)
@@ -220,11 +224,7 @@ func TestValidateRejections(t *testing.T) {
 		{"empty traffic kind", mod(func(s *Scenario) { s.Traffic.Kind = "" }), "unknown traffic kind"},
 		{"ur zero rate", mod(func(s *Scenario) { s.Traffic.Rate = 0 }), "rate"},
 		{"short frac above one", mod(func(s *Scenario) { s.Traffic.ShortFrac = 1.5 }), "short_frac"},
-		{"nuca negative bank delay", mod(func(s *Scenario) { s.Traffic = Traffic{Kind: "nuca", Rate: 0.1, BankDelay: -1} }), "bank_delay"},
 		{"hotspot zero hot frac", mod(func(s *Scenario) { s.Traffic = Traffic{Kind: "hotspot", Rate: 0.1} }), "hot_frac"},
-		{"hotspot negative hot node", mod(func(s *Scenario) {
-			s.Traffic = Traffic{Kind: "hotspot", Rate: 0.1, HotFrac: 0.5, Hot: []int{-3}}
-		}), "negative"},
 		{"trace unknown workload", mod(func(s *Scenario) {
 			s.Traffic = Traffic{Kind: "trace", Workload: "nosuch", TraceCycles: 100}
 		}), "workload"},
@@ -272,11 +272,6 @@ func TestValidateAccepts(t *testing.T) {
 // elaborated topology.
 func TestElaborateBuildErrors(t *testing.T) {
 	sc := ur()
-	sc.Traffic = Traffic{Kind: "hotspot", Rate: 0.1, HotFrac: 0.5, Hot: []int{999}}
-	if _, err := sc.Elaborate(); err == nil || !strings.Contains(err.Error(), "outside") {
-		t.Errorf("out-of-range hot node not rejected: %v", err)
-	}
-	sc = ur()
 	sc.Traffic = Traffic{Kind: "replay", TraceFile: "testdata/does-not-exist.trace"}
 	if _, err := sc.Elaborate(); err == nil {
 		t.Error("missing trace file not rejected")
@@ -308,9 +303,6 @@ func TestNoCConfigOverrides(t *testing.T) {
 	}
 	if !cfg.LookaheadRC || !cfg.SpecSA || !cfg.QoSPriority {
 		t.Error("pipeline options not applied")
-	}
-	if cfg.Arb != noc.ArbMatrix {
-		t.Error("matrix arbiter not applied")
 	}
 	if cfg.Mode != noc.StepChecked {
 		t.Errorf("step mode = %v, want checked", cfg.Mode)
@@ -387,10 +379,18 @@ func TestElaborationRun(t *testing.T) {
 	}
 }
 
+// TestTrafficKindsRegistered: an unknown kind's error lists the fixed
+// table's kinds sorted, and each has both funcs.
 func TestTrafficKindsRegistered(t *testing.T) {
-	kinds := TrafficKinds()
-	want := []string{"collective", "complement", "hotspot", "nuca", "replay", "tornado", "trace", "transpose", "ur"}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Errorf("registered kinds = %v, want %v", kinds, want)
+	sc := ur()
+	sc.Traffic.Kind = "bursty"
+	want := "(known: collective, complement, hotspot, nuca, replay, tornado, trace, transpose, ur)"
+	if err := sc.Validate(); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("unknown kind error = %v, want it to end %s", err, want)
+	}
+	for k, b := range builders {
+		if b.Validate == nil || b.Build == nil {
+			t.Errorf("kind %q lacks a Validate or Build func", k)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 
 	"mira/internal/cmp"
 	"mira/internal/collective"
@@ -31,48 +29,12 @@ type Built struct {
 	Collective *collective.Engine
 }
 
-// Builder constructs one traffic kind. Validate (optional) checks the
+// Builder constructs one traffic kind. Validate checks the
 // scenario's traffic parameters without elaborating a design; Build
 // produces the generator against the elaborated design's topology.
 type Builder struct {
 	Validate func(sc Scenario) error
 	Build    func(sc Scenario, d *core.Design) (Built, error)
-}
-
-var (
-	trafficMu sync.RWMutex
-	builders  = map[string]Builder{}
-)
-
-// RegisterTraffic adds (or replaces) a traffic kind. The built-in kinds
-// are registered at init; external packages may add their own before
-// elaborating scenarios that use them.
-func RegisterTraffic(kind string, b Builder) {
-	if kind == "" || b.Build == nil {
-		panic("scenario: RegisterTraffic needs a kind name and a Build func")
-	}
-	trafficMu.Lock()
-	defer trafficMu.Unlock()
-	builders[kind] = b
-}
-
-func lookupTraffic(kind string) (Builder, bool) {
-	trafficMu.RLock()
-	defer trafficMu.RUnlock()
-	b, ok := builders[kind]
-	return b, ok
-}
-
-// TrafficKinds lists the registered kinds, sorted.
-func TrafficKinds() []string {
-	trafficMu.RLock()
-	defer trafficMu.RUnlock()
-	kinds := make([]string, 0, len(builders))
-	for k := range builders {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }
 
 // shortProfile is the layer-shutdown sampling profile shared by the
@@ -103,8 +65,9 @@ func validateProtocol(p string) (cmp.Protocol, error) {
 	return cmp.MESI, fmt.Errorf("scenario: unknown protocol %q (want \"mesi\" or \"moesi\")", p)
 }
 
-func init() {
-	RegisterTraffic("ur", Builder{
+// builders is the fixed table of traffic kinds, keyed by Traffic.Kind.
+var builders = map[string]Builder{
+	"ur": {
 		Validate: validateRate,
 		Build: func(sc Scenario, d *core.Design) (Built, error) {
 			return Built{
@@ -117,62 +80,29 @@ func init() {
 				Policy: noc.AnyFree,
 			}, nil
 		},
-	})
+	},
 
-	RegisterTraffic("nuca", Builder{
-		Validate: func(sc Scenario) error {
-			if err := validateRate(sc); err != nil {
-				return err
-			}
-			if sc.Traffic.BankDelay < 0 {
-				return fmt.Errorf("scenario: bank_delay = %d, need >= 0", sc.Traffic.BankDelay)
-			}
-			return nil
-		},
+	"nuca": {
+		Validate: validateRate,
 		Build: func(sc Scenario, d *core.Design) (Built, error) {
-			bank := sc.Traffic.BankDelay
-			if bank == 0 {
-				bank = 24 // request traversal + L2 bank access
-			}
 			return Built{
 				Gen: &traffic.NUCA{
 					Topo:          d.Topo,
 					InjectionRate: sc.Traffic.Rate,
 					RequestSize:   core.ControlPacketFlits,
 					ResponseSize:  core.DataPacketFlits,
-					BankDelay:     bank,
 					ShortFlits:    shortProfile(sc),
 				},
 				Policy: noc.ByClass,
 			}, nil
 		},
-	})
+	},
 
-	for kind, dst := range map[string]traffic.DstFunc{
-		"transpose":  traffic.Transpose,
-		"complement": traffic.Complement,
-		"tornado":    traffic.Tornado,
-	} {
-		kind, dst := kind, dst
-		RegisterTraffic(kind, Builder{
-			Validate: validateRate,
-			Build: func(sc Scenario, d *core.Design) (Built, error) {
-				gen := &traffic.Permutation{
-					Topo:          d.Topo,
-					InjectionRate: sc.Traffic.Rate,
-					PacketSize:    core.DataPacketFlits,
-					Dst:           dst,
-					Name:          kind,
-				}
-				if err := gen.Validate(); err != nil {
-					return Built{}, err
-				}
-				return Built{Gen: gen, Policy: noc.AnyFree}, nil
-			},
-		})
-	}
+	"transpose":  permutation("transpose", traffic.Transpose),
+	"complement": permutation("complement", traffic.Complement),
+	"tornado":    permutation("tornado", traffic.Tornado),
 
-	RegisterTraffic("hotspot", Builder{
+	"hotspot": {
 		Validate: func(sc Scenario) error {
 			if err := validateRate(sc); err != nil {
 				return err
@@ -180,32 +110,17 @@ func init() {
 			if sc.Traffic.HotFrac <= 0 || sc.Traffic.HotFrac > 1 {
 				return fmt.Errorf("scenario: hotspot needs hot_frac in (0, 1], got %g", sc.Traffic.HotFrac)
 			}
-			for _, id := range sc.Traffic.Hot {
-				if id < 0 {
-					return fmt.Errorf("scenario: hot node %d is negative", id)
-				}
-			}
 			return nil
 		},
 		Build: func(sc Scenario, d *core.Design) (Built, error) {
+			// The hot set is the chip centre of the 6-wide floorplans
+			// (four nodes on the top layer; degenerates to one node on
+			// 3DB's 3x3 layers).
 			var hot []topology.NodeID
-			if len(sc.Traffic.Hot) > 0 {
-				for _, id := range sc.Traffic.Hot {
-					if id >= d.Topo.NumNodes() {
-						return Built{}, fmt.Errorf("scenario: hot node %d outside %s's %d nodes",
-							id, d.Arch, d.Topo.NumNodes())
-					}
-					hot = append(hot, topology.NodeID(id))
-				}
-			} else {
-				// Default hot set: the chip centre of the 6-wide
-				// floorplans (four nodes on the top layer; degenerates
-				// to one node on 3DB's 3x3 layers).
-				for _, n := range d.Topo.Nodes() {
-					c := n.Coord
-					if (c.X == 2 || c.X == 3) && (c.Y == 2 || c.Y == 3) && c.Z == d.Topo.ZDim-1 {
-						hot = append(hot, n.ID)
-					}
+			for _, n := range d.Topo.Nodes() {
+				c := n.Coord
+				if (c.X == 2 || c.X == 3) && (c.Y == 2 || c.Y == 3) && c.Z == d.Topo.ZDim-1 {
+					hot = append(hot, n.ID)
 				}
 			}
 			return Built{
@@ -219,9 +134,9 @@ func init() {
 				Policy: noc.AnyFree,
 			}, nil
 		},
-	})
+	},
 
-	RegisterTraffic("trace", Builder{
+	"trace": {
 		Validate: func(sc Scenario) error {
 			if _, ok := cmp.ByName(sc.Traffic.Workload); !ok {
 				return fmt.Errorf("scenario: unknown workload %q", sc.Traffic.Workload)
@@ -249,15 +164,15 @@ func init() {
 			}
 			tr, st := sys.Run(sc.Traffic.TraceCycles)
 			return Built{
-				Gen:    &traffic.Replayer{Trace: tr, Loop: true},
+				Gen:    &traffic.Replayer{Trace: tr},
 				Policy: noc.ByClass,
 				Trace:  tr,
 				Stats:  st,
 			}, nil
 		},
-	})
+	},
 
-	RegisterTraffic("collective", Builder{
+	"collective": {
 		Validate: func(sc Scenario) error {
 			c := sc.Traffic.Collective
 			if c == nil {
@@ -297,9 +212,9 @@ func init() {
 			}
 			return Built{Gen: eng, Policy: noc.AnyFree, Collective: eng}, nil
 		},
-	})
+	},
 
-	RegisterTraffic("replay", Builder{
+	"replay": {
 		Validate: func(sc Scenario) error {
 			if sc.Traffic.TraceFile == "" {
 				return fmt.Errorf("scenario: replay kind needs trace_file")
@@ -323,10 +238,30 @@ func init() {
 				}
 			}
 			return Built{
-				Gen:    &traffic.Replayer{Trace: tr, Loop: true},
+				Gen:    &traffic.Replayer{Trace: tr},
 				Policy: noc.ByClass,
 				Trace:  tr,
 			}, nil
 		},
-	})
+	},
+}
+
+// permutation builds a fixed-destination permutation kind.
+func permutation(kind string, dst traffic.DstFunc) Builder {
+	return Builder{
+		Validate: validateRate,
+		Build: func(sc Scenario, d *core.Design) (Built, error) {
+			gen := &traffic.Permutation{
+				Topo:          d.Topo,
+				InjectionRate: sc.Traffic.Rate,
+				PacketSize:    core.DataPacketFlits,
+				Dst:           dst,
+				Name:          kind,
+			}
+			if err := gen.Validate(); err != nil {
+				return Built{}, err
+			}
+			return Built{Gen: gen, Policy: noc.AnyFree}, nil
+		},
+	}
 }

@@ -63,10 +63,6 @@ type runState struct {
 type Server struct {
 	scs []scenario.Scenario
 
-	// StallAfter overrides the /healthz liveness threshold
-	// (0 = DefaultStallAfter). Set before serving the handler.
-	StallAfter time.Duration
-
 	mu   sync.Mutex
 	runs []runState
 }
@@ -137,14 +133,10 @@ func (s *Server) Handler() http.Handler {
 // handleHealthz is the liveness probe. The first line is "ok" or
 // "stalled" (machine-checkable); detail lines follow. A run counts as
 // stalled when it is running, carries an engine collector, and its last
-// observed cycle advance is older than StallAfter — then the probe
+// observed cycle advance is older than DefaultStallAfter — then the probe
 // answers 503 so an orchestrator can restart a simulation whose shard
 // barrier hung even though the process (and this handler) stays alive.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	stallAfter := s.StallAfter
-	if stallAfter <= 0 {
-		stallAfter = DefaultStallAfter
-	}
 	now := time.Now()
 	s.mu.Lock()
 	counts := map[string]int{}
@@ -153,7 +145,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		r := &s.runs[i]
 		counts[r.state]++
 		if r.state == StateRunning && r.progress != nil {
-			if age := now.Sub(r.progress()); age > stallAfter {
+			if age := now.Sub(r.progress()); age > DefaultStallAfter {
 				stalled = append(stalled,
 					fmt.Sprintf("run %d: no cycle progress for %s", i, age.Round(time.Second)))
 			}

@@ -210,7 +210,6 @@ func TestNewForcesObserve(t *testing.T) {
 // the real one is EngineCollector.LastProgress, wired in Run's OnStart.
 func TestHealthzStallDetection(t *testing.T) {
 	srv := New(testBatch()[:1])
-	srv.StallAfter = time.Second
 	srv.mu.Lock()
 	srv.runs[0].state = StateRunning
 	srv.runs[0].progress = func() time.Time { return time.Now() }

@@ -1,6 +1,6 @@
 // Package stats provides lightweight metric accumulators used throughout
 // the simulator: running means (Welford), unit-bin histograms with exact
-// percentiles, windowed time series, and a plain-text/CSV/JSON table.
+// percentiles, and a plain-text/CSV/JSON table.
 //
 // These are the numeric substrate of the paper's evaluation artifacts:
 // Histogram supplies the latency distributions behind the Fig. 11 curves
@@ -47,21 +47,6 @@ func (m *Mean) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
-// AddN records the same observation n times. It applies the batched
-// (Chan et al.) form of the Welford update in O(1): n identical
-// observations form a degenerate accumulator with mean x and zero
-// spread, which Merge folds in exactly. For an empty accumulator the
-// result is bit-identical to n repeated Add calls; after prior
-// observations it can differ from the iterated form only in the last
-// few ULPs (the iterated form accumulates n rounding steps, the batched
-// form one).
-func (m *Mean) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	m.Merge(&Mean{n: n, mean: x, min: x, max: x})
-}
-
 // N returns the number of observations.
 func (m *Mean) N() int64 { return m.n }
 
@@ -92,33 +77,6 @@ func (m *Mean) StdErr() float64 {
 	}
 	return m.StdDev() / math.Sqrt(float64(m.n))
 }
-
-// Merge folds other into m, as if every observation of other had been
-// added to m.
-func (m *Mean) Merge(other *Mean) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n := m.n + other.n
-	d := other.mean - m.mean
-	mean := m.mean + d*float64(other.n)/float64(n)
-	m.m2 += other.m2 + d*d*float64(m.n)*float64(other.n)/float64(n)
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
-	m.mean = mean
-	m.n = n
-}
-
-// Reset discards all observations.
-func (m *Mean) Reset() { *m = Mean{} }
 
 // String summarizes the accumulator.
 func (m *Mean) String() string {
@@ -181,44 +139,6 @@ func (h *Histogram) Percentile(q float64) int {
 		}
 	}
 	return len(h.bins)
-}
-
-// Series records a value per fixed-size window of cycles, for saturation
-// detection and warm-up trimming.
-type Series struct {
-	Window int64 // cycles per window; 0 means 1000
-	points []float64
-	cur    Mean
-	curEnd int64
-}
-
-// Observe records an observation at the given cycle. Cycles must be
-// non-decreasing across calls.
-func (s *Series) Observe(cycle int64, v float64) {
-	w := s.Window
-	if w <= 0 {
-		w = 1000
-	}
-	if s.curEnd == 0 {
-		s.curEnd = w
-	}
-	for cycle >= s.curEnd {
-		s.points = append(s.points, s.cur.Mean())
-		s.cur.Reset()
-		s.curEnd += w
-	}
-	s.cur.Add(v)
-}
-
-// Points returns the completed window means.
-func (s *Series) Points() []float64 { return s.points }
-
-// Last returns the mean of the most recent completed window, or 0.
-func (s *Series) Last() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1]
 }
 
 // Median returns the median of a slice (which it sorts in place).

@@ -33,12 +33,9 @@ type ChipGridSpec struct {
 	// Express adds inter-chip express channels: every boundary node on
 	// a chip's east (south) edge links to the matching boundary node
 	// one whole chip ahead, skipping the interior — MIRA's 3DM-E
-	// express cubes at chip scale. Express links are full width.
+	// express cubes at chip scale. Express links are full width and
+	// take D2DLatency (one die gap plus a chip of dedicated wire).
 	Express bool
-	// ExpressLatency is the express-channel latency in cycles
-	// (0 = D2DLatency; the link crosses one die gap plus a chip of
-	// dedicated wire).
-	ExpressLatency int
 }
 
 // maxD2DLatency bounds the configurable link delays so the simulator's
@@ -59,9 +56,6 @@ func (s ChipGridSpec) Validate() error {
 	}
 	if s.D2DSerCycles < 0 || s.D2DSerCycles > maxD2DLatency {
 		return fmt.Errorf("topology: d2d serialization %d, need 0..%d", s.D2DSerCycles, maxD2DLatency)
-	}
-	if s.ExpressLatency < 0 || s.ExpressLatency > maxD2DLatency {
-		return fmt.Errorf("topology: express latency %d, need 0..%d", s.ExpressLatency, maxD2DLatency)
 	}
 	return nil
 }
@@ -115,10 +109,6 @@ func NewChipGrid(spec ChipGridSpec) *Topology {
 		}
 	}
 	if spec.Express {
-		elat := int32(spec.ExpressLatency)
-		if elat == 0 {
-			elat = lat
-		}
 		// An express hop runs from a chip's trailing boundary node to
 		// the next chip's trailing boundary node in the same row or
 		// column, spanning one whole chip of interior nodes plus one
@@ -129,14 +119,14 @@ func NewChipGrid(spec ChipGridSpec) *Topology {
 			for x := spec.NodesX - 1; x+spec.NodesX < xd; x += spec.NodesX {
 				n := t.MustNodeAt(Coord{X: x, Y: y})
 				e := t.MustNodeAt(Coord{X: x + spec.NodesX, Y: y})
-				t.addBiLinkClass(n.ID, e.ID, EastExp, elenX, spec.NodesX, false, ClassChipExpress, elat, 1)
+				t.addBiLinkClass(n.ID, e.ID, EastExp, elenX, spec.NodesX, false, ClassChipExpress, lat, 1)
 			}
 		}
 		for x := 0; x < xd; x++ {
 			for y := spec.NodesY - 1; y+spec.NodesY < yd; y += spec.NodesY {
 				n := t.MustNodeAt(Coord{X: x, Y: y})
 				s := t.MustNodeAt(Coord{X: x, Y: y + spec.NodesY})
-				t.addBiLinkClass(n.ID, s.ID, SouthExp, elenY, spec.NodesY, false, ClassChipExpress, elat, 1)
+				t.addBiLinkClass(n.ID, s.ID, SouthExp, elenY, spec.NodesY, false, ClassChipExpress, lat, 1)
 			}
 		}
 	}

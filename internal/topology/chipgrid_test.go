@@ -60,7 +60,7 @@ func TestChipGridSymmetry(t *testing.T) {
 	specs := []ChipGridSpec{
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, PitchMM: 3.1, D2DLatency: 4},
 		{ChipsX: 3, ChipsY: 2, NodesX: 3, NodesY: 3, PitchMM: 3.1, D2DLatency: 8, D2DSerCycles: 4},
-		{ChipsX: 2, ChipsY: 3, NodesX: 2, NodesY: 4, PitchMM: 1.58, D2DLatency: 2, Express: true, ExpressLatency: 6},
+		{ChipsX: 2, ChipsY: 3, NodesX: 2, NodesY: 4, PitchMM: 1.58, D2DLatency: 2, Express: true},
 	}
 	for _, spec := range specs {
 		tp := NewChipGrid(spec)
@@ -111,25 +111,6 @@ func TestChipGridAddressing(t *testing.T) {
 	}
 }
 
-// TestChipGridBoundary checks IsBoundary against the brute force
-// definition: a node is boundary iff one of its outgoing links
-// crosses a die gap, which on a 2x2 grid of 4x4 chips is exactly the
-// two node columns and two node rows flanking the gaps.
-func TestChipGridBoundary(t *testing.T) {
-	tp := NewChipGrid(ChipGridSpec{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, PitchMM: 3.1, D2DLatency: 4})
-	want := map[NodeID]bool{}
-	for _, n := range tp.Nodes() {
-		if n.Coord.X == 3 || n.Coord.X == 4 || n.Coord.Y == 3 || n.Coord.Y == 4 {
-			want[n.ID] = true
-		}
-	}
-	for _, n := range tp.Nodes() {
-		if got := tp.IsBoundary(n.ID); got != want[n.ID] {
-			t.Errorf("IsBoundary(%d at %v) = %v, want %v", n.ID, n.Coord, got, want[n.ID])
-		}
-	}
-}
-
 // TestChipGridMaxLinkDelay pins the event-ring horizon input: the worst
 // link occupies latency + ser - 1 extra cycles beyond an on-chip wire.
 func TestChipGridMaxLinkDelay(t *testing.T) {
@@ -140,7 +121,7 @@ func TestChipGridMaxLinkDelay(t *testing.T) {
 		{ChipGridSpec{ChipsX: 2, ChipsY: 1, NodesX: 2, NodesY: 2, PitchMM: 1}, 1},
 		{ChipGridSpec{ChipsX: 2, ChipsY: 1, NodesX: 2, NodesY: 2, PitchMM: 1, D2DLatency: 7}, 7},
 		{ChipGridSpec{ChipsX: 2, ChipsY: 1, NodesX: 2, NodesY: 2, PitchMM: 1, D2DLatency: 7, D2DSerCycles: 4}, 10},
-		{ChipGridSpec{ChipsX: 2, ChipsY: 1, NodesX: 2, NodesY: 2, PitchMM: 1, D2DLatency: 2, Express: true, ExpressLatency: 9}, 9},
+		{ChipGridSpec{ChipsX: 2, ChipsY: 1, NodesX: 2, NodesY: 2, PitchMM: 1, D2DLatency: 9, Express: true}, 9},
 	}
 	for _, c := range cases {
 		if got := NewChipGrid(c.spec).MaxLinkDelay(); got != c.want {
@@ -165,7 +146,6 @@ func TestChipGridSpecValidate(t *testing.T) {
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: -1},
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: 1 << 20},
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DSerCycles: -2},
-		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, ExpressLatency: 1 << 20},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

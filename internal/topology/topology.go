@@ -327,17 +327,6 @@ func (t *Topology) ChipOf(id NodeID) (cx, cy int) {
 	return c.X / t.ChipNodesX, c.Y / t.ChipNodesY
 }
 
-// IsBoundary reports whether node id terminates at least one die-to-die
-// link (it sits on a chip edge facing another chip).
-func (t *Topology) IsBoundary(id NodeID) bool {
-	for d := Dir(1); d < NumDirs; d++ {
-		if l, ok := t.OutLink(id, d); ok && l.Class.IsD2D() {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxLinkDelay returns the largest latency + SerCycles - 1 over all
 // links (the longest time a flit can spend between leaving a router and
 // landing downstream), or 1 for a linkless topology. The simulator sizes

@@ -99,12 +99,11 @@ func (t *Trace) ClassShares() map[noc.Class]float64 {
 	return out
 }
 
-// Replayer feeds a trace into the simulator, optionally looping so that
-// an application trace shorter than the simulation window keeps the
+// Replayer feeds a trace into the simulator, looping so that an
+// application trace shorter than the simulation window keeps the
 // network loaded.
 type Replayer struct {
 	Trace *Trace
-	Loop  bool
 
 	idx    int
 	offset int64
@@ -127,9 +126,6 @@ func (r *Replayer) Generate(cycle int64, _ *rand.Rand, specs []noc.Spec) []noc.S
 	span := r.Trace.Span()
 	for {
 		if r.idx >= len(evs) {
-			if !r.Loop {
-				return specs
-			}
 			r.idx = 0
 			r.offset += span
 		}

@@ -69,17 +69,12 @@ type NUCA struct {
 	// setup: an address packet and a 64 B cache line).
 	RequestSize  int
 	ResponseSize int
-	// BankDelay is the L2 bank access latency in cycles between a
-	// request's creation and its response entering the cache node's
-	// source queue (4 cycles for a 512 KB bank at 2 GHz, Table 4, plus
-	// the request's expected network traversal).
-	BankDelay int64
 	// ShortFlits applies to response payloads.
 	ShortFlits ShortFlitProfile
 
 	// pending is a timing wheel of responses keyed by delivery cycle
 	// modulo the wheel size. Responses are always scheduled a fixed
-	// BankDelay ahead and cycles are queried in increasing order, so
+	// bankDelay ahead and cycles are queried in increasing order, so
 	// buckets can be recycled in place with no per-cycle map churn.
 	pending [][]noc.Spec
 	// cpus and caches are Topo's node lists, taken with pending.
@@ -88,20 +83,21 @@ type NUCA struct {
 
 var _ noc.Generator = (*NUCA)(nil)
 
+// bankDelay is the cycles between a NUCA request's creation and its
+// response entering the cache node's source queue: the L2 bank access
+// (4 cycles for a 512 KB bank at 2 GHz, Table 4) plus the request's
+// expected network traversal.
+const bankDelay = 24
+
 // OpenLoop implements noc.OpenLoop: a response follows its request after
-// BankDelay cycles, not after its delivery.
+// bankDelay cycles, not after its delivery.
 func (*NUCA) OpenLoop() {}
 
 // Generate implements noc.Generator.
 func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
 	if g.pending == nil {
-		// One bucket per cycle of bank delay, plus slack for the
-		// at-least-one-cycle clamp below.
-		size := int(g.BankDelay) + 2
-		if size < 2 {
-			size = 2
-		}
-		g.pending = make([][]noc.Spec, size)
+		// One bucket per cycle of bank delay, plus this cycle's.
+		g.pending = make([][]noc.Spec, bankDelay+1)
 		g.cpus, g.caches = g.Topo.CPUs(), g.Topo.Caches()
 	}
 	cpus, caches := g.cpus, g.caches
@@ -131,11 +127,7 @@ func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spe
 			Size:  g.RequestSize,
 			Class: noc.Control,
 		})
-		at := cycle + g.BankDelay
-		if at <= cycle {
-			at = cycle + 1
-		}
-		rs := at % int64(len(g.pending))
+		rs := (cycle + bankDelay) % int64(len(g.pending))
 		g.pending[rs] = append(g.pending[rs], noc.Spec{
 			Src:           bank,
 			Dst:           cpu,
