@@ -108,7 +108,7 @@ func TestChipletSerialization(t *testing.T) {
 		net := NewNetwork(cfg)
 		var departs []int64
 		net.SetProbe(probeFunc(func(e ProbeEvent) {
-			if e.Kind == ProbeLink && e.Router == 0 {
+			if e.Kind == ProbeSAGrant && e.Dir != topology.Local && e.Router == 0 {
 				departs = append(departs, e.Cycle)
 			}
 		}))

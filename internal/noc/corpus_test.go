@@ -249,7 +249,7 @@ func (e corpusEntry) run(t testing.TB) {
 	}
 	checkZeroLoad(t, cfg, rand.New(rand.NewSource(e.seed)), 6, 4)
 	if s.Sim == 1 {
-		sameSim(t, cfg, gen, shapeCycles[s.Cycles])
+		sameSim(t, cfg, gen, shapeCycles[s.Cycles], opts.probed)
 	}
 }
 
@@ -257,11 +257,16 @@ func (e corpusEntry) run(t testing.TB) {
 // on the wire, measurement, drain) and holds its Result — every derived
 // metric, Saturated and Stalled, the window's counters per router — and
 // the drained network's counters per router to the same run at 1 shard
-// in activity mode, bit for bit.
-func sameSim(t testing.TB, cfg Config, gen Generator, measure int64) {
+// in activity mode, bit for bit; probed, also its probe stream, event
+// for event and in order (the SetProbe contract).
+func sameSim(t testing.TB, cfg Config, gen Generator, measure int64, probed bool) {
 	t.Helper()
-	run := func(cfg Config) []byte {
+	run := func(cfg Config) ([]byte, probeTap) {
 		net := NewNetwork(cfg)
+		var tap probeTap
+		if probed {
+			net.SetProbe(&tap)
+		}
 		s := NewSim(net, gen)
 		s.Params = SimParams{Warmup: measure / 2, Measure: measure, DrainMax: 8000}
 		res := s.Run(context.Background())
@@ -269,12 +274,20 @@ func sameSim(t testing.TB, cfg Config, gen Generator, measure int64) {
 			t.Fatalf("shards %d mode %v: %v", cfg.Shards, cfg.Mode, res.String())
 		}
 		b, _ := json.Marshal([]any{res, net.RouterCounters()})
-		return b
+		return b, tap
 	}
 	ref := cfg
 	ref.Shards, ref.Mode = 1, StepActivity
-	if want, got := run(ref), run(cfg); string(got) != string(want) {
+	want, wantEvents := run(ref)
+	got, gotEvents := run(cfg)
+	if string(got) != string(want) {
 		t.Fatalf("shards %d mode %v: Result differs from 1 shard in activity mode:\n%s\n%s", cfg.Shards, cfg.Mode, got, want)
+	}
+	for i := range max(len(wantEvents), len(gotEvents)) {
+		if i >= len(wantEvents) || i >= len(gotEvents) || gotEvents[i] != wantEvents[i] {
+			t.Fatalf("shards %d mode %v: probe event %d of %d differs from 1 shard's (of %d)",
+				cfg.Shards, cfg.Mode, i, len(gotEvents), len(wantEvents))
+		}
 	}
 }
 
@@ -357,6 +370,14 @@ func oracleCorpus() []corpusEntry {
 			})
 		}
 	}
+	// Look-ahead routing emits route events as arrivals are delivered, and
+	// a delivery slot holds arrivals sent in different cycles over the
+	// d2d (lat 6) and on-chip links: the merged stream must still put
+	// them in send order.
+	add("TestChipletDeterminismSuite/lookahead/shards3", 7, oracleShape{
+		Topo: topoChipGrid, Lat: 3, Ser: 1, Lookahead: 1, Spec: 1, VCs: 1, Depth: 3,
+		Rate: 1, Sizes: sizesFour, Shards: 1, Probed: 1, Cycles: 1, Sim: 1,
+	})
 	// The 64-flat-VC edge: 4 ports x 16 VCs of depth 1, single flits at
 	// 0.6 with a hotspot (seed 41 reaches the edge in every combination),
 	// with and without QoS and the short pipeline, checked mode as a
@@ -534,7 +555,7 @@ func TestHopsMatchRouting(t *testing.T)                         { runCorpus(t) }
 func TestBacklogCounters(t *testing.T)                          { runCorpus(t) }
 
 func TestChipletDeterminismSuite(t *testing.T) {
-	for _, group := range []string{"baseline", "specsa"} {
+	for _, group := range []string{"baseline", "specsa", "lookahead"} {
 		t.Run(group, runCorpus)
 	}
 }
@@ -590,6 +611,7 @@ func TestOracleCorpusCoversAxes(t *testing.T) {
 			"sharded lat:ser chip grid":       s.Topo == topoChipGrid && s.Lat > 0 && s.Ser > 0 && sharded,
 			"lat-16 ser-4 grid":               s.Topo == topoChipGrid && s.LongLink == 1,
 			"sharded probe stream":            s.Probed == 1 && sharded,
+			"sharded look-ahead stream, d2d":  s.Probed == 1 && sharded && s.Sim == 1 && s.Lookahead == 1 && s.Topo == topoChipGrid && s.Lat > 0,
 			"checked probe stream":            s.Probed == 1 && s.Checked == 1,
 			"sharded three-layer Sim":         s.ThreeLayers == 1 && s.ShortLayers == 1 && sharded && s.Sim == 1,
 			"Sim at more than 1 shard":        s.Sim == 1 && sharded,

@@ -8,7 +8,7 @@ package noc
 // buffer bit-lines, crossbar wires and link wires.
 type Counters struct {
 	BufWrites int64 // flits written into input buffers
-	BufReads  int64 // flits read out of input buffers
+	BufReads  int64 // flits read out of input buffers: XbarFlits (Router.Counters)
 	XbarFlits int64 // crossbar traversals
 	LinkFlits int64 // inter-router link traversals
 	ExpFlits  int64 // subset of LinkFlits on express channels

@@ -547,7 +547,6 @@ func (o *oracle) forward(r *oRouter, pi, v int) {
 			panic(fmt.Sprintf("oracle: router %d negative credits", r.id))
 		}
 		l := op.link
-		o.note(ProbeLink, r, op.dir, vc.outVC, f)
 		r.cnt.LinkFlits++
 		r.cnt.WLinkFlits += frac
 		r.cnt.LinkMMFlits += l.LengthMM

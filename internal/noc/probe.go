@@ -5,7 +5,7 @@ import "mira/internal/topology"
 // ProbeKind tags one observable event in a flit's life. The six kinds
 // cover the full path of §3.2's router pipeline: creation at the source
 // NI, the RC/VA/SA stages, the link traversal, and the ejection at the
-// destination NI.
+// destination NI. The network emits five; internal/obs derives ProbeLink.
 type ProbeKind uint8
 
 // Probe event kinds, in the order a flit experiences them.
@@ -22,8 +22,8 @@ const (
 	// ProbeSAGrant fires when a flit wins the crossbar (the SA stage,
 	// including speculative grants) and starts switch traversal.
 	ProbeSAGrant
-	// ProbeLink fires when a flit is sent over an inter-router link
-	// (ejecting flits traverse the switch but no link).
+	// ProbeLink is a flit sent over an inter-router link. The network
+	// never emits it: it is the ProbeSAGrant whose Dir is not Local.
 	ProbeLink
 	// ProbeEject fires when a flit leaves the network at its
 	// destination NI.
@@ -63,9 +63,9 @@ func ParseProbeKind(s string) (ProbeKind, bool) {
 // ProbeEvent is one pipeline event, passed to the attached Probe by
 // value (emitting an event never allocates). Router identifies where
 // the event happened; Dir and VC identify the output port and virtual
-// channel for route/VC-alloc/SA/link events (Dir is Local and VC the
-// injection VC for inject events; both are zero for eject events, where
-// the flit has left the router).
+// channel for route/VC-alloc/SA events, an SA Dir also the link crossed
+// (Dir is Local and VC the injection VC for inject events; both are zero
+// for eject events, where the flit has left the router).
 type ProbeEvent struct {
 	Kind   ProbeKind
 	Cycle  int64
@@ -94,9 +94,9 @@ type ProbeEvent struct {
 // event — even under look-ahead routing, where the route event fires in
 // the same cycle — eject is its last, cycles never decrease in between,
 // and each router visit emits its stage events in pipeline order
-// (route, VC alloc, switch grant, link). Body and tail flits inherit
-// the head's route and VC, so their visits carry switch-grant (and
-// link) events only.
+// (route, VC alloc, switch grant, which on a network port is the link
+// traversal). Body and tail flits inherit the head's route and VC, so
+// their visits carry switch-grant events only.
 //
 // Implementations must not mutate the network from inside a callback;
 // the event's Flit shares the live *Packet, which the network reuses
@@ -148,10 +148,11 @@ func (r *Router) Occupancy() int {
 }
 
 // Counters returns the router's activity counters, a buffer write
-// counted once its flit lands.
+// counted once its flit lands and a read as the flit crosses the crossbar.
 func (r *Router) Counters() Counters {
 	writes, layers := r.onWire()
 	c := r.cnt
+	c.BufReads, c.WBufReads = c.XbarFlits, c.WXbarFlits
 	c.BufWrites -= writes
 	c.WBufWrites = float64(r.bufLayers-layers) / float64(r.net.cfg.Layers)
 	return c

@@ -680,12 +680,10 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	frac := r.net.layerFrac[layers]
 	outVC := int(r.vcOutVC[fi])
 
-	r.cnt.BufReads++
-	r.cnt.WBufReads += frac
 	r.cnt.XbarFlits++
 	r.cnt.WXbarFlits += frac
 	sh := r.sh
-	if sh.probe != nil {
+	if sh.probe != nil { // on a network port, also the link traversal (ProbeLink)
 		sh.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeSAGrant, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
 		})
@@ -724,8 +722,7 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		*ej = append(*ej, ejEntry{flit: *f, router: int32(r.id)})
 		if sh.stamp {
 			idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-			*idx = append(*idx, sh.hot.seq)
-			sh.hot.seq++
+			*idx = append(*idx, sh.nextStamp(at-cycle))
 		}
 	} else {
 		ci := oi*r.vcsPerPort + outVC
@@ -735,11 +732,6 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		}
 		r.cnt.LinkFlits++
 		r.cnt.WLinkFlits += frac
-		if sh.probe != nil {
-			sh.probe.ProbeEvent(ProbeEvent{
-				Kind: ProbeLink, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
-			})
-		}
 		r.cnt.LinkMMFlits += op.link.LengthMM
 		r.cnt.WLinkMMFlits += op.link.LengthMM * frac
 		if op.dir.IsExpress() {
@@ -789,8 +781,7 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 				*s = append(*s, gi)
 				if sh.stamp {
 					idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-					*idx = append(*idx, sh.hot.seq)
-					sh.hot.seq++
+					*idx = append(*idx, sh.nextStamp(at-cycle))
 				}
 			}
 		} else {
@@ -799,13 +790,12 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			// boundary mailbox and is pushed into the destination ring
 			// at delivery time (shardCycle). The credit check above
 			// already guaranteed the space.
-			var seq int32
+			var stamp int32
 			if sh.stamp {
-				seq = sh.hot.seq
-				sh.hot.seq++
+				stamp = sh.nextStamp(at - cycle)
 			}
 			ms := r.net.mailEvSlot(sh, op.downShard, at)
-			*ms = append(*ms, xEvent{gi: gi, idx: seq, flit: *f})
+			*ms = append(*ms, xEvent{gi: gi, idx: stamp, flit: *f})
 		}
 	}
 	r.vcDrop(fi)

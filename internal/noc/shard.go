@@ -1,8 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -78,8 +79,8 @@ import (
 //
 // With a probe attached, every shard buffers its probe events instead
 // of calling the probe from its goroutine, tagging each event with a
-// sort key (send phase or pipeline stage, source shard, per-shard
-// append sequence). The serial epilogue of Step merges the buffers by
+// sort key (send phase or pipeline stage, send cycle, source shard,
+// per-shard append sequence). The serial epilogue of Step merges the buffers by
 // key (stable, so events of one action keep their emission order) and
 // replays them into the real probe — the identical stream sequential
 // stepping emits, so traces and spans replay byte for byte at any
@@ -95,8 +96,8 @@ import (
 // flit into its future ring slot at send time, a cross-shard forward
 // may not touch the remote shard's arrays mid-cycle, so the entry
 // carries the flit body and the destination pushes it at delivery. idx
-// is the sender's per-cycle append sequence number, used only to merge
-// probe events into the canonical order (zero when unobserved).
+// is the sender's stamp (nextStamp), used only to merge probe events
+// into the canonical order (zero when unobserved).
 type xEvent struct {
 	gi   int32
 	idx  int32
@@ -164,11 +165,23 @@ const (
 )
 
 // probeKey builds the merge key for one emitting action: phase index,
-// source shard, and the source's append sequence (zero for the stage
-// phases, where events of one shard are merged in emission order and
-// cross-shard order is fixed by the shard index alone).
-func probeKey(phase int, srcShard, seq int32) uint64 {
-	return uint64(phase)<<56 | uint64(uint32(srcShard))<<40 | uint64(uint32(seq))
+// then the source's stamp split around the source shard (zero for the
+// stage phases, where events of one shard are merged in emission order
+// and cross-shard order is fixed by the shard index alone).
+func probeKey(phase int, srcShard, stamp int32) uint64 {
+	return uint64(phase)<<61 | uint64(stamp>>stampSeqBits)<<48 | uint64(uint32(srcShard))<<32 | uint64(stamp&(1<<stampSeqBits-1))
+}
+
+// A stamp (nextStamp) packs ringLen-delta (< 2^12, the ring horizon being
+// <= 2048) above the per-cycle append sequence (< 2^19): a delivery slot holds
+// sends of several cycles over links of different delays, which sequential
+// stepping appended in send order. Zero (unobserved) sorts first.
+const stampSeqBits = 19
+
+// nextStamp stamps an arrival delivered delta cycles from now.
+func (sh *shardState) nextStamp(delta int64) int32 {
+	sh.hot.seq++
+	return int32(sh.ringLen-delta)<<stampSeqBits | sh.hot.seq
 }
 
 // shardState is the per-shard slice of the network's stepping state:
@@ -191,7 +204,7 @@ type shardState struct {
 	// ev/ejRing/cred are the shard's own scheduling rings, carrying the
 	// traffic whose destination router stays in this shard (network.go
 	// describes the event words). evIdx carries the
-	// per-cycle append sequence of each ev entry, maintained only when a
+	// stamp (nextStamp) of each ev entry, maintained only when a
 	// probe is attached to a sharded network (stamp). ringLen/ringMask
 	// copy the network's dynamic ring geometry for the hot slot math.
 	ev       [2][][]event
@@ -468,12 +481,12 @@ func (n *Network) deliver(sh *shardState) {
 			for k, ev := range events {
 				if stamp {
 					// Entries appended before the probe was attached
-					// carry no sequence number.
-					var seq int32
+					// carry no stamp.
+					var stamp int32
 					if k < len(idxs) {
-						seq = idxs[k]
+						stamp = idxs[k]
 					}
-					sh.probeKey = probeKey(p, sh.idx, seq)
+					sh.probeKey = probeKey(p, sh.idx, stamp)
 				}
 				if ev >= 0 {
 					// A head landing at ev, the destination's global flat VC
@@ -525,7 +538,7 @@ func (n *Network) drainShardOutputs() {
 		}
 		// Stable: events sharing a key were emitted by one action of one
 		// shard and appended in emission order, which the merge keeps.
-		sort.SliceStable(buf, func(a, b int) bool { return buf[a].key < buf[b].key })
+		slices.SortStableFunc(buf, func(a, b keyedProbeEvent) int { return cmp.Compare(a.key, b.key) })
 		for i := range buf {
 			n.probe.ProbeEvent(buf[i].ev)
 		}

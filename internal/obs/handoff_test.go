@@ -61,7 +61,8 @@ func throughCollector(stream []noc.ProbeEvent, sink func(*bytes.Buffer) io.Write
 }
 
 // inline is the reference: the same stream through the two sinks, one
-// event at a time on the calling goroutine.
+// event at a time on the calling goroutine, with a link counted and
+// written after each grant onto a network port.
 func inline(stream []noc.ProbeEvent, sink func(*bytes.Buffer) io.Writer) observation {
 	var buf bytes.Buffer
 	var o observation
@@ -75,6 +76,10 @@ func inline(stream []noc.ProbeEvent, sink func(*bytes.Buffer) io.Writer) observa
 		counts[e.Kind]++
 		sb.Feed(&e) //nolint:errcheck // compared through Err below
 		tw.Record(&e)
+		if crossesLink(e.Kind, e.Dir) {
+			counts[noc.ProbeLink]++
+			tw.recordLink()
+		}
 	}
 	o.closeErr = fmt.Sprint(tw.Close())
 	o.summary, _ = json.Marshal(Summary{Events: eventCounts(&counts), Latency: sb.lat.stats(),

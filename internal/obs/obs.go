@@ -7,8 +7,8 @@
 // It has three cooperating parts:
 //
 //   - a Collector implementing noc.Probe, fed by the nil-checked probe
-//     hooks compiled into the router pipeline (inject, RC, VA, SA, link
-//     and eject events at zero cost when detached);
+//     hooks compiled into the router pipeline (inject, RC, VA, SA and
+//     eject events at zero cost when detached; it derives link events);
 //   - a metric Registry plus cycle-windowed Sampler that snapshots
 //     per-router/per-VC gauges (buffer occupancy, credit stalls, active
 //     layers, express usage) into time series exportable as text, CSV
@@ -221,13 +221,16 @@ func (c *Collector) Attach(sim *noc.Sim) {
 // Config.Engine is off (or Attach has not run).
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
-// ProbeEvent implements noc.Probe. Only what needs the live packet
-// happens here, on the simulation goroutine: the kind is counted and the
-// event copied into the fill batch, which goes to the sinks when full.
-// The latency statistics need only the two ends of a flit's life, so the
-// stage events in between are kept only for a trace or for spans.
+// ProbeEvent implements noc.Probe. Only what needs the live packet happens
+// here, on the simulation goroutine: the kind is counted (a grant onto a
+// network port also as a link) and the event copied into the fill batch,
+// which goes to the sinks when full. The latency statistics need only a
+// flit's two ends; the stage events between are kept for a trace or spans.
 func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
 	c.counts[ev.Kind]++
+	if crossesLink(ev.Kind, ev.Dir) {
+		c.counts[noc.ProbeLink]++
+	}
 	ends := ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject
 	if !ends && !c.cfg.Spans && c.tw == nil {
 		return
@@ -274,12 +277,14 @@ func (c *Collector) feed() {
 	}
 }
 
-// record is the trace writer's sink goroutine.
+// record is the trace writer's sink goroutine; a grant's link line follows it.
 func (c *Collector) record() {
 	defer c.sinkDone(1, time.Now())
 	batch, tw := c.spare, c.tw
 	for i := range batch {
-		tw.Record(&batch[i])
+		if tw.Record(&batch[i]); crossesLink(batch[i].Kind, batch[i].Dir) {
+			tw.recordLink()
+		}
 	}
 }
 

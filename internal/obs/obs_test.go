@@ -82,6 +82,22 @@ func TestReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDerivedLinkEvents: the network emits no link event; the live
+// collector counts one per grant onto a network port — the routers' link
+// traversals — and writes a line for each, so Replay counts as many.
+func TestDerivedLinkEvents(t *testing.T) {
+	var buf bytes.Buffer
+	c, _ := runObserved(t, Config{}, &buf)
+	replayed, err := Replay(&buf)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	live, traversals := c.Summary().Events["link"], c.net.TotalCounters().LinkFlits
+	if live == 0 || live != traversals || replayed.Events["link"] != live {
+		t.Errorf("link events: live %d, replayed %d, link traversals %d", live, replayed.Events["link"], traversals)
+	}
+}
+
 // TestTraceDeterministicAcrossRuns: two runs of the same scenario write
 // byte-identical trace files.
 func TestTraceDeterministicAcrossRuns(t *testing.T) {

@@ -503,8 +503,8 @@ func (b *SpanBuilder) foldEvent(e *Event, o *openFlit) {
 		}
 		h.grant, h.dir, h.vc = e.Cycle, int8(e.Dir), e.VC
 	case noc.ProbeLink:
-		// The link event fires in the same emission (and cycle) as the SA
-		// grant; it adds no stage boundary, only a cross-check.
+		// Only a replayed trace has link events (a live one derives them),
+		// each in its SA grant's cycle: no stage boundary, a cross-check.
 		if h == nil || h.grant != e.Cycle {
 			b.fail(e, "link traversal at cycle %d without a matching switch grant", e.Cycle)
 		}

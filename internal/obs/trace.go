@@ -179,6 +179,7 @@ type TraceWriter struct {
 	cycle  int64  // the cycle prefix encodes
 	prefix []byte // `{"c":cycle`
 	runs   *[runSlots]runSlot
+	rest   []byte // the last line past its kind key, nil when filtered
 
 	pending int   // events in buf
 	written int64 // events the sink accepted
@@ -213,11 +214,13 @@ func NewTraceWriter(w io.Writer, filter func(Event) bool) *TraceWriter {
 // caches where they hold it.
 func (t *TraceWriter) Record(e *Event) {
 	if t.err != nil || t.filter != nil && !t.filter(*e) {
+		t.rest = nil
 		return
 	}
 	if e.Cycle != t.cycle {
 		t.cycle, t.prefix = e.Cycle, appendCycle(t.prefix[:0], e.Cycle)
 	}
+	start := len(t.buf) + len(t.prefix) + len(kindKeys[e.Kind])
 	buf := appendHop(append(t.buf, t.prefix...), e) // flush leaves lineHeadroom spare
 	k := runKey{e.Pkt, e.Seq, e.Src, e.Dst, e.Type, e.Class}
 	if s := &t.runs[flitKey{e.Pkt, e.Seq}.pos()%runSlots]; s.n != 0 && s.key == k {
@@ -229,10 +232,28 @@ func (t *TraceWriter) Record(e *Event) {
 		}
 	}
 	t.buf = appendTail(buf, e)
+	t.rest = t.buf[start:]
 	t.pending++
 	if len(t.buf) >= traceBufSize {
 		t.flush()
 	}
+}
+
+// recordLink writes the link of the grant Record just kept: its line, kind
+// swapped, the rest copied from where Record wrote it (a flush leaves it).
+func (t *TraceWriter) recordLink() {
+	if t.err == nil && t.rest != nil {
+		t.buf = append(append(append(t.buf, t.prefix...), kindKeys[noc.ProbeLink]...), t.rest...)
+		t.pending++
+		if len(t.buf) >= traceBufSize {
+			t.flush()
+		}
+	}
+}
+
+// crossesLink reports a switch grant onto a network port: a link traversal.
+func crossesLink(k noc.ProbeKind, d topology.Dir) bool {
+	return k == noc.ProbeSAGrant && d != topology.Local
 }
 
 func (t *TraceWriter) flush() {

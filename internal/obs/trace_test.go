@@ -386,7 +386,9 @@ func fuzzInput(events ...Event) (data []byte) {
 
 // FuzzTraceWriterStream: whatever the stream — a key back with other
 // src/dst/type/class, keys sharing a run slot, cycles going back, runs too
-// long to cache — TraceWriter writes the appendEvent lines of its events.
+// long to cache — TraceWriter writes the appendEvent lines of its events,
+// and after a grant onto a network port the line of its link event,
+// copied with or without a flush between the two lines.
 func FuzzTraceWriterStream(f *testing.F) {
 	head, err := ReadTrace(strings.NewReader(trace3dmHead))
 	if err != nil {
@@ -411,22 +413,42 @@ func FuzzTraceWriterStream(f *testing.F) {
 	f.Add(fuzzInput(stream...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := fuzzEvents(data)
-		var got bytes.Buffer
-		tw := NewTraceWriter(&got, nil)
-		for i := range events {
-			tw.Record(&events[i])
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want := jsonl(events...)
-		for i, line := range strings.SplitAfter(got.String(), "\n") {
-			if wantLine, _ := want.ReadString('\n'); line != wantLine {
-				t.Fatalf("event %d: TraceWriter wrote\n%sappendEvent writes\n%s", i, line, wantLine)
+		for _, flush := range []bool{false, true} {
+			var got bytes.Buffer
+			var want []byte
+			tw := NewTraceWriter(&got, nil)
+			for i := range events {
+				e := &events[i]
+				link := crossesLink(e.Kind, e.Dir)
+				if pad := traceBufSize - 1 - len(tw.buf); flush && link && pad > 0 {
+					// A blank-padded line leaves the grant's line to fill the buffer.
+					line := strings.Repeat(" ", pad-1) + "\n"
+					tw.buf, want = append(tw.buf, line...), append(want, line...)
+				}
+				tw.Record(e)
+				want = appendEvent(want, e)
+				if link {
+					if flush && len(tw.buf) != 0 {
+						t.Fatalf("event %d: the grant's line left %d bytes unflushed", i, len(tw.buf))
+					}
+					tw.recordLink()
+					l := *e
+					l.Kind = noc.ProbeLink
+					want = appendEvent(want, &l)
+				}
 			}
-		}
-		if want.Len() != 0 {
-			t.Fatalf("TraceWriter left out the lines\n%s", want)
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantLines := bytes.NewBuffer(want)
+			for i, line := range strings.SplitAfter(got.String(), "\n") {
+				if wantLine, _ := wantLines.ReadString('\n'); line != wantLine {
+					t.Fatalf("flush %v, line %d: TraceWriter wrote\n%sappendEvent writes\n%s", flush, i, line, wantLine)
+				}
+			}
+			if wantLines.Len() != 0 {
+				t.Fatalf("flush %v: TraceWriter left out the lines\n%s", flush, wantLines)
+			}
 		}
 	})
 }

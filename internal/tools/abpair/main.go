@@ -3,14 +3,15 @@
 // as interleaved pairs alternating which side goes first, and applies
 // the rule of the choosing-metrics guide, section 8.
 //
-//	go run ./internal/tools/abpair -base HEAD~1 -workload ur6x6_dense [-rounds 10]
+//	go run ./internal/tools/abpair -base HEAD~1 -workload ur6x6_dense [-rounds 10] [-seed 42]
 //
 // A is the base (exported with git archive into a temporary directory —
 // the repository's worktree list is not touched), B the working tree.
-// Every run is `bench -workload W -trace 0 -seconds 4`, pinned to CPUs
+// Every run is `bench -workload W -seed N -trace 0 -seconds 4`, pinned to CPUs
 // 0,1 with taskset when present (no workload uses more than 2 threads);
 // the numbers compared are that run's medians of wall_s, cpu_s and
-// peak_rss_mb, each judged on its own.
+// peak_rss_mb, each judged on its own. -seed checks a claim on inputs
+// other than those of the benchmark's default seed.
 package main
 
 import (
@@ -31,18 +32,19 @@ func main() {
 	base := flag.String("base", "", "revision the working tree is compared against (side A)")
 	workload := flag.String("workload", "", "benchmark workload to run (see BENCHMARK.json)")
 	rounds := flag.Int("rounds", 10, "pairs to run")
+	seed := flag.Int64("seed", 42, "seed of the benchmark's generated inputs")
 	flag.Parse()
 	if *base == "" || *workload == "" || *rounds < 1 || flag.NArg() != 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *workload, *rounds); err != nil {
+	if err := run(*base, *workload, *rounds, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "abpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base, workload string, rounds int) error {
+func run(base, workload string, rounds int, seed int64) error {
 	tmp, err := os.MkdirTemp("", "abpair-")
 	if err != nil {
 		return err
@@ -72,11 +74,11 @@ func run(base, workload string, rounds int) error {
 	}
 	var vals [len(metrics)][2][]float64
 	var wins [len(metrics)][2]int
-	fmt.Printf("%s: A = %s, B = working tree, %d rounds, %s\n", workload, base, rounds, strings.Join(metrics[:], ", "))
+	fmt.Printf("%s: A = %s, B = working tree, seed %d, %d rounds, %s\n", workload, base, seed, rounds, strings.Join(metrics[:], ", "))
 	for i := 0; i < rounds; i++ {
 		var v [2][len(metrics)]float64
 		for _, s := range [2]int{i & 1, 1 - i&1} { // alternate which side goes first
-			args := append(append([]string{}, pin...), bins[s], "-workload", workload,
+			args := append(append([]string{}, pin...), bins[s], "-workload", workload, "-seed", fmt.Sprint(seed),
 				"-trace", "0", "-seconds", "4", "-out", filepath.Join(tmp, "result.json"))
 			cmd := exec.Command(args[0], args[1:]...)
 			cmd.Dir = dirs[s]
