@@ -156,7 +156,7 @@ func benchStepLarge(b *testing.B, rate float64, shards int) {
 	topo := topology.NewMesh2D(16, 16, core.Pitch2DMM)
 	cfg := noc.Config{
 		Topo:       topo,
-		Alg:        routing.ForTopology(topo),
+		Alg:        routing.DOR{},
 		VCs:        core.VCsPerPort,
 		BufDepth:   core.BufDepth,
 		STLTCycles: 2,
@@ -205,7 +205,7 @@ func BenchmarkStepChiplet(b *testing.B) {
 	})
 	cfg := noc.Config{
 		Topo:       topo,
-		Alg:        routing.ForTopology(topo),
+		Alg:        routing.DOR{},
 		VCs:        core.VCsPerPort,
 		BufDepth:   core.BufDepth,
 		STLTCycles: 2,

@@ -27,11 +27,11 @@ func main() {
 
 	for _, arch := range []core.Arch{core.Arch2DB, core.Arch3DB, core.Arch3DM, core.Arch3DME} {
 		d := core.MustDesign(arch)
-		urHops, err := routing.AverageHops(d.Topo, d.Alg, nil, nil)
+		urHops, err := routing.AverageHops(d.Topo, routing.DOR{}, nil, nil)
 		check(err)
-		req, err := routing.AverageHops(d.Topo, d.Alg, d.Topo.CPUs(), d.Topo.Caches())
+		req, err := routing.AverageHops(d.Topo, routing.DOR{}, d.Topo.CPUs(), d.Topo.Caches())
 		check(err)
-		resp, err := routing.AverageHops(d.Topo, d.Alg, d.Topo.Caches(), d.Topo.CPUs())
+		resp, err := routing.AverageHops(d.Topo, routing.DOR{}, d.Topo.Caches(), d.Topo.CPUs())
 		check(err)
 		res := exp.RunNUCAUR(context.Background(), arch, rate, 0, opts)
 		fmt.Printf("%-10s %12.2f %12.2f %10.2f %10.3f\n",

@@ -10,7 +10,7 @@ import (
 
 func closedCfg(topo *topology.Topology) noc.Config {
 	return noc.Config{
-		Topo: topo, Alg: routing.ForTopology(topo), VCs: 2, BufDepth: 8,
+		Topo: topo, Alg: routing.DOR{}, VCs: 2, BufDepth: 8,
 		STLTCycles: 2, Layers: 4, Policy: noc.ByClass, Seed: 1,
 	}
 }
@@ -188,7 +188,6 @@ func TestClosedLoopArchitectureComparison(t *testing.T) {
 		w, _ := ByName("tpcw")
 		p := DefaultParams(w, topo, 9)
 		cfg := closedCfg(topo)
-		cfg.Alg = routing.ForTopology(topo)
 		cfg.STLTCycles = stlt
 		s, err := NewClosedSystem(p, cfg)
 		if err != nil {

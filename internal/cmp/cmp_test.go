@@ -499,7 +499,7 @@ func TestTraceReplaysThroughNoC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := noc.Config{
-		Topo: topo, Alg: routing.XY{}, VCs: 2, BufDepth: 8,
+		Topo: topo, Alg: routing.DOR{}, VCs: 2, BufDepth: 8,
 		STLTCycles: 2, Layers: 4, Policy: noc.ByClass, Seed: 1,
 	}
 	net := noc.NewNetwork(cfg)

@@ -318,10 +318,6 @@ func (e *Engine) Completed() int { return e.completed }
 // Done reports whether every requested iteration completed.
 func (e *Engine) Done() bool { return e.completed >= e.p.Iterations }
 
-// Ranks returns the rank -> node mapping. The slice must not be
-// modified.
-func (e *Engine) Ranks() []topology.NodeID { return e.ranks }
-
 // Report is the numeric summary of a finished (or partial) run.
 type Report struct {
 	Algorithm    Algorithm `json:"algorithm"`

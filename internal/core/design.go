@@ -94,7 +94,6 @@ type Design struct {
 	Arch Arch
 	// Topo carries the NUCA CPU/cache layout of Figure 10.
 	Topo *topology.Topology
-	Alg  routing.Algorithm
 	// AreaParams feeds the area and power models; its Layers field is
 	// 1 for the planar datapaths (2DB, 3DB) and 4 for the multi-layer
 	// family.
@@ -116,7 +115,6 @@ func NewDesign(a Arch) (*Design, error) {
 	switch a {
 	case Arch2DB:
 		d.Topo = topology.NewMesh2D(6, 6, Pitch2DMM)
-		d.Alg = routing.XY{}
 		d.LinkLenMM = Pitch2DMM
 		d.AreaParams = area.Params{Ports: 5, VCs: VCsPerPort, FlitWidth: FlitWidth, BufDepth: BufDepth, Layers: 1}
 		if err := topology.ApplyNUCALayout2D(d.Topo); err != nil {
@@ -124,7 +122,6 @@ func NewDesign(a Arch) (*Design, error) {
 		}
 	case Arch3DB:
 		d.Topo = topology.NewMesh3D(3, 3, 4, Pitch2DMM, TSVLenMM)
-		d.Alg = routing.XY{}
 		d.LinkLenMM = Pitch2DMM
 		d.AreaParams = area.Params{Ports: 7, VCs: VCsPerPort, FlitWidth: FlitWidth, BufDepth: BufDepth, Layers: 1}
 		if err := topology.ApplyNUCALayout3D(d.Topo); err != nil {
@@ -132,7 +129,6 @@ func NewDesign(a Arch) (*Design, error) {
 		}
 	case Arch3DM, Arch3DMNC:
 		d.Topo = topology.NewMesh2D(6, 6, Pitch3DMMM)
-		d.Alg = routing.XY{}
 		d.LinkLenMM = Pitch3DMMM
 		d.AreaParams = area.Params{Ports: 5, VCs: VCsPerPort, FlitWidth: FlitWidth, BufDepth: BufDepth, Layers: Layers}
 		if err := topology.ApplyNUCALayout2D(d.Topo); err != nil {
@@ -140,7 +136,6 @@ func NewDesign(a Arch) (*Design, error) {
 		}
 	case Arch3DME, Arch3DMENC:
 		d.Topo = topology.NewExpressMesh2D(6, 6, Pitch3DMMM, ExpressInterval)
-		d.Alg = routing.Express{}
 		d.LinkLenMM = Pitch3DMMM
 		d.AreaParams = area.Params{Ports: 9, VCs: VCsPerPort, FlitWidth: FlitWidth, BufDepth: BufDepth, Layers: Layers}
 		if err := topology.ApplyNUCALayout2D(d.Topo); err != nil {
@@ -177,13 +172,13 @@ func MustDesign(a Arch) *Design {
 	return d
 }
 
-// NoCConfig builds the simulator configuration. The policy separates
-// request/response VCs for NUCA and trace traffic; synthetic uniform
-// traffic uses AnyFree.
+// NoCConfig builds the simulator configuration, routed by DOR. The
+// policy separates request/response VCs for NUCA and trace traffic;
+// synthetic uniform traffic uses AnyFree.
 func (d *Design) NoCConfig(policy noc.VCPolicy, seed int64) noc.Config {
 	return noc.Config{
 		Topo:       d.Topo,
-		Alg:        d.Alg,
+		Alg:        routing.DOR{},
 		VCs:        VCsPerPort,
 		BufDepth:   BufDepth,
 		STLTCycles: d.STLTCycles,

@@ -9,7 +9,6 @@ import (
 	"mira/internal/routing"
 	"mira/internal/scenario"
 	"mira/internal/stats"
-	"mira/internal/topology"
 )
 
 // Ablation studies for the design choices DESIGN.md calls out. These go
@@ -97,7 +96,7 @@ func AblationExpressInterval(ctx context.Context, o Options) (stats.Table, error
 		Header: []string{"interval", "max ports", "avg hops (UR)", "lat @0.15", "lat @0.30"},
 	}
 	intervals := []int{2, 3}
-	res, err := sweep(ctx, o, intervals, ablationRates, func(o Options, interval int, rate float64) scenario.Scenario {
+	point := func(o Options, interval int, rate float64) scenario.Scenario {
 		sc := o.synthetic(core.Arch3DME, "ur", rate)
 		sc.ExpressInterval = interval
 		// The delay model would charge interval 3's longer express wires
@@ -105,32 +104,24 @@ func AblationExpressInterval(ctx context.Context, o Options) (stats.Table, error
 		// comparison isolates the topology.
 		sc.STLTCycles = 1
 		return sc
-	})
+	}
+	res, err := sweep(ctx, o, intervals, ablationRates, point)
 	if err != nil {
 		return t, err
 	}
 	for i, interval := range intervals {
-		topo, err := expressMesh(interval)
+		_, cfg, err := point(o, interval, ablationRates[0]).NoCConfig()
 		if err != nil {
 			return t, err
 		}
-		hops, err := routing.AverageHops(topo, routing.Express{}, nil, nil)
+		hops, err := routing.AverageHops(cfg.Topo, routing.DOR{}, nil, nil)
 		if err != nil {
 			return t, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", interval), fmt.Sprintf("%d", topo.MaxPorts()),
+			fmt.Sprintf("%d", interval), fmt.Sprintf("%d", cfg.Topo.MaxPorts()),
 			f2(hops), latCell(res[i][0].Result), latCell(res[i][1].Result),
 		})
 	}
 	return t, nil
-}
-
-// expressMesh builds the 6x6 express mesh with the NUCA layout applied.
-func expressMesh(interval int) (*topology.Topology, error) {
-	topo := topology.NewExpressMesh2D(6, 6, core.Pitch3DMMM, interval)
-	if err := topology.ApplyNUCALayout2D(topo); err != nil {
-		return nil, err
-	}
-	return topo, nil
 }

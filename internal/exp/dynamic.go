@@ -190,16 +190,16 @@ func Fig11d(ctx context.Context, o Options) (stats.Table, error) {
 		return t, err
 	}
 	for j, d := range Designs() {
-		ur, err := routing.AverageHops(d.Topo, d.Alg, nil, nil)
+		ur, err := routing.AverageHops(d.Topo, routing.DOR{}, nil, nil)
 		if err != nil {
 			return t, err
 		}
 		cpus, caches := d.Topo.CPUs(), d.Topo.Caches()
-		req, err := routing.AverageHops(d.Topo, d.Alg, cpus, caches)
+		req, err := routing.AverageHops(d.Topo, routing.DOR{}, cpus, caches)
 		if err != nil {
 			return t, err
 		}
-		resp, err := routing.AverageHops(d.Topo, d.Alg, caches, cpus)
+		resp, err := routing.AverageHops(d.Topo, routing.DOR{}, caches, cpus)
 		if err != nil {
 			return t, err
 		}

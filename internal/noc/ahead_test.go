@@ -33,7 +33,7 @@ func force(v int, f func()) {
 
 func mesh4x4() noc.Config {
 	return noc.Config{
-		Topo: topology.NewMesh2D(4, 4, 3.1), Alg: routing.XY{},
+		Topo: topology.NewMesh2D(4, 4, 3.1), Alg: routing.DOR{},
 		VCs: 2, BufDepth: 8, STLTCycles: 2, Layers: 4,
 		Policy: noc.AnyFree, Seed: 5,
 	}

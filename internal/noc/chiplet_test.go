@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mira/internal/routing"
 	"mira/internal/topology"
 )
 
@@ -14,7 +13,6 @@ func cfgChiplet(lat, ser int, express bool) Config {
 		ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4,
 		PitchMM: 3.1, D2DLatency: lat, D2DSerCycles: ser, Express: express,
 	})
-	c.Alg = routing.ChipDOR{}
 	return c
 }
 
@@ -60,7 +58,6 @@ func twoChipPacket(t *testing.T, lat, ser, size int) int64 {
 		ChipsX: 2, ChipsY: 1, NodesX: 1, NodesY: 1,
 		PitchMM: 3.1, D2DLatency: lat, D2DSerCycles: ser,
 	})
-	c.Alg = routing.ChipDOR{}
 	pkt := onePacket(t, c, Spec{Src: 0, Dst: 1, Size: size, Class: Data})
 	return pkt.EjectedAt - pkt.CreatedAt
 }
@@ -104,7 +101,6 @@ func TestChipletSerialization(t *testing.T) {
 			ChipsX: 2, ChipsY: 1, NodesX: 1, NodesY: 1,
 			PitchMM: 3.1, D2DLatency: 1, D2DSerCycles: c.ser,
 		})
-		cfg.Alg = routing.ChipDOR{}
 		net := NewNetwork(cfg)
 		var departs []int64
 		net.SetProbe(probeFunc(func(e ProbeEvent) {

@@ -54,9 +54,8 @@ const (
 )
 
 const (
-	routeNative    = iota // XY, Express or ChipDOR, whichever the fabric is built for
+	routeNative    = iota // DOR, express-first on the express fabrics
 	routeWestFirst        // planar fabrics only
-	routeXY               // differs from native only on the chip grid
 	numRoutes
 )
 
@@ -119,13 +118,14 @@ func (s oracleShape) build(seed int64) (Config, Generator) {
 	if s.Checked == 1 {
 		cfg.Mode = StepChecked
 	}
+	cfg.Alg = routing.DOR{}
 	switch s.Topo {
 	case topoMesh:
-		cfg.Topo, cfg.Alg = topology.NewMesh2D(4, 4, 3.1), routing.XY{}
+		cfg.Topo = topology.NewMesh2D(4, 4, 3.1)
 	case topoMesh3D:
-		cfg.Topo, cfg.Alg = topology.NewMesh3D(3, 3, 2, 3.1, 0.02), routing.XY{}
+		cfg.Topo = topology.NewMesh3D(3, 3, 2, 3.1, 0.02)
 	case topoExpress:
-		cfg.Topo, cfg.Alg = topology.NewExpressMesh2D(5, 4, 1.58, 2), routing.Express{}
+		cfg.Topo = topology.NewExpressMesh2D(5, 4, 1.58, 2)
 	case topoChipGrid:
 		lat, ser := shapeLats[s.Lat], 1+s.Ser
 		if s.LongLink == 1 {
@@ -135,14 +135,10 @@ func (s oracleShape) build(seed int64) (Config, Generator) {
 			ChipsX: 2, ChipsY: 2, NodesX: 2, NodesY: 2, PitchMM: 3.1,
 			D2DLatency: lat, D2DSerCycles: ser, Express: s.ChipExpress == 1,
 		})
-		cfg.Alg = routing.ChipDOR{}
 	case topoMeshWide:
-		cfg.Topo, cfg.Alg = topology.NewMesh2D(4, 2, 3.1), routing.XY{}
+		cfg.Topo = topology.NewMesh2D(4, 2, 3.1)
 	}
-	switch {
-	case s.Routing == routeXY && s.Topo == topoChipGrid:
-		cfg.Alg = routing.XY{}
-	case s.Routing == routeWestFirst && cfg.Topo.ZDim == 1:
+	if s.Routing == routeWestFirst && cfg.Topo.ZDim == 1 {
 		var faults []routing.LinkFault
 		if s.Fault == 1 { // a dead eastbound link in the top row
 			faults = []routing.LinkFault{{Src: 1, Dir: topology.East}}

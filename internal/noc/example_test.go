@@ -11,7 +11,7 @@ import (
 func ExampleNewNetwork() {
 	topo := topology.NewMesh2D(6, 6, 3.1)
 	cfg := noc.Config{
-		Topo: topo, Alg: routing.XY{},
+		Topo: topo, Alg: routing.DOR{},
 		VCs: 2, BufDepth: 8, STLTCycles: 2, Layers: 4,
 		Policy: noc.AnyFree, Seed: 1,
 	}

@@ -13,7 +13,7 @@ import (
 func cfg2D(stlt int) Config {
 	return Config{
 		Topo:       topology.NewMesh2D(6, 6, 3.1),
-		Alg:        routing.XY{},
+		Alg:        routing.DOR{},
 		VCs:        2,
 		BufDepth:   8,
 		STLTCycles: stlt,
@@ -26,7 +26,6 @@ func cfg2D(stlt int) Config {
 func cfgExpress(stlt int) Config {
 	c := cfg2D(stlt)
 	c.Topo = topology.NewExpressMesh2D(6, 6, 1.58, 2)
-	c.Alg = routing.Express{}
 	return c
 }
 

@@ -557,7 +557,7 @@ func (o *oracle) forward(r *oRouter, pi, v int) {
 		if op.dir.IsVertical() {
 			r.cnt.VertFlits++
 		}
-		if l.Class.IsD2D() {
+		if l.D2D {
 			r.cnt.D2DFlits++
 		}
 		if l.SerCycles > 1 {

@@ -96,8 +96,6 @@ type outputPort struct {
 	// serCycles > 1 are marked in Router.serMask and gate switch
 	// allocation on the link being free (soa serFree lane).
 	serCycles int64
-	// class is the link's physical class, for the d2d traffic counters.
-	class topology.LinkClass
 }
 
 // Router is one network router instance: the per-router view over the
@@ -127,10 +125,10 @@ type Router struct {
 	// the allocation stages, so fully parallel fabrics — every shipped
 	// single-chip design — keep the historical hot path.
 	serMask uint32
-	// algXY is set when Config.Alg is plain dimension-ordered routing,
+	// algDOR is set when Config.Alg is dimension-ordered routing,
 	// letting routeHead call it directly instead of through the
 	// interface (the per-head dispatch is measurable at high load).
-	algXY bool
+	algDOR bool
 	// cnt counts a buffer write at send time, flits still on the wire
 	// included, and its weight as active layers in bufLayers, an exact
 	// integer in any write order; Counters reports both by landing.
@@ -227,7 +225,6 @@ func initRouter(r *Router, net *Network, id topology.NodeID) {
 			// historical STLTCycles.
 			op.arriveDelta = int64(cfg.STLTCycles-1) + int64(l.Latency) + int64(l.SerCycles) - 1
 			op.serCycles = int64(l.SerCycles)
-			op.class = l.Class
 		}
 		r.outIndex[d] = int8(len(r.outPorts))
 		r.outPorts = append(r.outPorts, op)
@@ -282,7 +279,7 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.routeTo = st.routeTo[portBase : portBase+nP]
 	r.portVCs = 1<<uint(cfg.VCs) - 1
 
-	_, r.algXY = cfg.Alg.(routing.XY)
+	_, r.algDOR = cfg.Alg.(routing.DOR)
 	r.portOf = st.portOf[vcBase : vcBase+nVC]
 	r.vcOf = st.vcOf[vcBase : vcBase+nVC]
 
@@ -340,8 +337,8 @@ func (r *Router) routeHead(f int) {
 	var d topology.Dir
 	if pkt.Dst == r.id {
 		d = topology.Local
-	} else if r.algXY {
-		d = routing.XY{}.NextPort(r.net.cfg.Topo, r.id, pkt.Dst)
+	} else if r.algDOR {
+		d = routing.DOR{}.NextPort(r.net.cfg.Topo, r.id, pkt.Dst)
 	} else {
 		d = r.net.cfg.Alg.NextPort(r.net.cfg.Topo, r.id, pkt.Dst)
 	}
@@ -740,7 +737,7 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		if op.dir.IsVertical() {
 			r.cnt.VertFlits++
 		}
-		if op.class.IsD2D() {
+		if op.link.D2D {
 			r.cnt.D2DFlits++
 		}
 		if op.serCycles > 1 {

@@ -31,7 +31,7 @@ import (
 // the cycle boundary. Shards therefore step without speculation or
 // rollback; the per-Step barrier is the only synchronization.
 //
-// This argument is independent of the link class: a multi-cycle
+// This argument is independent of link timing: a multi-cycle
 // die-to-die channel only pushes deliveries further into the future
 // (the rings are sized to the slowest link's horizon at construction),
 // so shard boundaries need not align with chip boundaries — a shard cut

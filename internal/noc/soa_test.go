@@ -268,9 +268,10 @@ func TestBodyFlitsScheduleNoEvent(t *testing.T) {
 		name string
 		cfg  Config
 		spec Spec
+		d2d  int64 // the message crosses one d2d link, or none
 	}{
-		{"mesh", cfg2D(2), Spec{Src: 0, Dst: 35, Size: 4, Class: Data}},
-		{"d2d-lat16", cfgChiplet(16, 1, false), Spec{Src: 0, Dst: 7, Size: 16, Class: Data}},
+		{"mesh", cfg2D(2), Spec{Src: 0, Dst: 35, Size: 4, Class: Data}, 0},
+		{"d2d-lat16", cfgChiplet(16, 1, false), Spec{Src: 0, Dst: 7, Size: 16, Class: Data}, 16},
 	} {
 		net := NewNetwork(c.cfg)
 		m := net.EnableEngineMeter()
@@ -289,8 +290,8 @@ func TestBodyFlitsScheduleNoEvent(t *testing.T) {
 		if want := int64(c.spec.Size * done.Hops); tc.LinkFlits != want {
 			t.Fatalf("%s: %d link flits, want %d over %d hops", c.name, tc.LinkFlits, want, done.Hops)
 		}
-		if c.cfg.Topo.NumChips() > 1 && tc.D2DFlits != int64(c.spec.Size) {
-			t.Fatalf("%s: %d d2d flits, want the whole message once", c.name, tc.D2DFlits)
+		if tc.D2DFlits != c.d2d {
+			t.Fatalf("%s: %d d2d flits, want %d", c.name, tc.D2DFlits, c.d2d)
 		}
 		if got, want := m.Snapshot().RingWords, int64(c.spec.Size+done.Hops); got != want {
 			t.Fatalf("%s: %d ring words, want %d ejected flits + %d heads", c.name, got, c.spec.Size, done.Hops)

@@ -19,7 +19,7 @@ import (
 
 func testConfig() noc.Config {
 	return noc.Config{
-		Topo: topology.NewMesh2D(4, 4, 3.1), Alg: routing.XY{},
+		Topo: topology.NewMesh2D(4, 4, 3.1), Alg: routing.DOR{},
 		VCs: 2, BufDepth: 8, STLTCycles: 2, Layers: 4,
 		Policy: noc.AnyFree, Seed: 42,
 	}

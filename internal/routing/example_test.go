@@ -11,7 +11,7 @@ func ExamplePath() {
 	m := topology.NewMesh2D(6, 6, 3.1)
 	src := m.MustNodeAt(topology.Coord{X: 0, Y: 0}).ID
 	dst := m.MustNodeAt(topology.Coord{X: 2, Y: 1}).ID
-	path, err := routing.Path(m, routing.XY{}, src, dst)
+	path, err := routing.Path(m, routing.DOR{}, src, dst)
 	if err != nil {
 		panic(err)
 	}
@@ -19,11 +19,11 @@ func ExamplePath() {
 	// Output: [east east south]
 }
 
-func ExampleExpress() {
+func ExampleDOR() {
 	m := topology.NewExpressMesh2D(6, 6, 1.58, 2)
 	src := m.MustNodeAt(topology.Coord{X: 0, Y: 0}).ID
 	dst := m.MustNodeAt(topology.Coord{X: 5, Y: 0}).ID
-	path, err := routing.Path(m, routing.Express{}, src, dst)
+	path, err := routing.Path(m, routing.DOR{}, src, dst)
 	if err != nil {
 		panic(err)
 	}

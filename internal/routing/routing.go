@@ -1,11 +1,12 @@
-// Package routing implements the deterministic dimension-ordered routing
-// used in the MIRA evaluation (§4: "X-Y deterministic routing algorithm
-// in all our experiments"), extended along the Z axis for the 3DB stack
-// and with express-channel awareness for 3DM-E.
+// Package routing implements the routing functions of the MIRA
+// evaluation. DOR is the paper's rule on every fabric (§4: "X-Y
+// deterministic routing algorithm in all our experiments"): the planar
+// meshes, the 3DB stack along Z, 3DM-E's express channels and chiplet
+// grids, whose die-to-die links are ordinary mesh edges to it.
+// WestFirst is the fault-tolerant turn-model alternative.
 //
-// All algorithms are minimal and dimension-ordered (X fully, then Y, then
-// Z), so the channel dependency graph is acyclic and routing is
-// deadlock-free under wormhole flow control without escape VCs.
+// Both are minimal and deadlock-free under wormhole flow control
+// without escape VCs.
 package routing
 
 import (
@@ -23,25 +24,29 @@ type Algorithm interface {
 	NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir
 }
 
-// XY is X-then-Y(-then-Z) dimension-ordered routing on meshes. On a 3D
-// mesh it is the natural X-Y-Z extension used for the 3DB configuration.
-type XY struct{}
+// DOR is dimension-ordered routing: X fully, then Y, then Z. Within a
+// dimension it takes the express port whenever the remaining distance
+// covers the port's span (Dally's express cubes, 3DM-E §3.3), so on a
+// fabric without express links it is plain X-Y(-Z) routing. Progress
+// within each dimension is monotone and express links only short-cut
+// it, so the channel dependency graph stays acyclic.
+type DOR struct{}
 
 // Name implements Algorithm.
-func (XY) Name() string { return "xy" }
+func (DOR) Name() string { return "dor" }
 
 // NextPort implements Algorithm.
-func (XY) NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir {
+func (DOR) NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir {
 	c, d := t.Node(cur).Coord, t.Node(dst).Coord
 	switch {
 	case c.X < d.X:
-		return topology.East
+		return toward(t, cur, topology.East, topology.EastExp, d.X-c.X)
 	case c.X > d.X:
-		return topology.West
+		return toward(t, cur, topology.West, topology.WestExp, c.X-d.X)
 	case c.Y < d.Y:
-		return topology.South
+		return toward(t, cur, topology.South, topology.SouthExp, d.Y-c.Y)
 	case c.Y > d.Y:
-		return topology.North
+		return toward(t, cur, topology.North, topology.NorthExp, c.Y-d.Y)
 	case c.Z < d.Z:
 		return topology.Up
 	case c.Z > d.Z:
@@ -50,94 +55,13 @@ func (XY) NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir 
 	return topology.Local
 }
 
-// Express is dimension-ordered routing that prefers a multi-hop express
-// channel whenever the remaining distance in the current dimension is at
-// least the express span and the express link exists at the current node
-// (Dally's express-cube routing). Progress within each dimension is
-// monotone, so deadlock freedom is preserved.
-type Express struct{}
-
-// Name implements Algorithm.
-func (Express) Name() string { return "express" }
-
-// NextPort implements Algorithm.
-func (Express) NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir {
-	c, d := t.Node(cur).Coord, t.Node(dst).Coord
-	pick := func(normal, express topology.Dir, dist int) topology.Dir {
-		if l, ok := t.OutLink(cur, express); ok && dist >= l.Span {
-			return express
-		}
-		return normal
+// toward picks the express port exp at cur when its link exists and its
+// span fits within the remaining distance dist, the normal port otherwise.
+func toward(t *topology.Topology, cur topology.NodeID, normal, exp topology.Dir, dist int) topology.Dir {
+	if s := t.ExpressSpan(cur, exp); s > 0 && s <= dist {
+		return exp
 	}
-	switch {
-	case c.X < d.X:
-		return pick(topology.East, topology.EastExp, d.X-c.X)
-	case c.X > d.X:
-		return pick(topology.West, topology.WestExp, c.X-d.X)
-	case c.Y < d.Y:
-		return pick(topology.South, topology.SouthExp, d.Y-c.Y)
-	case c.Y > d.Y:
-		return pick(topology.North, topology.NorthExp, c.Y-d.Y)
-	}
-	return topology.Local
-}
-
-// ChipDOR is chip-boundary-aware dimension-ordered routing for chiplet
-// grids (topology.NewChipGrid). Route selection is globally
-// dimension-ordered — all X progress, local and die-to-die alike,
-// before any Y progress — but expressed hierarchically over
-// (chip, local) addresses: each hop first corrects the chip X
-// coordinate, then the local X offset, then chip Y, then local Y.
-// Because the grid tiles uniform meshes, chip order and local order
-// agree with flat coordinate order, so the channel dependency graph is
-// the mesh DOR graph plus forward-only express short-cuts and routing
-// stays deadlock-free under wormhole flow control. (The tempting
-// alternative — finish the whole chip-level walk before any local
-// correction — is NOT used: an east-then-south chip walk followed by
-// local westward correction creates Y->X turns and breaks DOR
-// acyclicity.) Inter-chip express channels are preferred exactly as in
-// Express routing: when the remaining distance in the dimension is at
-// least the link's span.
-type ChipDOR struct{}
-
-// Name implements Algorithm.
-func (ChipDOR) Name() string { return "chipdor" }
-
-// NextPort implements Algorithm.
-func (ChipDOR) NextPort(t *topology.Topology, cur, dst topology.NodeID) topology.Dir {
-	ccx, ccy := t.ChipOf(cur)
-	dcx, dcy := t.ChipOf(dst)
-	c, d := t.Node(cur).Coord, t.Node(dst).Coord
-	pick := func(normal, express topology.Dir, dist int) topology.Dir {
-		if l, ok := t.OutLink(cur, express); ok && dist >= l.Span {
-			return express
-		}
-		return normal
-	}
-	switch {
-	// Chip-level X correction. Chip order implies coordinate order
-	// (ccx < dcx forces c.X < d.X on a uniform grid), so the distance
-	// passed to the express pick is always positive.
-	case ccx < dcx:
-		return pick(topology.East, topology.EastExp, d.X-c.X)
-	case ccx > dcx:
-		return pick(topology.West, topology.WestExp, c.X-d.X)
-	// Local X correction within the destination chip column.
-	case c.X < d.X:
-		return topology.East
-	case c.X > d.X:
-		return topology.West
-	// Chip-level, then local, Y correction.
-	case ccy < dcy:
-		return pick(topology.South, topology.SouthExp, d.Y-c.Y)
-	case ccy > dcy:
-		return pick(topology.North, topology.NorthExp, c.Y-d.Y)
-	case c.Y < d.Y:
-		return topology.South
-	case c.Y > d.Y:
-		return topology.North
-	}
-	return topology.Local
+	return normal
 }
 
 // Path returns the sequence of output ports a packet takes from src to
@@ -209,20 +133,4 @@ func allNodes(t *topology.Topology) []topology.NodeID {
 		ids[i] = topology.NodeID(i)
 	}
 	return ids
-}
-
-// ForTopology returns the natural algorithm for a topology: ChipDOR for
-// multi-chip grids (it subsumes express preference across chip
-// boundaries), Express when a single-chip fabric has express channels,
-// XY otherwise.
-func ForTopology(t *topology.Topology) Algorithm {
-	if t.NumChips() > 1 {
-		return ChipDOR{}
-	}
-	for _, l := range t.Links() {
-		if l.SrcPort.IsExpress() {
-			return Express{}
-		}
-	}
-	return XY{}
 }

@@ -11,156 +11,10 @@ import (
 func mesh6() *topology.Topology    { return topology.NewMesh2D(6, 6, 3.1) }
 func mesh334() *topology.Topology  { return topology.NewMesh3D(3, 3, 4, 3.1, 0.02) }
 func expressM() *topology.Topology { return topology.NewExpressMesh2D(6, 6, 1.58, 2) }
-func id(t *topology.Topology, x, y int) topology.NodeID {
-	return t.MustNodeAt(topology.Coord{X: x, Y: y}).ID
-}
-
-func TestXYSimplePath(t *testing.T) {
-	m := mesh6()
-	p, err := Path(m, XY{}, id(m, 0, 0), id(m, 3, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []topology.Dir{topology.East, topology.East, topology.East, topology.South, topology.South}
-	if len(p) != len(want) {
-		t.Fatalf("path = %v, want %v", p, want)
-	}
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatalf("path = %v, want %v", p, want)
-		}
-	}
-}
-
-func TestXYSelf(t *testing.T) {
-	m := mesh6()
-	if d := (XY{}).NextPort(m, 5, 5); d != topology.Local {
-		t.Errorf("NextPort(self) = %v, want local", d)
-	}
-	p, err := Path(m, XY{}, 5, 5)
-	if err != nil || len(p) != 0 {
-		t.Errorf("Path(self) = %v, %v", p, err)
-	}
-}
-
-func TestXYHopsEqualManhattan(t *testing.T) {
-	m := mesh6()
-	for _, a := range m.Nodes() {
-		for _, b := range m.Nodes() {
-			h, err := HopCount(m, XY{}, a.ID, b.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			man := abs(a.Coord.X-b.Coord.X) + abs(a.Coord.Y-b.Coord.Y)
-			if h != man {
-				t.Fatalf("hops %d->%d = %d, want %d", a.ID, b.ID, h, man)
-			}
-		}
-	}
-}
-
-func TestXYZOn3D(t *testing.T) {
-	m := mesh334()
-	src := m.MustNodeAt(topology.Coord{X: 0, Y: 0, Z: 0}).ID
-	dst := m.MustNodeAt(topology.Coord{X: 2, Y: 2, Z: 3}).ID
-	h, err := HopCount(m, XY{}, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 7 { // 2+2+3
-		t.Errorf("hops = %d, want 7", h)
-	}
-	// Z is routed last.
-	p, _ := Path(m, XY{}, src, dst)
-	sawZ := false
-	for _, d := range p {
-		if d.IsVertical() {
-			sawZ = true
-		} else if sawZ {
-			t.Fatalf("non-vertical hop after vertical in %v", p)
-		}
-	}
-}
-
-func TestExpressPrefersExpress(t *testing.T) {
-	m := expressM()
-	// 0,0 -> 5,0: distance 5 => exp(2) + exp(2) + normal(1) = 3 hops.
-	h, err := HopCount(m, Express{}, id(m, 0, 0), id(m, 5, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 3 {
-		t.Errorf("express hops = %d, want 3", h)
-	}
-	p, _ := Path(m, Express{}, id(m, 0, 0), id(m, 5, 0))
-	if !p[0].IsExpress() || !p[1].IsExpress() || p[2].IsExpress() {
-		t.Errorf("path = %v, want exp,exp,normal", p)
-	}
-}
-
-func TestExpressShortDistanceUsesNormal(t *testing.T) {
-	m := expressM()
-	p, err := Path(m, Express{}, id(m, 0, 0), id(m, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range p {
-		if d.IsExpress() {
-			t.Errorf("distance-1 hops must be normal, path %v", p)
-		}
-	}
-}
-
-func TestExpressNeverWorseThanXY(t *testing.T) {
-	m := expressM()
-	for _, a := range m.Nodes() {
-		for _, b := range m.Nodes() {
-			he, err := HopCount(m, Express{}, a.ID, b.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hx, err := HopCount(m, XY{}, a.ID, b.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if he > hx {
-				t.Fatalf("express %d->%d worse: %d > %d", a.ID, b.ID, he, hx)
-			}
-		}
-	}
-}
-
-// Express routing still delivers the minimal Manhattan distance in
-// physical span even when taking multi-hop links.
-func TestExpressMinimalSpan(t *testing.T) {
-	m := expressM()
-	for _, a := range m.Nodes() {
-		for _, b := range m.Nodes() {
-			p, err := Path(m, Express{}, a.ID, b.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			span := 0
-			cur := a.ID
-			for _, d := range p {
-				l, ok := m.OutLink(cur, d)
-				if !ok {
-					t.Fatalf("missing link at %d dir %v", cur, d)
-				}
-				span += l.Span
-				cur = l.Dst
-			}
-			man := abs(a.Coord.X-b.Coord.X) + abs(a.Coord.Y-b.Coord.Y)
-			if span != man {
-				t.Fatalf("span %d->%d = %d, want %d (non-minimal)", a.ID, b.ID, span, man)
-			}
-		}
-	}
-}
 
 func TestAverageHopsUR2D(t *testing.T) {
 	m := mesh6()
-	got, err := AverageHops(m, XY{}, nil, nil)
+	got, err := AverageHops(m, DOR{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +31,15 @@ func TestAverageHopsUR2D(t *testing.T) {
 func TestAverageHopsOrdering(t *testing.T) {
 	// Figure 11 (d): 3DM-E < 3DB < 2DB for uniform random traffic.
 	m2, m3, me := mesh6(), mesh334(), expressM()
-	h2, err := AverageHops(m2, XY{}, nil, nil)
+	h2, err := AverageHops(m2, DOR{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := AverageHops(m3, XY{}, nil, nil)
+	h3, err := AverageHops(m3, DOR{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	he, err := AverageHops(me, Express{}, nil, nil)
+	he, err := AverageHops(me, DOR{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +55,12 @@ func TestAverageHopsNUCA3DBWorse(t *testing.T) {
 	if err := topology.ApplyNUCALayout3D(m3); err != nil {
 		t.Fatal(err)
 	}
-	ur, err := AverageHops(m3, XY{}, nil, nil)
+	ur, err := AverageHops(m3, DOR{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpus, caches := m3.CPUs(), m3.Caches()
-	req, err := AverageHops(m3, XY{}, cpus, caches)
+	req, err := AverageHops(m3, DOR{}, cpus, caches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,18 +71,9 @@ func TestAverageHopsNUCA3DBWorse(t *testing.T) {
 
 func TestAverageHopsEmpty(t *testing.T) {
 	m := mesh6()
-	got, err := AverageHops(m, XY{}, []topology.NodeID{3}, []topology.NodeID{3})
+	got, err := AverageHops(m, DOR{}, []topology.NodeID{3}, []topology.NodeID{3})
 	if err != nil || got != 0 {
 		t.Errorf("AverageHops over self pair = %v, %v; want 0, nil", got, err)
-	}
-}
-
-func TestForTopology(t *testing.T) {
-	if ForTopology(mesh6()).Name() != "xy" {
-		t.Errorf("mesh should pick xy")
-	}
-	if ForTopology(expressM()).Name() != "express" {
-		t.Errorf("express mesh should pick express routing")
 	}
 }
 
@@ -241,13 +86,13 @@ func TestRoutingTerminatesProperty(t *testing.T) {
 	f := func() bool {
 		s := topology.NodeID(rng.Intn(m.NumNodes()))
 		d := topology.NodeID(rng.Intn(m.NumNodes()))
-		h, err := HopCount(m, XY{}, s, d)
+		h, err := HopCount(m, DOR{}, s, d)
 		if err != nil || h > 2+2+3 {
 			return false
 		}
 		se := topology.NodeID(rng.Intn(me.NumNodes()))
 		de := topology.NodeID(rng.Intn(me.NumNodes()))
-		he, err := HopCount(me, Express{}, se, de)
+		he, err := HopCount(me, DOR{}, se, de)
 		return err == nil && he <= 6
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 500}); err != nil {

@@ -66,15 +66,12 @@ func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 			return nil, noc.Config{}, err
 		}
 		d.Topo = topo
-		d.Alg = routing.Express{}
 	}
 	if c := s.Chips; c != nil {
 		// A chiplet grid replaces the floorplan wholesale; the
 		// architecture keeps setting the router pipeline and the on-chip
-		// link pitch the grid tiles with. ForTopology resolves to
-		// chip-boundary-aware DOR (ChipDOR).
+		// link pitch the grid tiles with.
 		d.Topo = topology.NewChipGrid(c.spec(d.LinkLenMM))
-		d.Alg = routing.ForTopology(d.Topo)
 	}
 
 	cfg := d.NoCConfig(noc.AnyFree, s.Seed)
@@ -97,10 +94,7 @@ func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 	cfg.Mode = mode
 	cfg.Shards = s.Shards
 
-	switch s.Routing {
-	case "xy":
-		cfg.Alg = routing.XY{}
-	case "westfirst":
+	if s.Routing == "westfirst" {
 		var faults []routing.LinkFault
 		for _, f := range s.Faults {
 			if f.Src >= d.Topo.NumNodes() {

@@ -167,9 +167,10 @@ type Scenario struct {
 	SpecSA      bool `json:"spec_sa,omitempty"`
 	QoSPriority bool `json:"qos_priority,omitempty"`
 
-	// Routing overrides the routing algorithm: "" or "xy" for the
-	// architecture default, "westfirst" for fault-tolerant west-first
-	// routing (required when Faults is non-empty).
+	// Routing selects the routing function: "" or "xy" for
+	// dimension-ordered routing (routing.DOR, the paper's X-Y rule,
+	// express-first on express fabrics), "westfirst" for fault-tolerant
+	// west-first routing (required when Faults is non-empty).
 	Routing string  `json:"routing,omitempty"`
 	Faults  []Fault `json:"faults,omitempty"`
 

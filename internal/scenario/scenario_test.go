@@ -342,6 +342,34 @@ func TestElaborateDeterminism(t *testing.T) {
 	}
 }
 
+// TestRoutingXYIsDefault: "xy" names the default routing, which takes
+// express links where the fabric has them, so it runs exactly what no
+// routing key runs on 3DM-E and on an express chip grid.
+func TestRoutingXYIsDefault(t *testing.T) {
+	express, chips := ur(), ur()
+	express.Arch = "3DM-E"
+	chips.Chips = &Chips{ChipsX: 2, ChipsY: 2, NodesX: 3, NodesY: 3, D2DLatency: 4, Express: true}
+	for _, sc := range []Scenario{express, chips} {
+		var res [2]string
+		for i, routing := range []string{"", "xy"} {
+			sc.Routing = routing
+			e, err := sc.Elaborate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(out.Result)
+			res[i] = string(b)
+		}
+		if res[0] != res[1] {
+			t.Errorf("%s chips=%v: routing \"xy\" diverged from the default:\n%s\n%s", sc.Arch, sc.Chips != nil, res[0], res[1])
+		}
+	}
+}
+
 // failWriter is a trace sink whose every write fails.
 type failWriter struct{}
 

@@ -16,7 +16,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean accumulates a running mean and variance using Welford's algorithm,
@@ -69,14 +68,6 @@ func (m *Mean) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (m *Mean) StdErr() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.StdDev() / math.Sqrt(float64(m.n))
-}
 
 // String summarizes the accumulator.
 func (m *Mean) String() string {
@@ -139,19 +130,6 @@ func (h *Histogram) Percentile(q float64) int {
 		}
 	}
 	return len(h.bins)
-}
-
-// Median returns the median of a slice (which it sorts in place).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Ratio returns a/b, or 0 when b is 0; convenient for normalized tables.

@@ -29,7 +29,7 @@ func TestMeanBasic(t *testing.T) {
 
 func TestMeanEmpty(t *testing.T) {
 	var m Mean
-	if m.Mean() != 0 || m.Variance() != 0 || m.StdErr() != 0 {
+	if m.Mean() != 0 || m.Variance() != 0 {
 		t.Errorf("zero-value Mean should report zeros, got %v", m.String())
 	}
 }
@@ -157,18 +157,6 @@ func TestHistogramPercentileAllOverflow(t *testing.T) {
 	}
 	if p := h.Percentile(1); p != 4 {
 		t.Errorf("overflow P100 = %d, want 4", p)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median = %v, want 2", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Errorf("even median = %v, want 2.5", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("empty median = %v, want 0", m)
 	}
 }
 

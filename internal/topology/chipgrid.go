@@ -7,8 +7,8 @@ import "fmt"
 // on-chip NodesX x NodesY 2D mesh; every facing boundary-node pair of
 // adjacent chips is joined by a bidirectional d2d channel, so the global
 // node graph stays a full (ChipsX*NodesX) x (ChipsY*NodesY) mesh and
-// dimension-ordered routing remains valid — only the edge classes and
-// timings differ.
+// dimension-ordered routing remains valid — only the d2d edges' marks
+// and timings differ.
 type ChipGridSpec struct {
 	// ChipsX, ChipsY are the chip-grid dimensions (>= 1 each, > 1 in
 	// at least one for a true multi-chip system).
@@ -26,9 +26,8 @@ type ChipGridSpec struct {
 	D2DLatency int
 	// D2DSerCycles is the serialization factor of the d2d channels:
 	// the cycles a flit occupies the link, ceil(flit bytes / link
-	// width bytes). 0 or 1 means a full-width parallel channel
-	// (ClassD2DParallel); > 1 means a narrow serial channel
-	// (ClassD2DSerial).
+	// width bytes). 0 or 1 means a full-width parallel channel; > 1
+	// means a narrow serial one.
 	D2DSerCycles int
 	// Express adds inter-chip express channels: every boundary node on
 	// a chip's east (south) edge links to the matching boundary node
@@ -66,26 +65,14 @@ func NewChipGrid(spec ChipGridSpec) *Topology {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	lat := int32(spec.D2DLatency)
-	if lat == 0 {
-		lat = 1
-	}
-	ser := int32(spec.D2DSerCycles)
-	if ser == 0 {
-		ser = 1
-	}
-	class := ClassD2DParallel
-	if ser > 1 {
-		class = ClassD2DSerial
-	}
+	// addLink turns a zero latency or serialization into 1.
+	lat, ser := int32(spec.D2DLatency), int32(spec.D2DSerCycles)
 	d2dLen := spec.D2DLengthMM
 	if d2dLen == 0 {
 		d2dLen = 2 * spec.PitchMM
 	}
 	xd, yd := spec.ChipsX*spec.NodesX, spec.ChipsY*spec.NodesY
 	t := newTopology(fmt.Sprintf("chipgrid%dx%d/%dx%d", spec.ChipsX, spec.ChipsY, spec.NodesX, spec.NodesY), xd, yd, 1)
-	t.ChipsX, t.ChipsY = spec.ChipsX, spec.ChipsY
-	t.ChipNodesX, t.ChipNodesY = spec.NodesX, spec.NodesY
 	for y := 0; y < yd; y++ {
 		for x := 0; x < xd; x++ {
 			n := t.MustNodeAt(Coord{X: x, Y: y})
@@ -93,17 +80,17 @@ func NewChipGrid(spec ChipGridSpec) *Topology {
 				e := t.MustNodeAt(Coord{X: x + 1, Y: y})
 				if (x+1)%spec.NodesX == 0 {
 					// The eastward edge crosses a die boundary.
-					t.addBiLinkClass(n.ID, e.ID, East, d2dLen, 1, false, class, lat, ser)
+					t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: East, LengthMM: d2dLen, D2D: true, Latency: lat, SerCycles: ser})
 				} else {
-					t.addBiLink(n.ID, e.ID, East, spec.PitchMM, 1, false)
+					t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: East, LengthMM: spec.PitchMM})
 				}
 			}
 			if y+1 < yd {
 				s := t.MustNodeAt(Coord{X: x, Y: y + 1})
 				if (y+1)%spec.NodesY == 0 {
-					t.addBiLinkClass(n.ID, s.ID, South, d2dLen, 1, false, class, lat, ser)
+					t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: South, LengthMM: d2dLen, D2D: true, Latency: lat, SerCycles: ser})
 				} else {
-					t.addBiLink(n.ID, s.ID, South, spec.PitchMM, 1, false)
+					t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: South, LengthMM: spec.PitchMM})
 				}
 			}
 		}
@@ -119,14 +106,14 @@ func NewChipGrid(spec ChipGridSpec) *Topology {
 			for x := spec.NodesX - 1; x+spec.NodesX < xd; x += spec.NodesX {
 				n := t.MustNodeAt(Coord{X: x, Y: y})
 				e := t.MustNodeAt(Coord{X: x + spec.NodesX, Y: y})
-				t.addBiLinkClass(n.ID, e.ID, EastExp, elenX, spec.NodesX, false, ClassChipExpress, lat, 1)
+				t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: EastExp, LengthMM: elenX, Span: spec.NodesX, D2D: true, Latency: lat})
 			}
 		}
 		for x := 0; x < xd; x++ {
 			for y := spec.NodesY - 1; y+spec.NodesY < yd; y += spec.NodesY {
 				n := t.MustNodeAt(Coord{X: x, Y: y})
 				s := t.MustNodeAt(Coord{X: x, Y: y + spec.NodesY})
-				t.addBiLinkClass(n.ID, s.ID, SouthExp, elenY, spec.NodesY, false, ClassChipExpress, lat, 1)
+				t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: SouthExp, LengthMM: elenY, Span: spec.NodesY, D2D: true, Latency: lat})
 			}
 		}
 	}

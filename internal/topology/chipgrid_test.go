@@ -29,33 +29,11 @@ func TestDirHelpers(t *testing.T) {
 	}
 }
 
-// TestLinkClassString covers the class labels and the d2d predicate.
-func TestLinkClassString(t *testing.T) {
-	cases := []struct {
-		c    LinkClass
-		name string
-		d2d  bool
-	}{
-		{ClassOnChip, "on-chip", false},
-		{ClassD2DParallel, "d2d-parallel", true},
-		{ClassD2DSerial, "d2d-serial", true},
-		// A chip-express channel still crosses a die gap.
-		{ClassChipExpress, "chip-express", true},
-	}
-	for _, c := range cases {
-		if got := c.c.String(); got != c.name {
-			t.Errorf("class %d: name %q, want %q", c.c, got, c.name)
-		}
-		if got := c.c.IsD2D(); got != c.d2d {
-			t.Errorf("class %v: IsD2D %v, want %v", c.c, got, c.d2d)
-		}
-	}
-}
-
 // TestChipGridSymmetry is the link-level property test: every edge of a
 // chip grid is symmetric (the reverse link exists on the opposite port)
-// and class-consistent (both directions carry the same class, latency
-// and serialization factor), for parallel, serial and express specs.
+// and consistent (both directions carry the same d2d mark, latency and
+// serialization factor), and exactly the links that cross a chip
+// boundary are d2d, for parallel, serial and express specs.
 func TestChipGridSymmetry(t *testing.T) {
 	specs := []ChipGridSpec{
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, PitchMM: 3.1, D2DLatency: 4},
@@ -72,42 +50,28 @@ func TestChipGridSymmetry(t *testing.T) {
 			if rev.Dst != l.Src {
 				t.Fatalf("%s: reverse of %d-%v->%d lands on %d", tp.Name, l.Src, l.SrcPort, l.Dst, rev.Dst)
 			}
-			if rev.Class != l.Class || rev.Latency != l.Latency || rev.SerCycles != l.SerCycles {
-				t.Fatalf("%s: link %d-%v->%d class/lat/ser %v/%d/%d, reverse %v/%d/%d",
+			if rev.D2D != l.D2D || rev.Latency != l.Latency || rev.SerCycles != l.SerCycles {
+				t.Fatalf("%s: link %d-%v->%d d2d/lat/ser %v/%d/%d, reverse %v/%d/%d",
 					tp.Name, l.Src, l.SrcPort, l.Dst,
-					l.Class, l.Latency, l.SerCycles, rev.Class, rev.Latency, rev.SerCycles)
+					l.D2D, l.Latency, l.SerCycles, rev.D2D, rev.Latency, rev.SerCycles)
 			}
-			crossesChip := func(a, b NodeID) bool {
-				ax, ay := tp.ChipOf(a)
-				bx, by := tp.ChipOf(b)
-				return ax != bx || ay != by
-			}(l.Src, l.Dst)
-			if l.Class.IsD2D() != crossesChip {
-				t.Fatalf("%s: link %d-%v->%d class %v but crosses chip = %v",
-					tp.Name, l.Src, l.SrcPort, l.Dst, l.Class, crossesChip)
-			}
-			if l.SrcPort.IsExpress() && l.Class != ClassChipExpress {
-				t.Fatalf("%s: express link %d-%v->%d has class %v", tp.Name, l.Src, l.SrcPort, l.Dst, l.Class)
+			a, b := tp.Node(l.Src).Coord, tp.Node(l.Dst).Coord
+			crossesChip := a.X/spec.NodesX != b.X/spec.NodesX || a.Y/spec.NodesY != b.Y/spec.NodesY
+			if l.D2D != crossesChip {
+				t.Fatalf("%s: link %d-%v->%d d2d %v but crosses chip = %v",
+					tp.Name, l.Src, l.SrcPort, l.Dst, l.D2D, crossesChip)
 			}
 		}
 	}
 }
 
-// TestChipGridAddressing places every node of an asymmetric grid on its
-// chip.
+// TestChipGridAddressing tiles an asymmetric grid into one flat mesh
+// address space: a node's chip is its coordinate divided by the chip's
+// node dimensions.
 func TestChipGridAddressing(t *testing.T) {
 	tp := NewChipGrid(ChipGridSpec{ChipsX: 3, ChipsY: 2, NodesX: 4, NodesY: 3, PitchMM: 3.1})
-	if got := tp.NumChips(); got != 6 {
-		t.Fatalf("NumChips = %d, want 6", got)
-	}
-	if tp.NumNodes() != 3*4*2*3 {
-		t.Fatalf("NumNodes = %d, want %d", tp.NumNodes(), 3*4*2*3)
-	}
-	for _, n := range tp.Nodes() {
-		cx, cy := tp.ChipOf(n.ID)
-		if cx != n.Coord.X/4 || cy != n.Coord.Y/3 {
-			t.Fatalf("node %d at %v: chip (%d,%d)", n.ID, n.Coord, cx, cy)
-		}
+	if tp.XDim != 3*4 || tp.YDim != 2*3 || tp.ZDim != 1 || tp.NumNodes() != 3*4*2*3 {
+		t.Fatalf("grid %dx%dx%d with %d nodes, want 12x6x1 with 72", tp.XDim, tp.YDim, tp.ZDim, tp.NumNodes())
 	}
 }
 

@@ -16,11 +16,11 @@ func NewMesh2D(xd, yd int, pitchMM float64) *Topology {
 			n := t.MustNodeAt(Coord{X: x, Y: y})
 			if x+1 < xd {
 				e := t.MustNodeAt(Coord{X: x + 1, Y: y})
-				t.addBiLink(n.ID, e.ID, East, pitchMM, 1, false)
+				t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: East, LengthMM: pitchMM})
 			}
 			if y+1 < yd {
 				s := t.MustNodeAt(Coord{X: x, Y: y + 1})
-				t.addBiLink(n.ID, s.ID, South, pitchMM, 1, false)
+				t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: South, LengthMM: pitchMM})
 			}
 		}
 	}
@@ -41,15 +41,15 @@ func NewMesh3D(xd, yd, zd int, pitchMM, vertMM float64) *Topology {
 				n := t.MustNodeAt(Coord{X: x, Y: y, Z: z})
 				if x+1 < xd {
 					e := t.MustNodeAt(Coord{X: x + 1, Y: y, Z: z})
-					t.addBiLink(n.ID, e.ID, East, pitchMM, 1, false)
+					t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: East, LengthMM: pitchMM})
 				}
 				if y+1 < yd {
 					s := t.MustNodeAt(Coord{X: x, Y: y + 1, Z: z})
-					t.addBiLink(n.ID, s.ID, South, pitchMM, 1, false)
+					t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: South, LengthMM: pitchMM})
 				}
 				if z+1 < zd {
 					u := t.MustNodeAt(Coord{X: x, Y: y, Z: z + 1})
-					t.addBiLink(n.ID, u.ID, Up, vertMM, 1, true)
+					t.addBiLink(Link{Src: n.ID, Dst: u.ID, SrcPort: Up, LengthMM: vertMM})
 				}
 			}
 		}
@@ -74,11 +74,11 @@ func NewExpressMesh2D(xd, yd int, pitchMM float64, interval int) *Topology {
 			n := t.MustNodeAt(Coord{X: x, Y: y})
 			if x+interval < xd {
 				e := t.MustNodeAt(Coord{X: x + interval, Y: y})
-				t.addBiLink(n.ID, e.ID, EastExp, elen, interval, false)
+				t.addBiLink(Link{Src: n.ID, Dst: e.ID, SrcPort: EastExp, LengthMM: elen, Span: interval})
 			}
 			if y+interval < yd {
 				s := t.MustNodeAt(Coord{X: x, Y: y + interval})
-				t.addBiLink(n.ID, s.ID, SouthExp, elen, interval, false)
+				t.addBiLink(Link{Src: n.ID, Dst: s.ID, SrcPort: SouthExp, LengthMM: elen, Span: interval})
 			}
 		}
 	}

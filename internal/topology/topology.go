@@ -105,42 +105,6 @@ type Node struct {
 	Type  NodeType
 }
 
-// LinkClass classifies a channel by the physical medium it crosses.
-// On-chip wires are the MIRA baseline; the d2d classes model the
-// off-chip die-to-die channels joining chips of a ChipGrid, whose
-// latency and width dominate multi-chip behaviour.
-type LinkClass uint8
-
-// Link classes.
-const (
-	// ClassOnChip is an ordinary on-die wire: one-cycle traversal,
-	// full flit width. Every pre-chiplet topology uses only this class.
-	ClassOnChip LinkClass = iota
-	// ClassD2DParallel is a wide die-to-die channel (e.g. silicon
-	// bridge or interposer): multi-cycle latency, full flit width.
-	ClassD2DParallel
-	// ClassD2DSerial is a narrow serialized die-to-die channel: a flit
-	// occupies the link for SerCycles cycles while it is streamed
-	// across the reduced-width lanes.
-	ClassD2DSerial
-	// ClassChipExpress is an inter-chip express channel (MIRA's 3DM-E
-	// express links reborn at chip scale): it skips a whole chip per
-	// hop, crossing two die boundaries.
-	ClassChipExpress
-)
-
-var classNames = [...]string{"on-chip", "d2d-parallel", "d2d-serial", "chip-express"}
-
-func (c LinkClass) String() string {
-	if int(c) >= len(classNames) {
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-	return classNames[c]
-}
-
-// IsD2D reports whether the class crosses a die boundary.
-func (c LinkClass) IsD2D() bool { return c != ClassOnChip }
-
 // Link is a unidirectional channel between two routers.
 type Link struct {
 	Src, Dst NodeID
@@ -150,19 +114,17 @@ type Link struct {
 	LengthMM float64
 	// Span is the Manhattan distance covered (1 for normal links, the
 	// express interval for express links).
-	Span     int
-	Vertical bool
-	// Class is the physical link class; latency and serialization
-	// below parameterize it. addLink normalizes the zero values of the
-	// pre-chiplet builders to the on-chip defaults (latency 1, ser 1),
-	// so every stored link carries explicit, symmetric values.
-	Class LinkClass
+	Span int
+	// D2D marks an off-chip die-to-die channel of a chip grid
+	// (NewChipGrid), express or not; the simulator counts the flits
+	// crossing one.
+	D2D bool
 	// Latency is the traversal time in cycles from the source router's
 	// link stage to the destination buffer write (1 for on-chip wires).
 	Latency int32
 	// SerCycles is the number of cycles a flit occupies the link while
 	// being serialized over it: ceil(flit bytes / link width bytes).
-	// 1 for full-width links; > 1 only on ClassD2DSerial channels.
+	// 1 for full-width links; > 1 only on narrow d2d channels.
 	SerCycles int32
 }
 
@@ -170,15 +132,12 @@ type Link struct {
 type Topology struct {
 	Name             string
 	XDim, YDim, ZDim int
-	// Chip-grid geometry (NewChipGrid): the X/Y chip counts and the
-	// node dimensions of one chip. All zero for single-chip topologies;
-	// when set, XDim == ChipsX*ChipNodesX and YDim == ChipsY*ChipNodesY
-	// and the hierarchical (chip, node) helpers below apply.
-	ChipsX, ChipsY         int
-	ChipNodesX, ChipNodesY int
-	nodes                  []Node
-	links                  []Link
-	out                    [][]int // out[node][dir] = link index+1, 0 if none
+	nodes            []Node
+	links            []Link
+	out              [][]int // out[node][dir] = link index+1, 0 if none
+	// expSpan[node][d-EastExp] is the span of the express link leaving
+	// node through d, 0 if none: the one lookup DOR's express test reads.
+	expSpan [][4]int
 }
 
 func newTopology(name string, xd, yd, zd int) *Topology {
@@ -186,6 +145,7 @@ func newTopology(name string, xd, yd, zd int) *Topology {
 	t := &Topology{Name: name, XDim: xd, YDim: yd, ZDim: zd}
 	t.nodes = make([]Node, n)
 	t.out = make([][]int, n)
+	t.expSpan = make([][4]int, n)
 	for i := range t.nodes {
 		t.nodes[i] = Node{ID: NodeID(i), Coord: t.coordOf(NodeID(i))}
 		t.out[i] = make([]int, NumDirs)
@@ -243,6 +203,10 @@ func (t *Topology) OutLink(id NodeID, d Dir) (Link, bool) {
 	return t.links[li-1], true
 }
 
+// ExpressSpan returns the span of the express link leaving node id
+// through the express port d, or 0 when id has no link there.
+func (t *Topology) ExpressSpan(id NodeID, d Dir) int { return t.expSpan[id][d-EastExp] }
+
 // Ports returns the output directions with links at node id, always
 // including Local first.
 func (t *Topology) Ports(id NodeID) []Dir {
@@ -271,29 +235,24 @@ func (t *Topology) MaxPorts() int {
 	return max
 }
 
-// addBiLink installs links in both directions between a and b, leaving a
-// through d.
-func (t *Topology) addBiLink(a, b NodeID, d Dir, lengthMM float64, span int, vertical bool) {
-	t.addBiLinkClass(a, b, d, lengthMM, span, vertical, ClassOnChip, 1, 1)
-}
-
-// addBiLinkClass is addBiLink with an explicit link class: both
-// directions carry the same class, latency and serialization, so every
-// die-to-die edge is symmetric by construction (the chip-grid property
+// addBiLink installs l and its reverse twin, so every edge, die-to-die
+// ones included, is symmetric by construction (the chip-grid property
 // test pins this).
-func (t *Topology) addBiLinkClass(a, b NodeID, d Dir, lengthMM float64, span int, vertical bool, class LinkClass, latency, ser int32) {
-	t.addLink(Link{Src: a, Dst: b, SrcPort: d, LengthMM: lengthMM, Span: span, Vertical: vertical,
-		Class: class, Latency: latency, SerCycles: ser})
-	t.addLink(Link{Src: b, Dst: a, SrcPort: d.Opposite(), LengthMM: lengthMM, Span: span, Vertical: vertical,
-		Class: class, Latency: latency, SerCycles: ser})
+func (t *Topology) addBiLink(l Link) {
+	t.addLink(l)
+	l.Src, l.Dst, l.SrcPort = l.Dst, l.Src, l.SrcPort.Opposite()
+	t.addLink(l)
 }
 
 func (t *Topology) addLink(l Link) {
 	if t.out[l.Src][l.SrcPort] != 0 {
 		panic(fmt.Sprintf("topology %s: duplicate link at node %d port %v", t.Name, l.Src, l.SrcPort))
 	}
-	// Normalize the zero values of pre-chiplet construction code to the
-	// on-chip defaults, so consumers never special-case them.
+	// Normalize zero values to the one-hop on-chip defaults, so
+	// consumers never special-case them.
+	if l.Span == 0 {
+		l.Span = 1
+	}
 	if l.Latency == 0 {
 		l.Latency = 1
 	}
@@ -306,25 +265,9 @@ func (t *Topology) addLink(l Link) {
 	}
 	t.links = append(t.links, l)
 	t.out[l.Src][l.SrcPort] = len(t.links)
-}
-
-// NumChips returns the number of chips in the grid (1 for single-chip
-// topologies).
-func (t *Topology) NumChips() int {
-	if t.ChipsX == 0 {
-		return 1
+	if l.SrcPort.IsExpress() {
+		t.expSpan[l.Src][l.SrcPort-EastExp] = l.Span
 	}
-	return t.ChipsX * t.ChipsY
-}
-
-// ChipOf returns the chip-grid coordinate of node id's chip. Single-chip
-// topologies report (0, 0) for every node.
-func (t *Topology) ChipOf(id NodeID) (cx, cy int) {
-	if t.ChipsX == 0 {
-		return 0, 0
-	}
-	c := t.Node(id).Coord
-	return c.X / t.ChipNodesX, c.Y / t.ChipNodesY
 }
 
 // MaxLinkDelay returns the largest latency + SerCycles - 1 over all

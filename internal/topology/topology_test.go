@@ -63,7 +63,7 @@ func TestMesh2DStructure(t *testing.T) {
 		t.Errorf("MaxPorts = %d, want 5", m.MaxPorts())
 	}
 	for _, l := range m.Links() {
-		if l.LengthMM != 3.1 || l.Span != 1 || l.Vertical {
+		if l.LengthMM != 3.1 || l.Span != 1 || l.SrcPort.IsVertical() || l.D2D {
 			t.Fatalf("bad link %+v", l)
 		}
 	}
@@ -116,7 +116,7 @@ func TestMesh3DStructure(t *testing.T) {
 	}
 	var vert, horiz int
 	for _, l := range m.Links() {
-		if l.Vertical {
+		if l.SrcPort.IsVertical() {
 			vert++
 			if l.LengthMM != 0.02 {
 				t.Fatalf("vertical link length %v", l.LengthMM)
@@ -149,8 +149,9 @@ func TestExpressMeshStructure(t *testing.T) {
 	if !ok {
 		t.Fatalf("no east express link at origin")
 	}
-	if l.Span != 2 {
-		t.Errorf("express span = %d, want 2", l.Span)
+	if o := m.MustNodeAt(Coord{}).ID; l.Span != 2 || m.ExpressSpan(o, EastExp) != 2 || m.ExpressSpan(o, WestExp) != 0 {
+		t.Errorf("express span = %d, ExpressSpan east %d west %d, want 2, 2, 0",
+			l.Span, m.ExpressSpan(o, EastExp), m.ExpressSpan(o, WestExp))
 	}
 	if got := m.Node(l.Dst).Coord; got != (Coord{X: 2}) {
 		t.Errorf("express east from origin lands at %v", got)
@@ -198,7 +199,7 @@ func TestDuplicateLinkPanics(t *testing.T) {
 			t.Errorf("duplicate link should panic")
 		}
 	}()
-	m.addBiLink(0, 1, East, 1, 1, false)
+	m.addBiLink(Link{Src: 0, Dst: 1, SrcPort: East, LengthMM: 1})
 }
 
 func TestNUCALayout2D(t *testing.T) {

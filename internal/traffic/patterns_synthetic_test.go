@@ -124,7 +124,7 @@ func TestAdversarialPatternsLoadNetwork(t *testing.T) {
 	// load, and tornado must load east-going links asymmetrically.
 	m := mesh66()
 	cfg := noc.Config{
-		Topo: m, Alg: routing.XY{}, VCs: 2, BufDepth: 8,
+		Topo: m, Alg: routing.DOR{}, VCs: 2, BufDepth: 8,
 		STLTCycles: 2, Layers: 4, Policy: noc.AnyFree, Seed: 1,
 	}
 	p := &Permutation{Topo: m, InjectionRate: 0.1, PacketSize: 4, Dst: Transpose, Name: "transpose"}
