@@ -133,19 +133,6 @@ func (c *L1) Fill(addr uint32, s LineState) (victim uint32, victimState LineStat
 	return victim, victimState
 }
 
-// Occupancy returns the number of valid lines (diagnostics).
-func (c *L1) Occupancy() int {
-	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].state != Invalid {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // dirEntry is the distributed-directory state of one line at its home
 // L2 bank: which L1s share it and which (if any) owns it modified.
 type dirEntry struct {

@@ -66,7 +66,6 @@ func DefaultParams(w Workload, topo *topology.Topology, seed int64) Params {
 // Stats summarizes one generation run.
 type Stats struct {
 	Accesses, L1Hits, L1Misses int64
-	Upgrades                   int64
 	KindCounts                 [NumKinds]int64
 	WordCounts                 [traffic.NumPatterns]int64
 	ShortFlits, TotalFlits     int64
@@ -113,59 +112,64 @@ func (s *Stats) WordPatternShares() map[traffic.WordPattern]float64 {
 	return out
 }
 
-// hierarchy is the memory system both System and ClosedSystem model:
-// the L1s, the home-bank directories and the CPUs' address streams,
-// all drawing from one rng seeded by Params.Seed.
-type hierarchy struct {
-	p         Params
-	rng       *rand.Rand
-	l1s       []*L1
-	dirs      map[topology.NodeID]*Directory
-	cpuNodes  []topology.NodeID
-	bankNodes []topology.NodeID
-	seqPtr    []uint32 // per-CPU sequential stream position
-	recent    []reuseWindow
-	words     [traffic.NumPatterns]int64 // data words by Figure 1 pattern
+// System simulates the NUCA memory hierarchy of §4.1.2 — the L1s, the
+// home-bank directories and the CPUs' address streams, all drawing from
+// one rng seeded by Params.Seed — and records the coherence traffic it
+// generates.
+type System struct {
+	p           Params
+	rng         *rand.Rand
+	l1s         []*L1
+	dirs        map[topology.NodeID]*Directory
+	cpuNodes    []topology.NodeID
+	bankNodes   []topology.NodeID
+	seqPtr      []uint32 // per-CPU sequential stream position
+	recent      []reuseWindow
+	outstanding [][]int64 // per-CPU completion times
+	trace       *traffic.Trace
+	stats       Stats
 }
 
-// newHierarchy validates the parameters and builds empty caches and
-// directories.
-func newHierarchy(p Params) (hierarchy, error) {
+// NewSystem validates the parameters and builds a system with empty
+// caches and directories.
+func NewSystem(p Params) (*System, error) {
 	cpus, banks := p.Topo.CPUs(), p.Topo.Caches()
 	if len(cpus) == 0 || len(banks) == 0 {
-		return hierarchy{}, fmt.Errorf("cmp: topology lacks CPU/cache layout (%d cpus, %d banks)", len(cpus), len(banks))
+		return nil, fmt.Errorf("cmp: topology lacks CPU/cache layout (%d cpus, %d banks)", len(cpus), len(banks))
 	}
 	if len(cpus) > 16 {
-		return hierarchy{}, fmt.Errorf("cmp: directory sharer mask supports <= 16 CPUs, have %d", len(cpus))
+		return nil, fmt.Errorf("cmp: directory sharer mask supports <= 16 CPUs, have %d", len(cpus))
 	}
 	if err := p.Workload.Patterns.Validate(); err != nil {
-		return hierarchy{}, err
+		return nil, err
 	}
 	if p.MaxOutstanding < 1 {
-		return hierarchy{}, fmt.Errorf("cmp: MaxOutstanding = %d", p.MaxOutstanding)
+		return nil, fmt.Errorf("cmp: MaxOutstanding = %d", p.MaxOutstanding)
 	}
-	h := hierarchy{
-		p:         p,
-		rng:       rand.New(rand.NewSource(p.Seed)),
-		cpuNodes:  cpus,
-		bankNodes: banks,
-		dirs:      make(map[topology.NodeID]*Directory, len(banks)),
-		seqPtr:    make([]uint32, len(cpus)),
-		recent:    make([]reuseWindow, len(cpus)),
+	s := &System{
+		p:           p,
+		rng:         rand.New(rand.NewSource(p.Seed)),
+		cpuNodes:    cpus,
+		bankNodes:   banks,
+		dirs:        make(map[topology.NodeID]*Directory, len(banks)),
+		seqPtr:      make([]uint32, len(cpus)),
+		recent:      make([]reuseWindow, len(cpus)),
+		outstanding: make([][]int64, len(cpus)),
+		trace:       &traffic.Trace{Name: p.Workload.Name},
 	}
 	for range cpus {
-		h.l1s = append(h.l1s, &L1{})
+		s.l1s = append(s.l1s, &L1{})
 	}
 	for _, b := range banks {
-		h.dirs[b] = NewDirectory()
+		s.dirs[b] = NewDirectory()
 	}
-	return h, nil
+	return s, nil
 }
 
 // bankOf maps a line address to its home bank node: SNUCA places sets
 // statically by the low-order bits of the address (§4.1.2).
-func (h *hierarchy) bankOf(addr uint32) topology.NodeID {
-	return h.bankNodes[int(addr)%len(h.bankNodes)]
+func (s *System) bankOf(addr uint32) topology.NodeID {
+	return s.bankNodes[int(addr)%len(s.bankNodes)]
 }
 
 // Address-space layout: each CPU has a private region; a common shared
@@ -174,110 +178,39 @@ const sharedBase uint32 = 0xE000000
 
 func privateBase(cpu int) uint32 { return uint32(cpu+1) << 20 }
 
-// access draws whether the CPU issues a memory access this cycle and,
-// if it does, the line address.
-func (h *hierarchy) access(cpu int) (addr uint32, ok bool) {
-	if h.rng.Float64() >= h.p.Workload.Intensity {
-		return 0, false
-	}
-	return h.genAddr(cpu), true
-}
-
 // genAddr draws the next line address for a CPU: temporal re-reference
 // of a recent line, a shared-region access, a sequential step, or a
 // random touch of the private working set.
-func (h *hierarchy) genAddr(cpu int) uint32 {
-	w := &h.p.Workload
-	if u := h.rng.Float64(); u < w.ReuseFrac {
-		if addr, ok := h.recent[cpu].sample(h.rng); ok {
+func (s *System) genAddr(cpu int) uint32 {
+	w := &s.p.Workload
+	if u := s.rng.Float64(); u < w.ReuseFrac {
+		if addr, ok := s.recent[cpu].sample(s.rng); ok {
 			return addr
 		}
 	}
 	var addr uint32
-	u := h.rng.Float64()
+	u := s.rng.Float64()
 	switch {
 	case u < w.SharedFrac:
-		addr = sharedBase + uint32(h.rng.Intn(w.SharedLines))
+		addr = sharedBase + uint32(s.rng.Intn(w.SharedLines))
 	case u < w.SharedFrac+w.SeqFrac:
-		h.seqPtr[cpu] = (h.seqPtr[cpu] + 1) % uint32(w.WorkingSetLines)
-		addr = privateBase(cpu) + h.seqPtr[cpu]
+		s.seqPtr[cpu] = (s.seqPtr[cpu] + 1) % uint32(w.WorkingSetLines)
+		addr = privateBase(cpu) + s.seqPtr[cpu]
 	default:
-		addr = privateBase(cpu) + uint32(h.rng.Intn(w.WorkingSetLines))
+		addr = privateBase(cpu) + uint32(s.rng.Intn(w.WorkingSetLines))
 	}
-	h.recent[cpu].push(addr)
+	s.recent[cpu].push(addr)
 	return addr
-}
-
-// lookup draws whether the access is a load and looks the line up in the
-// CPU's L1. A load of a valid line and a store to an M or E line hit
-// (the store leaves it Modified); anything else is a miss the protocol
-// must serve, from line state st.
-func (h *hierarchy) lookup(cpu int, addr uint32) (isRead, hit bool, st LineState) {
-	isRead = h.rng.Float64() < h.p.Workload.ReadFrac
-	st = h.l1s[cpu].Lookup(addr)
-	switch {
-	case isRead && st != Invalid:
-		return isRead, true, st
-	case !isRead && (st == Modified || st == Exclusive):
-		h.l1s[cpu].SetState(addr, Modified)
-		return isRead, true, st
-	}
-	return isRead, false, st
 }
 
 // l2Latency draws a home-bank access time: a bank hit, or an L2 miss
 // that goes on to DRAM.
-func (h *hierarchy) l2Latency() int64 {
-	lat := h.p.BankLat
-	if h.rng.Float64() < h.p.Workload.L2MissFrac {
-		lat += h.p.MemLat
+func (s *System) l2Latency() int64 {
+	lat := s.p.BankLat
+	if s.rng.Float64() < s.p.Workload.L2MissFrac {
+		lat += s.p.MemLat
 	}
 	return lat
-}
-
-// dataPayload draws a cache line's words, counting them by pattern.
-func (h *hierarchy) dataPayload() line {
-	return dataPayload(h.p.Workload.Patterns, h.rng, &h.words)
-}
-
-// fill installs a line into the CPU's L1 and retires the victim, if
-// any, from its directory entry (clean victims leave silently). It
-// returns a dirty victim's address and home bank, which the caller
-// writes back over the network.
-func (h *hierarchy) fill(cpu int, addr uint32, st LineState) (victim uint32, bank topology.NodeID, dirty bool) {
-	victim, vState := h.l1s[cpu].Fill(addr, st)
-	if vState == Invalid {
-		return 0, 0, false
-	}
-	bank = h.bankOf(victim)
-	ve := h.dirs[bank].Entry(victim)
-	ve.clearSharer(cpu)
-	if int(ve.owner) == cpu {
-		ve.owner = -1
-	}
-	return victim, bank, vState.Dirty()
-}
-
-// System simulates the NUCA memory hierarchy of §4.1.2 and records the
-// coherence traffic it generates.
-type System struct {
-	hierarchy
-	trace       *traffic.Trace
-	stats       Stats
-	outstanding [][]int64 // per-CPU completion times
-}
-
-// NewSystem validates the parameters and builds a system.
-func NewSystem(p Params) (*System, error) {
-	h, err := newHierarchy(p)
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		hierarchy:   h,
-		trace:       &traffic.Trace{Name: p.Workload.Name},
-		outstanding: make([][]int64, len(h.cpuNodes)),
-	}, nil
 }
 
 // emit records one message, of len(layers) flits, in the trace.
@@ -301,8 +234,10 @@ func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, layer
 	}
 }
 
+// emitData draws a cache line's words, counting them by pattern, and
+// records the message that carries it.
 func (s *System) emitData(cycle int64, kind MsgKind, src, dst topology.NodeID) {
-	l := s.dataPayload()
+	l := dataPayload(s.p.Workload.Patterns, s.rng, &s.stats.WordCounts)
 	s.emit(cycle, kind, src, dst, l.layers())
 }
 
@@ -354,55 +289,56 @@ func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 	return respAt
 }
 
-// write handles a store that is not an L1 M/E hit: an upgrade from S, or
-// a full write miss.
+// write handles a store that is not an L1 M/E hit: an upgrade from S or
+// O, or a full write miss.
 func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 	cpuNode := s.cpuNodes[cpu]
 	bank := s.bankOf(addr)
 	e := s.dirs[bank].Entry(addr)
 	t := cycle + s.p.ReqNetLat
+	upgrade := st == Shared || st == Owned
 
 	kind := KindGetX
-	if st == Shared || st == Owned {
+	if upgrade {
 		kind = KindUpgrade
-		s.stats.Upgrades++
 	}
 	s.emitCtrl(cycle, kind, cpuNode, bank)
 
+	// Invalidate every other sharer; they ack to the requester. A MOESI
+	// owner in O shares the line with clean copies, so this runs before
+	// the owner is forwarded to, and skips it.
+	for _, sh := range e.Sharers() {
+		if sh == cpu || sh == int(e.owner) {
+			continue
+		}
+		shNode := s.cpuNodes[sh]
+		s.emitCtrl(t, KindInv, bank, shNode)
+		s.l1s[sh].SetState(addr, Invalid)
+		s.emitCtrl(t+s.p.ReqNetLat, KindAck, shNode, cpuNode)
+	}
 	var respAt int64
-	if e.owner >= 0 && int(e.owner) != cpu {
+	switch {
+	case e.owner >= 0 && int(e.owner) != cpu:
 		// Dirty elsewhere: forward; ownership transfers cache-to-cache.
 		ownerNode := s.cpuNodes[e.owner]
 		s.emitCtrl(t, KindFwd, bank, ownerNode)
 		s.l1s[e.owner].SetState(addr, Invalid)
 		s.emitData(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
 		respAt = t + 2*s.p.ReqNetLat
-	} else {
-		// Invalidate all other sharers; they ack to the requester.
-		for _, sh := range e.Sharers() {
-			if sh == cpu {
-				continue
-			}
-			shNode := s.cpuNodes[sh]
-			s.emitCtrl(t, KindInv, bank, shNode)
-			s.l1s[sh].SetState(addr, Invalid)
-			s.emitCtrl(t+s.p.ReqNetLat, KindAck, shNode, cpuNode)
-		}
-		if st == Shared || st == Owned {
-			// Upgrade: data already present, the bank grants ownership.
-			s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode)
-			respAt = t + s.p.BankLat + s.p.ReqNetLat
-		} else {
-			lat := s.l2Latency()
-			s.emitData(t+lat, KindData, bank, cpuNode)
-			respAt = t + lat + s.p.ReqNetLat
-		}
+	case upgrade:
+		// Data already present, the bank grants ownership.
+		s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode)
+		respAt = t + s.p.BankLat + s.p.ReqNetLat
+	default:
+		lat := s.l2Latency()
+		s.emitData(t+lat, KindData, bank, cpuNode)
+		respAt = t + lat + s.p.ReqNetLat
 	}
 
 	e.clearAll()
 	e.owner = int8(cpu)
 	e.addSharer(cpu)
-	if st == Shared || st == Owned {
+	if upgrade {
 		s.l1s[cpu].SetState(addr, Modified)
 	} else {
 		s.fill(cycle, cpu, addr, Modified)
@@ -410,11 +346,58 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 	return respAt
 }
 
-// fill installs a line into the L1; a Modified victim writes back over
-// the network.
+// fill installs a line into the CPU's L1 and retires the victim, if
+// any, from its directory entry. A clean victim leaves silently; a
+// dirty one writes back over the network.
 func (s *System) fill(cycle int64, cpu int, addr uint32, st LineState) {
-	if _, bank, dirty := s.hierarchy.fill(cpu, addr, st); dirty {
+	victim, vState := s.l1s[cpu].Fill(addr, st)
+	if vState == Invalid {
+		return
+	}
+	bank := s.bankOf(victim)
+	ve := s.dirs[bank].Entry(victim)
+	ve.clearSharer(cpu)
+	if int(ve.owner) == cpu {
+		ve.owner = -1
+	}
+	if vState.Dirty() {
 		s.emitData(cycle, KindWriteBack, s.cpuNodes[cpu], bank)
+	}
+}
+
+// step runs one cycle of every CPU: retire completed misses, then, below
+// the MSHR limit, maybe issue one access. A load of a valid line and a
+// store to an M or E line hit (the store leaves it Modified); anything
+// else is a miss the protocol serves.
+func (s *System) step(cycle int64) {
+	for cpu, l1 := range s.l1s {
+		out := s.outstanding[cpu][:0]
+		for _, t := range s.outstanding[cpu] {
+			if t > cycle {
+				out = append(out, t)
+			}
+		}
+		s.outstanding[cpu] = out
+		if len(out) >= s.p.MaxOutstanding || s.rng.Float64() >= s.p.Workload.Intensity {
+			continue
+		}
+		addr := s.genAddr(cpu)
+		s.stats.Accesses++
+		isRead := s.rng.Float64() < s.p.Workload.ReadFrac
+		st := l1.Lookup(addr)
+		switch {
+		case isRead && st != Invalid:
+			s.stats.L1Hits++
+		case !isRead && (st == Modified || st == Exclusive):
+			s.stats.L1Hits++
+			l1.SetState(addr, Modified)
+		case isRead:
+			s.stats.L1Misses++
+			s.outstanding[cpu] = append(s.outstanding[cpu], s.read(cycle, cpu, addr))
+		default:
+			s.stats.L1Misses++
+			s.outstanding[cpu] = append(s.outstanding[cpu], s.write(cycle, cpu, addr, st))
+		}
 	}
 }
 
@@ -422,38 +405,9 @@ func (s *System) fill(cycle int64, cpu int, addr uint32, st LineState) {
 // recorded trace (time-sorted) plus statistics.
 func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 	for cycle := int64(0); cycle < cycles; cycle++ {
-		for cpu := range s.l1s {
-			// Retire completed misses.
-			out := s.outstanding[cpu][:0]
-			for _, t := range s.outstanding[cpu] {
-				if t > cycle {
-					out = append(out, t)
-				}
-			}
-			s.outstanding[cpu] = out
-			if len(out) >= s.p.MaxOutstanding {
-				continue
-			}
-			addr, ok := s.access(cpu)
-			if !ok {
-				continue
-			}
-			s.stats.Accesses++
-			isRead, hit, st := s.lookup(cpu, addr)
-			switch {
-			case hit:
-				s.stats.L1Hits++
-			case isRead:
-				s.stats.L1Misses++
-				s.outstanding[cpu] = append(s.outstanding[cpu], s.read(cycle, cpu, addr))
-			default:
-				s.stats.L1Misses++
-				s.outstanding[cpu] = append(s.outstanding[cpu], s.write(cycle, cpu, addr, st))
-			}
-		}
+		s.step(cycle)
 	}
 	s.trace.Sort()
-	s.stats.WordCounts = s.words
 	return s.trace, s.stats
 }
 

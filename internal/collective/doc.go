@@ -6,9 +6,8 @@
 // causally dependent: every participant issues its step-(k+1) message
 // only after its step-k message has arrived. The Engine is therefore a
 // dependency engine driven off packet-delivery callbacks (noc.Sim's
-// OnEject hook), the same closed-loop pattern as internal/cmp's
-// ClosedSystem, but packaged as a plain noc.Generator so it composes
-// with the scenario layer, sharded stepping, and every step mode.
+// OnEject hook), packaged as a plain noc.Generator so it composes with
+// the scenario layer, sharded stepping, and every step mode.
 //
 // # Overlays and step complexity
 //

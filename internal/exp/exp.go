@@ -145,7 +145,6 @@ var Experiments = []Experiment{
 	{"ablation-vc", "3DM VC-count ablation (extension)", AblationVCs},
 	{"ablation-express", "express-interval ablation (extension)", AblationExpressInterval},
 	{"ext-leakage", "leakage-thermal feedback (extension)", ExtLeakage},
-	{"ext-cosim", "closed-loop CMP/NoC co-simulation (extension)", ExtCosim},
 	{"ext-patterns", "adversarial traffic patterns (extension)", ExtPatterns},
 	{"ext-qos", "QoS priority arbitration (extension)", ExtQoS},
 	{"ext-fault", "link-fault tolerance via west-first routing (extension)", ExtFault},

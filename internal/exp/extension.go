@@ -65,65 +65,6 @@ func ExtLeakage(ctx context.Context, o Options) (stats.Table, error) {
 	return t, nil
 }
 
-// ExtCosim is the closed-loop CMP/NoC co-simulation extension: instead
-// of replaying pre-recorded traces (the paper's open-loop methodology),
-// the MESI protocol engines drive the live network and CPU miss latency
-// includes real queueing. It reports the end-to-end L2 access time per
-// architecture, the quantity the interconnect improvements ultimately
-// buy.
-func ExtCosim(ctx context.Context, o Options) (stats.Table, error) {
-	t := stats.Table{
-		ID:     "ext-cosim",
-		Title:  "Closed-loop CMP co-simulation: L1-miss (L2 access) latency",
-		Header: []string{"workload", "2DB", "3DB", "3DM", "3DM-E", "3DM-E vs 2DB"},
-	}
-	names := []string{"tpcw", "ocean"}
-	archs := paperArchs
-	res, err := grid(ctx, o, names, archs, func(_ context.Context, o Options, name string, a core.Arch) (float64, error) {
-		w, ok := cmp.ByName(name)
-		if !ok {
-			return 0, fmt.Errorf("exp: workload %s missing", name)
-		}
-		// The closed loop supplies its own traffic, so it elaborates the
-		// design and config (not a Sim) through the scenario layer and
-		// drives the network itself.
-		d, cfg, err := o.Scenario(a).NoCConfig()
-		if err != nil {
-			return 0, err
-		}
-		cfg.Policy = noc.ByClass
-		p := cmp.DefaultParams(w, d.Topo, o.Seed)
-		cs, err := cmp.NewClosedSystem(p, cfg)
-		if err != nil {
-			return 0, err
-		}
-		st := cs.Run(o.Measure + o.Warmup)
-		return st.MissLatency.Mean(), nil
-	})
-	if err != nil {
-		return t, err
-	}
-	for i, name := range names {
-		row := []string{name}
-		var base, express float64
-		for j, a := range archs {
-			mean := res[i][j]
-			row = append(row, f1(mean))
-			switch a {
-			case core.Arch2DB:
-				base = mean
-			case core.Arch3DME:
-				express = mean
-			}
-		}
-		row = append(row, fmt.Sprintf("-%.0f%%", 100*(1-stats.Ratio(express, base))))
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"extension beyond the paper: protocol engines drive the live NoC (the paper replays open-loop traces)")
-	return t, nil
-}
-
 // ExtQoS evaluates the QoS use of the spare 3DM bandwidth suggested in
 // §3.3: control/request packets get switch priority over data. It
 // reports per-class latency with QoS off and on, near saturation where

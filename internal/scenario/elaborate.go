@@ -43,9 +43,8 @@ type Elaboration struct {
 // building traffic: the architecture with every scenario override
 // applied (buffer geometry, pipeline options, step mode, routing,
 // express interval). The returned config has no VC policy or generator
-// yet — callers that drive the network themselves (e.g. the closed-loop
-// CMP co-simulation) set the policy and go; Elaborate layers the
-// traffic on top.
+// yet — callers that only read the fabric (e.g. the express-interval
+// ablation) stop here; Elaborate layers the traffic on top.
 func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 	if err := s.validateCore(); err != nil {
 		return nil, noc.Config{}, err

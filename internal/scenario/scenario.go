@@ -31,8 +31,8 @@ type Traffic struct {
 	// Kind names the traffic builder: "ur", "nuca", "transpose",
 	// "complement", "tornado", "hotspot", "trace", "replay" or
 	// "collective". Empty is allowed only for config-only elaboration
-	// (NoCConfig), where traffic is supplied externally, e.g. by the
-	// closed-loop CMP co-simulation.
+	// (NoCConfig), where the caller reads the fabric or supplies the
+	// traffic itself.
 	Kind string `json:"kind"`
 	// Rate is the offered load in flits/node/cycle (synthetic kinds).
 	Rate float64 `json:"rate,omitempty"`
