@@ -27,10 +27,11 @@
 // observe.window cycles, and prints a latency-percentile digest.
 //
 // -progress renders a live engine-telemetry line on stderr (cycles/sec,
-// ETA, shard imbalance), -enginestats prints the end-of-run engine
+// ETA, shard imbalance) and -enginestats prints the end-of-run engine
 // table (per-shard wall time, pool utilization, runtime stats) on
-// stderr, and -enginejson FILE stores the sampled engine series for
-// offline rendering ("miratrace spans -engine"). All three are strictly
+// stderr. Either adds the engine.* columns (wall, step and per-shard
+// busy, drain and barrier nanoseconds) to the -series CSV, which
+// "miratrace spans -engine" renders offline. Both are strictly
 // out-of-band: simulated results are bit-identical with or without
 // them. A batch takes -progress; the other output flags are an error.
 //
@@ -90,7 +91,6 @@ func main() {
 	attrib := flag.String("attrib", "", "write the span latency-attribution table to this CSV file")
 	progress := flag.Bool("progress", false, "live engine progress on stderr (cycles/sec, ETA, shard imbalance); enables engine telemetry")
 	engineStats := flag.Bool("enginestats", false, "print the end-of-run engine telemetry table (per-shard wall time, pool utilization) on stderr; enables engine telemetry")
-	engineJSON := flag.String("enginejson", "", "write the engine telemetry series as JSON to this file (see miratrace spans -engine); enables engine telemetry")
 	dump := flag.Bool("dump", false, "print the edited scenario JSON and exit without running")
 	scenarioFile := flag.String("scenario", "", "run the JSON scenario (or array of scenarios) in this file ('-' for stdin) instead of the default, and print JSON results")
 	workers := flag.Int("workers", 0, "batch worker goroutines for -scenario (0 = all CPUs)")
@@ -109,7 +109,7 @@ func main() {
 	if batch {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "trace", "series", "attrib", "steptable", "enginestats", "enginejson":
+			case "trace", "series", "attrib", "steptable", "enginestats":
 				cli.Usage("mirasim", fmt.Errorf("-%s applies to a single run, not to a -scenario or -serve batch", f.Name))
 			}
 		})
@@ -123,7 +123,7 @@ func main() {
 		}
 	}
 	collect := *trace != "" || *series != "" || *attrib != ""
-	engine := *progress || *engineStats || *engineJSON != ""
+	engine := *progress || *engineStats
 	for i := range scs {
 		sc := &scs[i]
 		var err error
@@ -228,43 +228,17 @@ func main() {
 		if *progress {
 			fmt.Fprintln(os.Stderr) // terminate the \r progress line
 		}
-		if ec := e.Obs.Engine(); ec != nil {
-			if *engineStats {
-				fmt.Fprint(os.Stderr, ec.Table().String())
-				n, waited, fold, encode := e.Obs.HandOffs()
-				fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them; span fold busy %.3fs, encoder busy %.3fs",
-					n, waited.Seconds(), fold.Seconds(), encode.Seconds())
-				if sb := e.Obs.Spans(); sb != nil {
-					fmt.Fprintf(os.Stderr, "; %d spans kept in %.2f MB", sb.Attribution().Flits(), float64(sb.RetainedBytes())/1e6)
-				}
-				fmt.Fprintln(os.Stderr)
+		if ec := e.Obs.Engine(); ec != nil && *engineStats {
+			fmt.Fprint(os.Stderr, ec.Table().String())
+			n, waited, fold, encode := e.Obs.HandOffs()
+			fmt.Fprintf(os.Stderr, "obs: %d event batches handed to the sinks, simulation waited %.3fs for them; span fold busy %.3fs, encoder busy %.3fs",
+				n, waited.Seconds(), fold.Seconds(), encode.Seconds())
+			if sb := e.Obs.Spans(); sb != nil {
+				fmt.Fprintf(os.Stderr, "; %d spans kept in %.2f MB", sb.Attribution().Flits(), float64(sb.RetainedBytes())/1e6)
 			}
-			if *engineJSON != "" {
-				if err := writeEngineJSON(ec, *engineJSON); err != nil {
-					cli.Fatal("mirasim", err)
-				}
-				fmt.Printf("engine       : telemetry series -> %s\n", *engineJSON)
-			}
+			fmt.Fprintln(os.Stderr)
 		}
 	}
-}
-
-// writeEngineJSON stores the engine telemetry series (windows, final
-// meter snapshot, runtime stats) for offline rendering: miratrace spans
-// -engine pairs it with the flit spans of the same run.
-func writeEngineJSON(ec *obs.EngineCollector, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("enginejson: %w", err)
-	}
-	if err := ec.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("enginejson: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("enginejson %s: %w", path, err)
-	}
-	return nil
 }
 
 // finishObs closes the trace file, writes the series and attribution
@@ -291,7 +265,7 @@ func finishObs(c *obs.Collector, closeErr error, traceOut *os.File, tracePath, s
 		fmt.Printf("trace        : %d events -> %s\n", sum.Traced, tracePath)
 	}
 	if seriesPath != "" {
-		if err := os.WriteFile(seriesPath, []byte(c.SeriesTable().CSV()), 0o644); err != nil {
+		if err := os.WriteFile(seriesPath, []byte(c.Sampler().Table().CSV()), 0o644); err != nil {
 			return fmt.Errorf("series: %w", err)
 		}
 		fmt.Printf("series       : %d windows x %d metrics -> %s\n",

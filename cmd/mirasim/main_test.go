@@ -139,8 +139,8 @@ var respelled = []struct {
 	{"ci serve", "-arch 3DM -traffic ur -rate 0.1 -measure 3000000 -shards 4 -dump",
 		[]string{"-set", "traffic.rate=0.1", "-set", "measure=3000000", "-set", "drain=6000000", "-set", "shards=4", "-dump"},
 		`{"traffic":{"rate":0.1},"measure":3000000,"drain":6000000,"shards":4}`},
-	{"ci engine", "-arch 3DM -traffic ur -rate 0.15 -warmup 500 -measure 2000 -shards 4 -trace eng-run.jsonl -progress -enginestats -enginejson eng.json",
-		[]string{"-set", "warmup=500", "-set", "measure=2000", "-set", "drain=4000", "-set", "shards=4", "-trace", "eng-run.jsonl", "-progress", "-enginestats", "-enginejson", "eng.json"},
+	{"ci engine", "-arch 3DM -traffic ur -rate 0.15 -warmup 500 -measure 2000 -shards 4 -trace eng-run.jsonl -progress -enginestats -series eng.csv",
+		[]string{"-set", "warmup=500", "-set", "measure=2000", "-set", "drain=4000", "-set", "shards=4", "-trace", "eng-run.jsonl", "-progress", "-enginestats", "-series", "eng.csv"},
 		`{"warmup":500,"measure":2000,"drain":4000,"shards":4,"observe":{"engine":true}}`},
 	{"ci engine bare", "-arch 3DM -traffic ur -rate 0.15 -warmup 500 -measure 2000 -shards 4 -trace eng-bare.jsonl",
 		[]string{"-set", "warmup=500", "-set", "measure=2000", "-set", "drain=4000", "-set", "shards=4", "-trace", "eng-bare.jsonl"},
@@ -178,8 +178,8 @@ var respelled = []struct {
 	{"README span", "-arch 3DM -traffic ur -rate 0.15 -attrib stages.csv",
 		[]string{"-attrib", "stages.csv"},
 		`{"observe":{"spans":true}}`},
-	{"README engine", "-arch 3DM -traffic ur -rate 0.15 -shards 4 -progress -enginestats -enginejson engine.json",
-		[]string{"-set", "shards=4", "-progress", "-enginestats", "-enginejson", "engine.json"},
+	{"README engine", "-arch 3DM -traffic ur -rate 0.15 -shards 4 -progress -enginestats -series run.csv -trace run.jsonl",
+		[]string{"-set", "shards=4", "-progress", "-enginestats", "-series", "run.csv", "-trace", "run.jsonl"},
 		`{"shards":4,"observe":{"engine":true}}`},
 	{"verify skill default", "", []string{}, `{}`},
 	{"verify skill sharded", "-arch 2DB -chips 1x1/16x16 -rate 0.10 -shards 2",
@@ -307,7 +307,7 @@ func TestUsageErrors(t *testing.T) {
 		key, _, _ := strings.Cut(kv, "=")
 		cases = append(cases, usageCase{"retired " + key, []string{"-set", kv}, "unknown field"})
 	}
-	for _, f := range []string{"-trace=x", "-series=x", "-attrib=x", "-steptable", "-enginestats", "-enginejson=x"} {
+	for _, f := range []string{"-trace=x", "-series=x", "-attrib=x", "-steptable", "-enginestats"} {
 		name, _, _ := strings.Cut(f, "=")
 		cases = append(cases, usageCase{"batch " + name, []string{"-scenario", file, f}, name + " applies to a single run"})
 	}

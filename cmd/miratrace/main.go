@@ -32,13 +32,14 @@
 // measured network latency). -perfetto exports the spans as a Chrome
 // trace-event JSON file — open it in Perfetto (ui.perfetto.dev) or
 // chrome://tracing; each router is a process track and concurrent flit
-// visits occupy separate lanes. -engine FILE additionally renders an
-// engine telemetry series (mirasim -enginejson) as counter tracks —
-// per-shard busy time per cycle, cycles/sec, shard imbalance — on a
-// dedicated process in the same export, timestamped by simulated cycle
-// so host-side shard cost lines up under the flit activity that caused
-// it. -heatmap writes the per-router, per-window congestion matrix
-// (stalled-flit cycles) as CSV, -svg as a rendered heatmap.
+// visits occupy separate lanes. -engine FILE additionally renders the
+// engine.* columns of a series CSV (mirasim -series with -progress or
+// -enginestats) as counter tracks — per-shard busy time per cycle,
+// cycles/sec, shard imbalance — on a dedicated process in the same
+// export, timestamped by simulated cycle so host-side shard cost lines
+// up under the flit activity that caused it. -heatmap writes the
+// per-router, per-window congestion matrix (stalled-flit cycles) as
+// CSV, -svg as a rendered heatmap.
 //
 // Diagnostics go to stderr as log/slog structured logs (-loglevel,
 // -logjson after the subcommand); result output stays on stdout.
@@ -240,7 +241,7 @@ func cmdSpans(args []string) error {
 	group := fs.String("group", "", "print a single grouping (router, class, hops, layers) instead of the combined table")
 	asJSON := fs.Bool("json", false, "emit the attribution table as JSON")
 	perfetto := fs.String("perfetto", "", "write the spans as Chrome trace-event / Perfetto JSON to this file")
-	engine := fs.String("engine", "", "engine telemetry JSON (mirasim -enginejson) to render as counter tracks alongside the spans in the -perfetto export")
+	engine := fs.String("engine", "", "series CSV with engine.* columns (mirasim -series with -enginestats) to render as counter tracks alongside the spans in the -perfetto export")
 	heatmap := fs.String("heatmap", "", "write the per-router congestion heatmap as CSV to this file")
 	svgOut := fs.String("svg", "", "write the congestion heatmap as SVG to this file")
 	window := fs.Int64("window", 1000, "congestion heatmap column width in cycles")
@@ -288,14 +289,13 @@ func cmdSpans(args []string) error {
 			if err != nil {
 				return fmt.Errorf("engine: %w", err)
 			}
-			es, err := obs.ReadEngineSeries(ef)
+			evs, err := obs.EngineTrackEvents(ef)
 			ef.Close()
 			if err != nil {
 				return fmt.Errorf("engine %s: %w", *engine, err)
 			}
-			doc.AppendEngineTrack(es)
-			slog.Info("engine track appended", "file", *engine,
-				"windows", len(es.Windows), "shards", es.Shards)
+			doc.TraceEvents = append(doc.TraceEvents, evs...)
+			slog.Info("engine track appended", "file", *engine, "events", len(evs))
 		}
 		if err := writeFileWith(*perfetto, func(f *os.File) error {
 			return obs.WriteTraceDoc(f, doc)

@@ -14,6 +14,17 @@ import (
 	"mira/internal/traffic"
 )
 
+// generateTrace runs a default-parameter System for cycles and returns
+// its trace and statistics.
+func generateTrace(w Workload, topo *topology.Topology, cycles, seed int64) (*traffic.Trace, Stats, error) {
+	sys, err := NewSystem(DefaultParams(w, topo, seed))
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	tr, st := sys.Run(cycles)
+	return tr, st, nil
+}
+
 func nucaTopo(t testing.TB) *topology.Topology {
 	t.Helper()
 	topo := topology.NewMesh2D(6, 6, 3.1)
@@ -99,7 +110,7 @@ func TestDirectorySharers(t *testing.T) {
 // above, so it needs one layer (§3.2.1).
 func TestControlPayloadIsShort(t *testing.T) {
 	w, _ := ByName("tpcw")
-	tr, _, err := GenerateTrace(w, nucaTopo(t), 5000, 6)
+	tr, _, err := generateTrace(w, nucaTopo(t), 5000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +211,7 @@ func TestWorkloadsValid(t *testing.T) {
 
 func TestSystemGeneratesProtocolTraffic(t *testing.T) {
 	w, _ := ByName("tpcw")
-	tr, st, err := GenerateTrace(w, nucaTopo(t), 30000, 1)
+	tr, st, err := generateTrace(w, nucaTopo(t), 30000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +238,7 @@ func TestSystemGeneratesProtocolTraffic(t *testing.T) {
 func TestTraceSortedAndValid(t *testing.T) {
 	topo := nucaTopo(t)
 	w, _ := ByName("ocean")
-	tr, _, err := GenerateTrace(w, topo, 20000, 2)
+	tr, _, err := generateTrace(w, topo, 20000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +274,7 @@ func TestShortFlitPercentages(t *testing.T) {
 	var sum float64
 	for _, name := range Presented {
 		w, _ := ByName(name)
-		_, st, err := GenerateTrace(w, nucaTopo(t), 30000, 3)
+		_, st, err := generateTrace(w, nucaTopo(t), 30000, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +356,7 @@ func TestL1HitRateSane(t *testing.T) {
 	// reference stream, so the rate is lower than a raw program's).
 	for _, name := range []string{"tpcw", "ocean"} {
 		w, _ := ByName(name)
-		_, st, err := GenerateTrace(w, nucaTopo(t), 20000, 13)
+		_, st, err := generateTrace(w, nucaTopo(t), 20000, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +395,7 @@ func TestControlPacketShareSignificant(t *testing.T) {
 	// Figure 2: a significant part of the traffic is short
 	// address/coherence packets.
 	w, _ := ByName("sjbb")
-	_, st, err := GenerateTrace(w, nucaTopo(t), 20000, 4)
+	_, st, err := generateTrace(w, nucaTopo(t), 20000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +407,7 @@ func TestControlPacketShareSignificant(t *testing.T) {
 
 func TestWordPatternSharesMatchProfile(t *testing.T) {
 	w, _ := ByName("tpcw")
-	_, st, err := GenerateTrace(w, nucaTopo(t), 30000, 5)
+	_, st, err := generateTrace(w, nucaTopo(t), 30000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +419,11 @@ func TestWordPatternSharesMatchProfile(t *testing.T) {
 
 func TestDeterministicTraces(t *testing.T) {
 	w, _ := ByName("apache")
-	a, sa, err := GenerateTrace(w, nucaTopo(t), 10000, 9)
+	a, sa, err := generateTrace(w, nucaTopo(t), 10000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, sb, _ := GenerateTrace(w, nucaTopo(t), 10000, 9); !reflect.DeepEqual(a, b) || sa != sb {
+	if b, sb, _ := generateTrace(w, nucaTopo(t), 10000, 9); !reflect.DeepEqual(a, b) || sa != sb {
 		t.Errorf("non-deterministic generation")
 	}
 }
@@ -453,7 +464,7 @@ func TestTraceReplaysThroughNoC(t *testing.T) {
 	// without protocol deadlock under the ByClass VC policy.
 	topo := nucaTopo(t)
 	w, _ := ByName("barnes")
-	tr, _, err := GenerateTrace(w, topo, 8000, 7)
+	tr, _, err := generateTrace(w, topo, 8000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

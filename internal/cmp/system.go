@@ -410,14 +410,3 @@ func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 	s.trace.Sort()
 	return s.trace, s.stats
 }
-
-// GenerateTrace is the one-call convenience used by experiments and the
-// tracegen example.
-func GenerateTrace(w Workload, topo *topology.Topology, cycles, seed int64) (*traffic.Trace, Stats, error) {
-	sys, err := NewSystem(DefaultParams(w, topo, seed))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	tr, st := sys.Run(cycles)
-	return tr, st, nil
-}

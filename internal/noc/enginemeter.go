@@ -12,8 +12,8 @@ import "sync/atomic"
 // (the default), every instrumented site pays one nil-check branch and
 // nothing else — the same contract the probe hook keeps.
 //
-// All totals are atomics because external goroutines (the obs engine
-// ticker, HTTP handlers) read them while the step loop writes. The
+// All totals are atomics because external goroutines (HTTP handlers
+// serving /metrics) read them while the step loop writes. The
 // per-cycle scratch timestamps live in shardState instead: they are
 // written by the goroutine running a shard and read by Step's epilogue
 // after the pool barrier, so they need no other synchronization. The

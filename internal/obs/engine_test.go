@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mira/internal/noc"
+	"mira/internal/stats"
 	"mira/internal/traffic"
 )
 
@@ -28,12 +29,7 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 	nc.Shards = shards
 	nc.Mode = mode
 	net := noc.NewNetwork(nc)
-	cfg := Config{Window: 100, Spans: true}
-	if engine {
-		cfg.Engine = true
-		cfg.EngineInterval = 2 * time.Millisecond // force many ticks even on short runs
-	}
-	c := New(net, cfg)
+	c := New(net, Config{Window: 100, Spans: true, Engine: engine})
 	var buf bytes.Buffer
 	c.SetTraceWriter(&buf)
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.1, PacketSize: 4})
@@ -51,7 +47,7 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 		if ec == nil {
 			t.Fatal("Config.Engine set but no engine collector attached")
 		}
-		if snap := ec.Snapshot(); snap.Cycles == 0 {
+		if snap := ec.meter.Snapshot(); snap.Cycles == 0 {
 			t.Fatal("engine meter observed no cycles")
 		}
 	} else if c.Engine() != nil {
@@ -67,20 +63,38 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 	}
 	return engineArtifacts{
 		trace:    buf.String(),
-		series:   c.SeriesTable().CSV(),
+		series:   withoutEngineColumns(c.Sampler().Table()).CSV(),
 		attrib:   c.Spans().Attribution().CombinedTable().CSV(),
 		perfetto: pf.String(),
 		result:   string(resJSON),
 	}
 }
 
+// withoutEngineColumns drops the engine.* columns, the host wall-clock
+// part of a series, keeping the simulated part.
+func withoutEngineColumns(t stats.Table) stats.Table {
+	keep := func(row []string) []string {
+		var out []string
+		for i, cell := range row {
+			if !strings.HasPrefix(t.Header[i], "engine.") {
+				out = append(out, cell)
+			}
+		}
+		return out
+	}
+	out := stats.Table{Title: t.Title, Header: keep(t.Header)}
+	for _, row := range t.Rows {
+		out.Rows = append(out.Rows, keep(row))
+	}
+	return out
+}
+
 // TestEngineTelemetryPurity is the out-of-band determinism suite:
-// every simulated artifact — ejection-derived results, series tables,
-// flit traces, span attribution and the Perfetto export — must be
-// byte-identical with engine telemetry attached vs detached, across
-// shard counts {1, 4, -1 (auto)} and step modes. The engine ticker
-// races the simulation on purpose (2ms interval); under -race this also
-// proves the sampling path is data-race free.
+// every simulated artifact — ejection-derived results, the series CSV
+// without its engine.* columns, flit traces, span attribution and the
+// Perfetto export — must be byte-identical with engine telemetry
+// attached vs detached, across shard counts {1, 4, -1 (auto)} and step
+// modes.
 func TestEngineTelemetryPurity(t *testing.T) {
 	modes := []noc.StepMode{noc.StepActivity, noc.StepChecked}
 	for _, mode := range modes {
@@ -112,12 +126,21 @@ func TestEngineTelemetryPurity(t *testing.T) {
 	}
 }
 
-// TestEngineProgressHook checks the global progress hook: installed, it
-// receives at least the final (Close-time) sample with real cycle
-// progress and the run's shard count; cleared, it stops firing.
+// TestEngineProgressHook checks the global progress hook and the
+// throttle in front of it: OnCycle offers an update only every
+// noc.CancelCheckStride cycles, an update lands only once
+// DefaultEngineInterval has passed since the previous one (driven here
+// with synthetic times), and Close always takes the last one, with real
+// cycle progress and the run's shard count. Cleared, the hook stops
+// firing.
 func TestEngineProgressHook(t *testing.T) {
 	var mu sync.Mutex
 	var got []EngineProgress
+	fired := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
 	SetEngineProgressHook(func(p EngineProgress) {
 		mu.Lock()
 		got = append(got, p)
@@ -128,19 +151,37 @@ func TestEngineProgressHook(t *testing.T) {
 	nc := testConfig()
 	nc.Shards = 4
 	net := noc.NewNetwork(nc)
-	c := New(net, Config{Engine: true, EngineInterval: 5 * time.Millisecond, EngineLabel: "hooked"})
+	c := New(net, Config{Engine: true, EngineLabel: "hooked"})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.1, PacketSize: 4})
 	sim.Params = noc.SimParams{Warmup: 0, Measure: 600, DrainMax: 3000}
 	c.Attach(sim)
+	ec := c.Engine()
+
+	ec.mu.Lock()
+	t0 := ec.lastWall
+	ec.mu.Unlock()
+	if ec.update(t0.Add(DefaultEngineInterval/2), false); fired() != 0 {
+		t.Fatal("update fired before DefaultEngineInterval passed")
+	}
+	if ec.update(t0.Add(DefaultEngineInterval), false); fired() != 1 {
+		t.Fatal("update did not fire once DefaultEngineInterval passed")
+	}
+	ec.mu.Lock()
+	ec.lastWall = time.Now().Add(-time.Hour)
+	ec.mu.Unlock()
+	if c.OnCycle(noc.CancelCheckStride + 1); fired() != 1 {
+		t.Fatal("OnCycle updated off the stride")
+	}
+	if c.OnCycle(2 * noc.CancelCheckStride); fired() != 2 {
+		t.Fatal("OnCycle did not update on the stride")
+	}
+
 	sim.Run(context.Background())
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("progress hook never fired")
+	if fired() < 3 {
+		t.Fatal("Close took no final update")
 	}
 	last := got[len(got)-1]
 	if last.Cycle == 0 || last.Shards != 4 || last.Label != "hooked" {
@@ -152,17 +193,23 @@ func TestEngineProgressHook(t *testing.T) {
 	if last.Target != 600 {
 		t.Fatalf("target %d, want warmup+measure=600", last.Target)
 	}
+	SetEngineProgressHook(nil)
+	if ec.update(time.Now().Add(time.Hour), false); fired() != len(got) {
+		t.Fatal("cleared hook still fired")
+	}
 }
 
 // TestEngineTableAndSeries checks the end-of-run surfaces: the
 // stats.Table summary has one row per shard plus the pool/mailbox/
-// runtime notes, and the JSON series round-trips through
-// ReadEngineSeries with Perfetto counter events derivable from it.
+// runtime notes; the engine.* series columns are per-window deltas that
+// sum to the meter's totals (and the wall column to at most the run's
+// wall time); and the Perfetto counter tracks derive from them.
 func TestEngineTableAndSeries(t *testing.T) {
+	start := time.Now()
 	nc := testConfig()
 	nc.Shards = 4
 	net := noc.NewNetwork(nc)
-	c := New(net, Config{Engine: true, EngineInterval: 2 * time.Millisecond, EngineLabel: "tbl"})
+	c := New(net, Config{Window: 100, Engine: true, EngineLabel: "tbl"})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.15, PacketSize: 4})
 	sim.Params = noc.SimParams{Warmup: 0, Measure: 1500, DrainMax: 3000}
 	c.Attach(sim)
@@ -170,6 +217,7 @@ func TestEngineTableAndSeries(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	elapsed := time.Since(start)
 	ec := c.Engine()
 
 	tbl := ec.Table()
@@ -186,30 +234,48 @@ func TestEngineTableAndSeries(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := ec.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	snap := ec.meter.Snapshot()
+	want := map[string]float64{"engine.wall_ns": -1, "engine.step_ns": float64(snap.StepNs)}
+	for _, sh := range snap.Shards {
+		want[fmt.Sprintf("engine.shard%d.busy_ns", sh.Shard)] = float64(sh.BusyNs)
+		want[fmt.Sprintf("engine.shard%d.drain_ns", sh.Shard)] = float64(sh.DrainNs)
+		want[fmt.Sprintf("engine.shard%d.barrier_ns", sh.Shard)] = float64(sh.BarrierNs)
 	}
-	es, err := ReadEngineSeries(bytes.NewReader(buf.Bytes()))
+	s := c.Sampler()
+	if s.Samples() < 3 {
+		t.Fatalf("%d samples, want several windows", s.Samples())
+	}
+	for name, total := range want {
+		i, ok := c.Registry().byName[name]
+		if !ok {
+			t.Fatalf("series has no %s column", name)
+		}
+		var sum float64
+		for _, row := range s.rows {
+			if row[i] < 0 {
+				t.Fatalf("%s went negative: %v", name, row[i])
+			}
+			sum += row[i]
+		}
+		if total < 0 { // the wall column: positive, within the run's wall time
+			if sum <= 0 || sum > float64(elapsed) {
+				t.Errorf("%s sums to %v ns over a %v run", name, sum, elapsed)
+			}
+		} else if sum != total {
+			t.Errorf("%s sums to %v over the series, meter total %v", name, sum, total)
+		}
+	}
+
+	evs, err := EngineTrackEvents(strings.NewReader(s.Table().CSV()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es.Shards != 4 || es.Label != "tbl" || len(es.Windows) == 0 {
-		t.Fatalf("series round-trip lost data: shards=%d label=%q windows=%d", es.Shards, es.Label, len(es.Windows))
-	}
-	if es.Snapshot.Cycles == 0 {
-		t.Fatal("series snapshot has no cycles")
-	}
-	evs := EngineTrackEvents(es)
-	if len(evs) == 0 {
-		t.Fatal("no engine track events")
-	}
-	counters := 0
+	counters := map[string]int{}
 	for _, ev := range evs {
 		switch ev.Phase {
 		case "M":
 		case "C":
-			counters++
+			counters[ev.Name]++
 			if ev.PID != enginePID {
 				t.Fatalf("counter event on pid %d, want engine pid", ev.PID)
 			}
@@ -217,43 +283,17 @@ func TestEngineTableAndSeries(t *testing.T) {
 			t.Fatalf("unexpected phase %q in engine track", ev.Phase)
 		}
 	}
-	if counters == 0 {
-		t.Fatal("engine track has no counter events")
+	for _, track := range []string{"shard busy us/cycle", "cycles/sec", "shard imbalance"} {
+		if counters[track] == 0 {
+			t.Errorf("engine track has no %q counter events", track)
+		}
+	}
+	if _, err := EngineTrackEvents(strings.NewReader(withoutEngineColumns(s.Table()).CSV())); err == nil {
+		t.Error("a series without engine.* columns rendered engine tracks")
 	}
 
 	// The liveness timestamp advanced past collector start.
 	if ec.LastProgress().IsZero() {
 		t.Fatal("LastProgress unset")
-	}
-}
-
-// TestCompactWindows checks the series-bounding merge: deltas sum,
-// point-in-time fields keep the later window, odd tails survive.
-func TestCompactWindows(t *testing.T) {
-	in := make([]EngineWindow, 5)
-	for i := range in {
-		in[i] = EngineWindow{
-			Cycle:       int64(i+1) * 100,
-			Cycles:      10,
-			Rate:        float64(i),
-			ShardBusyNs: []int64{int64(i), int64(i) * 2},
-		}
-	}
-	out := compactWindows(in)
-	if len(out) != 3 {
-		t.Fatalf("compacted to %d windows, want 3", len(out))
-	}
-	var cycles int64
-	for _, w := range out {
-		cycles += w.Cycles
-	}
-	if cycles != 50 {
-		t.Fatalf("compaction lost cycles: %d != 50", cycles)
-	}
-	if out[0].Cycle != 200 || out[0].ShardBusyNs[0] != 1 {
-		t.Fatalf("first merged window wrong: %+v", out[0])
-	}
-	if out[2].Cycle != 500 {
-		t.Fatalf("odd tail lost: %+v", out[2])
 	}
 }

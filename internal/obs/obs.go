@@ -51,15 +51,12 @@ type Config struct {
 	// aggregate (see SpanBuilder). Costs memory proportional to the
 	// completed hop count (about 3.4 bytes a hop, SpanBuilder.RetainedBytes).
 	Spans bool
-	// Engine enables engine self-telemetry (engine.go): a wall-clock
-	// ticker sampling per-shard step timings, throughput and Go runtime
+	// Engine enables engine self-telemetry (engine.go): per-shard step
+	// timings as engine.* series columns, throughput, ETA and Go runtime
 	// stats. Strictly out-of-band — simulated results are bit-identical
-	// with it on or off. EngineInterval overrides the ticker period
-	// (0 = DefaultEngineInterval); EngineLabel tags progress lines and
-	// series from this run.
-	Engine         bool
-	EngineInterval time.Duration
-	EngineLabel    string
+	// with it on or off. EngineLabel tags progress lines from this run.
+	Engine      bool
+	EngineLabel string
 }
 
 // LatencyStats are per-flit and per-packet latency statistics derived
@@ -159,7 +156,6 @@ const batchEvents = 8192
 // writing) and exposes an OnCycle hook for the gauge sampler. Attach
 // wires both into a Sim.
 type Collector struct {
-	net     *noc.Network
 	reg     *Registry
 	sampler *Sampler
 	tw      *TraceWriter
@@ -169,6 +165,7 @@ type Collector struct {
 
 	counts    [noc.NumProbeKinds]int64
 	lastCycle int64
+	warmup    int64 // the cycle noc.Sim resets the router counters at
 	finished  bool
 
 	// The hand-off: the simulation goroutine appends to fill while the sink
@@ -183,18 +180,21 @@ type Collector struct {
 	waited           time.Duration
 }
 
-// New builds a collector over net with the standard network gauge set.
+// New builds a collector over net with the standard network gauge set,
+// followed by the engine.* columns when Config.Engine is set.
 func New(net *noc.Network, cfg Config) *Collector {
 	reg := NewRegistry()
 	RegisterNetwork(reg, net, cfg.PerVCNodes)
-	c := &Collector{net: net, reg: reg, sampler: NewSampler(reg, cfg.Window), cfg: cfg,
-		flits: newSpanBuilder(cfg.Spans, cfg.Spans)}
+	c := &Collector{reg: reg, cfg: cfg, flits: newSpanBuilder(cfg.Spans, cfg.Spans)}
+	if cfg.Engine {
+		c.engine = newEngineCollector(net, reg, cfg.EngineLabel)
+	}
+	c.sampler = NewSampler(reg, cfg.Window)
 	c.feedFn, c.recordFn = c.feed, c.record
 	return c
 }
 
-// Registry returns the collector's metric registry, for registering
-// additional gauges before the run starts.
+// Registry returns the collector's metric registry, fixed by New.
 func (c *Collector) Registry() *Registry { return c.reg }
 
 // SetTraceWriter attaches a JSONL event sink (applying the collector's
@@ -206,19 +206,20 @@ func (c *Collector) SetTraceWriter(w io.Writer) *TraceWriter {
 }
 
 // Attach installs the collector on the simulation: probe events from
-// the network and the sampler on the per-cycle hook. With Config.Engine
-// set it also attaches the engine meter and starts the telemetry ticker
-// (stopped by Close).
+// the network and the sampler on the per-cycle hook. It takes the
+// warm-up length (for the sampler's counter carry) and the engine
+// collector's warmup+measure target from the sim's parameters.
 func (c *Collector) Attach(sim *noc.Sim) {
 	sim.Net.SetProbe(c)
 	sim.OnCycle = c.OnCycle
-	if c.cfg.Engine && c.engine == nil {
-		c.engine = newEngineCollector(sim, c.cfg)
+	c.warmup = sim.Params.Warmup
+	if c.engine != nil {
+		c.engine.target = sim.Params.Warmup + sim.Params.Measure
 	}
 }
 
 // Engine returns the engine telemetry collector, or nil when
-// Config.Engine is off (or Attach has not run).
+// Config.Engine is off.
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
 // ProbeEvent implements noc.Probe. Only what needs the live packet happens
@@ -319,29 +320,34 @@ func (c *Collector) HandOffs() (n int64, waited, fold, encode time.Duration) {
 	return c.handOffs, c.waited, c.busy[0], c.busy[1]
 }
 
-// OnCycle drives the gauge sampler (window boundaries only) and tracks
-// the last simulated cycle for the trailing partial window.
+// OnCycle drives the gauge sampler (window boundaries only), tracks
+// the last simulated cycle for the trailing partial window, carries the
+// network counters across the warm-up reset that follows the warm-up's
+// last cycle, and offers the engine collector an update every
+// noc.CancelCheckStride cycles.
 func (c *Collector) OnCycle(cycle int64) {
 	c.lastCycle = cycle
 	c.sampler.OnCycle(cycle)
-}
-
-// Finish marks the end of the observed run: the trailing partial sample
-// window (if the run stopped off a window boundary) is emitted, flagged
-// partial in the series. Idempotent; Close calls it.
-func (c *Collector) Finish() {
-	if !c.finished {
-		c.finished = true
-		c.sampler.Final(c.lastCycle)
+	if cycle == c.warmup {
+		c.sampler.carry()
+	}
+	if c.engine != nil && cycle%noc.CancelCheckStride == 0 {
+		c.engine.update(time.Now(), false)
 	}
 }
 
-// Close finishes sampling, stops the engine telemetry ticker, folds the
-// last batch, lets go of both and flushes the trace writer, if any.
+// Close ends the observed run once: the trailing partial sample window
+// (if the run stopped off a window boundary) is emitted, flagged
+// partial in the series, and the engine collector takes its last
+// update. Then it folds the last batch, lets go of both and flushes the
+// trace writer, if any.
 func (c *Collector) Close() error {
-	c.Finish()
-	if c.engine != nil {
-		c.engine.Close()
+	if !c.finished {
+		c.finished = true
+		c.sampler.Final(c.lastCycle)
+		if c.engine != nil {
+			c.engine.close()
+		}
 	}
 	c.sync()
 	c.fill, c.spare = nil, nil
@@ -369,9 +375,6 @@ func (c *Collector) Spans() *SpanBuilder {
 	c.sync()
 	return c.flits
 }
-
-// SeriesTable exports the sampled time series.
-func (c *Collector) SeriesTable() stats.Table { return c.sampler.Table() }
 
 // Summary is the JSON-serializable digest of one observed run: event
 // counts, latency statistics and the sampled window count. exp-level

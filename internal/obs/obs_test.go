@@ -56,9 +56,9 @@ func TestReplayByteIdentical(t *testing.T) {
 	var buf bytes.Buffer
 	c, _ := runObserved(t, Config{}, &buf)
 
-	events, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	events, err := readTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("readTrace: %v", err)
 	}
 	if int64(len(events)) != c.tw.Written() {
 		t.Fatalf("read %d events, writer reports %d", len(events), c.tw.Written())
@@ -92,7 +92,8 @@ func TestDerivedLinkEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	live, traversals := c.Summary().Events["link"], c.net.TotalCounters().LinkFlits
+	// The net.link_flits gauge reads the routers' lifetime link traversals.
+	live, traversals := c.Summary().Events["link"], int64(c.reg.metrics[c.reg.byName["net.link_flits"]].num())
 	if live == 0 || live != traversals || replayed.Events["link"] != live {
 		t.Errorf("link events: live %d, replayed %d, link traversals %d", live, replayed.Events["link"], traversals)
 	}
@@ -150,7 +151,7 @@ func TestSamplerSeries(t *testing.T) {
 	if s.Samples() < 6 {
 		t.Fatalf("only %d samples for a >=600-cycle run with window 100", s.Samples())
 	}
-	tbl := c.SeriesTable()
+	tbl := c.Sampler().Table()
 	if tbl.Header[0] != "cycle" || tbl.Header[len(tbl.Header)-1] != "partial" ||
 		len(tbl.Header) != c.Registry().Len()+2 {
 		t.Fatalf("table header wrong: %v", tbl.Header)
@@ -180,6 +181,47 @@ func TestSamplerSeries(t *testing.T) {
 	}
 }
 
+// TestSamplerWarmupCarry: noc.Sim zeroes the router counters when
+// warm-up ends, and the series must neither lose the warm-up's traffic
+// nor go negative across the reset, wherever it falls in a window.
+func TestSamplerWarmupCarry(t *testing.T) {
+	for _, warmup := range []int64{0, 500, 2000, 3000} {
+		nc := testConfig()
+		net := noc.NewNetwork(nc)
+		c := New(net, Config{Window: 1000})
+		sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.3, PacketSize: 4})
+		sim.Params = noc.SimParams{Warmup: warmup, Measure: 4000, DrainMax: 4000}
+		c.Attach(sim)
+		sim.Run(context.Background())
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := c.Sampler()
+		var links, stalls, routerStalls float64
+		for _, row := range s.rows {
+			for i, m := range s.reg.metrics {
+				if m.kind == kindCounter && row[i] < 0 {
+					t.Errorf("warmup %d: %s went negative: %v", warmup, m.Name, row[i])
+				}
+				switch {
+				case m.Name == "net.link_flits":
+					links += row[i]
+				case m.Name == "net.credit_stalls":
+					stalls += row[i]
+				case strings.HasSuffix(m.Name, ".credit_stalls"):
+					routerStalls += row[i]
+				}
+			}
+		}
+		if want := c.Summary().Events["link"]; links != float64(want) {
+			t.Errorf("warmup %d: series carries %v link flits, the run %d link events", warmup, links, want)
+		}
+		if stalls == 0 || stalls != routerStalls {
+			t.Errorf("warmup %d: net.credit_stalls sums to %v, the routers' to %v", warmup, stalls, routerStalls)
+		}
+	}
+}
+
 // TestTraceFilters: node and class filters restrict the trace without
 // touching the collector's own statistics.
 func TestTraceFilters(t *testing.T) {
@@ -190,14 +232,14 @@ func TestTraceFilters(t *testing.T) {
 	if !bytes.Equal(cFull.Latency().JSON(), cFilt.Latency().JSON()) {
 		t.Error("trace filter changed collector statistics")
 	}
-	events, err := ReadTrace(bytes.NewReader(filtered.Bytes()))
+	events, err := readTrace(bytes.NewReader(filtered.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("readTrace: %v", err)
 	}
 	if len(events) == 0 {
 		t.Fatal("filter removed everything")
 	}
-	fullEvents, _ := ReadTrace(&full)
+	fullEvents, _ := readTrace(&full)
 	if len(events) >= len(fullEvents) {
 		t.Error("filter did not shrink the trace")
 	}
@@ -228,6 +270,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Gauge("x", func() float64 { return 0 })
-	r.Gauge("x", func() float64 { return 0 })
+	r.Gauge(Metric{Name: "x"}, func() float64 { return 0 })
+	r.Gauge(Metric{Name: "x"}, func() float64 { return 0 })
 }

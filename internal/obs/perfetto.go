@@ -2,10 +2,14 @@ package obs
 
 import (
 	"cmp"
+	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 
 	"mira/internal/stats"
 )
@@ -114,7 +118,7 @@ func stageSlices(v routerVisit) []stageSlice {
 }
 
 // WriteTraceDoc encodes a caller-assembled trace-event document on w
-// (e.g. PerfettoDoc output after AppendEngineTrack).
+// (e.g. PerfettoDoc output with EngineTrackEvents appended).
 func WriteTraceDoc(w io.Writer, doc TraceDoc) error {
 	return json.NewEncoder(w).Encode(doc)
 }
@@ -189,17 +193,30 @@ func PerfettoDoc(spans []FlitSpan) TraceDoc {
 // collides with a router process.
 const enginePID = 1 << 20
 
-// EngineTrackEvents renders an engine telemetry series as Chrome
-// trace-event counter ("C") tracks on a dedicated engine process:
-// per-shard busy microseconds per simulated cycle and the smoothed
-// cycles/sec, each sampled at the simulated cycle the ticker observed.
-// Because the timestamps are simulated cycles (= microseconds, the same
-// axis PerfettoDoc uses for flit spans), the engine tracks line up
-// under the router tracks of the same run — shard wall-time renders
-// alongside the flit activity that caused it.
-func EngineTrackEvents(es EngineSeries) []TraceEvent {
-	if len(es.Windows) == 0 {
-		return nil
+// EngineTrackEvents renders the engine.* columns of a sampled series,
+// read as the CSV that mirasim -series writes (Sampler.Table), as
+// Chrome trace-event counter ("C") tracks on a dedicated engine
+// process, one sample per window: per-shard busy microseconds per
+// simulated cycle, cycles per wall second, and (sharded) the max/mean
+// shard busy imbalance. Because the timestamps are simulated cycles
+// (= microseconds, the same axis PerfettoDoc uses for flit spans), the
+// engine tracks line up under the router tracks of the same run —
+// shard wall-time renders alongside the flit activity that caused it.
+func EngineTrackEvents(series io.Reader) ([]TraceEvent, error) {
+	recs, err := csv.NewReader(series).ReadAll()
+	if err == nil && len(recs) == 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	col := func(name string) int { return slices.Index(recs[0], name) }
+	wall, busy := col("engine.wall_ns"), []int{} // busy[k]: shard k's busy_ns
+	for k := 0; col(fmt.Sprintf("engine.shard%d.busy_ns", k)) >= 0; k++ {
+		busy = append(busy, col(fmt.Sprintf("engine.shard%d.busy_ns", k)))
+	}
+	if wall < 0 || len(busy) == 0 || col("cycle") != 0 {
+		return nil, errors.New("no engine.* columns in the series (observe.engine was off)")
 	}
 	out := []TraceEvent{
 		{Name: "process_name", Phase: "M", PID: enginePID,
@@ -207,33 +224,37 @@ func EngineTrackEvents(es EngineSeries) []TraceEvent {
 		{Name: "process_sort_index", Phase: "M", PID: enginePID,
 			Args: map[string]any{"sort_index": enginePID}},
 	}
-	for _, w := range es.Windows {
-		if w.Cycles <= 0 {
+	var prev float64 // the previous row's cycle
+	for _, row := range recs[1:] {
+		v := make([]float64, len(row))
+		for i, cell := range row {
+			if v[i], err = strconv.ParseFloat(cell, 64); err != nil {
+				return nil, fmt.Errorf("series row at cycle %s: %w", row[0], err)
+			}
+		}
+		cycles, ts := v[0]-prev, int64(v[0])
+		if prev = v[0]; cycles <= 0 {
 			continue
 		}
-		busy := map[string]any{}
-		for s, ns := range w.ShardBusyNs {
+		shards := map[string]any{}
+		var sum, hot float64
+		for k, i := range busy {
 			// Busy wall time per simulated cycle, in microseconds: the
 			// per-shard cost of stepping one cycle during this window.
-			busy[fmt.Sprintf("shard%d", s)] = float64(ns) / 1e3 / float64(w.Cycles)
+			shards[fmt.Sprintf("shard%d", k)] = v[i] / 1e3 / cycles
+			sum, hot = sum+v[i], max(hot, v[i])
 		}
-		out = append(out,
-			TraceEvent{Name: "shard busy us/cycle", Phase: "C", TS: w.Cycle, PID: enginePID, Args: busy},
-			TraceEvent{Name: "cycles/sec", Phase: "C", TS: w.Cycle, PID: enginePID,
-				Args: map[string]any{"rate": w.Rate}},
-		)
-		if w.Imbalance > 0 {
-			out = append(out, TraceEvent{Name: "shard imbalance", Phase: "C", TS: w.Cycle, PID: enginePID,
-				Args: map[string]any{"ratio": w.Imbalance}})
+		out = append(out, TraceEvent{Name: "shard busy us/cycle", Phase: "C", TS: ts, PID: enginePID, Args: shards})
+		if v[wall] > 0 {
+			out = append(out, TraceEvent{Name: "cycles/sec", Phase: "C", TS: ts, PID: enginePID,
+				Args: map[string]any{"rate": cycles / (v[wall] / 1e9)}})
+		}
+		if len(busy) > 1 && sum > 0 {
+			out = append(out, TraceEvent{Name: "shard imbalance", Phase: "C", TS: ts, PID: enginePID,
+				Args: map[string]any{"ratio": hot * float64(len(busy)) / sum}})
 		}
 	}
-	return out
-}
-
-// AppendEngineTrack appends the engine telemetry tracks to an existing
-// trace document (miratrace spans -engine).
-func (d *TraceDoc) AppendEngineTrack(es EngineSeries) {
-	d.TraceEvents = append(d.TraceEvents, EngineTrackEvents(es)...)
+	return out, nil
 }
 
 // Congestion is a per-router stall-cycle time series: Cells[r][w] is

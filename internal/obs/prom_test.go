@@ -6,14 +6,17 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"mira/internal/noc"
 	"mira/internal/traffic"
 )
 
-// TestPromNameMapping checks the dotted-name to prometheus translation.
+// TestPromNameMapping checks the Prometheus identity each network
+// metric is registered with.
 func TestPromNameMapping(t *testing.T) {
+	reg := NewRegistry()
+	RegisterNetwork(reg, noc.NewNetwork(testConfig()), []int{5})
+	samples := reg.PromSamples(make([]float64, reg.Len()), nil)
 	cases := []struct {
 		in     string
 		name   string
@@ -26,7 +29,11 @@ func TestPromNameMapping(t *testing.T) {
 		{"r5.p2.vc1.occ", "mira_router_vc_occ", `router="5",port="2",vc="1"`},
 	}
 	for _, c := range cases {
-		s := promName(c.in, nil)
+		i, ok := reg.byName[c.in]
+		if !ok {
+			t.Fatalf("%s not registered", c.in)
+		}
+		s := samples[i]
 		if s.Name != c.name {
 			t.Errorf("%s: name %q, want %q", c.in, s.Name, c.name)
 		}
@@ -134,7 +141,7 @@ func TestPromExposition(t *testing.T) {
 	if !ok {
 		t.Fatal("no samples")
 	}
-	samples := PromSamples(c.Registry().Names(), row, [][2]string{{"run", "0"}})
+	samples := c.Registry().PromSamples(row, [][2]string{{"run", "0"}})
 	var sb strings.Builder
 	if err := WriteProm(&sb, samples); err != nil {
 		t.Fatalf("WriteProm: %v", err)
@@ -155,7 +162,7 @@ func TestPromExposition(t *testing.T) {
 
 	// Determinism: the same row renders the same bytes.
 	var sb2 strings.Builder
-	if err := WriteProm(&sb2, PromSamples(c.Registry().Names(), row, [][2]string{{"run", "0"}})); err != nil {
+	if err := WriteProm(&sb2, c.Registry().PromSamples(row, [][2]string{{"run", "0"}})); err != nil {
 		t.Fatal(err)
 	}
 	if sb2.String() != text {
@@ -172,7 +179,7 @@ func TestPromEngineExpositionLint(t *testing.T) {
 	nc := testConfig()
 	nc.Shards = 4
 	net := noc.NewNetwork(nc)
-	c := New(net, Config{Window: 100, Engine: true, EngineInterval: 5 * time.Millisecond})
+	c := New(net, Config{Window: 100, Engine: true})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.1, PacketSize: 4})
 	sim.Params = noc.SimParams{Warmup: 0, Measure: 2000, DrainMax: 3000}
 	c.Attach(sim)
@@ -189,7 +196,7 @@ func TestPromEngineExpositionLint(t *testing.T) {
 		t.Fatal("no samples")
 	}
 	extra := [][2]string{{"run", "0"}}
-	samples := PromSamples(c.Registry().Names(), row, extra)
+	samples := c.Registry().PromSamples(row, extra)
 	samples = append(samples, c.Engine().PromSamples(extra)...)
 	var sb strings.Builder
 	if err := WriteProm(&sb, samples); err != nil {
@@ -234,7 +241,7 @@ func TestSamplerFinalPartialWindow(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tbl := c.SeriesTable()
+	tbl := c.Sampler().Table()
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("short run produced %d rows, want exactly the partial one", len(tbl.Rows))
 	}
@@ -246,13 +253,13 @@ func TestSamplerFinalPartialWindow(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(c.SeriesTable().Rows); n != 1 {
+	if n := len(c.Sampler().Table().Rows); n != 1 {
 		t.Errorf("second Close added rows: %d", n)
 	}
 
 	// Direct sampler check: Final on an exact boundary is a no-op.
 	reg := NewRegistry()
-	reg.Gauge("x", func() float64 { return 1 })
+	reg.Gauge(Metric{Name: "x"}, func() float64 { return 1 })
 	s := NewSampler(reg, 100)
 	s.OnCycle(100)
 	s.Final(100)

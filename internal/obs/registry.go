@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 
 	"mira/internal/noc"
@@ -32,8 +33,19 @@ const (
 	kindRatio
 )
 
+// Metric is one registry column: its series name and its Prometheus
+// identity, both declared once at registration.
+type Metric struct {
+	Name   string      // series column, e.g. "r5.credit_stalls"
+	Family string      // Prometheus family, e.g. "mira_router_credit_stalls"; "" keeps the column off /metrics
+	Labels [][2]string // Prometheus labels after the caller's, e.g. {{"router", "5"}}
+	// network marks a reading of noc.Network state (RegisterNetwork),
+	// whose counters noc.Sim zeroes when warm-up ends (Sampler.carry).
+	network bool
+}
+
 type metric struct {
-	name string
+	Metric
 	kind metricKind
 	num  Gauge
 	den  Gauge // kindRatio only
@@ -51,34 +63,25 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{byName: map[string]int{}} }
 
 func (g *Registry) add(m metric) {
-	if _, dup := g.byName[m.name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric %q", m.name))
+	if _, dup := g.byName[m.Name]; dup {
+		panic(fmt.Sprintf("obs: duplicate metric %q", m.Name))
 	}
-	g.byName[m.name] = len(g.metrics)
+	g.byName[m.Name] = len(g.metrics)
 	g.metrics = append(g.metrics, m)
 }
 
 // Gauge registers a level metric sampled as-is at each window boundary.
-func (g *Registry) Gauge(name string, fn Gauge) { g.add(metric{name: name, kind: kindGauge, num: fn}) }
+func (g *Registry) Gauge(m Metric, fn Gauge) { g.add(metric{Metric: m, kind: kindGauge, num: fn}) }
 
 // Counter registers a monotonic reading recorded as its per-window delta.
-func (g *Registry) Counter(name string, fn Gauge) {
-	g.add(metric{name: name, kind: kindCounter, num: fn})
+func (g *Registry) Counter(m Metric, fn Gauge) {
+	g.add(metric{Metric: m, kind: kindCounter, num: fn})
 }
 
 // Ratio registers delta(num)/delta(den) per window (0 when den is
 // flat), for averages weighted over the window's events.
-func (g *Registry) Ratio(name string, num, den Gauge) {
-	g.add(metric{name: name, kind: kindRatio, num: num, den: den})
-}
-
-// Names returns the metric names in registration (column) order.
-func (g *Registry) Names() []string {
-	out := make([]string, len(g.metrics))
-	for i, m := range g.metrics {
-		out[i] = m.name
-	}
-	return out
+func (g *Registry) Ratio(m Metric, num, den Gauge) {
+	g.add(metric{Metric: m, kind: kindRatio, num: num, den: den})
 }
 
 // Len returns the number of registered metrics.
@@ -97,30 +100,42 @@ func (g *Registry) Len() int { return len(g.metrics) }
 //   - r<i>.vc<p>.<v>.occ — per-VC occupancy levels for the routers in
 //     perVC (all flat (port, vc) indices), for pinpointing which VCs of
 //     a hot router saturate first
+//
+// The net.* metrics are the mira_net_* families, the per-router ones
+// mira_router_* with a router label, the per-VC ones mira_router_vc_*
+// with router, port and vc labels.
 func RegisterNetwork(g *Registry, net *noc.Network, perVC []int) {
 	layers := float64(net.Config().Layers)
-	g.Gauge("net.occ", func() float64 { return float64(net.Occupancy()) })
-	g.Gauge("net.backlog", func() float64 { return float64(net.BacklogFlits()) })
-	g.Counter("net.credit_stalls", func() float64 { return float64(net.TotalCounters().CreditStalls) })
-	g.Counter("net.link_flits", func() float64 { return float64(net.TotalCounters().LinkFlits) })
-	g.Counter("net.express_flits", func() float64 { return float64(net.TotalCounters().ExpFlits) })
-	g.Counter("net.vertical_flits", func() float64 { return float64(net.TotalCounters().VertFlits) })
-	g.Ratio("net.active_layers",
+	total := func(name string) Metric {
+		return Metric{Name: "net." + name, Family: "mira_net_" + name, network: true}
+	}
+	g.Gauge(total("occ"), func() float64 { return float64(net.Occupancy()) })
+	g.Gauge(total("backlog"), func() float64 { return float64(net.BacklogFlits()) })
+	g.Counter(total("credit_stalls"), func() float64 { return float64(net.TotalCounters().CreditStalls) })
+	g.Counter(total("link_flits"), func() float64 { return float64(net.TotalCounters().LinkFlits) })
+	g.Counter(total("express_flits"), func() float64 { return float64(net.TotalCounters().ExpFlits) })
+	g.Counter(total("vertical_flits"), func() float64 { return float64(net.TotalCounters().VertFlits) })
+	g.Ratio(total("active_layers"),
 		func() float64 { return layers * net.TotalCounters().WXbarFlits },
 		func() float64 { return float64(net.TotalCounters().XbarFlits) })
 
+	router := func(i int, name string) Metric {
+		return Metric{Name: fmt.Sprintf("r%d.%s", i, name), Family: "mira_router_" + name,
+			Labels: [][2]string{{"router", strconv.Itoa(i)}}, network: true}
+	}
 	for i := 0; i < net.Config().Topo.NumNodes(); i++ {
 		r := net.Router(topology.NodeID(i))
-		g.Gauge(fmt.Sprintf("r%d.occ", i), func() float64 { return float64(r.Occupancy()) })
-		g.Counter(fmt.Sprintf("r%d.credit_stalls", i),
-			func() float64 { return float64(r.Counters().CreditStalls) })
+		g.Gauge(router(i, "occ"), func() float64 { return float64(r.Occupancy()) })
+		g.Counter(router(i, "credit_stalls"), func() float64 { return float64(r.Counters().CreditStalls) })
 	}
 	vcs := net.Config().VCs
 	for _, id := range perVC {
 		r := net.Router(topology.NodeID(id))
 		for f := 0; f < r.NumInVCs(); f++ {
 			pi, vi := f/vcs, f%vcs
-			g.Gauge(fmt.Sprintf("r%d.p%d.vc%d.occ", id, pi, vi), func() float64 {
+			m := Metric{Name: fmt.Sprintf("r%d.p%d.vc%d.occ", id, pi, vi), Family: "mira_router_vc_occ",
+				Labels: [][2]string{{"router", strconv.Itoa(id)}, {"port", strconv.Itoa(pi)}, {"vc", strconv.Itoa(vi)}}, network: true}
+			g.Gauge(m, func() float64 {
 				return float64(r.VCOccupancy(pi, vi))
 			})
 		}
@@ -211,6 +226,24 @@ func (s *Sampler) sample(cycle int64, partial bool) {
 	s.mu.Unlock()
 }
 
+// carry keeps the series whole across noc.Sim's warm-up counter reset.
+// Called after the last sample before the reset, it lowers the baseline
+// of every network counter and ratio by its current reading, so the
+// readings after the reset continue as lifetime totals: no window loses
+// the warm-up traffic or goes negative. Gauges are levels and need none.
+func (s *Sampler) carry() {
+	for i, m := range s.reg.metrics {
+		switch {
+		case !m.network:
+		case m.kind == kindCounter:
+			s.prevRaw[i] -= m.num()
+		case m.kind == kindRatio:
+			s.prevRaw[i] -= m.den()
+			s.prevNum[i] -= m.num()
+		}
+	}
+}
+
 // Samples returns the number of completed sample rows.
 func (s *Sampler) Samples() int {
 	s.mu.Lock()
@@ -235,10 +268,11 @@ func (s *Sampler) Latest() (cycle int64, row []float64, ok bool) {
 // one column per metric in registration order, and a trailing "partial"
 // flag column (1 on the final short window emitted by Final, else 0).
 func (s *Sampler) Table() stats.Table {
-	t := stats.Table{
-		Title:  "observability time series",
-		Header: append(append([]string{"cycle"}, s.reg.Names()...), "partial"),
+	t := stats.Table{Title: "observability time series", Header: []string{"cycle"}}
+	for _, m := range s.reg.metrics {
+		t.Header = append(t.Header, m.Name)
 	}
+	t.Header = append(t.Header, "partial")
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for j, row := range s.rows {

@@ -80,22 +80,6 @@ type HopSpan struct {
 	VC     int    `json:"vc"`     // granted output VC
 }
 
-// Wait returns the duration of stage s at this hop (0 for StageQueue,
-// which is a flit-level, not hop-level, component).
-func (h HopSpan) Wait(s Stage) int64 {
-	switch s {
-	case StageRoute:
-		return h.Route - h.Arrive
-	case StageVA:
-		return h.Alloc - h.Route
-	case StageSA:
-		return h.Grant - h.Alloc
-	case StageXfer:
-		return h.Depart - h.Grant
-	}
-	return 0
-}
-
 // FlitSpan is the complete stage-resolved trajectory of one flit.
 type FlitSpan struct {
 	Pkt     int64     `json:"pkt"`
@@ -110,10 +94,6 @@ type FlitSpan struct {
 	Eject   int64     `json:"eject"`
 	Hops    []HopSpan `json:"hops"`
 }
-
-// Network is the inject-to-eject latency — identical to the live
-// collector's per-flit latency and to the sum of the hop stages.
-func (s FlitSpan) Network() int64 { return s.Eject - s.Inject }
 
 // hop is one router visit of an open flit: the probed stage boundaries,
 // -1 until their events arrive. Arrive and Depart are derived — a hop
@@ -285,12 +265,11 @@ type SpanBuilder struct {
 	err    error
 }
 
-// NewSpanBuilder returns a builder that aggregates attribution totals.
-// When retain is true, completed spans are also kept (required for the
-// Perfetto and heatmap exports) in a log of about 3.4 bytes a completed
-// hop: memory grows with the run, not with the in-flight window.
-func NewSpanBuilder(retain bool) *SpanBuilder { return newSpanBuilder(true, retain) }
-
+// newSpanBuilder returns a builder that keeps the in-flight table and
+// latency statistics, with fold also aggregates attribution totals, and
+// with retain also keeps completed spans (required for the Perfetto and
+// heatmap exports) in a log of about 3.4 bytes a completed hop: memory
+// grows with the run, not with the in-flight window.
 func newSpanBuilder(fold, retain bool) *SpanBuilder {
 	return &SpanBuilder{fold: fold, retain: retain, slots: make([]int32, 256), spill: make(map[flitKey]int32),
 		log: spanLog{heads: make(map[int64]headPath)},
@@ -562,7 +541,7 @@ func (b *SpanBuilder) finish(e *Event, o *openFlit) {
 // the attribution aggregate and — with retain — the spans behind the
 // Perfetto and heatmap exports: the entry point of "miratrace spans".
 func BuildSpans(r io.Reader, retain bool) (*SpanBuilder, error) {
-	b := NewSpanBuilder(retain)
+	b := newSpanBuilder(true, retain)
 	return b, ScanTrace(r, b.Feed)
 }
 

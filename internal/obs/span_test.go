@@ -74,13 +74,11 @@ func TestSpanTotalsMatchCollector(t *testing.T) {
 			var sum, n int64
 			for _, s := range spans {
 				var stages int64
-				for _, h := range s.Hops {
-					for st := StageRoute; st < NumStages; st++ {
-						stages += h.Wait(st)
-					}
+				for _, h := range s.Hops { // route, VA, SA and ST+LT tile each visit
+					stages += h.Depart - h.Arrive
 				}
-				if stages != s.Network() {
-					t.Fatalf("flit %d.%d stages sum to %d, network latency %d", s.Pkt, s.Seq, stages, s.Network())
+				if stages != s.Eject-s.Inject {
+					t.Fatalf("flit %d.%d stages sum to %d, network latency %d", s.Pkt, s.Seq, stages, s.Eject-s.Inject)
 				}
 				for h := 1; h < len(s.Hops); h++ {
 					if s.Hops[h].Arrive != s.Hops[h-1].Depart {
@@ -88,7 +86,7 @@ func TestSpanTotalsMatchCollector(t *testing.T) {
 							s.Pkt, s.Seq, h, s.Hops[h].Arrive, s.Hops[h-1].Depart)
 					}
 				}
-				sum += s.Network()
+				sum += s.Eject - s.Inject
 				n++
 			}
 			live := c.Latency()
@@ -227,7 +225,7 @@ func TestSpanBuilderCycleZero(t *testing.T) {
 		return e
 	}
 	feedAll := func(events ...Event) *SpanBuilder {
-		b := NewSpanBuilder(true)
+		b := newSpanBuilder(true, true)
 		for i := range events {
 			b.Feed(&events[i])
 		}

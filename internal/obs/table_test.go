@@ -123,7 +123,7 @@ func TestOpenTableMatchesMap(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := ReadTrace(&filtered)
+	recorded, err := readTrace(&filtered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,15 +383,6 @@ func ScanTrace(r io.Reader, fn func(*Event) error) error {
 	return nil
 }
 
-// ReadTrace is ScanTrace into a slice, for traces small enough to hold.
-func ReadTrace(r io.Reader) (out []Event, err error) {
-	err = ScanTrace(r, func(e *Event) error {
-		out = append(out, *e)
-		return nil
-	})
-	return out, err
-}
-
 // ErrFlitProtocol is wrapped by the error Replay returns for a trace
 // that parses but breaks the per-flit protocol, as a node- or
 // class-filtered recording does by design.

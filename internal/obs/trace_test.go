@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -12,6 +13,15 @@ import (
 	"mira/internal/noc"
 	"mira/internal/topology"
 )
+
+// readTrace is ScanTrace into a slice.
+func readTrace(r io.Reader) (out []Event, err error) {
+	err = ScanTrace(r, func(e *Event) error {
+		out = append(out, *e)
+		return nil
+	})
+	return out, err
+}
 
 func mkEvent(kind noc.ProbeKind, cycle, pkt int64, seq int32) Event {
 	return Event{Cycle: cycle, Kind: kind, Pkt: pkt, Seq: seq, Type: noc.HeadTailFlit, Class: noc.Data}
@@ -40,7 +50,7 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadTrace(strings.NewReader(tc.in))
+			_, err := readTrace(strings.NewReader(tc.in))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("err = %v, want substring %q", err, tc.wantErr)
 			}
@@ -51,9 +61,9 @@ func TestReadTraceErrors(t *testing.T) {
 func TestReadTraceSkipsBlankLines(t *testing.T) {
 	in := `{"c":1,"k":"inject","p":0,"s":0,"t":"headtail","cl":"data"}` + "\n\n" +
 		`{"c":4,"k":"eject","p":0,"s":0,"t":"headtail","cl":"data"}` + "\n"
-	events, err := ReadTrace(strings.NewReader(in))
+	events, err := readTrace(strings.NewReader(in))
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("readTrace: %v", err)
 	}
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2", len(events))
@@ -148,9 +158,9 @@ func TestTraceWriterBufferFlush(t *testing.T) {
 	if tw.Written() != int64(n) {
 		t.Errorf("written after close = %d, want %d", tw.Written(), n)
 	}
-	events, err := ReadTrace(&buf)
+	events, err := readTrace(&buf)
 	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+		t.Fatalf("readTrace: %v", err)
 	}
 	if len(events) != n {
 		t.Fatalf("trace has %d events, want %d", len(events), n)
@@ -318,7 +328,7 @@ func FuzzEventJSON(f *testing.F) {
 		if e.Kind == noc.ProbeEject {
 			e.Dir = 0 // an eject's direction is not serialized
 		}
-		back, err := ReadTrace(bytes.NewReader(got))
+		back, err := readTrace(bytes.NewReader(got))
 		if err != nil || len(back) != 1 || back[0] != e {
 			t.Fatalf("ScanTrace(%s) = %+v, %v; want %+v", got, back, err, e)
 		}
@@ -390,7 +400,7 @@ func fuzzInput(events ...Event) (data []byte) {
 // and after a grant onto a network port the line of its link event,
 // copied with or without a flush between the two lines.
 func FuzzTraceWriterStream(f *testing.F) {
-	head, err := ReadTrace(strings.NewReader(trace3dmHead))
+	head, err := readTrace(strings.NewReader(trace3dmHead))
 	if err != nil {
 		f.Fatal(err)
 	}

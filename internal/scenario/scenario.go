@@ -98,8 +98,8 @@ type Observe struct {
 	// behind mirasim -attrib and mirabench obs-stages.
 	Spans bool `json:"spans,omitempty"`
 	// Engine enables engine self-telemetry (obs.EngineCollector):
-	// per-shard wall-time, worker-pool utilization, cycles/sec with ETA
-	// and Go runtime stats, sampled on a wall-clock ticker. Strictly
+	// per-shard wall-time as engine.* series columns, worker-pool
+	// utilization, cycles/sec with ETA and Go runtime stats. Strictly
 	// out-of-band — simulated results are bit-identical either way.
 	Engine bool `json:"engine,omitempty"`
 }

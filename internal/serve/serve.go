@@ -43,14 +43,15 @@ const (
 // DefaultStallAfter is the engine-liveness threshold of /healthz: a
 // running run whose last observed cycle advance is older than this is
 // reported stalled (a hung shard barrier keeps the process — and every
-// handler — alive while cycles stop; only the engine ticker notices).
+// handler — alive while cycles stop, and with them the engine
+// collector's updates).
 const DefaultStallAfter = 30 * time.Second
 
 // runState tracks one scenario through the batch.
 type runState struct {
 	state string
 	col   *obs.Collector // non-nil once running
-	names []string       // registry column names, fixed at elaboration
+	reg   *obs.Registry  // the collector's metric registry, fixed at elaboration
 	res   *exp.BatchResult
 	// progress reports the wall time of the run's last observed cycle
 	// advance (obs.EngineCollector.LastProgress); nil when the run has
@@ -99,7 +100,7 @@ func (s *Server) Run(ctx context.Context, o exp.BatchOptions) []exp.BatchResult 
 		s.runs[i].state = StateRunning
 		s.runs[i].col = e.Obs
 		if e.Obs != nil {
-			s.runs[i].names = e.Obs.Registry().Names()
+			s.runs[i].reg = e.Obs.Registry()
 			if ec := e.Obs.Engine(); ec != nil {
 				s.runs[i].progress = ec.LastProgress
 			}
@@ -247,7 +248,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		samples = append(samples, obs.PromSample{
 			Name: "mira_run_cycle", Labels: labels, Value: float64(cycle),
 		})
-		samples = append(samples, obs.PromSamples(r.names, row, labels)...)
+		samples = append(samples, r.reg.PromSamples(row, labels)...)
 	}
 	s.mu.Unlock()
 	for _, st := range []string{StateDone, StatePending, StateRunning} {
