@@ -118,6 +118,7 @@ var respelled = []struct {
 	{"flag -spec", "-spec", []string{"-set", "spec_sa=true"}, `{"spec_sa":true}`},
 	{"flag -lookahead", "-lookahead", []string{"-set", "lookahead_rc=true"}, `{"lookahead_rc":true}`},
 	{"flag -obswindow", "-obswindow 500", []string{"-set", "observe.window=500"}, `{"observe":{"window":500}}`},
+	{"flag -enginestats", "-enginestats", []string{"-enginestats"}, `{"observe":{"engine":true}}`},
 	{"ci chiplet, README, EXPERIMENTS ext-chiplet", "-chips 2x2/4x4+express -d2d 8:4 -traffic ur -rate 0.05 -warmup 500 -measure 2000",
 		[]string{"-set", `chips={"chips_x":2,"chips_y":2,"nodes_x":4,"nodes_y":4,"d2d_latency":8,"d2d_ser_cycles":4,"express":true}`, "-set", "traffic.rate=0.05", "-set", "warmup=500", "-set", "measure=2000", "-set", "drain=4000"},
 		`{"traffic":{"rate":0.05},"warmup":500,"measure":2000,"drain":4000,"chips":{"chips_x":2,"chips_y":2,"nodes_x":4,"nodes_y":4,"d2d_latency":8,"d2d_ser_cycles":4,"express":true}}`},

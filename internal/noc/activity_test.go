@@ -1,8 +1,6 @@
 package noc
 
-import (
-	"testing"
-)
+import "testing"
 
 func TestRouterSet(t *testing.T) {
 	s := newRouterSet(130)
@@ -30,38 +28,5 @@ func TestRouterSet(t *testing.T) {
 	}
 	if s.n != 4 || s.has(63) || !s.has(64) {
 		t.Fatalf("after remove: n=%d has(63)=%v has(64)=%v", s.n, s.has(63), s.has(64))
-	}
-}
-
-// TestIdleNetworkStaysCheap documents the activity contract directly:
-// a drained network has empty activity sets, so stepping it visits no
-// routers at all.
-func TestIdleNetworkStaysCheap(t *testing.T) {
-	cfg := cfg2D(2)
-	net := NewNetwork(cfg)
-	if _, err := net.Enqueue(Spec{Src: 0, Dst: 35, Size: 4, Class: Data}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500 && !net.Idle(); i++ {
-		net.Step()
-	}
-	if !net.Idle() {
-		t.Fatal("packet did not drain")
-	}
-	sh := &net.shards[0]
-	for _, s := range []*routerSet{&sh.actRC[0], &sh.actRC[1], &sh.actVA, &sh.actSA, &sh.actNI} {
-		if s.n != 0 {
-			t.Fatalf("idle network has %d active entries", s.n)
-		}
-	}
-	before := net.Cycle()
-	for i := 0; i < 10; i++ {
-		net.Step()
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if net.Cycle() != before+10 {
-		t.Fatalf("cycle advanced %d, want 10", net.Cycle()-before)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // newArb returns the allocators' arbiter (arbState) for n requesters —
@@ -15,87 +14,13 @@ func newArb(n int) *arbState {
 	return a
 }
 
-// grantReqs hands a []bool request vector to the arbiter the way the
-// stages do, as a bitmask.
-func grantReqs(a *arbState, reqs []bool) int {
-	var mask uint64
-	for i, r := range reqs {
-		if r {
-			mask |= 1 << uint(i)
-		}
-	}
-	return a.grantMask(mask)
-}
-
-func TestRoundRobinRotates(t *testing.T) {
-	a := newArb(4)
-	all := []bool{true, true, true, true}
-	var got []int
-	for i := 0; i < 8; i++ {
-		got = append(got, grantReqs(a, all))
-	}
-	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grants = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRoundRobinSkipsIdle(t *testing.T) {
-	a := newArb(4)
-	reqs := []bool{false, true, false, true}
-	if g := grantReqs(a, reqs); g != 1 {
-		t.Errorf("grant = %d, want 1", g)
-	}
-	if g := grantReqs(a, reqs); g != 3 {
-		t.Errorf("grant = %d, want 3", g)
-	}
-	if g := grantReqs(a, reqs); g != 1 {
-		t.Errorf("grant = %d, want 1 (wrap)", g)
-	}
-}
-
-func TestRoundRobinEmpty(t *testing.T) {
-	a := newArb(3)
-	if g := grantReqs(a, []bool{false, false, false}); g != -1 {
-		t.Errorf("grant with no requests = %d", g)
-	}
-	if g := grantReqs(a, nil); g != -1 {
-		t.Errorf("grant with nil requests = %d", g)
-	}
-}
-
-// Property: the arbiter always grants a requesting slot, exactly when
-// one exists, and never a non-requesting one.
-func TestArbiterSoundness(t *testing.T) {
-	a := newArb(8)
-	f := func(mask uint8) bool {
-		reqs := make([]bool, 8)
-		any := false
-		for i := 0; i < 8; i++ {
-			reqs[i] = mask&(1<<i) != 0
-			any = any || reqs[i]
-		}
-		g := grantReqs(a, reqs)
-		if any {
-			return g >= 0 && reqs[g]
-		}
-		return g == -1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: under persistent full load the arbiter serves every slot
 // equally over long windows.
 func TestArbiterLongRunFairness(t *testing.T) {
 	a := newArb(5)
 	counts := make([]int, 5)
-	all := []bool{true, true, true, true, true}
 	for i := 0; i < 1000; i++ {
-		counts[grantReqs(a, all)]++
+		counts[a.grantMask(1<<5-1)]++
 	}
 	for i, c := range counts {
 		if c != 200 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -253,8 +254,9 @@ func (e corpusEntry) run(t testing.TB) {
 // on the wire, measurement, drain) and holds its Result — every derived
 // metric, Saturated and Stalled, the window's counters per router — and
 // the drained network's counters per router to the same run at 1 shard
-// in activity mode, bit for bit; probed, also its probe stream, event
-// for event and in order (the SetProbe contract).
+// in activity mode, bit for bit, and its per-class results to its
+// totals; probed, also its probe stream, event for event and in order
+// (the SetProbe contract).
 func sameSim(t testing.TB, cfg Config, gen Generator, measure int64, probed bool) {
 	t.Helper()
 	run := func(cfg Config) ([]byte, probeTap) {
@@ -268,6 +270,13 @@ func sameSim(t testing.TB, cfg Config, gen Generator, measure int64, probed bool
 		res := s.Run(context.Background())
 		if res.Ejected != res.Generated || res.Stalled {
 			t.Fatalf("shards %d mode %v: %v", cfg.Shards, cfg.Mode, res.String())
+		}
+		// The classes partition the packets, and their mean latencies
+		// weighted by their counts make the blended mean.
+		ctrl, data := res.PerClass[Control], res.PerClass[Data]
+		sum := float64(ctrl.Ejected)*ctrl.AvgLatency + float64(data.Ejected)*data.AvgLatency
+		if ctrl.Ejected+data.Ejected != res.Ejected || math.Abs(sum-float64(res.Ejected)*res.AvgLatency) > 1e-9*max(1, sum) {
+			t.Fatalf("shards %d mode %v: per-class results %+v do not add up to %v", cfg.Shards, cfg.Mode, res.PerClass, res.String())
 		}
 		b, _ := json.Marshal([]any{res, net.RouterCounters()})
 		return b, tap
@@ -463,6 +472,74 @@ func oracleCorpus() []corpusEntry {
 		Sizes: sizesFour, Rate: 2, Checked: 1, Sim: 1, Cycles: 1})
 	add("TestHopsMatchRouting/express", 3, oracleShape{Topo: topoExpress, VCs: 1, Depth: 3, Sizes: sizesFour, Rate: 1})
 	add("TestBacklogCounters/mesh", 1, oracleShape{Topo: topoMesh, STLT: 1, VCs: 1, Depth: 3, Sizes: sizesFour, Rate: 1, Cycles: 2})
+	// The unit suites folded into the corpus, each under its old test ID,
+	// at 2 VCs of depth 8. Zero load: checkZeroLoad holds lone packets of
+	// 1 to 4 flits to the closed form. The Figure 8 pipeline family's head
+	// latency per hop (from buffer write to the next router's buffer
+	// write) is:
+	//
+	//	(a) 4-stage + LT:          RC, VA, SA, ST | LT      -> 3 + STLT
+	//	(b) speculative SA:        RC, VA+SA, ST | LT       -> 2 + STLT
+	//	(c) look-ahead + spec:     VA+SA, ST | LT           -> 1 + STLT
+	//	(d) 3DM (combined ST+LT):  same stages, STLT = 1
+	//
+	// and a d2d link adds its latency less one and its serialization less
+	// one, the later flits leaving a serialization apart. Under load the
+	// comparison holds delivery (every packet, once, in flow order),
+	// counters raw and layer-weighted, per-link credits, occupancy and
+	// probe events to the oracle's every cycle, and sameSim a complete
+	// run (no stall, nothing lost) to its 1-shard activity twin.
+	for _, c := range []struct {
+		name string
+		s    oracleShape
+	}{
+		{"TestZeroLoadLatencySeparateSTLT/mesh", oracleShape{Topo: topoMesh, STLT: 1, Sizes: sizesOne}},
+		{"TestZeroLoadLatencyCombinedSTLT/mesh", oracleShape{Topo: topoMesh, Sizes: sizesOne}},
+		{"TestZeroLoadLatencyMultiHop/partner", oracleShape{Topo: topoMesh, STLT: 1, Pattern: 2, Sizes: sizesFour}},
+		{"TestZeroLoadSerialization/mesh", oracleShape{Topo: topoMesh, STLT: 1, Sizes: sizesFour}},
+		{"TestZeroLoadExpressFewerHops/express", oracleShape{Topo: topoExpress, Sizes: sizesFour}},
+		{"TestZeroLoad3DVertical/mesh3d", oracleShape{Topo: topoMesh3D, STLT: 1, Sizes: sizesFour}},
+		{"TestQoSZeroLoadUnchanged/mesh", oracleShape{Topo: topoMesh, STLT: 1, QoS: 1, Sizes: sizesFour}},
+		{"TestPipelineFig8aBaseline/mesh", oracleShape{Topo: topoMesh, STLT: 1, Sizes: sizesOne}},
+		{"TestPipelineFig8bSpeculative/mesh", oracleShape{Topo: topoMesh, STLT: 1, Spec: 1, Sizes: sizesOne}},
+		{"TestPipelineFig8cLookaheadSpec/mesh", oracleShape{Topo: topoMesh, STLT: 1, Lookahead: 1, Spec: 1, Sizes: sizesOne}},
+		{"TestPipelineLookaheadOnly/mesh", oracleShape{Topo: topoMesh, STLT: 1, Lookahead: 1, Sizes: sizesOne}},
+		{"TestPipelineFig8dCombined/mesh", oracleShape{Topo: topoMesh, Lookahead: 1, Spec: 1, Sizes: sizesOne}},
+		{"TestChipGridUnitTimingMatchesMesh/lat1-ser1", oracleShape{Topo: topoChipGrid, Sizes: sizesFour}},
+		{"TestChipletD2DLatency/lat6", oracleShape{Topo: topoChipGrid, Lat: 3, STLT: 1, Sizes: sizesFour}},
+		{"TestChipletSerialization/ser3", oracleShape{Topo: topoChipGrid, Ser: 2, STLT: 1, Sizes: sizesFour}},
+		{"TestChipletSerialization/lat16-ser4", oracleShape{Topo: topoChipGrid, LongLink: 1, STLT: 1, Sizes: sizesFour}},
+		{"TestConservationUnderLoad/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Sim: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestCounterConsistency/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestWeightedCountersFullLayersEqualRaw/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 0, Cycles: 2, Sizes: sizesFour}},
+		{"TestWeightedCountersShortFlits/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 0, ShortLayers: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestDeterminism/mesh", oracleShape{Topo: topoMesh, Rate: 1, Sim: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestByClassPolicyRequestResponse/mesh", oracleShape{Topo: topoMesh, STLT: 1, ByClass: 1, Sizes: sizesBimodal, Rate: 1, Cycles: 2}},
+		{"TestInjectionBackpressure/partner", oracleShape{Topo: topoMesh, STLT: 1, Pattern: 2, Rate: 3, Cycles: 2, Sizes: sizesFour}},
+		{"TestOccupancyBounded/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 3, Cycles: 2, Sizes: sizesFour}},
+		{"TestInvariantsAfterDrain/express", oracleShape{Topo: topoExpress, Rate: 2, Cycles: 2, Sizes: sizesFour}},
+		{"TestNoStallOnHealthyDrain/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 2, Sim: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestPacketIDsUnique/mesh", oracleShape{Topo: topoMesh, STLT: 1, Sizes: sizesOne, Rate: 1}},
+		{"TestIdleNetworkStaysCheap/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Checked: 1, Sizes: sizesFour}},
+		{"TestPerClassResults/bimodal", oracleShape{Topo: topoMesh, STLT: 1, ByClass: 1, Sizes: sizesBimodal, Rate: 2, Sim: 1, Cycles: 2}},
+		{"TestProbePerFlitOrdering/baseline", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Probed: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestProbePerFlitOrdering/lookahead", oracleShape{Topo: topoMesh, STLT: 1, Lookahead: 1, Rate: 1, Probed: 1, Cycles: 2, Sizes: sizesFour}},
+		{"TestProbePerFlitOrdering/lookahead_specsa", oracleShape{Topo: topoMesh, STLT: 1, Lookahead: 1, Spec: 1, Rate: 1, Probed: 1,
+			Cycles: 2, Sizes: sizesFour}},
+		{"TestProbeEventStreamMatchesCounters/mesh", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Probed: 1, Cycles: 2, Sizes: sizesFour}},
+		// Sharded probe streams, every event in order, equal to 1 shard's
+		// (sameSim), all six kinds from every emission phase with
+		// look-ahead and speculation; and the boundary mailboxes at 4
+		// shards (a VC has one upstream, so lane order moves no flit).
+		{"TestShardProbeStreamIdentical/shards2", oracleShape{Topo: topoMesh, STLT: 1, Rate: 1, Probed: 1, MoreShards: 1, Sim: 1, Cycles: 1, Sizes: sizesFour}},
+		{"TestShardProbeStreamIdentical/lookahead-shards8", oracleShape{Topo: topoMesh, STLT: 1, Lookahead: 1, Spec: 1, Rate: 1, Probed: 1,
+			MoreShards: 5, Sim: 1, Cycles: 1, Sizes: sizesFour}},
+		{"TestShardMailboxDrainOrder/shards4", oracleShape{Topo: topoMesh, STLT: 1, Rate: 2, MoreShards: 2, Cycles: 2, Sizes: sizesFour}},
+	} {
+		s := c.s
+		s.VCs, s.Depth = 1, 3
+		add(c.name, 1, s)
+	}
 
 	// The seed corpus. PR 6's defect: SpecSA + LookaheadRC, single-flit
 	// packets, saturated.
@@ -549,6 +626,38 @@ func TestSpeculationInvariantsUnderContention(t *testing.T)     { runCorpus(t) }
 func TestCheckedStepMode(t *testing.T)                          { runCorpus(t) }
 func TestHopsMatchRouting(t *testing.T)                         { runCorpus(t) }
 func TestBacklogCounters(t *testing.T)                          { runCorpus(t) }
+func TestZeroLoadLatencySeparateSTLT(t *testing.T)              { runCorpus(t) }
+func TestZeroLoadLatencyCombinedSTLT(t *testing.T)              { runCorpus(t) }
+func TestZeroLoadLatencyMultiHop(t *testing.T)                  { runCorpus(t) }
+func TestZeroLoadSerialization(t *testing.T)                    { runCorpus(t) }
+func TestZeroLoadExpressFewerHops(t *testing.T)                 { runCorpus(t) }
+func TestZeroLoad3DVertical(t *testing.T)                       { runCorpus(t) }
+func TestQoSZeroLoadUnchanged(t *testing.T)                     { runCorpus(t) }
+func TestPipelineFig8aBaseline(t *testing.T)                    { runCorpus(t) }
+func TestPipelineFig8bSpeculative(t *testing.T)                 { runCorpus(t) }
+func TestPipelineFig8cLookaheadSpec(t *testing.T)               { runCorpus(t) }
+func TestPipelineLookaheadOnly(t *testing.T)                    { runCorpus(t) }
+func TestPipelineFig8dCombined(t *testing.T)                    { runCorpus(t) }
+func TestChipGridUnitTimingMatchesMesh(t *testing.T)            { runCorpus(t) }
+func TestChipletD2DLatency(t *testing.T)                        { runCorpus(t) }
+func TestChipletSerialization(t *testing.T)                     { runCorpus(t) }
+func TestConservationUnderLoad(t *testing.T)                    { runCorpus(t) }
+func TestCounterConsistency(t *testing.T)                       { runCorpus(t) }
+func TestWeightedCountersFullLayersEqualRaw(t *testing.T)       { runCorpus(t) }
+func TestWeightedCountersShortFlits(t *testing.T)               { runCorpus(t) }
+func TestDeterminism(t *testing.T)                              { runCorpus(t) }
+func TestByClassPolicyRequestResponse(t *testing.T)             { runCorpus(t) }
+func TestInjectionBackpressure(t *testing.T)                    { runCorpus(t) }
+func TestOccupancyBounded(t *testing.T)                         { runCorpus(t) }
+func TestInvariantsAfterDrain(t *testing.T)                     { runCorpus(t) }
+func TestNoStallOnHealthyDrain(t *testing.T)                    { runCorpus(t) }
+func TestPacketIDsUnique(t *testing.T)                          { runCorpus(t) }
+func TestIdleNetworkStaysCheap(t *testing.T)                    { runCorpus(t) }
+func TestPerClassResults(t *testing.T)                          { runCorpus(t) }
+func TestProbePerFlitOrdering(t *testing.T)                     { runCorpus(t) }
+func TestProbeEventStreamMatchesCounters(t *testing.T)          { runCorpus(t) }
+func TestShardProbeStreamIdentical(t *testing.T)                { runCorpus(t) }
+func TestShardMailboxDrainOrder(t *testing.T)                   { runCorpus(t) }
 
 func TestChipletDeterminismSuite(t *testing.T) {
 	for _, group := range []string{"baseline", "specsa", "lookahead"} {

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"context"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -107,42 +106,6 @@ func TestCheckInvariantsNamesCorruptWord(t *testing.T) {
 	}
 }
 
-// After a full drain, all credits must be restored and all VCs idle.
-func TestInvariantsAfterDrain(t *testing.T) {
-	cfg := cfgExpress(1)
-	net := NewNetwork(cfg)
-	s := NewSim(net, bernoulli(cfg.Topo, 0.3, 4, Data))
-	s.Params = SimParams{Warmup: 0, Measure: 1000, DrainMax: 10000}
-	res := s.Run(context.Background())
-	if res.Ejected != res.Generated {
-		t.Fatalf("did not drain: %v", res.String())
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if net.Occupancy() != 0 {
-		t.Fatalf("occupancy %d after drain", net.Occupancy())
-	}
-	// All credits fully restored.
-	for _, r := range net.routers {
-		for oi := range r.outPorts {
-			op := &r.outPorts[oi]
-			if !op.hasLink {
-				continue
-			}
-			for vi, c := range op.credits {
-				if int(c) != cfg.BufDepth {
-					t.Fatalf("router %d %v vc %d credits %d != %d after drain",
-						r.id, op.dir, vi, c, cfg.BufDepth)
-				}
-				if op.reserved[vi] {
-					t.Fatalf("router %d %v vc %d still reserved after drain", r.id, op.dir, vi)
-				}
-			}
-		}
-	}
-}
-
 // Fairness: two flows contending for one output port share its
 // bandwidth roughly evenly under round-robin arbitration.
 func TestArbitrationFairness(t *testing.T) {
@@ -170,70 +133,6 @@ func TestArbitrationFairness(t *testing.T) {
 	ratio := float64(a) / float64(b)
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("unfair sharing: %d vs %d", a, b)
-	}
-}
-
-func TestNoStallOnHealthyDrain(t *testing.T) {
-	cfg := cfg2D(2)
-	res := shortSim(cfg, bernoulli(cfg.Topo, 0.3, 4, Data))
-	if res.Stalled {
-		t.Fatalf("healthy network reported a stall: %v", res.String())
-	}
-	if res.Ejected != res.Generated {
-		t.Fatalf("healthy drain incomplete: %v", res.String())
-	}
-}
-
-func TestPerClassResults(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.Policy = ByClass
-	gen := GeneratorFunc(func(cycle int64, rng *rand.Rand, specs []Spec) []Spec {
-		if rng.Float64() < 0.3 {
-			a := topology.NodeID(rng.Intn(36))
-			b := topology.NodeID(rng.Intn(36))
-			if a != b {
-				specs = append(specs,
-					Spec{Src: a, Dst: b, Size: 1, Class: Control},
-					Spec{Src: b, Dst: a, Size: 4, Class: Data})
-			}
-		}
-		return specs
-	})
-	res := shortSim(cfg, gen)
-	ctrl, data := res.PerClass[Control], res.PerClass[Data]
-	if ctrl.Ejected == 0 || data.Ejected == 0 {
-		t.Fatalf("missing per-class counts: %+v", res.PerClass)
-	}
-	if ctrl.Ejected+data.Ejected != res.Ejected {
-		t.Errorf("class counts %d+%d != total %d", ctrl.Ejected, data.Ejected, res.Ejected)
-	}
-	// Data packets are 3 flits longer; their latency must exceed the
-	// single-flit control packets' at equal hop distribution.
-	if data.AvgLatency <= ctrl.AvgLatency {
-		t.Errorf("data latency %.1f should exceed control %.1f", data.AvgLatency, ctrl.AvgLatency)
-	}
-	// The blended average must lie between the class averages.
-	lo, hi := ctrl.AvgLatency, data.AvgLatency
-	if res.AvgLatency < lo-1e-9 || res.AvgLatency > hi+1e-9 {
-		t.Errorf("blended latency %.2f outside [%.2f, %.2f]", res.AvgLatency, lo, hi)
-	}
-}
-
-func TestPacketIDsUnique(t *testing.T) {
-	net := NewNetwork(cfg2D(2))
-	seen := map[int64]bool{}
-	for i := 0; i < 20; i++ {
-		pkt, err := net.Enqueue(Spec{Src: 0, Dst: 1, Size: 1, Class: Control})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkt.ID == 0 {
-			t.Fatalf("packet ID not assigned")
-		}
-		if seen[pkt.ID] {
-			t.Fatalf("duplicate packet ID %d", pkt.ID)
-		}
-		seen[pkt.ID] = true
 	}
 }
 

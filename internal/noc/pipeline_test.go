@@ -1,66 +1,6 @@
 package noc
 
-import (
-	"testing"
-
-	"mira/internal/topology"
-)
-
-// The Figure 8 pipeline family. Zero-load head latency per hop (from
-// buffer write to the next router's buffer write) is:
-//
-//	(a) 4-stage + LT:          RC, VA, SA, ST | LT      -> 3 + STLT
-//	(b) speculative SA:        RC, VA+SA, ST | LT       -> 2 + STLT
-//	(c) look-ahead + spec:     VA+SA, ST | LT           -> 1 + STLT
-//	(d) 3DM (combined ST+LT):  same stages, STLT = 1
-//
-// End-to-end 1-flit latency over H hops: 1 (injection) + perHop*(H+1).
-func pipelineLatency(t *testing.T, look, spec bool, stlt int, hops int) int64 {
-	t.Helper()
-	cfg := cfg2D(stlt)
-	cfg.LookaheadRC = look
-	cfg.SpecSA = spec
-	dst := topology.NodeID(hops) // straight east along row 0
-	pkt := onePacket(t, cfg, Spec{Src: 0, Dst: dst, Size: 1, Class: Control})
-	return pkt.EjectedAt - pkt.CreatedAt
-}
-
-func TestPipelineFig8aBaseline(t *testing.T) {
-	if got := pipelineLatency(t, false, false, 2, 3); got != 1+5*4 {
-		t.Errorf("4-stage latency = %d, want 21", got)
-	}
-}
-
-func TestPipelineFig8bSpeculative(t *testing.T) {
-	if got := pipelineLatency(t, false, true, 2, 3); got != 1+4*4 {
-		t.Errorf("speculative latency = %d, want 17", got)
-	}
-}
-
-func TestPipelineFig8cLookaheadSpec(t *testing.T) {
-	if got := pipelineLatency(t, true, true, 2, 3); got != 1+3*4 {
-		t.Errorf("2-stage latency = %d, want 13", got)
-	}
-}
-
-func TestPipelineLookaheadOnly(t *testing.T) {
-	// Look-ahead without speculation removes only the RC cycle.
-	if got := pipelineLatency(t, true, false, 2, 3); got != 1+4*4 {
-		t.Errorf("look-ahead latency = %d, want 17", got)
-	}
-}
-
-func TestPipelineFig8dCombined(t *testing.T) {
-	// The 3DM trick orthogonally removes the LT cycle.
-	if got := pipelineLatency(t, false, false, 1, 3); got != 1+4*4 {
-		t.Errorf("ST+LT-combined latency = %d, want 17", got)
-	}
-	// All techniques together: the aggressive 2-stage single-cycle-hop
-	// router (alloc, ST+LT).
-	if got := pipelineLatency(t, true, true, 1, 3); got != 1+2*4 {
-		t.Errorf("fully combined latency = %d, want 9", got)
-	}
-}
+import "testing"
 
 func TestPipelineOrderingUnderLoad(t *testing.T) {
 	run := func(look, spec bool) Result {

@@ -95,12 +95,3 @@ func TestQoSNoMidStreamStarvation(t *testing.T) {
 	}
 	t.Fatalf("data packet starved by control storm")
 }
-
-func TestQoSZeroLoadUnchanged(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.QoSPriority = true
-	pkt := onePacket(t, cfg, Spec{Src: 0, Dst: 1, Size: 1, Class: Control})
-	if lat := pkt.EjectedAt - pkt.CreatedAt; lat != 11 {
-		t.Errorf("QoS zero-load latency = %d, want 11", lat)
-	}
-}

@@ -70,10 +70,10 @@ import (
 // segmented by send phase (ev[0] = SA, ev[1] = VA), and the delivery
 // phase drains, for each phase, the lanes in ascending source-shard
 // order — reproducing the sequential delivery order event for event no
-// matter when each shard actually ran. Delivery order is the only
-// cross-shard ordering that matters: within a cycle all other state a
-// shard reads is its own. TestShardMailboxDrainOrder pins the drain
-// order; the determinism suite pins end-to-end bit-identity.
+// matter when each shard actually ran. A VC has one upstream channel,
+// which lands at most one flit a cycle, so that order moves no flit,
+// only the probe stream; within a cycle all other state a shard reads
+// is its own. The oracle corpus pins end-to-end bit-identity.
 //
 // # The probe-merge contract
 //

@@ -13,7 +13,10 @@ import (
 // slice is a window over them, so a mutation through either
 // representation is immediately visible through the other. If a refactor
 // ever turns a window into a copy, the two representations can drift and
-// this test fails before any simulation-level symptom appears.
+// this test fails before any simulation-level symptom appears. The
+// link-side write (forward fills the downstream ring through the flat
+// arrays, by global index) the oracle corpus observes: a copied ring,
+// length or front-arrival window moves flits.
 func TestSoAViewAliasing(t *testing.T) {
 	net := NewNetwork(cfg2D(1))
 	// A middle router, so every direction has ports; nonzero bases.
@@ -86,51 +89,6 @@ func TestSoAViewAliasing(t *testing.T) {
 		t.Fatalf("invariants after aliasing round-trips: %v", err)
 	}
 
-	// The link-side write: forward addresses the downstream ring through
-	// the flat arrays by global index, never through the downstream
-	// router's windows. A packet from router 8 to router 6 crosses router
-	// 7's east input; while its head is on that link (written, not yet
-	// landed), the write forward made must be visible through router 7's
-	// views.
-	pkt, err := net.Enqueue(Spec{Src: 8, Dst: 6, Size: 1, Class: Data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f = -1
-	for i := 0; i < 50 && f < 0; i++ {
-		net.Step()
-		for v := 0; v < r.vcsPerPort; v++ {
-			if fv := r.flatVC(pi, v); int(r.vcLen[fv]) > r.vcLanded(fv, net.cycle) {
-				f = fv
-			}
-		}
-	}
-	if f < 0 {
-		t.Fatal("no flit seen on the wire toward router 7's east input")
-	}
-	gi = int(r.vcBase) + f
-	if got := net.soa.vcLen[gi]; got != 1 || r.vcLanded(f, net.cycle) != 0 {
-		t.Errorf("flat vcLen reads %d, window landed %d; want one flit on the wire", got, r.vcLanded(f, net.cycle))
-	}
-	if got := net.soa.vcFrontAt[gi]; got <= net.cycle {
-		t.Errorf("front-arrival lane %d at cycle %d; the head is still on the wire", got, net.cycle)
-	}
-	slot := gi*net.cfg.BufDepth + int(r.vcHead[f])
-	if got := net.soa.bufFlit[slot]; got.Pkt != pkt {
-		t.Errorf("flat bufFlit slot holds %+v after forward's reserve, want packet %d", got, pkt.ID)
-	}
-	if got := r.bufArrived[f*r.bufDepth+int(r.vcHead[f])]; got != net.soa.bufArrived[slot] || got <= net.cycle {
-		t.Errorf("reserved slot's arrival stamp: window %d, flat %d, cycle %d", got, net.soa.bufArrived[slot], net.cycle)
-	}
-	for i := 0; i < 50 && !net.Idle(); i++ {
-		net.Step()
-	}
-	if pkt.EjectedAt == 0 {
-		t.Fatal("packet not delivered")
-	}
-	if err := net.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after the forwarded packet drained: %v", err)
-	}
 }
 
 // forwardInto sends flit from the router upstream of r's input port pi
@@ -263,15 +221,16 @@ func TestHeadLandsInBusyVCPanics(t *testing.T) {
 // and a lone 16-flit message over a latency-16 d2d link deliver exactly
 // one word per ejected flit plus one per hop; under load the meter's
 // count is ejected flits plus link-forwarded heads at every shard count.
+// Every flit still counts its link traversal: the oracle corpus compares
+// the link and d2d counters.
 func TestBodyFlitsScheduleNoEvent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
 		spec Spec
-		d2d  int64 // the message crosses one d2d link, or none
 	}{
-		{"mesh", cfg2D(2), Spec{Src: 0, Dst: 35, Size: 4, Class: Data}, 0},
-		{"d2d-lat16", cfgChiplet(16, 1, false), Spec{Src: 0, Dst: 7, Size: 16, Class: Data}, 16},
+		{"mesh", cfg2D(2), Spec{Src: 0, Dst: 35, Size: 4, Class: Data}},
+		{"d2d-lat16", cfgChiplet(16, 1, false), Spec{Src: 0, Dst: 7, Size: 16, Class: Data}},
 	} {
 		net := NewNetwork(c.cfg)
 		m := net.EnableEngineMeter()
@@ -285,13 +244,6 @@ func TestBodyFlitsScheduleNoEvent(t *testing.T) {
 		}
 		if done == nil {
 			t.Fatalf("%s: packet not delivered", c.name)
-		}
-		tc := net.TotalCounters()
-		if want := int64(c.spec.Size * done.Hops); tc.LinkFlits != want {
-			t.Fatalf("%s: %d link flits, want %d over %d hops", c.name, tc.LinkFlits, want, done.Hops)
-		}
-		if tc.D2DFlits != c.d2d {
-			t.Fatalf("%s: %d d2d flits, want %d", c.name, tc.D2DFlits, c.d2d)
 		}
 		if got, want := m.Snapshot().RingWords, int64(c.spec.Size+done.Hops); got != want {
 			t.Fatalf("%s: %d ring words, want %d ejected flits + %d heads", c.name, got, c.spec.Size, done.Hops)

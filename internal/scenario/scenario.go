@@ -315,6 +315,11 @@ func (s Scenario) validateCore() error {
 				}
 			}
 		}
+		for i, n := range o.PerVCNodes {
+			if slices.Contains(o.PerVCNodes[:i], n) {
+				return fmt.Errorf("scenario: observe per_vc_nodes lists node %d twice", n)
+			}
+		}
 	}
 	return nil
 }
