@@ -13,7 +13,10 @@ import "math/bits"
 //     the VCs that can act and builds its arbiter requests by masking;
 //   - rcDue, the RC delay line: RC never stalls, so a head entering
 //     vcRouting in cycle c is filed under parity (c+1)&1 and routed
-//     exactly once, by cycle c+1's stepRC, never polled;
+//     exactly once, by cycle c+1's stepRC, never polled. With look-ahead
+//     routing the route was computed upstream, off the critical path:
+//     the head is filed under c&1 and routed by cycle c's own RC stage,
+//     which runs after VA, so it bids from c+1;
 //   - per-shard bitsets of the routers with a non-empty word per stage
 //     (actVA, actSA, and actRC per parity) plus the NIs with queued or
 //     in-flight packets (actNI), so the cycle loop visits only routers
@@ -119,7 +122,10 @@ func (r *Router) setVCState(f int32, s vcState) {
 	r.vcState[f] = s
 	switch s {
 	case vcRouting:
-		p := (r.net.cycle + 1) & 1
+		p := r.net.cycle & 1
+		if !r.net.cfg.LookaheadRC {
+			p ^= 1
+		}
 		r.inRC |= bit
 		if r.rcDue[p] == 0 {
 			sh.actRC[p].add(id)

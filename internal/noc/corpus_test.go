@@ -354,8 +354,8 @@ func oracleCorpus() []corpusEntry {
 	// The lat:ser chip grid with express links, cut by shard counts that
 	// split chips (3, 5, 7) or do not, AutoShards and checked mode, each
 	// also as a complete Sim against its 1-shard twin. The SpecSA half
-	// puts speculative forwards, the second send phase of the rings and
-	// mailboxes, on the latency-stamped cross-shard path.
+	// puts speculative forwards, the second send phase of the rings, on
+	// the cross-shard path.
 	for _, spec := range []int{0, 1} {
 		group := []string{"baseline", "specsa"}[spec]
 		for _, c := range []struct {
@@ -375,10 +375,9 @@ func oracleCorpus() []corpusEntry {
 			})
 		}
 	}
-	// Look-ahead routing emits route events as arrivals are delivered, and
-	// a delivery slot holds arrivals sent in different cycles over the
-	// d2d (lat 6) and on-chip links: the merged stream must still put
-	// them in send order.
+	// Look-ahead routing with speculation across d2d (lat 6) cuts: routes
+	// in the RC stage, ejections of both send phases, and three shards'
+	// stage marks replayed as one shard's stream.
 	add("TestChipletDeterminismSuite/lookahead/shards3", 7, oracleShape{
 		Topo: topoChipGrid, Lat: 3, Ser: 1, Lookahead: 1, Spec: 1, VCs: 1, Depth: 3,
 		Rate: 1, Sizes: sizesFour, Shards: 1, Probed: 1, Cycles: 1, Sim: 1,

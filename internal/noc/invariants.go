@@ -77,16 +77,14 @@ func (n *Network) CheckInvariants() error {
 	for src := range n.mail {
 		for dst := range n.mail[src] {
 			m := &n.mail[src][dst]
-			for p := 0; p < 2; p++ {
-				for _, slot := range m.ev[p] {
-					for i := range slot {
-						gi := slot[i].gi
-						if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
-							return fmt.Errorf("noc: in-flight mailbox flit for vc %d out of range", gi)
-						}
-						mailFlight[gi]++
-						live[slot[i].flit.Pkt] = true
+			for _, slot := range m.ev {
+				for i := range slot {
+					gi := slot[i].gi
+					if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
+						return fmt.Errorf("noc: in-flight mailbox flit for vc %d out of range", gi)
 					}
+					mailFlight[gi]++
+					live[slot[i].flit.Pkt] = true
 				}
 			}
 			for _, slot := range m.cred {

@@ -90,9 +90,6 @@ type Network struct {
 	mail   [][]shardMail
 	// pool holds the shard workers; nil until a sharded step starts it (pool.go).
 	pool *shardPool
-	// probeScratch is the reusable epilogue buffer the sharded step
-	// merges per-shard probe events into (drainShardOutputs).
-	probeScratch []keyedProbeEvent
 
 	// ringLen is the event-ring length (a power of two >= minRingLen
 	// sized from the topology's slowest link) and ringMask its slot
@@ -201,9 +198,7 @@ func NewNetwork(cfg Config) *Network {
 			n.mail[i] = make([]shardMail, S)
 			for j := range n.mail[i] {
 				m := &n.mail[i][j]
-				for p := 0; p < 2; p++ {
-					m.ev[p] = make([][]xEvent, n.ringLen)
-				}
+				m.ev = make([][]xEvent, n.ringLen)
 				m.cred = make([][]int32, n.ringLen)
 			}
 		}
@@ -219,7 +214,6 @@ func NewNetwork(cfg Config) *Network {
 		sh.ringMask = n.ringMask
 		for p := 0; p < 2; p++ {
 			sh.ev[p] = make([][]event, n.ringLen)
-			sh.evIdx[p] = make([][]int32, n.ringLen)
 		}
 		sh.ejRing = make([][]ejEntry, n.ringLen)
 		sh.cred = make([][]int32, n.ringLen)
@@ -485,10 +479,6 @@ func (n *Network) inject(id topology.NodeID) {
 	if f.Type.IsHead() {
 		job.pkt.InjectedAt = n.cycle
 	}
-	// Emit the inject event before arrive: with look-ahead routing,
-	// arrive computes the route and emits the flit's first route event,
-	// and the trace contract promises inject precedes every later event
-	// of the same flit (obs.Replay enforces it).
 	if sh.probe != nil {
 		sh.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeInject, Cycle: n.cycle, Router: id,
@@ -496,7 +486,7 @@ func (n *Network) inject(id topology.NodeID) {
 		})
 	}
 	r.vcPush(fi, f, n.cycle)
-	r.arrive(fi, &f, n.cycle)
+	r.arrive(fi, &f)
 	sh.hot.inFlightFlits++
 	sh.hot.queuedFlits--
 	s.curSeq++

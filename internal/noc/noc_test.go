@@ -114,11 +114,14 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alg = nil },
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.BufDepth = 0 },
+		func(c *Config) { c.BufDepth = maxBufDepth + 1 },
+		func(c *Config) { c.BufDepth = 100_000_000 }, // rejected before any ring is allocated
 		func(c *Config) { c.STLTCycles = 0 },
 		func(c *Config) { c.STLTCycles = 3 },
 		func(c *Config) { c.Layers = 0 },
 		func(c *Config) { c.VCs = 1; c.Policy = ByClass },
 		func(c *Config) { c.VCs = 30 }, // 5 ports x 30 VCs > 64 flat VCs
+		func(c *Config) { c.Shards = -2 },
 	}
 	for i, mutate := range bad {
 		c := cfg2D(2)
@@ -127,8 +130,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	// Buffer depth has no upper bound: a 200-deep VC holds one packet
-	// against the oracle like any other.
+	// Below the bound, a 200-deep VC holds one packet against the oracle
+	// like any other.
 	deep := cfg2D(2)
 	deep.BufDepth = 200
 	if err := deep.Validate(); err != nil {

@@ -113,6 +113,12 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 			}
 		}
 		if opts.probed {
+			// Stage order (Probe): a cycle opens with ejections, ends with routes.
+			for i := 1; i < len(prodEvents); i++ {
+				if a, b := prodEvents[i-1].kind, prodEvents[i].kind; b == ProbeEject && a != ProbeEject || a == ProbeRoute && b != ProbeRoute {
+					t.Fatalf("cycle %d: event %d of %d is a %v after a %v", o.cycle, i, len(prodEvents), b, a)
+				}
+			}
 			byFlit := func(a, b oEvent) int {
 				return cmp.Or(cmp.Compare(a.pkt, b.pkt), cmp.Compare(a.seq, b.seq))
 			}

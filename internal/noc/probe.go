@@ -83,11 +83,13 @@ type ProbeEvent struct {
 // Events are emitted in a deterministic order: for a fixed scenario the
 // stream is bit-reproducible, and identical under StepChecked (the same
 // cycle plus a check) and at any shard count (SetProbe below). Within a
-// cycle the phases emit in order — ejections and arrivals, injection,
-// SA, VA, RC — each over routers in ascending ID; the RC stage emits a
-// router's route events in ascending flat input-VC index (port-major).
-// Only the per-flit contract below is part of the model: the order of
-// one cycle's events across flits is the order the engine visits them in.
+// cycle the stages emit in order — ejections, injection, SA, VA, RC —
+// each over routers in ascending ID, so a cycle's ejections come first
+// and its routes last, look-ahead ones included (the RC stage of the
+// cycle a head lands in computes them); the RC stage emits a router's
+// route events in ascending flat input-VC index (port-major). Only the
+// per-flit contract below is part of the model: the order of one
+// cycle's events across flits is the order the engine visits them in.
 //
 // Per flit, the stream satisfies a span-folding contract (relied on by
 // internal/obs's Replay and SpanBuilder): inject is the flit's first
@@ -111,21 +113,16 @@ type Probe interface {
 //
 // Under sequential stepping the emission sites call p directly. Under
 // sharded stepping they call the per-shard buffering sinks instead, and
-// the serial epilogue of Step merges the buffers into the canonical
-// event order before replaying them into p (shard.go), so the stream p
-// sees is byte-identical at any shard count.
+// the serial epilogue of Step replays the buffers into p stage by stage,
+// shards in ascending order within each stage (shard.go), so the stream
+// p sees is byte-identical at any shard count.
 func (n *Network) SetProbe(p Probe) {
 	n.probe = p
-	sharded := len(n.shards) > 1
 	for i := range n.shards {
 		sh := &n.shards[i]
-		switch {
-		case p == nil:
-			sh.probe, sh.stamp = nil, false
-		case sharded:
-			sh.probe, sh.stamp = sh, true
-		default:
-			sh.probe, sh.stamp = p, false
+		sh.probe = p
+		if p != nil && len(n.shards) > 1 {
+			sh.probe = sh
 		}
 	}
 }

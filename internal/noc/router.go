@@ -147,7 +147,6 @@ type Router struct {
 	vcState   []vcState
 	vcHead    []int32
 	vcLen     []int32
-	vcReadyAt []int64
 	vcFrontAt []int64
 	vcOutDir  []topology.Dir
 	vcOutPort []int8
@@ -261,7 +260,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	r.vcState = st.vcState[vcBase : vcBase+nVC]
 	r.vcHead = st.vcHead[vcBase : vcBase+nVC]
 	r.vcLen = st.vcLen[vcBase : vcBase+nVC]
-	r.vcReadyAt = st.vcReadyAt[vcBase : vcBase+nVC]
 	r.vcFrontAt = st.vcFrontAt[vcBase : vcBase+nVC]
 	r.vcOutDir = st.vcOutDir[vcBase : vcBase+nVC]
 	r.vcOutPort = st.vcOutPort[vcBase : vcBase+nVC]
@@ -311,22 +309,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 
 // flatVC maps (input port, vc) to the flattened request index.
 func (r *Router) flatVC(pi, vi int) int { return pi*r.vcsPerPort + vi }
-
-// startHead prepares the VC at flat index f whose front just became a
-// head flit: with look-ahead routing the output port is already known
-// when the flit arrives (it was computed at the upstream router), so
-// the RC stage disappears from the critical path and the head bids in
-// VA from the next cycle (vcReadyAt). Otherwise it enters vcRouting,
-// which schedules its one stepRC visit for the next cycle.
-func (r *Router) startHead(f int32, cycle int64) {
-	if r.net.cfg.LookaheadRC {
-		r.routeHead(int(f))
-		r.setVCState(f, vcWaitVC)
-		r.vcReadyAt[f] = cycle + 1
-	} else {
-		r.setVCState(f, vcRouting)
-	}
-}
 
 // routeHead computes and stores the output direction for the head flit
 // at the front of VC f, moving f's bit to its port's routeTo mask and
@@ -383,27 +365,29 @@ func (r *Router) layersN(active uint8) int64 {
 // VC fi (an NI injection or a mailbox arrival; a direct write counts in
 // forward and starts in deliver). It counts the write and, when f is a
 // head landing in an empty VC, starts its pipeline.
-func (r *Router) arrive(fi int, f *Flit, cycle int64) {
+func (r *Router) arrive(fi int, f *Flit) {
 	r.cnt.BufWrites++
 	r.bufLayers += r.layersN(f.ActiveLayers)
 	if f.Type.IsHead() && r.vcLen[fi] == 1 {
-		r.landHead(int32(fi), cycle)
+		r.landHead(int32(fi))
 	}
 }
 
-// landHead starts the head that landed at the front of VC fi. The VC
-// must be idle: anything else is a credit or VC-state bug upstream.
-func (r *Router) landHead(fi int32, cycle int64) {
+// landHead starts the head that landed at the front of VC fi: it enters
+// vcRouting. The VC must be idle: anything else is a credit or VC-state
+// bug upstream.
+func (r *Router) landHead(fi int32) {
 	if r.vcState[fi] != vcIdle {
 		panic(fmt.Sprintf("noc: router %d port %v vc %d head arrives in state %v",
 			r.id, r.inPorts[r.portOf[fi]].dir, r.vcOf[fi], r.vcState[fi]))
 	}
-	r.startHead(fi, cycle)
+	r.setVCState(fi, vcRouting)
 }
 
-// stepRC routes the heads due this cycle: exactly the VCs that entered
-// vcRouting in the previous one (setVCState filed them under this
-// cycle's parity), in ascending flat-VC order. RC never stalls, so the
+// stepRC routes the heads due this cycle, in ascending flat-VC order:
+// the VCs that entered vcRouting in the previous cycle or, with
+// look-ahead routing, in this one (setVCState filed them under this
+// cycle's parity). It is the only routing site. RC never stalls, so the
 // due mask is consumed whole and each head is visited once.
 func (r *Router) stepRC(cycle int64) {
 	for m := r.rcDue[cycle&1]; m != 0; m &= m - 1 {
@@ -421,42 +405,30 @@ func (r *Router) stepRC(cycle int64) {
 // output-VC selection collapses into the request build because a
 // requester bids for every class-compatible free VC of its output port.
 //
-// ready snapshots the waiters that may bid this cycle; output port oi's
-// request set is ready & routeTo[oi], class-filtered under ByClass.
-// Ports without a ready waiter and reserved output VCs are skipped: a
-// scan of every (oi, ov) would have found them requester-less, and an
-// arbiter only moves on a grant, so the grant sequence is that scan's.
+// Output port oi's request set is inVA & routeTo[oi], class-filtered
+// under ByClass, read live: a grant takes its VC out of inVA, and no VC
+// enters it during VA (only stepRC, which runs after VA, does), so each
+// round sees exactly the waiters not yet granted. Ports without a
+// waiter and reserved output VCs are skipped: a scan of every (oi, ov)
+// would have found them requester-less, and an arbiter only moves on a
+// grant, so the grant sequence is that scan's.
 func (r *Router) stepVA(cycle int64) {
-	ready := r.inVA
 	var outMask uint32
-	for m := ready; m != 0; m &= m - 1 {
+	for m := r.inVA; m != 0; m &= m - 1 {
 		f := bits.TrailingZeros64(m)
-		if cycle < r.vcReadyAt[f] {
-			ready &^= 1 << uint(f)
-		} else {
-			outMask |= 1 << uint(r.vcOutPort[f])
-		}
+		outMask |= 1 << uint(r.vcOutPort[f])
 	}
-	if ready == 0 {
-		return
-	}
-	r.cnt.VAReqs += int64(bits.OnesCount64(ready))
+	r.cnt.VAReqs += int64(bits.OnesCount64(r.inVA))
 	vcs := r.vcsPerPort
 	byClass := r.net.cfg.Policy == ByClass
-	// Ascending port order, then ascending output VC. A granted VC is
-	// cleared from the snapshot rather than trusted to have left inVA:
-	// under SpecSA+LookaheadRC its speculative forward can release the
-	// channel (single-flit packet) and route the next buffered head
-	// straight back into vcWaitVC — ready only from the next cycle, and
-	// possibly toward a different port (the oracle, which rebuilds each
-	// round's requests from the live VC state, holds the stage to this).
+	// Ascending port order, then ascending output VC.
 	for pm := outMask; pm != 0; pm &= pm - 1 {
 		oi := bits.TrailingZeros32(pm)
 		for ov := 0; ov < vcs; ov++ {
 			if r.reserved[oi*vcs+ov] {
 				continue
 			}
-			mask := ready & r.routeTo[oi]
+			mask := r.inVA & r.routeTo[oi]
 			if byClass {
 				switch Class(ov) {
 				case Control:
@@ -477,7 +449,6 @@ func (r *Router) stepVA(cycle int64) {
 			} else if g = r.vaArb(oi, ov).grantMask(mask); g < 0 {
 				continue
 			}
-			ready &^= 1 << uint(g)
 			r.grantVC(cycle, g, oi, ov)
 		}
 	}
@@ -717,10 +688,6 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		ej := &sh.ejRing[at&sh.ringMask]
 		*s = append(*s, ^event(len(*ej)))
 		*ej = append(*ej, ejEntry{flit: *f, router: int32(r.id)})
-		if sh.stamp {
-			idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-			*idx = append(*idx, sh.nextStamp(at-cycle))
-		}
 	} else {
 		ci := oi*r.vcsPerPort + outVC
 		r.credits[ci]--
@@ -776,10 +743,6 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			if f.Type.IsHead() {
 				s := sh.evSlot(cycle, at)
 				*s = append(*s, gi)
-				if sh.stamp {
-					idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-					*idx = append(*idx, sh.nextStamp(at-cycle))
-				}
 			}
 		} else {
 			// Cross-shard forward: the downstream arrays belong to a
@@ -787,12 +750,8 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			// boundary mailbox and is pushed into the destination ring
 			// at delivery time (shardCycle). The credit check above
 			// already guaranteed the space.
-			var stamp int32
-			if sh.stamp {
-				stamp = sh.nextStamp(at - cycle)
-			}
 			ms := r.net.mailEvSlot(sh, op.downShard, at)
-			*ms = append(*ms, xEvent{gi: gi, idx: stamp, flit: *f})
+			*ms = append(*ms, xEvent{gi: gi, flit: *f})
 		}
 	}
 	r.vcDrop(fi)
@@ -805,7 +764,7 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			if !r.vcFrontFlit(fi).Type.IsHead() {
 				panic(fmt.Sprintf("noc: router %d flit after tail is not a head", r.id))
 			}
-			r.startHead(int32(fi), cycle)
+			r.setVCState(int32(fi), vcRouting)
 		} else {
 			r.setVCState(int32(fi), vcIdle)
 		}

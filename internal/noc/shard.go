@@ -1,9 +1,7 @@
 package noc
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 	"unsafe"
 
@@ -60,65 +58,65 @@ import (
 //
 // # The determinism argument
 //
-// Sequential stepping appends each cycle's events in a canonical order:
-// first every SA-stage forward (routers in ascending ID, output ports
-// in rotated order within a router), then every speculative VA-stage
-// forward (again routers ascending). Shards are contiguous ascending ID
-// ranges, so that global order is exactly "for each send phase, for
-// each shard in ascending index order, that shard's appends in its own
-// program order". The event rings and mailboxes are therefore
-// segmented by send phase (ev[0] = SA, ev[1] = VA), and the delivery
-// phase drains, for each phase, the lanes in ascending source-shard
-// order — reproducing the sequential delivery order event for event no
-// matter when each shard actually ran. A VC has one upstream channel,
-// which lands at most one flit a cycle, so that order moves no flit,
-// only the probe stream; within a cycle all other state a shard reads
-// is its own. The oracle corpus pins end-to-end bit-identity.
+// Within a cycle all state a shard reads is its own, and every stage
+// visits routers in ascending ID, so the shards together take the
+// decisions sequential stepping takes. What remains is the order of the
+// two outputs, the probe stream and the eject callbacks. Delivery emits
+// only ejections: a landing head starts in vcRouting and is routed by
+// the RC stage (look-ahead routing too, in the cycle it lands), so an
+// arrival is unobservable, and its order is free. A VC has one upstream
+// channel, which lands at most one flit a cycle, so no arrival order
+// moves a flit either; a mailbox slot is one lane, drained in any
+// order. Ejections never cross a shard and all take STLTCycles, so one
+// ring slot's ejections were sent in one cycle by the shard's own
+// routers, in ascending ID within each send phase. The shard's own ring
+// is segmented by send phase (ev[0] = SA, ev[1] = speculative VA), and
+// within every stage a shard's events are already in the sequential
+// order restricted to its routers. The oracle corpus pins end-to-end
+// bit-identity.
 //
 // # The probe-merge contract
 //
 // With a probe attached, every shard buffers its probe events instead
-// of calling the probe from its goroutine, tagging each event with a
-// sort key (send phase or pipeline stage, send cycle, source shard,
-// per-shard append sequence). The serial epilogue of Step merges the buffers by
-// key (stable, so events of one action keep their emission order) and
-// replays them into the real probe — the identical stream sequential
-// stepping emits, so traces and spans replay byte for byte at any
-// shard count. Eject callbacks are buffered and fired the same way.
-// Relative to sequential stepping the probe sees a cycle's events at
-// the end of that cycle rather than during it; probes only record
-// events (Probe implementations must not mutate the network), so the
-// stream, not the timing, is the contract.
+// of calling the probe from its goroutine, and marks where each stage
+// of the cycle begins in its buffer: ejections of SA-phase sends,
+// ejections of VA-phase sends, injection, SA, VA, RC. The serial
+// epilogue of Step replays the buffers stage-major, shard-minor, into
+// the real probe: shards are contiguous ascending ID ranges, so that is
+// the identical stream sequential stepping emits, and traces and spans
+// replay byte for byte at any shard count. Eject callbacks are buffered
+// and fired in (send phase, shard) order the same way. Relative to
+// sequential stepping the probe sees a cycle's events at the end of
+// that cycle rather than during it; probes only record events (Probe
+// implementations must not mutate the network), so the stream, not the
+// timing, is the contract.
 
 // xEvent is one cross-shard boundary-mailbox entry: the arrival of a
 // flit at input VC gi (a global flat VC index) of a router in the
 // destination shard. Unlike same-shard forwards, which direct-write the
 // flit into its future ring slot at send time, a cross-shard forward
 // may not touch the remote shard's arrays mid-cycle, so the entry
-// carries the flit body and the destination pushes it at delivery. idx
-// is the sender's stamp (nextStamp), used only to merge probe events
-// into the canonical order (zero when unobserved).
+// carries the flit body and the destination pushes it at delivery.
 type xEvent struct {
 	gi   int32
-	idx  int32
 	flit Flit
 }
 
 // shardMail is the boundary mailbox for one (source shard, destination
-// shard) pair: per-send-phase, per-ring-slot arrival lanes plus a
-// credit lane (credits are order-free increments, so they need no phase
-// segmentation). The source appends during its stage loops; the
-// destination drains and resets at the delivery cycle's boundary. The
-// rings are allocated to the network's ringLen (sized from the slowest
-// link), so multi-cycle d2d deliveries slot like any other.
+// shard) pair: one arrival lane and one credit lane per ring slot, both
+// order-free (package comment). The source appends during its stage
+// loops; the destination drains and resets at the delivery cycle's
+// boundary. The rings are allocated to the network's ringLen (sized
+// from the slowest link), so multi-cycle d2d deliveries slot like any
+// other.
 type shardMail struct {
-	ev   [2][][]xEvent
+	ev   [][]xEvent
 	cred [][]int32
 }
 
 // shardHot holds one shard's incrementally maintained backlog counters
 // (the network's inFlightFlits/queuedFlits/queuedPackets, split per
-// shard) plus the per-cycle probe append sequence.
+// shard).
 //
 // Layout invariant: the struct is padded to exactly one 64-byte cache
 // line, and Network.hot is a contiguous []shardHot, so two shards'
@@ -138,51 +136,24 @@ type shardHot struct {
 	inFlightFlits int64
 	queuedFlits   int64
 	queuedPackets int64
-	seq           int32
-	_             [36]byte
+	_             [40]byte
 }
 
 // Compile-time: shardHot is exactly one cache line.
 var _ = [1]struct{}{}[unsafe.Sizeof(shardHot{})-64]
 
-// keyedProbeEvent pairs a buffered probe event with its merge key.
-type keyedProbeEvent struct {
-	key uint64
-	ev  ProbeEvent
-}
-
-// Probe merge-key phase indices, in the order sequential stepping runs
-// the phases of one cycle. The delivery phases come first (one per send
-// phase of the previous cycle's appends), then injection and the three
-// pipeline stages.
+// The stages of one cycle, in the order they emit probe events
+// (shardState.mark): the ejections of the two send phases, injection
+// and the three pipeline stages.
 const (
-	pkDeliverSA = iota // delivery of SA-phase appends
-	pkDeliverVA        // delivery of speculative VA-phase appends
-	pkInject
-	pkSA
-	pkVA
-	pkRC
+	stEjectSA = iota // ejections of SA-phase sends
+	stEjectVA        // ejections of speculative VA-phase sends
+	stInject
+	stSA
+	stVA
+	stRC
+	numStages
 )
-
-// probeKey builds the merge key for one emitting action: phase index,
-// then the source's stamp split around the source shard (zero for the
-// stage phases, where events of one shard are merged in emission order
-// and cross-shard order is fixed by the shard index alone).
-func probeKey(phase int, srcShard, stamp int32) uint64 {
-	return uint64(phase)<<61 | uint64(stamp>>stampSeqBits)<<48 | uint64(uint32(srcShard))<<32 | uint64(stamp&(1<<stampSeqBits-1))
-}
-
-// A stamp (nextStamp) packs ringLen-delta (< 2^12, the ring horizon being
-// <= 2048) above the per-cycle append sequence (< 2^19): a delivery slot holds
-// sends of several cycles over links of different delays, which sequential
-// stepping appended in send order. Zero (unobserved) sorts first.
-const stampSeqBits = 19
-
-// nextStamp stamps an arrival delivered delta cycles from now.
-func (sh *shardState) nextStamp(delta int64) int32 {
-	sh.hot.seq++
-	return int32(sh.ringLen-delta)<<stampSeqBits | sh.hot.seq
-}
 
 // shardState is the per-shard slice of the network's stepping state:
 // the event/ejection/credit rings for traffic staying inside the
@@ -203,12 +174,9 @@ type shardState struct {
 
 	// ev/ejRing/cred are the shard's own scheduling rings, carrying the
 	// traffic whose destination router stays in this shard (network.go
-	// describes the event words). evIdx carries the
-	// stamp (nextStamp) of each ev entry, maintained only when a
-	// probe is attached to a sharded network (stamp). ringLen/ringMask
-	// copy the network's dynamic ring geometry for the hot slot math.
+	// describes the event words). ringLen/ringMask copy the network's
+	// dynamic ring geometry for the hot slot math.
 	ev       [2][][]event
-	evIdx    [2][][]int32
 	ejRing   [][]ejEntry
 	cred     [][]int32
 	ringLen  int64
@@ -223,14 +191,11 @@ type shardState struct {
 
 	// probe is where this shard's emission sites send events: the
 	// network probe itself on a single shard, the shard's own buffering
-	// sink (ProbeEvent below) when sharded, nil when unobserved. stamp
-	// mirrors "sharded and observed": only then are merge keys and append
-	// sequence numbers maintained; probeKey is the merge key of the
-	// action currently running.
+	// sink (ProbeEvent below) when sharded, nil when unobserved. Stage k
+	// of the cycle buffered probeBuf[mark[k]:mark[k+1]].
 	probe    Probe
-	stamp    bool
-	probeKey uint64
-	probeBuf []keyedProbeEvent
+	probeBuf []ProbeEvent
+	mark     [numStages + 1]int
 
 	// ejOut buffers the packets whose tail flit ejected this cycle, per
 	// send phase, for the serial epilogue to run the eject callback on and
@@ -249,9 +214,9 @@ type shardState struct {
 }
 
 // ProbeEvent implements Probe: the shard's emission sites buffer their
-// events under the current action's merge key for the epilogue merge.
+// events for the epilogue.
 func (sh *shardState) ProbeEvent(ev ProbeEvent) {
-	sh.probeBuf = append(sh.probeBuf, keyedProbeEvent{key: sh.probeKey, ev: ev})
+	sh.probeBuf = append(sh.probeBuf, ev)
 }
 
 // evSlot returns the shard's arrival-event lane for delivery cycle at
@@ -272,12 +237,12 @@ func (sh *shardState) credSlot(now, at int64) *[]int32 {
 }
 
 // mailEvSlot returns the boundary-mailbox arrival lane from shard src
-// toward shard dst for delivery cycle at, under src's current phase.
+// toward shard dst for delivery cycle at.
 func (n *Network) mailEvSlot(src *shardState, dst int32, at int64) *[]xEvent {
 	if d := at - n.cycle; d <= 0 || d >= n.ringLen {
 		panic("noc: schedule delta out of range")
 	}
-	return &n.mail[src.idx][dst].ev[src.phase][at&n.ringMask]
+	return &n.mail[src.idx][dst].ev[at&n.ringMask]
 }
 
 // mailCredSlot is mailEvSlot's counterpart for credit returns.
@@ -291,22 +256,14 @@ func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
 // members returns the routers (or NIs) one stage of the cycle visits, in
 // ascending ID order: a snapshot of the stage's activity set, taken
 // immediately before the stage runs, so routers activated by an earlier
-// stage of the same cycle are visited too (VA finds their look-ahead
-// heads not ready and does nothing; RC's set is this cycle's parity,
-// which nothing joins during the cycle).
+// stage of the same cycle are visited too (with look-ahead routing, the
+// heads delivery, injection, SA and VA start join this cycle's RC set).
 func (sh *shardState) members(set *routerSet) []int32 {
 	if set.n == 0 {
 		return nil
 	}
 	sh.actScratch = set.appendMembers(sh.actScratch[:0])
 	return sh.actScratch
-}
-
-// setKey stamps the merge key of the stage the shard is about to run.
-func (sh *shardState) setKey(phase int) {
-	if sh.stamp {
-		sh.probeKey = probeKey(phase, sh.idx, 0)
-	}
 }
 
 // stepSharded runs one cycle over len(shards) > 1: shard 0 on the calling
@@ -363,36 +320,38 @@ func (n *Network) shardCycle(sh *shardState) {
 		sh.meterDrainNs = time.Since(sh.meterT0).Nanoseconds()
 	}
 
-	// Injection and the pipeline stages over this shard's members. The
-	// send phase tracks the stage so appended events land in the segment
-	// deliver's order expects.
-	sh.setKey(pkInject)
+	// Injection and the pipeline stages over this shard's members, each
+	// marking where its probe events begin. The send phase tracks the
+	// stage so appended ejections land in the ring segment that keeps
+	// their phase.
+	sh.mark[stInject] = len(sh.probeBuf)
 	for _, id := range sh.members(&sh.actNI) {
 		n.inject(topology.NodeID(id))
 	}
-	sh.setKey(pkSA)
+	sh.mark[stSA] = len(sh.probeBuf)
 	for _, id := range sh.members(&sh.actSA) {
 		n.routers[id].stepSA(cycle)
 	}
 	sh.phase = 1
-	sh.setKey(pkVA)
+	sh.mark[stVA] = len(sh.probeBuf)
 	for _, id := range sh.members(&sh.actVA) {
 		n.routers[id].stepVA(cycle)
 	}
-	sh.setKey(pkRC)
+	sh.mark[stRC] = len(sh.probeBuf)
 	for _, id := range sh.members(&sh.actRC[cycle&1]) {
 		n.routers[id].stepRC(cycle)
 	}
+	sh.mark[numStages] = len(sh.probeBuf)
 	if meter != nil {
 		sh.meterEnd = time.Now()
 	}
 }
 
 // deliver is the first step of shardCycle: it hands shard sh the credits
-// and events scheduled for this cycle, from its own rings and from every
-// inbound mailbox, in the canonical phase-then-source order. It is a
-// function of its own only to keep its loops' registers apart from the
-// stage loops' (ur6x6_sparse runs ~2 % slower with the body inline).
+// and events scheduled for this cycle, from every inbound mailbox and
+// from its own rings. It is a function of its own only to keep its
+// loops' registers apart from the stage loops' (ur6x6_sparse runs ~2 %
+// slower with the body inline).
 func (n *Network) deliver(sh *shardState) {
 	cycle := n.cycle
 	slot := cycle & sh.ringMask
@@ -423,97 +382,77 @@ func (n *Network) deliver(sh *shardState) {
 		}
 	}
 
-	// Events, in the canonical order: for each send phase, sources in
-	// ascending shard order (the shard's own ring takes its place among
-	// them), entries in append order. The meter counts the words a
-	// sequential run would deliver: a mailbox lane's heads, a ring slot's
-	// every word.
-	stamp := sh.stamp
-	if stamp {
-		sh.hot.seq = 0
-	}
+	// Cross-shard arrivals, in any order (package comment). The meter
+	// counts the words a sequential run would deliver: a lane's heads.
 	ownerOf, vcState, vcFrontAt := n.soa.ownerOf, n.soa.vcState, n.soa.vcFrontAt
+	for s := range n.mail {
+		m := &n.mail[s][sh.idx]
+		xs := m.ev[slot]
+		if len(xs) == 0 {
+			continue
+		}
+		m.ev[slot] = xs[:0]
+		if meter != nil {
+			meter.cross[s*len(n.shards)+int(sh.idx)].flits.Add(int64(len(xs)))
+			heads := int64(0)
+			for k := range xs {
+				if xs[k].flit.Type.IsHead() {
+					heads++
+				}
+			}
+			meter.shards[sh.idx].ringWords.Add(heads)
+		}
+		for k := range xs {
+			// A cross-shard flit carries its body: push it into the ring
+			// now (the slot equals the one a send-time direct write would
+			// have taken, because deliveries are FIFO per VC and
+			// cross-shard channels never hold direct writes).
+			x := &xs[k]
+			r := &n.routers[ownerOf[x.gi]]
+			fi := int(x.gi - r.vcBase)
+			r.vcPush(fi, x.flit, cycle)
+			r.arrive(fi, &x.flit)
+		}
+	}
+
+	// The shard's own ring, for each send phase in append order: head
+	// words and ejections, the ejections marking their stage.
 	for p := 0; p < 2; p++ {
-		for s := range n.shards {
-			if int32(s) != sh.idx {
-				m := &n.mail[s][sh.idx]
-				xs := m.ev[p][slot]
-				if len(xs) == 0 {
-					continue
-				}
-				m.ev[p][slot] = xs[:0]
-				if meter != nil {
-					meter.cross[s*len(n.shards)+int(sh.idx)].flits.Add(int64(len(xs)))
-					heads := int64(0)
-					for k := range xs {
-						if xs[k].flit.Type.IsHead() {
-							heads++
-						}
-					}
-					meter.shards[sh.idx].ringWords.Add(heads)
-				}
-				for k := range xs {
-					// A cross-shard flit carries its body: push it into the
-					// ring now (the slot equals the one a send-time direct
-					// write would have taken, because deliveries are FIFO per
-					// VC and cross-shard channels never hold direct writes).
-					x := &xs[k]
-					if stamp {
-						sh.probeKey = probeKey(p, int32(s), x.idx)
-					}
-					r := &n.routers[ownerOf[x.gi]]
-					fi := int(x.gi - r.vcBase)
-					r.vcPush(fi, x.flit, cycle)
-					r.arrive(fi, &x.flit, cycle)
+		sh.mark[stEjectSA+p] = len(sh.probeBuf)
+		events := sh.ev[p][slot]
+		if len(events) == 0 {
+			continue
+		}
+		sh.ev[p][slot] = events[:0]
+		if meter != nil {
+			meter.shards[sh.idx].ringWords.Add(int64(len(events)))
+		}
+		for _, ev := range events {
+			if ev >= 0 {
+				// A head landing at ev, the destination's global flat VC
+				// index (forward wrote and counted it): an idle VC holds
+				// no landed flit, so the head is its front and starts.
+				// Otherwise the tail ahead of it starts it (forward); a
+				// busy VC whose front lands now is a bug (landHead).
+				if vcState[ev] == vcIdle || vcFrontAt[ev] == cycle {
+					r := &n.routers[ownerOf[ev]]
+					r.landHead(ev - r.vcBase)
 				}
 				continue
 			}
-			events := sh.ev[p][slot]
-			if len(events) == 0 {
-				continue
+			sh.hot.inFlightFlits--
+			e := &sh.ejRing[slot][^ev]
+			if sh.probe != nil {
+				sh.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
 			}
-			sh.ev[p][slot] = events[:0]
-			if meter != nil {
-				meter.shards[sh.idx].ringWords.Add(int64(len(events)))
-			}
-			idxs := sh.evIdx[p][slot]
-			sh.evIdx[p][slot] = idxs[:0]
-			for k, ev := range events {
-				if stamp {
-					// Entries appended before the probe was attached
-					// carry no stamp.
-					var stamp int32
-					if k < len(idxs) {
-						stamp = idxs[k]
-					}
-					sh.probeKey = probeKey(p, sh.idx, stamp)
-				}
-				if ev >= 0 {
-					// A head landing at ev, the destination's global flat VC
-					// index (forward wrote and counted it): an idle VC holds
-					// no landed flit, so the head is its front and starts.
-					// Otherwise the tail ahead of it starts it (forward);
-					// a busy VC whose front lands now is a bug (landHead).
-					if vcState[ev] == vcIdle || vcFrontAt[ev] == cycle {
-						r := &n.routers[ownerOf[ev]]
-						r.landHead(ev-r.vcBase, cycle)
-					}
+			if e.flit.Type.IsTail() {
+				pkt := e.flit.Pkt
+				pkt.EjectedAt = cycle
+				if n.mail != nil { // sharded: the epilogue finishes it
+					sh.ejOut[p] = append(sh.ejOut[p], pkt)
 					continue
 				}
-				sh.hot.inFlightFlits--
-				e := &sh.ejRing[slot][^ev]
-				if sh.probe != nil {
-					sh.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
-				}
-				if e.flit.Type.IsTail() {
-					pkt := e.flit.Pkt
-					pkt.EjectedAt = cycle
-					if n.mail != nil { // sharded: the epilogue finishes it
-						sh.ejOut[p] = append(sh.ejOut[p], pkt)
-						continue
-					}
-					n.finishPacket(pkt)
-				}
+				n.finishPacket(pkt)
 			}
 		}
 	}
@@ -524,25 +463,23 @@ func (n *Network) deliver(sh *shardState) {
 	}
 }
 
-// drainShardOutputs is the serial epilogue of a sharded step: merge and
-// replay the buffered probe events in canonical key order, then finish
-// the buffered ejected packets (eject callback, release) in canonical
-// (send phase, shard) order — the order sequential stepping does.
+// drainShardOutputs is the serial epilogue of a sharded step: replay the
+// buffered probe events stage-major, shard-minor, then finish the
+// buffered ejected packets (eject callback, release) in (send phase,
+// shard) order — the orders sequential stepping emits and finishes in.
 func (n *Network) drainShardOutputs() {
 	if n.probe != nil {
-		buf := n.probeScratch[:0]
+		for k := 0; k < numStages; k++ {
+			for i := range n.shards {
+				sh := &n.shards[i]
+				for _, ev := range sh.probeBuf[sh.mark[k]:sh.mark[k+1]] {
+					n.probe.ProbeEvent(ev)
+				}
+			}
+		}
 		for i := range n.shards {
-			sh := &n.shards[i]
-			buf = append(buf, sh.probeBuf...)
-			sh.probeBuf = sh.probeBuf[:0]
+			n.shards[i].probeBuf = n.shards[i].probeBuf[:0]
 		}
-		// Stable: events sharing a key were emitted by one action of one
-		// shard and appended in emission order, which the merge keeps.
-		slices.SortStableFunc(buf, func(a, b keyedProbeEvent) int { return cmp.Compare(a.key, b.key) })
-		for i := range buf {
-			n.probe.ProbeEvent(buf[i].ev)
-		}
-		n.probeScratch = buf[:0]
 	}
 	for p := 0; p < 2; p++ {
 		for i := range n.shards {

@@ -7,8 +7,8 @@ import (
 )
 
 // Struct-of-arrays router state. The router pipeline's hot state — VC
-// ring buffers, VC control scalars (state, head/length, route, ready
-// cycle), output credits and reservations, arbiter rotors and per-port
+// ring buffers, VC control scalars (state, head/length, route, front
+// arrival cycle), output credits and reservations, arbiter rotors and per-port
 // route masks — lives in contiguous per-Network arrays, one allocation
 // per kind, indexed by flat (router, port, vc). (The pending sets are
 // single words and sit in the Router header itself.) Stage loops
@@ -67,9 +67,6 @@ type soaState struct {
 	// the wire, in [0, BufDepth]: what credits account against and what
 	// positions the next write.
 	vcLen []int32
-	// vcReadyAt is the first cycle a head routed on arrival (look-ahead)
-	// may bid in VA; never written otherwise, so every waiter is ready.
-	vcReadyAt []int64
 	// vcFrontAt caches the arrival cycle of each VC's front flit (valid
 	// while vcLen > 0, maintained by vcPush/forward/vcDrop), which may
 	// lie in the future while the front is on the wire, so the SA
@@ -121,7 +118,6 @@ func newSoAState(cfg *Config, totalVCs, totalPorts int) soaState {
 		vcState:    make([]vcState, totalVCs),
 		vcHead:     make([]int32, totalVCs),
 		vcLen:      make([]int32, totalVCs),
-		vcReadyAt:  make([]int64, totalVCs),
 		vcFrontAt:  make([]int64, totalVCs),
 		vcOutDir:   make([]topology.Dir, totalVCs),
 		vcOutPort:  make([]int8, totalVCs),

@@ -30,10 +30,6 @@ func TestSoAViewAliasing(t *testing.T) {
 	gi := int(r.vcBase) + f
 
 	// Flat write -> router-view read, across a few representative lanes.
-	net.soa.vcReadyAt[gi] = 12345
-	if got := r.vcReadyAt[f]; got != 12345 {
-		t.Errorf("vcReadyAt window read %d after flat write, want 12345", got)
-	}
 	net.soa.vcOutVC[gi] = 3
 	if got := r.vcOutVC[f]; got != 3 {
 		t.Errorf("vcOutVC window read %d after flat write, want 3", got)

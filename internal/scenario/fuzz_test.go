@@ -10,9 +10,9 @@ import (
 // step_mode "checked" (every simulator invariant checked after every
 // cycle) without a panic. To keep one exec under a second the harness
 // first shrinks each window and trace_cycles to at most 1 000 cycles,
-// caps shards at 4, skips fabrics of more than 256 routers and buffers
-// deeper than 1 024 flits (which only cost memory), and skips "replay",
-// which reads a host file (traffic's FuzzReadTrace covers the reader).
+// caps shards at 4, skips fabrics of more than 256 routers, and skips
+// "replay", which reads a host file (traffic's FuzzReadTrace covers the
+// reader).
 func FuzzScenarioJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"arch":"3DM","traffic":{"kind":"ur","rate":0.15},"warmup":100,"measure":500,"drain":1000,"seed":1}`,
@@ -28,7 +28,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Decode(data)
-		if err != nil || sc.Traffic.Kind == "replay" || sc.BufDepth > 1024 {
+		if err != nil || sc.Traffic.Kind == "replay" {
 			return
 		}
 		sc.Warmup, sc.Measure, sc.Drain = min(sc.Warmup, 1000), min(sc.Measure, 1000), min(sc.Drain, 1000)

@@ -41,6 +41,12 @@ type ChipGridSpec struct {
 // event-ring horizon (sized from MaxLinkDelay) stays modest.
 const maxD2DLatency = 1024
 
+// maxChipGridNodes bounds a chip grid's node count far above the 16x16
+// fabrics the experiments build: every node is a router whose state is
+// allocated up front, so an unbounded grid is an out-of-memory crash
+// instead of an error.
+const maxChipGridNodes = 1 << 14
+
 // Validate bounds-checks the spec; NewChipGrid panics on a spec that
 // fails it, so callers elaborating external input validate first.
 func (s ChipGridSpec) Validate() error {
@@ -49,6 +55,10 @@ func (s ChipGridSpec) Validate() error {
 	}
 	if s.NodesX < 1 || s.NodesY < 1 {
 		return fmt.Errorf("topology: chip grid nodes %dx%d, need >= 1 each", s.NodesX, s.NodesY)
+	}
+	// In float64, where the product of four ints cannot wrap.
+	if n := float64(s.ChipsX) * float64(s.ChipsY) * float64(s.NodesX) * float64(s.NodesY); n > maxChipGridNodes {
+		return fmt.Errorf("topology: chip grid of %.0f nodes, need <= %d", n, maxChipGridNodes)
 	}
 	if s.D2DLatency < 0 || s.D2DLatency > maxD2DLatency {
 		return fmt.Errorf("topology: d2d latency %d, need 0..%d", s.D2DLatency, maxD2DLatency)

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestDirHelpers pins the Dir helper tables exhaustively: Opposite is a
 // self-inverse pairing, and the express/vertical predicates partition
@@ -98,11 +101,20 @@ func TestChipGridMaxLinkDelay(t *testing.T) {
 	}
 }
 
-// TestChipGridSpecValidate rejects out-of-range specs.
+// TestChipGridSpecValidate rejects out-of-range specs, a grid too large
+// to allocate included, without building any.
 func TestChipGridSpecValidate(t *testing.T) {
-	good := ChipGridSpec{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, PitchMM: 3.1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, good := range []ChipGridSpec{
+		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, PitchMM: 3.1},
+		{ChipsX: 8, ChipsY: 8, NodesX: 16, NodesY: 16}, // 16 384 nodes, the bound
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid spec %+v rejected: %v", good, err)
+		}
+	}
+	huge := ChipGridSpec{ChipsX: 1 << 20, ChipsY: 1 << 20, NodesX: 1 << 20, NodesY: 1 << 20} // wraps an int64 product
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "need <= 16384") {
+		t.Errorf("2^80-node grid: error %v, want one naming the bound 16384", err)
 	}
 	bad := []ChipGridSpec{
 		{ChipsX: 0, ChipsY: 2, NodesX: 4, NodesY: 4},
@@ -110,6 +122,7 @@ func TestChipGridSpecValidate(t *testing.T) {
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: -1},
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DLatency: 1 << 20},
 		{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, D2DSerCycles: -2},
+		{ChipsX: 129, ChipsY: 1, NodesX: 128, NodesY: 1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
