@@ -50,6 +50,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"syscall"
 	"time"
 
@@ -126,15 +127,23 @@ func main() {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
-	// Always tally what the sweep points did (RunAll serializes the
-	// callback); -progress additionally logs each point.
-	var cur expTiming // the running experiment's entry
+	// Always tally what the sweep points did (workers call in
+	// concurrently); -progress additionally logs each point.
+	var (
+		mu  sync.Mutex
+		cur expTiming // the running experiment's entry
+	)
 	opts.Progress = func(p exp.Progress) {
-		cur.PointsRun += p.Ran
-		cur.PointsReused += p.Reused
+		mu.Lock()
+		defer mu.Unlock()
+		if p.Reused {
+			cur.PointsReused++
+		} else {
+			cur.PointsRun++
+		}
 		if *progress {
-			slog.Info("point", "done", p.Done, "total", p.Total, "label", p.Label,
-				"elapsed", p.Elapsed.Round(time.Millisecond), "reused", p.Ran == 0 && p.Reused > 0)
+			slog.Info("point", "arch", p.Scenario.Arch, "traffic", p.Scenario.Traffic.Kind, "rate", p.Scenario.Traffic.Rate,
+				"elapsed", p.Elapsed.Round(time.Millisecond), "reused", p.Reused)
 		}
 	}
 

@@ -36,7 +36,7 @@ func AblationBufferDepth(ctx context.Context, o Options) (stats.Table, error) {
 		return t, err
 	}
 	for i, depth := range depths {
-		ap := corePowerOf(core.Arch3DM).AreaParams
+		ap := designs()[core.Arch3DM].AreaParams
 		ap.BufDepth = depth
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", depth), latCell(res[i][0].Result), latCell(res[i][1].Result),

@@ -42,7 +42,7 @@ func Fig1(ctx context.Context, o Options) (stats.Table, error) {
 		return t, err
 	}
 	for i, name := range names {
-		st := res[i][0]
+		st := res[i]
 		sh := st.WordPatternShares()
 		t.Rows = append(t.Rows, []string{
 			name,
@@ -59,13 +59,18 @@ func Fig1(ctx context.Context, o Options) (stats.Table, error) {
 // simulated: no result, nothing for run to reuse. The trace is generated
 // on the 2DB floorplan (the 6x6 NUCA mesh); the statistics depend only on
 // the workload model and seed.
-func traceStats(ctx context.Context, o Options, names []string) ([][]cmp.Stats, error) {
-	return grid(ctx, o, names, []core.Arch{core.Arch2DB}, func(_ context.Context, o Options, name string, a core.Arch) (cmp.Stats, error) {
-		e, err := o.trace(a, name, "").Elaborate()
-		if err != nil {
-			return cmp.Stats{}, err
+func traceStats(ctx context.Context, o Options, names []string) ([]cmp.Stats, error) {
+	scs := make([]scenario.Scenario, len(names))
+	for i, name := range names {
+		scs[i] = o.trace(core.Arch2DB, name, "")
+	}
+	st := make([]cmp.Stats, len(scs))
+	return st, runPoints(ctx, o, scs, func(_ context.Context, i int, sc scenario.Scenario) error {
+		e, err := sc.Elaborate()
+		if err == nil {
+			st[i] = e.Stats
 		}
-		return e.Stats, nil
+		return err
 	})
 }
 
@@ -81,7 +86,7 @@ func Fig2(ctx context.Context, o Options) (stats.Table, error) {
 		return t, err
 	}
 	for i, name := range cmp.Presented {
-		st := res[i][0]
+		st := res[i]
 		var total int64
 		for _, c := range st.KindCounts {
 			total += c
@@ -101,14 +106,13 @@ func Fig2(ctx context.Context, o Options) (stats.Table, error) {
 func archTable(id, title, first string, labels []string, res [][]scenario.Outcome, cell func(d *core.Design, r, base noc.Result) string) stats.Table {
 	t := stats.Table{ID: id, Title: title}
 	t.Header = []string{first}
-	designs := Designs()
-	for _, d := range designs {
-		t.Header = append(t.Header, d.Arch.String())
+	for _, a := range core.Archs {
+		t.Header = append(t.Header, a.String())
 	}
 	for i, outs := range res {
 		row := []string{labels[i]}
-		for j, d := range designs {
-			row = append(row, cell(d, outs[j].Result, outs[0].Result)) // core.Archs[0] is 2DB
+		for j, a := range core.Archs {
+			row = append(row, cell(designs()[a], outs[j].Result, outs[0].Result)) // core.Archs[0] is 2DB
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -189,7 +193,8 @@ func Fig11d(ctx context.Context, o Options) (stats.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	for j, d := range Designs() {
+	for j, a := range core.Archs {
+		d := designs()[a]
 		ur, err := routing.AverageHops(d.Topo, routing.DOR{}, nil, nil)
 		if err != nil {
 			return t, err
@@ -235,7 +240,7 @@ func Fig12c(ctx context.Context, o Options) (stats.Table, error) {
 	}
 	t := archTable("fig12c", "MP-trace power normalized to 2DB (no shutdown)", "workload", cmp.Presented, res,
 		func(d *core.Design, r, base noc.Result) string {
-			base2DB := corePowerOf(core.Arch2DB)
+			base2DB := designs()[core.Arch2DB]
 			baseW := NetworkPowerW(base2DB, base, false)
 			return f3(stats.Ratio(NetworkPowerW(d, r, true), baseW))
 		})
@@ -243,30 +248,22 @@ func Fig12c(ctx context.Context, o Options) (stats.Table, error) {
 	return t, nil
 }
 
-var (
-	designMu    sync.Mutex
-	designCache = map[core.Arch]*core.Design{}
-)
-
-// corePowerOf returns a cached design for power/area lookups. The cache
-// is mutex-guarded because table builders may consult it from parallel
-// sweep workers; callers must treat the returned design as read-only.
-func corePowerOf(a core.Arch) *core.Design {
-	designMu.Lock()
-	defer designMu.Unlock()
-	if d, ok := designCache[a]; ok {
-		return d
+// designs holds one design per architecture, built on first use, for
+// the power, area, floorplan and hop-count readings the tables take;
+// every caller shares it, so it is read-only.
+var designs = sync.OnceValue(func() map[core.Arch]*core.Design {
+	m := map[core.Arch]*core.Design{}
+	for _, a := range core.Archs {
+		m[a] = core.MustDesign(a)
 	}
-	d := core.MustDesign(a)
-	designCache[a] = d
-	return d
-}
+	return m
+})
 
 // Fig12d: power-delay product normalized to 2DB, uniform random.
 func Fig12d(ctx context.Context, o Options) (stats.Table, error) {
 	return rateTable(ctx, o, "ur", "fig12d", "Normalized power-delay product, uniform random", "",
 		func(d *core.Design, r, base noc.Result) string {
-			basePDP := NetworkPowerW(corePowerOf(core.Arch2DB), base, false) * base.AvgLatency
+			basePDP := NetworkPowerW(designs()[core.Arch2DB], base, false) * base.AvgLatency
 			pdp := NetworkPowerW(d, r, false) * r.AvgLatency
 			return f3(stats.Ratio(pdp, basePDP))
 		})
@@ -285,7 +282,7 @@ func Fig13a(ctx context.Context, o Options) (stats.Table, error) {
 	}
 	var avg stats.Mean
 	for i, name := range cmp.Presented {
-		st := res[i][0]
+		st := res[i]
 		avg.Add(st.ShortFlitPct())
 		t.Rows = append(t.Rows, []string{name, f1(st.ShortFlitPct())})
 	}
@@ -314,7 +311,7 @@ func Fig13b(ctx context.Context, o Options) (stats.Table, error) {
 	for i, a := range archs {
 		var w [3]float64
 		for j, out := range res[i] {
-			w[j] = NetworkPowerW(corePowerOf(a), out.Result, true)
+			w[j] = NetworkPowerW(designs()[a], out.Result, true)
 		}
 		t.Rows = append(t.Rows, []string{
 			a.String(),
@@ -336,12 +333,20 @@ func Fig13c(ctx context.Context, o Options) (stats.Table, error) {
 		Header: []string{"inj rate", "avg dT (K)", "max dT (K)"},
 	}
 	rates := []float64{0.10, 0.20, 0.30}
-	res, err := grid(ctx, o, rates, []float64{0.5}, fig13cDeltas)
+	scs := make([]scenario.Scenario, len(rates))
+	for i, rate := range rates {
+		scs[i] = o.synthetic(core.Arch3DM, "ur", rate)
+	}
+	dts := make([][2]float64, len(scs))
+	err := runPoints(ctx, o, scs, func(ctx context.Context, i int, sc scenario.Scenario) (err error) {
+		dts[i], err = fig13cDeltas(ctx, o, sc, 0.5)
+		return err
+	})
 	if err != nil {
 		return t, err
 	}
-	for i, dt := range res {
-		t.Rows = append(t.Rows, []string{f2(rates[i]), f2(dt[0][0]), f2(dt[0][1])})
+	for i, dt := range dts {
+		t.Rows = append(t.Rows, []string{f2(rates[i]), f2(dt[0]), f2(dt[1])})
 	}
 	t.Notes = append(t.Notes, "CPU 8 W, cache bank 0.1 W static; router power from simulation with shutdown")
 	return t, nil
@@ -349,14 +354,13 @@ func Fig13c(ctx context.Context, o Options) (stats.Table, error) {
 
 // fig13cDeltas is one Fig. 13 (c) point: the 3DM chip's average and
 // maximum temperature drop when a fraction short of the flits is short,
-// at one rate; both simulations run on the point's seed.
-func fig13cDeltas(ctx context.Context, o Options, rate, short float64) ([2]float64, error) {
-	d := corePowerOf(core.Arch3DM)
+// at the point's rate; both simulations run on the point's seed.
+func fig13cDeltas(ctx context.Context, o Options, sc scenario.Scenario, short float64) ([2]float64, error) {
+	d := designs()[core.Arch3DM]
 	var temps [2][]float64
 	for i, frac := range []float64{0, short} {
-		sc := o.synthetic(core.Arch3DM, "ur", rate)
 		sc.Traffic.ShortFrac = frac
-		out, err := run(ctx, o, sc)
+		out, err := run(ctx, o, sc, nil)
 		if err != nil {
 			return [2]float64{}, err
 		}

@@ -2,9 +2,9 @@
 // paper's evaluation, listed in Experiments, each returning a
 // stats.Table. The mirabench command runs them, and their outputs
 // populate EXPERIMENTS.md. Each experiment is deterministic given
-// Options.Seed. RunAll is the one worker pool: the sweeps fan their
-// points across it, and RunBatch runs mirasim's and the serving layer's
-// scenario batches on it.
+// Options.Seed. Every point is a scenario, and one pool and one run
+// (runner.go, reuse.go) execute the sweeps' points and mirasim's and
+// the serving layer's scenario batches alike.
 package exp
 
 import (
@@ -27,21 +27,19 @@ type Options struct {
 	// experiments.
 	TraceCycles int64
 	Seed        int64
-	// Workers caps the RunAll worker pool that fans independent sweep
-	// points across goroutines; 0 (the default) means GOMAXPROCS.
-	// Results are bit-identical for every worker count — see runner.go.
+	// Workers caps the worker pool that fans independent sweep points
+	// across goroutines; 0 (the default) means GOMAXPROCS. Results are
+	// bit-identical for every worker count — see runner.go.
 	Workers int
-	// Progress, when non-nil, is invoked (serialized) after each
-	// completed sweep point, for per-point progress/timing reporting.
+	// Progress, when non-nil, is called after each scenario a sweep
+	// simulates or serves from Reuse, for progress/timing reporting. It
+	// runs on the point's worker, concurrently with other workers.
 	Progress func(Progress)
 	// Reuse, when non-nil, is the run-scoped result table the drivers
 	// consult before simulating a sweep point (see Scope): figures that
 	// read the same sweep simulate it once. The zero Options has none
 	// and always simulates.
 	Reuse *Scope
-	// tally, set per point by RunAll, counts the point's simulations
-	// for Progress.
-	tally *tally
 	// Edits are scenario key=value edits (mirabench -set) applied to the
 	// base scenario of every simulation, before the driver sets its own
 	// fields: step_mode, shards, observe.window and observe.engine leave
@@ -100,7 +98,7 @@ func (o Options) trace(a core.Arch, workload, protocol string) scenario.Scenario
 // mustRun is run for RunUR and RunNUCAUR, whose scenarios are statically
 // valid: failure there is a programming error, not an input error.
 func mustRun(ctx context.Context, o Options, sc scenario.Scenario) scenario.Outcome {
-	out, err := run(ctx, o, sc)
+	out, err := run(ctx, o, sc, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -154,16 +152,6 @@ var Experiments = []Experiment{
 	{"ext-collective", "collective workloads: ring allreduce / reduce-scatter / tree broadcast (extension)", CollectiveSweep},
 	{"obs-ur", "observability summaries across UR injection rates (extension)", ObsURSweep},
 	{"obs-stages", "per-flit latency stage decomposition per architecture (extension)", SpanStages},
-}
-
-// Designs elaborates all six architectures fresh (topologies are
-// mutable by node-type assignment, so experiments never share them).
-func Designs() []*core.Design {
-	out := make([]*core.Design, 0, len(core.Archs))
-	for _, a := range core.Archs {
-		out = append(out, core.MustDesign(a))
-	}
-	return out
 }
 
 // RunUR simulates one architecture under uniform-random traffic at the

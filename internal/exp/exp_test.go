@@ -24,7 +24,7 @@ func design(a core.Arch) *core.Design { return core.MustDesign(a) }
 
 // runTrace replays the tpcw CMP trace on the architecture.
 func runTrace(t *testing.T, a core.Arch, o Options) noc.Result {
-	out, err := run(bg(), o, o.trace(a, "tpcw", ""))
+	out, err := run(bg(), o, o.trace(a, "tpcw", ""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

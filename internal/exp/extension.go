@@ -43,7 +43,7 @@ func ExtLeakage(ctx context.Context, o Options) (stats.Table, error) {
 		return t, err
 	}
 	for i, a := range archs {
-		d := corePowerOf(a)
+		d := designs()[a]
 		res := results[i][0].Result
 		dynTotal := NetworkPowerW(d, res, false)
 		routers := float64(d.Topo.NumNodes())
@@ -118,7 +118,7 @@ func ExtFault(ctx context.Context, o Options) (stats.Table, error) {
 	}
 	// The faulted configuration fails the east link out of the centre
 	// node (2,2), the highest-traffic region of the mesh.
-	mid := int(core.MustDesign(core.Arch3DM).Topo.MustNodeAt(topology.Coord{X: 2, Y: 2}).ID)
+	mid := int(designs()[core.Arch3DM].Topo.MustNodeAt(topology.Coord{X: 2, Y: 2}).ID)
 	type faultCase struct {
 		name    string
 		routing string
@@ -170,7 +170,7 @@ func ExtProtocol(ctx context.Context, o Options) (stats.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	d := corePowerOf(core.Arch3DM)
+	d := designs()[core.Arch3DM]
 	for i, name := range names {
 		for j, proto := range protos {
 			r := res[i][j]
@@ -206,7 +206,7 @@ func ExtHerding(ctx context.Context, o Options) (stats.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	d := corePowerOf(core.Arch3DM)
+	d := designs()[core.Arch3DM]
 	r0, r50 := res[0][0].Result, res[0][1].Result
 	cases := []struct {
 		name string

@@ -117,8 +117,8 @@ func portGoldenDrivers(t *testing.T) []Experiment {
 			out = append(out, e)
 		}
 	}
-	if len(out) != 23 {
-		t.Fatalf("%d experiments have a golden file, want 23", len(out))
+	if len(out) != 27 {
+		t.Fatalf("%d experiments have a golden file, want 27", len(out))
 	}
 	return out
 }

@@ -23,12 +23,12 @@ func observed(sc scenario.Scenario) scenario.Scenario {
 }
 
 // ObsURSweep sweeps uniform-random injection rates on 3DM with a
-// collector attached to every point, fanning the points through RunAll
-// and aggregating the per-point summaries: probe-derived flit and packet
-// latency percentiles next to the simulator's own measured latency, plus
-// the windowed backpressure totals. The probe percentiles cover every
-// flit the network carried (warm-up included), so they bracket the
-// measured-window averages of the paper's Fig. 11 curves.
+// collector attached to every point and aggregates the per-point
+// summaries: probe-derived flit and packet latency percentiles next to
+// the simulator's own measured latency, plus the windowed backpressure
+// totals. The probe percentiles cover every flit the network carried
+// (warm-up included), so they bracket the measured-window averages of
+// the paper's Fig. 11 curves.
 func ObsURSweep(ctx context.Context, o Options) (stats.Table, error) {
 	const a = core.Arch3DM
 	rates := []float64{0.05, 0.10, 0.15, 0.20, 0.25}
@@ -75,19 +75,24 @@ func ObsURSweep(ctx context.Context, o Options) (stats.Table, error) {
 func SpanStages(ctx context.Context, o Options) (stats.Table, error) {
 	const rate = 0.15
 	archs := paperArchs
+	scs := make([]scenario.Scenario, len(archs))
+	for i, a := range archs {
+		scs[i] = observed(o.synthetic(a, "ur", rate))
+		scs[i].Observe.Spans = true
+	}
 	type staged struct {
 		res  noc.Result
 		sums obs.StageSums
 	}
-	res, err := grid(ctx, o, archs, []float64{rate}, func(ctx context.Context, o Options, a core.Arch, rate float64) (staged, error) {
-		sc := observed(o.synthetic(a, "ur", rate))
-		sc.Observe.Spans = true
-		out, err := run(ctx, o, sc)
+	res := make([]staged, len(scs))
+	err := runPoints(ctx, o, scs, func(ctx context.Context, i int, sc scenario.Scenario) error {
+		out, err := run(ctx, o, sc, nil)
 		if err != nil {
-			return staged{}, err
+			return err
 		}
 		sb := out.Obs.Spans()
-		return staged{res: out.Result, sums: sb.Attribution().Total()}, sb.Err()
+		res[i] = staged{res: out.Result, sums: sb.Attribution().Total()}
+		return sb.Err()
 	})
 	if err != nil {
 		return stats.Table{}, err
@@ -105,8 +110,7 @@ func SpanStages(ctx context.Context, o Options) (stats.Table, error) {
 		}
 		return fmt.Sprintf("%.2f", float64(cycles)/float64(n))
 	}
-	for i, outs := range res {
-		r := outs[0]
+	for i, r := range res {
 		s := r.sums
 		row := []string{archs[i].String(), fmt.Sprint(s.N)}
 		for st := obs.Stage(0); st < obs.NumStages; st++ {

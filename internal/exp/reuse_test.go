@@ -13,21 +13,24 @@ import (
 	"mira/internal/scenario"
 )
 
-// simCount sums the per-point tallies RunAll reports, so a test can say
-// how many simulations a driver really executed. Parallel subtests
-// share one, hence the atomics.
+// simCount counts the scenarios a sweep reports, simulated and reused,
+// so a test can say how many simulations a driver really executed.
+// Workers report concurrently, hence the atomics.
 type simCount struct{ ran, reused atomic.Int64 }
 
 func (c *simCount) add(p Progress) {
-	c.ran.Add(int64(p.Ran))
-	c.reused.Add(int64(p.Reused))
+	if p.Reused {
+		c.reused.Add(1)
+	} else {
+		c.ran.Add(1)
+	}
 }
 
 // stored is the number of outcomes the scope holds.
 func (s *Scope) stored() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.outs)
 }
 
 // sharingFigures are the eight drivers that read three shared grids:
@@ -63,14 +66,12 @@ func readGolden(t *testing.T, id string) string {
 // TestReuseTablesIdentical renders the eight sharing figures three ways
 // — racing each other on one scope, again from that scope once it is
 // warm, and each alone on a cold scope — and holds every rendering to
-// the figure's golden bytes. The shared scope must have simulated each
-// distinct point exactly once however the subtests interleave, and the
-// warm pass must simulate nothing.
+// the figure's golden bytes. The shared scope must end up holding each
+// distinct point once however the subtests interleave, and the warm
+// pass must simulate nothing.
 func TestReuseTablesIdentical(t *testing.T) {
 	shared := portGoldenOpts()
 	shared.Reuse = NewScope()
-	var racing simCount
-	shared.Progress = racing.add
 	render := func(t *testing.T, pass string, e Experiment, o Options) {
 		t.Helper()
 		tb, err := e.Run(bg(), o)
@@ -91,9 +92,6 @@ func TestReuseTablesIdentical(t *testing.T) {
 		}
 	})
 	distinct := 2*ratePoints + tracePoints
-	if got := racing.ran.Load(); got != distinct {
-		t.Errorf("shared scope ran %d simulations for %d distinct points", got, distinct)
-	}
 	if got := int64(shared.Reuse.stored()); got != distinct {
 		t.Errorf("shared scope stores %d outcomes, want %d", got, distinct)
 	}
@@ -116,7 +114,7 @@ func TestReuseTablesIdentical(t *testing.T) {
 
 // countdownCtx reports cancellation from its n-th Err poll on: a
 // cancellation that lands mid-simulation at the same cycle on every
-// host, where a timer would not. RunAll polls Err once per point and
+// host, where a timer would not. runAll polls Err once per point and
 // Sim.Run once per noc.CancelCheckStride cycles.
 type countdownCtx struct {
 	context.Context
@@ -139,7 +137,7 @@ func TestReuseCanceledSweepStoresNothing(t *testing.T) {
 	o.Reuse = NewScope()
 	ur := func(o Options, rate float64, a core.Arch) scenario.Scenario { return o.synthetic(a, "ur", rate) }
 	rates := []float64{0.10}
-	perPoint := (o.Warmup+o.Measure)/noc.CancelCheckStride + 2 // RunAll's poll + Sim.Run's, at least
+	perPoint := (o.Warmup+o.Measure)/noc.CancelCheckStride + 2 // runAll's poll + Sim.Run's, at least
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(perPoint + 2) // runs out inside point 1
 	cut, err := sweep(ctx, o, rates, core.Archs, ur)
@@ -177,14 +175,15 @@ func TestReuseCanceledSweepStoresNothing(t *testing.T) {
 func TestReuseFailedRunStoresNothing(t *testing.T) {
 	o := tiny()
 	o.Reuse = NewScope()
-	o.tally = new(tally)
+	var sims simCount
+	o.Progress = sims.add
 	for i := 0; i < 2; i++ {
-		if _, err := run(bg(), o, o.trace(core.Arch2DB, "no-such-workload", "")); err == nil {
+		if _, err := run(bg(), o, o.trace(core.Arch2DB, "no-such-workload", ""), nil); err == nil {
 			t.Fatal("run accepted an unknown workload")
 		}
 	}
-	if o.tally.ran != 2 || o.tally.reused != 0 {
-		t.Errorf("failing run: ran %d reused %d, want 2 and 0", o.tally.ran, o.tally.reused)
+	if sims.ran.Load() != 0 || sims.reused.Load() != 0 {
+		t.Errorf("failing run reported: ran %d reused %d, want neither", sims.ran.Load(), sims.reused.Load())
 	}
 	if n := o.Reuse.stored(); n != 0 {
 		t.Errorf("scope stores %d outcomes after failed runs, want 0", n)
@@ -196,12 +195,12 @@ func TestReuseFailedRunStoresNothing(t *testing.T) {
 // and nothing that only steers the harness (Workers, Progress). An
 // observed scenario is never served from the table.
 func TestReuseKey(t *testing.T) {
-	base := Options{Warmup: 50, Measure: 200, Drain: 2000, TraceCycles: 500, Seed: 42, Reuse: NewScope()}
-	base.tally = new(tally)
+	var sims simCount
+	base := Options{Warmup: 50, Measure: 200, Drain: 2000, TraceCycles: 500, Seed: 42, Reuse: NewScope(), Progress: sims.add}
 	ur := func(o Options) scenario.Scenario { return o.synthetic(core.Arch2DB, "ur", 0.10) }
 	mustRun(bg(), base, ur(base))
-	if base.tally.ran != 1 {
-		t.Fatalf("first request ran %d simulations", base.tally.ran)
+	if sims.ran.Load() != 1 {
+		t.Fatalf("first request ran %d simulations", sims.ran.Load())
 	}
 
 	same := []struct {
@@ -209,13 +208,13 @@ func TestReuseKey(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"Workers", func(o *Options) { o.Workers = 7 }},
-		{"Progress", func(o *Options) { o.Progress = func(Progress) {} }},
+		{"Progress", func(o *Options) { o.Progress = func(p Progress) { sims.add(p) } }},
 	}
 	for _, c := range same {
 		o := base
 		c.mut(&o)
 		mustRun(bg(), o, ur(o))
-		if base.tally.ran != 1 {
+		if sims.ran.Load() != 1 {
 			t.Errorf("%s entered the key: the same point simulated again", c.name)
 		}
 	}
@@ -256,15 +255,15 @@ func TestReuseKey(t *testing.T) {
 			c.mut(&o)
 		}
 		mustRun(bg(), o, c.mk(o))
-		if want := 2 + i; base.tally.ran != want {
-			t.Fatalf("%s did not enter the key: ran %d simulations, want %d", c.name, base.tally.ran, want)
+		if want := int64(2 + i); sims.ran.Load() != want {
+			t.Fatalf("%s did not enter the key: ran %d simulations, want %d", c.name, sims.ran.Load(), want)
 		}
 	}
-	if base.tally.reused != len(same) {
-		t.Errorf("reused %d outcomes, want %d", base.tally.reused, len(same))
+	if sims.reused.Load() != int64(len(same)) {
+		t.Errorf("reused %d outcomes, want %d", sims.reused.Load(), len(same))
 	}
 
-	ran, stored := base.tally.ran, base.Reuse.stored()
+	ran, stored := sims.ran.Load(), base.Reuse.stored()
 	o := base
 	o.Edits = scenario.Edits{"observe.window=100"}
 	for i := 0; i < 2; i++ {
@@ -272,41 +271,8 @@ func TestReuseKey(t *testing.T) {
 			t.Fatal("observed scenario ran without its collector")
 		}
 	}
-	if base.tally.ran != ran+2 || base.Reuse.stored() != stored {
+	if sims.ran.Load() != ran+2 || base.Reuse.stored() != stored {
 		t.Errorf("observed scenario went through the table: ran %d (want %d), stored %d (want %d)",
-			base.tally.ran, ran+2, base.Reuse.stored(), stored)
-	}
-}
-
-// TestScopeWaiters covers the two ways a request that found its key
-// claimed does not get the owner's outcome: the owner withdraws (it
-// failed or was canceled), and the waiter takes the key over; or the
-// waiter's own context ends first, and it reports a canceled run.
-func TestScopeWaiters(t *testing.T) {
-	s := NewScope()
-	hit, slot := s.claim(bg(), "k")
-	if hit != nil || slot == nil {
-		t.Fatal("first claim of a key must own it")
-	}
-
-	gone, cancel := context.WithCancel(bg())
-	cancel()
-	if hit, again := s.claim(gone, "k"); again != nil || hit == nil || !hit.Result.Canceled {
-		t.Fatalf("canceled waiter got outcome %v, slot %v; want a canceled result", hit, again)
-	}
-
-	took := make(chan *entry)
-	go func() {
-		_, again := s.claim(bg(), "k")
-		took <- again
-	}()
-	s.settle("k", slot, scenario.Outcome{}, false)
-	again := <-took
-	if again == nil {
-		t.Fatal("waiter was served an outcome the owner withdrew")
-	}
-	s.settle("k", again, scenario.Outcome{Result: noc.Result{Ejected: 7}}, true)
-	if hit, _ := s.claim(bg(), "k"); hit == nil || hit.Result.Ejected != 7 {
-		t.Fatalf("settled outcome not served: %v", hit)
+			sims.ran.Load(), ran+2, base.Reuse.stored(), stored)
 	}
 }

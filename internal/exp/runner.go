@@ -2,7 +2,7 @@ package exp
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -12,46 +12,31 @@ import (
 )
 
 // The parallel experiment engine. Every figure of the MIRA evaluation is
-// a grid of fully independent simulation points — architectures ×
-// injection rates × workloads — so the drivers in this package describe
-// their sweeps as []Point and RunAll fans the points out across a worker
-// pool.
+// a grid of independent simulation points — architectures × injection
+// rates × workloads — and a point is a scenario. A driver lists its
+// points' scenarios, runPoints stamps each one's seed (pointSeed) and
+// fans them out on runAll's worker pool, and run turns each scenario
+// into its outcome. RunBatch runs mirasim's and the serving layer's
+// scenario lists on the same pool and the same run, seeds untouched.
 //
-// Determinism: each point receives an Options copy whose Seed is derived
-// only from (Options.Seed, point index) via SeedFor, and results land in
-// a slice slot owned by that index. No state is shared between points
-// (each point elaborates its own Design/Network/Sim), so the output is
-// bit-identical for every worker count, including 1. The per-point seed
-// split also means distinct sweep points draw statistically independent
-// random streams instead of replaying one shared stream.
+// Determinism: a point's seed is a function of the scenario list alone,
+// each point writes only its own result slot, and no state is shared
+// between points (each elaborates its own Design/Network/Sim), so the
+// output is bit-identical for every worker count, including 1.
 //
-// Cancellation: RunAll threads its context into every point, so a
+// Cancellation: runAll threads its context into every point, so a
 // canceled sweep stops dispatching new points, the in-flight simulations
 // return early (noc.Sim.Run polls the context on a cycle stride), and
-// the workers drain before RunAll returns. Points that never ran are
-// left as zero values in the result slice.
+// the workers drain before runAll returns. Points that never ran keep
+// their zero values.
 
-// Point is one independent simulation of a sweep: a label for progress
-// reporting and the closure that runs it. The closure must derive all
-// of its randomness from the Options it is handed and must not touch
-// state shared with other points; it should pass the context down to
-// the simulation so sweeps cancel promptly.
-type Point[T any] struct {
-	Label string
-	Run   func(ctx context.Context, o Options) T
-}
-
-// Progress describes one completed sweep point.
+// Progress describes one scenario a sweep finished: simulated, or served
+// from Options.Reuse instead (Reused), in which case it cost nothing
+// because an earlier sweep already simulated it.
 type Progress struct {
-	Done    int // points completed so far, including this one
-	Total   int
-	Index   int // the point's position in the input slice
-	Label   string
-	Elapsed time.Duration
-	// Ran and Reused count the point's simulations: executed, and
-	// served from Options.Reuse instead. A point with Ran == 0 cost
-	// nothing because an earlier sweep already simulated it.
-	Ran, Reused int
+	Scenario scenario.Scenario
+	Elapsed  time.Duration
+	Reused   bool
 }
 
 // SeedFor derives the RNG seed for one sweep point from the experiment
@@ -64,73 +49,25 @@ func SeedFor(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// workerCount resolves Options.Workers, defaulting to GOMAXPROCS.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// pointSeed is the seed rule, and the only place a sweep point's seed is
+// chosen: point i of a scenario list runs on SeedFor of its scenario's
+// seed (the experiment seed, or a -set seed edit) and i.
+func pointSeed(sc scenario.Scenario, i int) int64 { return SeedFor(sc.Seed, i) }
 
-// RunAll executes the points on a pool of o.Workers goroutines
-// (GOMAXPROCS when zero) and returns their results in input order.
-// Each point runs with o.Seed replaced by SeedFor(o.Seed, index), so
-// the result slice is identical no matter how many workers run it or
-// in which order points are scheduled.
-//
-// When ctx is canceled, RunAll stops handing out further points, lets
-// the in-flight points return (they observe the same context), waits
-// for all workers to exit, and returns the partially filled slice.
-func RunAll[T any](ctx context.Context, o Options, points []Point[T]) []T {
-	out := make([]T, len(points))
-	if len(points) == 0 {
-		return out
+// runAll calls point(ctx, i) for every i < n on up to workers goroutines
+// (GOMAXPROCS when 0), dispatching in index order. When ctx ends it
+// stops dispatching, lets the in-flight points return (they observe the
+// same context) and waits for every worker to exit.
+func runAll(ctx context.Context, workers, n int, point func(ctx context.Context, i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := o.workerCount()
-	if workers > len(points) {
-		workers = len(points)
-	}
-	progress := o.Progress
-	total := len(points)
-
-	// Points never see the pool controls: nested sweeps inside a point
-	// run inline, and progress is reported only at point granularity.
-	po := o
-	po.Workers = 1
-	po.Progress = nil
-
-	var mu sync.Mutex // serializes progress callbacks
-	done := 0
-	runPoint := func(i int) {
-		opts := po
-		opts.Seed = SeedFor(o.Seed, i)
-		opts.tally = new(tally)
-		start := time.Now()
-		out[i] = points[i].Run(ctx, opts)
-		if progress == nil {
-			return
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			point(ctx, i)
 		}
-		elapsed := time.Since(start)
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		progress(Progress{Done: done, Total: total, Index: i, Label: points[i].Label, Elapsed: elapsed,
-			Ran: opts.tally.ran, Reused: opts.tally.reused})
+		return
 	}
-
-	if workers <= 1 {
-		for i := range points {
-			if ctx.Err() != nil {
-				break
-			}
-			runPoint(i)
-		}
-		return out
-	}
-
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -138,12 +75,12 @@ func RunAll[T any](ctx context.Context, o Options, points []Point[T]) []T {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				runPoint(i)
+				point(ctx, i)
 			}
 		}()
 	}
 dispatch:
-	for i := range points {
+	for i := 0; i < n; i++ {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -152,7 +89,43 @@ dispatch:
 	}
 	close(idx)
 	wg.Wait()
-	return out
+}
+
+// runPoints seeds the sweep points scs (pointSeed) and runs point(ctx,
+// i, scs[i]) for each on o's pool; a point stores its own values at its
+// index. It returns the points' errors joined in list order.
+func runPoints(ctx context.Context, o Options, scs []scenario.Scenario, point func(ctx context.Context, i int, sc scenario.Scenario) error) error {
+	for i := range scs {
+		scs[i].Seed = pointSeed(scs[i], i)
+	}
+	errs := make([]error, len(scs))
+	runAll(ctx, o.Workers, len(scs), func(ctx context.Context, i int) { errs[i] = point(ctx, i, scs[i]) })
+	return errors.Join(errs...)
+}
+
+// sweep is the simulated grid: mk builds the scenario of every (row,
+// col) pair, listed in row-major order, and run simulates each one (or
+// serves it from o.Reuse). The outcomes come back indexed [row][col].
+func sweep[R, C any](ctx context.Context, o Options, rows []R, cols []C, mk func(Options, R, C) scenario.Scenario) ([][]scenario.Outcome, error) {
+	scs := make([]scenario.Scenario, len(rows)*len(cols))
+	for i, r := range rows {
+		for j, c := range cols {
+			scs[i*len(cols)+j] = mk(o, r, c)
+		}
+	}
+	outs := make([]scenario.Outcome, len(scs))
+	err := runPoints(ctx, o, scs, func(ctx context.Context, i int, sc scenario.Scenario) (err error) {
+		outs[i], err = run(ctx, o, sc, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]scenario.Outcome, len(rows))
+	for i := range grid {
+		grid[i] = outs[i*len(cols) : (i+1)*len(cols)]
+	}
+	return grid, nil
 }
 
 // BatchOptions controls RunBatch.
@@ -188,87 +161,37 @@ type BatchResult struct {
 }
 
 // RunBatch runs scenarios as given (each keeps its own seed) on the
-// RunAll pool and returns one result per scenario, in input order.
-// Invalid scenarios fail individually (their Err is set) without
-// affecting the rest. When ctx is canceled the batch stops dispatching,
-// in-flight runs return partial results, and never-started entries
-// carry an error saying so. This is mirasim -scenario's and the serving
-// layer's entry point: scenarios in (scenario.DecodeBatch reads them
-// from JSON), JSON-serializable results out.
+// sweeps' pool and run, without a reuse scope, and returns one result
+// per scenario, in input order. Invalid scenarios fail individually
+// (their Err is set) without affecting the rest. When ctx is canceled
+// the batch stops dispatching, in-flight runs return partial results,
+// and never-started entries carry an error saying so. This is mirasim
+// -scenario's and the serving layer's entry point: scenarios in
+// (scenario.DecodeBatch reads them from JSON), JSON-serializable
+// results out.
 func RunBatch(ctx context.Context, scs []scenario.Scenario, o BatchOptions) []BatchResult {
-	points := make([]Point[*BatchResult], len(scs))
-	for i, sc := range scs {
-		points[i].Run = func(ctx context.Context, _ Options) *BatchResult {
-			if o.Timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-				defer cancel()
-			}
-			br := &BatchResult{Index: i, Scenario: sc}
-			e, err := sc.Elaborate()
-			if err == nil {
-				if o.OnStart != nil {
-					o.OnStart(i, e)
-				}
-				var out scenario.Outcome
-				out, err = e.Run(ctx)
-				br.Result = out.Result
-			}
-			if err != nil {
-				br.Err = err.Error()
-			}
-			if o.OnDone != nil {
-				o.OnDone(*br)
-			}
-			return br
-		}
-	}
 	out := make([]BatchResult, len(scs))
-	for i, br := range RunAll(ctx, Options{Workers: o.Workers}, points) {
-		if br == nil {
-			br = &BatchResult{Index: i, Scenario: scs[i], Err: "batch canceled before this scenario started"}
+	for i, sc := range scs {
+		out[i] = BatchResult{Index: i, Scenario: sc, Err: "batch canceled before this scenario started"}
+	}
+	runAll(ctx, o.Workers, len(scs), func(ctx context.Context, i int) {
+		if o.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+			defer cancel()
 		}
-		out[i] = *br
-	}
-	return out
-}
-
-// grid runs f at every (row, col) pair as one RunAll point each, in
-// row-major order (the order fixes each point's SeedFor seed), and
-// returns the values indexed [row][col] or the first error in that order.
-func grid[R, C, T any](ctx context.Context, o Options, rows []R, cols []C, f func(context.Context, Options, R, C) (T, error)) ([][]T, error) {
-	type result struct {
-		v   T
-		err error
-	}
-	points := make([]Point[result], 0, len(rows)*len(cols))
-	for _, r := range rows {
-		for _, c := range cols {
-			points = append(points, Point[result]{Label: fmt.Sprint(r, " ", c), Run: func(ctx context.Context, o Options) result {
-				v, err := f(ctx, o, r, c)
-				return result{v, err}
-			}})
+		var start func(*scenario.Elaboration)
+		if o.OnStart != nil {
+			start = func(e *scenario.Elaboration) { o.OnStart(i, e) }
 		}
-	}
-	flat := RunAll(ctx, o, points)
-	out := make([][]T, len(rows))
-	for i := range out {
-		out[i] = make([]T, len(cols))
-		for j := range out[i] {
-			p := flat[i*len(cols)+j]
-			if p.err != nil {
-				return nil, p.err
-			}
-			out[i][j] = p.v
+		res, err := run(ctx, Options{}, scs[i], start)
+		out[i] = BatchResult{Index: i, Scenario: scs[i], Result: res.Result}
+		if err != nil {
+			out[i].Err = err.Error()
 		}
-	}
-	return out, nil
-}
-
-// sweep is the simulated grid: mk builds each point's scenario from the
-// point's options, and run simulates it (or serves it from o.Reuse).
-func sweep[R, C any](ctx context.Context, o Options, rows []R, cols []C, mk func(Options, R, C) scenario.Scenario) ([][]scenario.Outcome, error) {
-	return grid(ctx, o, rows, cols, func(ctx context.Context, o Options, r R, c C) (scenario.Outcome, error) {
-		return run(ctx, o, mk(o, r, c))
+		if o.OnDone != nil {
+			o.OnDone(out[i])
+		}
 	})
+	return out
 }

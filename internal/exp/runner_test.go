@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,102 +31,108 @@ func TestSeedForDistinct(t *testing.T) {
 	}
 }
 
-// TestRunAllOrdering checks results land at their point's index no
+// TestRunAllOrdering checks every point runs once, at its own index, no
 // matter how many workers race.
 func TestRunAllOrdering(t *testing.T) {
-	points := make([]Point[int], 64)
-	for i := range points {
-		i := i
-		points[i] = Point[int]{Label: "p", Run: func(context.Context, Options) int { return i * i }}
-	}
 	for _, workers := range []int{1, 3, 8, 100} {
-		got := RunAll(context.Background(), Options{Workers: workers}, points)
+		got := make([]int, 64)
+		runAll(bg(), workers, len(got), func(_ context.Context, i int) { got[i] += i * i })
 		for i, v := range got {
 			if v != i*i {
-				t.Fatalf("workers=%d: point %d returned %d, want %d", workers, i, v, i*i)
+				t.Fatalf("workers=%d: point %d holds %d, want %d", workers, i, v, i*i)
 			}
 		}
 	}
 }
 
-// TestRunAllSeeds checks every point sees its derived seed and a
-// worker-count-independent Options copy (Workers pinned to 1, no
-// progress callback).
+// TestRunAllSeeds checks the seed rule: point i of a sweep runs on
+// SeedFor(base, i), where the base is the experiment seed or a seed
+// edit, whatever the worker count.
 func TestRunAllSeeds(t *testing.T) {
-	o := Options{Seed: 42, Workers: 4, Progress: func(Progress) {}}
-	points := make([]Point[int64], 16)
-	for i := range points {
-		points[i] = Point[int64]{Label: "seed", Run: func(_ context.Context, po Options) int64 {
-			if po.Workers != 1 || po.Progress != nil {
-				t.Error("pool controls leaked into a point's Options")
+	for _, c := range []struct {
+		o    Options
+		base int64
+	}{
+		{Options{Seed: 42, Workers: 4}, 42},
+		{Options{Seed: 42, Workers: 1, Edits: scenario.Edits{"seed=7"}}, 7},
+	} {
+		scs := make([]scenario.Scenario, 16)
+		for i := range scs {
+			scs[i] = c.o.Scenario(core.Arch2DB)
+		}
+		got := make([]int64, len(scs))
+		err := runPoints(bg(), c.o, scs, func(_ context.Context, i int, sc scenario.Scenario) error {
+			got[i] = sc.Seed
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range got {
+			if want := SeedFor(c.base, i); s != want {
+				t.Errorf("base %d: point %d ran with seed %d, want SeedFor(%d, %d) = %d", c.base, i, s, c.base, i, want)
 			}
-			return po.Seed
-		}}
-	}
-	got := RunAll(context.Background(), o, points)
-	for i, s := range got {
-		if want := SeedFor(42, i); s != want {
-			t.Errorf("point %d ran with seed %d, want SeedFor(42, %d) = %d", i, s, i, want)
 		}
 	}
 }
 
-// TestRunAllProgress checks the callback fires once per point with a
-// monotonically increasing Done count.
+// TestRunAllProgress checks a sweep reports each of its scenarios once,
+// as simulated, carrying the point's stamped seed.
 func TestRunAllProgress(t *testing.T) {
-	var calls int
-	lastDone := 0
-	o := Options{Workers: 8}
+	o := Options{Warmup: 20, Measure: 100, Drain: 1000, Seed: 42, Workers: 8}
+	var mu sync.Mutex
+	seeds := map[int64]bool{}
 	o.Progress = func(p Progress) {
-		calls++
-		if p.Done != lastDone+1 {
-			t.Errorf("Done jumped from %d to %d", lastDone, p.Done)
+		mu.Lock()
+		defer mu.Unlock()
+		if p.Reused {
+			t.Errorf("%s reported as reused without a scope", p.Scenario.Arch)
 		}
-		lastDone = p.Done
-		if p.Total != 20 {
-			t.Errorf("Total = %d, want 20", p.Total)
-		}
-		if p.Label != "prog" {
-			t.Errorf("Label = %q", p.Label)
+		seeds[p.Scenario.Seed] = true
+	}
+	rates := []float64{0.05, 0.10}
+	if _, err := sweep(bg(), o, rates, core.Archs, func(o Options, rate float64, a core.Arch) scenario.Scenario {
+		return o.synthetic(a, "ur", rate)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n := len(rates) * len(core.Archs)
+	for i := 0; i < n; i++ {
+		if !seeds[SeedFor(42, i)] {
+			t.Errorf("no progress for point %d", i)
 		}
 	}
-	points := make([]Point[struct{}], 20)
-	for i := range points {
-		points[i] = Point[struct{}]{Label: "prog", Run: func(context.Context, Options) struct{} { return struct{}{} }}
-	}
-	RunAll(context.Background(), o, points)
-	if calls != 20 {
-		t.Errorf("progress fired %d times, want 20", calls)
+	if len(seeds) != n {
+		t.Errorf("progress for %d distinct points, want %d", len(seeds), n)
 	}
 }
 
 // TestRunAllCancel checks the pool's cancellation contract: a canceled
 // context stops dispatch, in-flight points observe it and return, every
-// worker exits (RunAll returning is the proof), and never-run points are
+// worker exits (runAll returning is the proof), and never-run points are
 // left as zero values.
 func TestRunAllCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	points := make([]Point[int], 32)
-	for i := range points {
-		points[i] = Point[int]{Label: "cancel", Run: func(ctx context.Context, _ Options) int {
-			<-ctx.Done() // a long simulation observing its context
-			return 1
-		}}
-	}
+	got := make([]int, 32)
 	time.AfterFunc(20*time.Millisecond, cancel)
-	done := make(chan []int, 1)
-	go func() { done <- RunAll(ctx, Options{Workers: 4}, points) }()
-	var got []int
+	done := make(chan struct{})
+	go func() {
+		runAll(ctx, 4, len(got), func(ctx context.Context, i int) {
+			<-ctx.Done() // a long simulation observing its context
+			got[i] = 1
+		})
+		close(done)
+	}()
 	select {
-	case got = <-done:
+	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunAll did not return after cancellation: workers stuck")
+		t.Fatal("runAll did not return after cancellation: workers stuck")
 	}
 	ran := 0
 	for _, v := range got {
 		ran += v
 	}
-	if ran == len(points) {
+	if ran == len(got) {
 		t.Error("every point ran; cancellation never stopped dispatch")
 	}
 	if ran == 0 {
@@ -141,21 +147,15 @@ func TestRunAllDeterminism(t *testing.T) {
 	run := func(workers int) [][]scenario.Outcome {
 		so := o
 		so.Workers = workers
-		var launched, ran int32
-		so.Progress = func(p Progress) {
-			atomic.AddInt32(&launched, 1)
-			atomic.AddInt32(&ran, int32(p.Ran))
-		}
+		var sims simCount
+		so.Progress = sims.add
 		res, err := sweep(context.Background(), so, []float64{0.05, 0.30}, core.Archs, func(o Options, rate float64, a core.Arch) scenario.Scenario {
 			return o.synthetic(a, "ur", rate)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(launched) != 2*len(core.Archs) {
-			t.Fatalf("workers=%d: %d progress callbacks, want %d", workers, launched, 2*len(core.Archs))
-		}
-		if int(ran) != 2*len(core.Archs) {
+		if ran := sims.ran.Load(); ran != int64(2*len(core.Archs)) {
 			t.Fatalf("workers=%d: %d simulations ran, want %d: the arm compares nothing", workers, ran, 2*len(core.Archs))
 		}
 		return res
@@ -292,7 +292,11 @@ func TestRunBatchJSON(t *testing.T) {
 	}
 	out = decodeBatch(t, res)
 	if len(out) != 2 || out[0].Index != 0 || out[1].Index != 1 {
-		t.Errorf("array batch order wrong: %+v", out)
+		t.Fatalf("array batch order wrong: %+v", out)
+	}
+	// A batch runs each scenario on its own seed: equal entries, equal results.
+	if !reflect.DeepEqual(out[0].Result, out[1].Result) {
+		t.Errorf("equal scenarios ran differently: %v vs %v", out[0].Result.String(), out[1].Result.String())
 	}
 
 	if _, err := runJSON("not json"); err == nil {

@@ -128,7 +128,7 @@ func Fig9() stats.Table {
 		Header: []string{"Design", "Buffer", "Crossbar", "Link", "Allocators", "Total"},
 	}
 	for _, a := range paperArchs {
-		d := core.MustDesign(a)
+		d := designs()[a]
 		e := power.FlitHopEnergy(d.AreaParams, d.LinkLenMM)
 		t.Rows = append(t.Rows, []string{
 			d.Arch.String(), f2(e.Buffer), f2(e.Crossbar), f2(e.Link), f2(e.Allocators), f2(e.Total()),
@@ -149,7 +149,7 @@ func Fig10() stats.Table {
 		arch core.Arch
 	}{{"2DB/3DM/3DM-E", core.Arch2DB}, {"3DB (layer 3 = heat sink)", core.Arch3DB}} {
 		t.Rows = append(t.Rows, []string{l.name, ""})
-		layout := topology.LayoutString(core.MustDesign(l.arch).Topo)
+		layout := topology.LayoutString(designs()[l.arch].Topo)
 		for _, line := range strings.Split(strings.TrimSuffix(layout, "\n"), "\n") {
 			t.Rows = append(t.Rows, []string{"", line})
 		}

@@ -146,10 +146,10 @@ func shardCores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 // autoShardRouters, at most shardCores (more only park, pool.go), at least one.
 func autoShards(num int) int { return max(1, min(num/autoShardRouters, shardCores())) }
 
-// maxBufDepth bounds BufDepth far above the shipped 8 and 16 flits: the
+// MaxBufDepth bounds BufDepth far above the shipped 8 and 16 flits: the
 // ring storage, BufDepth flits per VC, is allocated up front, so an
 // unbounded depth is an out-of-memory crash instead of an error.
-const maxBufDepth = 1024
+const MaxBufDepth = 1024
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
@@ -162,8 +162,8 @@ func (c *Config) Validate() error {
 	if c.VCs < 1 {
 		return fmt.Errorf("noc: VCs = %d, need >= 1", c.VCs)
 	}
-	if c.BufDepth < 1 || c.BufDepth > maxBufDepth {
-		return fmt.Errorf("noc: BufDepth = %d, need 1..%d", c.BufDepth, maxBufDepth)
+	if c.BufDepth < 1 || c.BufDepth > MaxBufDepth {
+		return fmt.Errorf("noc: BufDepth = %d, need 1..%d", c.BufDepth, MaxBufDepth)
 	}
 	// A router's pending sets and arbiter requests are one uint64 over its
 	// flat VCs (activity.go, arbiter.go); bound the config here so an

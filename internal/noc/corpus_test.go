@@ -375,6 +375,13 @@ func oracleCorpus() []corpusEntry {
 			})
 		}
 	}
+	// Bimodal packets on the SpecSA grid at 3 shards: a single-flit
+	// packet's tail ejects in the speculative (second) send phase, so the
+	// ejection callbacks' (send phase, shard) order reaches Sim's sums.
+	add("TestChipletDeterminismSuite/specsa/bimodal-shards3", 7, oracleShape{
+		Topo: topoChipGrid, Lat: 3, Ser: 1, ChipExpress: 1, Spec: 1, VCs: 1, Depth: 3,
+		Rate: 1, Sizes: sizesBimodal, Shards: 1, Probed: 1, Cycles: 1, Sim: 1,
+	})
 	// Look-ahead routing with speculation across d2d (lat 6) cuts: routes
 	// in the RC stage, ejections of both send phases, and three shards'
 	// stage marks replayed as one shard's stream.

@@ -114,7 +114,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alg = nil },
 		func(c *Config) { c.VCs = 0 },
 		func(c *Config) { c.BufDepth = 0 },
-		func(c *Config) { c.BufDepth = maxBufDepth + 1 },
+		func(c *Config) { c.BufDepth = MaxBufDepth + 1 },
 		func(c *Config) { c.BufDepth = 100_000_000 }, // rejected before any ring is allocated
 		func(c *Config) { c.STLTCycles = 0 },
 		func(c *Config) { c.STLTCycles = 3 },

@@ -262,6 +262,9 @@ func (s Scenario) validateCore() error {
 	if s.VCs < 0 || s.BufDepth < 0 {
 		return fmt.Errorf("scenario: negative buffer geometry vcs=%d buf_depth=%d", s.VCs, s.BufDepth)
 	}
+	if s.BufDepth > noc.MaxBufDepth {
+		return fmt.Errorf("scenario: buf_depth = %d, need <= %d", s.BufDepth, noc.MaxBufDepth)
+	}
 	if s.STLTCycles < 0 || s.STLTCycles > 2 {
 		return fmt.Errorf("scenario: stlt_cycles = %d, want 0 (default), 1 or 2", s.STLTCycles)
 	}

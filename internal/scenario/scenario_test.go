@@ -213,6 +213,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad step mode", mod(func(s *Scenario) { s.StepMode = "warp" }), "step mode"},
 		{"retired step mode", mod(func(s *Scenario) { s.StepMode = "fullscan" }), `use "checked" to debug`},
 		{"negative vcs", mod(func(s *Scenario) { s.VCs = -2 }), "buffer geometry"},
+		{"buf depth beyond the bound", mod(func(s *Scenario) { s.BufDepth = noc.MaxBufDepth + 1 }), "buf_depth"},
 		{"stlt out of range", mod(func(s *Scenario) { s.STLTCycles = 3 }), "stlt_cycles"},
 		{"express on non-express arch", mod(func(s *Scenario) { s.ExpressInterval = 2 }), "3DM-E"},
 		{"express interval too small", mod(func(s *Scenario) { s.Arch = "3DM-E"; s.ExpressInterval = 1 }), "express_interval"},
