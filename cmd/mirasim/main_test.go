@@ -303,6 +303,7 @@ func TestUsageErrors(t *testing.T) {
 		{"edit under a non-object", []string{"-set", "arch.x=1"}, "arch is not an object"},
 		{"forgotten -set", []string{"arch=3DM-E"}, `unexpected argument "arch=3DM-E"`},
 		{"buf_depth beyond the bound", []string{"-set", "buf_depth=100000000"}, "buf_depth = 100000000"},
+		{"vcs beyond the request mask", []string{"-set", "vcs=100"}, "vcs = 100"},
 		{"collective keeps the default warm-up", []string{"-set", `traffic={"kind":"collective","collective":{"algorithm":"ring-allreduce"}}`}, "set warmup to 0"},
 	}
 	for _, kv := range []string{"matrix_arb=true", "traffic.bank_delay=24", "traffic.hot=[14]", "chips.express_latency=6"} {

@@ -179,16 +179,6 @@ func NetworkPowerW(d *core.Design, res noc.Result, shutdown bool) float64 {
 	return power.AvgPowerW(b, res.Cycles)
 }
 
-// Replicate evaluates a metric across n seeds (base, base+1, ...) and
-// returns its distribution, for confidence checks on simulated numbers.
-func Replicate(n int, base int64, metric func(seed int64) float64) stats.Mean {
-	var m stats.Mean
-	for i := 0; i < n; i++ {
-		m.Add(metric(base + int64(i)))
-	}
-	return m
-}
-
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -286,13 +286,13 @@ func TestHerdingOrdering(t *testing.T) {
 // Simulated results must be stable across seeds: the headline latency
 // ratio's spread stays within a few percent of its mean.
 func TestSeedStability(t *testing.T) {
-	o := tiny()
-	m := Replicate(5, 100, func(seed int64) float64 {
-		oo := o
-		oo.Seed = seed
-		return RunUR(bg(), core.Arch3DME, 0.15, 0, oo).AvgLatency /
-			RunUR(bg(), core.Arch2DB, 0.15, 0, oo).AvgLatency
-	})
+	var m stats.Mean
+	for seed := int64(100); seed < 105; seed++ {
+		o := tiny()
+		o.Seed = seed
+		m.Add(RunUR(bg(), core.Arch3DME, 0.15, 0, o).AvgLatency /
+			RunUR(bg(), core.Arch2DB, 0.15, 0, o).AvgLatency)
+	}
 	if m.N() != 5 {
 		t.Fatalf("replicates = %d", m.N())
 	}

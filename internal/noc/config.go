@@ -151,6 +151,12 @@ func autoShards(num int) int { return max(1, min(num/autoShardRouters, shardCore
 // unbounded depth is an out-of-memory crash instead of an error.
 const MaxBufDepth = 1024
 
+// MaxFlatVCs bounds a router's flat VCs, ports x VCs: its pending sets
+// and arbiter requests are one uint64 over them (activity.go,
+// arbiter.go), so an oversized router fails loudly at validation
+// instead of silently overflowing them.
+const MaxFlatVCs = 64
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.Topo == nil {
@@ -165,13 +171,9 @@ func (c *Config) Validate() error {
 	if c.BufDepth < 1 || c.BufDepth > MaxBufDepth {
 		return fmt.Errorf("noc: BufDepth = %d, need 1..%d", c.BufDepth, MaxBufDepth)
 	}
-	// A router's pending sets and arbiter requests are one uint64 over its
-	// flat VCs (activity.go, arbiter.go); bound the config here so an
-	// oversized router fails loudly at validation instead of silently
-	// overflowing them.
-	if fv := c.Topo.MaxPorts() * c.VCs; fv > 64 {
-		return fmt.Errorf("noc: %d ports x %d VCs = %d flat VCs per router, need <= 64 (one request-mask word)",
-			c.Topo.MaxPorts(), c.VCs, fv)
+	if fv := c.Topo.MaxPorts() * c.VCs; fv > MaxFlatVCs {
+		return fmt.Errorf("noc: %d ports x %d VCs = %d flat VCs per router, need <= %d (one request-mask word)",
+			c.Topo.MaxPorts(), c.VCs, fv, MaxFlatVCs)
 	}
 	if c.STLTCycles < 1 || c.STLTCycles > 2 {
 		return fmt.Errorf("noc: STLTCycles = %d, need 1 or 2", c.STLTCycles)

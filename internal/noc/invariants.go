@@ -12,8 +12,8 @@ import (
 //
 //  1. No input VC buffer exceeds its configured depth.
 //  2. For every link, the upstream credit count plus the flits written
-//     downstream (landed or on the wire) plus mailbox flits plus credits
-//     on the way back equals the buffer depth.
+//     downstream (landed or on the wire) plus cross-shard lane flits
+//     plus credits on the way back equals the buffer depth.
 //  3. A VC in the Routing/WaitVC state has a landed head at its front;
 //     a VC holding landed flits is never Idle.
 //  4. Output VC reservations are consistent: an Active input VC's
@@ -30,12 +30,12 @@ import (
 //     queued, buffered, on a link or awaiting ejection, and none is on
 //     it twice — the Enqueue lifetime contract.
 //
-// In-flight traffic is scanned across every shard's own rings (both
-// send-phase segments) and every boundary mailbox. Same-shard link
+// In-flight traffic is scanned across every shard's own rings (heads
+// and both send phases' ejections) and every lane. Same-shard link
 // flits were written into their destination slots at send time and are
 // on the wire while their arrival cycle is ahead: each such head has
 // exactly one ring word, at its arrival cycle, and a body flit none.
-// Mailbox arrivals carry their flit with them and are counted
+// Cross-shard arrivals carry their flit with them and are counted
 // separately; both kinds occupy downstream credit.
 func (n *Network) CheckInvariants() error {
 	type wordKey struct {
@@ -43,34 +43,27 @@ func (n *Network) CheckInvariants() error {
 		at int64
 	}
 	// Words and credits currently in flight. Link words key by global VC
-	// and arrival cycle, mailbox flits by global VC; credits travel as
+	// and arrival cycle, lane flits by global VC; credits travel as
 	// flat credit-array indices, so they key by the global slot the
 	// delivery loop will increment.
 	words := make(map[wordKey]int)
-	mailFlight := make(map[int32]int) // mailbox arrivals (flit-carrying)
+	mailFlight := make(map[int32]int) // cross-shard arrivals (flit-carrying)
 	credRet := make(map[int32]int)
 	ejecting := 0
 	live := make(map[*Packet]bool) // packets some flit still references
 	for si := range n.shards {
 		sh := &n.shards[si]
-		for p := 0; p < 2; p++ {
-			for si, slot := range sh.ev[p] {
-				for _, ev := range slot {
-					if ev < 0 {
-						ejecting++
-						live[sh.ejRing[si][^ev].flit.Pkt] = true
-						continue
-					}
-					words[wordKey{ev, n.cycle + (int64(si)-n.cycle)&n.ringMask}]++
-				}
+		for si, slot := range sh.ev {
+			for _, gi := range slot {
+				words[wordKey{gi, n.cycle + (int64(si)-n.cycle)&n.ringMask}]++
 			}
 		}
-		for _, slot := range sh.cred {
-			for _, ci := range slot {
-				if ci < 0 || int(ci) >= len(n.soa.credits) {
-					return fmt.Errorf("noc: in-flight credit slot %d out of range", ci)
+		for p := range sh.ej {
+			for _, slot := range sh.ej[p] {
+				for i := range slot {
+					ejecting++
+					live[slot[i].flit.Pkt] = true
 				}
-				credRet[ci]++
 			}
 		}
 	}
@@ -81,7 +74,7 @@ func (n *Network) CheckInvariants() error {
 				for i := range slot {
 					gi := slot[i].gi
 					if gi < 0 || int(gi) >= len(n.soa.ownerOf) {
-						return fmt.Errorf("noc: in-flight mailbox flit for vc %d out of range", gi)
+						return fmt.Errorf("noc: in-flight lane flit for vc %d out of range", gi)
 					}
 					mailFlight[gi]++
 					live[slot[i].flit.Pkt] = true
@@ -156,7 +149,7 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("noc: router %d %v vc %d active toward missing port %v",
 						r.id, dir, vi, r.vcOutDir[f])
 				}
-				if !r.outPorts[oi].reserved[r.vcOutVC[f]] {
+				if !r.reserved[int(oi)*r.vcsPerPort+int(r.vcOutVC[f])] {
 					return fmt.Errorf("noc: router %d %v vc %d active but output %v vc %d unreserved",
 						r.id, dir, vi, r.vcOutDir[f], r.vcOutVC[f])
 				}
@@ -172,10 +165,11 @@ func (n *Network) CheckInvariants() error {
 				gi := op.downVCBase + int32(vi)
 				ci := r.credBase + int32(oi*n.cfg.VCs+vi)
 				written := int(n.soa.vcLen[gi])
-				total := int(op.credits[vi]) + written + mailFlight[gi] + credRet[ci]
+				credits := int(n.soa.credits[ci])
+				total := credits + written + mailFlight[gi] + credRet[ci]
 				if total != n.cfg.BufDepth {
-					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + written %d + mailbox %d + credret %d != depth %d",
-						r.id, op.dir, op.link.Dst, vi, op.credits[vi], written, mailFlight[gi], credRet[ci], n.cfg.BufDepth)
+					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + written %d + lane %d + credret %d != depth %d",
+						r.id, op.dir, op.link.Dst, vi, credits, written, mailFlight[gi], credRet[ci], n.cfg.BufDepth)
 				}
 			}
 		}

@@ -7,26 +7,19 @@ import (
 	"mira/internal/topology"
 )
 
-// Scheduled deliveries — a head landing in a downstream buffer or a
-// flit leaving the network at the NI — travel the event ring as single
-// int32 words. A non-negative word is a head's arrival carrying the
-// destination's global flat VC index (the flit itself was written into
-// that VC's ring slot at send time, and a body flit needs no word at
-// all: soa.go); a negative word is an ejection, ^word indexing the
-// cycle's ejRing payload slice. Credit returns travel the separate
-// credit ring: they touch only the flat credit array and never emit
-// probe events, so they need neither ordering against deliveries nor a
-// payload.
-//
-// The rings live per shard (shard.go): each shard schedules and
-// delivers its own traffic, and the per-(source, destination) boundary
-// mailboxes carry the cross-shard remainder. With Shards <= 1 the
-// single shard's rings are the network's rings and nothing crosses a
-// boundary.
+// A head landing in a downstream buffer of its own shard travels the
+// head ring as one int32 word: the destination's global flat VC index
+// (the flit itself was written into that VC's ring slot at send time,
+// and a body flit needs no word at all: soa.go). A flit leaving the
+// network at the NI travels its send phase's ejection ring as an
+// ejEntry. Credit returns and cross-shard flits travel the lane matrix
+// (shard.go): a credit touches only the flat credit array and never
+// emits a probe event, so it needs neither ordering against deliveries
+// nor a payload.
 type event = int32
 
-// ejEntry is the payload of one ejection event: the flit handed to the
-// NI and the router it left from (for the eject probe).
+// ejEntry is one ejection: the flit handed to the NI and the router it
+// left from (for the eject probe).
 type ejEntry struct {
 	flit   Flit
 	router int32 // topology.NodeID
@@ -80,11 +73,11 @@ type Network struct {
 	cycle   int64
 
 	// shards partitions the routers/NIs into contiguous ID ranges that
-	// step concurrently (shard.go); each shard owns the event/credit/
+	// step concurrently (shard.go); each shard owns the head and
 	// ejection rings and activity sets for its range. hot holds the
 	// cache-line-padded per-shard backlog counters the accessors below
-	// merge on read. mail is the S x S boundary-mailbox matrix
-	// (mail[src][dst]), allocated only when S > 1.
+	// merge on read. mail is the S x S lane matrix (mail[src][dst]) that
+	// carries every credit return and every cross-shard flit.
 	shards []shardState
 	hot    []shardHot
 	mail   [][]shardMail
@@ -93,7 +86,7 @@ type Network struct {
 
 	// ringLen is the event-ring length (a power of two >= minRingLen
 	// sized from the topology's slowest link) and ringMask its slot
-	// mask; every shard ring and boundary mailbox is allocated to it.
+	// mask; every shard ring and lane is allocated to it.
 	ringLen  int64
 	ringMask int64
 
@@ -117,9 +110,8 @@ type Network struct {
 
 	// probe, when non-nil, observes every pipeline event (see probe.go).
 	// Emission sites nil-check it so an unobserved network pays one
-	// branch per site and nothing else. Under sharded stepping the
-	// emission sites go through the per-shard buffering sinks instead;
-	// SetProbe keeps both in sync.
+	// branch per site and nothing else; they buffer into their shard
+	// (shardState.emit) for Step's epilogue to replay.
 	probe Probe
 
 	// meter, when non-nil, accumulates engine self-telemetry — per-shard
@@ -192,15 +184,13 @@ func NewNetwork(cfg Config) *Network {
 	}
 	n.shards = make([]shardState, S)
 	n.hot = make([]shardHot, S)
-	if S > 1 {
-		n.mail = make([][]shardMail, S)
-		for i := range n.mail {
-			n.mail[i] = make([]shardMail, S)
-			for j := range n.mail[i] {
-				m := &n.mail[i][j]
-				m.ev = make([][]xEvent, n.ringLen)
-				m.cred = make([][]int32, n.ringLen)
-			}
+	n.mail = make([][]shardMail, S)
+	for i := range n.mail {
+		n.mail[i] = make([]shardMail, S)
+		for j := range n.mail[i] {
+			m := &n.mail[i][j]
+			m.ev = make([][]xEvent, n.ringLen)
+			m.cred = make([][]int32, n.ringLen)
 		}
 	}
 	for i := 0; i < S; i++ {
@@ -212,11 +202,10 @@ func NewNetwork(cfg Config) *Network {
 		sh.hot = &n.hot[i]
 		sh.ringLen = n.ringLen
 		sh.ringMask = n.ringMask
-		for p := 0; p < 2; p++ {
-			sh.ev[p] = make([][]event, n.ringLen)
+		sh.ev = make([][]event, n.ringLen)
+		for p := range sh.ej {
+			sh.ej[p] = make([][]ejEntry, n.ringLen)
 		}
-		sh.ejRing = make([][]ejEntry, n.ringLen)
-		sh.cred = make([][]int32, n.ringLen)
 		sh.actRC = [2]routerSet{newRouterSet(num), newRouterSet(num)}
 		sh.actVA = newRouterSet(num)
 		sh.actSA = newRouterSet(num)
@@ -228,15 +217,14 @@ func NewNetwork(cfg Config) *Network {
 		}
 	}
 	// Third pass: precompute each input port's upstream credit slot and
-	// shard and each output port's downstream VC base and shard, which
-	// need every router's credBase/vcBase (bind) and shard assignment
-	// fixed first.
+	// credit lane and each output port's downstream VC base and shard,
+	// which need every router's credBase/vcBase (bind) and shard
+	// assignment fixed first.
 	for i := range n.routers {
 		r := &n.routers[i]
 		for pi := range r.inPorts {
 			ip := &r.inPorts[pi]
 			ip.upCredBase = -1
-			ip.upShard = r.shard
 			if ip.upstream < 0 {
 				continue
 			}
@@ -246,7 +234,7 @@ func NewNetwork(cfg Config) *Network {
 				panic(fmt.Sprintf("noc: router %d has no return port toward %d", ip.upstream, r.id))
 			}
 			ip.upCredBase = up.credBase + int32(int(oi)*cfg.VCs)
-			ip.upShard = up.shard
+			ip.credLane = n.mail[r.shard][up.shard].cred
 		}
 		for oi := range r.outPorts {
 			op := &r.outPorts[oi]
@@ -323,8 +311,8 @@ func (n *Network) Enqueue(spec Spec) (*Packet, error) {
 
 // finishPacket completes a packet whose tail flit has left the network:
 // the eject callback runs, then the record returns to the free list.
-// Serial by construction — deliver on a single shard, the epilogue
-// (drainShardOutputs) otherwise.
+// Serial by construction: only Step's epilogue (drainShardOutputs)
+// calls it.
 func (n *Network) finishPacket(pkt *Packet) {
 	if n.onEject != nil {
 		n.onEject(pkt)
@@ -392,11 +380,10 @@ func (n *Network) Idle() bool {
 
 // Step advances the simulation by one cycle. There is one cycle function
 // (shardCycle, shard.go) and this is its only driver: a single shard runs
-// it inline on the caller, with no pool, no recover, no mailbox to walk
-// and the probe and eject handler called directly from the emission
-// sites; two or more shards run it concurrently behind the pool barrier
-// with those outputs buffered for the serial epilogue (stepSharded).
-// Results are bit-identical for any shard count.
+// it inline on the caller, two or more run it concurrently behind the
+// pool barrier (stepSharded), and the serial epilogue then fires the
+// cycle's buffered probe events and eject callbacks. Results are
+// bit-identical for any shard count.
 func (n *Network) Step() {
 	n.cycle++
 	meter := n.meter
@@ -409,6 +396,7 @@ func (n *Network) Step() {
 	} else {
 		n.stepSharded()
 	}
+	n.drainShardOutputs()
 	if n.cfg.Mode == StepChecked {
 		if err := n.CheckInvariants(); err != nil {
 			panic(fmt.Sprintf("noc: checked step failed at cycle %d: %v", n.cycle, err))
@@ -479,8 +467,8 @@ func (n *Network) inject(id topology.NodeID) {
 	if f.Type.IsHead() {
 		job.pkt.InjectedAt = n.cycle
 	}
-	if sh.probe != nil {
-		sh.probe.ProbeEvent(ProbeEvent{
+	if n.probe != nil {
+		sh.emit(ProbeEvent{
 			Kind: ProbeInject, Cycle: n.cycle, Router: id,
 			Dir: topology.Local, VC: int8(s.curVC), Flit: f,
 		})

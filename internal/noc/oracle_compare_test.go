@@ -39,9 +39,15 @@ type oracleOpts struct {
 // laws neither CheckInvariants nor stream equality states: flit
 // conservation and per-link credit conservation every cycle (the
 // oracle's by a scan of its own structures, production's by its
-// counters matching that scan and by CheckInvariants), and per-(source,
+// counters matching that scan and by CheckInvariants), per-(source,
 // destination, class) delivery order wherever a class is confined to
-// one lane. It returns production's stream.
+// one lane, and Little's law, exact: the backlog summed over cycles
+// (read after the cycle's enqueues, before its step) equals the sum over
+// ejected flits of (eject cycle - creation cycle), since a flit is in
+// the backlog at the reads of exactly those cycles. The oracle is held
+// to its own sum; production's backlog, BacklogFlits, to its own eject
+// events when probed and to the oracle's sum otherwise. It returns
+// production's stream.
 func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts oracleOpts) []oEjection {
 	t.Helper()
 	net := NewNetwork(cfg)
@@ -56,7 +62,11 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 		net.SetProbe(&prodEvents)
 		o.log = func(ev oEvent) { orcEvents = append(orcEvents, ev) }
 	}
-	var sent []Spec // by packet ID - 1
+	var sent []Spec     // by packet ID - 1
+	var created []int64 // production's CreatedAt, by packet ID - 1
+	// Little's law's sums: the oracle's backlog, production's, and
+	// production's flit sojourns (probed).
+	var oBacklog, backlog, sojourn int64
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var specs []Spec
 	progress, progressAt := int64(0), int64(0) // flits the oracle has ejected, and when it last ejected one
@@ -65,17 +75,21 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 		if c < cycles {
 			specs = gen.Generate(c, rng, specs[:0])
 			for _, s := range specs {
-				if _, err := net.Enqueue(s); err != nil {
+				pkt, err := net.Enqueue(s)
+				if err != nil {
 					t.Fatal(err)
 				}
 				o.enqueue(s)
 				sent = append(sent, s)
+				created = append(created, pkt.CreatedAt)
 			}
 		} else if net.Idle() && o.idle() {
 			break
 		} else if c-progressAt > 5000 {
 			t.Fatalf("cycle %d: nothing ejected for 5000 cycles: production backlog %d flits, oracle %d", c, net.BacklogFlits(), o.generatedFlits-o.ejectedFlits)
 		}
+		oBacklog += o.generatedFlits - o.ejectedFlits
+		backlog += net.BacklogFlits()
 		net.Step()
 		o.step()
 		if o.ejectedFlits != progress {
@@ -113,6 +127,11 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 			}
 		}
 		if opts.probed {
+			for _, ev := range prodEvents {
+				if ev.kind == ProbeEject {
+					sojourn += ev.cycle - created[ev.pkt-1]
+				}
+			}
 			// Stage order (Probe): a cycle opens with ejections, ends with routes.
 			for i := 1; i < len(prodEvents); i++ {
 				if a, b := prodEvents[i-1].kind, prodEvents[i].kind; b == ProbeEject && a != ProbeEject || a == ProbeRoute && b != ProbeRoute {
@@ -141,6 +160,15 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	}
 	if int(o.nextID) != len(got) {
 		t.Fatalf("%d packets sent, %d delivered", o.nextID, len(got))
+	}
+	if oBacklog != o.sojourn {
+		t.Fatalf("oracle: Little's law fails: backlog summed over cycles %d, flit sojourns %d", oBacklog, o.sojourn)
+	}
+	if !opts.probed {
+		sojourn = o.sojourn
+	}
+	if backlog != sojourn {
+		t.Fatalf("production: Little's law fails: BacklogFlits summed over cycles %d, flit sojourns %d (probed %v)", backlog, sojourn, opts.probed)
 	}
 	if cfg.Policy == ByClass || cfg.VCs == 1 {
 		// One lane per class and deterministic routing: packets of one

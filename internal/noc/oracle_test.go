@@ -52,7 +52,10 @@ type oracle struct {
 
 	generatedFlits int64
 	ejectedFlits   int64
-	ejected        []oEjection // tail ejections, in delivery order
+	// sojourn is the sum over ejected flits of (eject cycle - creation
+	// cycle): the time side of Little's law.
+	sojourn int64
+	ejected []oEjection // tail ejections, in delivery order
 
 	// log, if set, is told every pipeline event, in the vocabulary of
 	// production's probe (probe.go).
@@ -285,6 +288,7 @@ func (o *oracle) deliver() {
 			continue
 		}
 		o.ejectedFlits++
+		o.sojourn += o.cycle - w.flit.pkt.created
 		o.note(ProbeEject, w.router, topology.Local, 0, w.flit)
 		if w.flit.tail {
 			p := w.flit.pkt

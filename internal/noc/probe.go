@@ -107,25 +107,15 @@ type Probe interface {
 	ProbeEvent(ev ProbeEvent)
 }
 
-// SetProbe attaches p to the network (nil detaches). The probe observes
-// every subsequent pipeline event; attach before the first Step for a
-// complete trace.
+// SetProbe attaches p to the network (nil detaches); call it between
+// steps. The probe observes every subsequent pipeline event; attach
+// before the first Step for a complete trace.
 //
-// Under sequential stepping the emission sites call p directly. Under
-// sharded stepping they call the per-shard buffering sinks instead, and
-// the serial epilogue of Step replays the buffers into p stage by stage,
-// shards in ascending order within each stage (shard.go), so the stream
-// p sees is byte-identical at any shard count.
-func (n *Network) SetProbe(p Probe) {
-	n.probe = p
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.probe = p
-		if p != nil && len(n.shards) > 1 {
-			sh.probe = sh
-		}
-	}
-}
+// The emission sites buffer their events per shard, and the serial
+// epilogue of Step replays the buffers into p stage by stage, shards in
+// ascending order within each stage (shard.go), so the stream p sees is
+// byte-identical at any shard count.
+func (n *Network) SetProbe(p Probe) { n.probe = p }
 
 // Instrumentation accessors: read-only views of live router state for
 // the cycle sampler (internal/obs). All are O(buffer slots) or cheaper

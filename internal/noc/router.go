@@ -48,10 +48,11 @@ type inputPort struct {
 	// vc 0, precomputed so the forward path schedules a credit return as
 	// a single int32. -1 for the local port.
 	upCredBase int32
-	// upShard is the shard owning the upstream router (this router's
-	// own shard for the local port); credit returns that cross it go
-	// through the boundary mailbox instead of the shard's own ring.
-	upShard int32
+	// credLane is the credit lane from this router's shard toward the
+	// upstream router's, mail[shard][upstream's shard].cred: it shares
+	// the lane matrix's ring, so credit returns append to it directly.
+	// nil for the local port.
+	credLane [][]int32
 	// credDelta is the credit-return delay toward the upstream router:
 	// the latency plus serialization of the reverse channel this
 	// router's credits travel (1 for on-chip links — the historical
@@ -59,18 +60,13 @@ type inputPort struct {
 	credDelta int64
 }
 
-// outputPort is the construction/observability view of one output port.
-// reserved and credits are sub-slices of the network's flat arrays —
-// they alias, not copy, the state the stage loops index directly, so
-// the view can never diverge from the arrays.
+// outputPort is the construction/observability view of one output port:
+// topology metadata only, its flow-control state lives in the flat
+// arrays (Router.reserved and Router.credits).
 type outputPort struct {
 	dir     topology.Dir
 	link    topology.Link // zero unless dir != Local
 	hasLink bool
-	// reserved marks output VCs currently owned by an in-flight packet;
-	// credits counts free buffer slots in the downstream input VC.
-	reserved []bool
-	credits  []int32
 	// downVCBase is the global flat VC index of the downstream input
 	// channel's vc 0 (the port this link lands on), precomputed so the
 	// forward path reserves the destination slot and schedules the
@@ -79,8 +75,8 @@ type outputPort struct {
 	// downShard is the shard owning the downstream router (this
 	// router's own shard for the local port). Forwards staying inside
 	// the shard direct-write the flit into the downstream ring slot;
-	// forwards that cross it carry the flit through the boundary
-	// mailbox (shard.go).
+	// forwards that cross it carry the flit through the lane toward
+	// its shard (shard.go).
 	downShard int32
 	// down is the downstream router, where a direct write counts its
 	// buffer write (nil for the local port).
@@ -108,7 +104,7 @@ type Router struct {
 	id  topology.NodeID
 	net *Network
 	// sh is the shard stepping this router; the forward path schedules
-	// into its rings and the probe emission sites go through its sink.
+	// into its rings and the probe emission sites buffer into it.
 	// shard caches sh.idx for the same-shard test per forwarded flit.
 	sh       *shardState
 	shard    int32
@@ -289,8 +285,6 @@ func (r *Router) bind(st *soaState, vcBase, portBase int) {
 	for oi := range r.outPorts {
 		op := &r.outPorts[oi]
 		base := oi * cfg.VCs
-		op.reserved = r.reserved[base : base+cfg.VCs]
-		op.credits = r.credits[base : base+cfg.VCs]
 		if op.hasLink {
 			r.linkMask |= 1 << uint(oi)
 			for v := 0; v < cfg.VCs; v++ {
@@ -344,8 +338,8 @@ func (r *Router) routeHead(f int) {
 		r.dataVCs &^= bit
 	}
 	r.cnt.RCOps++
-	if r.sh.probe != nil {
-		r.sh.probe.ProbeEvent(ProbeEvent{
+	if r.net.probe != nil {
+		r.sh.emit(ProbeEvent{
 			Kind: ProbeRoute, Cycle: r.net.cycle, Router: r.id, Dir: d, Flit: *flit,
 		})
 	}
@@ -461,8 +455,8 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.vcOutVC[g] = int8(ov)
 	r.setVCState(int32(g), vcActive)
 	r.cnt.VAGrants++
-	if r.sh.probe != nil {
-		r.sh.probe.ProbeEvent(ProbeEvent{
+	if r.net.probe != nil {
+		r.sh.emit(ProbeEvent{
 			Kind: ProbeVCAlloc, Cycle: cycle, Router: r.id,
 			Dir: r.outPorts[oi].dir, VC: int8(ov), Flit: *r.vcFrontFlit(g),
 		})
@@ -635,8 +629,8 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 
 // forward sends the front flit of input VC fi through output port oi.
 // The flit is read and mutated (hop count) in its ring slot and copied
-// out exactly once — into the downstream ring, a boundary mailbox or the
-// ejection event — then dropped without a pop copy. It is the only code
+// out exactly once — into the downstream ring, a cross-shard lane or the
+// ejection ring — then dropped without a pop copy. It is the only code
 // that writes a downstream ring slot at send time.
 func (r *Router) forward(cycle int64, fi, oi int) {
 	cfg := &r.net.cfg
@@ -651,26 +645,20 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	r.cnt.XbarFlits++
 	r.cnt.WXbarFlits += frac
 	sh := r.sh
-	if sh.probe != nil { // on a network port, also the link traversal (ProbeLink)
-		sh.probe.ProbeEvent(ProbeEvent{
+	if r.net.probe != nil { // on a network port, also the link traversal (ProbeLink)
+		sh.emit(ProbeEvent{
 			Kind: ProbeSAGrant, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
 		})
 	}
 
-	// Credit back to the upstream router (the NI checks space directly);
-	// a credit crossing the shard boundary rides the mailbox's credit
-	// lane instead of the shard's own ring. The return is delayed by the
-	// reverse link's latency plus serialization occupancy (credDelta is 1
-	// for on-chip links, matching the historical next-cycle return).
+	// Credit back to the upstream router (the NI checks space directly)
+	// on the credit lane toward its shard, its own shard's included. The
+	// return is delayed by the reverse link's latency plus serialization
+	// occupancy (credDelta is 1 for on-chip links, matching the
+	// historical next-cycle return).
 	if ip.upCredBase >= 0 {
-		ci := ip.upCredBase + int32(r.vcOf[fi])
-		if ip.upShard == r.shard {
-			cs := sh.credSlot(cycle, cycle+ip.credDelta)
-			*cs = append(*cs, ci)
-		} else {
-			cs := r.net.mailCredSlot(sh, ip.upShard, cycle+ip.credDelta)
-			*cs = append(*cs, ci)
-		}
+		cs := &ip.credLane[sh.slot(cycle, cycle+ip.credDelta)]
+		*cs = append(*cs, ip.upCredBase+int32(r.vcOf[fi]))
 	}
 
 	if f.Type.IsHead() && op.dir != topology.Local {
@@ -682,11 +670,10 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		// Ejection: ST (and wire to the NI) still takes the configured
 		// cycles; the sink always accepts. Ejections never cross a
 		// shard boundary (the local port has no downstream router), so
-		// the payload goes into the shard's own ejection ring.
+		// the flit goes into the shard's own ejection ring of this send
+		// phase.
 		at := cycle + int64(cfg.STLTCycles)
-		s := sh.evSlot(cycle, at)
-		ej := &sh.ejRing[at&sh.ringMask]
-		*s = append(*s, ^event(len(*ej)))
+		ej := &sh.ej[sh.phase][sh.slot(cycle, at)]
 		*ej = append(*ej, ejEntry{flit: *f, router: int32(r.id)})
 	} else {
 		ci := oi*r.vcsPerPort + outVC
@@ -741,16 +728,16 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 			op.down.cnt.BufWrites++
 			op.down.bufLayers += layers
 			if f.Type.IsHead() {
-				s := sh.evSlot(cycle, at)
+				s := &sh.ev[sh.slot(cycle, at)]
 				*s = append(*s, gi)
 			}
 		} else {
 			// Cross-shard forward: the downstream arrays belong to a
 			// shard that may be mid-cycle, so the flit body rides the
-			// boundary mailbox and is pushed into the destination ring
-			// at delivery time (shardCycle). The credit check above
-			// already guaranteed the space.
-			ms := r.net.mailEvSlot(sh, op.downShard, at)
+			// lane toward it and is pushed into the destination ring at
+			// delivery time (deliver). The credit check above already
+			// guaranteed the space.
+			ms := &r.net.mail[r.shard][op.downShard].ev[sh.slot(cycle, at)]
 			*ms = append(*ms, xEvent{gi: gi, flit: *f})
 		}
 	}

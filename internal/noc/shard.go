@@ -13,9 +13,11 @@ import (
 // steps every shard concurrently inside one cycle: each shard delivers
 // its own scheduled events, injects its own NIs and runs the SA/VA/RC
 // stages over its own routers on a private goroutine, joined by one
-// barrier per cycle. Sequential stepping (Shards <= 1) is the same
-// cycle function, shardCycle, run over the one shard inline on the
-// caller, and results are bit-identical for any shard count.
+// barrier per cycle. A single shard is the same path without the pool:
+// the one cycle function, shardCycle, runs inline on the caller, its
+// credits ride the lane matrix's diagonal and its outputs go through the
+// same buffers and epilogue, so results are bit-identical for any shard
+// count.
 //
 // # Why link latency makes concurrent shards safe
 //
@@ -38,62 +40,58 @@ import (
 // suite pins this by sweeping shard counts that deliberately misalign
 // with the chip tiling.
 //
-// # Ownership and the boundary mailboxes
+// # Ownership and the lane matrix
 //
 // Every mutable slot of the struct-of-arrays state (soa.go) belongs to
 // exactly one router and therefore to exactly one shard; a shard's
-// goroutine touches only its own windows. The one cross-shard pathway —
-// a flit or credit leaving shard s for shard d — goes through the
-// boundary mailbox mail[s][d], which only s appends to during a cycle
-// and only d drains (and resets) at the next cycle's delivery phase.
-// Slots for different cycles are distinct ring entries, so writer and
-// reader never touch the same slice header concurrently, and the Step
-// barrier orders every append before the matching drain. Cross-shard
-// flits carry their body in the mailbox entry (xEvent.flit) and are
-// pushed into the destination ring buffer at delivery time; same-shard
-// flits keep the PR 6 single-copy direct write. The two are equivalent
-// because deliveries are FIFO per VC and pops leave head+len invariant,
-// so the slot computed at delivery time equals the slot the direct
-// write would have reserved at send time.
+// goroutine touches only its own windows. What crosses routers goes
+// through the lane matrix mail[src][dst], which only src appends to
+// during a cycle and only dst drains (and resets) at the next cycle's
+// delivery phase: every credit return, the diagonal lane mail[i][i]
+// included, and every flit whose destination router lives in another
+// shard (the off-diagonal lanes are the boundary mailboxes the engine
+// meter counts). Slots for different cycles are distinct ring entries, so writer
+// and reader never touch the same slice header concurrently, and the
+// Step barrier orders every append before the matching drain.
+// Cross-shard flits carry their body in the lane entry (xEvent.flit) and
+// are pushed into the destination ring buffer at delivery time;
+// same-shard flits keep the single-copy direct write. The two are
+// equivalent because deliveries are FIFO per VC and pops leave head+len
+// invariant, so the slot computed at delivery time equals the slot the
+// direct write would have reserved at send time.
 //
 // # The determinism argument
 //
 // Within a cycle all state a shard reads is its own, and every stage
 // visits routers in ascending ID, so the shards together take the
-// decisions sequential stepping takes. What remains is the order of the
-// two outputs, the probe stream and the eject callbacks. Delivery emits
+// decisions a single shard takes. What remains is the order of the two
+// outputs, the probe stream and the eject callbacks. Delivery emits
 // only ejections: a landing head starts in vcRouting and is routed by
 // the RC stage (look-ahead routing too, in the cycle it lands), so an
 // arrival is unobservable, and its order is free. A VC has one upstream
 // channel, which lands at most one flit a cycle, so no arrival order
-// moves a flit either; a mailbox slot is one lane, drained in any
+// moves a flit either; a lane slot and the head ring are drained in any
 // order. Ejections never cross a shard and all take STLTCycles, so one
-// ring slot's ejections were sent in one cycle by the shard's own
-// routers, in ascending ID within each send phase. The shard's own ring
-// is segmented by send phase (ev[0] = SA, ev[1] = speculative VA), and
-// within every stage a shard's events are already in the sequential
-// order restricted to its routers. The oracle corpus pins end-to-end
-// bit-identity.
+// slot's ejections were sent in one cycle by the shard's own routers, in
+// ascending ID within each send phase; the shard keeps one ejection ring
+// per send phase (ej[0] = SA, ej[1] = speculative VA).
 //
 // # The probe-merge contract
 //
-// With a probe attached, every shard buffers its probe events instead
-// of calling the probe from its goroutine, and marks where each stage
-// of the cycle begins in its buffer: ejections of SA-phase sends,
-// ejections of VA-phase sends, injection, SA, VA, RC. The serial
-// epilogue of Step replays the buffers stage-major, shard-minor, into
-// the real probe: shards are contiguous ascending ID ranges, so that is
-// the identical stream sequential stepping emits, and traces and spans
-// replay byte for byte at any shard count. Eject callbacks are buffered
-// and fired in (send phase, shard) order the same way. Relative to
-// sequential stepping the probe sees a cycle's events at the end of
-// that cycle rather than during it; probes only record events (Probe
-// implementations must not mutate the network), so the stream, not the
-// timing, is the contract.
+// With a probe attached, every shard buffers its probe events and marks
+// where each stage of the cycle begins in its buffer: ejections of
+// SA-phase sends, ejections of VA-phase sends, injection, SA, VA, RC.
+// The serial epilogue of Step (drainShardOutputs) replays the buffers
+// stage-major, shard-minor, into the probe: shards are contiguous
+// ascending ID ranges, so that is one stream for every shard count, and
+// traces and spans replay byte for byte. Eject callbacks are buffered
+// and fired in (send phase, shard) order the same way. The probe sees a
+// cycle's events at the end of that cycle rather than during it; probes
+// only record events (Probe implementations must not mutate the
+// network), so the stream, not the timing, is the contract.
 
-// xEvent is one cross-shard boundary-mailbox entry: the arrival of a
-// flit at input VC gi (a global flat VC index) of a router in the
-// destination shard. Unlike same-shard forwards, which direct-write the
+// xEvent is one cross-shard lane entry: the arrival of a flit at input
+// VC gi (a global flat VC index) of a router in the destination shard. Unlike same-shard forwards, which direct-write the
 // flit into its future ring slot at send time, a cross-shard forward
 // may not touch the remote shard's arrays mid-cycle, so the entry
 // carries the flit body and the destination pushes it at delivery.
@@ -102,13 +100,14 @@ type xEvent struct {
 	flit Flit
 }
 
-// shardMail is the boundary mailbox for one (source shard, destination
-// shard) pair: one arrival lane and one credit lane per ring slot, both
+// shardMail is the lane pair for one (source shard, destination shard)
+// pair: one arrival lane and one credit lane per ring slot, both
 // order-free (package comment). The source appends during its stage
 // loops; the destination drains and resets at the delivery cycle's
-// boundary. The rings are allocated to the network's ringLen (sized
-// from the slowest link), so multi-cycle d2d deliveries slot like any
-// other.
+// boundary. On the diagonal (source = destination) only the credit lane
+// carries anything: a same-shard flit is written directly. The rings are
+// allocated to the network's ringLen (sized from the slowest link), so
+// multi-cycle d2d deliveries slot like any other.
 type shardMail struct {
 	ev   [][]xEvent
 	cred [][]int32
@@ -156,29 +155,27 @@ const (
 )
 
 // shardState is the per-shard slice of the network's stepping state:
-// the event/ejection/credit rings for traffic staying inside the
-// shard, the per-stage activity sets restricted to the shard's routers
-// and NIs, and the buffered outputs (ejections, probe events) the
-// serial epilogue replays in canonical order. With Shards <= 1 the
-// single shard's rings and sets are the network's rings and sets.
+// the head and ejection rings for traffic staying inside the shard, the
+// per-stage activity sets restricted to the shard's routers and NIs,
+// and the buffered outputs (ejections, probe events) the serial
+// epilogue replays in canonical order.
 type shardState struct {
 	idx    int32
 	lo, hi int32 // router/NI ID range [lo, hi)
 	net    *Network
 	hot    *shardHot
 
-	// phase selects the send-phase segment (0 = SA, 1 = speculative VA)
-	// new arrivals and ejections are appended under; shardCycle sets it
-	// before each stage loop.
+	// phase selects the send phase (0 = SA, 1 = speculative VA) new
+	// ejections are appended under; shardCycle sets it before each stage
+	// loop.
 	phase int32
 
-	// ev/ejRing/cred are the shard's own scheduling rings, carrying the
-	// traffic whose destination router stays in this shard (network.go
-	// describes the event words). ringLen/ringMask copy the network's
-	// dynamic ring geometry for the hot slot math.
-	ev       [2][][]event
-	ejRing   [][]ejEntry
-	cred     [][]int32
+	// ev is the shard's ring of head arrivals whose destination router
+	// stays in this shard (network.go describes the words), and ej[p] its
+	// ring of ejections sent in send phase p. ringLen/ringMask copy the
+	// network's dynamic ring geometry for the hot slot math.
+	ev       [][]event
+	ej       [2][][]ejEntry
 	ringLen  int64
 	ringMask int64
 
@@ -189,17 +186,15 @@ type shardState struct {
 	actRC               [2]routerSet
 	actScratch          []int32
 
-	// probe is where this shard's emission sites send events: the
-	// network probe itself on a single shard, the shard's own buffering
-	// sink (ProbeEvent below) when sharded, nil when unobserved. Stage k
-	// of the cycle buffered probeBuf[mark[k]:mark[k+1]].
-	probe    Probe
+	// probeBuf buffers the cycle's probe events while a probe is
+	// attached (emit); stage k of the cycle buffered
+	// probeBuf[mark[k]:mark[k+1]].
 	probeBuf []ProbeEvent
 	mark     [numStages + 1]int
 
 	// ejOut buffers the packets whose tail flit ejected this cycle, per
 	// send phase, for the serial epilogue to run the eject callback on and
-	// release (sharded only; a single shard does both in deliver).
+	// release.
 	ejOut [2][]*Packet
 
 	// Engine-meter scratch (enginemeter.go): the goroutine running
@@ -213,44 +208,19 @@ type shardState struct {
 	panicked any
 }
 
-// ProbeEvent implements Probe: the shard's emission sites buffer their
-// events for the epilogue.
-func (sh *shardState) ProbeEvent(ev ProbeEvent) {
-	sh.probeBuf = append(sh.probeBuf, ev)
-}
+// emit buffers one probe event for the epilogue; emission sites call
+// it only while a probe is attached.
+func (sh *shardState) emit(ev ProbeEvent) { sh.probeBuf = append(sh.probeBuf, ev) }
 
-// evSlot returns the shard's arrival-event lane for delivery cycle at
-// under the current send phase, validating the ring horizon.
-func (sh *shardState) evSlot(now, at int64) *[]event {
+// slot returns the ring slot of delivery cycle at for an event
+// scheduled in cycle now. Every ring and lane is ringLen slots long, so
+// a delta outside (0, ringLen) would land in the slot being drained or
+// on a later cycle's.
+func (sh *shardState) slot(now, at int64) int64 {
 	if d := at - now; d <= 0 || d >= sh.ringLen {
 		panic("noc: schedule delta out of range")
 	}
-	return &sh.ev[sh.phase][at&sh.ringMask]
-}
-
-// credSlot is evSlot's counterpart for the shard's own credit ring.
-func (sh *shardState) credSlot(now, at int64) *[]int32 {
-	if d := at - now; d <= 0 || d >= sh.ringLen {
-		panic("noc: schedule delta out of range")
-	}
-	return &sh.cred[at&sh.ringMask]
-}
-
-// mailEvSlot returns the boundary-mailbox arrival lane from shard src
-// toward shard dst for delivery cycle at.
-func (n *Network) mailEvSlot(src *shardState, dst int32, at int64) *[]xEvent {
-	if d := at - n.cycle; d <= 0 || d >= n.ringLen {
-		panic("noc: schedule delta out of range")
-	}
-	return &n.mail[src.idx][dst].ev[at&n.ringMask]
-}
-
-// mailCredSlot is mailEvSlot's counterpart for credit returns.
-func (n *Network) mailCredSlot(src *shardState, dst int32, at int64) *[]int32 {
-	if d := at - n.cycle; d <= 0 || d >= n.ringLen {
-		panic("noc: schedule delta out of range")
-	}
-	return &n.mail[src.idx][dst].cred[at&n.ringMask]
+	return at & sh.ringMask
 }
 
 // members returns the routers (or NIs) one stage of the cycle visits, in
@@ -267,10 +237,8 @@ func (sh *shardState) members(set *routerSet) []int32 {
 }
 
 // stepSharded runs one cycle over len(shards) > 1: shard 0 on the calling
-// goroutine, the others on their persistent workers (pool.go), then the
-// serial epilogue replays the buffered probe events and eject callbacks
-// in canonical order. The pool's barrier is the only synchronization
-// (package comment).
+// goroutine, the others on their persistent workers (pool.go). The
+// pool's barrier is the only synchronization (package comment).
 func (n *Network) stepSharded() {
 	p := n.pool
 	if p == nil {
@@ -300,7 +268,6 @@ func (n *Network) stepSharded() {
 			panic(p)
 		}
 	}
-	n.drainShardOutputs()
 }
 
 // shardCycle is the cycle: one shard's share of it, which on a single
@@ -322,8 +289,7 @@ func (n *Network) shardCycle(sh *shardState) {
 
 	// Injection and the pipeline stages over this shard's members, each
 	// marking where its probe events begin. The send phase tracks the
-	// stage so appended ejections land in the ring segment that keeps
-	// their phase.
+	// stage so appended ejections land in their phase's ring.
 	sh.mark[stInject] = len(sh.probeBuf)
 	for _, id := range sh.members(&sh.actNI) {
 		n.inject(topology.NodeID(id))
@@ -348,45 +314,38 @@ func (n *Network) shardCycle(sh *shardState) {
 }
 
 // deliver is the first step of shardCycle: it hands shard sh the credits
-// and events scheduled for this cycle, from every inbound mailbox and
-// from its own rings. It is a function of its own only to keep its
-// loops' registers apart from the stage loops' (ur6x6_sparse runs ~2 %
-// slower with the body inline).
+// and events scheduled for this cycle, from its inbound lanes and its own
+// rings. It is a function of its own only to keep its loops' registers
+// apart from the stage loops' (ur6x6_sparse runs ~2 % slower with the
+// body inline).
 func (n *Network) deliver(sh *shardState) {
 	cycle := n.cycle
 	slot := cycle & sh.ringMask
 	meter := n.meter
 
-	// Credits: the shard's own lane, then the inbound mailbox lanes in
-	// ascending source order (n.mail is nil on a single shard, and
-	// mail[i][i] stays empty). A credit return is a bare increment of the
-	// flat credit array, so its order against anything else in the cycle
-	// is unobservable; the fixed lane order keeps the overflow panic
-	// deterministic.
+	// The inbound lanes, in ascending source order, the shard's own
+	// credit lane mail[sh.idx][sh.idx] among them. A credit return is a
+	// bare increment of the flat credit array, so its order against
+	// anything else in the cycle is unobservable; the fixed lane order
+	// keeps the overflow panic deterministic. Cross-shard arrivals land
+	// in any order (package comment); the meter counts the words a
+	// single shard would deliver: a lane's heads.
 	credits, depth := n.soa.credits, int32(n.cfg.BufDepth)
-	for s, lane := -1, &sh.cred[slot]; ; lane = &n.mail[s][sh.idx].cred[slot] {
-		if len(*lane) > 0 {
-			if s >= 0 && meter != nil {
-				meter.cross[s*len(n.shards)+int(sh.idx)].credits.Add(int64(len(*lane)))
+	ownerOf, vcState, vcFrontAt := n.soa.ownerOf, n.soa.vcState, n.soa.vcFrontAt
+	for s := range n.mail {
+		m := &n.mail[s][sh.idx]
+		if cs := m.cred[slot]; len(cs) > 0 {
+			m.cred[slot] = cs[:0]
+			if meter != nil && s != int(sh.idx) {
+				meter.cross[s*len(n.shards)+int(sh.idx)].credits.Add(int64(len(cs)))
 			}
-			for _, ci := range *lane {
+			for _, ci := range cs {
 				credits[ci]++
 				if credits[ci] > depth {
 					panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
 				}
 			}
-			*lane = (*lane)[:0]
 		}
-		if s++; s == len(n.mail) {
-			break
-		}
-	}
-
-	// Cross-shard arrivals, in any order (package comment). The meter
-	// counts the words a sequential run would deliver: a lane's heads.
-	ownerOf, vcState, vcFrontAt := n.soa.ownerOf, n.soa.vcState, n.soa.vcFrontAt
-	for s := range n.mail {
-		m := &n.mail[s][sh.idx]
 		xs := m.ev[slot]
 		if len(xs) == 0 {
 			continue
@@ -415,58 +374,55 @@ func (n *Network) deliver(sh *shardState) {
 		}
 	}
 
-	// The shard's own ring, for each send phase in append order: head
-	// words and ejections, the ejections marking their stage.
-	for p := 0; p < 2; p++ {
-		sh.mark[stEjectSA+p] = len(sh.probeBuf)
-		events := sh.ev[p][slot]
-		if len(events) == 0 {
-			continue
-		}
-		sh.ev[p][slot] = events[:0]
+	// The shard's own head words, in any order. A word is the
+	// destination's global flat VC index (forward wrote and counted the
+	// flit): an idle VC holds no landed flit, so the head is its front
+	// and starts. Otherwise the tail ahead of it starts it (forward); a
+	// busy VC whose front lands now is a bug (landHead). New words only
+	// ever target future slots (slot rejects d <= 0), so every ring slot
+	// is safe to reset before its loop.
+	if heads := sh.ev[slot]; len(heads) > 0 {
+		sh.ev[slot] = heads[:0]
 		if meter != nil {
-			meter.shards[sh.idx].ringWords.Add(int64(len(events)))
+			meter.shards[sh.idx].ringWords.Add(int64(len(heads)))
 		}
-		for _, ev := range events {
-			if ev >= 0 {
-				// A head landing at ev, the destination's global flat VC
-				// index (forward wrote and counted it): an idle VC holds
-				// no landed flit, so the head is its front and starts.
-				// Otherwise the tail ahead of it starts it (forward); a
-				// busy VC whose front lands now is a bug (landHead).
-				if vcState[ev] == vcIdle || vcFrontAt[ev] == cycle {
-					r := &n.routers[ownerOf[ev]]
-					r.landHead(ev - r.vcBase)
-				}
-				continue
-			}
-			sh.hot.inFlightFlits--
-			e := &sh.ejRing[slot][^ev]
-			if sh.probe != nil {
-				sh.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
-			}
-			if e.flit.Type.IsTail() {
-				pkt := e.flit.Pkt
-				pkt.EjectedAt = cycle
-				if n.mail != nil { // sharded: the epilogue finishes it
-					sh.ejOut[p] = append(sh.ejOut[p], pkt)
-					continue
-				}
-				n.finishPacket(pkt)
+		for _, gi := range heads {
+			if vcState[gi] == vcIdle || vcFrontAt[gi] == cycle {
+				r := &n.routers[ownerOf[gi]]
+				r.landHead(gi - r.vcBase)
 			}
 		}
 	}
-	// New events only ever target future slots (evSlot rejects d <= 0),
-	// so the payload slice is safe to recycle once the loops are done.
-	if ej := sh.ejRing[slot]; len(ej) > 0 {
-		sh.ejRing[slot] = ej[:0]
+
+	// The ejections, per send phase, each phase marking its stage.
+	for p := range sh.ej {
+		sh.mark[stEjectSA+p] = len(sh.probeBuf)
+		ej := sh.ej[p][slot]
+		if len(ej) == 0 {
+			continue
+		}
+		sh.ej[p][slot] = ej[:0]
+		if meter != nil {
+			meter.shards[sh.idx].ringWords.Add(int64(len(ej)))
+		}
+		sh.hot.inFlightFlits -= int64(len(ej))
+		for k := range ej {
+			e := &ej[k]
+			if n.probe != nil {
+				sh.emit(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
+			}
+			if e.flit.Type.IsTail() {
+				e.flit.Pkt.EjectedAt = cycle
+				sh.ejOut[p] = append(sh.ejOut[p], e.flit.Pkt)
+			}
+		}
 	}
 }
 
-// drainShardOutputs is the serial epilogue of a sharded step: replay the
+// drainShardOutputs is the serial epilogue of every step: replay the
 // buffered probe events stage-major, shard-minor, then finish the
 // buffered ejected packets (eject callback, release) in (send phase,
-// shard) order — the orders sequential stepping emits and finishes in.
+// shard) order — on one shard, the order the cycle emitted them in.
 func (n *Network) drainShardOutputs() {
 	if n.probe != nil {
 		for k := 0; k < numStages; k++ {

@@ -84,11 +84,12 @@ func TestShardPanicPropagation(t *testing.T) {
 			t.Cleanup(n.ReleaseWorkers)
 			drive(t, n, 0.2, 4, 50)
 			// A credit returned to a full counter overflows it: plant
-			// one in each bad shard's own ring for the next cycle.
+			// one in each bad shard's own credit lane for the next cycle.
 			for _, k := range bad {
 				sh := &n.shards[k]
 				slot := (n.Cycle() + 1) & sh.ringMask
-				sh.cred[slot] = append(sh.cred[slot], n.routers[sh.lo].vcBase)
+				lane := &n.mail[k][k].cred[slot]
+				*lane = append(*lane, n.routers[sh.lo].vcBase)
 				n.soa.credits[n.routers[sh.lo].vcBase] = int32(cfg.BufDepth)
 			}
 			lowest := n.routers[n.shards[slices.Min(bad)].lo].vcBase

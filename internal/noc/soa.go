@@ -38,11 +38,10 @@ import (
 // router code keeps indexing by local f with no base arithmetic, and
 // the per-router views alias — not copy — the flat state. inputPort
 // and outputPort survive as construction/observability views carrying
-// only topology metadata (direction, link, upstream) plus, on the
-// output side, credit/reserved sub-slices that alias the same backing
-// arrays. The two representations cannot diverge because there is only
-// one storage location per datum; TestSoAViewAliasing pins this by
-// mutating through one representation and reading through the other.
+// only topology metadata (direction, link, upstream, downstream). The
+// two representations cannot diverge because there is only one storage
+// location per datum; TestSoAViewAliasing pins this by mutating through
+// one representation and reading through the other.
 //
 // # Why bit-identity holds
 //
@@ -178,7 +177,7 @@ func (r *Router) vcFrontFlit(f int) *Flit {
 // vcPush appends a landed flit to VC f's ring. Overflow means a credit
 // accounting bug upstream; the panic names the exact buffer. Two paths
 // push: the NI injection path (local-port VCs, which never carry link
-// traffic) and cross-shard mailbox delivery (a channel fed from another
+// traffic) and cross-shard lane delivery (a channel fed from another
 // shard never holds send-time writes) — so a pushed VC holds no flit
 // on the wire.
 func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {

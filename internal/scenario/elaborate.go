@@ -39,6 +39,35 @@ type Elaboration struct {
 	Obs *obs.Collector
 }
 
+// design elaborates the architecture with the scenario's fabric
+// overrides applied: the express interval or the chip grid.
+func (s Scenario) design() (*core.Design, error) {
+	arch, err := ArchByName(s.Arch)
+	if err != nil {
+		return nil, err
+	}
+	d, err := core.NewDesign(arch)
+	if err != nil {
+		return nil, err
+	}
+	if s.ExpressInterval != 0 {
+		// A non-default express interval rebuilds the fabric: same
+		// 6x6 NUCA floorplan, different express-channel span.
+		topo := topology.NewExpressMesh2D(6, 6, core.Pitch3DMMM, s.ExpressInterval)
+		if err := topology.ApplyNUCALayout2D(topo); err != nil {
+			return nil, err
+		}
+		d.Topo = topo
+	}
+	if c := s.Chips; c != nil {
+		// A chiplet grid replaces the floorplan wholesale; the
+		// architecture keeps setting the router pipeline and the on-chip
+		// link pitch the grid tiles with.
+		d.Topo = topology.NewChipGrid(c.spec(d.LinkLenMM))
+	}
+	return d, nil
+}
+
 // NoCConfig elaborates the design and simulator configuration without
 // building traffic: the architecture with every scenario override
 // applied (buffer geometry, pipeline options, step mode, routing,
@@ -49,28 +78,9 @@ func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 	if err := s.validateCore(); err != nil {
 		return nil, noc.Config{}, err
 	}
-	arch, err := ArchByName(s.Arch)
+	d, err := s.design()
 	if err != nil {
 		return nil, noc.Config{}, err
-	}
-	d, err := core.NewDesign(arch)
-	if err != nil {
-		return nil, noc.Config{}, err
-	}
-	if s.ExpressInterval != 0 {
-		// A non-default express interval rebuilds the fabric: same
-		// 6x6 NUCA floorplan, different express-channel span.
-		topo := topology.NewExpressMesh2D(6, 6, core.Pitch3DMMM, s.ExpressInterval)
-		if err := topology.ApplyNUCALayout2D(topo); err != nil {
-			return nil, noc.Config{}, err
-		}
-		d.Topo = topo
-	}
-	if c := s.Chips; c != nil {
-		// A chiplet grid replaces the floorplan wholesale; the
-		// architecture keeps setting the router pipeline and the on-chip
-		// link pitch the grid tiles with.
-		d.Topo = topology.NewChipGrid(c.spec(d.LinkLenMM))
 	}
 
 	cfg := d.NoCConfig(noc.AnyFree, s.Seed)

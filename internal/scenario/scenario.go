@@ -301,6 +301,18 @@ func (s Scenario) validateCore() error {
 			return fmt.Errorf("scenario: fault source node %d is negative", f.Src)
 		}
 	}
+	if s.VCs > 0 {
+		// The bound needs the fabric's radix: the architecture's, or the
+		// express interval's or chip grid's that replaces it.
+		d, err := s.design()
+		if err != nil {
+			return err
+		}
+		if p := d.Topo.MaxPorts(); p*s.VCs > noc.MaxFlatVCs {
+			return fmt.Errorf("scenario: vcs = %d, need <= %d: a router of %d ports holds at most %d flat VCs",
+				s.VCs, noc.MaxFlatVCs/p, p, noc.MaxFlatVCs)
+		}
+	}
 	if o := s.Observe; o != nil {
 		if o.Window < 0 {
 			return fmt.Errorf("scenario: observe window %d is negative", o.Window)

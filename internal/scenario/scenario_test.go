@@ -214,6 +214,11 @@ func TestValidateRejections(t *testing.T) {
 		{"retired step mode", mod(func(s *Scenario) { s.StepMode = "fullscan" }), `use "checked" to debug`},
 		{"negative vcs", mod(func(s *Scenario) { s.VCs = -2 }), "buffer geometry"},
 		{"buf depth beyond the bound", mod(func(s *Scenario) { s.BufDepth = noc.MaxBufDepth + 1 }), "buf_depth"},
+		{"vcs beyond the request mask", mod(func(s *Scenario) { s.VCs = 13 }), "vcs = 13, need <= 12"},
+		{"vcs beyond the chip grid's request mask", mod(func(s *Scenario) {
+			s.VCs = 10 // 5-port 2DB routers hold 50 flat VCs, the grid's 7-port express ones 70
+			s.Chips = &Chips{ChipsX: 2, ChipsY: 2, NodesX: 4, NodesY: 4, Express: true}
+		}), "vcs = 10, need <= 9"},
 		{"stlt out of range", mod(func(s *Scenario) { s.STLTCycles = 3 }), "stlt_cycles"},
 		{"express on non-express arch", mod(func(s *Scenario) { s.ExpressInterval = 2 }), "3DM-E"},
 		{"express interval too small", mod(func(s *Scenario) { s.Arch = "3DM-E"; s.ExpressInterval = 1 }), "express_interval"},
@@ -261,6 +266,9 @@ func TestValidateAccepts(t *testing.T) {
 		{Arch: "3DM-E", Traffic: Traffic{Kind: "ur", Rate: 0.1}, Measure: 100, ExpressInterval: 3},
 		{Arch: "2DB", Traffic: Traffic{Kind: "trace", Workload: "tpcw", TraceCycles: 500, Protocol: "moesi"}, Measure: 100},
 		{Arch: "3DB", Traffic: Traffic{Kind: "tornado", Rate: 0.05}, Measure: 100, Routing: "xy"},
+		// The request-mask edge: 5 ports x 12 VCs and 9 x 7 flat VCs.
+		{Arch: "2DB", Traffic: Traffic{Kind: "ur", Rate: 0.1}, Measure: 100, VCs: 12},
+		{Arch: "3DM-E", Traffic: Traffic{Kind: "ur", Rate: 0.1}, Measure: 100, VCs: 7},
 	}
 	for _, sc := range cases {
 		if err := sc.Validate(); err != nil {
