@@ -64,6 +64,20 @@ func ObsURSweep(ctx context.Context, o Options) (stats.Table, error) {
 	return t, nil
 }
 
+// spanStagesRate is SpanStages' load.
+const spanStagesRate = 0.15
+
+// spanStagesPoints are SpanStages' points: one per paperArchs entry, in
+// order, with span folding on.
+func spanStagesPoints(o Options) []scenario.Scenario {
+	scs := make([]scenario.Scenario, len(paperArchs))
+	for i, a := range paperArchs {
+		scs[i] = observed(o.synthetic(a, "ur", spanStagesRate))
+		scs[i].Observe.Spans = true
+	}
+	return scs
+}
+
 // SpanStages runs one mid-load uniform-random point per architecture
 // with span folding attached and decomposes the mean flit latency into
 // the pipeline stages (inject-queue wait, route, VA stall, SA stall,
@@ -73,13 +87,7 @@ func ObsURSweep(ctx context.Context, o Options) (stats.Table, error) {
 // not an estimate. Tables are bit-identical for any worker count and
 // step mode.
 func SpanStages(ctx context.Context, o Options) (stats.Table, error) {
-	const rate = 0.15
-	archs := paperArchs
-	scs := make([]scenario.Scenario, len(archs))
-	for i, a := range archs {
-		scs[i] = observed(o.synthetic(a, "ur", rate))
-		scs[i].Observe.Spans = true
-	}
+	archs, scs := paperArchs, spanStagesPoints(o)
 	type staged struct {
 		res  noc.Result
 		sums obs.StageSums
@@ -100,7 +108,7 @@ func SpanStages(ctx context.Context, o Options) (stats.Table, error) {
 
 	t := stats.Table{
 		ID:    "obs-stages",
-		Title: fmt.Sprintf("per-flit latency decomposition at %.2f flits/node/cycle (mean cycles per stage)", rate),
+		Title: fmt.Sprintf("per-flit latency decomposition at %.2f flits/node/cycle (mean cycles per stage)", spanStagesRate),
 		Header: []string{"arch", "flits", "queue", "route", "va_stall", "sa_stall",
 			"st_lt", "network", "avg lat"},
 	}

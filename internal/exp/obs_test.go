@@ -2,9 +2,14 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mira/internal/noc"
+	"mira/internal/obs"
+	"mira/internal/scenario"
 )
 
 // TestSpanStagesDeterministic pins the obs-stages driver's determinism
@@ -69,5 +74,54 @@ func TestSpanStagesSumsToNetwork(t *testing.T) {
 		if diff := sum - network; diff > 0.03 || diff < -0.03 {
 			t.Errorf("%s: stage means sum to %.2f, network mean is %.2f", row[0], sum, network)
 		}
+	}
+}
+
+// gateCounter counts switch grants, one per flit per router visit, and
+// passes every event on to the collector.
+type gateCounter struct {
+	next   noc.Probe
+	grants int64
+}
+
+func (g *gateCounter) ProbeEvent(ev noc.ProbeEvent) {
+	if ev.Kind == noc.ProbeSAGrant {
+		g.grants++
+	}
+	g.next.ProbeEvent(ev)
+}
+
+// TestSpanStagesSTLTLaw: in every obs-stages row the st_lt cycles are
+// the architecture's STLTCycles per router visit, exactly. The span fold
+// charges each of a flit's visits its delay from final grant to eject,
+// so the law says that delay is STLTCycles for every flit of every
+// architecture (1 for 3DM and 3DM-E, 2 for 2DB and 3DB).
+func TestSpanStagesSTLTLaw(t *testing.T) {
+	o := Quick()
+	scs := spanStagesPoints(o)
+	got := make([]string, len(scs))
+	err := runPoints(context.Background(), o, scs, func(ctx context.Context, i int, sc scenario.Scenario) error {
+		var g gateCounter
+		var stlt int64
+		out, err := run(ctx, o, sc, func(e *scenario.Elaboration) {
+			g.next, stlt = e.Obs, int64(e.Config.STLTCycles)
+			e.Net.SetProbe(&g)
+		})
+		if err != nil {
+			return err
+		}
+		s := out.Obs.Spans().Attribution().Total()
+		if s.N == 0 || s.Cycles[obs.StageXfer] != stlt*g.grants {
+			return fmt.Errorf("%s: st_lt %d cycles over %d visits of %d flits, want %d x visits",
+				sc.Arch, s.Cycles[obs.StageXfer], g.grants, s.N, stlt)
+		}
+		got[i] = fmt.Sprintf("%s:%d", sc.Arch, stlt)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[2DB:2 3DB:2 3DM:1 3DM-E:1]"; fmt.Sprint(got) != want {
+		t.Errorf("STLTCycles per architecture %v, want %s", got, want)
 	}
 }

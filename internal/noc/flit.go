@@ -79,9 +79,9 @@ type Packet struct {
 type Flit struct {
 	Pkt *Packet
 	// Seq is the flit's position within its packet. int32 rather than
-	// int: flits are copied along every hop (buffer slots, probe
-	// events), and the packed layout keeps the struct at 16 bytes —
-	// half the memory traffic of the naive one.
+	// int: flits are copied along every hop (buffer slots), and the
+	// packed layout keeps the struct at 16 bytes — half the memory
+	// traffic of the naive one.
 	Seq  int32
 	Type FlitType
 	// ActiveLayers is how many of the router's datapath layers this

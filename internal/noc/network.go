@@ -468,10 +468,7 @@ func (n *Network) inject(id topology.NodeID) {
 		job.pkt.InjectedAt = n.cycle
 	}
 	if n.probe != nil {
-		sh.emit(ProbeEvent{
-			Kind: ProbeInject, Cycle: n.cycle, Router: id,
-			Dir: topology.Local, VC: int8(s.curVC), Flit: f,
-		})
+		sh.emit(ProbeInject, n.cycle, id, topology.Local, int8(s.curVC), &f)
 	}
 	r.vcPush(fi, f, n.cycle)
 	r.arrive(fi, &f)

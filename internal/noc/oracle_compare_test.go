@@ -15,8 +15,10 @@ import (
 // oracleOpts are the optional parts of a comparison.
 type oracleOpts struct {
 	// probed also compares every pipeline event of every flit (inject,
-	// route, VC alloc, switch grant, link, eject: kind, cycle, router,
-	// direction, VC), through production's probe. Within a cycle the
+	// route, VC alloc, switch grant, eject), through production's probe,
+	// as whole records: kind, cycle, router, direction and VC, the flit's
+	// packet, source, destination, class, sequence and type, and the
+	// creation cycle and active layers where set. Within a cycle the
 	// events are compared flit by flit: the order of different flits'
 	// events there is the order the engine happens to visit things in,
 	// not part of the model, but one flit's events keep their pipeline
@@ -60,10 +62,9 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	var prodEvents, orcEvents probeTap
 	if opts.probed {
 		net.SetProbe(&prodEvents)
-		o.log = func(ev oEvent) { orcEvents = append(orcEvents, ev) }
+		o.log = func(ev ProbeEvent) { orcEvents = append(orcEvents, ev) }
 	}
-	var sent []Spec     // by packet ID - 1
-	var created []int64 // production's CreatedAt, by packet ID - 1
+	var sent []Spec // by packet ID - 1
 	// Little's law's sums: the oracle's backlog, production's, and
 	// production's flit sojourns (probed).
 	var oBacklog, backlog, sojourn int64
@@ -75,13 +76,11 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 		if c < cycles {
 			specs = gen.Generate(c, rng, specs[:0])
 			for _, s := range specs {
-				pkt, err := net.Enqueue(s)
-				if err != nil {
+				if _, err := net.Enqueue(s); err != nil {
 					t.Fatal(err)
 				}
 				o.enqueue(s)
 				sent = append(sent, s)
-				created = append(created, pkt.CreatedAt)
 			}
 		} else if net.Idle() && o.idle() {
 			break
@@ -128,18 +127,18 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 		}
 		if opts.probed {
 			for _, ev := range prodEvents {
-				if ev.kind == ProbeEject {
-					sojourn += ev.cycle - created[ev.pkt-1]
+				if ev.Kind == ProbeEject {
+					sojourn += ev.Cycle - ev.Created
 				}
 			}
 			// Stage order (Probe): a cycle opens with ejections, ends with routes.
 			for i := 1; i < len(prodEvents); i++ {
-				if a, b := prodEvents[i-1].kind, prodEvents[i].kind; b == ProbeEject && a != ProbeEject || a == ProbeRoute && b != ProbeRoute {
+				if a, b := prodEvents[i-1].Kind, prodEvents[i].Kind; b == ProbeEject && a != ProbeEject || a == ProbeRoute && b != ProbeRoute {
 					t.Fatalf("cycle %d: event %d of %d is a %v after a %v", o.cycle, i, len(prodEvents), b, a)
 				}
 			}
-			byFlit := func(a, b oEvent) int {
-				return cmp.Or(cmp.Compare(a.pkt, b.pkt), cmp.Compare(a.seq, b.seq))
+			byFlit := func(a, b ProbeEvent) int {
+				return cmp.Or(cmp.Compare(a.Pkt, b.Pkt), cmp.Compare(a.Seq, b.Seq))
 			}
 			slices.SortStableFunc(prodEvents, byFlit)
 			slices.SortStableFunc(orcEvents, byFlit)
@@ -190,15 +189,10 @@ func againstOracle(t testing.TB, cfg Config, gen Generator, cycles int64, opts o
 	return got
 }
 
-// probeTap records production's probe events in the oracle's
-// vocabulary. It keeps a flit's packet ID, not its *Packet, which the
-// network reuses once the tail has ejected.
-type probeTap []oEvent
+// probeTap records production's probe events.
+type probeTap []ProbeEvent
 
-func (p *probeTap) ProbeEvent(ev ProbeEvent) {
-	*p = append(*p, oEvent{kind: ev.Kind, cycle: ev.Cycle, router: ev.Router, dir: ev.Dir,
-		vc: int(ev.VC), pkt: ev.Flit.Pkt.ID, seq: int(ev.Flit.Seq)})
-}
+func (p *probeTap) ProbeEvent(ev ProbeEvent) { *p = append(*p, ev) }
 
 // checkLaws scans the oracle's structures for flit conservation
 // (generated = ejected + queued + buffered + on wires) and, per link and

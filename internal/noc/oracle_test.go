@@ -57,26 +57,33 @@ type oracle struct {
 	sojourn int64
 	ejected []oEjection // tail ejections, in delivery order
 
-	// log, if set, is told every pipeline event, in the vocabulary of
-	// production's probe (probe.go).
-	log func(oEvent)
-}
-
-// oEvent is one pipeline event of one flit.
-type oEvent struct {
-	kind   ProbeKind
-	cycle  int64
-	router topology.NodeID
-	dir    topology.Dir
-	vc     int
-	pkt    int64
-	seq    int
+	// log, if set, is told every pipeline event as the record
+	// production's probe receives (probe.go).
+	log func(ProbeEvent)
 }
 
 func (o *oracle) note(kind ProbeKind, r *oRouter, dir topology.Dir, vc int, f oFlit) {
-	if o.log != nil {
-		o.log(oEvent{kind: kind, cycle: o.cycle, router: r.id, dir: dir, vc: vc, pkt: f.pkt.id, seq: f.seq})
+	if o.log == nil {
+		return
 	}
+	p := f.pkt
+	ev := ProbeEvent{Cycle: o.cycle, Pkt: p.id, Router: int32(r.id), Src: int32(p.src), Dst: int32(p.dst),
+		Seq: int32(f.seq), Dir: dir, Kind: kind, Type: BodyFlit, Class: p.class, VC: int8(vc)}
+	switch {
+	case f.head && f.tail:
+		ev.Type = HeadTailFlit
+	case f.head:
+		ev.Type = HeadFlit
+	case f.tail:
+		ev.Type = TailFlit
+	}
+	if kind == ProbeInject || kind == ProbeEject {
+		ev.Created = p.created
+	}
+	if kind == ProbeInject && p.layers != nil {
+		ev.Layers = p.layers[f.seq]
+	}
+	o.log(ev)
 }
 
 // oEjection is one packet leaving the network: what the comparison

@@ -60,19 +60,23 @@ func ParseProbeKind(s string) (ProbeKind, bool) {
 	return 0, false
 }
 
-// ProbeEvent is one pipeline event, passed to the attached Probe by
-// value (emitting an event never allocates). Router identifies where
-// the event happened; Dir and VC identify the output port and virtual
+// ProbeEvent is one pipeline event: a fixed-width, packet-free record the
+// emitting shard fills from the flit, so a probe may keep it. Router is
+// where the event happened; Dir and VC are the output port and virtual
 // channel for route/VC-alloc/SA events, an SA Dir also the link crossed
 // (Dir is Local and VC the injection VC for inject events; both are zero
-// for eject events, where the flit has left the router).
+// for eject events). Created, the packet's creation cycle, is set on
+// inject and eject events, and Layers, the flit's active datapath layer
+// count (0 = all, §3.2.1), on inject events only.
 type ProbeEvent struct {
-	Kind   ProbeKind
-	Cycle  int64
-	Router topology.NodeID
-	Dir    topology.Dir
-	VC     int8
-	Flit   Flit
+	Cycle, Pkt, Created   int64
+	Router, Src, Dst, Seq int32
+	Dir                   topology.Dir
+	Kind                  ProbeKind
+	Type                  FlitType
+	Class                 Class
+	VC                    int8
+	Layers                uint8
 }
 
 // Probe observes router-pipeline events. A probe is attached to a
@@ -100,9 +104,7 @@ type ProbeEvent struct {
 // traversal). Body and tail flits inherit the head's route and VC, so
 // their visits carry switch-grant events only.
 //
-// Implementations must not mutate the network from inside a callback;
-// the event's Flit shares the live *Packet, which the network reuses
-// after the packet's delivery (Enqueue) — copy what outlives the call.
+// Implementations must not mutate the network from inside a callback.
 type Probe interface {
 	ProbeEvent(ev ProbeEvent)
 }

@@ -339,9 +339,7 @@ func (r *Router) routeHead(f int) {
 	}
 	r.cnt.RCOps++
 	if r.net.probe != nil {
-		r.sh.emit(ProbeEvent{
-			Kind: ProbeRoute, Cycle: r.net.cycle, Router: r.id, Dir: d, Flit: *flit,
-		})
+		r.sh.emit(ProbeRoute, r.net.cycle, r.id, d, 0, flit)
 	}
 }
 
@@ -456,10 +454,7 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.setVCState(int32(g), vcActive)
 	r.cnt.VAGrants++
 	if r.net.probe != nil {
-		r.sh.emit(ProbeEvent{
-			Kind: ProbeVCAlloc, Cycle: cycle, Router: r.id,
-			Dir: r.outPorts[oi].dir, VC: int8(ov), Flit: *r.vcFrontFlit(g),
-		})
+		r.sh.emit(ProbeVCAlloc, cycle, r.id, r.outPorts[oi].dir, int8(ov), r.vcFrontFlit(g))
 	}
 	if r.net.cfg.SpecSA {
 		r.trySpeculativeForward(cycle, g, oi)
@@ -646,9 +641,7 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	r.cnt.WXbarFlits += frac
 	sh := r.sh
 	if r.net.probe != nil { // on a network port, also the link traversal (ProbeLink)
-		sh.emit(ProbeEvent{
-			Kind: ProbeSAGrant, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
-		})
+		sh.emit(ProbeSAGrant, cycle, r.id, op.dir, int8(outVC), f)
 	}
 
 	// Credit back to the upstream router (the NI checks space directly)

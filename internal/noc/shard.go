@@ -208,9 +208,21 @@ type shardState struct {
 	panicked any
 }
 
-// emit buffers one probe event for the epilogue; emission sites call
-// it only while a probe is attached.
-func (sh *shardState) emit(ev ProbeEvent) { sh.probeBuf = append(sh.probeBuf, ev) }
+// emit buffers the probe event of kind k for flit f for the epilogue,
+// reading the packet while the shard owns it; emission sites call it
+// only while a probe is attached.
+func (sh *shardState) emit(k ProbeKind, cycle int64, router topology.NodeID, d topology.Dir, vc int8, f *Flit) {
+	p := f.Pkt
+	ev := ProbeEvent{Cycle: cycle, Pkt: p.ID, Router: int32(router), Src: int32(p.Src), Dst: int32(p.Dst),
+		Seq: f.Seq, Dir: d, Kind: k, Type: f.Type, Class: p.Class, VC: vc}
+	if k == ProbeInject || k == ProbeEject {
+		ev.Created = p.CreatedAt
+	}
+	if k == ProbeInject {
+		ev.Layers = f.ActiveLayers
+	}
+	sh.probeBuf = append(sh.probeBuf, ev)
+}
 
 // slot returns the ring slot of delivery cycle at for an event
 // scheduled in cycle now. Every ring and lane is ringLen slots long, so
@@ -409,7 +421,7 @@ func (n *Network) deliver(sh *shardState) {
 		for k := range ej {
 			e := &ej[k]
 			if n.probe != nil {
-				sh.emit(ProbeEvent{Kind: ProbeEject, Cycle: cycle, Router: topology.NodeID(e.router), Flit: e.flit})
+				sh.emit(ProbeEject, cycle, topology.NodeID(e.router), 0, 0, &e.flit)
 			}
 			if e.flit.Type.IsTail() {
 				e.flit.Pkt.EjectedAt = cycle

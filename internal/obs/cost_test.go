@@ -10,15 +10,10 @@ import (
 	"mira/internal/traffic"
 )
 
-// probeRecorder keeps the raw probe stream of a run, each event with the
-// packet as it was: the network recycles a packet once it has ejected.
-type probeRecorder struct{ events []noc.ProbeEvent }
+// probeRecorder keeps the probe stream of a run.
+type probeRecorder []noc.ProbeEvent
 
-func (r *probeRecorder) ProbeEvent(ev noc.ProbeEvent) {
-	pkt := *ev.Flit.Pkt
-	ev.Flit.Pkt = &pkt
-	r.events = append(r.events, ev)
-}
+func (r *probeRecorder) ProbeEvent(ev noc.ProbeEvent) { *r = append(*r, ev) }
 
 // recordedStream is the probe stream of a short, fully drained
 // uniform-random run: every flit it injects it also ejects, so the
@@ -34,7 +29,7 @@ func recordedStream(tb testing.TB) []noc.ProbeEvent {
 	if res := sim.Run(context.Background()); res.Ejected == 0 || res.Saturated {
 		tb.Fatalf("recording run did not drain: %s", res.String())
 	}
-	return rec.events
+	return rec
 }
 
 // observedCollector is the configuration the ur6x6_observed benchmark

@@ -72,10 +72,10 @@ func inline(stream []noc.ProbeEvent, sink func(*bytes.Buffer) io.Writer) observa
 		if i == len(stream)/2 {
 			o.mid = sb.lat.stats().JSON()
 		}
-		e := eventOf(&stream[i])
+		e := &stream[i]
 		counts[e.Kind]++
-		sb.Feed(&e) //nolint:errcheck // compared through Err below
-		tw.Record(&e)
+		sb.Feed(e) //nolint:errcheck // compared through Err below
+		tw.Record(e)
 		if crossesLink(e.Kind, e.Dir) {
 			counts[noc.ProbeLink]++
 			tw.recordLink()

@@ -107,7 +107,7 @@ type latencyAcc struct {
 const histBins = 4096
 
 // add accounts one flit ejected by e, lat cycles after its inject.
-func (a *latencyAcc) add(lat int64, e *Event) {
+func (a *latencyAcc) add(lat int64, e *noc.ProbeEvent) {
 	a.flitHist.Add(int(lat))
 	a.flitSum += float64(lat)
 	a.flits++
@@ -171,7 +171,7 @@ type Collector struct {
 	// The hand-off: the simulation goroutine appends to fill while the sink
 	// goroutines read spare, free again once draining is waited out. The
 	// sinks are bound once: a go statement with arguments allocates.
-	fill, spare      []Event
+	fill, spare      []noc.ProbeEvent
 	feedFn, recordFn func()
 	draining         sync.WaitGroup
 	sinkPanic        [2]any           // what each sink goroutine recovered, until await re-raises it
@@ -222,11 +222,11 @@ func (c *Collector) Attach(sim *noc.Sim) {
 // Config.Engine is off.
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
-// ProbeEvent implements noc.Probe. Only what needs the live packet happens
-// here, on the simulation goroutine: the kind is counted (a grant onto a
-// network port also as a link) and the event copied into the fill batch,
-// which goes to the sinks when full. The latency statistics need only a
-// flit's two ends; the stage events between are kept for a trace or spans.
+// ProbeEvent implements noc.Probe. Only counting happens here, on the
+// simulation goroutine: the kind is counted (a grant onto a network port
+// also as a link) and the record appended to the fill batch, which goes
+// to the sinks when full. The latency statistics need only a flit's two
+// ends; the stage events between are kept for a trace or spans.
 func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
 	c.counts[ev.Kind]++
 	if crossesLink(ev.Kind, ev.Dir) {
@@ -237,9 +237,9 @@ func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
 		return
 	}
 	if c.fill == nil {
-		c.fill, c.spare = make([]Event, 0, batchEvents), make([]Event, 0, batchEvents)
+		c.fill, c.spare = make([]noc.ProbeEvent, 0, batchEvents), make([]noc.ProbeEvent, 0, batchEvents)
 	}
-	c.fill = append(c.fill, eventOf(&ev))
+	c.fill = append(c.fill, ev)
 	if len(c.fill) >= batchEvents {
 		c.handOff()
 	}

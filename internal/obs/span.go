@@ -391,7 +391,7 @@ func (b *SpanBuilder) vacate(k flitKey, i int32) {
 	b.free = append(b.free, i)
 }
 
-func (b *SpanBuilder) fail(e *Event, format string, args ...any) {
+func (b *SpanBuilder) fail(e *noc.ProbeEvent, format string, args ...any) {
 	if b.err == nil {
 		b.err = fmt.Errorf("obs: span flit %d.%d "+format, append([]any{e.Pkt, e.Seq}, args...)...)
 	}
@@ -401,7 +401,7 @@ func (b *SpanBuilder) fail(e *Event, format string, args ...any) {
 // (nil while the stream stays consistent). An inject opens a slot and
 // an eject vacates it; when folding, so does a route event, which
 // look-ahead routing may emit one site before the same cycle's inject.
-func (b *SpanBuilder) Feed(e *Event) error {
+func (b *SpanBuilder) Feed(e *noc.ProbeEvent) error {
 	k := flitKey{e.Pkt, e.Seq}
 	i, known := b.find(k)
 	if !known {
@@ -439,7 +439,7 @@ func (b *SpanBuilder) Feed(e *Event) error {
 }
 
 // foldEvent applies one stage event to the flit's open hop.
-func (b *SpanBuilder) foldEvent(e *Event, o *openFlit) {
+func (b *SpanBuilder) foldEvent(e *noc.ProbeEvent, o *openFlit) {
 	if e.Router < 0 || e.Router >= 1<<16 { // a router numbers an attribution row
 		b.fail(e, "at router %d (want 0 to 65535)", e.Router)
 		return
@@ -496,7 +496,7 @@ func (b *SpanBuilder) foldEvent(e *Event, o *openFlit) {
 // is the eject delay after the final grant (the NI ejection takes
 // exactly the configured traversal cycles), which fixes every hop's
 // departure and therefore every arrival.
-func (b *SpanBuilder) finish(e *Event, o *openFlit) {
+func (b *SpanBuilder) finish(e *noc.ProbeEvent, o *openFlit) {
 	n := len(o.hops)
 	if n == 0 || o.hops[n-1].grant < 0 {
 		b.fail(e, "ejected without a switch grant (trace filtered or truncated?)")

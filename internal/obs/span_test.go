@@ -219,12 +219,12 @@ func TestSpanBuilderRejectsFilteredTrace(t *testing.T) {
 // at 0 is a duplicate, and a look-ahead flit whose route precedes its
 // cycle-0 inject (created at 0) is a valid span, not an uninjected one.
 func TestSpanBuilderCycleZero(t *testing.T) {
-	ev := func(kind noc.ProbeKind, cycle int64, router int32) Event {
+	ev := func(kind noc.ProbeKind, cycle int64, router int32) noc.ProbeEvent {
 		e := mkEvent(kind, cycle, 7, 0)
 		e.Router = router
 		return e
 	}
-	feedAll := func(events ...Event) *SpanBuilder {
+	feedAll := func(events ...noc.ProbeEvent) *SpanBuilder {
 		b := newSpanBuilder(true, true)
 		for i := range events {
 			b.Feed(&events[i])

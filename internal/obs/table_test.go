@@ -39,8 +39,8 @@ type packet struct {
 }
 
 // streamOf lays the packets' events out in cycle order.
-func streamOf(pkts []packet) []Event {
-	var events []Event
+func streamOf(pkts []packet) []noc.ProbeEvent {
+	var events []noc.ProbeEvent
 	for _, p := range pkts {
 		src, dst := int32(p.id%16), int32((p.id+5)%16)
 		class := noc.Data
@@ -57,8 +57,8 @@ func streamOf(pkts []packet) []Event {
 			case s == p.flits-1:
 				typ = noc.TailFlit
 			}
-			ev := func(kind noc.ProbeKind, cycle int64, router int32) Event {
-				return Event{Cycle: cycle, Pkt: p.id, Seq: int32(s), Kind: kind, Type: typ, Class: class,
+			ev := func(kind noc.ProbeKind, cycle int64, router int32) noc.ProbeEvent {
+				return noc.ProbeEvent{Cycle: cycle, Pkt: p.id, Seq: int32(s), Kind: kind, Type: typ, Class: class,
 					Router: router, Src: src, Dst: dst, Dir: topology.Dir(p.id % 5), Created: p.inject}
 			}
 			in, grant := p.inject+int64(s), p.grant+int64(s)
@@ -79,7 +79,7 @@ func streamOf(pkts []packet) []Event {
 
 // eventReader streams events as a JSONL trace one line at a time.
 type eventReader struct {
-	events []Event
+	events []noc.ProbeEvent
 	line   []byte
 }
 
@@ -116,8 +116,7 @@ func TestOpenTableMatchesMap(t *testing.T) {
 	}
 	var filtered bytes.Buffer
 	tw := NewTraceWriter(&filtered, NodeClassFilter([]int{0, 5}, "data"))
-	for _, pe := range recordedStream(t) {
-		e := eventOf(&pe)
+	for _, e := range recordedStream(t) {
 		tw.Record(&e)
 	}
 	if err := tw.Close(); err != nil {
@@ -137,7 +136,7 @@ func TestOpenTableMatchesMap(t *testing.T) {
 
 	for _, tc := range []struct {
 		name        string
-		events      []Event
+		events      []noc.ProbeEvent
 		grow, spill bool // what a synthetic stream must make the table do
 	}{
 		{"spaced", spacedEvents, true, true},

@@ -13,56 +13,16 @@ import (
 	"mira/internal/topology"
 )
 
-// Event is the one record the layer works on: a fixed-width,
-// string-free copy of a probe event, built once per noc.ProbeEvent by
-// the collector or per line by ScanTrace, so live and replayed streams
-// drive one state machine. Kind, Type, Class and Dir have names only in
-// the JSONL encoding and the FlitSpan/Perfetto exports. A *Event is
-// valid for the call it is passed to; keep a copy, not the pointer. The
-// json tags are the reader's (wireEvent); appendEvent is the writer.
-type Event struct {
-	Cycle int64 `json:"c"`
-	Pkt   int64 `json:"p"`
-	// Created is the packet's creation cycle (source queueing included),
-	// carried on inject and eject events so packet latency is computable
-	// from the trace alone.
-	Created int64 `json:"created"`
-	Router  int32 `json:"r"`
-	Src     int32 `json:"src"`
-	Dst     int32 `json:"dst"`
-	Seq     int32 `json:"s"`
-	// Dir is the output port; eject events have none and serialize none.
-	Dir   topology.Dir  `json:"-"`
-	Kind  noc.ProbeKind `json:"-"`
-	Type  noc.FlitType  `json:"-"`
-	Class noc.Class     `json:"-"`
-	VC    int8          `json:"vc"`
-	// Layers is the flit's active datapath layer count (0 = all layers),
-	// carried on inject events so span attribution can group by the
-	// §3.2.1 layer-shutdown state.
-	Layers uint8 `json:"al"`
-}
+// The layer works on noc.ProbeEvent as the network fills it or ScanTrace
+// decodes it, so live and replayed streams drive one state machine. Kind,
+// Type, Class and Dir have names only in the JSONL encoding (appendEvent,
+// wireEvent) and the FlitSpan/Perfetto exports. A *noc.ProbeEvent handed
+// to a callback is valid for the call; keep a copy, not the pointer.
 
 // flitTypeNames maps noc.FlitType to its serialized name.
 var flitTypeNames = [...]string{"head", "body", "tail", "headtail"}
 
 func flitTypeName(t noc.FlitType) string { return flitTypeNames[t] }
-
-// eventOf copies what the layer keeps of a live probe event. ev.Flit
-// shares the simulator's live *Packet, so everything is read out here,
-// before ProbeEvent returns; nothing downstream holds the packet.
-func eventOf(ev *noc.ProbeEvent) Event {
-	p := ev.Flit.Pkt
-	e := Event{Cycle: ev.Cycle, Pkt: p.ID, Router: int32(ev.Router), Src: int32(p.Src), Dst: int32(p.Dst),
-		Seq: ev.Flit.Seq, Dir: ev.Dir, Kind: ev.Kind, Type: ev.Flit.Type, Class: p.Class, VC: ev.VC}
-	if ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject {
-		e.Created = p.CreatedAt
-	}
-	if ev.Kind == noc.ProbeInject {
-		e.Layers = ev.Flit.ActiveLayers
-	}
-	return e
-}
 
 // The JSON between a line's numbers: `,"k":"inject","r":`, `,"d":"east"`, `,"t":"head","cl":"data","src":`.
 var (
@@ -90,7 +50,7 @@ func init() {
 // (FuzzEventJSON holds the two equal): keys in the order below, "d"
 // absent on eject events, "vc", "created" and "al" absent when zero.
 // A line is four fragments, which TraceWriter.Record caches two of.
-func appendEvent(buf []byte, e *Event) []byte {
+func appendEvent(buf []byte, e *noc.ProbeEvent) []byte {
 	buf = appendCycle(slices.Grow(buf, lineHeadroom), e.Cycle)
 	return appendTail(appendRun(appendHop(buf, e), e), e)
 }
@@ -99,7 +59,7 @@ func appendEvent(buf []byte, e *Event) []byte {
 func appendCycle(buf []byte, cycle int64) []byte { return putInt(append(buf, `{"c":`...), cycle) }
 
 // appendHop writes where the event happened: kind, router, direction and VC.
-func appendHop(buf []byte, e *Event) []byte {
+func appendHop(buf []byte, e *noc.ProbeEvent) []byte {
 	buf = putInt(append(buf, kindKeys[e.Kind]...), int64(e.Router))
 	if e.Kind != noc.ProbeEject {
 		buf = append(buf, dirKeys[e.Dir]...)
@@ -111,7 +71,7 @@ func appendHop(buf []byte, e *Event) []byte {
 }
 
 // appendRun writes the fields a flit keeps all its life: `,"p":..,"dst":..`.
-func appendRun(buf []byte, e *Event) []byte {
+func appendRun(buf []byte, e *noc.ProbeEvent) []byte {
 	buf = putInt(append(buf, `,"p":`...), e.Pkt)
 	buf = putInt(append(buf, `,"s":`...), int64(e.Seq))
 	buf = putInt(append(buf, typeClassKeys[e.Type][e.Class]...), int64(e.Src))
@@ -119,7 +79,7 @@ func appendRun(buf []byte, e *Event) []byte {
 }
 
 // appendTail writes the inject and eject fields and ends the line.
-func appendTail(buf []byte, e *Event) []byte {
+func appendTail(buf []byte, e *noc.ProbeEvent) []byte {
 	if e.Created != 0 {
 		buf = putInt(append(buf, `,"created":`...), e.Created)
 	}
@@ -173,7 +133,7 @@ const traceBufSize, lineHeadroom = 64 << 10, 256
 type TraceWriter struct {
 	w      io.Writer
 	buf    []byte
-	filter func(Event) bool
+	filter func(noc.ProbeEvent) bool
 	err    error
 
 	cycle  int64  // the cycle prefix encodes
@@ -205,14 +165,14 @@ type runKey struct {
 
 // NewTraceWriter builds a JSONL trace writer over w. filter, when
 // non-nil, selects the events to record; everything else is discarded.
-func NewTraceWriter(w io.Writer, filter func(Event) bool) *TraceWriter {
+func NewTraceWriter(w io.Writer, filter func(noc.ProbeEvent) bool) *TraceWriter {
 	return &TraceWriter{w: w, buf: make([]byte, 0, traceBufSize+lineHeadroom), filter: filter,
 		prefix: appendCycle(make([]byte, 0, 32), 0), runs: new([runSlots]runSlot)}
 }
 
 // Record filters and encodes one event: appendEvent's line, from the
 // caches where they hold it.
-func (t *TraceWriter) Record(e *Event) {
+func (t *TraceWriter) Record(e *noc.ProbeEvent) {
 	if t.err != nil || t.filter != nil && !t.filter(*e) {
 		t.rest = nil
 		return
@@ -290,7 +250,7 @@ func (t *TraceWriter) Close() error {
 // against the destination, so a node filter follows a flit only through
 // the listed routers. The filter takes the event by value: a pointer
 // handed to a func value would move every event to the heap.
-func NodeClassFilter(nodes []int, class string) func(Event) bool {
+func NodeClassFilter(nodes []int, class string) func(noc.ProbeEvent) bool {
 	if len(nodes) == 0 && class == "" {
 		return nil
 	}
@@ -302,7 +262,7 @@ func NodeClassFilter(nodes []int, class string) func(Event) bool {
 			allow[int32(n)] = true
 		}
 	}
-	return func(e Event) bool {
+	return func(e noc.ProbeEvent) bool {
 		return (allow == nil || allow[e.Router]) && (class == "" || e.Class == want)
 	}
 }
@@ -321,23 +281,33 @@ func parseName[T ~uint8 | ~int](s string, n T, name func(T) string, what string)
 	return n, fmt.Errorf("unknown %s %q", what, s)
 }
 
-// wireEvent is one JSONL line: numbers decode straight into the record
-// (whose widths make an out-of-range one an error), names are parsed.
+// wireEvent is one JSONL line, the reader's side of appendEvent: numbers
+// decode into fields of the record's widths (so an out-of-range one is
+// an error), names are parsed.
 type wireEvent struct {
-	*Event
-	Kind  string `json:"k"`
-	Dir   string `json:"d"`
-	Type  string `json:"t"`
-	Class string `json:"cl"`
+	Cycle   int64  `json:"c"`
+	Pkt     int64  `json:"p"`
+	Created int64  `json:"created"`
+	Router  int32  `json:"r"`
+	Src     int32  `json:"src"`
+	Dst     int32  `json:"dst"`
+	Seq     int32  `json:"s"`
+	VC      int8   `json:"vc"`
+	Layers  uint8  `json:"al"`
+	Kind    string `json:"k"`
+	Dir     string `json:"d"`
+	Type    string `json:"t"`
+	Class   string `json:"cl"`
 }
 
 // decodeEvent parses one line into e. The kind must be present.
-func decodeEvent(line []byte, e *Event) (err error) {
-	*e = Event{}
-	w := wireEvent{Event: e}
+func decodeEvent(line []byte, e *noc.ProbeEvent) (err error) {
+	var w wireEvent
 	if err = json.Unmarshal(line, &w); err != nil {
 		return err
 	}
+	*e = noc.ProbeEvent{Cycle: w.Cycle, Pkt: w.Pkt, Created: w.Created, Router: w.Router, Src: w.Src, Dst: w.Dst,
+		Seq: w.Seq, VC: w.VC, Layers: w.Layers}
 	var ok bool
 	if e.Kind, ok = noc.ParseProbeKind(w.Kind); !ok {
 		return fmt.Errorf("unknown event kind %q", w.Kind)
@@ -356,10 +326,10 @@ func decodeEvent(line []byte, e *Event) (err error) {
 // structure as it goes: every line must parse, carry a known kind, and
 // cycles must be non-decreasing (emission order is simulation order).
 // fn sees the events in file order; its error stops the scan.
-func ScanTrace(r io.Reader, fn func(*Event) error) error {
+func ScanTrace(r io.Reader, fn func(*noc.ProbeEvent) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var e Event
+	var e noc.ProbeEvent
 	lastCycle := int64(-1)
 	for line := 1; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
@@ -403,7 +373,7 @@ func replay(r io.Reader, flits *SpanBuilder) (Summary, error) {
 	var counts [noc.NumProbeKinds]int64
 	var violation error
 	n := 0
-	err := ScanTrace(r, func(e *Event) error {
+	err := ScanTrace(r, func(e *noc.ProbeEvent) error {
 		if _, inFlight := flits.find(flitKey{e.Pkt, e.Seq}); violation == nil && inFlight == (e.Kind == noc.ProbeInject) {
 			what := "injected twice"
 			if !inFlight {

@@ -15,20 +15,20 @@ import (
 )
 
 // readTrace is ScanTrace into a slice.
-func readTrace(r io.Reader) (out []Event, err error) {
-	err = ScanTrace(r, func(e *Event) error {
+func readTrace(r io.Reader) (out []noc.ProbeEvent, err error) {
+	err = ScanTrace(r, func(e *noc.ProbeEvent) error {
 		out = append(out, *e)
 		return nil
 	})
 	return out, err
 }
 
-func mkEvent(kind noc.ProbeKind, cycle, pkt int64, seq int32) Event {
-	return Event{Cycle: cycle, Kind: kind, Pkt: pkt, Seq: seq, Type: noc.HeadTailFlit, Class: noc.Data}
+func mkEvent(kind noc.ProbeKind, cycle, pkt int64, seq int32) noc.ProbeEvent {
+	return noc.ProbeEvent{Cycle: cycle, Kind: kind, Pkt: pkt, Seq: seq, Type: noc.HeadTailFlit, Class: noc.Data}
 }
 
 // jsonl encodes events the way the trace writer does.
-func jsonl(events ...Event) *bytes.Buffer {
+func jsonl(events ...noc.ProbeEvent) *bytes.Buffer {
 	var buf []byte
 	for i := range events {
 		buf = appendEvent(buf, &events[i])
@@ -73,17 +73,17 @@ func TestReadTraceSkipsBlankLines(t *testing.T) {
 func TestReplayProtocolViolations(t *testing.T) {
 	cases := []struct {
 		name    string
-		events  []Event
+		events  []noc.ProbeEvent
 		wantErr string
 	}{
 		{"double inject",
-			[]Event{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeInject, 2, 7, 0)},
+			[]noc.ProbeEvent{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeInject, 2, 7, 0)},
 			"injected twice"},
 		{"eject before inject",
-			[]Event{mkEvent(noc.ProbeEject, 1, 7, 0)},
+			[]noc.ProbeEvent{mkEvent(noc.ProbeEject, 1, 7, 0)},
 			"before inject"},
 		{"event after eject",
-			[]Event{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeEject, 2, 7, 0), mkEvent(noc.ProbeLink, 3, 7, 0)},
+			[]noc.ProbeEvent{mkEvent(noc.ProbeInject, 1, 7, 0), mkEvent(noc.ProbeEject, 2, 7, 0), mkEvent(noc.ProbeLink, 3, 7, 0)},
 			"after eject"},
 	}
 	for _, tc := range cases {
@@ -126,12 +126,8 @@ func TestReplayComputesLatency(t *testing.T) {
 
 // injectEvent is the record of a single-flit data packet entering at
 // router 0 in the given cycle.
-func injectEvent(cycle int64) Event {
-	pe := noc.ProbeEvent{
-		Kind: noc.ProbeInject, Cycle: cycle,
-		Flit: noc.Flit{Pkt: &noc.Packet{ID: 1, Size: 1, Class: noc.Data}, Type: noc.HeadTailFlit},
-	}
-	return eventOf(&pe)
+func injectEvent(cycle int64) noc.ProbeEvent {
+	return noc.ProbeEvent{Kind: noc.ProbeInject, Cycle: cycle, Pkt: 1, Type: noc.HeadTailFlit, Class: noc.Data}
 }
 
 // TestTraceWriterBufferFlush checks the byte buffer bounds memory
@@ -177,7 +173,7 @@ func TestNodeClassFilterNil(t *testing.T) {
 		t.Error("empty filter spec should compile to no filter at all")
 	}
 	f := NodeClassFilter([]int{3}, "")
-	ev := Event{Router: 3}
+	ev := noc.ProbeEvent{Router: 3}
 	if !f(ev) {
 		t.Error("allow-listed router rejected")
 	}
@@ -190,7 +186,7 @@ func TestNodeClassFilterNil(t *testing.T) {
 // TestNodeClassFilterClass: the class name is parsed once, to the enum
 // the events carry; a name that is no class admits nothing.
 func TestNodeClassFilterClass(t *testing.T) {
-	ctl, data := Event{Class: noc.Control}, Event{Class: noc.Data}
+	ctl, data := noc.ProbeEvent{Class: noc.Control}, noc.ProbeEvent{Class: noc.Data}
 	for _, tc := range []struct {
 		class         string
 		wantCtl, want bool
@@ -284,7 +280,7 @@ type legacyEvent struct {
 	Layers  int    `json:"al,omitempty"`
 }
 
-func legacyOf(e *Event) legacyEvent {
+func legacyOf(e *noc.ProbeEvent) legacyEvent {
 	l := legacyEvent{Cycle: e.Cycle, Kind: e.Kind.String(), Router: int(e.Router), VC: int(e.VC),
 		Pkt: e.Pkt, Seq: int(e.Seq), Type: flitTypeNames[e.Type], Class: e.Class.String(),
 		Src: int(e.Src), Dst: int(e.Dst), Created: e.Created, Layers: int(e.Layers)}
@@ -296,7 +292,7 @@ func legacyOf(e *Event) legacyEvent {
 
 // FuzzEventJSON: for any field values the append encoder writes the
 // bytes encoding/json writes for the legacy record, and the reader
-// turns those bytes back into the same Event.
+// turns those bytes back into the same noc.ProbeEvent.
 func FuzzEventJSON(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(0), int32(0), int32(0), int32(0), int32(0), uint8(0), uint8(0), uint8(0), uint8(0), int8(0), uint8(0))
 	f.Add(int64(31999), int64(43193), int64(31950), int32(35), int32(0), int32(35), int32(3), uint8(5), uint8(2), uint8(1), uint8(0), int8(0), uint8(0))
@@ -305,7 +301,7 @@ func FuzzEventJSON(f *testing.F) {
 	f.Add(int64(math.MaxInt64), int64(math.MinInt64), int64(math.MinInt64), int32(math.MinInt32), int32(math.MaxInt32),
 		int32(-1), int32(math.MaxInt32), uint8(255), uint8(255), uint8(255), uint8(255), int8(math.MinInt8), uint8(255))
 	f.Fuzz(func(t *testing.T, cycle, pkt, created int64, router, src, dst, seq int32, kind, typ, class, dir uint8, vc int8, layers uint8) {
-		e := Event{Cycle: cycle, Pkt: pkt, Created: created, Router: router, Src: src, Dst: dst, Seq: seq,
+		e := noc.ProbeEvent{Cycle: cycle, Pkt: pkt, Created: created, Router: router, Src: src, Dst: dst, Seq: seq,
 			Kind:  noc.ProbeKind(kind) % noc.NumProbeKinds,
 			Type:  noc.FlitType(int(typ) % len(flitTypeNames)),
 			Class: noc.Class(class) % noc.NumClasses,
@@ -358,7 +354,7 @@ const trace3dmHead = `{"c":1,"k":"inject","r":31,"d":"local","p":1,"s":0,"t":"he
 // for the cycle step (signed: cycles may go back), pkt, seq, src, dst,
 // router and created, then a byte each for kind, type, class, dir, vc and
 // layers. fuzzInput is its inverse.
-func fuzzEvents(data []byte) (events []Event) {
+func fuzzEvents(data []byte) (events []noc.ProbeEvent) {
 	var cycle int64
 	for {
 		var v [7]int64
@@ -375,14 +371,14 @@ func fuzzEvents(data []byte) (events []Event) {
 		b := data[:6]
 		data = data[6:]
 		cycle += v[0]
-		events = append(events, Event{Cycle: cycle, Pkt: v[1], Seq: int32(v[2]), Src: int32(v[3]), Dst: int32(v[4]),
+		events = append(events, noc.ProbeEvent{Cycle: cycle, Pkt: v[1], Seq: int32(v[2]), Src: int32(v[3]), Dst: int32(v[4]),
 			Router: int32(v[5]), Created: v[6], Kind: noc.ProbeKind(b[0]) % noc.NumProbeKinds,
 			Type: noc.FlitType(int(b[1]) % len(flitTypeNames)), Class: noc.Class(b[2]) % noc.NumClasses,
 			Dir: topology.Dir(b[3]) % topology.NumDirs, VC: int8(b[4]), Layers: b[5]})
 	}
 }
 
-func fuzzInput(events ...Event) (data []byte) {
+func fuzzInput(events ...noc.ProbeEvent) (data []byte) {
 	var cycle int64
 	for _, e := range events {
 		for _, v := range [...]int64{e.Cycle - cycle, e.Pkt, int64(e.Seq), int64(e.Src), int64(e.Dst), int64(e.Router), e.Created} {
@@ -406,13 +402,13 @@ func FuzzTraceWriterStream(f *testing.F) {
 	}
 	f.Add(fuzzInput(head...))
 	a := head[0]
-	stream := []Event{a}
-	for _, change := range []func(*Event){ // the same key with one other field, then back
-		func(e *Event) { e.Src++ }, func(e *Event) { e.Dst++ },
-		func(e *Event) { e.Type = noc.TailFlit }, func(e *Event) { e.Class = noc.Control },
-		func(e *Event) { e.Pkt += runSlots >> seqBits }, // another key in the same slot
-		func(e *Event) { e.Cycle-- },
-		func(e *Event) { // a run longer than a slot holds
+	stream := []noc.ProbeEvent{a}
+	for _, change := range []func(*noc.ProbeEvent){ // the same key with one other field, then back
+		func(e *noc.ProbeEvent) { e.Src++ }, func(e *noc.ProbeEvent) { e.Dst++ },
+		func(e *noc.ProbeEvent) { e.Type = noc.TailFlit }, func(e *noc.ProbeEvent) { e.Class = noc.Control },
+		func(e *noc.ProbeEvent) { e.Pkt += runSlots >> seqBits }, // another key in the same slot
+		func(e *noc.ProbeEvent) { e.Cycle-- },
+		func(e *noc.ProbeEvent) { // a run longer than a slot holds
 			e.Pkt, e.Seq, e.Src, e.Dst, e.Type, e.Class = math.MinInt64, math.MinInt32, math.MinInt32, math.MinInt32, noc.HeadTailFlit, noc.Control
 		},
 	} {
