@@ -45,8 +45,9 @@ func benchStepProbe(b *testing.B, rate float64, p noc.Probe) {
 // b.N timed cycles. Traffic generation is pure rng work whose cost is
 // identical for every simulator variant, so it runs with the timer
 // stopped — specs are pre-generated a chunk of cycles at a time and the
-// timed region is exactly Enqueue+Step. Generation depends only on the
-// cycle number, so batching it does not change the injected traffic.
+// timed region is exactly Enqueue+Step. Generation reads nothing the
+// network writes and still sees every cycle once, in order, so batching
+// it does not change the injected traffic.
 func runStepBench(b *testing.B, net *noc.Network, gen *traffic.Uniform) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))

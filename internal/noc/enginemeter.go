@@ -27,11 +27,10 @@ type EngineMeter struct {
 	// mailbox mail[src][dst]; nil when S == 1 (nothing ever crosses).
 	// Each cell is written only by the destination shard's worker (at
 	// its drain) but read by external samplers, hence atomics.
-	cross                []crossCell
-	cycles               atomic.Int64
-	stepNs               atomic.Int64 // wall time inside Network.Step, all cycles
-	parks                atomic.Int64 // barrier waits that outlasted the spin budget (pool.go)
-	genBusyNs, genWaitNs atomic.Int64 // EngineSnapshot.GenBusyNs, GenWaitNs (ahead.go)
+	cross  []crossCell
+	cycles atomic.Int64
+	stepNs atomic.Int64 // wall time inside Network.Step, all cycles
+	parks  atomic.Int64 // barrier waits that outlasted the spin budget (pool.go)
 }
 
 // meterShard is one shard's wall-time totals, padded so concurrently
@@ -105,11 +104,7 @@ type EngineSnapshot struct {
 	// RingWords counts the arrival words delivered: one per ejected flit
 	// and per link-forwarded head (a head crossing shards counts at its
 	// mailbox delivery), so it is exact and the same at any shard count.
-	RingWords int64 `json:"ring_words"`
-	// GenBusyNs is the time in Generate and GenWaitNs the kernel's wait
-	// for it when Sim.Run generates ahead; both are 0 inline.
-	GenBusyNs int64             `json:"gen_busy_ns"`
-	GenWaitNs int64             `json:"gen_wait_ns"`
+	RingWords int64             `json:"ring_words"`
 	Shards    []EngineShardStat `json:"shards"`
 	// Mailbox lists the non-zero (src,dst) crossing counters in
 	// ascending (src,dst) order.
@@ -119,12 +114,10 @@ type EngineSnapshot struct {
 // Snapshot copies the meter's current totals.
 func (m *EngineMeter) Snapshot() EngineSnapshot {
 	s := EngineSnapshot{
-		Cycles:    m.cycles.Load(),
-		StepNs:    m.stepNs.Load(),
-		Parks:     m.parks.Load(),
-		GenBusyNs: m.genBusyNs.Load(),
-		GenWaitNs: m.genWaitNs.Load(),
-		Shards:    make([]EngineShardStat, len(m.shards)),
+		Cycles: m.cycles.Load(),
+		StepNs: m.stepNs.Load(),
+		Parks:  m.parks.Load(),
+		Shards: make([]EngineShardStat, len(m.shards)),
 	}
 	for i := range m.shards {
 		ms := &m.shards[i]

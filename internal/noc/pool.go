@@ -35,8 +35,7 @@ type shardPool struct {
 const poolSpinBudget, poolParkStreak, poolSpinRetry = 1 << 18, 8, 1 << 10
 
 // liveThreads counts the process's simulation threads: the shards of
-// every running pool, each running unsharded Sim.Run and each goroutine
-// generating ahead of one (ahead.go).
+// every running pool and each running unsharded Sim.Run.
 var liveThreads atomic.Int64
 
 // waiter is one goroutine's parking spot, padded to a cache line. parked

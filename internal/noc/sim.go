@@ -15,9 +15,10 @@ type Generator interface {
 	// specs and returns the extended slice. The simulator reuses the
 	// backing slice, so steady-state generation is allocation-free;
 	// implementations must not retain the slice across calls. The rng is
-	// owned by the simulation and seeded from Config.Seed. Cycles are
-	// queried in strictly increasing order, on Sim.Run's goroutine or,
-	// for an OpenLoop generator, on one Run starts (see Sim).
+	// owned by the simulation and seeded from Config.Seed. Sim.Run calls
+	// Generate once per cycle, from cycle 0 and in order, on Run's own
+	// goroutine, so a generator may keep state between cycles and draw
+	// from rng only when it has something to generate.
 	Generate(cycle int64, rng *rand.Rand, specs []Spec) []Spec
 }
 
@@ -121,13 +122,6 @@ type ClassResult struct {
 // stream and replay a drained network. Run panics on reuse; build a new
 // Sim (and Network) per run. This guarantee is what lets the parallel
 // experiment runner treat every sweep point as an isolated unit.
-//
-// Run calls Gen on the caller's goroutine unless Gen is OpenLoop, the
-// network unsharded and a core spare (liveThreads): then a goroutine Run
-// joins before returning generates the cycles in chunks ahead of the
-// kernel, which enqueues each at its cycle, so every result byte is the
-// same. A panic in Generate is raised by Run at its cycle; a canceled run
-// may have generated up to one chunk past the chunk of its last cycle.
 type Sim struct {
 	Net    *Network
 	Gen    Generator
@@ -200,10 +194,6 @@ func (s *Sim) Run(ctx context.Context) Result {
 		liveThreads.Add(1)
 		defer liveThreads.Add(-1)
 	}
-	ahead := s.startAhead(measureEnd)
-	if ahead != nil {
-		defer ahead.close()
-	}
 
 	var classLat, classHops [NumClasses]float64
 	s.Net.SetEjectHandler(func(pkt *Packet) {
@@ -257,11 +247,7 @@ func (s *Sim) Run(ctx context.Context) Result {
 			res.Saturated = float64(growth) > 0.005*float64(p.Measure)*float64(s.Net.cfg.Topo.NumNodes())
 		}
 		if cycle < measureEnd {
-			if ahead != nil {
-				s.specs = ahead.next(cycle)
-			} else {
-				s.specs = s.Gen.Generate(cycle, s.rng, s.specs[:0])
-			}
+			s.specs = s.Gen.Generate(cycle, s.rng, s.specs[:0])
 			for _, spec := range s.specs {
 				pkt, err := s.Net.Enqueue(spec)
 				if err != nil {

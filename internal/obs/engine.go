@@ -272,9 +272,8 @@ func (ec *EngineCollector) Table() stats.Table {
 	}
 	kcycles := max(float64(snap.Cycles)/1e3, 1e-3)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s ring_words=%.1f/kcycle gen_busy=%.2fs gen_wait=%.2fs",
-			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(float64(snap.Cycles)/max(wall, 1e-9)), float64(snap.RingWords)/kcycles,
-			float64(snap.GenBusyNs)/1e9, float64(snap.GenWaitNs)/1e9),
+		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s ring_words=%.1f/kcycle",
+			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(float64(snap.Cycles)/max(wall, 1e-9)), float64(snap.RingWords)/kcycles),
 		fmt.Sprintf("pool: %d workers, utilization %.0f%%, imbalance %.2fx (max/mean shard busy), %d parks",
 			len(snap.Shards), 100*snap.Utilization(), snap.ImbalanceRatio(), snap.Parks))
 	if len(snap.Mailbox) > 0 {

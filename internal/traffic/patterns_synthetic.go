@@ -47,20 +47,15 @@ type Permutation struct {
 	Dst           DstFunc
 	// Name labels the pattern in experiment output.
 	Name string
+
+	arr arrivals
 }
 
 var _ noc.Generator = (*Permutation)(nil)
 
-// OpenLoop implements noc.OpenLoop.
-func (*Permutation) OpenLoop() {}
-
 // Generate implements noc.Generator.
 func (p *Permutation) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
-	pPkt := p.InjectionRate / float64(p.PacketSize)
-	for src := 0; src < p.Topo.NumNodes(); src++ {
-		if rng.Float64() >= pPkt {
-			continue
-		}
+	for _, src := range p.arr.fire(cycle, rng, p.Topo.NumNodes(), p.InjectionRate/float64(p.PacketSize)) {
 		s := topology.NodeID(src)
 		d := p.Dst(p.Topo, s)
 		if d == s {
@@ -95,25 +90,24 @@ type Hotspot struct {
 	// packet targets one of them.
 	Hot  []topology.NodeID
 	Frac float64
+
+	arr arrivals
 }
 
 var _ noc.Generator = (*Hotspot)(nil)
 
-// OpenLoop implements noc.OpenLoop.
-func (*Hotspot) OpenLoop() {}
-
-// Generate implements noc.Generator.
+// Generate implements noc.Generator. One draw u picks the hot set (u <
+// Frac) and, scaled to [0, 1) by u / Frac, the hot node.
 func (h *Hotspot) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
 	n := h.Topo.NumNodes()
-	pPkt := h.InjectionRate / float64(h.PacketSize)
-	for src := 0; src < n; src++ {
-		if rng.Float64() >= pPkt {
-			continue
+	for _, src := range h.arr.fire(cycle, rng, n, h.InjectionRate/float64(h.PacketSize)) {
+		dst := topology.NodeID(-1)
+		if len(h.Hot) > 0 {
+			if u := rng.Float64(); u < h.Frac {
+				dst = h.Hot[min(int(u/h.Frac*float64(len(h.Hot))), len(h.Hot)-1)]
+			}
 		}
-		var dst topology.NodeID
-		if len(h.Hot) > 0 && rng.Float64() < h.Frac {
-			dst = h.Hot[rng.Intn(len(h.Hot))]
-		} else {
+		if dst < 0 {
 			dst = topology.NodeID(rng.Intn(n))
 		}
 		if dst == topology.NodeID(src) {

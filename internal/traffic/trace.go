@@ -111,10 +111,6 @@ type Replayer struct {
 
 var _ noc.Generator = (*Replayer)(nil)
 
-// OpenLoop implements noc.OpenLoop: a trace is replayed at its recorded
-// cycles whatever the network does.
-func (*Replayer) OpenLoop() {}
-
 // Generate implements noc.Generator. Cycles must be queried in
 // non-decreasing order; the rng is unused because traces are
 // deterministic.

@@ -15,7 +15,8 @@ import (
 type Uniform struct {
 	// Topo supplies the node population.
 	Topo *topology.Topology
-	// InjectionRate is offered load in flits/node/cycle.
+	// InjectionRate is offered load in flits/node/cycle, read at the
+	// first Generate.
 	InjectionRate float64
 	// PacketSize is the flit count per packet (the evaluation's data
 	// packets are 4 flits of 128 bits: one 64 B cache line).
@@ -23,21 +24,16 @@ type Uniform struct {
 	// ShortFlits optionally marks a fraction of flits short for the
 	// layer-shutdown studies; Layers must then be set.
 	ShortFlits ShortFlitProfile
+
+	arr arrivals
 }
 
 var _ noc.Generator = (*Uniform)(nil)
 
-// OpenLoop implements noc.OpenLoop: every node is a Bernoulli source.
-func (*Uniform) OpenLoop() {}
-
 // Generate implements noc.Generator.
 func (u *Uniform) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
 	n := u.Topo.NumNodes()
-	pPkt := u.InjectionRate / float64(u.PacketSize)
-	for src := 0; src < n; src++ {
-		if rng.Float64() >= pPkt {
-			continue
-		}
+	for _, src := range u.arr.fire(cycle, rng, n, u.InjectionRate/float64(u.PacketSize)) {
 		dst := rng.Intn(n - 1)
 		if dst >= src {
 			dst++
@@ -63,7 +59,8 @@ type NUCA struct {
 	Topo *topology.Topology
 	// InjectionRate is the total offered load in flits/node/cycle
 	// averaged over all nodes (so it is directly comparable with the
-	// Uniform workload at the same x-axis value).
+	// Uniform workload at the same x-axis value), read at the first
+	// Generate.
 	InjectionRate float64
 	// RequestSize and ResponseSize in flits (1 and 4 in the paper's
 	// setup: an address packet and a 64 B cache line).
@@ -79,6 +76,8 @@ type NUCA struct {
 	pending [][]noc.Spec
 	// cpus and caches are Topo's node lists, taken with pending.
 	cpus, caches []topology.NodeID
+	// arr is the CPUs' request arrivals, indexed like cpus.
+	arr arrivals
 }
 
 var _ noc.Generator = (*NUCA)(nil)
@@ -88,10 +87,6 @@ var _ noc.Generator = (*NUCA)(nil)
 // (4 cycles for a 512 KB bank at 2 GHz, Table 4) plus the request's
 // expected network traversal.
 const bankDelay = 24
-
-// OpenLoop implements noc.OpenLoop: a response follows its request after
-// bankDelay cycles, not after its delivery.
-func (*NUCA) OpenLoop() {}
 
 // Generate implements noc.Generator.
 func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spec {
@@ -116,10 +111,8 @@ func (g *NUCA) Generate(cycle int64, rng *rand.Rand, specs []noc.Spec) []noc.Spe
 	specs = append(specs, g.pending[slot]...)
 	g.pending[slot] = g.pending[slot][:0]
 
-	for _, cpu := range cpus {
-		if rng.Float64() >= pReq {
-			continue
-		}
+	for _, i := range g.arr.fire(cycle, rng, len(cpus), pReq) {
+		cpu := cpus[i]
 		bank := caches[rng.Intn(len(caches))]
 		specs = append(specs, noc.Spec{
 			Src:   cpu,
