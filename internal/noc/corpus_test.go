@@ -256,14 +256,18 @@ func (e corpusEntry) run(t testing.TB) {
 // the drained network's counters per router to the same run at 1 shard
 // in activity mode, bit for bit, and its per-class results to its
 // totals; probed, also its probe stream, event for event and in order
-// (the SetProbe contract).
+// (the SetProbe contract), taken by a BatchProbe against the reference's
+// per-record probe.
 func sameSim(t testing.TB, cfg Config, gen Generator, measure int64, probed bool) {
 	t.Helper()
-	run := func(cfg Config) ([]byte, probeTap) {
+	run := func(cfg Config, batch bool) ([]byte, probeTap) {
 		net := NewNetwork(cfg)
-		var tap probeTap
-		if probed {
+		var tap batchTap
+		switch {
+		case probed && batch:
 			net.SetProbe(&tap)
+		case probed:
+			net.SetProbe(&tap.probeTap)
 		}
 		s := NewSim(net, gen)
 		s.Params = SimParams{Warmup: measure / 2, Measure: measure, DrainMax: 8000}
@@ -279,12 +283,12 @@ func sameSim(t testing.TB, cfg Config, gen Generator, measure int64, probed bool
 			t.Fatalf("shards %d mode %v: per-class results %+v do not add up to %v", cfg.Shards, cfg.Mode, res.PerClass, res.String())
 		}
 		b, _ := json.Marshal([]any{res, net.RouterCounters()})
-		return b, tap
+		return b, tap.probeTap
 	}
 	ref := cfg
 	ref.Shards, ref.Mode = 1, StepActivity
-	want, wantEvents := run(ref)
-	got, gotEvents := run(cfg)
+	want, wantEvents := run(ref, false)
+	got, gotEvents := run(cfg, true)
 	if string(got) != string(want) {
 		t.Fatalf("shards %d mode %v: Result differs from 1 shard in activity mode:\n%s\n%s", cfg.Shards, cfg.Mode, got, want)
 	}

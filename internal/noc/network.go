@@ -111,8 +111,12 @@ type Network struct {
 	// probe, when non-nil, observes every pipeline event (see probe.go).
 	// Emission sites nil-check it so an unobserved network pays one
 	// branch per site and nothing else; they buffer into their shard
-	// (shardState.emit) for Step's epilogue to replay.
-	probe Probe
+	// (shardState.emit) for Step's epilogue to hand over. batch is probe
+	// as a BatchProbe (else nil), and batchBuf, on several shards, the
+	// buffer its last Flush returned.
+	probe    Probe
+	batch    BatchProbe
+	batchBuf []ProbeEvent
 
 	// meter, when non-nil, accumulates engine self-telemetry — per-shard
 	// wall time per cycle phase, boundary-mailbox crossing counts — with

@@ -194,6 +194,23 @@ type probeTap []ProbeEvent
 
 func (p *probeTap) ProbeEvent(ev ProbeEvent) { *p = append(*p, ev) }
 
+// batchTap records them through the batch path: it keeps the records
+// each Flush adds and lends the buffer back until it holds 64, as
+// internal/obs's collector lends its fill batch.
+type batchTap struct {
+	probeTap
+	kept int // records of the lent buffer already kept
+}
+
+func (b *batchTap) Flush(batch []ProbeEvent) []ProbeEvent {
+	b.probeTap = append(b.probeTap, batch[b.kept:]...)
+	if len(batch) >= 64 {
+		batch = batch[:0]
+	}
+	b.kept = len(batch)
+	return batch
+}
+
 // checkLaws scans the oracle's structures for flit conservation
 // (generated = ejected + queued + buffered + on wires) and, per link and
 // VC, credit conservation (upstream credits + downstream occupancy +

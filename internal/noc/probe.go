@@ -1,6 +1,10 @@
 package noc
 
-import "mira/internal/topology"
+import (
+	"unsafe"
+
+	"mira/internal/topology"
+)
 
 // ProbeKind tags one observable event in a flit's life. The six kinds
 // cover the full path of §3.2's router pipeline: creation at the source
@@ -105,19 +109,58 @@ type ProbeEvent struct {
 // their visits carry switch-grant events only.
 //
 // Implementations must not mutate the network from inside a callback.
+// A record is the probe's to keep once ProbeEvent has it.
 type Probe interface {
 	ProbeEvent(ev ProbeEvent)
 }
+
+// BatchProbe is a Probe that takes a cycle's records in bulk. The network
+// appends them, in ProbeEvent's order, to the buffer the last Flush
+// returned, then hands it back to Flush at the end of the Step. A
+// probe may keep only what Flush has handed it: the records of batch.
+// It returns the buffer to append to next, batch itself or another,
+// which the network owns until the next Flush and which may hold
+// records already handed over. SetProbe calls Flush(nil) for the first
+// buffer, which may be nil. The network never calls ProbeEvent on a
+// BatchProbe.
+type BatchProbe interface {
+	Probe
+	Flush(batch []ProbeEvent) []ProbeEvent
+}
+
+// Compile-time: a record is 48 bytes, its Dir one. Keep them so when
+// adding fields: the observed run writes every record once or twice.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(ProbeEvent{})-48]
+	_ = [1]struct{}{}[unsafe.Sizeof(topology.Dir(0))-1]
+)
 
 // SetProbe attaches p to the network (nil detaches); call it between
 // steps. The probe observes every subsequent pipeline event; attach
 // before the first Step for a complete trace.
 //
-// The emission sites buffer their events per shard, and the serial
-// epilogue of Step replays the buffers into p stage by stage, shards in
-// ascending order within each stage (shard.go), so the stream p sees is
-// byte-identical at any shard count.
-func (n *Network) SetProbe(p Probe) { n.probe = p }
+// The emission sites buffer their records per shard, and the serial
+// epilogue of Step hands them to p stage by stage, shards in ascending
+// order within each stage (shard.go), so the stream p sees is
+// byte-identical at any shard count. A plain Probe gets one ProbeEvent
+// call a record. A BatchProbe on one shard lends the shard its buffer,
+// which the emission sites append to in place, so a record is written
+// once; on several shards the epilogue appends each stage's slice of
+// each shard to the probe's buffer in one copy.
+func (n *Network) SetProbe(p Probe) {
+	n.probe, n.batch, n.batchBuf = p, nil, nil
+	for i := range n.shards {
+		n.shards[i].probeBuf = nil
+	}
+	if b, ok := p.(BatchProbe); ok {
+		n.batch = b
+		if buf := b.Flush(nil); len(n.shards) == 1 {
+			n.shards[0].probeBuf = buf
+		} else {
+			n.batchBuf = buf
+		}
+	}
+}
 
 // Instrumentation accessors: read-only views of live router state for
 // the cycle sampler (internal/obs). All are O(buffer slots) or cheaper

@@ -81,10 +81,12 @@ import (
 // With a probe attached, every shard buffers its probe events and marks
 // where each stage of the cycle begins in its buffer: ejections of
 // SA-phase sends, ejections of VA-phase sends, injection, SA, VA, RC.
-// The serial epilogue of Step (drainShardOutputs) replays the buffers
-// stage-major, shard-minor, into the probe: shards are contiguous
-// ascending ID ranges, so that is one stream for every shard count, and
-// traces and spans replay byte for byte. Eject callbacks are buffered
+// The serial epilogue of Step (drainShardOutputs) hands the buffers to
+// the probe stage-major, shard-minor: shards are contiguous ascending ID
+// ranges, so that is one stream for every shard count, and traces and
+// spans replay byte for byte. One shard's buffer is that stream already,
+// so a BatchProbe lends it its own buffer and nothing is copied
+// (SetProbe). Eject callbacks are buffered
 // and fired in (send phase, shard) order the same way. The probe sees a
 // cycle's events at the end of that cycle rather than during it; probes
 // only record events (Probe implementations must not mutate the
@@ -158,7 +160,7 @@ const (
 // the head and ejection rings for traffic staying inside the shard, the
 // per-stage activity sets restricted to the shard's routers and NIs,
 // and the buffered outputs (ejections, probe events) the serial
-// epilogue replays in canonical order.
+// epilogue hands over in canonical order.
 type shardState struct {
 	idx    int32
 	lo, hi int32 // router/NI ID range [lo, hi)
@@ -188,7 +190,8 @@ type shardState struct {
 
 	// probeBuf buffers the cycle's probe events while a probe is
 	// attached (emit); stage k of the cycle buffered
-	// probeBuf[mark[k]:mark[k+1]].
+	// probeBuf[mark[k]:mark[k+1]]. A lone shard with a BatchProbe
+	// appends to the probe's buffer, records of earlier cycles ahead.
 	probeBuf []ProbeEvent
 	mark     [numStages + 1]int
 
@@ -431,22 +434,34 @@ func (n *Network) deliver(sh *shardState) {
 	}
 }
 
-// drainShardOutputs is the serial epilogue of every step: replay the
-// buffered probe events stage-major, shard-minor, then finish the
-// buffered ejected packets (eject callback, release) in (send phase,
-// shard) order — on one shard, the order the cycle emitted them in.
+// drainShardOutputs is the serial epilogue of every step: hand the
+// buffered probe records to the probe stage-major, shard-minor, then
+// finish the buffered ejected packets (eject callback, release) in (send
+// phase, shard) order — on one shard, the order the cycle emitted them in.
 func (n *Network) drainShardOutputs() {
-	if n.probe != nil {
+	if b := n.batch; b != nil && len(n.shards) == 1 {
+		// The one shard's buffer is the probe's, stage-major already.
+		n.shards[0].probeBuf = b.Flush(n.shards[0].probeBuf)
+	} else if n.probe != nil {
+		buf := n.batchBuf
 		for k := 0; k < numStages; k++ {
 			for i := range n.shards {
 				sh := &n.shards[i]
-				for _, ev := range sh.probeBuf[sh.mark[k]:sh.mark[k+1]] {
+				recs := sh.probeBuf[sh.mark[k]:sh.mark[k+1]]
+				if b != nil {
+					buf = append(buf, recs...)
+					continue
+				}
+				for _, ev := range recs {
 					n.probe.ProbeEvent(ev)
 				}
 			}
 		}
 		for i := range n.shards {
 			n.shards[i].probeBuf = n.shards[i].probeBuf[:0]
+		}
+		if b != nil {
+			n.batchBuf = b.Flush(buf)
 		}
 	}
 	for p := 0; p < 2; p++ {

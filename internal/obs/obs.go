@@ -6,8 +6,8 @@
 //
 // It has three cooperating parts:
 //
-//   - a Collector implementing noc.Probe, fed by the nil-checked probe
-//     hooks compiled into the router pipeline (inject, RC, VA, SA and
+//   - a Collector implementing noc.BatchProbe, whose batches the router
+//     pipeline's nil-checked probe hooks fill (inject, RC, VA, SA and
 //     eject events at zero cost when detached; it derives link events);
 //   - a metric Registry plus cycle-windowed Sampler that snapshots
 //     per-router/per-VC gauges (buffer occupancy, credit stalls, active
@@ -152,9 +152,9 @@ func (a *latencyAcc) stats() LatencyStats {
 const batchEvents = 8192
 
 // Collector is the live observability pipeline of one simulation run:
-// it implements noc.Probe (event counting, latency accumulation, trace
-// writing) and exposes an OnCycle hook for the gauge sampler. Attach
-// wires both into a Sim.
+// it implements noc.BatchProbe (event counting, latency accumulation,
+// trace writing, each on a sink goroutine fed in batches) and exposes an
+// OnCycle hook for the gauge sampler. Attach wires both into a Sim.
 type Collector struct {
 	reg     *Registry
 	sampler *Sampler
@@ -162,22 +162,25 @@ type Collector struct {
 	flits   *SpanBuilder // in-flight table and latency always; span folding with Config.Spans
 	engine  *EngineCollector
 	cfg     Config
+	net     *noc.Network // the network Attach installed it on; Close detaches it
 
 	counts    [noc.NumProbeKinds]int64
 	lastCycle int64
 	warmup    int64 // the cycle noc.Sim resets the router counters at
 	finished  bool
 
-	// The hand-off: the simulation goroutine appends to fill while the sink
-	// goroutines read spare, free again once draining is waited out. The
-	// sinks are bound once: a go statement with arguments allocates.
-	fill, spare      []noc.ProbeEvent
-	feedFn, recordFn func()
-	draining         sync.WaitGroup
-	sinkPanic        [2]any           // what each sink goroutine recovered, until await re-raises it
-	busy             [2]time.Duration // each sink's time spent draining batches
-	handOffs         int64
-	waited           time.Duration
+	// The hand-off: the simulation goroutine, or the network Flush lends it
+	// to, appends to fill; the sinks read drain (fill's records before fed,
+	// or spare's) until draining is waited out. step is the most records one
+	// Flush added. The sinks are bound once: go with arguments allocates.
+	fill, spare, drain []noc.ProbeEvent
+	fed, step          int
+	feedFn, recordFn   func()
+	draining           sync.WaitGroup
+	sinkPanic          [2]any           // what each sink goroutine recovered, until await re-raises it
+	busy               [2]time.Duration // each sink's time spent draining batches
+	handOffs           int64
+	waited             time.Duration
 }
 
 // New builds a collector over net with the standard network gauge set,
@@ -210,6 +213,7 @@ func (c *Collector) SetTraceWriter(w io.Writer) *TraceWriter {
 // warm-up length (for the sampler's counter carry) and the engine
 // collector's warmup+measure target from the sim's parameters.
 func (c *Collector) Attach(sim *noc.Sim) {
+	c.net = sim.Net
 	sim.Net.SetProbe(c)
 	sim.OnCycle = c.OnCycle
 	c.warmup = sim.Params.Warmup
@@ -222,41 +226,47 @@ func (c *Collector) Attach(sim *noc.Sim) {
 // Config.Engine is off.
 func (c *Collector) Engine() *EngineCollector { return c.engine }
 
-// ProbeEvent implements noc.Probe. Only counting happens here, on the
-// simulation goroutine: the kind is counted (a grant onto a network port
-// also as a link) and the record appended to the fill batch, which goes
-// to the sinks when full. The latency statistics need only a flit's two
-// ends; the stage events between are kept for a trace or spans.
-func (c *Collector) ProbeEvent(ev noc.ProbeEvent) {
-	c.counts[ev.Kind]++
-	if crossesLink(ev.Kind, ev.Dir) {
-		c.counts[noc.ProbeLink]++
-	}
-	ends := ev.Kind == noc.ProbeInject || ev.Kind == noc.ProbeEject
-	if !ends && !c.cfg.Spans && c.tw == nil {
-		return
+// ProbeEvent implements noc.Probe for a network that calls it per record
+// (or a plain probe forwarding to it): an append to the fill batch.
+func (c *Collector) ProbeEvent(ev noc.ProbeEvent) { c.Flush(append(c.fill, ev)) }
+
+// Flush implements noc.BatchProbe. batch is the fill batch the network
+// was lent, its records since the last call appended (the first call's
+// come in a buffer of its own, copied). It goes to the sinks once another
+// call's records might not fit, so append never grows it; the network
+// appends on to what Flush returns.
+func (c *Collector) Flush(batch []noc.ProbeEvent) []noc.ProbeEvent {
+	if batch == nil {
+		return c.fill
 	}
 	if c.fill == nil {
 		c.fill, c.spare = make([]noc.ProbeEvent, 0, batchEvents), make([]noc.ProbeEvent, 0, batchEvents)
+		batch = append(c.fill, batch...)
 	}
-	c.fill = append(c.fill, ev)
-	if len(c.fill) >= batchEvents {
-		c.handOff()
+	c.step = max(c.step, len(batch)-len(c.fill))
+	if c.fill = batch; cap(batch)-len(batch) < c.step {
+		c.handOff(false)
 	}
+	return c.fill
 }
 
-// handOff gives the fill batch to the two sinks, each draining it in
-// probe order on a goroutine that ends with the batch. Waiting out the
-// batch before it first keeps every sink's batches in order, and the
-// simulation goroutine blocked only while both batches are full.
-func (c *Collector) handOff() {
+// handOff gives the sinks the records of fill from fed on, each sink
+// draining them in probe order on a goroutine that ends with the batch.
+// Waiting out the batch before it first keeps every sink's batches in
+// order, and the simulation goroutine blocked only while both are full.
+// With keep, fill stays the fill batch (a network may be appending to
+// it) and fed marks its records as handed; else spare takes its place.
+func (c *Collector) handOff(keep bool) {
 	start := time.Now()
 	c.await()
 	c.waited += time.Since(start)
-	if len(c.fill) == 0 {
+	if len(c.fill) == c.fed {
 		return
 	}
-	c.fill, c.spare = c.spare[:0], c.fill
+	c.drain = c.fill[c.fed:]
+	if c.fed = len(c.fill); !keep {
+		c.fill, c.spare, c.fed = c.spare[:0], c.fill, 0
+	}
 	c.handOffs++
 	c.draining.Add(1)
 	go c.feedFn()
@@ -266,22 +276,32 @@ func (c *Collector) handOff() {
 	}
 }
 
-// feed is the sink of the in-flight table: latency, spans, attribution. Both sinks
-// read the collector once: its fields share cache lines the simulation writes.
+// feed is the sink of the in-flight table (latency, spans, attribution)
+// and of the kind counts, a grant onto a network port also counted as a
+// link. Both sinks read the collector once: its fields share cache lines
+// the simulation writes.
 func (c *Collector) feed() {
 	defer c.sinkDone(0, time.Now())
-	batch, flits, spans := c.spare, c.flits, c.cfg.Spans
+	batch, flits, spans := c.drain, c.flits, c.cfg.Spans
+	var counts [noc.NumProbeKinds]int64
 	for i := range batch {
-		if e := &batch[i]; spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
+		e := &batch[i]
+		if counts[e.Kind]++; crossesLink(e.Kind, e.Dir) {
+			counts[noc.ProbeLink]++
+		}
+		if spans || e.Kind == noc.ProbeInject || e.Kind == noc.ProbeEject {
 			flits.Feed(e) //nolint:errcheck // sticky: Spans().Err() reports it
 		}
+	}
+	for k, n := range counts {
+		c.counts[k] += n
 	}
 }
 
 // record is the trace writer's sink goroutine; a grant's link line follows it.
 func (c *Collector) record() {
 	defer c.sinkDone(1, time.Now())
-	batch, tw := c.spare, c.tw
+	batch, tw := c.drain, c.tw
 	for i := range batch {
 		if tw.Record(&batch[i]); crossesLink(batch[i].Kind, batch[i].Dir) {
 			tw.recordLink()
@@ -310,8 +330,9 @@ func (c *Collector) await() {
 }
 
 // sync folds everything accepted so far, the partial batch included:
-// an accessor then reads what it would had the sinks run inline.
-func (c *Collector) sync() { c.handOff(); c.await() }
+// an accessor then reads what it would had the sinks run inline. The
+// fill batch stays where it is, since the network may hold it (Flush).
+func (c *Collector) sync() { c.handOff(true); c.await() }
 
 // HandOffs returns the batches handed to the sinks, the simulation's wait for a free
 // one (near the wall time: the sinks are the bound) and the fold's and encoder's busy time.
@@ -339,8 +360,9 @@ func (c *Collector) OnCycle(cycle int64) {
 // Close ends the observed run once: the trailing partial sample window
 // (if the run stopped off a window boundary) is emitted, flagged
 // partial in the series, and the engine collector takes its last
-// update. Then it folds the last batch, lets go of both and flushes the
-// trace writer, if any.
+// update. Then it folds the last batch, detaches the network Attach
+// installed it on, so that neither keeps a batch, and flushes the trace
+// writer, if any.
 func (c *Collector) Close() error {
 	if !c.finished {
 		c.finished = true
@@ -349,8 +371,10 @@ func (c *Collector) Close() error {
 			c.engine.close()
 		}
 	}
-	c.sync()
-	c.fill, c.spare = nil, nil
+	if c.sync(); c.net != nil {
+		c.net.SetProbe(nil)
+	}
+	c.fill, c.spare, c.drain, c.fed = nil, nil, nil, 0
 	if c.tw == nil {
 		return nil
 	}
@@ -389,7 +413,8 @@ type Summary struct {
 
 // Summary digests the collector's current state.
 func (c *Collector) Summary() Summary {
-	s := Summary{Events: eventCounts(&c.counts), Latency: c.Latency(),
+	lat := c.Latency() // folds the counts too
+	s := Summary{Events: eventCounts(&c.counts), Latency: lat,
 		Windows: c.sampler.Samples(), Window: c.sampler.Window()}
 	if c.tw != nil {
 		s.Traced = c.tw.Written()

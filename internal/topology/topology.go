@@ -15,8 +15,9 @@ type Coord struct{ X, Y, Z int }
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d,%d)", c.X, c.Y, c.Z) }
 
 // Dir names a router port. Local is the NI (network interface) port;
-// the *Exp directions are the multi-hop express ports of 3DM-E.
-type Dir int
+// the *Exp directions are the multi-hop express ports of 3DM-E. It is
+// one byte wide: it is a field of every probe record (noc.ProbeEvent).
+type Dir uint8
 
 // Port directions.
 const (
@@ -40,7 +41,7 @@ var dirNames = [...]string{
 }
 
 func (d Dir) String() string {
-	if d < 0 || int(d) >= len(dirNames) {
+	if int(d) >= len(dirNames) {
 		return fmt.Sprintf("dir(%d)", int(d))
 	}
 	return dirNames[d]
